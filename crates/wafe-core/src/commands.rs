@@ -10,37 +10,40 @@ use wafe_xt::callback::{CallbackItem, PredefinedCallback};
 use wafe_xt::resource::ResourceValue;
 use wafe_xt::translation::{MergeMode, TranslationTable};
 
-use crate::session::{pump, Timer, WafeSession};
+use wafe_tcl::Interp;
 
-/// Registers every hand-written command into the session.
-pub fn register_handwritten(session: &mut WafeSession) {
-    register_set_values(session);
-    register_get_values(session);
-    register_merge_resources(session);
-    register_load_resource_file(session);
-    register_action(session);
-    register_callback(session);
-    register_realize(session);
-    register_quit(session);
-    register_snapshot(session);
-    register_snapshot_ppm(session);
-    register_timeouts(session);
-    register_work_procs(session);
-    register_process_events(session);
-    register_channel(session);
-    register_widget_tree(session);
-    register_stats(session);
-    register_telemetry(session);
-    register_backend_controls(session);
+use crate::session::{pump, SessionCtx, Timer};
+
+/// Registers every hand-written command into `interp` (the toolkit
+/// image's command table; see [`crate::image`]).
+pub fn register_handwritten(interp: &mut Interp) {
+    register_set_values(interp);
+    register_get_values(interp);
+    register_merge_resources(interp);
+    register_load_resource_file(interp);
+    register_action(interp);
+    register_callback(interp);
+    register_realize(interp);
+    register_quit(interp);
+    register_snapshot(interp);
+    register_snapshot_ppm(interp);
+    register_timeouts(interp);
+    register_work_procs(interp);
+    register_process_events(interp);
+    register_channel(interp);
+    register_widget_tree(interp);
+    register_stats(interp);
+    register_telemetry(interp);
+    register_backend_controls(interp);
 }
 
 /// `backend status|restart|kill|config|queue`, `faultpoint
 /// set|clear|list`, `serve status|sessions|drain|limits` and `display
 /// attach|detach|frame|event|status` — the embedder control surface. The behaviour is installed by the
 /// embedding process (wafe-ipc's frontend, wafe-serve's scheduler)
-/// through [`WafeSession::controls`]; in a plain session each command
+/// through [`crate::WafeSession::controls`]; in a plain session each command
 /// reports which embedding it needs.
-fn register_backend_controls(session: &mut WafeSession) {
+fn register_backend_controls(interp: &mut Interp) {
     for (name, absent) in [
         ("backend", "requires frontend mode (no backend attached)"),
         ("faultpoint", "requires frontend mode (no backend attached)"),
@@ -57,9 +60,9 @@ fn register_backend_controls(session: &mut WafeSession) {
             "requires server mode (no display channel attached)",
         ),
     ] {
-        let controls = session.controls.clone();
-        session.register_handwritten_command(name, move |_interp, argv| {
-            let mut controls = controls.borrow_mut();
+        interp.register(name, move |interp, argv| {
+            let cx = SessionCtx::of(interp)?;
+            let mut controls = cx.controls.borrow_mut();
             // Control handlers are an embedding-facing API and stay on
             // plain strings; convert at this boundary.
             let words: Vec<String> = argv.iter().map(|v| v.to_string()).collect();
@@ -138,9 +141,9 @@ pub fn session_snapshot_pairs(
 /// chrome path|reset|enable|disable|enabled` — the unified introspection
 /// surface across the interpreter, the toolkit and the pipe protocol
 /// (see `docs/telemetry.md`).
-fn register_telemetry(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("telemetry", move |interp, argv| {
+fn register_telemetry(interp: &mut Interp) {
+    interp.register("telemetry", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() < 2 {
             return Err(wrong_num_args("telemetry option ?arg?"));
         }
@@ -151,7 +154,7 @@ fn register_telemetry(session: &mut WafeSession) {
                     return Err(wrong_num_args("telemetry snapshot ?prefix?"));
                 }
                 let prefix = argv.get(2).map(|v| v.to_string()).unwrap_or_default();
-                let words: Vec<String> = session_snapshot_pairs(interp, &app_rc)
+                let words: Vec<String> = session_snapshot_pairs(interp, &cx.app)
                     .into_iter()
                     .filter(|(k, _)| k.starts_with(&prefix))
                     .flat_map(|(k, v)| [k, v])
@@ -168,7 +171,7 @@ fn register_telemetry(session: &mut WafeSession) {
                 let prefix = argv.get(2).map(|v| v.to_string()).unwrap_or_default();
                 let mut out = String::from("{");
                 let mut first = true;
-                for (k, v) in session_snapshot_pairs(interp, &app_rc) {
+                for (k, v) in session_snapshot_pairs(interp, &cx.app) {
                     if !k.starts_with(&prefix) {
                         continue;
                     }
@@ -325,15 +328,15 @@ fn register_telemetry(session: &mut WafeSession) {
     });
 }
 
-fn register_set_values(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    let handler = move |_: &mut wafe_tcl::Interp, argv: &[Value]| {
+fn register_set_values(interp: &mut Interp) {
+    let handler = |interp: &mut Interp, argv: &[Value]| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() < 4 || !(argv.len() - 2).is_multiple_of(2) {
             return Err(wrong_num_args(
                 "setValues widget resource value ?resource value ...?",
             ));
         }
-        let mut app = app_rc.borrow_mut();
+        let mut app = cx.app.borrow_mut();
         let w = app
             .lookup(&argv[1])
             .ok_or_else(|| TclError::Error(format!("unknown widget \"{}\"", argv[1])))?;
@@ -345,17 +348,17 @@ fn register_set_values(session: &mut WafeSession) {
     };
     // "For convenience the command setValues is registered as well under
     // the name sV."
-    session.register_handwritten_command("setValues", handler.clone());
-    session.register_handwritten_command("sV", handler);
+    interp.register("setValues", handler);
+    interp.register("sV", handler);
 }
 
-fn register_get_values(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    let handler = move |_: &mut wafe_tcl::Interp, argv: &[Value]| {
+fn register_get_values(interp: &mut Interp) {
+    let handler = |interp: &mut Interp, argv: &[Value]| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 3 {
             return Err(wrong_num_args("getValue widget resource"));
         }
-        let app = app_rc.borrow();
+        let app = cx.app.borrow();
         let w = app
             .lookup(&argv[1])
             .ok_or_else(|| TclError::Error(format!("unknown widget \"{}\"", argv[1])))?;
@@ -363,14 +366,14 @@ fn register_get_values(session: &mut WafeSession) {
             .map(Value::from)
             .map_err(|e| TclError::Error(e.to_string()))
     };
-    session.register_handwritten_command("getValue", handler.clone());
-    session.register_handwritten_command("getValues", handler.clone());
-    session.register_handwritten_command("gV", handler);
+    interp.register("getValue", handler);
+    interp.register("getValues", handler);
+    interp.register("gV", handler);
 }
 
-fn register_load_resource_file(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("loadResourceFile", move |_, argv| {
+fn register_load_resource_file(interp: &mut Interp) {
+    interp.register("loadResourceFile", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         // The resource-file mechanism: "Using a resource description
         // file, which is evaluated at startup time of the application."
         if argv.len() != 2 {
@@ -379,20 +382,20 @@ fn register_load_resource_file(session: &mut WafeSession) {
         let text = std::fs::read_to_string(argv[1].as_str()).map_err(|e| {
             TclError::Error(format!("couldn't read resource file \"{}\": {e}", argv[1]))
         })?;
-        let n = app_rc.borrow_mut().resource_db.merge_text(&text);
+        let n = cx.app.borrow_mut().resource_db.merge_text(&text);
         Ok(Value::from_int(n as i64))
     });
 }
 
-fn register_merge_resources(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("mergeResources", move |_, argv| {
+fn register_merge_resources(interp: &mut Interp) {
+    interp.register("mergeResources", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() < 3 || (argv.len() - 1) % 2 != 0 {
             return Err(wrong_num_args(
                 "mergeResources resource value ?resource value ...?",
             ));
         }
-        let mut app = app_rc.borrow_mut();
+        let mut app = cx.app.borrow_mut();
         for pair in argv[1..].chunks(2) {
             let line = format!("{}: {}", pair[0], pair[1]);
             if !app.resource_db.insert_line(&line) {
@@ -406,9 +409,9 @@ fn register_merge_resources(session: &mut WafeSession) {
     });
 }
 
-fn register_action(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("action", move |_, argv| {
+fn register_action(interp: &mut Interp) {
+    interp.register("action", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() < 4 {
             return Err(wrong_num_args(
                 "action widget override|augment|replace translation ?translation ...?",
@@ -421,7 +424,7 @@ fn register_action(session: &mut WafeSession) {
             ))
         })?;
         let table = TranslationTable::parse(&argv[3..].join("\n")).map_err(TclError::Error)?;
-        let mut app = app_rc.borrow_mut();
+        let mut app = cx.app.borrow_mut();
         let w = app
             .lookup(&argv[1])
             .ok_or_else(|| TclError::Error(format!("unknown widget \"{}\"", argv[1])))?;
@@ -430,9 +433,9 @@ fn register_action(session: &mut WafeSession) {
     });
 }
 
-fn register_callback(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("callback", move |_, argv| {
+fn register_callback(interp: &mut Interp) {
+    interp.register("callback", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 5 {
             return Err(wrong_num_args("callback widget resource function shell"));
         }
@@ -442,7 +445,7 @@ fn register_callback(session: &mut WafeSession) {
                 argv[3]
             ))
         })?;
-        let mut app = app_rc.borrow_mut();
+        let mut app = cx.app.borrow_mut();
         let w = app
             .lookup(&argv[1])
             .ok_or_else(|| TclError::Error(format!("unknown widget \"{}\"", argv[1])))?;
@@ -474,15 +477,14 @@ fn register_callback(session: &mut WafeSession) {
     });
 }
 
-fn register_realize(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    let quit = session.quit.clone();
-    session.register_handwritten_command("realize", move |interp, argv| {
+fn register_realize(interp: &mut Interp) {
+    interp.register("realize", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 1 {
             return Err(wrong_num_args("realize"));
         }
         let shells: Vec<wafe_xt::WidgetId> = {
-            let app = app_rc.borrow();
+            let app = cx.app.borrow();
             app.widget_names()
                 .iter()
                 .filter_map(|n| app.lookup(n))
@@ -497,31 +499,31 @@ fn register_realize(session: &mut WafeSession) {
                 .collect()
         };
         for s in shells {
-            app_rc.borrow_mut().realize(s);
+            cx.app.borrow_mut().realize(s);
         }
-        let ndisplays = app_rc.borrow().displays.len();
+        let ndisplays = cx.app.borrow().displays.len();
         for di in 0..ndisplays {
-            app_rc.borrow_mut().displays[di].flush();
+            cx.app.borrow_mut().displays[di].flush();
         }
-        pump(interp, &app_rc, &quit);
+        pump(interp, &cx.app, &cx.quit);
         Ok(Value::empty())
     });
 }
 
-fn register_quit(session: &mut WafeSession) {
-    let quit = session.quit.clone();
-    session.register_handwritten_command("quit", move |_, argv| {
+fn register_quit(interp: &mut Interp) {
+    interp.register("quit", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 1 {
             return Err(wrong_num_args("quit"));
         }
-        quit.set(true);
+        cx.quit.set(true);
         Ok(Value::empty())
     });
 }
 
-fn register_snapshot(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("snapshot", move |_, argv| {
+fn register_snapshot(interp: &mut Interp) {
+    interp.register("snapshot", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         // snapshot ?x y w h? ?displayIndex? — reproduction aid: the ASCII
         // figure of the current screen.
         let (rect, di) = match argv.len() {
@@ -542,7 +544,7 @@ fn register_snapshot(session: &mut WafeSession) {
             }
             _ => return Err(wrong_num_args("snapshot ?x y width height? ?display?")),
         };
-        let mut app = app_rc.borrow_mut();
+        let mut app = cx.app.borrow_mut();
         if di >= app.displays.len() {
             return Err(TclError::Error(format!("no display {di}")));
         }
@@ -551,9 +553,9 @@ fn register_snapshot(session: &mut WafeSession) {
     });
 }
 
-fn register_snapshot_ppm(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("snapshotPpm", move |_, argv| {
+fn register_snapshot_ppm(interp: &mut Interp) {
+    interp.register("snapshotPpm", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         // snapshotPpm fileName ?displayIndex? — writes a real PPM image
         // of the composited screen (the reproduction's figure files).
         if argv.len() != 2 && argv.len() != 3 {
@@ -565,7 +567,7 @@ fn register_snapshot_ppm(session: &mut WafeSession) {
             .transpose()
             .map_err(|_| TclError::Error(format!("expected integer but got \"{}\"", argv[2])))?
             .unwrap_or(0);
-        let mut app = app_rc.borrow_mut();
+        let mut app = cx.app.borrow_mut();
         if di >= app.displays.len() {
             return Err(TclError::Error(format!("no display {di}")));
         }
@@ -580,38 +582,34 @@ fn register_snapshot_ppm(session: &mut WafeSession) {
     });
 }
 
-fn register_timeouts(session: &mut WafeSession) {
-    let timers = session.timers.clone();
-    let clock = session.clock_ms.clone();
-    session.register_handwritten_command("addTimeOut", move |_, argv| {
+fn register_timeouts(interp: &mut Interp) {
+    interp.register("addTimeOut", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 3 {
             return Err(wrong_num_args("addTimeOut milliseconds script"));
         }
         let ms: u64 = argv[1]
             .parse()
             .map_err(|_| TclError::Error(format!("expected integer but got \"{}\"", argv[1])))?;
-        timers.borrow_mut().push(Timer {
-            deadline_ms: clock.get() + ms,
+        cx.timers.borrow_mut().push(Timer {
+            deadline_ms: cx.clock_ms.get() + ms,
             script: argv[2].to_string(),
         });
         Ok(Value::empty())
     });
 
-    let timers = session.timers.clone();
-    let clock = session.clock_ms.clone();
-    let app_rc = session.app.clone();
-    let quit = session.quit.clone();
-    session.register_handwritten_command("advanceTime", move |interp, argv| {
+    interp.register("advanceTime", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 2 {
             return Err(wrong_num_args("advanceTime milliseconds"));
         }
         let ms: u64 = argv[1]
             .parse()
             .map_err(|_| TclError::Error(format!("expected integer but got \"{}\"", argv[1])))?;
-        let target = clock.get() + ms;
+        let target = cx.clock_ms.get() + ms;
         loop {
             let next = {
-                let t = timers.borrow();
+                let t = cx.timers.borrow();
                 t.iter()
                     .enumerate()
                     .filter(|(_, t)| t.deadline_ms <= target)
@@ -620,45 +618,44 @@ fn register_timeouts(session: &mut WafeSession) {
             };
             match next {
                 Some((i, deadline)) => {
-                    let t = timers.borrow_mut().remove(i);
-                    clock.set(deadline);
+                    let t = cx.timers.borrow_mut().remove(i);
+                    cx.clock_ms.set(deadline);
                     let _ = interp.eval(&t.script);
-                    pump(interp, &app_rc, &quit);
+                    pump(interp, &cx.app, &cx.quit);
                 }
                 None => break,
             }
         }
-        clock.set(target);
+        cx.clock_ms.set(target);
         Ok(Value::empty())
     });
 }
 
-fn register_work_procs(session: &mut WafeSession) {
-    let procs = session.work_procs.clone();
-    let next = session.next_work_id.clone();
-    session.register_handwritten_command("addWorkProc", move |_, argv| {
+fn register_work_procs(interp: &mut Interp) {
+    interp.register("addWorkProc", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         // XtAppAddWorkProc: the script runs whenever the loop is idle; a
         // true result removes it (like returning True from C).
         if argv.len() != 2 {
             return Err(wrong_num_args("addWorkProc script"));
         }
-        let id = next.get();
-        next.set(id + 1);
-        procs.borrow_mut().push((id, argv[1].to_string()));
+        let id = cx.next_work_id.get();
+        cx.next_work_id.set(id + 1);
+        cx.work_procs.borrow_mut().push((id, argv[1].to_string()));
         Ok(Value::from_int(id as i64))
     });
 
-    let procs = session.work_procs.clone();
-    session.register_handwritten_command("removeWorkProc", move |_, argv| {
+    interp.register("removeWorkProc", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 2 {
             return Err(wrong_num_args("removeWorkProc id"));
         }
         let id: u64 = argv[1]
             .parse()
             .map_err(|_| TclError::Error(format!("expected integer but got \"{}\"", argv[1])))?;
-        let before = procs.borrow().len();
-        procs.borrow_mut().retain(|(i, _)| *i != id);
-        Ok(Value::from(if procs.borrow().len() < before {
+        let before = cx.work_procs.borrow().len();
+        cx.work_procs.borrow_mut().retain(|(i, _)| *i != id);
+        Ok(Value::from(if cx.work_procs.borrow().len() < before {
             "1"
         } else {
             "0"
@@ -666,29 +663,28 @@ fn register_work_procs(session: &mut WafeSession) {
     });
 }
 
-fn register_process_events(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    let quit = session.quit.clone();
-    session.register_handwritten_command("processEvents", move |interp, argv| {
+fn register_process_events(interp: &mut Interp) {
+    interp.register("processEvents", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 1 {
             return Err(wrong_num_args("processEvents"));
         }
-        pump(interp, &app_rc, &quit);
+        pump(interp, &cx.app, &cx.quit);
         Ok(Value::empty())
     });
 }
 
-fn register_channel(session: &mut WafeSession) {
-    let fd = session.channel_fd.clone();
-    session.register_handwritten_command("getChannel", move |_, argv| {
+fn register_channel(interp: &mut Interp) {
+    interp.register("getChannel", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 1 {
             return Err(wrong_num_args("getChannel"));
         }
-        Ok(Value::from(fd.get().to_string()))
+        Ok(Value::from(cx.channel_fd.get().to_string()))
     });
 
-    let comm = session.comm_var.clone();
-    session.register_handwritten_command("setCommunicationVariable", move |_, argv| {
+    interp.register("setCommunicationVariable", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         if argv.len() != 4 {
             return Err(wrong_num_args(
                 "setCommunicationVariable varName byteCount script",
@@ -697,20 +693,20 @@ fn register_channel(session: &mut WafeSession) {
         let bytes: usize = argv[2]
             .parse()
             .map_err(|_| TclError::Error(format!("expected integer but got \"{}\"", argv[2])))?;
-        *comm.borrow_mut() = Some((argv[1].to_string(), bytes, argv[3].to_string()));
+        *cx.comm_var.borrow_mut() = Some((argv[1].to_string(), bytes, argv[3].to_string()));
         Ok(Value::empty())
     });
 }
 
-fn register_widget_tree(session: &mut WafeSession) {
-    let app_rc = session.app.clone();
-    session.register_handwritten_command("widgetTree", move |_, argv| {
+fn register_widget_tree(interp: &mut Interp) {
+    interp.register("widgetTree", |interp, argv| {
+        let cx = SessionCtx::of(interp)?;
         // widgetTree ?root? — the widget hierarchy as a nested Tcl list:
         // {name class {children...}}. Introspection for design tools.
         if argv.len() > 2 {
             return Err(wrong_num_args("widgetTree ?root?"));
         }
-        let app = app_rc.borrow();
+        let app = cx.app.borrow();
         let root = match argv.get(1) {
             Some(name) => app
                 .lookup(name)
@@ -737,27 +733,23 @@ fn register_widget_tree(session: &mut WafeSession) {
     });
 }
 
-fn register_stats(session: &mut WafeSession) {
-    let generated = session.spec().generated_count();
-    let handwritten = session.handwritten.clone();
-    session.register_handwritten_command("wafeStats", move |_, argv| {
+fn register_stats(interp: &mut Interp) {
+    interp.register("wafeStats", |interp, argv| {
         if argv.len() != 1 {
             return Err(wrong_num_args("wafeStats"));
         }
-        // +1: this command itself has not been counted yet at capture
-        // time for the commands registered after it; the counter cell is
-        // shared, so reading it now is accurate.
+        let (generated, handwritten) = SessionCtx::of(interp)?.image.command_stats();
         Ok(Value::from(format!(
-            "generated {generated} handwritten {}",
-            handwritten.get()
+            "generated {generated} handwritten {handwritten}"
         )))
     });
 
-    let guide = session.reference_guide();
-    session.register_handwritten_command("referenceGuide", move |_, argv| {
+    interp.register("referenceGuide", |interp, argv| {
         if argv.len() != 1 {
             return Err(wrong_num_args("referenceGuide"));
         }
-        Ok(Value::from(guide.clone()))
+        Ok(Value::from(
+            SessionCtx::of(interp)?.image.spec().reference_guide(),
+        ))
     });
 }

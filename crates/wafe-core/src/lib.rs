@@ -25,6 +25,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod image;
 pub mod naming;
 pub mod natives;
 pub mod percent;
@@ -33,5 +34,6 @@ pub mod snapshot;
 pub mod spec;
 
 pub use args::{split_args, SplitArgs};
+pub use image::ToolkitImage;
 pub use session::{ControlHandler, Flavor, WafeSession};
 pub use snapshot::{RestoreReport, SessionSnapshot, WidgetSnap, FORMAT_VERSION};

@@ -1,27 +1,26 @@
 //! The Wafe session: Tcl interpreter + X Toolkit, wired together.
 //!
 //! A [`WafeSession`] is the embeddable form of the `wafe` program: it
-//! owns the interpreter and the application context, registers the
-//! spec-generated and hand-written commands, creates the automatic
-//! `topLevel` shell, installs the global `exec` action and routes
-//! callback/action scripts (with percent substitution) back into the
-//! interpreter — the analogue of Xt dispatching into application C code.
+//! owns the interpreter and the application context, takes its widget
+//! classes and commands (spec-generated and hand-written) from the
+//! flavour's shared [`ToolkitImage`], creates the automatic `topLevel`
+//! shell and routes callback/action scripts (with percent substitution)
+//! back into the interpreter — the analogue of Xt dispatching into
+//! application C code.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use wafe_tcl::error::wrong_num_args;
-use wafe_tcl::{CmdResult, Interp, OutputSink, TclError, Value};
+use wafe_tcl::{CmdResult, Interp, OutputSink, TclError};
 use wafe_trace::Telemetry;
-use wafe_xproto::GrabKind;
 use wafe_xt::app::HostCallKind;
-use wafe_xt::{XtApp, XtError};
+use wafe_xt::XtApp;
 
 use crate::args::SplitArgs;
-use crate::natives::{native_registry, NativeFn, NativeValue};
+use crate::image::ToolkitImage;
 use crate::percent;
-use crate::spec::{parse_spec, ClassSpec, CommandSpec, SpecFile, SpecType};
+use crate::spec::SpecFile;
 
 /// Which widget set the binary was built for. The paper: "in the current
 /// version it is not possible to mix Athena and OSF/Motif widgets and
@@ -59,6 +58,33 @@ pub(crate) struct Timer {
     pub(crate) script: String,
 }
 
+/// The per-session state the toolkit image's shared commands reach
+/// through the interpreter's context slot ([`Interp::context`]).
+pub(crate) struct SessionCtx {
+    pub(crate) image: Rc<ToolkitImage>,
+    pub(crate) app: Rc<RefCell<XtApp>>,
+    pub(crate) quit: Rc<Cell<bool>>,
+    pub(crate) timers: RefCell<Vec<Timer>>,
+    /// Idle work procs (`XtAppAddWorkProc`): `(id, script)`; a script
+    /// evaluating to a true value removes itself, like returning `True`
+    /// from a C work procedure.
+    pub(crate) work_procs: RefCell<Vec<(u64, String)>>,
+    pub(crate) next_work_id: Cell<u64>,
+    pub(crate) clock_ms: Cell<u64>,
+    pub(crate) comm_var: Rc<RefCell<Option<(String, usize, String)>>>,
+    pub(crate) channel_fd: Rc<Cell<i64>>,
+    pub(crate) controls: Rc<RefCell<HashMap<String, ControlHandler>>>,
+}
+
+impl SessionCtx {
+    /// The session `interp` belongs to.
+    pub(crate) fn of(interp: &Interp) -> Result<Rc<SessionCtx>, TclError> {
+        interp
+            .context::<SessionCtx>()
+            .ok_or_else(|| TclError::error("command requires a Wafe session"))
+    }
+}
+
 /// The Wafe session.
 ///
 /// # Examples
@@ -73,20 +99,11 @@ pub(crate) struct Timer {
 /// assert_eq!(session.eval("getResourceList l rv").unwrap(), "42");
 /// ```
 pub struct WafeSession {
-    /// The Tcl interpreter with all Wafe commands registered.
+    /// The Tcl interpreter, its commands backed by the toolkit image.
     pub interp: Interp,
     /// The toolkit application context.
     pub app: Rc<RefCell<XtApp>>,
-    pub(crate) quit: Rc<Cell<bool>>,
-    pub(crate) timers: Rc<RefCell<Vec<Timer>>>,
-    /// Idle work procs (`XtAppAddWorkProc`): `(id, script)`; a script
-    /// evaluating to a true value removes itself, like returning `True`
-    /// from a C work procedure.
-    pub(crate) work_procs: Rc<RefCell<Vec<(u64, String)>>>,
-    pub(crate) next_work_id: Rc<Cell<u64>>,
-    pub(crate) clock_ms: Rc<Cell<u64>>,
-    spec: SpecFile,
-    pub(crate) handwritten: Rc<Cell<usize>>,
+    pub(crate) ctx: Rc<SessionCtx>,
     /// Which widget set is active.
     pub flavor: Flavor,
     output: Rc<RefCell<String>>,
@@ -109,212 +126,45 @@ pub struct WafeSession {
 
 impl WafeSession {
     /// Creates a session for the given flavour, with the automatic
-    /// `topLevel` application shell.
+    /// `topLevel` application shell. The flavour's [`ToolkitImage`] is
+    /// built on the thread's first session and shared after that.
     pub fn new(flavor: Flavor) -> Self {
+        let image = ToolkitImage::shared(flavor);
         let telemetry = Telemetry::from_env();
-        let mut app = XtApp::new();
+        let mut app = image.new_app();
         app.telemetry = telemetry.clone();
-        match flavor {
-            Flavor::Athena => wafe_xaw::register_all(&mut app),
-            Flavor::Motif => {
-                wafe_xaw::shell::register(&mut app);
-                wafe_motif::register_all(&mut app);
-            }
-            Flavor::Both => {
-                wafe_xaw::register_all(&mut app);
-                wafe_motif::register_all(&mut app);
-            }
-        }
-        if flavor != Flavor::Athena {
-            // The mofe flavour installs the XmString compound converter.
-            app.converters.register(wafe_xt::ResType::Compound, |s, _| {
-                Ok(wafe_xt::ResourceValue::Compound(
-                    wafe_motif::parse_xmstring(s),
-                ))
-            });
-        }
-        // The global `exec` action: "Wafe registers a global action exec
-        // which accepts any Wafe command as argument."
-        app.global_actions.add("exec", |app, w, event, args| {
-            let widget_name = app.widget(w).name.clone();
-            app.queue_host_call(wafe_xt::HostCall {
-                widget: w,
-                widget_name,
-                script: args.join(" "),
-                event: Some(event.clone()),
-                data: HashMap::new(),
-                kind: HostCallKind::Action,
-            });
-        });
-        let top = app
-            .create_widget("topLevel", "TopLevelShell", None, 0, &[], true)
+        app.create_widget("topLevel", "TopLevelShell", None, 0, &[], true)
             .expect("topLevel creation cannot fail");
-        let _ = top;
 
-        let mut interp = Interp::new();
+        let mut interp = Interp::with_base(image.commands().clone());
         interp.set_telemetry(telemetry.clone());
         let output = Rc::new(RefCell::new(String::new()));
         interp.set_output(OutputSink::Buffer(output.clone()));
 
-        let mut session = WafeSession {
-            interp,
+        let ctx = Rc::new(SessionCtx {
+            image,
             app: Rc::new(RefCell::new(app)),
             quit: Rc::new(Cell::new(false)),
-            timers: Rc::new(RefCell::new(Vec::new())),
-            work_procs: Rc::new(RefCell::new(Vec::new())),
-            next_work_id: Rc::new(Cell::new(1)),
-            clock_ms: Rc::new(Cell::new(0)),
-            spec: SpecFile::default(),
-            handwritten: Rc::new(Cell::new(0)),
-            flavor,
-            output,
+            timers: RefCell::new(Vec::new()),
+            work_procs: RefCell::new(Vec::new()),
+            next_work_id: Cell::new(1),
+            clock_ms: Cell::new(0),
             comm_var: Rc::new(RefCell::new(None)),
             channel_fd: Rc::new(Cell::new(-1)),
-            telemetry,
             controls: Rc::new(RefCell::new(HashMap::new())),
-        };
-        session.load_specs();
-        crate::commands::register_handwritten(&mut session);
-        session
-    }
-
-    fn load_specs(&mut self) {
-        let mut spec = parse_spec(XT_SPEC).expect("xt.wspec must parse");
-        spec.extend(parse_spec(SHELLS_SPEC).expect("shells.wspec must parse"));
-        spec.extend(parse_spec(EXT_SPEC).expect("ext.wspec must parse"));
-        match self.flavor {
-            Flavor::Athena => spec.extend(parse_spec(XAW_SPEC).expect("xaw.wspec must parse")),
-            Flavor::Motif => spec.extend(parse_spec(MOTIF_SPEC).expect("motif.wspec must parse")),
-            Flavor::Both => {
-                spec.extend(parse_spec(XAW_SPEC).expect("xaw.wspec must parse"));
-                spec.extend(parse_spec(MOTIF_SPEC).expect("motif.wspec must parse"));
-            }
-        }
-        let natives = native_registry();
-        for cs in spec.classes.clone() {
-            self.register_class_command(&cs);
-        }
-        for cs in spec.commands.clone() {
-            match natives.get(cs.c_name.as_str()) {
-                Some(native) => self.register_spec_command(&cs, native.clone()),
-                None => self
-                    .app
-                    .borrow_mut()
-                    .warn(format!("spec command {} has no native handler", cs.c_name)),
-            }
-        }
-        self.spec = spec;
-    }
-
-    /// Registers a widget-creation command from a `~widgetClass` block.
-    fn register_class_command(&mut self, cs: &ClassSpec) {
-        let app_rc = self.app.clone();
-        let class_name = cs.class.clone();
-        let usage = format!(
-            "{} name father ?unmanaged? ?resource value ...?",
-            cs.command
-        );
-        self.interp.register(&cs.command, move |_interp, argv| {
-            if argv.len() < 3 {
-                return Err(wrong_num_args(&usage));
-            }
-            let name = argv[1].clone();
-            let father = &argv[2];
-            let mut rest = &argv[3..];
-            let mut managed = true;
-            if rest.first().map(|s| s == "unmanaged").unwrap_or(false) {
-                managed = false;
-                rest = &rest[1..];
-            }
-            if rest.len() % 2 != 0 {
-                return Err(TclError::error(
-                    "resource arguments must come in attribute value pairs",
-                ));
-            }
-            let init: Vec<(String, String)> = rest
-                .chunks(2)
-                .map(|c| (c[0].to_string(), c[1].to_string()))
-                .collect();
-            let mut app = app_rc.borrow_mut();
-            let class = app.class(&class_name).ok_or_else(|| {
-                TclError::Error(format!(
-                    "widget class \"{class_name}\" not available in this Wafe binary"
-                ))
-            })?;
-            let father_id = app.lookup(father);
-            let created = match father_id {
-                Some(f) if class.is_shell => {
-                    // A shell with a widget father is a popup shell.
-                    let di = app.widget(f).display_idx;
-                    match app.create_widget(&name, &class_name, None, di, &init, managed) {
-                        Ok(id) => {
-                            app.add_popup(f, id);
-                            Ok(id)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                Some(f) => app.create_widget(&name, &class_name, Some(f), 0, &init, managed),
-                None if class.is_shell => {
-                    // "applicationShell top2 dec4:0": the father names a
-                    // display instead of a widget.
-                    let di = app
-                        .displays
-                        .iter()
-                        .position(|d| d.name == *father)
-                        .unwrap_or_else(|| app.open_display(father));
-                    app.create_widget(&name, &class_name, None, di, &init, managed)
-                }
-                None => Err(XtError::UnknownWidget(father.to_string())),
-            };
-            created
-                .map(|_| name)
-                .map_err(|e| TclError::Error(e.to_string()))
         });
-    }
-
-    /// Registers a function command from a spec block, wrapping the
-    /// native handler with generated argument conversion.
-    fn register_spec_command(&mut self, cs: &CommandSpec, native: NativeFn) {
-        let app_rc = self.app.clone();
-        let inputs = cs.inputs.clone();
-        let outputs = cs.outputs.clone();
-        let usage = {
-            let args: Vec<String> = inputs
-                .iter()
-                .map(|t| format!("{t:?}").to_lowercase())
-                .chain(outputs.iter().map(|_| "varName".to_string()))
-                .collect();
-            format!("{} {}", cs.command, args.join(" "))
-        };
-        self.interp.register(&cs.command, move |interp, argv| {
-            let expected = 1 + inputs.len() + outputs.len();
-            if argv.len() != expected {
-                return Err(wrong_num_args(&usage));
-            }
-            let mut vals: Vec<NativeValue> = Vec::with_capacity(inputs.len() + outputs.len());
-            {
-                let app = app_rc.borrow();
-                for (i, ty) in inputs.iter().enumerate() {
-                    vals.push(convert_arg(&app, *ty, &argv[1 + i])?);
-                }
-            }
-            for (j, _) in outputs.iter().enumerate() {
-                vals.push(NativeValue::Var(argv[1 + inputs.len() + j].to_string()));
-            }
-            let mut app = app_rc.borrow_mut();
-            native(interp, &mut app, &vals)
-        });
-    }
-
-    /// Registers a hand-written command, counting it for the generated /
-    /// hand-written split the paper reports (E13).
-    pub fn register_handwritten_command<F>(&mut self, name: &str, f: F)
-    where
-        F: Fn(&mut Interp, &[Value]) -> CmdResult + 'static,
-    {
-        self.interp.register(name, f);
-        self.handwritten.set(self.handwritten.get() + 1);
+        interp.set_context(ctx.clone());
+        WafeSession {
+            interp,
+            app: ctx.app.clone(),
+            flavor,
+            output,
+            comm_var: ctx.comm_var.clone(),
+            channel_fd: ctx.channel_fd.clone(),
+            telemetry,
+            controls: ctx.controls.clone(),
+            ctx,
+        }
     }
 
     // ----- evaluation and pumping ------------------------------------------
@@ -330,11 +180,11 @@ impl WafeSession {
     /// system is quiescent, then gives each idle work proc one turn
     /// (Xt runs work procedures only when no events are pending).
     pub fn pump(&mut self) {
-        pump(&mut self.interp, &self.app, &self.quit);
-        if self.quit.get() {
+        pump(&mut self.interp, &self.app, &self.ctx.quit);
+        if self.ctx.quit.get() {
             return;
         }
-        let procs: Vec<(u64, String)> = self.work_procs.borrow().clone();
+        let procs: Vec<(u64, String)> = self.ctx.work_procs.borrow().clone();
         for (id, script) in procs {
             let done = match self.interp.eval(&script) {
                 Ok(v) => matches!(v.trim(), "1" | "true" | "yes" | "on"),
@@ -346,20 +196,20 @@ impl WafeSession {
                 }
             };
             if done {
-                self.work_procs.borrow_mut().retain(|(i, _)| *i != id);
+                self.ctx.work_procs.borrow_mut().retain(|(i, _)| *i != id);
             }
         }
-        pump(&mut self.interp, &self.app, &self.quit);
+        pump(&mut self.interp, &self.app, &self.ctx.quit);
     }
 
     /// True once the `quit` command ran.
     pub fn quit_requested(&self) -> bool {
-        self.quit.get()
+        self.ctx.quit.get()
     }
 
     /// Shared quit flag (for the binary and the frontend loop).
     pub fn quit_flag(&self) -> Rc<Cell<bool>> {
-        self.quit.clone()
+        self.ctx.quit.clone()
     }
 
     /// Takes everything `echo`/`puts` wrote since the last call.
@@ -381,8 +231,8 @@ impl WafeSession {
 
     /// Schedules a script after `ms` virtual milliseconds.
     pub fn add_timeout(&mut self, ms: u64, script: &str) {
-        let deadline_ms = self.clock_ms.get() + ms;
-        self.timers.borrow_mut().push(Timer {
+        let deadline_ms = self.ctx.clock_ms.get() + ms;
+        self.ctx.timers.borrow_mut().push(Timer {
             deadline_ms,
             script: script.to_string(),
         });
@@ -390,10 +240,10 @@ impl WafeSession {
 
     /// Advances the virtual clock, firing due timeouts in order.
     pub fn advance_time(&mut self, ms: u64) {
-        let target = self.clock_ms.get() + ms;
+        let target = self.ctx.clock_ms.get() + ms;
         loop {
             let next = {
-                let timers = self.timers.borrow();
+                let timers = self.ctx.timers.borrow();
                 timers
                     .iter()
                     .enumerate()
@@ -403,8 +253,8 @@ impl WafeSession {
             };
             match next {
                 Some((i, deadline)) => {
-                    let t = self.timers.borrow_mut().remove(i);
-                    self.clock_ms.set(deadline);
+                    let t = self.ctx.timers.borrow_mut().remove(i);
+                    self.ctx.clock_ms.set(deadline);
                     if let Err(e) = self.interp.eval(&t.script) {
                         if e.is_error() {
                             self.app
@@ -417,17 +267,17 @@ impl WafeSession {
                 None => break,
             }
         }
-        self.clock_ms.set(target);
+        self.ctx.clock_ms.set(target);
     }
 
     /// Number of pending timeouts.
     pub fn pending_timeouts(&self) -> usize {
-        self.timers.borrow().len()
+        self.ctx.timers.borrow().len()
     }
 
     /// The virtual clock in milliseconds.
     pub fn now_ms(&self) -> u64 {
-        self.clock_ms.get()
+        self.ctx.clock_ms.get()
     }
 
     // ----- statistics ---------------------------------------------------------
@@ -435,17 +285,22 @@ impl WafeSession {
     /// `(generated, handwritten)` command counts — the paper: "About 60%
     /// of the code is generated automatically".
     pub fn command_stats(&self) -> (usize, usize) {
-        (self.spec.generated_count(), self.handwritten.get())
+        self.ctx.image.command_stats()
     }
 
     /// The Markdown short reference guide generated from the specs.
     pub fn reference_guide(&self) -> String {
-        self.spec.reference_guide()
+        self.ctx.image.spec().reference_guide()
     }
 
     /// The parsed specification (for the architecture experiment).
     pub fn spec(&self) -> &SpecFile {
-        &self.spec
+        self.ctx.image.spec()
+    }
+
+    /// The toolkit image this session's commands and classes come from.
+    pub fn image(&self) -> &Rc<ToolkitImage> {
+        &self.ctx.image
     }
 
     // ----- argv -----------------------------------------------------------------
@@ -477,39 +332,6 @@ impl WafeSession {
             text
         };
         self.eval(body)
-    }
-}
-
-/// Converts one Tcl argument per the spec type.
-fn convert_arg(app: &XtApp, ty: SpecType, text: &str) -> Result<NativeValue, TclError> {
-    match ty {
-        SpecType::Widget => app
-            .lookup(text)
-            .map(NativeValue::Widget)
-            .ok_or_else(|| TclError::Error(format!("unknown widget \"{text}\""))),
-        SpecType::Boolean => match text.to_lowercase().as_str() {
-            "true" | "yes" | "on" | "1" => Ok(NativeValue::Bool(true)),
-            "false" | "no" | "off" | "0" => Ok(NativeValue::Bool(false)),
-            _ => Err(TclError::Error(format!(
-                "expected boolean but got \"{text}\""
-            ))),
-        },
-        SpecType::Int | SpecType::Cardinal | SpecType::Position | SpecType::Dimension => text
-            .trim()
-            .parse::<i64>()
-            .map(NativeValue::Int)
-            .map_err(|_| TclError::Error(format!("expected integer but got \"{text}\""))),
-        SpecType::String => Ok(NativeValue::Str(text.to_string())),
-        SpecType::GrabKind => match text {
-            "none" => Ok(NativeValue::Grab(GrabKind::None)),
-            "exclusive" => Ok(NativeValue::Grab(GrabKind::Exclusive)),
-            "nonexclusive" => Ok(NativeValue::Grab(GrabKind::Nonexclusive)),
-            _ => Err(TclError::Error(format!(
-                "expected none, exclusive, or nonexclusive but got \"{text}\""
-            ))),
-        },
-        SpecType::VarName => Ok(NativeValue::Var(text.to_string())),
-        SpecType::Void => Err(TclError::error("void is not an argument type")),
     }
 }
 

@@ -319,6 +319,13 @@ impl Frontend {
         self.supervisor.core()
     }
 
+    /// Whether the backend process has exited. Reaps it without reading
+    /// its output, so whatever it wrote stays in the pipe for the next
+    /// `step` — the hook the exit-drain test uses.
+    pub fn backend_exited(&mut self) -> bool {
+        self.supervisor.child_exited()
+    }
+
     /// Kills the backend *process* without informing the supervisor —
     /// the next `step` observes the death and applies the restart
     /// policy. This is the deterministic external-crash hook the chaos

@@ -468,6 +468,11 @@ impl Supervisor {
         }
     }
 
+    /// Whether the current child process has exited (sticky once seen).
+    pub fn child_exited(&mut self) -> bool {
+        self.link.as_mut().map(|l| l.exited()).unwrap_or(false)
+    }
+
     /// Tears the backend down for good (test cleanup, `Frontend::kill`).
     pub fn shutdown(&mut self) {
         self.drop_link();
@@ -933,9 +938,22 @@ impl Supervisor {
             self.declare_fault("flood", "unterminated line exceeded floodBytes");
             return;
         }
-        // Child gone?
-        let exited = self.link.as_mut().map(|l| l.exited()).unwrap_or(false);
-        if (saw_eof || exited)
+        // Child gone? `try_wait` can report the exit while the child's
+        // last writes still sit unread in the pipe: read on to EOF first.
+        // Whatever arrives is handled by the next ticks like any other
+        // output, and the exit is seen again once it is drained.
+        if !saw_eof && self.child_exited() {
+            let link = self.link.as_mut().expect("checked by child_exited");
+            let (chunk, _) = link.read_stdout(cap);
+            if !chunk.is_empty() {
+                self.ingest_read_bytes(chunk);
+                return;
+            }
+            // Nothing left (without EOF a grandchild still holds the
+            // pipe): the exit stands.
+            saw_eof = true;
+        }
+        if saw_eof
             && self.codec.pending() == 0
             && self.deferred.is_empty()
             && self.delayed.is_empty()

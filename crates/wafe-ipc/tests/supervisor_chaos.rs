@@ -87,6 +87,32 @@ fn kill_mid_line_restarts_and_replays() {
 }
 
 #[test]
+fn exit_with_output_still_in_the_pipe_loses_no_line() {
+    // 640 lines of 64 bytes: 40 KiB, which fits the pipe buffer (the
+    // child never blocks) but needs several reads at a 4 KiB per-tick
+    // cap (one 16 KiB read each).
+    let script = r#"awk 'BEGIN { for (i = 0; i < 640; i++) printf "%-63s\n", (i ? "%incr n" : "%set n 1") }'"#;
+    let config = SupervisorConfig {
+        max_buffered_bytes: 4096,
+        ..SupervisorConfig::default()
+    };
+    let mut fe = spawn_sh(script, config, "");
+    // The child writes everything, then exits; nothing is read yet. The
+    // first tick therefore already sees the exit with 40 KiB unread.
+    while !fe.backend_exited() {
+        std::thread::yield_now();
+    }
+    run_to_end(&mut fe, 100);
+    assert_eq!(fe.backend_state(), BackendState::Exited);
+    assert_eq!(
+        fe.engine.session.eval("set n").unwrap(),
+        "640",
+        "every line written before the exit must be handled"
+    );
+    assert_eq!(fe.supervisor_stats().exits, 1);
+}
+
+#[test]
 fn wedged_backend_trips_read_timeout_then_breaker() {
     // The backend *is* writing, but the wedge fault swallows every
     // chunk — from the supervisor's viewpoint the pipe went silent.

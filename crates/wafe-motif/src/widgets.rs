@@ -349,10 +349,9 @@ mod tests {
         register(&mut a);
         // Install the XmString converter for the Compound type, like the
         // mofe binary does.
-        a.converters
-            .register(wafe_xt::ResType::Compound, |s, _ctx: &ConvertCtx<'_>| {
-                Ok(ResourceValue::Compound(parse_xmstring(s)))
-            });
+        a.add_converter(wafe_xt::ResType::Compound, |s, _ctx: &ConvertCtx<'_>| {
+            Ok(ResourceValue::Compound(parse_xmstring(s)))
+        });
         a
     }
 

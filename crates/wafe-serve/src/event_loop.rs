@@ -14,7 +14,8 @@
 //!
 //! The accept path is its own small loop ([`AcceptLoop`]): it polls the
 //! listeners, admits or sheds, and hands each admitted connection to
-//! its worker as a [`ConnAssign`]. `accept(2)` failures (`EMFILE`,
+//! its worker as a [`ConnAssign`], then writes one byte to that worker's
+//! wake channel so its poll returns at once. `accept(2)` failures (`EMFILE`,
 //! `ENFILE`, transient aborts) are counted in `serve.accept.errors` and
 //! back the loop off for one tick — never a hot spin, never a dead
 //! acceptor.
@@ -138,6 +139,32 @@ impl Acceptor for UnixAcceptor {
     }
 }
 
+/// The sending half of a worker's wake channel. The accept loop calls
+/// [`wake`](Wake::wake) after handing the worker a connection, which
+/// makes the worker's poll return at once instead of at its idle tick.
+pub trait Wake: Send + Sync {
+    fn wake(&self);
+}
+
+impl Wake for UnixStream {
+    fn wake(&self) {
+        // Nonblocking: a full buffer already holds an unread wake.
+        let _ = io::Write::write(&mut &*self, &[1]);
+    }
+}
+
+/// A wake channel over a Unix socket pair: the read half for the
+/// worker's poll set, the write half for the accept loop.
+pub fn socket_wake() -> io::Result<(Box<dyn ConnIo>, Arc<dyn Wake>)> {
+    let (rx, tx) = UnixStream::pair()?;
+    rx.set_nonblocking(true)?;
+    tx.set_nonblocking(true)?;
+    Ok((Box::new(rx), Arc::new(tx)))
+}
+
+/// The poll token of the wake channel's read half.
+const WAKE_TOKEN: usize = usize::MAX;
+
 /// One admitted connection, handed from the accept loop to the worker
 /// that owns its session. Everything in it is `Send`; the `!Send`
 /// session is built on the worker.
@@ -176,19 +203,70 @@ pub struct EventLoop {
     shard: usize,
     poll: PollSet,
     conns: Vec<Option<Conn>>,
+    /// Read half of the wake channel (polled under [`WAKE_TOKEN`]).
+    wake: Option<Box<dyn ConnIo>>,
+    /// Wake bytes drained so far.
+    wakes: u64,
 }
 
 impl EventLoop {
     /// Wraps a scheduler (shard `shard` of the registry) around a
     /// poller backend. Records the backend name in the registry for
     /// `serve status`.
+    ///
+    /// The loop publishes a Unix socket-pair wake channel for its shard
+    /// in the registry (see [`with_wake`](EventLoop::with_wake)); if no
+    /// socket pair can be made it runs without one, noticing hand-offs
+    /// at its next poll timeout.
     pub fn new(sched: Scheduler, shard: usize, poller: Box<dyn Poller>) -> EventLoop {
+        let wake = socket_wake().ok();
+        EventLoop::with_wake(sched, shard, poller, wake)
+    }
+
+    /// Like [`new`](EventLoop::new), with the given wake channel: its
+    /// read half joins the poll set, its write half is published in the
+    /// registry for the accept loop ([`Registry::wake`]).
+    pub fn with_wake(
+        sched: Scheduler,
+        shard: usize,
+        poller: Box<dyn Poller>,
+        wake: Option<(Box<dyn ConnIo>, Arc<dyn Wake>)>,
+    ) -> EventLoop {
         sched.registry().set_poller_backend(poller.name());
+        let mut poll = PollSet::new(poller);
+        let wake = wake.map(|(rx, tx)| {
+            sched.registry().set_waker(shard, tx);
+            poll.register(Interest::read(WAKE_TOKEN, rx.fd()));
+            rx
+        });
         EventLoop {
             sched,
             shard,
-            poll: PollSet::new(poller),
+            poll,
             conns: Vec::new(),
+            wake,
+            wakes: 0,
+        }
+    }
+
+    /// Wake bytes this loop has drained: one per hand-off the accept
+    /// loop signalled (fewer if several arrived within one poll).
+    pub fn wakes(&self) -> u64 {
+        self.wakes
+    }
+
+    /// Empties the wake channel.
+    fn drain_wake(&mut self) {
+        let Some(rx) = self.wake.as_mut() else {
+            return;
+        };
+        let mut buf = [0u8; 64];
+        loop {
+            match rx.read(&mut buf) {
+                Ok(n) if n > 0 => self.wakes += n as u64,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => break,
+            }
         }
     }
 
@@ -245,6 +323,10 @@ impl EventLoop {
         };
         let mut enqueued = 0;
         for (token, writable) in ready {
+            if token == WAKE_TOKEN {
+                self.drain_wake();
+                continue;
+            }
             if writable {
                 self.flush_conn(token);
             }
@@ -542,6 +624,29 @@ impl AcceptLoop {
             refused.0.io.shutdown();
             return false;
         }
+        self.registry.wake(worker);
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wafe_core::Flavor;
+    use wafe_ipc::SysPoller;
+
+    use crate::registry::Limits;
+
+    #[test]
+    fn a_registry_wake_ends_a_long_poll_on_the_socket_pair() {
+        let registry = Arc::new(Registry::new(Limits::default()));
+        let sched = Scheduler::new(registry.clone(), Flavor::Athena, false);
+        let mut el = EventLoop::new(sched, 0, Box::new(SysPoller::new()));
+        registry.wake(0);
+        registry.wake(0);
+        // Returns at once: the wake bytes are already readable. Without
+        // them this poll would sit out its full minute and fail below.
+        el.poll_io(60_000);
+        assert_eq!(el.wakes(), 2);
     }
 }

@@ -56,7 +56,7 @@ pub mod server;
 pub mod sim;
 
 pub use display::{install_display_control, DisplayCtl};
-pub use event_loop::{AcceptLoop, Acceptor, ConnAssign, ConnIo, EventLoop};
+pub use event_loop::{AcceptLoop, Acceptor, ConnAssign, ConnIo, EventLoop, Wake};
 pub use mailbox::{Mailbox, OutQueue, SessionSink};
 pub use registry::{Limits, Registry, ServerStats, SessionId, ShedReason, LIMIT_KEYS};
 pub use scheduler::{install_serve_control, install_session_control, Scheduler, SessionCtl};

@@ -17,7 +17,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use crate::event_loop::Wake;
 
 /// A session identity that cannot be confused with a later tenant of
 /// the same slot: the slot index is reused, the generation never is.
@@ -233,6 +235,9 @@ pub struct Registry {
     /// Readiness backend surfaced in `serve status` (`poll`, `sim`,
     /// `threads`; `none` before a server attaches).
     poller: Mutex<&'static str>,
+    /// Per-worker wake handles, indexed by shard: the accept loop wakes
+    /// a worker's poll after handing it a connection.
+    wakers: Mutex<Vec<Option<Arc<dyn Wake>>>>,
 }
 
 impl Default for Registry {
@@ -261,6 +266,31 @@ impl Registry {
             park_dir: Mutex::new(None),
             draining: AtomicBool::new(false),
             poller: Mutex::new("none"),
+            wakers: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Publishes the wake handle of the worker serving `shard`.
+    pub fn set_waker(&self, shard: usize, waker: Arc<dyn Wake>) {
+        let mut wakers = self.wakers.lock().unwrap_or_else(|p| p.into_inner());
+        if wakers.len() <= shard {
+            wakers.resize_with(shard + 1, || None);
+        }
+        wakers[shard] = Some(waker);
+    }
+
+    /// Ends the poll wait of the worker serving `shard`, if it has
+    /// published a wake handle.
+    pub fn wake(&self, shard: usize) {
+        let waker = self
+            .wakers
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(shard)
+            .cloned()
+            .flatten();
+        if let Some(w) = waker {
+            w.wake();
         }
     }
 

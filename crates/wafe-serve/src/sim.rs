@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use wafe_ipc::{Interest, Poller, Readiness};
 
-use crate::event_loop::{Acceptor, ConnIo};
+use crate::event_loop::{Acceptor, ConnIo, Wake};
 
 #[derive(Default)]
 struct SimConnState {
@@ -82,6 +82,15 @@ impl SimNet {
                 fd,
             }),
         )
+    }
+
+    /// A simulated wake channel for
+    /// [`EventLoop::with_wake`](crate::EventLoop::with_wake): each wake
+    /// makes the read half readable, like the socket pair
+    /// [`socket_wake`](crate::event_loop::socket_wake) does for real.
+    pub fn wake_pair(&self) -> (Box<dyn ConnIo>, Arc<dyn Wake>) {
+        let (client, io) = self.socketpair();
+        (io, Arc::new(client))
     }
 
     /// Enqueues a client connection for the accept loop; the returned
@@ -168,6 +177,12 @@ impl SimClient {
     pub fn is_shutdown(&self) -> bool {
         let s = self.net.lock();
         s.conns.get(&self.fd).map(|c| c.shutdown).unwrap_or(true)
+    }
+}
+
+impl Wake for SimClient {
+    fn wake(&self) {
+        self.send(&[1]);
     }
 }
 

@@ -16,7 +16,7 @@ use wafe_serve::{
 
 fn new_loop(registry: &Arc<Registry>, shard: usize, net: &SimNet) -> EventLoop {
     let sched = Scheduler::new(registry.clone(), Flavor::Athena, false);
-    EventLoop::new(sched, shard, net.poller())
+    EventLoop::with_wake(sched, shard, net.poller(), Some(net.wake_pair()))
 }
 
 /// Admits a fresh session and attaches a simulated connection for it.
@@ -63,6 +63,43 @@ fn one_wakeup_drains_every_readable_connection_before_the_scheduler_runs() {
     for (i, c) in clients.iter().enumerate() {
         assert_eq!(c.received_lines(), vec![format!("from-{i}")]);
     }
+}
+
+#[test]
+fn a_handoff_wakes_the_worker_poll() {
+    let registry = Arc::new(Registry::new(Limits::default()));
+    let net = SimNet::new();
+    let mut el = new_loop(&registry, 0, &net);
+    let (tx, rx) = mpsc::channel();
+    let mut accept = AcceptLoop::new(
+        registry.clone(),
+        vec![net.acceptor()],
+        vec![tx],
+        net.poller(),
+    );
+    el.poll_io(1);
+    assert_eq!(el.wakes(), 0, "idle: nothing to wake for");
+
+    let client = net.connect();
+    assert_eq!(accept.poll_once(0), 1);
+    // The hand-off made the worker's wake channel readable, so its next
+    // poll returns with the wake drained and the assignment waiting.
+    el.poll_io(1);
+    assert_eq!(el.wakes(), 1);
+    el.attach(rx.try_recv().expect("assignment sent before the wake"));
+    client.send(b"%echo hi\n");
+    tick(&mut el);
+    assert_eq!(client.received_lines(), vec!["hi"]);
+    el.poll_io(1);
+    assert_eq!(el.wakes(), 1, "drained: no second wake");
+
+    // A shed connection is never handed off, so it wakes no worker.
+    registry.set_limit("maxSessions", "1").unwrap();
+    let shed = net.connect();
+    assert_eq!(accept.poll_once(0), 0);
+    assert_eq!(shed.received_lines(), vec!["!shed max-sessions"]);
+    el.poll_io(1);
+    assert_eq!(el.wakes(), 1);
 }
 
 #[test]

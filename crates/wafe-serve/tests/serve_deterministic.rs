@@ -547,15 +547,17 @@ fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
         });
         client
     };
-    let mut el0 = EventLoop::new(
+    let mut el0 = EventLoop::with_wake(
         Scheduler::new(registry.clone(), Flavor::Athena, false),
         0,
         net.poller(),
+        Some(net.wake_pair()),
     );
-    let mut el1 = EventLoop::new(
+    let mut el1 = EventLoop::with_wake(
         Scheduler::new(registry.clone(), Flavor::Athena, false),
         1,
         net.poller(),
+        Some(net.wake_pair()),
     );
     let operator = attach(&mut el0); // slot 0 -> shard 0
     let busy = attach(&mut el1); // slot 1 -> shard 1

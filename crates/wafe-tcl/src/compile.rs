@@ -367,35 +367,89 @@ fn compile_subst(chars: &[char], depth: usize) -> TclResult<Vec<Token>> {
 /// A bounded, least-recently-used cache from script/expression text to
 /// its compiled form. Keys are the full source text, so a cache hit is
 /// exact: same text, same parse.
+///
+/// Entries sit in a doubly linked recency list threaded through a slab,
+/// so a hit, an insert and an eviction each cost O(1) — a protocol line
+/// seen once is a miss plus an eviction, and must not pay a scan of the
+/// whole cache.
 pub(crate) struct LruCache<V> {
-    map: crate::hash::FnvMap<String, (V, u64)>,
+    map: crate::hash::FnvMap<Rc<str>, usize>,
+    slots: Vec<Option<LruNode<V>>>,
+    free: Vec<usize>,
+    /// Most and least recently used slots ([`NIL`] when empty).
+    head: usize,
+    tail: usize,
     limit: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
+struct LruNode<V> {
+    key: Rc<str>,
+    value: V,
+    prev: usize,
+    next: usize,
+}
+
+const NIL: usize = usize::MAX;
+
 impl<V: Clone> LruCache<V> {
     pub fn new(limit: usize) -> Self {
         LruCache {
             map: crate::hash::FnvMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             limit,
-            tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
     }
 
+    fn node(&mut self, slot: usize) -> &mut LruNode<V> {
+        self.slots[slot].as_mut().expect("linked slot is occupied")
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = {
+            let n = self.node(slot);
+            (n.prev, n.next)
+        };
+        match prev {
+            NIL => self.head = next,
+            p => self.node(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.node(n).prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: usize) {
+        let head = self.head;
+        {
+            let n = self.node(slot);
+            n.prev = NIL;
+            n.next = head;
+        }
+        match head {
+            NIL => self.tail = slot,
+            h => self.node(h).prev = slot,
+        }
+        self.head = slot;
+    }
+
     /// Looks up `key`, refreshing its recency and counting hit/miss.
     pub fn get(&mut self, key: &str) -> Option<V> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some((v, used)) => {
-                *used = self.tick;
+        match self.map.get(key).copied() {
+            Some(slot) => {
                 self.hits += 1;
-                Some(v.clone())
+                self.unlink(slot);
+                self.push_front(slot);
+                Some(self.node(slot).value.clone())
             }
             None => {
                 self.misses += 1;
@@ -409,25 +463,46 @@ impl<V: Clone> LruCache<V> {
         if self.limit == 0 {
             return;
         }
-        self.tick += 1;
-        if !self.map.contains_key(key) {
-            while self.map.len() >= self.limit {
-                self.evict_one();
-            }
+        if let Some(slot) = self.map.get(key).copied() {
+            self.node(slot).value = value;
+            self.unlink(slot);
+            self.push_front(slot);
+            return;
         }
-        self.map.insert(key.to_string(), (value, self.tick));
+        while self.map.len() >= self.limit {
+            self.evict_one();
+        }
+        let key: Rc<str> = Rc::from(key);
+        let node = LruNode {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(node);
+                slot
+            }
+            None => {
+                self.slots.push(Some(node));
+                self.slots.len() - 1
+            }
+        };
+        self.push_front(slot);
+        self.map.insert(key, slot);
     }
 
     fn evict_one(&mut self) {
-        if let Some(oldest) = self
-            .map
-            .iter()
-            .min_by_key(|(_, (_, used))| *used)
-            .map(|(k, _)| k.clone())
-        {
-            self.map.remove(&oldest);
-            self.evictions += 1;
+        let slot = self.tail;
+        if slot == NIL {
+            return;
         }
+        self.unlink(slot);
+        let node = self.slots[slot].take().expect("tail slot is occupied");
+        self.map.remove(&node.key);
+        self.free.push(slot);
+        self.evictions += 1;
     }
 
     pub fn len(&self) -> usize {
@@ -436,6 +511,10 @@ impl<V: Clone> LruCache<V> {
 
     pub fn clear(&mut self) {
         self.map.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     pub fn limit(&self) -> usize {
@@ -446,7 +525,7 @@ impl<V: Clone> LruCache<V> {
     pub fn set_limit(&mut self, limit: usize) {
         self.limit = limit;
         if limit == 0 {
-            self.map.clear();
+            self.clear();
         } else {
             while self.map.len() > limit {
                 self.evict_one();

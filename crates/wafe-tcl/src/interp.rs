@@ -1,7 +1,8 @@
 //! The Tcl interpreter: variable frames, command dispatch, evaluation.
 
+use std::any::Any;
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
@@ -88,6 +89,59 @@ enum Command {
     Proc(Rc<ProcDef>),
 }
 
+/// An immutable table of native commands shared by `Rc` between
+/// interpreters: the Tcl built-ins, plus whatever an embedding froze
+/// into it (see [`Interp::freeze_commands`]). An interpreter looks a
+/// name up in its own table first and falls back to its base, so
+/// `proc`, `rename` and deletion only ever write the interpreter's own
+/// table (a shadow, or a tombstone for a deleted base name).
+#[derive(Default)]
+pub struct CommandBase {
+    cmds: FnvMap<String, CmdFn>,
+    /// The [`BC_SPECIAL_NAMES`] that resolve to the pristine built-in
+    /// here — the bytecode compiler's inlining precondition.
+    bc_pristine: Vec<&'static str>,
+}
+
+impl CommandBase {
+    /// Number of commands in the table.
+    pub fn len(&self) -> usize {
+        self.cmds.len()
+    }
+
+    /// True if the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.cmds.is_empty()
+    }
+}
+
+thread_local! {
+    /// The Tcl built-ins, built once per thread.
+    static TCL_BASE: Rc<CommandBase> = {
+        let mut bare = Interp::with_base(Rc::new(CommandBase::default()));
+        crate::commands::register_all(&mut bare);
+        Rc::new(CommandBase {
+            cmds: bare.native_commands(),
+            bc_pristine: BC_SPECIAL_NAMES
+                .iter()
+                .copied()
+                .filter(|name| bare.has_command(name))
+                .collect(),
+        })
+    };
+    /// Source of command epochs. Drawn per thread rather than per
+    /// interpreter, so a command handle interned into a `Value` under
+    /// one interpreter's epoch can never validate in another's.
+    static NEXT_EPOCH: Cell<u64> = const { Cell::new(0) };
+}
+
+fn next_epoch() -> u64 {
+    NEXT_EPOCH.with(|e| {
+        e.set(e.get() + 1);
+        e.get()
+    })
+}
+
 /// A variable: scalar or associative array. Slots hold shared [`Value`]s,
 /// so reading a variable is an `Rc` bump and cached representations
 /// (numeric, list, script) survive across reads.
@@ -147,9 +201,16 @@ pub enum OutputSink {
 /// assert_eq!(i.eval("double 21").unwrap(), "42");
 /// ```
 pub struct Interp {
-    commands: FnvMap<String, Command>,
-    /// Bumped whenever the command table changes; validates the command
-    /// handles interned into argv[0] `Value`s.
+    /// This interpreter's own commands, consulted before `base`. `None`
+    /// is a tombstone: a base command deleted or renamed away here.
+    commands: FnvMap<String, Option<Command>>,
+    /// The shared command table behind `commands`.
+    base: Rc<CommandBase>,
+    /// The embedding's per-interpreter state, for commands that live in
+    /// a shared base and so cannot capture it (see [`Interp::context`]).
+    context: Option<Rc<dyn Any>>,
+    /// Replaced whenever the command table changes; validates the
+    /// command handles interned into argv[0] `Value`s.
     cmd_epoch: u64,
     frames: Vec<Frame>,
     /// Index of the active variable frame (changed by `uplevel`).
@@ -184,10 +245,6 @@ pub struct Interp {
     pub(crate) bc_epoch: u64,
     /// Bytecode compile/hit/fallback/instruction counters.
     pub(crate) bc_stats: BcStats,
-    /// The pristine built-in handlers for the inlined command names,
-    /// captured at construction. The compiler only inlines a special form
-    /// while its name still resolves to the pristine handler.
-    bc_builtins: Vec<(&'static str, CmdFn)>,
     /// Per-proc time / per-opcode hit profiler (`interp profile …`).
     pub(crate) profiler: crate::profile::Profiler,
 }
@@ -283,9 +340,18 @@ fn span_preview(script: &str) -> String {
 impl Interp {
     /// Creates an interpreter with all built-in commands registered.
     pub fn new() -> Self {
-        let mut interp = Interp {
+        Self::with_base(TCL_BASE.with(Rc::clone))
+    }
+
+    /// Creates an interpreter whose commands are `base` (typically a
+    /// table from [`freeze_commands`](Interp::freeze_commands)) and an
+    /// empty table of its own.
+    pub fn with_base(base: Rc<CommandBase>) -> Self {
+        Interp {
             commands: FnvMap::default(),
-            cmd_epoch: 0,
+            base,
+            context: None,
+            cmd_epoch: next_epoch(),
             frames: vec![Frame::default()],
             active: 0,
             depth: 0,
@@ -299,31 +365,77 @@ impl Interp {
             bc_enabled: true,
             bc_epoch: 0,
             bc_stats: BcStats::default(),
-            bc_builtins: Vec::new(),
             profiler: crate::profile::Profiler::default(),
-        };
-        crate::commands::register_all(&mut interp);
-        // Snapshot the pristine handlers of the inlinable commands: the
-        // bytecode compiler inlines `set`/`if`/`while`/… only while the
-        // name still resolves to exactly this handler.
-        interp.bc_builtins = BC_SPECIAL_NAMES
-            .iter()
-            .filter_map(|&name| match interp.commands.get(name) {
-                Some(Command::Native(f)) => Some((name, f.clone())),
-                _ => None,
-            })
-            .collect();
-        interp
+        }
     }
 
-    /// True while `name` still resolves to the pristine built-in captured
-    /// at construction (the bytecode compiler's inlining precondition).
-    pub(crate) fn bc_special_pristine(&self, name: &str) -> bool {
-        self.bc_builtins.iter().any(|(n, f)| {
-            *n == name
-                && matches!(self.commands.get(name),
-                    Some(Command::Native(g)) if Rc::ptr_eq(f, g))
+    /// Flattens this interpreter's native commands — its base overlaid
+    /// with its own table — into a new shared base. Procedures are not
+    /// carried over: a base holds native commands only.
+    pub fn freeze_commands(&self) -> Rc<CommandBase> {
+        Rc::new(CommandBase {
+            cmds: self.native_commands(),
+            bc_pristine: BC_SPECIAL_NAMES
+                .iter()
+                .copied()
+                .filter(|name| self.bc_special_pristine(name))
+                .collect(),
         })
+    }
+
+    fn native_commands(&self) -> FnvMap<String, CmdFn> {
+        self.command_names()
+            .into_iter()
+            .filter_map(|name| match self.lookup(&name) {
+                Some(Command::Native(f)) => Some((name, f)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Installs the embedding's per-interpreter state, retrievable with
+    /// [`context`](Interp::context).
+    pub fn set_context(&mut self, context: Rc<dyn Any>) {
+        self.context = Some(context);
+    }
+
+    /// The state installed with [`set_context`](Interp::set_context),
+    /// if it is a `T`. Commands in a shared [`CommandBase`] reach their
+    /// interpreter's embedding through this.
+    pub fn context<T: 'static>(&self) -> Option<Rc<T>> {
+        self.context.clone()?.downcast().ok()
+    }
+
+    /// Resolves a command: this interpreter's table, then the base.
+    fn lookup(&self, name: &str) -> Option<Command> {
+        match self.commands.get(name) {
+            Some(local) => local.clone(),
+            None => self.base.cmds.get(name).cloned().map(Command::Native),
+        }
+    }
+
+    /// Binds `name` in this interpreter's table.
+    fn bind(&mut self, name: &str, cmd: Command) {
+        self.cmd_epoch = next_epoch();
+        self.note_bc_sensitive(name);
+        self.commands.insert(name.to_string(), Some(cmd));
+    }
+
+    /// Unbinds `name`, leaving a tombstone when the base still has it.
+    fn unbind(&mut self, name: &str) {
+        self.cmd_epoch = next_epoch();
+        self.note_bc_sensitive(name);
+        if self.base.cmds.contains_key(name) {
+            self.commands.insert(name.to_string(), None);
+        } else {
+            self.commands.remove(name);
+        }
+    }
+
+    /// True while `name` still resolves to the pristine built-in (the
+    /// bytecode compiler's inlining precondition).
+    pub(crate) fn bc_special_pristine(&self, name: &str) -> bool {
+        !self.commands.contains_key(name) && self.base.bc_pristine.contains(&name)
     }
 
     /// Bumps the bytecode epoch when a compiler-inlined command name is
@@ -340,63 +452,70 @@ impl Interp {
     where
         F: Fn(&mut Interp, &[Value]) -> TclResult<Value> + 'static,
     {
-        self.cmd_epoch += 1;
-        self.note_bc_sensitive(name);
-        self.commands
-            .insert(name.to_string(), Command::Native(Rc::new(f)));
+        self.bind(name, Command::Native(Rc::new(f)));
     }
 
     /// Registers a native command from an already-shared handler. Useful
     /// to register one handler under several names (the paper notes "Tcl
     /// allows to register the same command under various names").
     pub fn register_shared(&mut self, name: &str, f: CmdFn) {
-        self.cmd_epoch += 1;
-        self.note_bc_sensitive(name);
-        self.commands.insert(name.to_string(), Command::Native(f));
+        self.bind(name, Command::Native(f));
     }
 
     /// Removes a command; returns true if it existed.
     pub fn unregister(&mut self, name: &str) -> bool {
-        self.cmd_epoch += 1;
-        self.note_bc_sensitive(name);
-        self.commands.remove(name).is_some()
+        let existed = self.has_command(name);
+        self.unbind(name);
+        existed
     }
 
     /// Renames a command (`rename old new`); empty `new` deletes.
     pub fn rename_command(&mut self, old: &str, new: &str) -> TclResult<()> {
-        self.cmd_epoch += 1;
-        self.note_bc_sensitive(old);
-        self.note_bc_sensitive(new);
-        let cmd = self.commands.remove(old).ok_or_else(|| {
+        let cmd = self.lookup(old).ok_or_else(|| {
             TclError::Error(format!("can't rename \"{old}\": command doesn't exist"))
         })?;
+        if !new.is_empty() && self.has_command(new) {
+            return Err(TclError::Error(format!(
+                "can't rename to \"{new}\": command already exists"
+            )));
+        }
+        self.unbind(old);
         if !new.is_empty() {
-            if self.commands.contains_key(new) {
-                self.commands.insert(old.into(), cmd);
-                return Err(TclError::Error(format!(
-                    "can't rename to \"{new}\": command already exists"
-                )));
-            }
-            self.commands.insert(new.to_string(), cmd);
+            self.bind(new, cmd);
         }
         Ok(())
     }
 
     /// True if a command (native or proc) with this name exists.
     pub fn has_command(&self, name: &str) -> bool {
-        self.commands.contains_key(name)
+        match self.commands.get(name) {
+            Some(local) => local.is_some(),
+            None => self.base.cmds.contains_key(name),
+        }
     }
 
     /// Names of all registered commands, unsorted.
     pub fn command_names(&self) -> Vec<String> {
-        self.commands.keys().cloned().collect()
+        let shadowed = |n: &String| self.commands.contains_key(n);
+        self.base
+            .cmds
+            .keys()
+            .filter(|n| !shadowed(n))
+            .chain(
+                self.commands
+                    .iter()
+                    .filter(|(_, c)| c.is_some())
+                    .map(|(n, _)| n),
+            )
+            .cloned()
+            .collect()
     }
 
     /// Names of all user-defined procedures.
     pub fn proc_names(&self) -> Vec<String> {
         self.commands
             .iter()
-            .filter(|(_, c)| matches!(c, Command::Proc(_)))
+            .filter(|(_, c)| matches!(c, Some(Command::Proc(_))))
             .map(|(n, _)| n.clone())
             .collect()
     }
@@ -404,17 +523,14 @@ impl Interp {
     /// Returns a proc definition, if `name` is a proc.
     pub fn get_proc(&self, name: &str) -> Option<Rc<ProcDef>> {
         match self.commands.get(name) {
-            Some(Command::Proc(p)) => Some(p.clone()),
+            Some(Some(Command::Proc(p))) => Some(p.clone()),
             _ => None,
         }
     }
 
     /// Defines a procedure (the `proc` command calls this).
     pub fn define_proc(&mut self, name: &str, def: ProcDef) {
-        self.cmd_epoch += 1;
-        self.note_bc_sensitive(name);
-        self.commands
-            .insert(name.to_string(), Command::Proc(Rc::new(def)));
+        self.bind(name, Command::Proc(Rc::new(def)));
     }
 
     /// Sets the output sink used by `echo` and `puts`.
@@ -1058,8 +1174,7 @@ impl Interp {
                 }
             }
         }
-        let cmd = self.commands.get(words[0].as_str()).cloned();
-        match cmd {
+        match self.lookup(words[0].as_str()) {
             Some(Command::Native(f)) => {
                 words[0].intern_cmd(self.cmd_epoch, CmdIntern::Native(Rc::downgrade(&f)));
                 f(self, words)
@@ -1070,7 +1185,7 @@ impl Interp {
             }
             None => {
                 if words[0] != "unknown" {
-                    if let Some(Command::Proc(p)) = self.commands.get("unknown").cloned() {
+                    if let Some(Command::Proc(p)) = self.lookup("unknown") {
                         return self.call_proc("unknown", &p, words);
                     }
                 }

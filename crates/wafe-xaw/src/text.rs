@@ -399,7 +399,7 @@ mod tests {
         let t = make_text(&mut a, "edit");
         let fired = Rc::new(std::cell::Cell::new(false));
         let f = fired.clone();
-        a.global_actions.add("exec", move |_, _, _, _| f.set(true));
+        a.add_global_action("exec", move |_, _, _, _| f.set(true));
         let table = TranslationTable::parse("<Key>Return: exec(echo [gV input string])").unwrap();
         a.merge_translations(t, table, wafe_xt::MergeMode::Override);
         focus_and_type(&mut a, t, "42\n");

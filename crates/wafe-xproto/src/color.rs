@@ -181,10 +181,13 @@ pub fn lookup_color(spec: &str) -> Option<Pixel> {
             }
         }
     }
-    let key_spaced = key.clone();
+    // Table names are lower-case ASCII words separated by spaces, so
+    // skipping the spaces normalizes them — compared without
+    // allocating, since every widget's default colours are looked up on
+    // creation.
     RGB_TXT
         .iter()
-        .find(|(name, _)| normalize(name) == key_spaced)
+        .find(|(name, _)| name.bytes().filter(|&b| b != b' ').eq(key.bytes()))
         .map(|(_, px)| *px)
 }
 
@@ -263,6 +266,12 @@ mod tests {
         for (name, px) in RGB_TXT {
             assert!(!name.is_empty());
             assert!(*px <= 0xffffff, "{name} out of 24-bit range");
+            // The lookup's space-skipping comparison relies on this.
+            assert!(
+                name.bytes()
+                    .all(|b| b == b' ' || b.is_ascii_lowercase() || b.is_ascii_digit()),
+                "{name} must be lower-case ASCII"
+            );
         }
     }
 }

@@ -103,11 +103,15 @@ pub struct XtApp {
     pub displays: Vec<Display>,
     widgets: HashMap<u32, WidgetRec>,
     by_name: HashMap<String, WidgetId>,
-    classes: HashMap<String, Rc<WidgetClass>>,
-    /// The converter registry.
-    pub converters: ConverterRegistry,
-    /// Application-wide actions (`XtAppAddActions`).
-    pub global_actions: ActionTable,
+    /// Class records, converters and global actions are shared by `Rc`
+    /// between contexts built with [`XtApp::sharing_toolkit`]; adding to
+    /// one copies only that table (`Rc::make_mut`).
+    classes: Rc<HashMap<String, Rc<WidgetClass>>>,
+    /// The converter registry (add with [`XtApp::add_converter`]).
+    pub converters: Rc<ConverterRegistry>,
+    /// Application-wide actions, `XtAppAddActions` (add with
+    /// [`XtApp::add_global_action`]).
+    pub global_actions: Rc<ActionTable>,
     /// The resource database.
     pub resource_db: XrmDb,
     /// Memory accounting.
@@ -125,13 +129,37 @@ pub struct XtApp {
 impl XtApp {
     /// Creates an application context with one display (`:0`).
     pub fn new() -> Self {
+        Self::with_toolkit(
+            Rc::default(),
+            Rc::new(ConverterRegistry::new()),
+            Rc::default(),
+        )
+    }
+
+    /// A fresh application context — no widgets, default resource
+    /// database — sharing this one's class records, converters and
+    /// global actions: the toolkit is initialised once
+    /// (`XtInitializeWidgetClass`), only instances are per context.
+    pub fn sharing_toolkit(&self) -> Self {
+        Self::with_toolkit(
+            self.classes.clone(),
+            self.converters.clone(),
+            self.global_actions.clone(),
+        )
+    }
+
+    fn with_toolkit(
+        classes: Rc<HashMap<String, Rc<WidgetClass>>>,
+        converters: Rc<ConverterRegistry>,
+        global_actions: Rc<ActionTable>,
+    ) -> Self {
         XtApp {
             displays: vec![Display::open(":0")],
             widgets: HashMap::new(),
             by_name: HashMap::new(),
-            classes: HashMap::new(),
-            converters: ConverterRegistry::new(),
-            global_actions: ActionTable::new(),
+            classes,
+            converters,
+            global_actions,
             resource_db: XrmDb::new(),
             memstats: MemStats::new(),
             telemetry: Telemetry::new(),
@@ -154,7 +182,23 @@ impl XtApp {
 
     /// Registers a widget class.
     pub fn register_class(&mut self, class: WidgetClass) {
-        self.classes.insert(class.name.clone(), Rc::new(class));
+        Rc::make_mut(&mut self.classes).insert(class.name.clone(), Rc::new(class));
+    }
+
+    /// Registers (or replaces) a converter (`XtAppAddConverter`).
+    pub fn add_converter<F>(&mut self, ty: crate::resource::ResType, f: F)
+    where
+        F: Fn(&str, &ConvertCtx<'_>) -> Result<ResourceValue, String> + 'static,
+    {
+        Rc::make_mut(&mut self.converters).register(ty, f);
+    }
+
+    /// Adds (or replaces) a global action (`XtAppAddActions`).
+    pub fn add_global_action<F>(&mut self, name: &str, f: F)
+    where
+        F: Fn(&mut XtApp, WidgetId, &Event, &[String]) + 'static,
+    {
+        Rc::make_mut(&mut self.global_actions).add(name, f);
     }
 
     /// Looks up a registered class.
@@ -1499,7 +1543,7 @@ mod tests {
             .unwrap();
         let fired = Rc::new(std::cell::Cell::new(0));
         let f2 = fired.clone();
-        app.global_actions.add("ring", move |_, _, _, _| {
+        app.add_global_action("ring", move |_, _, _, _| {
             f2.set(f2.get() + 1);
         });
         app.realize(top);
@@ -1535,8 +1579,7 @@ mod tests {
             .unwrap();
         let fired = Rc::new(std::cell::Cell::new(0));
         let f2 = fired.clone();
-        app.global_actions
-            .add("ring", move |_, _, _, _| f2.set(f2.get() + 1));
+        app.add_global_action("ring", move |_, _, _, _| f2.set(f2.get() + 1));
         app.realize(top);
         app.dispatch_pending();
         app.set_resource(w, "sensitive", "false").unwrap();

@@ -28,12 +28,11 @@ pub fn install(app: &mut XtApp) {
     if app.global_actions.get("RddStartDrag").is_some() {
         return;
     }
-    app.global_actions
-        .add("RddStartDrag", |app, w, _event, _args| {
-            let value = app.state(w, SOURCE_VALUE);
-            app.dnd_payload = if value.is_empty() { None } else { Some(value) };
-        });
-    app.global_actions.add("RddDrop", |app, w, _event, _args| {
+    app.add_global_action("RddStartDrag", |app, w, _event, _args| {
+        let value = app.state(w, SOURCE_VALUE);
+        app.dnd_payload = if value.is_empty() { None } else { Some(value) };
+    });
+    app.add_global_action("RddDrop", |app, w, _event, _args| {
         let payload = match app.dnd_payload.take() {
             Some(p) => p,
             None => return,

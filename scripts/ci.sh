@@ -18,6 +18,20 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+# Flake detector over the whole workspace (the root Cargo.toml's
+# default-members make plain `cargo test` cover every crate): ten more
+# consecutive full runs must all pass. The suites are compiled by the
+# step above, so each run pays only test time.
+echo "== whole-workspace suite x10 (600s guard)"
+timeout 600 sh -c '
+    i=1
+    while [ $i -le 10 ]; do
+        cargo test -q --offline >/tmp/wafe-ci-flake.out 2>&1 \
+            || { tail -40 /tmp/wafe-ci-flake.out; echo "workspace run $i failed"; exit 1; }
+        i=$((i + 1))
+    done
+' || { echo "whole-workspace suite x10: FAILED (or exceeded 600s)"; exit 1; }
+
 # The chaos suite is deterministic by construction (seeded fault plans,
 # virtual tick clock); 50 consecutive runs under a hard timeout catch
 # any flakiness regression. The suite is compiled by the test step
@@ -275,6 +289,25 @@ r = d["bytes_saved_ratio"]
 assert r >= 5.0, "e28: bytes_saved_ratio %.1fx < 5x" % r
 print("  bytes saved: %.1fx (gate >=5x) ok" % r)
 ' || { echo "BENCH_e28.json: malformed or below the 5x gate"; exit 1; }
+
+# E30 is the shared toolkit image: with the per-flavour setup built
+# once per thread, creating a session must cost at most a fifth of
+# building the image (the setup every session used to repeat), in both
+# time and resident memory. Both sides come from the same run, so the
+# gate needs no kept-alive baseline. The bench asserts it too.
+echo "== bench e30 smoke run + session <=1/5 image gate"
+run_bench e30_session_image
+python3 -c '
+import json
+d = json.load(open("BENCH_e30.json"))
+t = d["image_build_us"] / d["session_create_us"]
+m = d["image_kb"] / d["session_kb"]
+assert t >= 5.0 and m >= 5.0, (
+    "e30: session costs 1/%.1f of an image in time and 1/%.1f in memory, gate 1/5"
+    % (t, m))
+print("  session create: %.1f us, %.1f KiB (image %.1f us, %.1f KiB: %.1fx, %.1fx; gate >=5x) ok"
+      % (d["session_create_us"], d["session_kb"], d["image_build_us"], d["image_kb"], t, m))
+' || { echo "BENCH_e30.json: malformed or below the 5x gate"; exit 1; }
 
 # The band was 5% while the cached side was tree-walked; the bytecode
 # VM cut cached iteration times ~3x, which widened the run-to-run

@@ -51,29 +51,23 @@ fn three_phases_end_to_end() {
         app.displays[0].set_input_focus(Some(win));
         app.displays[0].inject_key_text("360\n");
     }
+    // The backend writes the `result` and `info` updates as two
+    // separate lines, so wait until both have arrived.
     assert!(
         wait_for(
             &mut fe,
             |fe| {
-                fe.engine
-                    .session
-                    .app
-                    .borrow()
-                    .lookup("result")
-                    .map(|_| ())
-                    .is_some()
-                    && {
-                        let mut s = String::new();
-                        let app = fe.engine.session.app.borrow();
-                        if let Some(r) = app.lookup("result") {
-                            s = app.str_resource(r, "label");
-                        }
-                        s == "5*3*3*2*2*2"
-                    }
+                let app = fe.engine.session.app.borrow();
+                let label = |w: &str| {
+                    app.lookup(w)
+                        .map(|id| app.str_resource(id, "label"))
+                        .unwrap_or_default()
+                };
+                label("result") == "5*3*3*2*2*2" && label("info").ends_with("seconds")
             },
             10
         ),
-        "backend must answer with the factorisation"
+        "backend must answer with the factorisation and its timing"
     );
     // The info label went through "thinking..." to "N seconds".
     let info = {
