@@ -1,34 +1,30 @@
-//! E21 — dual-representation values vs the strings-only model.
+//! E21 — dual-representation values: `lappend` growth stays linear.
 //!
-//! Wafe inherits Tcl 6's "everything is a string" data model; every
-//! numeric or list use of a value re-parses its text ("shimmering").
-//! This experiment measures what the Tcl 8-style dual-rep `Value`
-//! (shared string + cached int/double/list/script rep) buys back on
-//! three workloads, all on the **same interpreter binary** — the
-//! baseline flips `wafe_tcl::set_reps_enabled(false)`, which makes
-//! `Value` behave exactly like the old strings-only model (no rep
-//! caching, eager rendering, every access re-parses):
+//! Wafe inherits Tcl 6's "everything is a string" data model, where
+//! every list use of a value re-parses its text and every `lappend`
+//! re-renders the whole list: building an N-element list costs O(N²).
+//! The Tcl 8-style dual-rep `Value` caches the parsed list and steals
+//! the sole-owner rep, so an append is amortized O(1) and the build is
+//! O(N).
 //!
-//! * **list_build** — `lappend` growth: amortized O(1) per append with
-//!   the sole-owner rep steal vs O(n) re-parse + re-render per append;
-//! * **sort_ints** — `lsort -integer` over a 300-element list: one
-//!   int parse per element vs one per comparison;
-//! * **mix** — the acceptance workload: lappend growth, an integer
-//!   lsort, and a `for`/`expr`/`incr` arithmetic pass over the result.
-//!
-//! Results go to stdout and `BENCH_e21.json` at the workspace root.
+//! The check is a growth ratio inside one run, in the style of E30:
+//! building a 4N-element list must take at most 6× as long as building
+//! an N-element one (linear growth is 4×, quadratic 16×). Both sides
+//! come from the same run, interleaved round by round, so the gate
+//! needs no kept-alive strings-only baseline. The `mix` workload (an
+//! append loop, an integer `lsort` and an arithmetic pass) is reported
+//! for the record. Results go to stdout and `BENCH_e21.json`.
 
 use std::time::Duration;
 
-use bench::{criterion_group, criterion_main, measure_median, workspace_root, Criterion};
-use wafe_tcl::{set_reps_enabled, Interp};
+use bench::{measure_ab, measure_median, workspace_root};
+use wafe_tcl::Interp;
 
-const LIST_BUILD_TCL: &str = "\
-set l {}\n\
-for {set k 0} {$k < 400} {incr k} {lappend l $k}\n\
-llength $l";
+/// Elements in the smaller build; the larger one has four times as many.
+const N: usize = 1000;
 
-const SORT_INTS_TCL: &str = "llength [lsort -integer $data]";
+/// The growth-ratio gate: between linear (4) and quadratic (16).
+const MAX_GROWTH: f64 = 6.0;
 
 const MIX_TCL: &str = "\
 set l {}\n\
@@ -38,120 +34,73 @@ set sum 0\n\
 foreach x $sorted {incr sum $x}\n\
 set sum";
 
-fn run(i: &mut Interp, script: &str) -> String {
-    i.eval(script).unwrap().to_string()
+fn list_build(n: usize) -> String {
+    format!("set l {{}}\nfor {{set k 0}} {{$k < {n}}} {{incr k}} {{lappend l $k}}\nllength $l")
 }
 
-fn fresh_interp() -> Interp {
-    let mut i = Interp::new();
-    // A 300-element pre-built list for the sort workload.
-    i.eval("set data {}; for {set k 0} {$k < 300} {incr k} {lappend data [expr {(299 - $k) * 3}]}")
-        .unwrap();
-    i
-}
+fn main() {
+    bench::banner("E21", "dual-rep values: lappend build time grows linearly");
 
-struct Measured {
-    name: &'static str,
-    string_ns: f64,
-    dualrep_ns: f64,
-}
+    let (small, large) = (list_build(N), list_build(4 * N));
+    let (mut i_small, mut i_large) = (Interp::new(), Interp::new());
+    assert_eq!(i_small.eval(&small).unwrap().to_string(), N.to_string());
+    assert_eq!(
+        i_large.eval(&large).unwrap().to_string(),
+        (4 * N).to_string()
+    );
+    let ab = measure_ab(
+        Duration::from_millis(200),
+        21,
+        Duration::from_millis(20),
+        || {
+            i_large.eval(&large).unwrap();
+        },
+        || {
+            i_small.eval(&small).unwrap();
+        },
+    );
+    let growth = ab.ratio;
+    let mix_ns = measure_median(
+        Duration::from_millis(200),
+        Duration::from_millis(1000),
+        11,
+        || i_small.eval(MIX_TCL).unwrap(),
+    );
 
-impl Measured {
-    fn speedup(&self) -> f64 {
-        self.string_ns / self.dualrep_ns.max(1.0)
-    }
-}
+    bench::row(
+        &format!("lappend build, {N} elements"),
+        format!("{:.0} ns", ab.b_ns),
+    );
+    bench::row(
+        &format!("lappend build, {} elements", 4 * N),
+        format!("{:.0} ns", ab.a_ns),
+    );
+    bench::row(
+        "growth at 4x the elements",
+        format!("{growth:.2}x (linear 4x, quadratic 16x, gate <={MAX_GROWTH}x)"),
+    );
+    bench::row(
+        "mix (lappend, lsort, arithmetic)",
+        format!("{mix_ns:.0} ns"),
+    );
 
-fn measure(name: &'static str, script: &'static str) -> Measured {
-    // Same-result sanity check: reps must be semantically invisible.
-    set_reps_enabled(false);
-    let mut string_i = fresh_interp();
-    let string_out = run(&mut string_i, script);
-    set_reps_enabled(true);
-    let mut dual_i = fresh_interp();
-    assert_eq!(string_out, run(&mut dual_i, script));
-
-    let warm_up = Duration::from_millis(200);
-    let budget = Duration::from_millis(1200);
-    set_reps_enabled(false);
-    let string_ns = measure_median(warm_up, budget, 11, || run(&mut string_i, script));
-    set_reps_enabled(true);
-    let dualrep_ns = measure_median(warm_up, budget, 11, || run(&mut dual_i, script));
-    Measured {
-        name,
-        string_ns,
-        dualrep_ns,
-    }
-}
-
-fn write_json(results: &[Measured]) {
-    let mut out = String::from("{\n  \"experiment\": \"e21_value_reps\",\n  \"workloads\": [\n");
-    for (k, m) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"string_ns_per_iter\": {:.1}, \"dualrep_ns_per_iter\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            m.name,
-            m.string_ns,
-            m.dualrep_ns,
-            m.speedup(),
-            if k + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    let out = format!(
+        "{{\n  \"experiment\": \"e21_value_reps\",\n  \
+         \"n\": {N},\n  \
+         \"lappend_n_ns\": {:.1},\n  \
+         \"lappend_4n_ns\": {:.1},\n  \
+         \"growth_ratio\": {growth:.2},\n  \
+         \"growth_gate_max\": {MAX_GROWTH:.1},\n  \
+         \"mix_ns_per_iter\": {mix_ns:.1}\n}}\n",
+        ab.b_ns, ab.a_ns
+    );
     let path = workspace_root().join("BENCH_e21.json");
     std::fs::write(&path, out).expect("write BENCH_e21.json");
     println!("  wrote {}", path.display());
-}
 
-fn bench(c: &mut Criterion) {
-    bench::banner(
-        "E21",
-        "dual-representation values vs Tcl 6.x strings-only shimmering",
-    );
-    let results = [
-        measure("list_build_lappend", LIST_BUILD_TCL),
-        measure("sort_ints", SORT_INTS_TCL),
-        measure("mix_lappend_lsort_arith", MIX_TCL),
-    ];
-    for m in &results {
-        bench::row(
-            &format!("{} strings-only", m.name),
-            format!("{:.0} ns/iter", m.string_ns),
-        );
-        bench::row(
-            &format!("{} dual-rep", m.name),
-            format!("{:.0} ns/iter", m.dualrep_ns),
-        );
-        bench::row(
-            &format!("{} speedup", m.name),
-            format!("{:.1}x", m.speedup()),
-        );
-    }
-    write_json(&results);
-    let mix = &results[2];
     assert!(
-        mix.speedup() >= 3.0,
-        "acceptance: >=3x on the lappend/lsort/arithmetic mix, got {:.2}x",
-        mix.speedup()
+        growth <= MAX_GROWTH,
+        "acceptance: lappend build at 4N must take <= {MAX_GROWTH}x the time at N, \
+         got {growth:.2}x"
     );
-
-    // Keep a criterion-style group so E21 reports like the others.
-    let mut group = c.benchmark_group("e21_value_reps");
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_millis(1000));
-    group.sample_size(11);
-    group.bench_function("mix_dualrep", |b| {
-        set_reps_enabled(true);
-        let mut i = fresh_interp();
-        b.iter(|| run(&mut i, MIX_TCL));
-    });
-    group.bench_function("mix_strings_only", |b| {
-        set_reps_enabled(false);
-        let mut i = fresh_interp();
-        b.iter(|| run(&mut i, MIX_TCL));
-        set_reps_enabled(true);
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

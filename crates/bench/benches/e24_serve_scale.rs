@@ -1,5 +1,4 @@
-//! E24 — waferd at scale: the readiness-driven event loop vs the
-//! thread-per-connection baseline.
+//! E24 — waferd at scale: the readiness-driven event loop.
 //!
 //! E22 proved correctness at 64 clients; this experiment pushes the
 //! poll(2) event loop to 1k / 4k / 10k *simultaneously connected*
@@ -13,15 +12,12 @@
 //! Reported per scale: **commands/sec**, **dispatch p50/p99** (enqueue
 //! of a round trip to its reply, microseconds) and peak active
 //! sessions. Every reply is checked byte-for-byte against a local
-//! [`ProtocolEngine`] fed the same lines. A baseline row reruns the
-//! 1k-client workload with `--io threads` (the pre-event-loop reader
-//! model); acceptance is >= 2x commands/sec for the poll model at 1k,
-//! peak_active == clients at every scale, and zero mismatches.
+//! [`ProtocolEngine`] fed the same lines. Acceptance is peak_active ==
+//! clients at every scale and zero mismatches.
 //!
 //! `WAFE_E24_CLIENTS=N` switches to smoke mode: one scale of N
-//! clients, results to `target/BENCH_e24_smoke.json`, baseline and
-//! scale assertions skipped (CI runs N=256). Full runs write
-//! `BENCH_e24.json` at the workspace root.
+//! clients, results to `target/BENCH_e24_smoke.json` (CI runs N=256).
+//! Full runs write `BENCH_e24.json` at the workspace root.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -48,7 +44,7 @@ struct Waferd {
 }
 
 impl Waferd {
-    fn spawn(io: &str) -> Waferd {
+    fn spawn() -> Waferd {
         let bin = workspace_root().join("target/release/waferd");
         assert!(
             bin.exists(),
@@ -62,8 +58,6 @@ impl Waferd {
                 "--quiet",
                 "--max-sessions",
                 "12000",
-                "--io",
-                io,
             ])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -147,7 +141,6 @@ impl Client {
 }
 
 struct Measured {
-    io: &'static str,
     clients: usize,
     commands_per_sec: f64,
     p50_us: f64,
@@ -164,10 +157,10 @@ fn percentile(sorted_us: &[u64], q: f64) -> f64 {
     sorted_us[idx] as f64
 }
 
-/// Runs the full workload at one scale against one server flavor.
-fn measure(io: &'static str, clients: usize) -> Measured {
+/// Runs the full workload at one scale.
+fn measure(clients: usize) -> Measured {
     let trips = trips_for(clients);
-    let server = Waferd::spawn(io);
+    let server = Waferd::spawn();
     let mut poll = PollSet::new(Box::new(SysPoller::new()));
     let mut conns: Vec<Client> = Vec::with_capacity(clients);
 
@@ -290,7 +283,6 @@ fn measure(io: &'static str, clients: usize) -> Measured {
     latencies_us.sort_unstable();
     let commands = (clients * trips * 2) as f64;
     Measured {
-        io,
         clients,
         commands_per_sec: commands / elapsed.as_secs_f64(),
         p50_us: percentile(&latencies_us, 0.50),
@@ -300,14 +292,12 @@ fn measure(io: &'static str, clients: usize) -> Measured {
     }
 }
 
-fn write_json(results: &[Measured], speedup: Option<f64>, path: &std::path::Path) {
+fn write_json(results: &[Measured], path: &std::path::Path) {
     let mut out = String::from("{\n  \"experiment\": \"e24_serve_scale\",\n  \"workloads\": [\n");
     for (k, m) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}_c{}\", \"io\": \"{}\", \"clients\": {}, \"commands_per_sec\": {:.0}, \"dispatch_p50_us\": {:.0}, \"dispatch_p99_us\": {:.0}, \"peak_active\": {}, \"mismatches\": {}}}{}\n",
-            m.io,
+            "    {{\"name\": \"poll_c{}\", \"clients\": {}, \"commands_per_sec\": {:.0}, \"dispatch_p50_us\": {:.0}, \"dispatch_p99_us\": {:.0}, \"peak_active\": {}, \"mismatches\": {}}}{}\n",
             m.clients,
-            m.io,
             m.clients,
             m.commands_per_sec,
             m.p50_us,
@@ -317,11 +307,7 @@ fn write_json(results: &[Measured], speedup: Option<f64>, path: &std::path::Path
             if k + 1 < results.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ]");
-    if let Some(s) = speedup {
-        out.push_str(&format!(",\n  \"speedup_poll_over_threads_c1000\": {s:.2}"));
-    }
-    out.push_str("\n}\n");
+    out.push_str("  ]\n}\n");
     std::fs::write(path, out).expect("write e24 json");
     println!("  wrote {}", path.display());
 }
@@ -341,7 +327,7 @@ fn bench(c: &mut Criterion) {
 
     let mut results = Vec::new();
     for &clients in &scales {
-        let m = measure("poll", clients);
+        let m = measure(clients);
         bench::row(
             &format!("poll {clients} clients"),
             format!(
@@ -352,45 +338,17 @@ fn bench(c: &mut Criterion) {
         results.push(m);
     }
 
-    let mut speedup = None;
-    if smoke.is_none() {
-        // Baseline: the thread-per-connection reader model at 1k.
-        let base = measure("threads", 1000);
-        bench::row(
-            "threads 1000 clients",
-            format!(
-                "{:.0} commands/s  p50 {:.0}us  p99 {:.0}us  peak {}",
-                base.commands_per_sec, base.p50_us, base.p99_us, base.peak_active
-            ),
-        );
-        let poll_1k = results
-            .iter()
-            .find(|m| m.clients == 1000)
-            .expect("poll 1k row");
-        let s = poll_1k.commands_per_sec / base.commands_per_sec;
-        bench::row("speedup poll/threads at 1k", format!("{s:.2}x"));
-        speedup = Some(s);
-        results.push(base);
-    }
-
-    // Acceptance. Smoke mode keeps the correctness half (peak
-    // concurrency and byte identity) and skips the scale/speedup half.
+    // Acceptance: peak concurrency and byte identity at every scale.
     for m in &results {
         assert_eq!(
             m.peak_active, m.clients,
-            "acceptance: every client held a live session ({} {}c)",
-            m.io, m.clients
+            "acceptance: every client held a live session ({} clients)",
+            m.clients
         );
         assert_eq!(
             m.mismatches, 0,
-            "acceptance: zero protocol corruption ({} {}c)",
-            m.io, m.clients
-        );
-    }
-    if let Some(s) = speedup {
-        assert!(
-            s >= 2.0,
-            "acceptance: poll model >= 2x threads model at 1k clients (got {s:.2}x)"
+            "acceptance: zero protocol corruption ({} clients)",
+            m.clients
         );
     }
 
@@ -398,7 +356,7 @@ fn bench(c: &mut Criterion) {
         Some(_) => workspace_root().join("target/BENCH_e24_smoke.json"),
         None => workspace_root().join("BENCH_e24.json"),
     };
-    write_json(&results, speedup, &path);
+    write_json(&results, &path);
 
     // A criterion-style group so E24 reports like the others: round
     // trip latency on one connection against a live waferd child.
@@ -407,7 +365,7 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(1000));
     group.sample_size(11);
     group.bench_function("round_trip_child_process", |b| {
-        let server = Waferd::spawn("poll");
+        let server = Waferd::spawn();
         let stream = TcpStream::connect(server.addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut w = stream;

@@ -26,9 +26,10 @@ use crate::spec::SpecFile;
 /// version it is not possible to mix Athena and OSF/Motif widgets and
 /// converters freely" — `wafe` is Athena, `mofe` is Motif. `Both` is a
 /// reproduction extension used by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Flavor {
     /// Athena widgets (`wafe`).
+    #[default]
     Athena,
     /// OSF/Motif widgets (`mofe`).
     Motif,

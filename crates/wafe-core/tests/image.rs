@@ -137,13 +137,13 @@ fn proc_and_rename_in_one_session_are_invisible_in_another() {
 }
 
 #[test]
-fn the_v2_fixture_restores_into_an_image_session_and_reencodes_identically() {
+fn the_v3_fixture_restores_into_an_image_session_and_reencodes_identically() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot-v2.wsnap"
+        "/tests/fixtures/snapshot-v3.wsnap"
     );
     let bytes = std::fs::read(path).expect("fixture present and checked in");
-    let snap = SessionSnapshot::decode(&bytes).expect("v2 decodes");
+    let snap = SessionSnapshot::decode(&bytes).expect("v3 decodes");
     // Another session on this thread has already used and modified its
     // own command table; the restore target must not notice.
     let mut other = WafeSession::new(Flavor::Athena);

@@ -1,8 +1,8 @@
 //! Version-compatibility pinning for the session snapshot format.
 //!
-//! `tests/fixtures/snapshot-v2.wsnap` is a **checked-in** blob at the
-//! current format version; `snapshot-v1.wsnap` is the previous format,
-//! kept to pin the rejection path. These tests hold the format to its
+//! `tests/fixtures/snapshot-v3.wsnap` is a **checked-in** blob at the
+//! current format version; `snapshot-v1.wsnap` and `snapshot-v2.wsnap`
+//! are superseded formats, kept to pin the rejection path. These tests hold the format to its
 //! documented policy (`docs/checkpoint.md`):
 //!
 //! * today's reader decodes the current checked-in blob and restores
@@ -18,13 +18,27 @@ use wafe_core::{Flavor, SessionSnapshot, WafeSession, FORMAT_VERSION};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/snapshot-v2.wsnap"
+    "/tests/fixtures/snapshot-v3.wsnap"
 );
 
-const OLD_FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/snapshot-v1.wsnap"
-);
+/// Superseded blobs, oldest first, with the version each was written
+/// at. Neither has a checksum trailer.
+const OLD_FIXTURES: [(&str, u8); 2] = [
+    (
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/snapshot-v1.wsnap"
+        ),
+        1,
+    ),
+    (
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/snapshot-v2.wsnap"
+        ),
+        2,
+    ),
+];
 
 /// The state frozen into the fixture. Deterministic by construction:
 /// widget ids are virtual, captures are key-sorted, and no clock or
@@ -49,6 +63,7 @@ fn fixture_session() -> (WafeSession, Vec<String>) {
 fn checked_in_blob_decodes_and_restores() {
     let bytes = std::fs::read(FIXTURE).expect("fixture present and checked in");
     let snap = SessionSnapshot::decode(&bytes).expect("current reader accepts the current format");
+    assert_eq!(snap.flavor, Flavor::Athena);
     assert_eq!(snap.outbound, ["queued-one", "queued-two"]);
     assert_eq!(snap.displays.len(), 1, "display damage section present");
 
@@ -66,19 +81,29 @@ fn checked_in_blob_decodes_and_restores() {
     assert!(app.is_realized(banner), "realized flag survives");
 }
 
-#[test]
-fn superseded_v1_blob_is_rejected_naming_both_versions() {
-    let bytes = std::fs::read(OLD_FIXTURE).expect("v1 fixture present and checked in");
-    let err = SessionSnapshot::decode(&bytes)
-        .expect_err("a v1 blob must not decode against the v2 layout");
+/// A superseded blob is refused by the version check, before the
+/// checksum: it names both versions instead of reporting corruption.
+fn assert_superseded_rejected((path, version): (&str, u8)) {
+    let bytes = std::fs::read(path).expect("old fixture present and checked in");
+    let err = SessionSnapshot::decode(&bytes).expect_err("an old blob must not decode");
     assert!(
-        err.contains("version 1"),
+        err.contains(&format!("version {version} not supported")),
         "error must name the blob's version: {err}"
     );
     assert!(
         err.contains(&format!("expects {FORMAT_VERSION}")),
         "error must name the reader's version: {err}"
     );
+}
+
+#[test]
+fn superseded_v1_blob_is_rejected_naming_both_versions() {
+    assert_superseded_rejected(OLD_FIXTURES[0]);
+}
+
+#[test]
+fn superseded_v2_blob_is_rejected_naming_both_versions() {
+    assert_superseded_rejected(OLD_FIXTURES[1]);
 }
 
 #[test]
@@ -116,7 +141,7 @@ fn todays_encoder_still_writes_the_fixture_bytes() {
 /// after a format change (with the version already bumped), commit the
 /// new blob, and keep the old one for the rejection test.
 #[test]
-#[ignore = "writes tests/fixtures/snapshot-v2.wsnap; run after a format bump"]
+#[ignore = "writes tests/fixtures/snapshot-v3.wsnap; run after a format bump"]
 fn regenerate_snapshot_fixture() {
     let (s, outbound) = fixture_session();
     let bytes = SessionSnapshot::capture(&s, outbound).encode();

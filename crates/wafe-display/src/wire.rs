@@ -1,11 +1,13 @@
-//! Big-endian wire primitives with a checksum trailer.
+//! Big-endian wire primitives with a checksum trailer — the workspace's
+//! one binary codec.
 //!
-//! The display protocol is read by a JavaScript `DataView` whose
-//! default is network byte order, so — unlike the snapshot codec, which
-//! is little-endian and never leaves the process — everything here is
-//! big-endian. Every message ends in an FNV-1a checksum over the
-//! preceding bytes: a single flipped bit anywhere must fail loudly
-//! rather than decode into a plausible frame.
+//! Display frames and input events are read by a JavaScript `DataView`
+//! whose default is network byte order, so everything here is
+//! big-endian. Session snapshots (`wafe_core::snapshot`, the `.wsnap`
+//! files waferd parks) are written with the same primitives. Every
+//! message ends in an FNV-1a checksum over the preceding bytes: a
+//! single flipped bit anywhere must fail loudly rather than decode into
+//! a plausible frame or session.
 
 use std::fmt;
 
@@ -89,10 +91,31 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
+    /// Appends a big-endian i64 (two's complement).
+    pub fn put_i64(&mut self, v: i64) {
+        self.buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    /// Appends an f64 as its big-endian IEEE-754 bit pattern.
+    pub fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends an optional string: a presence byte, then the string.
+    pub fn put_opt_str(&mut self, s: Option<&str>) {
+        match s {
+            Some(s) => {
+                self.put_u8(1);
+                self.put_str(s);
+            }
+            None => self.put_u8(0),
+        }
     }
 
     /// Appends the FNV-1a checksum of everything written so far and
@@ -130,6 +153,15 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// A reader over bytes whose checksum has *not* been verified. It
+    /// exists for the one header field a receiver must see before it
+    /// can know a trailer is there at all — the format version of a
+    /// snapshot written before snapshots had one. Never decode a
+    /// payload through it.
+    pub fn unverified(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.buf.len() {
             return Err(DecodeError::Truncated);
@@ -140,8 +172,8 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes and checks a magic tag.
-    pub fn expect_magic(&mut self, magic: &[u8; 4]) -> Result<(), DecodeError> {
-        if self.take(4)? != magic {
+    pub fn expect_magic(&mut self, magic: &[u8]) -> Result<(), DecodeError> {
+        if self.take(magic.len())? != magic {
             return Err(DecodeError::BadMagic);
         }
         Ok(())
@@ -172,11 +204,31 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Reads a big-endian i64.
+    pub fn i64(&mut self) -> Result<i64, DecodeError> {
+        Ok(self.u64()? as i64)
+    }
+
+    /// Reads a big-endian IEEE-754 f64 bit pattern.
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DecodeError> {
         let n = self.u32()? as usize;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| DecodeError::BadValue("utf-8 string"))
+    }
+
+    /// Reads an optional string; a presence byte other than 0 or 1 is
+    /// invalid, so every value has exactly one encoding.
+    pub fn opt_str(&mut self) -> Result<Option<String>, DecodeError> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(self.str()?)),
+            _ => Err(DecodeError::BadValue("optional-string tag")),
+        }
     }
 
     /// Asserts the payload was consumed exactly.
@@ -230,7 +282,11 @@ mod tests {
         w.put_u32(0xdead_beef);
         w.put_i32(-42);
         w.put_u64(1 << 40);
+        w.put_i64(-1 << 40);
+        w.put_f64(-2.5e-3);
         w.put_str("héllo");
+        w.put_opt_str(Some("x"));
+        w.put_opt_str(None);
         let bytes = w.finish();
         let mut r = Reader::checked(&bytes).unwrap();
         r.expect_magic(b"TEST").unwrap();
@@ -238,7 +294,11 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.i32().unwrap(), -42);
         assert_eq!(r.u64().unwrap(), 1 << 40);
+        assert_eq!(r.i64().unwrap(), -1 << 40);
+        assert_eq!(r.f64().unwrap(), -2.5e-3);
         assert_eq!(r.str().unwrap(), "héllo");
+        assert_eq!(r.opt_str().unwrap().as_deref(), Some("x"));
+        assert_eq!(r.opt_str().unwrap(), None);
         r.done().unwrap();
     }
 

@@ -352,7 +352,7 @@ impl Frontend {
     /// while it is down and flushed in order after the next restart:
     /// the exact replay machinery crash recovery already uses.
     pub fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<wafe_core::RestoreReport, String> {
-        let snap = wafe_core::SessionSnapshot::decode(bytes)?;
+        let snap = wafe_core::SessionSnapshot::decode_for(bytes, self.engine.session.flavor)?;
         let report = snap.restore_into(&mut self.engine.session);
         for line in &snap.outbound {
             self.supervisor.send(line).map_err(|e| e.to_string())?;

@@ -31,8 +31,8 @@
 //!   [`wafe_ipc::Poller`] trait so tests swap in a simulated net.
 //! * [`sim`] — that simulated net: scripted byte chunks, accept-queue
 //!   errors and readiness with no timing anywhere.
-//! * [`server`] — the socket transport: the event-loop workers (default)
-//!   or the thread-per-connection baseline, plus graceful drain.
+//! * [`server`] — the socket transport: the accept thread and the
+//!   event-loop workers, plus graceful drain.
 //! * [`display`] — the remote display channel: `%display attach` turns
 //!   on compositing and the scheduler ships damage-tracked
 //!   [`wafe_display::Frame`]s as `!display frame <hex>` notices, with
@@ -60,5 +60,5 @@ pub use event_loop::{AcceptLoop, Acceptor, ConnAssign, ConnIo, EventLoop, Wake};
 pub use mailbox::{Mailbox, OutQueue, SessionSink};
 pub use registry::{Limits, Registry, ServerStats, SessionId, ShedReason, LIMIT_KEYS};
 pub use scheduler::{install_serve_control, install_session_control, Scheduler, SessionCtl};
-pub use server::{IoModel, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use sim::{SimClient, SimNet};

@@ -1,22 +1,22 @@
 //! The per-session mailbox and reply sink — the two hand-off points
-//! between a connection's transport threads and the worker that owns
-//! the session.
+//! between a connection's transport and the scheduler that owns the
+//! session.
 //!
-//! A mailbox is the *inbound* half: the reader thread pushes decoded
+//! A mailbox is the *inbound* half: the event loop pushes decoded
 //! lines, the scheduler pops them a quantum at a time. It is bounded —
 //! a full mailbox refuses the push and the transport answers the client
 //! with `!shed queue-full` instead of buffering without limit. The sink
 //! is the *outbound* half: everything the session wants the application
 //! to read (echo output, shed/evict notices) goes through it, either
-//! into an in-memory buffer (deterministic tests) or an `mpsc` channel
-//! feeding the connection's writer thread.
+//! into an in-memory buffer (deterministic tests) or an [`OutQueue`]
+//! the owning worker's event loop flushes to the socket.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
-/// A bounded inbound line queue, shared between one reader thread and
-/// one scheduler.
+/// A bounded inbound line queue, shared between one connection's
+/// transport and one scheduler.
 pub struct Mailbox {
     queue: Mutex<VecDeque<String>>,
     cap: usize,
@@ -88,9 +88,8 @@ impl Mailbox {
 }
 
 /// The outbound line queue between a session and the event loop that
-/// flushes its connection. Unlike the `mpsc` channel the thread model
-/// uses, both ends are polled by the same worker, so this is a plain
-/// locked deque plus two completion flags: `sink_closed` (the session
+/// flushes its connection. Both ends are polled by the same worker, so
+/// this is a plain locked deque plus two completion flags: `sink_closed` (the session
 /// is finished; flush what is queued, then close the socket) and
 /// `receiver_gone` (the client vanished; drop everything pushed).
 #[derive(Default)]
@@ -199,9 +198,6 @@ impl OutQueue {
 pub enum SessionSink {
     /// Collected in memory — the deterministic tests read this.
     Buffer(Arc<Mutex<Vec<String>>>),
-    /// Fed to the connection's writer thread. A failed send means the
-    /// client is gone.
-    Channel(mpsc::Sender<String>),
     /// Queued for the owning worker's event loop to flush. Dropping the
     /// sink (the scheduler releasing the session) closes the queue so
     /// the event loop flushes the tail and closes the socket.
@@ -224,18 +220,17 @@ impl SessionSink {
                     .push(line.to_string());
                 true
             }
-            SessionSink::Channel(tx) => tx.send(line.to_string()).is_ok(),
             SessionSink::Queue(q) => q.push(line),
         }
     }
 
-    /// Whether a display frame can be sent right now. Buffer and
-    /// channel sinks always accept; a queue sink accepts only while its
+    /// Whether a display frame can be sent right now. A buffer sink
+    /// always accepts; a queue sink accepts only while its
     /// single frame slot is free — the scheduler's backpressure signal
     /// to keep accumulating damage instead of building frames.
     pub fn can_send_frame(&self) -> bool {
         match self {
-            SessionSink::Buffer(_) | SessionSink::Channel(_) => true,
+            SessionSink::Buffer(_) => true,
             SessionSink::Queue(q) => q.frame_slot_free(),
         }
     }
@@ -245,7 +240,7 @@ impl SessionSink {
     /// slot rather than the line queue.
     pub fn send_frame(&self, line: &str) -> bool {
         match self {
-            SessionSink::Buffer(_) | SessionSink::Channel(_) => self.send(line),
+            SessionSink::Buffer(_) => self.send(line),
             SessionSink::Queue(q) => q.set_frame(line),
         }
     }
@@ -316,15 +311,5 @@ mod tests {
         assert!(sink.can_send_frame(), "slot free once flushed");
         q.mark_receiver_gone();
         assert!(!sink.send_frame("!display frame cc"), "gone client refuses");
-    }
-
-    #[test]
-    fn channel_sink_reports_a_gone_client() {
-        let (tx, rx) = mpsc::channel();
-        let sink = SessionSink::Channel(tx);
-        assert!(sink.send("hello"));
-        assert_eq!(rx.recv().unwrap(), "hello");
-        drop(rx);
-        assert!(!sink.send("void"));
     }
 }

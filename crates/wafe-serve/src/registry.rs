@@ -15,7 +15,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -232,8 +233,8 @@ pub struct Registry {
     /// written through and restores remove the file.
     park_dir: Mutex<Option<PathBuf>>,
     draining: AtomicBool,
-    /// Readiness backend surfaced in `serve status` (`poll`, `sim`,
-    /// `threads`; `none` before a server attaches).
+    /// Readiness backend surfaced in `serve status` (`poll`, `sim`;
+    /// `none` before a server attaches).
     poller: Mutex<&'static str>,
     /// Per-worker wake handles, indexed by shard: the accept loop wakes
     /// a worker's poll after handing it a connection.
@@ -488,10 +489,15 @@ impl Registry {
     /// through to `park-<slot>-<generation>.wsnap` so it survives a
     /// process restart; a write failure fails the park loudly rather
     /// than silently keeping a memory-only checkpoint.
+    ///
+    /// The write is crash-safe: the bytes go to a `.tmp` sibling that
+    /// is fsynced and then renamed over the final name, so a crash
+    /// leaves either the whole snapshot or no `.wsnap` at all (a stale
+    /// `.tmp` is swept by the next [`set_park_dir`](Self::set_park_dir)).
     pub fn park(&self, id: SessionId, bytes: Vec<u8>, now_ms: u64) -> Result<(), String> {
         if let Some(dir) = self.park_dir() {
             let path = dir.join(park_file_name(id));
-            std::fs::write(&path, &bytes)
+            write_durably(&path, &bytes)
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
         let mut shard = self.shard_for_slot(id.slot);
@@ -573,8 +579,11 @@ impl Registry {
     /// Configures the park directory and loads any snapshots a previous
     /// process left there. Loading seeds each slot's generation floor
     /// past the parked generation, so new admissions can never mint an
-    /// id that collides with a pre-restart parked one. Returns how many
-    /// snapshots were loaded.
+    /// id that collides with a pre-restart parked one. Leftover `*.tmp`
+    /// files — parks a crash interrupted before their rename — are
+    /// deleted. A loaded snapshot is not decoded here: a damaged one is
+    /// refused with `!restore-failed` when it is claimed. Returns how
+    /// many snapshots were loaded.
     pub fn set_park_dir(&self, dir: PathBuf) -> Result<usize, String> {
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -584,7 +593,13 @@ impl Registry {
         for entry in entries {
             let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
             let name = entry.file_name();
-            let Some(id) = parse_park_file_name(&name.to_string_lossy()) else {
+            let name = name.to_string_lossy();
+            if name.ends_with(".tmp") {
+                std::fs::remove_file(entry.path())
+                    .map_err(|e| format!("cannot remove {}: {e}", entry.path().display()))?;
+                continue;
+            }
+            let Some(id) = parse_park_file_name(&name) else {
                 continue;
             };
             let bytes = std::fs::read(entry.path())
@@ -732,6 +747,22 @@ fn park_file_name(id: SessionId) -> String {
     format!("park-{}-{}.wsnap", id.slot, id.generation)
 }
 
+/// Writes `bytes` to `path` through a fsynced `<path>.tmp` and a
+/// rename, then fsyncs the directory so the rename itself is durable.
+fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 fn parse_park_file_name(name: &str) -> Option<SessionId> {
     let rest = name.strip_prefix("park-")?.strip_suffix(".wsnap")?;
     let (slot, generation) = rest.split_once('-')?;
@@ -819,6 +850,7 @@ mod tests {
         r.park(id, b"snapshot-bytes".to_vec(), 0).unwrap();
         r.release(id);
         assert!(dir.join("park-0-1.wsnap").exists());
+        assert!(!dir.join("park-0-1.wsnap.tmp").exists(), "tmp renamed away");
 
         // A fresh registry (a restarted waferd) finds the snapshot and
         // will never mint 0:1 again.

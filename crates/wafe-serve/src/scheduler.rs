@@ -366,7 +366,7 @@ impl Scheduler {
         let display = self.sessions[i].display.clone();
         let tel = self.sessions[i].engine.session.telemetry.clone();
         let timer = tel.timer();
-        match SessionSnapshot::decode(&bytes) {
+        match SessionSnapshot::decode_for(&bytes, self.flavor) {
             Err(e) => {
                 tel.count("serve.restore.error");
                 let entry = &mut self.sessions[i];
@@ -416,8 +416,8 @@ impl Scheduler {
         self.registry.release(entry.id);
         let tel = entry.engine.session.telemetry.clone();
         tel.set_gauge("serve.sessions.active", self.registry.active() as u64);
-        // Dropping the entry drops its sink; a channel sink closing is
-        // what tells the connection's writer thread to hang up.
+        // Dropping the entry drops its sink; a queue sink closing is what
+        // tells the event loop to flush the tail and close the socket.
     }
 }
 

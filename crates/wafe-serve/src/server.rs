@@ -1,51 +1,31 @@
-//! The socket transport. Two I/O models share the admission, scheduling
-//! and shed/drain/park semantics:
+//! The socket transport: the readiness-driven event loop. One accept
+//! thread polls every listener, and `workers` worker threads each run
+//! an [`EventLoop`] over nonblocking sockets. Thread count is fixed at
+//! `workers + 1` no matter how many connections are live, which is what
+//! lets wafe-serve hold 10k concurrent clients.
 //!
-//! * [`IoModel::Poll`] (default) — the readiness-driven event loop: one
-//!   accept thread polling every listener, plus `workers` worker
-//!   threads each running an [`EventLoop`] over nonblocking sockets.
-//!   Thread count is fixed at `workers + 1` no matter how many
-//!   connections are live, which is what lets wafe-serve hold 10k
-//!   concurrent clients.
-//! * [`IoModel::Threads`] — the original thread-per-connection model
-//!   (one reader and one writer thread per accepted socket), kept as
-//!   the comparison baseline for the E24 bench.
-//!
-//! Connections are pinned: in the poll model a session's slot picks its
-//! worker (`slot % workers`), which is also its registry shard, so a
-//! worker only ever touches its own shard's lock. Teardown is a single
-//! one-way flag: [`Registry::begin_drain`] (set by `Server::drain` or a
-//! client's `%serve drain`). The acceptor observes it and stops
-//! accepting; schedulers observe it, close every mailbox, flush what
-//! was queued and release the sessions; released sinks close the
-//! connections.
+//! Connections are pinned: a session's slot picks its worker
+//! (`slot % workers`), which is also its registry shard, so a worker
+//! only ever touches its own shard's lock. Teardown is a single one-way
+//! flag: [`Registry::begin_drain`] (set by `Server::drain` or a client's
+//! `%serve drain`). The acceptor observes it and stops accepting;
+//! schedulers observe it, close every mailbox, flush what was queued
+//! and release the sessions; released sinks close the connections.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use wafe_core::Flavor;
-use wafe_ipc::{LineCodec, SysPoller, DEFAULT_MAX_LINE};
+use wafe_ipc::SysPoller;
 
 use crate::event_loop::{AcceptLoop, Acceptor, ConnAssign, EventLoop, TcpAcceptor, UnixAcceptor};
-use crate::mailbox::{Mailbox, SessionSink};
-use crate::registry::{Limits, Registry, SessionId};
+use crate::registry::{Limits, Registry};
 use crate::scheduler::Scheduler;
-
-/// Which transport drives the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// Readiness-driven event loop (`poll(2)`), fixed thread count.
-    Poll,
-    /// Thread-per-connection baseline.
-    Threads,
-}
 
 /// How a [`Server`] is stood up.
 pub struct ServerConfig {
@@ -57,8 +37,7 @@ pub struct ServerConfig {
     pub unix: Option<PathBuf>,
     /// Widget-set flavour of every session.
     pub flavor: Flavor,
-    /// Scheduler threads in the bounded pool (== registry shards in the
-    /// poll model).
+    /// Scheduler threads in the bounded pool (== registry shards).
     pub workers: usize,
     /// Pre-enable telemetry on every session.
     pub telemetry: bool,
@@ -72,9 +51,6 @@ pub struct ServerConfig {
     /// and a graceful drain parks every live session instead of
     /// dropping it.
     pub park_dir: Option<PathBuf>,
-    /// Transport model ([`IoModel::Poll`] unless benchmarking the
-    /// baseline).
-    pub io: IoModel,
     /// How long the accept loop sits out after an accept failure
     /// (`EMFILE`/`ENFILE` back-off tick).
     pub accept_backoff_ms: u64,
@@ -91,19 +67,9 @@ impl Default for ServerConfig {
             limits: Limits::default(),
             log_passthrough: false,
             park_dir: None,
-            io: IoModel::Poll,
             accept_backoff_ms: 50,
         }
     }
-}
-
-/// A session hand-off from an acceptor to a worker in the
-/// thread-per-connection model. Everything in it is `Send`; the `!Send`
-/// session itself is built on the worker thread.
-struct Assign {
-    id: SessionId,
-    mailbox: Arc<Mailbox>,
-    sink: SessionSink,
 }
 
 /// A running multi-session server.
@@ -116,18 +82,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listeners and spawns the pool. Returns as soon as the
-    /// server is accepting.
+    /// Binds the listeners and spawns the pool: one accept thread,
+    /// `workers` event loops, one registry shard per worker. Returns as
+    /// soon as the server is accepting.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        match config.io {
-            IoModel::Poll => Server::start_poll(config),
-            IoModel::Threads => Server::start_threads(config),
-        }
-    }
-
-    /// The event-loop transport: one accept thread, `workers` event
-    /// loops, one registry shard per worker.
-    fn start_poll(config: ServerConfig) -> std::io::Result<Server> {
         let nworkers = config.workers.max(1);
         let registry = Arc::new(Registry::with_shards(config.limits.clone(), nworkers));
         if let Some(dir) = &config.park_dir {
@@ -197,65 +155,6 @@ impl Server {
         })
     }
 
-    /// The thread-per-connection baseline transport.
-    fn start_threads(config: ServerConfig) -> std::io::Result<Server> {
-        let registry = Arc::new(Registry::new(config.limits.clone()));
-        registry.set_poller_backend("threads");
-        if let Some(dir) = &config.park_dir {
-            registry
-                .set_park_dir(dir.clone())
-                .map_err(std::io::Error::other)?;
-        }
-        let mut txs: Vec<Sender<Assign>> = Vec::new();
-        let mut workers = Vec::new();
-        for w in 0..config.workers.max(1) {
-            let (tx, rx) = mpsc::channel();
-            txs.push(tx);
-            let registry = registry.clone();
-            let (flavor, telemetry, log) =
-                (config.flavor, config.telemetry, config.log_passthrough);
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("wafe-serve-worker-{w}"))
-                    .spawn(move || worker_loop(registry, rx, flavor, telemetry, log))?,
-            );
-        }
-        let next = Arc::new(AtomicUsize::new(0));
-        let mut acceptors = Vec::new();
-        let mut local_addr = None;
-        if let Some(addr) = &config.tcp {
-            let listener = TcpListener::bind(addr.as_str())?;
-            listener.set_nonblocking(true)?;
-            local_addr = Some(listener.local_addr()?);
-            let (registry, txs, next) = (registry.clone(), txs.clone(), next.clone());
-            acceptors.push(
-                thread::Builder::new()
-                    .name("wafe-serve-accept-tcp".into())
-                    .spawn(move || tcp_accept_loop(listener, registry, txs, next))?,
-            );
-        }
-        let mut unix_path = None;
-        if let Some(path) = &config.unix {
-            let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            unix_path = Some(path.clone());
-            let (registry, txs, next) = (registry.clone(), txs.clone(), next.clone());
-            acceptors.push(
-                thread::Builder::new()
-                    .name("wafe-serve-accept-unix".into())
-                    .spawn(move || unix_accept_loop(listener, registry, txs, next))?,
-            );
-        }
-        Ok(Server {
-            registry,
-            local_addr,
-            unix_path,
-            acceptors,
-            workers,
-        })
-    }
-
     /// The shared registry (`serve status` data, drain flag, limits).
     pub fn registry(&self) -> Arc<Registry> {
         self.registry.clone()
@@ -289,7 +188,7 @@ impl Server {
     }
 }
 
-/// One poll-model worker: attach assignments, poll the sockets, sweep
+/// One worker: attach assignments, poll the sockets, sweep
 /// the mailboxes, run the scheduler, flush the replies — forever, until
 /// the drain empties the loop.
 fn worker_event_loop(
@@ -337,219 +236,4 @@ fn worker_event_loop(
             return;
         }
     }
-}
-
-fn worker_loop(
-    registry: Arc<Registry>,
-    rx: Receiver<Assign>,
-    flavor: Flavor,
-    telemetry: bool,
-    log_passthrough: bool,
-) {
-    let mut sched = Scheduler::new(registry, flavor, telemetry);
-    let mut disconnected = false;
-    let mut last = Instant::now();
-    loop {
-        loop {
-            match rx.try_recv() {
-                Ok(a) => sched.attach(a.id, a.mailbox, a.sink),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        let dispatched = sched.run_turn();
-        for (id, line) in sched.take_passthrough() {
-            if log_passthrough {
-                println!("[{id}] {line}");
-            }
-        }
-        // Virtual time follows the wall here; tests drive advance()
-        // directly instead.
-        let elapsed = last.elapsed().as_millis() as u64;
-        if elapsed > 0 {
-            sched.advance(elapsed);
-            last = Instant::now();
-        }
-        if disconnected && sched.is_drained() {
-            return;
-        }
-        if dispatched == 0 {
-            thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-fn tcp_accept_loop(
-    listener: TcpListener,
-    registry: Arc<Registry>,
-    txs: Vec<Sender<Assign>>,
-    next: Arc<AtomicUsize>,
-) {
-    while !registry.draining() {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nonblocking(false);
-                let reader = match stream.try_clone() {
-                    Ok(r) => r,
-                    Err(_) => continue,
-                };
-                let closer = match stream.try_clone() {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                launch_session(
-                    &registry,
-                    &txs,
-                    &next,
-                    reader,
-                    stream,
-                    move || {
-                        let _ = closer.shutdown(Shutdown::Both);
-                    },
-                    format!("tcp/{peer}"),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => {
-                // Fd exhaustion or a transient failure: count and back
-                // off, exactly like the poll model's accept loop.
-                registry.note_accept_error();
-                thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-fn unix_accept_loop(
-    listener: UnixListener,
-    registry: Arc<Registry>,
-    txs: Vec<Sender<Assign>>,
-    next: Arc<AtomicUsize>,
-) {
-    let mut serial = 0u64;
-    while !registry.draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                serial += 1;
-                let reader = match stream.try_clone() {
-                    Ok(r) => r,
-                    Err(_) => continue,
-                };
-                let closer = match stream.try_clone() {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                launch_session(
-                    &registry,
-                    &txs,
-                    &next,
-                    reader,
-                    stream,
-                    move || {
-                        let _ = closer.shutdown(Shutdown::Both);
-                    },
-                    format!("unix/{serial}"),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => {
-                registry.note_accept_error();
-                thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Admission plus the two transport threads of one connection. The
-/// streams were accepted non-blocking (inherited); switch them back so
-/// the reader blocks in `read` and the writer in `write`.
-fn launch_session<R, W>(
-    registry: &Arc<Registry>,
-    txs: &[Sender<Assign>],
-    next: &Arc<AtomicUsize>,
-    reader: R,
-    mut writer: W,
-    shutdown: impl FnOnce() + Send + 'static,
-    peer: String,
-) where
-    R: Read + Send + 'static,
-    W: Write + Send + 'static,
-{
-    let id = match registry.admit(&peer, 0) {
-        Ok(id) => id,
-        Err(reason) => {
-            // Explicit load shedding, never a silent close.
-            let _ = writer.write_all(&LineCodec::encode(&format!("!shed {reason}")));
-            let _ = writer.flush();
-            shutdown();
-            return;
-        }
-    };
-    let mailbox = Mailbox::new(registry.limits().queue_depth);
-    let (out_tx, out_rx) = mpsc::channel::<String>();
-    let worker = next.fetch_add(1, Ordering::Relaxed) % txs.len().max(1);
-    if txs[worker]
-        .send(Assign {
-            id,
-            mailbox: mailbox.clone(),
-            sink: SessionSink::Channel(out_tx),
-        })
-        .is_err()
-    {
-        // Drain raced the accept; the worker is gone.
-        registry.release(id);
-        shutdown();
-        return;
-    }
-    let _ = thread::Builder::new()
-        .name(format!("wafe-serve-write-{id}"))
-        .spawn(move || {
-            while let Ok(line) = out_rx.recv() {
-                if writer.write_all(&LineCodec::encode(&line)).is_err() || writer.flush().is_err() {
-                    break;
-                }
-            }
-            // The sink closed (session released) or the client broke:
-            // shut the socket down, which also unblocks the reader.
-            shutdown();
-        });
-    let mb = mailbox;
-    let _ = thread::Builder::new()
-        .name(format!("wafe-serve-read-{id}"))
-        .spawn(move || {
-            let mut codec = LineCodec::new(DEFAULT_MAX_LINE);
-            let mut reader = reader;
-            let mut buf = [0u8; 8192];
-            'outer: loop {
-                match reader.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        for line in codec.push(&buf[..n]) {
-                            // A refused push is either queue-full (the
-                            // scheduler counts it and replies `!shed
-                            // queue-full`) or a closed mailbox.
-                            let _ = mb.push(line);
-                            if mb.is_closed() {
-                                break 'outer;
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // Inherited non-blocking state from the listener.
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => break,
-                }
-            }
-            mb.close();
-        });
 }

@@ -402,6 +402,111 @@ fn drain_with_park_dir_parks_every_session_for_the_next_process() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Parks one session holding `who = alpha` into a fresh park dir
+/// named after `tag`; returns the dir, the session's id and the path
+/// of its `.wsnap` file.
+fn park_one_to_disk(
+    tag: &str,
+) -> (
+    std::path::PathBuf,
+    wafe_serve::SessionId,
+    std::path::PathBuf,
+) {
+    let dir = std::env::temp_dir().join(format!("wafe-park-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sched = scheduler(Limits::default());
+    let registry = sched.registry().clone();
+    registry.set_park_dir(dir.clone()).unwrap();
+    let (mb, buf, id) = session(&mut sched, "parker");
+    assert!(mb.push("%set who alpha".into()));
+    assert!(mb.push("%session park".into()));
+    while !mb.is_empty() {
+        sched.run_turn();
+    }
+    assert_eq!(lines(&buf), [format!("!parked {id}")]);
+    let file = dir.join(format!("park-{}-{}.wsnap", id.slot, id.generation));
+    assert!(file.exists(), "park writes through");
+    assert!(
+        !dir.join(format!("park-{}-{}.wsnap.tmp", id.slot, id.generation))
+            .exists(),
+        "the temporary file is renamed away"
+    );
+    (dir, id, file)
+}
+
+/// A restarted server over `dir`: a new client restores `old`, then
+/// reports the restore counters and whether any state came back.
+fn restore_from_disk(dir: &std::path::Path, old: wafe_serve::SessionId) -> Vec<String> {
+    let registry = Arc::new(Registry::new(Limits::default()));
+    registry.set_park_dir(dir.to_path_buf()).unwrap();
+    let mut sched = Scheduler::new(registry.clone(), Flavor::Athena, true);
+    let id = registry.admit("returning", 0).unwrap();
+    let mailbox = Mailbox::new(registry.limits().queue_depth);
+    let (sink, buf) = SessionSink::buffer();
+    sched.attach(id, mailbox.clone(), sink);
+    assert!(mailbox.push(format!("%session restore {old}")));
+    assert!(mailbox.push("%echo [telemetry snapshot serve.restore.]".into()));
+    assert!(mailbox.push("%echo [info exists who]".into()));
+    while !mailbox.is_empty() {
+        sched.run_turn();
+    }
+    lines(&buf)
+}
+
+/// A damaged snapshot is refused whole: `!restore-failed` naming the
+/// id, the `serve.restore.error` counter, and a session with none of
+/// the parked state in it.
+fn assert_refused_whole(got: &[String], old: wafe_serve::SessionId) {
+    assert_eq!(got.len(), 3, "{got:?}");
+    assert!(
+        got[0].starts_with(&format!("!restore-failed {old} corrupt snapshot")),
+        "{got:?}"
+    );
+    assert_eq!(got[1], "serve.restore.error 1");
+    assert_eq!(got[2], "0", "a refused snapshot restores nothing");
+}
+
+#[test]
+fn truncated_park_file_is_refused_not_half_loaded() {
+    let (dir, id, file) = park_one_to_disk("truncated");
+    let bytes = std::fs::read(&file).unwrap();
+    std::fs::write(&file, &bytes[..bytes.len() / 2]).unwrap();
+    assert_refused_whole(&restore_from_disk(&dir, id), id);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flipped_payload_bit_in_park_file_is_refused() {
+    let (dir, id, file) = park_one_to_disk("bitflip");
+    let mut bytes = std::fs::read(&file).unwrap();
+    // Flip a bit inside the string payload "alpha": before the
+    // checksum, this decoded silently into a different value.
+    let at = bytes
+        .windows(5)
+        .position(|w| w == b"alpha")
+        .expect("value in the blob");
+    bytes[at] ^= 0x01;
+    std::fs::write(&file, &bytes).unwrap();
+    assert_refused_whole(&restore_from_disk(&dir, id), id);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_tmp_park_file_is_swept_and_ignored() {
+    let (dir, id, _) = park_one_to_disk("staletmp");
+    // A park a crash interrupted before its rename.
+    let stale = dir.join("park-7-1.wsnap.tmp");
+    std::fs::write(&stale, b"WAFESNAP half-written").unwrap();
+    let registry = Registry::new(Limits::default());
+    assert_eq!(registry.set_park_dir(dir.clone()).unwrap(), 1);
+    assert!(!stale.exists(), "startup deletes leftover .tmp files");
+    drop(registry);
+    let got = restore_from_disk(&dir, id);
+    assert_eq!(got[0], format!("!restored {id}"));
+    assert_eq!(got[2], "1", "the complete snapshot still restores");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quit_command_releases_the_session() {
     let mut sched = scheduler(Limits::default());

@@ -11,11 +11,13 @@
 //!    the original bytes: park → restore → park is a fixed point.
 //! 3. **No shimmer** — capture peeks at `Value` dual reps, never forces
 //!    one, and cached numeric reps survive the round trip.
-//! 4. **Loud failure** — every truncation of a valid blob, and random
-//!    garbage, decodes to an error; never a panic, never silent
-//!    garbage state.
+//! 4. **Loud failure** — every truncation of a valid blob, a flipped
+//!    bit anywhere in it, and random garbage all decode to an error;
+//!    never a panic, never silent garbage state.
 
+use wafe_core::snapshot::{decode_interp, encode_interp};
 use wafe_core::{Flavor, SessionSnapshot, WafeSession};
+use wafe_display::wire::{Reader, Writer};
 use wafe_prop::{cases, Rng};
 use wafe_tcl::snapshot::InterpSnapshot;
 use wafe_tcl::value::IntRep;
@@ -51,6 +53,21 @@ fn random_value(rng: &mut Rng, depth: usize) -> Value {
     v
 }
 
+/// An interpreter snapshot's checksummed bytes.
+fn interp_bytes(snap: &InterpSnapshot) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_interp(&mut w, snap);
+    w.finish()
+}
+
+/// Decodes [`interp_bytes`], requiring the payload consumed exactly.
+fn decode_interp_bytes(bytes: &[u8]) -> InterpSnapshot {
+    let mut r = Reader::checked(bytes).unwrap();
+    let snap = decode_interp(&mut r).unwrap();
+    r.done().unwrap();
+    snap
+}
+
 fn random_interp(rng: &mut Rng) -> Interp {
     let mut interp = Interp::new();
     for tag in 0..rng.range(0, 10) {
@@ -79,25 +96,22 @@ fn random_interp(rng: &mut Rng) -> Interp {
 fn interp_snapshots_roundtrip_byte_identically() {
     cases(300, |rng| {
         let interp = random_interp(rng);
-        let snap = InterpSnapshot::capture(&interp);
-        let mut bytes = Vec::new();
-        snap.encode_into(&mut bytes);
+        let bytes = interp_bytes(&InterpSnapshot::capture(&interp));
 
         // Canonical bytes: decode and re-encode is the identity.
-        let mut r = wafe_tcl::snapshot::wire::Reader::new(&bytes);
-        let decoded = InterpSnapshot::decode_from(&mut r).unwrap();
-        r.done().unwrap();
-        let mut again = Vec::new();
-        decoded.encode_into(&mut again);
-        assert_eq!(again, bytes, "encode ∘ decode must be the identity");
+        let decoded = decode_interp_bytes(&bytes);
+        assert_eq!(
+            interp_bytes(&decoded),
+            bytes,
+            "encode ∘ decode must be the identity"
+        );
 
         // Faithful restore: applying to a fresh interp and re-capturing
         // reproduces the same bytes — park → restore → park is a fixed
         // point.
         let mut fresh = Interp::new();
         decoded.apply(&mut fresh);
-        let mut third = Vec::new();
-        InterpSnapshot::capture(&fresh).encode_into(&mut third);
+        let third = interp_bytes(&InterpSnapshot::capture(&fresh));
         assert_eq!(third, bytes, "restore must reproduce the state");
     });
 }
@@ -126,10 +140,7 @@ fn capture_peeks_at_dual_reps_and_never_shimmers() {
             let _ = snap;
             InterpSnapshot::capture(&interp)
         };
-        let mut bytes = Vec::new();
-        snap.encode_into(&mut bytes);
-        let mut r = wafe_tcl::snapshot::wire::Reader::new(&bytes);
-        let decoded = InterpSnapshot::decode_from(&mut r).unwrap();
+        let decoded = decode_interp_bytes(&interp_bytes(&snap));
         let mut fresh = Interp::new();
         decoded.apply(&mut fresh);
         for name in ["lazy", "eager"] {
@@ -196,8 +207,8 @@ fn truncations_and_garbage_fail_loudly_never_panic() {
         s.eval("label sign topLevel label truncate-me").unwrap();
         let bytes = SessionSnapshot::capture(&s, vec!["tail".into()]).encode();
 
-        // Every proper prefix is an error — a length-prefixed format
-        // must notice any truncation, at any boundary.
+        // Every proper prefix is an error — the checksum trailer and
+        // the length prefixes notice any truncation, at any boundary.
         let cut = rng.range(0, bytes.len());
         assert!(
             SessionSnapshot::decode(&bytes[..cut]).is_err(),
@@ -213,14 +224,15 @@ fn truncations_and_garbage_fail_loudly_never_panic() {
             assert!(SessionSnapshot::decode(&garbage).is_err());
         }
 
-        // A single flipped bit in the 12-byte header is always caught
-        // by the magic or version check.
+        // A single flipped bit anywhere — header, string payload or
+        // the trailer itself — is always caught: by the magic or
+        // version check in the header, by the checksum everywhere else.
         let mut flipped = bytes.clone();
-        let bit = rng.range(0, 12 * 8);
+        let bit = rng.range(0, bytes.len() * 8);
         flipped[bit / 8] ^= 1 << (bit % 8);
         assert!(
             SessionSnapshot::decode(&flipped).is_err(),
-            "header bit {bit} flip must be rejected"
+            "bit {bit} flip must be rejected"
         );
     });
 }

@@ -49,9 +49,7 @@ pub use error::{TclError, TclResult};
 pub use interp::{BcStats, CacheStats, CmdFn, CommandBase, Interp, OutputSink, Prepared};
 pub use list::{list_append, list_join, list_quote, parse_list};
 pub use snapshot::InterpSnapshot;
-pub use value::{
-    reset_shimmer_stats, set_reps_enabled, shimmer_stats, IntRep, ShimmerStats, Value,
-};
+pub use value::{reset_shimmer_stats, shimmer_stats, IntRep, ShimmerStats, Value};
 pub use wafe_trace::Telemetry;
 
 /// Convenience alias for the result type returned by Tcl commands.

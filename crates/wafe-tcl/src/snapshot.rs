@@ -1,232 +1,26 @@
 //! Interpreter checkpointing: a rep-preserving snapshot of the global
-//! frame and the proc table, plus the length-prefixed wire primitives
-//! the outer session snapshot (wafe-core) builds on.
+//! frame and the proc table. The byte encoding lives with the rest of
+//! the session snapshot format in `wafe_core::snapshot`.
 //!
-//! The codec is designed around two invariants the property suite pins:
+//! Two invariants the property suite pins start here:
 //!
 //! 1. **Capture never shimmers.** Reading a value for the snapshot uses
 //!    [`Value::snapshot_parts`], which clones the cached rep and the
 //!    *already computed* string rep without forcing a render or a
 //!    parse. A dual-rep value crosses the checkpoint boundary with both
 //!    representations intact.
-//! 2. **Encoding is canonical.** Globals and procs are written in
-//!    sorted order and `Script` reps degrade to their source string at
-//!    capture time, so `encode(decode(bytes)) == bytes` for any blob
-//!    the encoder produced — re-parking a restored session yields a
-//!    byte-identical snapshot.
+//! 2. **Capture is canonical.** Globals and procs are captured in
+//!    sorted order, so the same interpreter state always yields the
+//!    same snapshot — re-parking a restored session yields a
+//!    byte-identical blob.
 //!
-//! Decoding re-validates every cached rep against its string rep
-//! ([`Value::from_snapshot_parts`]); a corrupt blob degrades to
-//! string-only values instead of planting non-canonical reps.
-
-use std::rc::Rc;
+//! Restoring re-validates every cached rep against its string rep
+//! ([`Value::from_snapshot_parts`], called by the decoder); a corrupt
+//! blob degrades to string-only values instead of planting
+//! non-canonical reps.
 
 use crate::interp::{Interp, ProcDef};
-use crate::value::IntRep;
 use crate::Value;
-
-/// Length-prefixed little-endian wire primitives shared by every
-/// snapshot section (this module and wafe-core's `SessionSnapshot`).
-pub mod wire {
-    /// Appends a `u8`.
-    pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-        buf.push(v);
-    }
-
-    /// Appends a `u32` (LE).
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` (LE).
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64` (LE, two's complement).
-    pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern (LE).
-    pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_u32(buf, s.len() as u32);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends an optional string (presence byte + string).
-    pub fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-        match s {
-            Some(s) => {
-                put_u8(buf, 1);
-                put_str(buf, s);
-            }
-            None => put_u8(buf, 0),
-        }
-    }
-
-    /// A bounds-checked reader over a snapshot buffer. Every accessor
-    /// fails loudly on truncation — a short or corrupt blob produces an
-    /// error, never garbage.
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// A reader over the whole buffer.
-        pub fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-
-        /// Bytes not yet consumed.
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-
-        /// Takes `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-            if self.remaining() < n {
-                return Err(format!(
-                    "snapshot truncated: need {n} bytes, have {}",
-                    self.remaining()
-                ));
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-
-        /// Reads a `u8`.
-        pub fn u8(&mut self) -> Result<u8, String> {
-            Ok(self.take(1)?[0])
-        }
-
-        /// Reads a `u32` (LE).
-        pub fn u32(&mut self) -> Result<u32, String> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-
-        /// Reads a `u64` (LE).
-        pub fn u64(&mut self) -> Result<u64, String> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-
-        /// Reads an `i64` (LE).
-        pub fn i64(&mut self) -> Result<i64, String> {
-            Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-
-        /// Reads an `f64` bit pattern (LE).
-        pub fn f64(&mut self) -> Result<f64, String> {
-            Ok(f64::from_bits(self.u64()?))
-        }
-
-        /// Reads a length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Result<String, String> {
-            let n = self.u32()? as usize;
-            let bytes = self.take(n)?;
-            String::from_utf8(bytes.to_vec()).map_err(|_| "snapshot string not UTF-8".to_string())
-        }
-
-        /// Reads an optional string.
-        pub fn opt_str(&mut self) -> Result<Option<String>, String> {
-            match self.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(self.str()?)),
-                t => Err(format!("snapshot optional-string tag {t} invalid")),
-            }
-        }
-
-        /// Asserts the buffer is fully consumed.
-        pub fn done(&self) -> Result<(), String> {
-            if self.remaining() == 0 {
-                Ok(())
-            } else {
-                Err(format!("snapshot has {} trailing bytes", self.remaining()))
-            }
-        }
-    }
-}
-
-use wire::Reader;
-
-// Value rep tags on the wire.
-const REP_NONE: u8 = 0;
-const REP_INT: u8 = 1;
-const REP_DOUBLE: u8 = 2;
-const REP_BOOL: u8 = 3;
-const REP_LIST: u8 = 4;
-
-/// Encodes one value: presence-tagged string rep, then the cached rep.
-/// `Script` reps are canonicalized to their source string (the compiled
-/// body is a cache; it is rebuilt lazily after restore), so encoding is
-/// stable under decode→encode.
-pub fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-    let (str_rep, rep) = v.snapshot_parts();
-    // A Script rep without its source string cannot exist (scripts are
-    // compiled from strings); degrade defensively to the rendered form.
-    let str_rep: Option<Rc<str>> = match (&str_rep, &rep) {
-        (None, IntRep::Script(_)) => Some(v.shared_str()),
-        _ => str_rep,
-    };
-    wire::put_opt_str(buf, str_rep.as_deref());
-    match rep {
-        IntRep::None | IntRep::Script(_) => wire::put_u8(buf, REP_NONE),
-        IntRep::Int(n) => {
-            wire::put_u8(buf, REP_INT);
-            wire::put_i64(buf, n);
-        }
-        IntRep::Double(d) => {
-            wire::put_u8(buf, REP_DOUBLE);
-            wire::put_f64(buf, d);
-        }
-        IntRep::Bool(b) => {
-            wire::put_u8(buf, REP_BOOL);
-            wire::put_u8(buf, b as u8);
-        }
-        IntRep::List(elems) => {
-            wire::put_u8(buf, REP_LIST);
-            wire::put_u32(buf, elems.len() as u32);
-            for e in elems.iter() {
-                encode_value(buf, e);
-            }
-        }
-    }
-}
-
-/// Decodes one value, re-validating the rep against the string rep.
-pub fn decode_value(r: &mut Reader) -> Result<Value, String> {
-    let str_rep: Option<Rc<str>> = r.opt_str()?.map(|s| Rc::from(s.as_str()));
-    let rep = match r.u8()? {
-        REP_NONE => IntRep::None,
-        REP_INT => IntRep::Int(r.i64()?),
-        REP_DOUBLE => IntRep::Double(r.f64()?),
-        REP_BOOL => IntRep::Bool(r.u8()? != 0),
-        REP_LIST => {
-            let n = r.u32()? as usize;
-            if n > r.remaining() {
-                return Err(format!("snapshot list length {n} exceeds buffer"));
-            }
-            let mut elems = Vec::with_capacity(n);
-            for _ in 0..n {
-                elems.push(decode_value(r)?);
-            }
-            IntRep::List(Rc::new(elems))
-        }
-        t => return Err(format!("snapshot value rep tag {t} invalid")),
-    };
-    Ok(Value::from_snapshot_parts(str_rep, rep))
-}
-
-// Variable slot kinds on the wire.
-const VAR_SCALAR: u8 = 0;
-const VAR_ARRAY: u8 = 1;
 
 /// One captured global variable.
 #[derive(Debug, Clone)]
@@ -302,153 +96,6 @@ impl InterpSnapshot {
                     }
                 }
             }
-        }
-    }
-
-    /// Encodes the snapshot into `buf` (canonical: sorted, Script-free).
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        wire::put_u32(buf, self.globals.len() as u32);
-        for (name, var) in &self.globals {
-            wire::put_str(buf, name);
-            match var {
-                VarSnap::Scalar(v) => {
-                    wire::put_u8(buf, VAR_SCALAR);
-                    encode_value(buf, v);
-                }
-                VarSnap::Array(elems) => {
-                    wire::put_u8(buf, VAR_ARRAY);
-                    wire::put_u32(buf, elems.len() as u32);
-                    for (k, v) in elems {
-                        wire::put_str(buf, k);
-                        encode_value(buf, v);
-                    }
-                }
-            }
-        }
-        wire::put_u32(buf, self.procs.len() as u32);
-        for (name, args, body) in &self.procs {
-            wire::put_str(buf, name);
-            wire::put_u32(buf, args.len() as u32);
-            for (arg, default) in args {
-                wire::put_str(buf, arg);
-                wire::put_opt_str(buf, default.as_deref());
-            }
-            wire::put_str(buf, body);
-        }
-    }
-
-    /// Decodes a snapshot produced by [`encode_into`](Self::encode_into).
-    pub fn decode_from(r: &mut Reader) -> Result<InterpSnapshot, String> {
-        let nglobals = r.u32()? as usize;
-        let mut globals = Vec::new();
-        for _ in 0..nglobals {
-            let name = r.str()?;
-            let var = match r.u8()? {
-                VAR_SCALAR => VarSnap::Scalar(decode_value(r)?),
-                VAR_ARRAY => {
-                    let n = r.u32()? as usize;
-                    let mut elems = Vec::new();
-                    for _ in 0..n {
-                        let k = r.str()?;
-                        elems.push((k, decode_value(r)?));
-                    }
-                    VarSnap::Array(elems)
-                }
-                t => return Err(format!("snapshot variable tag {t} invalid")),
-            };
-            globals.push((name, var));
-        }
-        let nprocs = r.u32()? as usize;
-        let mut procs = Vec::new();
-        for _ in 0..nprocs {
-            let name = r.str()?;
-            let nargs = r.u32()? as usize;
-            let mut args = Vec::new();
-            for _ in 0..nargs {
-                let arg = r.str()?;
-                args.push((arg, r.opt_str()?));
-            }
-            procs.push((name, args, r.str()?));
-        }
-        Ok(InterpSnapshot { globals, procs })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn roundtrip(i: &Interp) -> (Vec<u8>, InterpSnapshot) {
-        let snap = InterpSnapshot::capture(i);
-        let mut buf = Vec::new();
-        snap.encode_into(&mut buf);
-        let decoded = InterpSnapshot::decode_from(&mut Reader::new(&buf)).unwrap();
-        let mut buf2 = Vec::new();
-        decoded.encode_into(&mut buf2);
-        assert_eq!(buf, buf2, "decode→encode must be byte-identical");
-        (buf, decoded)
-    }
-
-    #[test]
-    fn scalars_arrays_and_procs_roundtrip() {
-        let mut i = Interp::new();
-        i.eval("set greeting {hello world}").unwrap();
-        i.eval("set n 42").unwrap();
-        i.eval("set prices(apple) 3; set prices(pear) 5").unwrap();
-        i.eval("proc double {x} {expr {$x * 2}}").unwrap();
-        let (_, snap) = roundtrip(&i);
-        let mut fresh = Interp::new();
-        snap.apply(&mut fresh);
-        assert_eq!(fresh.eval("set greeting").unwrap(), "hello world");
-        assert_eq!(fresh.eval("double $n").unwrap(), "84");
-        assert_eq!(fresh.eval("set prices(pear)").unwrap(), "5");
-    }
-
-    #[test]
-    fn cached_int_rep_survives_without_shimmer() {
-        let mut i = Interp::new();
-        i.eval("set n [expr {40 + 2}]").unwrap();
-        let snap = InterpSnapshot::capture(&i);
-        let mut buf = Vec::new();
-        snap.encode_into(&mut buf);
-        let decoded = InterpSnapshot::decode_from(&mut Reader::new(&buf)).unwrap();
-        let mut fresh = Interp::new();
-        decoded.apply(&mut fresh);
-        let v = fresh.get_var("n").unwrap();
-        assert_eq!(v.cached_int(), Some(42), "int rep must cross the boundary");
-    }
-
-    #[test]
-    fn corrupt_int_rep_is_dropped_not_trusted() {
-        // Hand-build a blob whose Int rep disagrees with its string.
-        let mut buf = Vec::new();
-        wire::put_u32(&mut buf, 1); // one global
-        wire::put_str(&mut buf, "x");
-        wire::put_u8(&mut buf, VAR_SCALAR);
-        wire::put_opt_str(&mut buf, Some("7"));
-        wire::put_u8(&mut buf, REP_INT);
-        wire::put_i64(&mut buf, 99);
-        wire::put_u32(&mut buf, 0); // no procs
-        let snap = InterpSnapshot::decode_from(&mut Reader::new(&buf)).unwrap();
-        let VarSnap::Scalar(v) = &snap.globals[0].1 else {
-            panic!("scalar expected");
-        };
-        assert_eq!(v.as_str(), "7");
-        assert_eq!(v.cached_int(), None, "non-canonical rep must be dropped");
-    }
-
-    #[test]
-    fn truncated_blob_errors() {
-        let mut i = Interp::new();
-        i.eval("set s abc").unwrap();
-        let snap = InterpSnapshot::capture(&i);
-        let mut buf = Vec::new();
-        snap.encode_into(&mut buf);
-        for cut in [1, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                InterpSnapshot::decode_from(&mut Reader::new(&buf[..cut])).is_err(),
-                "cut at {cut} must error"
-            );
         }
     }
 }

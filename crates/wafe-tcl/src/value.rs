@@ -15,7 +15,7 @@
 //! from an old value construct a fresh `Value`.
 
 use std::borrow::Borrow;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -83,10 +83,6 @@ pub struct ShimmerStats {
 
 thread_local! {
     static STATS: RefCell<ShimmerStats> = RefCell::new(ShimmerStats::default());
-    /// When false, `Value` behaves like the old strings-only model: no rep
-    /// caching, every numeric/list access re-parses. Used by the e21 bench
-    /// to measure the string model on the same binary.
-    static REPS_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
 /// Snapshot the thread's shimmer counters.
@@ -97,17 +93,6 @@ pub fn shimmer_stats() -> ShimmerStats {
 /// Reset the thread's shimmer counters (tests, benches).
 pub fn reset_shimmer_stats() {
     STATS.with(|s| *s.borrow_mut() = ShimmerStats::default());
-}
-
-/// Enable/disable dual representations (benchmark baseline switch).
-/// Returns the previous setting.
-pub fn set_reps_enabled(on: bool) -> bool {
-    REPS_ENABLED.with(|c| c.replace(on))
-}
-
-/// Whether dual representations are currently enabled on this thread.
-pub fn reps_enabled() -> bool {
-    REPS_ENABLED.with(|c| c.get())
 }
 
 fn stat(f: impl FnOnce(&mut ShimmerStats)) {
@@ -138,18 +123,14 @@ impl Value {
 
     /// A value born from an integer: carries the Int rep, renders lazily.
     pub fn from_int(n: i64) -> Value {
-        if reps_enabled() {
-            Value::from_parts(None, IntRep::Int(n))
-        } else {
-            Value::from(n.to_string())
-        }
+        Value::from_parts(None, IntRep::Int(n))
     }
 
     /// A value born from a double; rendered via Tcl's double formatting.
     /// Non-finite values stay string-only: `expr`'s coercion treats
     /// "NaN"/"Inf" as strings, and a cached Double rep would change that.
     pub fn from_double(d: f64) -> Value {
-        if reps_enabled() && d.is_finite() {
+        if d.is_finite() {
             Value::from_parts(None, IntRep::Double(d))
         } else {
             Value::from(crate::expr::format_double(d))
@@ -158,20 +139,12 @@ impl Value {
 
     /// A value born from a parsed list; renders via `list_join` lazily.
     pub fn from_list(elems: Vec<Value>) -> Value {
-        if reps_enabled() {
-            Value::from_parts(None, IntRep::List(Rc::new(elems)))
-        } else {
-            Value::from(join_values(&elems))
-        }
+        Value::from_parts(None, IntRep::List(Rc::new(elems)))
     }
 
     /// A value sharing an existing list rep.
     pub fn from_list_rc(elems: Rc<Vec<Value>>) -> Value {
-        if reps_enabled() {
-            Value::from_parts(None, IntRep::List(elems))
-        } else {
-            Value::from(join_values(&elems))
-        }
+        Value::from_parts(None, IntRep::List(elems))
     }
 
     // -----------------------------------------------------------------
@@ -301,7 +274,7 @@ impl Value {
         }
         let s = self.as_str();
         let n: i64 = s.trim().parse().ok()?;
-        if reps_enabled() && canonical_int(s, n) {
+        if canonical_int(s, n) {
             stat(|s| s.int_parses += 1);
             self.set_rep(IntRep::Int(n));
         }
@@ -317,7 +290,7 @@ impl Value {
         }
         let s = self.as_str();
         let d: f64 = s.trim().parse().ok()?;
-        if reps_enabled() && d.is_finite() && crate::expr::format_double(d) == s {
+        if d.is_finite() && crate::expr::format_double(d) == s {
             stat(|st| st.double_parses += 1);
             self.set_rep(IntRep::Double(d));
         }
@@ -327,7 +300,7 @@ impl Value {
     /// Cache an integer rep iff the string rep is the canonical decimal
     /// rendering of `n` (used by `expr`'s coercion after a parse).
     pub fn cache_int_canonical(&self, n: i64) {
-        if reps_enabled() && canonical_int(self.as_str(), n) {
+        if canonical_int(self.as_str(), n) {
             stat(|s| s.int_parses += 1);
             self.set_rep(IntRep::Int(n));
         }
@@ -337,7 +310,7 @@ impl Value {
     /// Tcl's double formatting (and the value is finite — non-finite
     /// spellings coerce as strings).
     pub fn cache_double_canonical(&self, d: f64) {
-        if reps_enabled() && d.is_finite() && crate::expr::format_double(d) == self.as_str() {
+        if d.is_finite() && crate::expr::format_double(d) == self.as_str() {
             stat(|s| s.double_parses += 1);
             self.set_rep(IntRep::Double(d));
         }
@@ -364,12 +337,10 @@ impl Value {
         }
         let parsed = parse_list(self.as_str())?;
         let elems: Rc<Vec<Value>> = Rc::new(parsed.into_iter().map(Value::from).collect());
-        if reps_enabled() {
-            stat(|s| s.list_parses += 1);
-            let mut cur = self.0.int_rep.borrow_mut();
-            if !matches!(&*cur, IntRep::Script(_)) {
-                *cur = IntRep::List(elems.clone());
-            }
+        stat(|s| s.list_parses += 1);
+        let mut cur = self.0.int_rep.borrow_mut();
+        if !matches!(&*cur, IntRep::Script(_)) {
+            *cur = IntRep::List(elems.clone());
         }
         Ok(elems)
     }
@@ -419,9 +390,7 @@ impl Value {
 
     /// Cache a compiled-script rep (only onto a rep-less value).
     pub fn cache_script(&self, compiled: Rc<CompiledScript>) {
-        if reps_enabled() {
-            self.set_rep(IntRep::Script(compiled));
-        }
+        self.set_rep(IntRep::Script(compiled));
     }
 
     // -----------------------------------------------------------------
@@ -440,9 +409,7 @@ impl Value {
     }
 
     pub(crate) fn intern_cmd(&self, epoch: u64, intern: crate::interp::CmdIntern) {
-        if reps_enabled() {
-            *self.0.cmd.borrow_mut() = Some((epoch, intern));
-        }
+        *self.0.cmd.borrow_mut() = Some((epoch, intern));
     }
 }
 
@@ -627,7 +594,7 @@ mod tests {
     #[test]
     fn int_born_renders_lazily() {
         let v = Value::from_int(42);
-        assert!(!v.has_str_rep() || !reps_enabled());
+        assert!(!v.has_str_rep());
         assert_eq!(v.as_str(), "42");
         assert_eq!(v.cached_int(), Some(42));
     }
@@ -696,16 +663,5 @@ mod tests {
         let s = shimmer_stats();
         assert_eq!(s.int_parses, 1);
         assert!(s.rep_hits >= 1);
-    }
-
-    #[test]
-    fn reps_disabled_is_string_model() {
-        let prev = set_reps_enabled(false);
-        let v = Value::from_int(9);
-        assert!(v.has_str_rep());
-        let w = Value::from("10");
-        assert_eq!(w.as_int(), Some(10));
-        assert_eq!(w.cached_int(), None);
-        set_reps_enabled(prev);
     }
 }

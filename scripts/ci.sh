@@ -175,22 +175,29 @@ EOF
     exit 0
 ' || { echo "waferd display smoke test: FAILED (or exceeded 30s)"; exit 1; }
 
-# Perf gates. E21 is the dual-rep value model: one smoke run must
-# complete (its >=3x acceptance assert is inside the bench) and leave
-# well-formed JSON behind. E19 must not regress: the freshly measured
-# speedups are compared against the committed BENCH_e19.json with 5%
-# tolerance (ratios, not raw ns, so the gate is machine-portable).
-# Timing asserts are noise-sensitive right after the heavy steps above,
-# so each bench gets one retry before the gate fails.
+# Perf gates. E19 must not regress: the freshly measured speedups are
+# compared against the committed BENCH_e19.json (ratios, not raw ns, so
+# the gate is machine-portable). Timing asserts are noise-sensitive
+# right after the heavy steps above, so each bench gets one retry
+# before the gate fails.
 run_bench() {
     cargo bench -q -p bench --bench "$1" --offline >/dev/null 2>&1 \
         || cargo bench -q -p bench --bench "$1" --offline >/dev/null
 }
 
-echo "== bench e21 smoke run"
+# E21 is the dual-rep value model: building a list of 4N elements with
+# lappend must take at most 6x as long as building one of N (linear is
+# 4x, the strings-only model's quadratic growth 16x). Both sides come
+# from the same run; the bench asserts it too.
+echo "== bench e21 smoke run + <=6x lappend growth gate"
 run_bench e21_value_reps
-python3 -c 'import json; json.load(open("BENCH_e21.json"))' \
-    || { echo "BENCH_e21.json: malformed"; exit 1; }
+python3 -c '
+import json
+d = json.load(open("BENCH_e21.json"))
+g = d["growth_ratio"]
+assert g <= 6.0, "e21: lappend growth %.2fx at 4N > 6x" % g
+print("  lappend growth at 4N: %.2fx (gate <=6x) ok" % g)
+' || { echo "BENCH_e21.json: malformed or above the 6x growth gate"; exit 1; }
 
 # E22 is the multi-session server: the run itself asserts 64 truly
 # concurrent sessions with zero protocol corruption.

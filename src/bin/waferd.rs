@@ -11,8 +11,7 @@
 //! waferd [--listen ADDR] [--unix PATH] [--max-sessions N]
 //!        [--queue-depth N] [--workers N] [--idle-evict MS]
 //!        [--drain-timeout MS] [--telemetry] [--metrics ADDR]
-//!        [--park-dir DIR] [--io poll|threads] [--accept-backoff MS]
-//!        [--motif] [--quiet]
+//!        [--park-dir DIR] [--accept-backoff MS] [--motif] [--quiet]
 //! ```
 //!
 //! `--metrics ADDR` opens a second TCP listener that answers every
@@ -42,12 +41,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wafe_core::Flavor;
-use wafe_serve::{IoModel, Registry, Server, ServerConfig};
+use wafe_serve::{Registry, Server, ServerConfig};
 
 const USAGE: &str = "usage: waferd [--listen ADDR] [--unix PATH] [--max-sessions N] \
 [--queue-depth N] [--workers N] [--idle-evict MS] [--drain-timeout MS] \
 [--telemetry] [--metrics ADDR] [--display-http ADDR] [--park-dir DIR] \
-[--io poll|threads] [--accept-backoff MS] [--motif] [--quiet]";
+[--accept-backoff MS] [--motif] [--quiet]";
 
 fn value(args: &mut dyn Iterator<Item = String>, flag: &str) -> String {
     args.next().unwrap_or_else(|| {
@@ -91,16 +90,6 @@ fn main() {
             "--metrics" => metrics_addr = Some(value(&mut args, "--metrics")),
             "--display-http" => display_addr = Some(value(&mut args, "--display-http")),
             "--park-dir" => config.park_dir = Some(PathBuf::from(value(&mut args, "--park-dir"))),
-            "--io" => {
-                config.io = match value(&mut args, "--io").as_str() {
-                    "poll" => IoModel::Poll,
-                    "threads" => IoModel::Threads,
-                    other => {
-                        eprintln!("waferd: --io expects poll or threads, got \"{other}\"");
-                        exit(2);
-                    }
-                }
-            }
             "--accept-backoff" => {
                 config.accept_backoff_ms = numeric(&mut args, "--accept-backoff").max(1)
             }
