@@ -11,7 +11,8 @@
 //!   dominated by proc-body evaluation.
 //!
 //! Each workload runs once with the cache disabled (`interp cachelimit 0`
-//! — the faithful Tcl 6.x re-parse-everything baseline) and once with the
+//! — every run compiles afresh and keeps nothing, tree-walking the
+//! result: the Tcl 6.x re-parse-everything baseline) and once with the
 //! default cache, on the **same interpreter code**. Results go to stdout
 //! and to `BENCH_e19.json` at the workspace root for machines to read.
 

@@ -64,7 +64,7 @@ use crate::expr::{
     coerce, coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp,
     Node, PreparedExpr, UnOp, Value as EValue,
 };
-use crate::interp::{Interp, Prepared, BC_SPECIAL_NAMES};
+use crate::interp::{Interp, BC_SPECIAL_NAMES};
 use crate::list::parse_list;
 use crate::value::Value;
 
@@ -302,8 +302,12 @@ pub(crate) struct ByteCode {
 /// Returns the bytecode for `script`, compiling (or recompiling after an
 /// epoch bump) on demand. `None` means the script is uncompilable and the
 /// caller must tree-walk; the verdict is cached so repeat executions pay
-/// one enum check.
+/// one enum check. A script holding a syntax error is never lowered (the
+/// tree-walker raises it) and is not counted as a fallback.
 pub(crate) fn bytecode_for(interp: &mut Interp, script: &CompiledScript) -> Option<Rc<ByteCode>> {
+    if script.syntax_error {
+        return None;
+    }
     match &*script.bc.borrow() {
         BcSlot::Ready { epoch, code } if *epoch == interp.bc_epoch => {
             let code = code.clone();
@@ -621,6 +625,7 @@ impl<'a> Compiler<'a> {
                 }
                 self.emit(Instr::Concat(parts.len() as u32));
             }
+            Token::Error(_) => unreachable!("scripts holding a syntax error are never lowered"),
         }
     }
 
@@ -820,22 +825,22 @@ impl<'a> Compiler<'a> {
 
     /// Lowers a literal body value: inline its compiled script, or an
     /// `EvalScript` escape past the inlining depth. `None` when the body
-    /// text does not compile (the tree-walker's lazy-error path must run).
+    /// holds a syntax error (the built-in must run it, so the commands
+    /// before the error run first and then it raises).
     fn body(&mut self, v: &Value, ctx: Ctx) -> Option<()> {
-        match self.interp.prepare_value(v) {
-            Prepared::Compiled(rc) => {
-                if self.inline < MAX_INLINE {
-                    self.inline += 1;
-                    self.script(&rc, ctx);
-                    self.inline -= 1;
-                } else {
-                    let s = self.script_ref(rc);
-                    self.emit(Instr::EvalScript(s));
-                }
-                Some(())
-            }
-            Prepared::Source(_) => None,
+        let rc = self.interp.compiled_value(v);
+        if rc.syntax_error {
+            return None;
         }
+        if self.inline < MAX_INLINE {
+            self.inline += 1;
+            self.script(&rc, ctx);
+            self.inline -= 1;
+        } else {
+            let s = self.script_ref(rc);
+            self.emit(Instr::EvalScript(s));
+        }
+        Some(())
     }
 
     /// Compiles a literal guard text through the expr cache; `None` when

@@ -26,15 +26,20 @@
 //! interpreter state, so compiled scripts are shared freely (`Rc`) between
 //! the interpreter's script cache, proc definitions and loop bodies.
 //!
-//! Scripts that fail to compile (unbalanced braces, unterminated quotes)
-//! are *not* errors at this layer's call sites: the interpreter falls back
-//! to the legacy parse-as-you-go evaluator so that a syntax error in the
-//! third command still lets the first two run, exactly as Tcl behaves.
+//! Compilation never fails. A structural error (an unbalanced `{`, `"`
+//! or `[`, text after a close brace or quote, nesting deeper than
+//! [`MAX_NESTING_DEPTH`]) becomes a [`Token::Error`] placed exactly where
+//! Tcl's lazy parser raises it, and scanning stops there. Everything
+//! scanned before it stays: earlier commands, earlier words of the
+//! failing command and earlier substitutions of the failing word. So a
+//! syntax error in the third command still lets the first two run, and
+//! `foo [incr a] "unterminated` still increments `a` before it fails,
+//! exactly as Tcl behaves.
 
 use std::rc::Rc;
 
-use crate::error::{TclError, TclResult};
-use crate::interp::MAX_NESTING_DEPTH;
+use crate::error::TclError;
+use crate::interp::{MAX_NESTING_DEPTH, NESTING_ERROR};
 use crate::parser::{find_matching_brace, find_matching_bracket, parse_backslash, scan_varname};
 use crate::value::Value;
 
@@ -54,6 +59,10 @@ pub enum Token {
     BracketSub(Rc<CompiledScript>),
     /// A word assembled from several parts, e.g. `a$b[c]` or `"x $y"`.
     Compound(Vec<Token>),
+    /// A syntax error, with its message: substituting it raises the
+    /// error. It is always the last part scanned, so everything before
+    /// it runs first.
+    Error(Rc<str>),
 }
 
 /// One command: a list of word tokens (`words[0]` names the command).
@@ -86,60 +95,107 @@ impl CompiledCommand {
 pub struct CompiledScript {
     /// The commands; separators and comments are already gone.
     pub commands: Vec<CompiledCommand>,
+    /// True when the last command ends in a [`Token::Error`], directly or
+    /// inside a `[...]` or array index: running the script always raises
+    /// that syntax error once the commands before it have run.
+    pub(crate) syntax_error: bool,
     /// The script's bytecode form, produced lazily by the first bytecode
     /// execution and shared by everything that shares this script (the
     /// text cache, `Value` script reps, proc bodies). See [`crate::bc`].
     pub(crate) bc: std::cell::RefCell<crate::bc::BcSlot>,
 }
 
-/// Compiles a script into its parse-once form.
-///
-/// Fails on structural errors (unbalanced delimiters, text after a close
-/// brace/quote) — callers fall back to the legacy evaluator in that case
-/// so error *timing* matches Tcl's lazy parser.
-pub fn compile(script: &str) -> TclResult<CompiledScript> {
+/// Compiles a script into its parse-once form. Total: a structural
+/// error compiles to a [`Token::Error`] (see the module docs).
+pub fn compile(script: &str) -> CompiledScript {
     let chars: Vec<char> = script.chars().collect();
     compile_chars(&chars, 0)
 }
 
-fn compile_chars(chars: &[char], depth: usize) -> TclResult<CompiledScript> {
-    if depth > MAX_NESTING_DEPTH {
-        // Too deeply nested to compile safely; the legacy evaluator's
-        // runtime depth limit reports this case.
-        return Err(TclError::error("script too deeply nested to compile"));
-    }
-    let mut commands = Vec::new();
-    let mut pos = 0usize;
-    while pos < chars.len() {
-        let (words, next) = compile_command(chars, pos, depth)?;
-        pos = next;
-        if !words.is_empty() {
-            commands.push(CompiledCommand::new(words));
-        }
-    }
-    Ok(CompiledScript {
-        commands,
-        bc: Default::default(),
-    })
+/// Compiles free-form text under full-substitution rules (backslash,
+/// `$`, `[]`; everything else is literal) into the parts to substitute
+/// and concatenate — the text of `subst` and of `$name(index)` forms
+/// inside `expr`. Total, like [`compile`].
+pub(crate) fn compile_subst(text: &str) -> Vec<Token> {
+    let chars: Vec<char> = text.chars().collect();
+    compile_subst_chars(&chars, 0).unwrap_or_else(|parts| parts)
 }
 
-/// Compiles one command starting at `pos`; mirrors
-/// `Interp::parse_command` word for word, but builds tokens instead of
-/// performing substitutions.
-fn compile_command(chars: &[char], mut pos: usize, depth: usize) -> TclResult<(Vec<Token>, usize)> {
-    let mut words: Vec<Token> = Vec::new();
-    // Skip leading white space (not newlines — those terminate).
+/// The outcome of scanning one item: the item and the position after
+/// it, or — when scanning hit a syntax error — the item as far as it got,
+/// ending in a [`Token::Error`]. Nothing after an error is scanned.
+type Scan<T> = Result<(T, usize), T>;
+
+fn error_token(msg: &str) -> Token {
+    Token::Error(Rc::from(msg))
+}
+
+fn delimiter_error(e: TclError) -> Token {
+    error_token(&e.message())
+}
+
+fn compile_chars(chars: &[char], depth: usize) -> CompiledScript {
+    let mut commands = Vec::new();
+    let mut syntax_error = false;
+    if depth > MAX_NESTING_DEPTH {
+        // The runtime nesting limit stops evaluation before this point;
+        // the token keeps compilation bounded and the message the same.
+        commands.push(CompiledCommand::new(vec![error_token(NESTING_ERROR)]));
+        syntax_error = true;
+    }
+    let mut pos = 0usize;
+    while !syntax_error && pos < chars.len() {
+        match compile_command(chars, pos, depth) {
+            Ok((words, next)) => {
+                pos = next;
+                if !words.is_empty() {
+                    commands.push(CompiledCommand::new(words));
+                }
+            }
+            Err(words) => {
+                commands.push(CompiledCommand::new(words));
+                syntax_error = true;
+            }
+        }
+    }
+    CompiledScript {
+        commands,
+        syntax_error,
+        bc: Default::default(),
+    }
+}
+
+/// Skips white space that separates words (not newlines — those end the
+/// command), including backslash-newline continuations.
+fn skip_blanks(chars: &[char], mut pos: usize) -> usize {
     loop {
         while pos < chars.len() && (chars[pos] == ' ' || chars[pos] == '\t') {
             pos += 1;
         }
         if pos + 1 < chars.len() && chars[pos] == '\\' && chars[pos + 1] == '\n' {
-            let (_, next) = parse_backslash(chars, pos);
-            pos = next;
+            pos = parse_backslash(chars, pos).1;
             continue;
         }
-        break;
+        return pos;
     }
+}
+
+/// True when `pos` may follow a braced or quoted word: the end of the
+/// text, white space, a command separator or a backslash-newline.
+fn at_word_end(chars: &[char], pos: usize) -> bool {
+    match chars.get(pos) {
+        None | Some(' ' | '\t' | '\n' | ';') => true,
+        Some('\\') => chars.get(pos + 1) == Some(&'\n'),
+        Some(_) => false,
+    }
+}
+
+/// Compiles one command starting at `pos`: its words and the position
+/// just past its terminator. An empty word list means the segment held
+/// only a separator or comment.
+fn compile_command(chars: &[char], pos: usize, depth: usize) -> Scan<Vec<Token>> {
+    let mut words: Vec<Token> = Vec::new();
+    let mut pos = skip_blanks(chars, pos);
     if pos >= chars.len() {
         return Ok((words, pos));
     }
@@ -157,49 +213,20 @@ fn compile_command(chars: &[char], mut pos: usize, depth: usize) -> TclResult<(V
         return Ok((words, (pos + 1).min(chars.len())));
     }
     loop {
-        // Compile one word.
-        let word;
-        match chars[pos] {
-            '{' => {
-                let end = find_matching_brace(chars, pos)?;
-                word = Token::Literal(Value::from(chars[pos + 1..end].iter().collect::<String>()));
-                pos = end + 1;
-                if pos < chars.len()
-                    && !matches!(chars[pos], ' ' | '\t' | '\n' | ';')
-                    && !(chars[pos] == '\\' && pos + 1 < chars.len() && chars[pos + 1] == '\n')
-                {
-                    return Err(TclError::error("extra characters after close-brace"));
-                }
+        let word = match chars[pos] {
+            '{' => compile_braced(chars, pos),
+            '"' => compile_quoted(chars, pos + 1, depth),
+            _ => compile_bare(chars, pos, depth),
+        };
+        match word {
+            Ok((w, next)) => {
+                words.push(w);
+                pos = skip_blanks(chars, next);
             }
-            '"' => {
-                let (w, next) = compile_quoted(chars, pos + 1, depth)?;
-                word = w;
-                pos = next;
-                if pos < chars.len()
-                    && !matches!(chars[pos], ' ' | '\t' | '\n' | ';')
-                    && !(chars[pos] == '\\' && pos + 1 < chars.len() && chars[pos + 1] == '\n')
-                {
-                    return Err(TclError::error("extra characters after close-quote"));
-                }
+            Err(w) => {
+                words.push(w);
+                return Err(words);
             }
-            _ => {
-                let (w, next) = compile_bare(chars, pos, depth)?;
-                word = w;
-                pos = next;
-            }
-        }
-        words.push(word);
-        // Skip intra-command white space.
-        loop {
-            while pos < chars.len() && (chars[pos] == ' ' || chars[pos] == '\t') {
-                pos += 1;
-            }
-            if pos + 1 < chars.len() && chars[pos] == '\\' && chars[pos + 1] == '\n' {
-                let (_, next) = parse_backslash(chars, pos);
-                pos = next;
-                continue;
-            }
-            break;
         }
         if pos >= chars.len() {
             return Ok((words, pos));
@@ -210,158 +237,169 @@ fn compile_command(chars: &[char], mut pos: usize, depth: usize) -> TclResult<(V
     }
 }
 
-/// Collects token parts into the final word token, folding the
-/// single-part and empty cases.
-fn finish_word(mut parts: Vec<Token>) -> Token {
-    match parts.len() {
-        0 => Token::Literal(Value::empty()),
-        1 => parts.pop().expect("len checked"),
-        _ => Token::Compound(parts),
+/// Compiles a braced word starting at its `{`: verbatim text.
+fn compile_braced(chars: &[char], pos: usize) -> Scan<Token> {
+    let end = find_matching_brace(chars, pos).map_err(delimiter_error)?;
+    if !at_word_end(chars, end + 1) {
+        return Err(error_token("extra characters after close-brace"));
     }
-}
-
-/// Pushes an accumulated literal run onto `parts`, if non-empty.
-fn flush_literal(parts: &mut Vec<Token>, lit: &mut String) {
-    if !lit.is_empty() {
-        parts.push(Token::Literal(Value::from(std::mem::take(lit))));
-    }
+    let text: String = chars[pos + 1..end].iter().collect();
+    Ok((Token::Literal(Value::from(text)), end + 1))
 }
 
 /// Compiles a double-quoted word starting just after the opening quote.
-fn compile_quoted(chars: &[char], mut pos: usize, depth: usize) -> TclResult<(Token, usize)> {
-    let mut parts: Vec<Token> = Vec::new();
-    let mut lit = String::new();
+fn compile_quoted(chars: &[char], mut pos: usize, depth: usize) -> Scan<Token> {
+    let mut word = Word::default();
     while pos < chars.len() {
         match chars[pos] {
             '"' => {
-                flush_literal(&mut parts, &mut lit);
-                return Ok((finish_word(parts), pos + 1));
+                if !at_word_end(chars, pos + 1) {
+                    return Err(word.fail("extra characters after close-quote"));
+                }
+                return Ok((word.finish(), pos + 1));
             }
-            '\\' => {
-                let (s, next) = parse_backslash(chars, pos);
-                lit.push_str(&s);
-                pos = next;
-            }
-            '$' => {
-                let (tok, next) = compile_dollar(chars, pos, depth)?;
-                push_sub(&mut parts, &mut lit, tok);
-                pos = next;
-            }
-            '[' => {
-                let end = find_matching_bracket(chars, pos)?;
-                flush_literal(&mut parts, &mut lit);
-                let inner = compile_chars(&chars[pos + 1..end], depth + 1)?;
-                parts.push(Token::BracketSub(Rc::new(inner)));
-                pos = end + 1;
-            }
+            '\\' | '$' | '[' => match word.substitution(chars, pos, depth) {
+                Some(next) => pos = next,
+                None => return Err(word.finish()),
+            },
             c => {
-                lit.push(c);
+                word.lit.push(c);
                 pos += 1;
             }
         }
     }
-    Err(TclError::error("missing \""))
+    Err(word.fail("missing \""))
 }
 
 /// Compiles a bare word starting at `pos`.
-fn compile_bare(chars: &[char], mut pos: usize, depth: usize) -> TclResult<(Token, usize)> {
-    let mut parts: Vec<Token> = Vec::new();
-    let mut lit = String::new();
+fn compile_bare(chars: &[char], mut pos: usize, depth: usize) -> Scan<Token> {
+    let mut word = Word::default();
     while pos < chars.len() {
         match chars[pos] {
             ' ' | '\t' | '\n' | ';' => break,
-            '\\' => {
-                if pos + 1 < chars.len() && chars[pos + 1] == '\n' {
-                    break; // Backslash-newline ends the word (acts as separator).
-                }
-                let (s, next) = parse_backslash(chars, pos);
-                lit.push_str(&s);
-                pos = next;
-            }
-            '$' => {
-                let (tok, next) = compile_dollar(chars, pos, depth)?;
-                push_sub(&mut parts, &mut lit, tok);
-                pos = next;
-            }
-            '[' => {
-                let end = find_matching_bracket(chars, pos)?;
-                flush_literal(&mut parts, &mut lit);
-                let inner = compile_chars(&chars[pos + 1..end], depth + 1)?;
-                parts.push(Token::BracketSub(Rc::new(inner)));
-                pos = end + 1;
-            }
+            // Backslash-newline ends the word (acts as separator).
+            '\\' if chars.get(pos + 1) == Some(&'\n') => break,
+            '\\' | '$' | '[' => match word.substitution(chars, pos, depth) {
+                Some(next) => pos = next,
+                None => return Err(word.finish()),
+            },
             c => {
-                lit.push(c);
+                word.lit.push(c);
                 pos += 1;
             }
         }
     }
-    flush_literal(&mut parts, &mut lit);
-    Ok((finish_word(parts), pos))
+    Ok((word.finish(), pos))
 }
 
-/// Adds a compiled `$`-substitution to the parts, merging the "`$` with
-/// no name is a literal dollar" case back into the literal run.
-fn push_sub(parts: &mut Vec<Token>, lit: &mut String, tok: Token) {
-    match tok {
-        Token::Literal(s) => lit.push_str(&s),
-        other => {
-            flush_literal(parts, lit);
-            parts.push(other);
-        }
-    }
-}
-
-/// Compiles a `$`-form starting at `chars[pos]` (the `$`).
-fn compile_dollar(chars: &[char], pos: usize, depth: usize) -> TclResult<(Token, usize)> {
-    let (name, index, next) = scan_varname(chars, pos + 1);
-    if name.is_empty() {
-        return Ok((Token::Literal("$".into()), pos + 1));
-    }
-    match index {
-        None => Ok((Token::VarSub(name, None), next)),
-        Some(raw) => {
-            let raw_chars: Vec<char> = raw.chars().collect();
-            let idx = compile_subst(&raw_chars, depth)?;
-            Ok((Token::VarSub(name, Some(idx)), next))
-        }
-    }
-}
-
-/// Compiles free-form text under full-substitution rules (the behaviour
-/// of `Interp::substitute_all`: backslash, `$`, `[]`; everything else is
-/// literal). Used for array-index text.
-fn compile_subst(chars: &[char], depth: usize) -> TclResult<Vec<Token>> {
-    let mut parts: Vec<Token> = Vec::new();
-    let mut lit = String::new();
+/// Compiles substitution text; `Err` holds the parts when they end in a
+/// syntax error.
+fn compile_subst_chars(chars: &[char], depth: usize) -> Result<Vec<Token>, Vec<Token>> {
+    let mut word = Word::default();
     let mut pos = 0usize;
     while pos < chars.len() {
         match chars[pos] {
-            '\\' => {
-                let (s, next) = parse_backslash(chars, pos);
-                lit.push_str(&s);
-                pos = next;
-            }
-            '$' => {
-                let (tok, next) = compile_dollar(chars, pos, depth)?;
-                push_sub(&mut parts, &mut lit, tok);
-                pos = next;
-            }
-            '[' => {
-                let end = find_matching_bracket(chars, pos)?;
-                flush_literal(&mut parts, &mut lit);
-                let inner = compile_chars(&chars[pos + 1..end], depth + 1)?;
-                parts.push(Token::BracketSub(Rc::new(inner)));
-                pos = end + 1;
-            }
+            '\\' | '$' | '[' => match word.substitution(chars, pos, depth) {
+                Some(next) => pos = next,
+                None => return Err(word.into_parts()),
+            },
             c => {
-                lit.push(c);
+                word.lit.push(c);
                 pos += 1;
             }
         }
     }
-    flush_literal(&mut parts, &mut lit);
-    Ok(parts)
+    Ok(word.into_parts())
+}
+
+/// The parts of one word, or of substitution text, as they are scanned:
+/// the finished tokens plus the literal run in progress.
+#[derive(Default)]
+struct Word {
+    parts: Vec<Token>,
+    lit: String,
+}
+
+impl Word {
+    /// Ends the literal run in progress, if any.
+    fn flush(&mut self) {
+        if !self.lit.is_empty() {
+            let lit = std::mem::take(&mut self.lit);
+            self.parts.push(Token::Literal(Value::from(lit)));
+        }
+    }
+
+    fn push(&mut self, tok: Token) {
+        self.flush();
+        self.parts.push(tok);
+    }
+
+    /// Compiles the backslash sequence, `$`-form or `[script]` at
+    /// `chars[pos]` into this word. Returns the position after it, or
+    /// `None` when it ended in a syntax error (then the word's last
+    /// part).
+    fn substitution(&mut self, chars: &[char], pos: usize, depth: usize) -> Option<usize> {
+        match chars[pos] {
+            '\\' => {
+                let (s, next) = parse_backslash(chars, pos);
+                self.lit.push_str(&s);
+                Some(next)
+            }
+            '$' => {
+                let (name, index, next) = scan_varname(chars, pos + 1);
+                if name.is_empty() {
+                    // `$` with no name is a literal dollar.
+                    self.lit.push('$');
+                    return Some(pos + 1);
+                }
+                let Some(raw) = index else {
+                    self.push(Token::VarSub(name, None));
+                    return Some(next);
+                };
+                let raw: Vec<char> = raw.chars().collect();
+                let (idx, complete) = match compile_subst_chars(&raw, depth) {
+                    Ok(idx) => (idx, true),
+                    Err(idx) => (idx, false),
+                };
+                self.push(Token::VarSub(name, Some(idx)));
+                complete.then_some(next)
+            }
+            _ => {
+                let end = match find_matching_bracket(chars, pos) {
+                    Ok(end) => end,
+                    Err(e) => {
+                        self.push(delimiter_error(e));
+                        return None;
+                    }
+                };
+                let inner = compile_chars(&chars[pos + 1..end], depth + 1);
+                let failed = inner.syntax_error;
+                self.push(Token::BracketSub(Rc::new(inner)));
+                (!failed).then_some(end + 1)
+            }
+        }
+    }
+
+    /// Ends the word with a syntax error.
+    fn fail(mut self, msg: &str) -> Token {
+        self.push(error_token(msg));
+        self.finish()
+    }
+
+    fn into_parts(mut self) -> Vec<Token> {
+        self.flush();
+        self.parts
+    }
+
+    /// The word's token, folding the single-part and empty cases.
+    fn finish(self) -> Token {
+        let mut parts = self.into_parts();
+        match parts.len() {
+            0 => Token::Literal(Value::empty()),
+            1 => parts.pop().expect("len checked"),
+            _ => Token::Compound(parts),
+        }
+    }
 }
 
 /// A bounded, least-recently-used cache from script/expression text to
@@ -458,6 +496,21 @@ impl<V: Clone> LruCache<V> {
         }
     }
 
+    /// Looks up `key`, building and inserting its value on a miss. With
+    /// the cache disabled (limit 0) the value is built and not kept, and
+    /// nothing is counted.
+    pub fn get_or_insert_with(&mut self, key: &str, make: impl FnOnce() -> V) -> V {
+        if self.limit == 0 {
+            return make();
+        }
+        if let Some(v) = self.get(key) {
+            return v;
+        }
+        let v = make();
+        self.insert(key, v.clone());
+        v
+    }
+
     /// Inserts `key`, evicting the least-recently-used entry when full.
     pub fn insert(&mut self, key: &str, value: V) {
         if self.limit == 0 {
@@ -551,7 +604,23 @@ mod tests {
     use super::*;
 
     fn compiled(s: &str) -> CompiledScript {
-        compile(s).expect("compiles")
+        let c = compile(s);
+        assert!(!c.syntax_error, "{s:?} compiles cleanly");
+        c
+    }
+
+    /// The message of the error token that ends `c`, looking into the
+    /// last part of its last word.
+    fn error_message(c: &CompiledScript) -> Option<String> {
+        fn last_error(t: &Token) -> Option<String> {
+            match t {
+                Token::Error(msg) => Some(msg.to_string()),
+                Token::Compound(parts) | Token::VarSub(_, Some(parts)) => last_error(parts.last()?),
+                Token::BracketSub(inner) => error_message(inner),
+                _ => None,
+            }
+        }
+        last_error(c.commands.last()?.words.last()?)
     }
 
     #[test]
@@ -641,11 +710,71 @@ mod tests {
     }
 
     #[test]
-    fn structural_errors_fail_compile() {
-        assert!(compile("set x {unclosed").is_err());
-        assert!(compile("set x \"unclosed").is_err());
-        assert!(compile("set x [unclosed").is_err());
-        assert!(compile("set x {a}b").is_err());
+    fn structural_errors_compile_to_error_tokens() {
+        for (script, msg) in [
+            ("set x {unclosed", "missing close-brace"),
+            ("set x \"unclosed", "missing \""),
+            ("set x [unclosed", "missing close-bracket"),
+            ("set x {a}b", "extra characters after close-brace"),
+        ] {
+            let c = compile(script);
+            assert!(c.syntax_error, "{script:?}");
+            assert_eq!(error_message(&c).as_deref(), Some(msg), "{script:?}");
+        }
+    }
+
+    #[test]
+    fn scanning_stops_at_the_error_and_keeps_what_came_before() {
+        let c = compile("incr a; foo [incr a] \"x $b [incr a] unterminated\nnever run");
+        assert!(c.syntax_error);
+        assert_eq!(c.commands.len(), 2, "nothing after the error is compiled");
+        let words = &c.commands[1].words;
+        assert_eq!(words.len(), 3);
+        assert!(matches!(&words[1], Token::BracketSub(_)));
+        match &words[2] {
+            Token::Compound(parts) => {
+                assert!(matches!(&parts[1], Token::VarSub(n, None) if n == "b"));
+                assert!(matches!(&parts[3], Token::BracketSub(_)));
+                assert!(matches!(parts.last(), Some(Token::Error(m)) if &**m == "missing \""));
+            }
+            other => panic!("expected Compound, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn errors_inside_brackets_and_indices_end_the_enclosing_script() {
+        for (script, msg) in [
+            ("set x [set y {]", "missing close-brace"),
+            ("set x [a; b \"c]", "missing close-bracket"),
+            ("set x a[b \"c\"d] e", "extra characters after close-quote"),
+            ("set x $arr([y)", "missing close-bracket"),
+        ] {
+            let c = compile(script);
+            assert!(c.syntax_error, "{script:?}");
+            assert_eq!(c.commands.len(), 1, "{script:?}");
+            assert_eq!(error_message(&c).as_deref(), Some(msg), "{script:?}");
+        }
+        // A braced body is only text here: its errors belong to whoever
+        // evaluates it later.
+        assert!(!compile("while 1 {set x \"oops}").syntax_error);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_compiles_to_the_runtime_message() {
+        let deep = format!(
+            "{}x{}",
+            "[".repeat(MAX_NESTING_DEPTH + 1),
+            "]".repeat(MAX_NESTING_DEPTH + 1)
+        );
+        let c = compile(&deep);
+        assert!(c.syntax_error);
+        assert_eq!(error_message(&c).as_deref(), Some(NESTING_ERROR));
+        let limit = format!(
+            "{}x{}",
+            "[".repeat(MAX_NESTING_DEPTH),
+            "]".repeat(MAX_NESTING_DEPTH)
+        );
+        assert!(!compile(&limit).syntax_error);
     }
 
     #[test]

@@ -8,16 +8,18 @@ use std::rc::{Rc, Weak};
 
 use wafe_trace::Telemetry;
 
-use crate::compile::{compile, CompiledScript, LruCache, Token};
+use crate::compile::{compile, compile_subst, CompiledScript, LruCache, Token};
 use crate::error::{TclError, TclResult};
 use crate::expr::CompiledExpr;
 use crate::hash::FnvMap;
-use crate::parser::{find_matching_brace, find_matching_bracket, parse_backslash, scan_varname};
 use crate::value::Value;
 
 /// Maximum nesting depth of script evaluation, mirroring Tcl's
 /// `maxNestingDepth` interpreter limit.
 pub const MAX_NESTING_DEPTH: usize = 500;
+
+/// The error raised past [`MAX_NESTING_DEPTH`].
+pub(crate) const NESTING_ERROR: &str = "too many nested calls to Tcl_Eval (infinite loop?)";
 
 /// Default bound of the script and expression caches (entries each).
 pub const DEFAULT_CACHE_LIMIT: usize = 512;
@@ -63,18 +65,19 @@ pub struct ProcDef {
     pub args: Vec<(String, Option<String>)>,
     /// The procedure body, evaluated in a fresh frame.
     pub body: String,
-    /// The body's parse-once form, compiled when the proc is defined.
-    /// `None` when the body text does not compile (it then evaluates
-    /// through the legacy parse-as-you-go path, reproducing Tcl's lazy
-    /// error timing). Redefining a proc replaces the whole `ProcDef`, so
-    /// a stale compiled body can never outlive its source text.
-    pub compiled: Option<Rc<CompiledScript>>,
+    /// The body's parse-once form, compiled when the proc is defined. A
+    /// body with a syntax error still compiles: it raises the error when
+    /// a call reaches it. Calls under `interp cachelimit 0` compile the
+    /// body text afresh instead. Redefining a proc replaces the whole
+    /// `ProcDef`, so a stale compiled body can never outlive its source
+    /// text.
+    pub compiled: Rc<CompiledScript>,
 }
 
 impl ProcDef {
     /// Builds a definition, compiling the body once up front.
     pub fn new(args: Vec<(String, Option<String>)>, body: String) -> Self {
-        let compiled = compile(&body).ok().map(Rc::new);
+        let compiled = Rc::new(compile(&body));
         ProcDef {
             args,
             body,
@@ -225,12 +228,13 @@ pub struct Interp {
     traces: HashMap<String, Vec<(String, String)>>,
     /// Guards against trace recursion (a trace writing its own variable).
     tracing: std::cell::Cell<u32>,
-    /// Parse-once cache: script text → compiled form (`None` marks text
-    /// that is known not to compile, so the fallback path is taken
-    /// without re-attempting compilation).
-    script_cache: LruCache<Option<Rc<CompiledScript>>>,
+    /// Parse-once cache: script text → compiled form.
+    script_cache: LruCache<Rc<CompiledScript>>,
     /// Parse-once cache for `expr` texts.
     expr_cache: LruCache<Rc<CompiledExpr>>,
+    /// Parse-once cache for substitution texts (see
+    /// [`Interp::substitute_all`]).
+    subst_cache: LruCache<Rc<[Token]>>,
     /// Telemetry store shared with the embedding (session, frontend).
     /// Disabled by default: each eval/dispatch pays one flag load.
     telemetry: Telemetry,
@@ -270,14 +274,14 @@ pub struct BcStats {
     pub instructions: u64,
 }
 
-/// A script readied for repeated evaluation: either its parse-once
-/// compiled form, or (for uncompilable text, or with the cache disabled)
-/// the raw source re-parsed on every run — exactly the legacy path.
+/// A script readied for repeated evaluation: its parse-once compiled
+/// form, or — with the cache disabled (`interp cachelimit 0`) — its
+/// source, compiled afresh on every run and never kept.
 #[derive(Clone)]
 pub enum Prepared {
     /// Compiled once; each run only substitutes.
     Compiled(Rc<CompiledScript>),
-    /// Re-parsed on every run.
+    /// Compiled on every run (the Tcl 6.x re-parse baseline).
     Source(String),
 }
 
@@ -361,6 +365,7 @@ impl Interp {
             tracing: std::cell::Cell::new(0),
             script_cache: LruCache::new(DEFAULT_CACHE_LIMIT),
             expr_cache: LruCache::new(DEFAULT_CACHE_LIMIT),
+            subst_cache: LruCache::new(DEFAULT_CACHE_LIMIT),
             telemetry: Telemetry::new(),
             bc_enabled: true,
             bc_epoch: 0,
@@ -840,49 +845,34 @@ impl Interp {
     /// Already-seen scripts skip lexing entirely: the text is looked up in
     /// the interpreter's parse-once cache and only substitution runs.
     pub fn eval(&mut self, script: &str) -> TclResult<Value> {
+        let compiled = self.lookup_or_compile(script);
+        self.eval_rc(compiled, || span_preview(script))
+    }
+
+    /// Evaluates an already-compiled script (same nesting accounting as
+    /// [`Interp::eval`]).
+    pub fn eval_compiled(&mut self, script: &Rc<CompiledScript>) -> TclResult<Value> {
+        // Our own handle: cache eviction during evaluation must not be
+        // able to drop the script out from under us.
+        self.eval_rc(script.clone(), String::new)
+    }
+
+    /// The one evaluation entry: nesting limit, `tcl.eval` span (with
+    /// `detail` as its text) and timer around the compiled script.
+    fn eval_rc(
+        &mut self,
+        script: Rc<CompiledScript>,
+        detail: impl FnOnce() -> String,
+    ) -> TclResult<Value> {
         // One enabled-flag load when telemetry is off; nested evals
         // (bracket substitution, loop bodies) each count as one eval.
         let timer = self.telemetry.timer();
         self.depth += 1;
         if self.depth > MAX_NESTING_DEPTH {
             self.depth -= 1;
-            return Err(TclError::error(
-                "too many nested calls to Tcl_Eval (infinite loop?)",
-            ));
+            return Err(TclError::error(NESTING_ERROR));
         }
-        let span = self
-            .telemetry
-            .span_begin("tcl.eval", || span_preview(script));
-        let r = match self.lookup_or_compile(script) {
-            Some(c) => self.eval_compiled_inner(&c),
-            None => self.eval_inner(script),
-        };
-        if span {
-            self.telemetry.span_end();
-        }
-        self.depth -= 1;
-        if timer.is_some() {
-            self.telemetry.count("tcl.evals");
-            self.telemetry.observe_since("tcl.eval", timer);
-        }
-        r
-    }
-
-    /// Evaluates an already-compiled script (same nesting accounting as
-    /// [`Interp::eval`]).
-    pub fn eval_compiled(&mut self, script: &Rc<CompiledScript>) -> TclResult<Value> {
-        let timer = self.telemetry.timer();
-        self.depth += 1;
-        if self.depth > MAX_NESTING_DEPTH {
-            self.depth -= 1;
-            return Err(TclError::error(
-                "too many nested calls to Tcl_Eval (infinite loop?)",
-            ));
-        }
-        // Our own handle: cache eviction during evaluation must not be
-        // able to drop the script out from under us.
-        let script = script.clone();
-        let span = self.telemetry.span_begin("tcl.eval", String::new);
+        let span = self.telemetry.span_begin("tcl.eval", detail);
         let r = self.eval_compiled_inner(&script);
         if span {
             self.telemetry.span_end();
@@ -900,43 +890,32 @@ impl Interp {
     /// compiled script (e.g. `catch {...}` inside a loop) hits the rep on
     /// every iteration after the first — no hashing, no text lookup.
     pub fn eval_value(&mut self, script: &Value) -> TclResult<Value> {
-        if let Some(c) = script.cached_script() {
-            return self.eval_compiled(&c);
-        }
-        match self.lookup_or_compile(script.as_str()) {
-            Some(c) => {
-                script.cache_script(c.clone());
-                self.eval_compiled(&c)
-            }
-            None => self.eval(script.as_str()),
-        }
+        let prepared = self.prepare_value(script);
+        self.run_prepared(&prepared)
     }
 
-    /// Readies a script for repeated evaluation (loop bodies): compiled
-    /// when possible, raw source otherwise. With the cache disabled
-    /// (`interp cachelimit 0`) this always yields the re-parsing form.
-    pub fn prepare(&mut self, script: &str) -> Prepared {
-        match self.lookup_or_compile(script) {
-            Some(c) => Prepared::Compiled(c),
-            None => Prepared::Source(script.to_string()),
-        }
-    }
-
-    /// [`Interp::prepare`] for a script held in a [`Value`]: consults and
-    /// populates the value's own compiled-script rep, skipping the text
-    /// cache lookup when the same `Value` (a shared loop-body literal) is
-    /// prepared again.
+    /// Readies a script held in a [`Value`] for repeated evaluation (loop
+    /// bodies): compiled once, or — with the cache disabled (`interp
+    /// cachelimit 0`) — the source, compiled afresh on every run. The
+    /// compiled form is kept as the value's own script rep, so preparing
+    /// the same `Value` (a shared loop-body literal) again skips the text
+    /// cache lookup.
     pub fn prepare_value(&mut self, script: &Value) -> Prepared {
+        if !self.cache_enabled() {
+            return Prepared::Source(script.to_string());
+        }
+        Prepared::Compiled(self.compiled_value(script))
+    }
+
+    /// The compiled form of a script held in a [`Value`]: its script rep,
+    /// else the text cache's entry, which then becomes the rep.
+    pub(crate) fn compiled_value(&mut self, script: &Value) -> Rc<CompiledScript> {
         if let Some(c) = script.cached_script() {
-            return Prepared::Compiled(c);
+            return c;
         }
-        match self.lookup_or_compile(script.as_str()) {
-            Some(c) => {
-                script.cache_script(c.clone());
-                Prepared::Compiled(c)
-            }
-            None => Prepared::Source(script.as_str().to_string()),
-        }
+        let c = self.lookup_or_compile(script.as_str());
+        script.cache_script(c.clone());
+        c
     }
 
     /// Runs a [`Prepared`] script.
@@ -947,24 +926,17 @@ impl Interp {
         }
     }
 
-    /// Cache lookup + compile-on-miss. Returns `None` when the text does
-    /// not compile (caller falls back to the legacy evaluator) or when
-    /// caching is disabled.
-    fn lookup_or_compile(&mut self, script: &str) -> Option<Rc<CompiledScript>> {
-        if self.script_cache.limit() == 0 {
-            return None;
-        }
+    /// Cache lookup + compile-on-miss. With caching disabled the script
+    /// is compiled and not kept.
+    fn lookup_or_compile(&mut self, script: &str) -> Rc<CompiledScript> {
         if script.len() > MAX_CACHED_SCRIPT_LEN {
-            // Compile (parse-once still pays off within the one run via
-            // proc bodies and loops) but do not occupy the cache.
-            return compile(script).ok().map(Rc::new);
+            // Over-long text still compiles (parse-once pays off within
+            // the one run via proc bodies and loops) but does not occupy
+            // the cache.
+            return Rc::new(compile(script));
         }
-        if let Some(entry) = self.script_cache.get(script) {
-            return entry;
-        }
-        let compiled = compile(script).ok().map(Rc::new);
-        self.script_cache.insert(script, compiled.clone());
-        compiled
+        self.script_cache
+            .get_or_insert_with(script, || Rc::new(compile(script)))
     }
 
     // ----- telemetry --------------------------------------------------
@@ -1020,10 +992,11 @@ impl Interp {
         self.bc_enabled
     }
 
-    /// Empties both parse caches (counters are kept).
+    /// Empties the parse caches (counters are kept).
     pub fn cache_clear(&mut self) {
         self.script_cache.clear();
         self.expr_cache.clear();
+        self.subst_cache.clear();
     }
 
     /// The cache bound; 0 means caching is disabled.
@@ -1031,12 +1004,14 @@ impl Interp {
         self.script_cache.limit()
     }
 
-    /// Sets the cache bound for both caches, trimming immediately.
+    /// Sets the bound of every parse cache, trimming immediately.
     /// `0` disables the parse-once layer entirely — every evaluation
-    /// re-parses, exactly like Tcl 6.x (used as the benchmark baseline).
+    /// compiles afresh and keeps nothing, re-parsing like Tcl 6.x (used
+    /// as the benchmark baseline).
     pub fn set_cache_limit(&mut self, limit: usize) {
         self.script_cache.set_limit(limit);
         self.expr_cache.set_limit(limit);
+        self.subst_cache.set_limit(limit);
     }
 
     /// True when the parse-once layer is active.
@@ -1063,9 +1038,9 @@ impl Interp {
     fn eval_compiled_inner(&mut self, script: &CompiledScript) -> TclResult<Value> {
         // Bytecode fast path: lower the script once and dispatch a flat
         // instruction stream. The compiler declines rather than guesses —
-        // a `None` here (or `bcdisable`, or the Tcl 6.x `cachelimit 0`
-        // baseline, or recursion past `BC_MAX_DEPTH`) means the
-        // tree-walker below runs instead.
+        // a `None` here (a script holding a syntax error, or `bcdisable`,
+        // or the Tcl 6.x `cachelimit 0` baseline, or recursion past
+        // `BC_MAX_DEPTH`) means the tree-walker below runs instead.
         if self.bc_enabled && self.depth <= BC_MAX_DEPTH && self.cache_enabled() {
             if let Some(code) = crate::bc::bytecode_for(self, script) {
                 return crate::bc::execute(self, &code);
@@ -1111,6 +1086,7 @@ impl Interp {
                 }
                 Ok(Value::from(out))
             }
+            Token::Error(msg) => Err(TclError::error(&**msg)),
         }
     }
 
@@ -1124,21 +1100,6 @@ impl Interp {
         let r = self.eval(script);
         self.active = saved;
         r
-    }
-
-    fn eval_inner(&mut self, script: &str) -> TclResult<Value> {
-        let chars: Vec<char> = script.chars().collect();
-        let mut pos = 0usize;
-        let mut result = Value::empty();
-        while pos < chars.len() {
-            let (words, next) = self.parse_command(&chars, pos)?;
-            pos = next;
-            if words.is_empty() {
-                continue;
-            }
-            result = self.invoke(&words)?;
-        }
-        Ok(result)
     }
 
     /// Invokes a fully-substituted command word list.
@@ -1238,9 +1199,10 @@ impl Interp {
         self.active = self.frames.len() - 1;
         let span = self.telemetry.span_begin("tcl.proc", || name.to_string());
         let prof = self.profiler.enter(name);
-        let r = match (&p.compiled, self.cache_enabled()) {
-            (Some(c), true) => self.eval_compiled(c),
-            _ => self.eval(&p.body),
+        let r = if self.cache_enabled() {
+            self.eval_compiled(&p.compiled)
+        } else {
+            self.eval(&p.body)
         };
         if prof {
             self.profiler.exit();
@@ -1261,205 +1223,20 @@ impl Interp {
         }
     }
 
-    /// Parses one command starting at `pos`, performing all substitutions.
-    ///
-    /// Returns the words and the position just past the command
-    /// terminator. An empty word list means the segment held only a
-    /// separator or comment.
-    fn parse_command(&mut self, chars: &[char], mut pos: usize) -> TclResult<(Vec<Value>, usize)> {
-        let mut words: Vec<Value> = Vec::new();
-        // Skip leading white space (not newlines — those terminate).
-        loop {
-            while pos < chars.len() && (chars[pos] == ' ' || chars[pos] == '\t') {
-                pos += 1;
-            }
-            if pos + 1 < chars.len() && chars[pos] == '\\' && chars[pos + 1] == '\n' {
-                let (_, next) = parse_backslash(chars, pos);
-                pos = next;
-                continue;
-            }
-            break;
-        }
-        if pos >= chars.len() {
-            return Ok((words, pos));
-        }
-        if chars[pos] == '\n' || chars[pos] == ';' {
-            return Ok((words, pos + 1));
-        }
-        if chars[pos] == '#' {
-            // Comment to end of line; backslash-newline continues it.
-            while pos < chars.len() && chars[pos] != '\n' {
-                if chars[pos] == '\\' && pos + 1 < chars.len() {
-                    pos += 1;
-                }
-                pos += 1;
-            }
-            return Ok((words, (pos + 1).min(chars.len())));
-        }
-        loop {
-            // Parse one word.
-            let word;
-            match chars[pos] {
-                '{' => {
-                    let end = find_matching_brace(chars, pos)?;
-                    word = chars[pos + 1..end].iter().collect::<String>();
-                    pos = end + 1;
-                    if pos < chars.len()
-                        && !matches!(chars[pos], ' ' | '\t' | '\n' | ';')
-                        && !(chars[pos] == '\\' && pos + 1 < chars.len() && chars[pos + 1] == '\n')
-                    {
-                        return Err(TclError::error("extra characters after close-brace"));
-                    }
-                }
-                '"' => {
-                    let (w, next) = self.parse_quoted(chars, pos + 1)?;
-                    word = w;
-                    pos = next;
-                    if pos < chars.len()
-                        && !matches!(chars[pos], ' ' | '\t' | '\n' | ';')
-                        && !(chars[pos] == '\\' && pos + 1 < chars.len() && chars[pos + 1] == '\n')
-                    {
-                        return Err(TclError::error("extra characters after close-quote"));
-                    }
-                }
-                _ => {
-                    let (w, next) = self.parse_bare(chars, pos)?;
-                    word = w;
-                    pos = next;
-                }
-            }
-            words.push(Value::from(word));
-            // Skip intra-command white space.
-            loop {
-                while pos < chars.len() && (chars[pos] == ' ' || chars[pos] == '\t') {
-                    pos += 1;
-                }
-                if pos + 1 < chars.len() && chars[pos] == '\\' && chars[pos + 1] == '\n' {
-                    let (_, next) = parse_backslash(chars, pos);
-                    pos = next;
-                    continue;
-                }
-                break;
-            }
-            if pos >= chars.len() {
-                return Ok((words, pos));
-            }
-            if chars[pos] == '\n' || chars[pos] == ';' {
-                return Ok((words, pos + 1));
-            }
-        }
-    }
-
-    /// Parses a double-quoted word starting just after the opening quote.
-    fn parse_quoted(&mut self, chars: &[char], mut pos: usize) -> TclResult<(String, usize)> {
-        let mut out = String::new();
-        while pos < chars.len() {
-            match chars[pos] {
-                '"' => return Ok((out, pos + 1)),
-                '\\' => {
-                    let (s, next) = parse_backslash(chars, pos);
-                    out.push_str(&s);
-                    pos = next;
-                }
-                '$' => {
-                    let (s, next) = self.substitute_dollar(chars, pos)?;
-                    out.push_str(&s);
-                    pos = next;
-                }
-                '[' => {
-                    let end = find_matching_bracket(chars, pos)?;
-                    let script: String = chars[pos + 1..end].iter().collect();
-                    out.push_str(&self.eval(&script)?);
-                    pos = end + 1;
-                }
-                c => {
-                    out.push(c);
-                    pos += 1;
-                }
-            }
-        }
-        Err(TclError::error("missing \""))
-    }
-
-    /// Parses a bare word starting at `pos`.
-    fn parse_bare(&mut self, chars: &[char], mut pos: usize) -> TclResult<(String, usize)> {
-        let mut out = String::new();
-        while pos < chars.len() {
-            match chars[pos] {
-                ' ' | '\t' | '\n' | ';' => break,
-                '\\' => {
-                    if pos + 1 < chars.len() && chars[pos + 1] == '\n' {
-                        break; // Backslash-newline ends the word (acts as separator).
-                    }
-                    let (s, next) = parse_backslash(chars, pos);
-                    out.push_str(&s);
-                    pos = next;
-                }
-                '$' => {
-                    let (s, next) = self.substitute_dollar(chars, pos)?;
-                    out.push_str(&s);
-                    pos = next;
-                }
-                '[' => {
-                    let end = find_matching_bracket(chars, pos)?;
-                    let script: String = chars[pos + 1..end].iter().collect();
-                    out.push_str(&self.eval(&script)?);
-                    pos = end + 1;
-                }
-                c => {
-                    out.push(c);
-                    pos += 1;
-                }
-            }
-        }
-        Ok((out, pos))
-    }
-
-    /// Substitutes a `$`-form starting at `chars[pos]` (the `$`).
-    fn substitute_dollar(&mut self, chars: &[char], pos: usize) -> TclResult<(String, usize)> {
-        let (name, index, next) = scan_varname(chars, pos + 1);
-        if name.is_empty() {
-            return Ok(("$".into(), pos + 1));
-        }
-        match index {
-            None => Ok((self.get_var(&name)?.to_string(), next)),
-            Some(raw) => {
-                // The index itself undergoes one round of substitution.
-                let idx = self.substitute_all(&raw)?;
-                Ok((self.get_elem(&name, &idx)?.to_string(), next))
-            }
-        }
-    }
-
     /// Performs `$`, `[]` and backslash substitution on an entire string
-    /// (the behaviour of array-index text; also used by `expr`).
+    /// (the text of `subst`, and the index of `$name(index)` inside
+    /// `expr`). The text compiles once, like a script; a syntax error is
+    /// raised after the substitutions before it have run.
     pub fn substitute_all(&mut self, s: &str) -> TclResult<String> {
-        let chars: Vec<char> = s.chars().collect();
+        let parts: Rc<[Token]> = if s.len() > MAX_CACHED_SCRIPT_LEN {
+            compile_subst(s).into()
+        } else {
+            self.subst_cache
+                .get_or_insert_with(s, || compile_subst(s).into())
+        };
         let mut out = String::new();
-        let mut pos = 0usize;
-        while pos < chars.len() {
-            match chars[pos] {
-                '\\' => {
-                    let (t, next) = parse_backslash(&chars, pos);
-                    out.push_str(&t);
-                    pos = next;
-                }
-                '$' => {
-                    let (t, next) = self.substitute_dollar(&chars, pos)?;
-                    out.push_str(&t);
-                    pos = next;
-                }
-                '[' => {
-                    let end = find_matching_bracket(&chars, pos)?;
-                    let script: String = chars[pos + 1..end].iter().collect();
-                    out.push_str(&self.eval(&script)?);
-                    pos = end + 1;
-                }
-                c => {
-                    out.push(c);
-                    pos += 1;
-                }
-            }
+        for part in parts.iter() {
+            out.push_str(&self.subst_token(part)?);
         }
         Ok(out)
     }

@@ -1,9 +1,9 @@
 //! Lexical helpers of the Tcl parser.
 //!
-//! The substitution-performing parts of parsing live in
-//! [`crate::interp::Interp`] because `$var` and `[command]` substitution
-//! need the interpreter; this module holds the pure-lexical scanners:
-//! matching-delimiter searches and backslash processing.
+//! Script syntax is read by the compiler ([`mod@crate::compile`]) and the
+//! `expr` parser ([`crate::expr`]); this module holds the pure-lexical
+//! scanners they share: matching-delimiter searches, variable-name scans
+//! and backslash processing.
 
 use crate::error::{TclError, TclResult};
 
