@@ -340,10 +340,14 @@ fn register_set_values(interp: &mut Interp) {
         let w = app
             .lookup(&argv[1])
             .ok_or_else(|| TclError::Error(format!("unknown widget \"{}\"", argv[1])))?;
-        for pair in argv[2..].chunks(2) {
-            app.set_resource(w, &pair[0], &pair[1])
-                .map_err(|e| TclError::Error(e.to_string()))?;
-        }
+        // One XtSetValues call: every pair is stored, then one settle.
+        app.set_values(
+            w,
+            argv[2..]
+                .chunks(2)
+                .map(|pair| (pair[0].as_str(), pair[1].as_str())),
+        )
+        .map_err(|e| TclError::Error(e.to_string()))?;
         Ok(Value::empty())
     };
     // "For convenience the command setValues is registered as well under

@@ -146,38 +146,16 @@ pub fn native_registry() -> HashMap<&'static str, NativeFn> {
         Ok(Value::from_int(count as i64))
     });
     add("XtMoveWidget", &|_, app, a| {
-        let w = a[0].widget();
-        app.put_resource(w, "x", wafe_xt::ResourceValue::Pos(a[1].int() as i32));
-        app.put_resource(w, "y", wafe_xt::ResourceValue::Pos(a[2].int() as i32));
-        let root = app.root_of(w);
-        if app.is_realized(root) {
-            app.sync_geometry(root);
-        }
+        app.move_widget(a[0].widget(), a[1].int() as i32, a[2].int() as i32);
         Ok(Value::empty())
     });
     add("XtResizeWidget", &|_, app, a| {
-        let w = a[0].widget();
-        app.put_resource(
-            w,
-            "width",
-            wafe_xt::ResourceValue::Dim(a[1].int().max(1) as u32),
+        app.resize_widget(
+            a[0].widget(),
+            a[1].int().max(1) as u32,
+            a[2].int().max(1) as u32,
+            a[3].int().max(0) as u32,
         );
-        app.put_resource(
-            w,
-            "height",
-            wafe_xt::ResourceValue::Dim(a[2].int().max(1) as u32),
-        );
-        app.put_resource(
-            w,
-            "borderWidth",
-            wafe_xt::ResourceValue::Dim(a[3].int().max(0) as u32),
-        );
-        let root = app.root_of(w);
-        if app.is_realized(root) {
-            app.do_layout(root);
-            app.sync_geometry(root);
-            app.redisplay_tree(root);
-        }
         Ok(Value::empty())
     });
     add("XtAddGrab", &|_, app, a| {
@@ -313,11 +291,15 @@ pub fn native_registry() -> HashMap<&'static str, NativeFn> {
         Ok(Value::empty())
     });
     add("XawFormDoLayout", &|_, app, a| {
+        let form = a[0].widget();
         if a[1].boolean() {
-            let root = app.root_of(a[0].widget());
-            app.do_layout(root);
-            if app.is_realized(root) {
-                app.sync_geometry(root);
+            if app.is_realized(form) {
+                app.mark_layout(form);
+                app.settle();
+            } else {
+                // Before realize: size the tree now, as it always has.
+                let root = app.root_of(form);
+                app.do_layout(root);
             }
         }
         Ok(Value::empty())

@@ -408,3 +408,60 @@ fn spans_surface_and_chrome_export() {
         .contains(&"retained".to_string()));
     assert!(after.contains("retained 0"), "{after}");
 }
+
+/// The `gui_frames` dashboard: a form of 6x4 labels, four command
+/// buttons and a status label, realized.
+fn dashboard() -> WafeSession {
+    let mut s = session();
+    s.eval("form grid topLevel").unwrap();
+    for r in 0..6 {
+        for c in 0..4 {
+            let mut cmd = format!("label r{r}c{c} grid label {{cell {r}:{c}}} width 120 height 24");
+            if c > 0 {
+                cmd.push_str(&format!(" fromHoriz r{r}c{}", c - 1));
+            }
+            if r > 0 {
+                cmd.push_str(&format!(" fromVert r{}c{c}", r - 1));
+            }
+            s.eval(&cmd).unwrap();
+        }
+    }
+    for b in 0..4 {
+        let mut cmd = format!("command b{b} grid label {{button {b}}} fromVert r5c0");
+        if b > 0 {
+            cmd.push_str(&format!(" fromHoriz b{}", b - 1));
+        }
+        s.eval(&cmd).unwrap();
+    }
+    s.eval("label status grid label {clicks 0} width 200 fromVert b0")
+        .unwrap();
+    s.eval("realize").unwrap();
+    s
+}
+
+/// How many widgets one command re-laid-out and redisplayed.
+fn settle_work(s: &mut WafeSession, script: &str) -> (u64, u64) {
+    let before = snapshot(s);
+    s.eval(script).unwrap();
+    let after = snapshot(s);
+    let delta = |k: &str| after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0);
+    (delta("xt.settle.laid_out"), delta("xt.settle.redrawn"))
+}
+
+#[test]
+fn settle_counters_show_a_label_change_costs_the_label() {
+    let mut s = dashboard();
+    assert_eq!(
+        settle_work(&mut s, "sV r2c1 label {new text}"),
+        (0, 1),
+        "one label sV: nothing laid out, one widget redrawn"
+    );
+    assert_eq!(
+        settle_work(&mut s, "sV r2c1 label one background red"),
+        (0, 1),
+        "one setValues call settles once"
+    );
+    let (laid_out, redrawn) = settle_work(&mut s, "sV r2c1 width 150");
+    assert!(laid_out > 0, "a width change re-lays out the form");
+    assert_eq!(redrawn, laid_out, "the laid-out subtree is redrawn");
+}

@@ -125,11 +125,14 @@ enum Instr {
     IncrVarPop(u32, u32, i64),
     /// Pop `argc` words (command name first), dispatch through
     /// [`Interp::invoke`] — the generic path every non-inlined command
-    /// takes — and push the result. Barrier.
-    Invoke(u32),
-    /// Evaluate `scripts[s]` (nested-depth accounting included) and push
-    /// its result: the escape for over-deep inlining. Barrier.
-    EvalScript(u32),
+    /// takes — and push the result. The second operand is the inlining
+    /// level of the call site: the nesting depth the tree-walker would
+    /// have charged by then. Barrier.
+    Invoke(u32, u32),
+    /// Evaluate `scripts[s]` (nested-depth accounting included, from the
+    /// site's inlining level) and push its result: the escape for
+    /// over-deep inlining. Barrier.
+    EvalScript(u32, u32),
     /// Unconditional jump.
     Jump(u32),
     /// Raise `TclError::Break` (unwound by the enclosing loop range).
@@ -150,12 +153,13 @@ enum Instr {
     /// comparison like `$n % $d == 0` in one dispatch).
     NLoadVar2(u32, u32),
     /// `$name(raw)` inside `expr`: substitute `names[r]` once for the
-    /// element index, push the coerced element of `names[n]`.
-    NElem(u32, u32),
+    /// element index (at the site's inlining level), push the coerced
+    /// element of `names[n]`.
+    NElem(u32, u32, u32),
     /// Evaluate `names[t]` as a script through [`Interp::eval`] — the
-    /// text path the tree-walker uses for `[...]` inside `expr` — and
-    /// push its coerced result. Barrier.
-    NEvalText(u32),
+    /// text path the tree-walker uses for `[...]` inside `expr` — from
+    /// the site's inlining level, and push its coerced result. Barrier.
+    NEvalText(u32, u32),
     /// Pop two numeric operands, apply the binary operator, push.
     NBin(BinOp),
     /// Peephole-fused `NPushNum` + `NBin`: apply the operator with
@@ -297,6 +301,9 @@ pub(crate) struct ByteCode {
     scripts: Vec<Rc<CompiledScript>>,
     loops: Vec<LoopRange>,
     foreach: Vec<ForeachInfo>,
+    /// How many nested evaluations the code inlined at its deepest
+    /// point: the tree-walker would be this many levels deeper there.
+    pub(crate) nesting: usize,
 }
 
 /// Returns the bytecode for `script`, compiling (or recompiling after an
@@ -364,6 +371,8 @@ struct Compiler<'a> {
     loops: Vec<LoopRange>,
     foreach: Vec<ForeachInfo>,
     inline: u32,
+    /// The deepest `inline` level any script was lowered at.
+    max_inline: u32,
     /// Every jump target is a position returned by `here()`; this is the
     /// highest such position handed out so far. The peephole helpers
     /// refuse to fuse an instruction into its predecessor (or remove a
@@ -387,6 +396,7 @@ impl<'a> Compiler<'a> {
             loops: Vec::new(),
             foreach: Vec::new(),
             inline: 0,
+            max_inline: 0,
             label_mark: 0,
         };
         c.script(script, Ctx { depth: 0, iters: 0 });
@@ -401,6 +411,7 @@ impl<'a> Compiler<'a> {
             scripts: c.scripts,
             loops: c.loops,
             foreach: c.foreach,
+            nesting: c.max_inline as usize,
         })
     }
 
@@ -530,6 +541,7 @@ impl<'a> Compiler<'a> {
 
     /// Lowers a script; net effect is one value (its result) pushed.
     fn script(&mut self, s: &CompiledScript, ctx: Ctx) {
+        self.max_inline = self.max_inline.max(self.inline);
         if s.commands.is_empty() {
             self.emit(Instr::PushConst(EMPTY));
             return;
@@ -569,7 +581,7 @@ impl<'a> Compiler<'a> {
                 },
             );
         }
-        self.emit(Instr::Invoke(cmd.words.len() as u32));
+        self.emit(Instr::Invoke(cmd.words.len() as u32, self.inline));
     }
 
     /// Lowers one word token (net one value pushed). `ctx.depth` is the
@@ -610,7 +622,7 @@ impl<'a> Compiler<'a> {
                     self.inline -= 1;
                 } else {
                     let s = self.script_ref(inner.clone());
-                    self.emit(Instr::EvalScript(s));
+                    self.emit(Instr::EvalScript(s, self.inline));
                 }
             }
             Token::Compound(parts) => {
@@ -760,11 +772,11 @@ impl<'a> Compiler<'a> {
             Node::Var(name, Some(raw)) => {
                 let ni = self.name(name);
                 let ri = self.name(raw);
-                self.emit(Instr::NElem(ni, ri));
+                self.emit(Instr::NElem(ni, ri, self.inline));
             }
             Node::Cmd(script) => {
                 let si = self.name(script);
-                self.emit(Instr::NEvalText(si));
+                self.emit(Instr::NEvalText(si, self.inline));
             }
             Node::Unary(op, a) => {
                 self.expr(a)?;
@@ -838,7 +850,7 @@ impl<'a> Compiler<'a> {
             self.inline -= 1;
         } else {
             let s = self.script_ref(rc);
-            self.emit(Instr::EvalScript(s));
+            self.emit(Instr::EvalScript(s, self.inline));
         }
         Some(())
     }
@@ -1270,17 +1282,17 @@ fn step(interp: &mut Interp, bc: &ByteCode, pc: usize, vm: &mut Vm) -> TclResult
         Instr::IncrVarPop(n, e, amount) => {
             incr(interp, bc, vm, n, e, amount)?;
         }
-        Instr::Invoke(argc) => {
+        Instr::Invoke(argc, level) => {
             vm.flush(interp, bc)?;
             let base = vm.stack.len() - argc as usize;
-            let r = interp.invoke(&vm.stack[base..]);
+            let r = interp.at_inline_level(level, |i| i.invoke(&vm.stack[base..]));
             vm.stack.truncate(base);
             vm.barrier(interp);
             vm.stack.push(r?);
         }
-        Instr::EvalScript(s) => {
+        Instr::EvalScript(s, level) => {
             vm.flush(interp, bc)?;
-            let r = interp.eval_compiled(&bc.scripts[s as usize]);
+            let r = interp.at_inline_level(level, |i| i.eval_compiled(&bc.scripts[s as usize]));
             vm.barrier(interp);
             vm.stack.push(r?);
         }
@@ -1313,18 +1325,18 @@ fn step(interp: &mut Interp, bc: &ByteCode, pc: usize, vm: &mut Vm) -> TclResult
             nload(interp, bc, vm, a)?;
             nload(interp, bc, vm, b)?;
         }
-        Instr::NElem(n, r) => {
+        Instr::NElem(n, r, level) => {
             // The element text may itself substitute commands
             // (`$a([next])`): full barrier around it.
             vm.flush(interp, bc)?;
-            let idx = interp.substitute_all(&bc.names[r as usize]);
+            let idx = interp.at_inline_level(level, |i| i.substitute_all(&bc.names[r as usize]));
             vm.barrier(interp);
             let v = interp.get_elem_ref(&bc.names[n as usize], &idx?)?;
             vm.nums.push(coerce_value(v));
         }
-        Instr::NEvalText(t) => {
+        Instr::NEvalText(t, level) => {
             vm.flush(interp, bc)?;
-            let r = interp.eval(&bc.names[t as usize]);
+            let r = interp.at_inline_level(level, |i| i.eval(&bc.names[t as usize]));
             vm.barrier(interp);
             vm.nums.push(coerce_value(&r?));
         }

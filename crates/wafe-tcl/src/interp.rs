@@ -218,7 +218,11 @@ pub struct Interp {
     frames: Vec<Frame>,
     /// Index of the active variable frame (changed by `uplevel`).
     active: usize,
+    /// Script nesting depth, charged as the tree-walker charges it.
     depth: usize,
+    /// The part of `depth` charged for evaluations the bytecode VM
+    /// inlined rather than entered (see [`Interp::at_inline_level`]).
+    inlined: usize,
     output: OutputSink,
     /// Deterministic pseudo-random state for `expr rand()`.
     pub(crate) rand_state: u64,
@@ -359,6 +363,7 @@ impl Interp {
             frames: vec![Frame::default()],
             active: 0,
             depth: 0,
+            inlined: 0,
             output: OutputSink::Stdout,
             rand_state: 0x9e3779b97f4a7c15,
             traces: HashMap::new(),
@@ -1035,15 +1040,36 @@ impl Interp {
 
     // ----- compiled evaluation ---------------------------------------
 
+    /// Runs `f` with the nesting depth raised by `level`: the bracket
+    /// and body evaluations the bytecode VM inlined between its entry and
+    /// a call site, each of which the tree-walker charges one level. A
+    /// nested evaluation from that site then hits
+    /// [`MAX_NESTING_DEPTH`] exactly where the tree-walker would.
+    pub(crate) fn at_inline_level<R>(&mut self, level: u32, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.depth += level as usize;
+        self.inlined += level as usize;
+        let r = f(self);
+        self.depth -= level as usize;
+        self.inlined -= level as usize;
+        r
+    }
+
     fn eval_compiled_inner(&mut self, script: &CompiledScript) -> TclResult<Value> {
         // Bytecode fast path: lower the script once and dispatch a flat
         // instruction stream. The compiler declines rather than guesses —
         // a `None` here (a script holding a syntax error, or `bcdisable`,
         // or the Tcl 6.x `cachelimit 0` baseline, or recursion past
         // `BC_MAX_DEPTH`) means the tree-walker below runs instead.
-        if self.bc_enabled && self.depth <= BC_MAX_DEPTH && self.cache_enabled() {
+        // The VM bound counts entered evaluations only: inlined ones add
+        // no native frames.
+        if self.bc_enabled && self.depth - self.inlined <= BC_MAX_DEPTH && self.cache_enabled() {
             if let Some(code) = crate::bc::bytecode_for(self, script) {
-                return crate::bc::execute(self, &code);
+                // Code whose inlined brackets and bodies would nest past
+                // the limit tree-walks, which raises the error at the
+                // exact command.
+                if self.depth + code.nesting <= MAX_NESTING_DEPTH {
+                    return crate::bc::execute(self, &code);
+                }
             }
         }
         let mut result = Value::empty();

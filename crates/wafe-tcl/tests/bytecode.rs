@@ -270,3 +270,39 @@ fn values_keep_reps_across_vm_boundary() {
     let v: Value = i.get_var("big").unwrap();
     assert_eq!(v.as_int(), Some(1 << 40), "int rep must survive the VM");
 }
+
+/// The VM inlines bracket substitutions, but every one still counts
+/// toward the nesting limit as the tree-walker counts it: a nest of `n`
+/// brackets fails or succeeds identically under the VM, the tree-walker
+/// (`interp bcdisable`) and the compile-every-run baseline (`interp
+/// cachelimit 0`), at top level and inside a proc body; so does a
+/// recursion whose calls sit in inlined `if` bodies.
+#[test]
+fn nesting_limit_counts_inlined_brackets() {
+    let modes = ["", "interp bcdisable", "interp cachelimit 0"];
+    let recurse = "proc g {n} {if {$n > 0} {g [expr {$n - 1}]}}";
+    for n in [499, 500, 501] {
+        let nest = format!("{}set x 1{}", "[".repeat(n), "]".repeat(n));
+        for (place, script) in [
+            ("top level", nest.clone()),
+            ("proc body", format!("proc f {{}} {{{nest}}}; f")),
+            ("recursion", format!("{recurse}; g {}", n / 2 - 2)),
+            ("recursion", format!("{recurse}; g {}", n / 2)),
+        ] {
+            let outcomes: Vec<Result<String, String>> = modes
+                .iter()
+                .map(|setup| {
+                    let mut i = Interp::new();
+                    i.eval(setup).unwrap();
+                    i.eval(&script)
+                        .map(|v| v.to_string())
+                        .map_err(|e| e.message().to_string())
+                })
+                .collect();
+            assert!(
+                outcomes.iter().all(|o| *o == outcomes[0]),
+                "n={n} at {place}: {outcomes:?}"
+            );
+        }
+    }
+}

@@ -6,7 +6,7 @@ use std::rc::Rc;
 use wafe_xt::action::ActionTable;
 use wafe_xt::resource::{ResType, ResourceSpec, ResourceValue};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{SetValuesNeeds, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 use crate::form::{form_constraints, form_resources, FormOps};
@@ -68,15 +68,16 @@ impl WidgetOps for DialogOps {
         FormOps.layout(app, w);
     }
 
-    fn set_values(&self, app: &mut XtApp, w: WidgetId, changed: &[String]) {
+    fn set_values(&self, app: &mut XtApp, w: WidgetId, changed: &[String]) -> SetValuesNeeds {
         if changed.iter().any(|c| c == "label") {
             let name = app.widget(w).name.clone();
             let text = app.str_resource(w, "label");
             if let Some(l) = app.lookup(&format!("{name}.label")) {
                 app.put_resource(l, "label", ResourceValue::Str(text));
-                app.redisplay_widget(l);
+                app.mark_redisplay(l);
             }
         }
+        SetValuesNeeds::REDISPLAY
     }
 }
 

@@ -174,12 +174,8 @@ pub fn list_show_current(app: &XtApp, w: WidgetId) -> (i64, String) {
 pub fn list_change(app: &mut XtApp, w: WidgetId, new_items: Vec<String>) {
     app.put_resource(w, "list", ResourceValue::StrList(new_items));
     app.set_state(w, "selected", "-1");
-    let root = app.root_of(w);
-    if app.is_realized(root) {
-        app.do_layout(root);
-        app.sync_geometry(root);
-        app.redisplay_widget(w);
-    }
+    app.mark_redisplay(w);
+    app.settle();
 }
 
 /// Builds the List class.

@@ -160,11 +160,8 @@ impl WidgetOps for ViewportOps {
 pub fn viewport_scroll(app: &mut XtApp, viewport: WidgetId, xoff: i32, yoff: i32) {
     app.set_state(viewport, "xoff", xoff.to_string());
     app.set_state(viewport, "yoff", yoff.to_string());
-    let root = app.root_of(viewport);
-    if app.is_realized(root) {
-        app.do_layout(root);
-        app.sync_geometry(root);
-    }
+    app.mark_layout(viewport);
+    app.settle();
 }
 
 /// Registers Paned, Grip and Viewport.

@@ -282,6 +282,12 @@ impl Display {
             .map(|w| w.rect)
     }
 
+    /// The server-side record of a live window: geometry, attributes,
+    /// mapping and the retained display list.
+    pub fn window(&self, id: WindowId) -> Option<&Window> {
+        self.windows.get(&id).filter(|w| !w.destroyed)
+    }
+
     /// Window border width.
     pub fn border_width(&self, id: WindowId) -> u32 {
         self.windows.get(&id).map(|w| w.border_width).unwrap_or(0)
@@ -296,8 +302,8 @@ impl Display {
         border_width: Option<u32>,
     ) {
         // Damage only on a real change: the toolkit re-syncs attributes
-        // for whole trees after a layout pass, and an unchanged window
-        // must not dirty the screen.
+        // for whole subtrees after a layout pass, and an unchanged
+        // window must not dirty the screen.
         let changed = match self.windows.get(&id) {
             Some(w) => {
                 background.is_some_and(|b| b != w.background)
@@ -388,7 +394,7 @@ impl Display {
 
     /// Replaces a window's retained display list. Damages the window
     /// only when the list actually changed — redisplay passes rebuild
-    /// whole trees, and identical output must not dirty the screen.
+    /// whole subtrees, and identical output must not dirty the screen.
     pub fn set_display_list(&mut self, id: WindowId, ops: Vec<DrawOp>) {
         if let Some(w) = self.windows.get_mut(&id) {
             if w.display_list == ops {

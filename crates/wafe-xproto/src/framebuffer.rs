@@ -69,7 +69,7 @@ pub enum DrawOp {
 }
 
 /// An RGB framebuffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Framebuffer {
     /// Width in pixels.
     pub width: u32,

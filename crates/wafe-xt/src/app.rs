@@ -21,6 +21,28 @@ use crate::xrm::XrmDb;
 /// Logical per-widget record overhead for memory accounting.
 const WIDGET_OVERHEAD: usize = 64;
 
+/// Core resources that are a widget's geometry: changing one is a
+/// geometry request to the parent.
+const GEOMETRY_RESOURCES: [&str; 5] = ["x", "y", "width", "height", "borderWidth"];
+
+/// One piece of work a change to a realized widget leaves for
+/// [`XtApp::settle`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Re-lay-out this widget's subtree (`do_layout`).
+    Layout,
+    /// The widget's geometry changed: its parent re-lays it out.
+    Geometry,
+    /// Created into a realized parent: windows are made after layout.
+    Realize,
+    /// Push the widget's geometry and attributes to its window.
+    Sync,
+    /// Sync the window and recompute the widget's drawing.
+    Redraw,
+    /// Sync the window and redraw the whole subtree (`sensitive`).
+    RedrawTree,
+}
+
 /// Errors from toolkit operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XtError {
@@ -124,6 +146,9 @@ pub struct XtApp {
     warnings: Vec<String>,
     /// The value in flight during an Rdd drag (see [`crate::dnd`]).
     pub dnd_payload: Option<String>,
+    /// Work marked on realized widgets, done by the next
+    /// [`XtApp::settle`].
+    dirty: Vec<(WidgetId, Mark)>,
 }
 
 impl XtApp {
@@ -168,6 +193,7 @@ impl XtApp {
             next_id: 1,
             warnings: Vec::new(),
             dnd_payload: None,
+            dirty: Vec::new(),
         }
     }
 
@@ -380,22 +406,33 @@ impl XtApp {
         ops.initialize(self, id);
 
         // If the parent is already realized, realize the new widget into
-        // the live tree (Wafe lets applications grow the tree at runtime).
+        // the live tree (Wafe lets applications grow the tree at runtime):
+        // the parent re-lays out, then the new windows are made.
         if let Some(p) = parent {
             if self.widgets[&p.0].realized {
-                let pwin = self.widgets[&p.0].window.unwrap();
-                self.do_layout(self.root_of(p));
-                self.create_windows(id, pwin);
-                self.redisplay_tree(self.root_of(p));
-                self.sync_geometry(self.root_of(p));
+                self.dirty.push((id, Mark::Realize));
+                self.settle();
             }
         }
         Ok(id)
     }
 
     /// Destroys a widget and its subtree; fires `destroyCallback`s,
-    /// releases windows, names and tracked memory.
+    /// releases windows, names and tracked memory. A realized parent
+    /// re-lays out its remaining children.
     pub fn destroy_widget(&mut self, w: WidgetId) {
+        let Some(rec) = self.widgets.get(&w.0) else {
+            return;
+        };
+        let parent = rec.parent.filter(|_| rec.realized);
+        self.destroy_subtree(w);
+        if let Some(p) = parent {
+            self.mark(p, Mark::Layout);
+            self.settle();
+        }
+    }
+
+    fn destroy_subtree(&mut self, w: WidgetId) {
         if !self.widgets.contains_key(&w.0) {
             return;
         }
@@ -406,10 +443,10 @@ impl XtApp {
             (rec.children.clone(), rec.popups.clone())
         };
         for c in popups {
-            self.destroy_widget(c);
+            self.destroy_subtree(c);
         }
         for c in children {
-            self.destroy_widget(c);
+            self.destroy_subtree(c);
         }
         let ops = self.widgets[&w.0].class.ops.clone();
         ops.destroy(self, w);
@@ -661,11 +698,41 @@ impl XtApp {
     // ----- setValues / getValues ------------------------------------------
 
     /// `XtSetValues` for one resource, from its string form.
-    ///
-    /// Frees the old value's tracked memory (the paper's memory
-    /// management discipline), converts and stores the new one, then
-    /// lets the class react and refreshes geometry/display if realized.
     pub fn set_resource(&mut self, w: WidgetId, name: &str, text: &str) -> Result<(), XtError> {
+        self.set_values(w, [(name, text)])
+    }
+
+    /// `XtSetValues`: sets resources from their string forms, then
+    /// settles the screen once, as one Xt call does.
+    ///
+    /// Each value frees the old one's tracked memory (the paper's memory
+    /// management discipline), is converted and stored, and the class's
+    /// `set_values` reacts. On a realized widget the change is marked:
+    /// a non-geometry resource of a leaf redraws that widget;
+    /// `x`/`y`/`width`/`height`/`borderWidth` or a constraint re-lays
+    /// out the parent; any resource of a composite re-lays out its
+    /// subtree; `sensitive` redraws the subtree. If a value fails to
+    /// convert, the ones already stored are still settled before the
+    /// error returns.
+    pub fn set_values<'a>(
+        &mut self,
+        w: WidgetId,
+        pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+    ) -> Result<(), XtError> {
+        let mut result = Ok(());
+        for (name, text) in pairs {
+            result = self.store_value(w, name, text);
+            if result.is_err() {
+                break;
+            }
+        }
+        self.settle();
+        result
+    }
+
+    /// Converts and stores one resource, runs the class hook and marks
+    /// what the change needs; settling is left to the caller.
+    fn store_value(&mut self, w: WidgetId, name: &str, text: &str) -> Result<(), XtError> {
         let rec = self
             .widgets
             .get(&w.0)
@@ -703,14 +770,17 @@ impl XtApp {
             }
             self.put_resource(w, key, value);
         }
-        let ops = class.ops.clone();
-        ops.set_values(self, w, &[name.to_string()]);
-        if self.widgets[&w.0].realized {
-            let root = self.root_of(w);
-            self.do_layout(root);
-            self.sync_geometry(root);
-            self.redisplay_tree(root);
-            self.displays[display_idx].flush();
+        let needs = class.ops.clone().set_values(self, w, &[name.to_string()]);
+        if needs.geometry || is_constraint || GEOMETRY_RESOURCES.contains(&key) {
+            self.mark(w, Mark::Geometry);
+        }
+        if class.is_composite {
+            self.mark(w, Mark::Layout);
+        }
+        if key == "sensitive" {
+            self.mark(w, Mark::RedrawTree);
+        } else if needs.redisplay {
+            self.mark(w, Mark::Redraw);
         }
         Ok(())
     }
@@ -784,12 +854,19 @@ impl XtApp {
         for c in children {
             self.size_pass(c);
         }
+        let (width, height) = (
+            self.dim_resource(w, "width"),
+            self.dim_resource(w, "height"),
+        );
+        if width != 0 && height != 0 {
+            return; // Sizes are sticky: only a zero size asks the class.
+        }
         let ops = self.widgets[&w.0].class.ops.clone();
         let (pw, ph) = ops.preferred_size(self, w);
-        if self.dim_resource(w, "width") == 0 {
+        if width == 0 {
             self.put_resource(w, "width", ResourceValue::Dim(pw));
         }
-        if self.dim_resource(w, "height") == 0 {
+        if height == 0 {
             self.put_resource(w, "height", ResourceValue::Dim(ph));
         }
     }
@@ -863,8 +940,19 @@ impl XtApp {
         }
     }
 
-    /// Pushes resource geometry down to the live windows after a layout.
+    /// Pushes resource geometry down to the live windows of a subtree
+    /// after a layout.
     pub fn sync_geometry(&mut self, w: WidgetId) {
+        self.sync_window(w);
+        let children = self.widgets[&w.0].children.clone();
+        for c in children {
+            self.sync_geometry(c);
+        }
+    }
+
+    /// Pushes one widget's geometry and attributes to its window. The
+    /// display ignores unchanged values, so a no-op costs no damage.
+    fn sync_window(&mut self, w: WidgetId) {
         let rec = &self.widgets[&w.0];
         let display_idx = rec.display_idx;
         if let Some(win) = rec.window {
@@ -880,19 +968,18 @@ impl XtApp {
             self.displays[display_idx].configure_window(win, rect);
             self.displays[display_idx].set_window_attrs(win, Some(bg), Some(bc), Some(bw));
         }
-        let children = self.widgets[&w.0].children.clone();
-        for c in children {
-            self.sync_geometry(c);
-        }
     }
 
-    /// Recomputes the retained drawing of a whole tree.
-    pub fn redisplay_tree(&mut self, w: WidgetId) {
+    /// Recomputes the retained drawing of a whole tree; returns how many
+    /// widgets it redrew.
+    pub fn redisplay_tree(&mut self, w: WidgetId) -> usize {
         self.redisplay_widget(w);
         let children = self.widgets[&w.0].children.clone();
+        let mut n = 1;
         for c in children {
-            self.redisplay_tree(c);
+            n += self.redisplay_tree(c);
         }
+        n
     }
 
     /// Recomputes one widget's retained drawing.
@@ -915,16 +1002,12 @@ impl XtApp {
             let di = rec.display_idx;
             self.displays[di].map_window(win);
         }
-        if let Some(p) = self.widgets[&w.0].parent {
-            let root = self.root_of(p);
-            if self.widgets[&root.0].realized {
-                self.do_layout(root);
-                self.sync_geometry(root);
-            }
-        }
+        self.mark(w, Mark::Geometry);
+        self.settle();
     }
 
-    /// Unmanages a child (unmaps it if realized).
+    /// Unmanages a child (unmaps it if realized) and relayouts the
+    /// parent.
     pub fn unmanage_child(&mut self, w: WidgetId) {
         self.widgets.get_mut(&w.0).unwrap().managed = false;
         let rec = &self.widgets[&w.0];
@@ -932,6 +1015,262 @@ impl XtApp {
             let di = rec.display_idx;
             self.displays[di].unmap_window(win);
         }
+        self.mark(w, Mark::Geometry);
+        self.settle();
+    }
+
+    /// `XtMoveWidget`: places a widget's window without a layout pass.
+    pub fn move_widget(&mut self, w: WidgetId, x: i32, y: i32) {
+        self.put_resource(w, "x", ResourceValue::Pos(x));
+        self.put_resource(w, "y", ResourceValue::Pos(y));
+        self.mark(w, Mark::Sync);
+        self.settle();
+    }
+
+    /// `XtResizeWidget`: sets a widget's size and border width; its
+    /// parent re-lays it out.
+    pub fn resize_widget(&mut self, w: WidgetId, width: u32, height: u32, border: u32) {
+        self.put_resource(w, "width", ResourceValue::Dim(width));
+        self.put_resource(w, "height", ResourceValue::Dim(height));
+        self.put_resource(w, "borderWidth", ResourceValue::Dim(border));
+        self.mark(w, Mark::Geometry);
+        self.settle();
+    }
+
+    // ----- incremental settle ---------------------------------------------
+
+    /// Marks a realized widget's drawing stale (its window attributes
+    /// are re-synced too); the next [`Self::settle`] redraws it.
+    pub fn mark_redisplay(&mut self, w: WidgetId) {
+        self.mark(w, Mark::Redraw);
+    }
+
+    /// Marks a realized widget's subtree for re-layout (a composite's
+    /// own resources or scroll state changed); [`Self::settle`] lays it
+    /// out, then its parent too if its own geometry moved.
+    pub fn mark_layout(&mut self, w: WidgetId) {
+        self.mark(w, Mark::Layout);
+    }
+
+    fn mark(&mut self, w: WidgetId, mark: Mark) {
+        if self.widgets.get(&w.0).is_some_and(|r| r.realized) {
+            self.dirty.push((w, mark));
+        }
+    }
+
+    /// Brings the screen up to date with every marked change, touching
+    /// only what changed: the mark-then-settle of retained-mode
+    /// toolkits (`needs_layout` / `needs_redraw`).
+    ///
+    /// 1. Layout runs only where requested: at the parent of a widget
+    ///    whose geometry changed or that is zero-sized (a whole-tree size
+    ///    pass would ask it for its preferred size again), and at a
+    ///    composite whose resources changed. It walks up while a
+    ///    laid-out widget's own geometry moves.
+    /// 2. Widgets created into a realized parent get their windows.
+    /// 3. Windows of laid-out subtrees and of marked widgets are synced;
+    ///    resized windows get their redisplay through the `Expose`
+    ///    events `configure_window` queues.
+    /// 4. Laid-out subtrees and marked widgets are redisplayed.
+    /// 5. Each touched display is flushed once.
+    ///
+    /// Steps 3 and 4 run in tree preorder, the order of the whole-tree
+    /// `sync_geometry` and `redisplay_tree` walks, so the damage and
+    /// events are those a whole-tree resync would produce.
+    pub fn settle(&mut self) {
+        if self.dirty.is_empty() {
+            return;
+        }
+        let marks = std::mem::take(&mut self.dirty);
+        let mut layout = Vec::new();
+        let mut realize = Vec::new();
+        let mut sync = Vec::new();
+        let mut redraw = Vec::new();
+        let mut displays = Vec::new();
+        for (w, mark) in marks {
+            let Some(rec) = self.widgets.get(&w.0) else {
+                continue;
+            };
+            if !displays.contains(&rec.display_idx) {
+                displays.push(rec.display_idx);
+            }
+            match mark {
+                Mark::Layout => layout.push(w),
+                Mark::Geometry | Mark::Realize => layout.push(self.layout_parent(w)),
+                Mark::Sync => sync.push((w, false)),
+                Mark::Redraw | Mark::RedrawTree => {
+                    sync.push((w, false));
+                    redraw.push((w, mark == Mark::RedrawTree));
+                }
+            }
+            let zero_sized =
+                self.dim_resource(w, "width") == 0 || self.dim_resource(w, "height") == 0;
+            if mark == Mark::Realize {
+                realize.push(w);
+            } else if zero_sized && mark != Mark::Sync {
+                // A whole-tree size pass re-measures a zero-sized widget
+                // on every run, so any change to it may resize it. (A
+                // move never ran that pass.)
+                layout.push(self.layout_parent(w));
+            }
+        }
+        let laid_out = self.settle_layout(layout);
+        let n_laid_out: usize = laid_out.iter().map(|&l| self.subtree_len(l)).sum();
+        for w in realize {
+            let rec = &self.widgets[&w.0];
+            if let Some(p) = rec.parent.filter(|_| !rec.realized) {
+                if let Some(pwin) = self.widgets[&p.0].window {
+                    self.create_windows(w, pwin);
+                }
+            }
+        }
+        for &l in &laid_out {
+            sync.push((l, true));
+            redraw.push((l, true));
+        }
+        for (w, subtree) in self.in_preorder(sync) {
+            if subtree {
+                self.sync_geometry(w);
+            } else {
+                self.sync_window(w);
+            }
+        }
+        let mut n_redrawn = 0;
+        for (w, subtree) in self.in_preorder(redraw) {
+            if subtree {
+                n_redrawn += self.redisplay_tree(w);
+            } else {
+                self.redisplay_widget(w);
+                n_redrawn += 1;
+            }
+        }
+        self.telemetry.add("xt.settle.laid_out", n_laid_out as u64);
+        self.telemetry.add("xt.settle.redrawn", n_redrawn as u64);
+        for di in displays {
+            self.displays[di].flush();
+        }
+    }
+
+    /// The widget that lays `w` out: its parent, unless `w` is a shell
+    /// at the top of its own window tree (a root or a popup).
+    fn layout_parent(&self, w: WidgetId) -> WidgetId {
+        match self.widgets[&w.0].parent {
+            Some(p) if self.widgets[&p.0].children.contains(&w) => p,
+            _ => w,
+        }
+    }
+
+    /// Runs `do_layout` at each requested widget, shallowest first,
+    /// skipping requests inside a subtree already laid out, and walks up
+    /// to the parent while a laid-out widget's own geometry changed.
+    /// Returns the roots of the laid-out subtrees.
+    fn settle_layout(&mut self, mut pending: Vec<WidgetId>) -> Vec<WidgetId> {
+        let mut done: Vec<WidgetId> = Vec::new();
+        pending.retain(|w| self.is_realized(*w));
+        pending.sort_by_key(|&w| std::cmp::Reverse(self.depth(w)));
+        while let Some(l) = pending.pop() {
+            if done.iter().any(|&d| self.is_ancestor_or_self(d, l)) {
+                continue;
+            }
+            let before = self.geometry(l);
+            self.do_layout(l);
+            done.retain(|&d| !self.is_ancestor_or_self(l, d));
+            done.push(l);
+            if self.geometry(l) != before {
+                let p = self.layout_parent(l);
+                if p != l {
+                    pending.push(p);
+                }
+            }
+        }
+        done
+    }
+
+    fn geometry(&self, w: WidgetId) -> (i32, i32, u32, u32, u32) {
+        (
+            self.pos_resource(w, "x"),
+            self.pos_resource(w, "y"),
+            self.dim_resource(w, "width"),
+            self.dim_resource(w, "height"),
+            self.dim_resource(w, "borderWidth"),
+        )
+    }
+
+    fn depth(&self, mut w: WidgetId) -> usize {
+        let mut d = 0;
+        while let Some(p) = self.widgets[&w.0].parent {
+            w = p;
+            d += 1;
+        }
+        d
+    }
+
+    fn is_ancestor_or_self(&self, anc: WidgetId, mut w: WidgetId) -> bool {
+        loop {
+            if w == anc {
+                return true;
+            }
+            match self.widgets[&w.0].parent {
+                Some(p) => w = p,
+                None => return false,
+            }
+        }
+    }
+
+    fn subtree_len(&self, w: WidgetId) -> usize {
+        1 + self.widgets[&w.0]
+            .children
+            .iter()
+            .map(|&c| self.subtree_len(c))
+            .sum::<usize>()
+    }
+
+    /// Orders `(widget, whole subtree?)` items as a preorder walk of
+    /// their trees visits them, dropping duplicates and items inside a
+    /// listed subtree.
+    fn in_preorder(&self, items: Vec<(WidgetId, bool)>) -> Vec<(WidgetId, bool)> {
+        if items.len() < 2 {
+            return items;
+        }
+        let mut keyed: Vec<(Vec<usize>, WidgetId, bool)> = items
+            .into_iter()
+            .map(|(w, subtree)| (self.preorder_key(w), w, subtree))
+            .collect();
+        // A subtree item sorts before a single item for the same widget.
+        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(b.2.cmp(&a.2)));
+        let mut out: Vec<(WidgetId, bool)> = Vec::new();
+        let mut covering: Option<Vec<usize>> = None;
+        let mut last: Option<&Vec<usize>> = None;
+        for (key, w, subtree) in &keyed {
+            if covering.as_ref().is_some_and(|c| key.starts_with(c)) || last == Some(key) {
+                continue;
+            }
+            if *subtree {
+                covering = Some(key.clone());
+            }
+            last = Some(key);
+            out.push((*w, *subtree));
+        }
+        out
+    }
+
+    /// A widget's place in a preorder walk: its root's id, then its
+    /// index among its parent's children at each level (popups after
+    /// children).
+    fn preorder_key(&self, mut w: WidgetId) -> Vec<usize> {
+        let mut key = Vec::new();
+        while let Some(p) = self.widgets[&w.0].parent {
+            let prec = &self.widgets[&p.0];
+            let idx = match prec.children.iter().position(|&c| c == w) {
+                Some(i) => i,
+                None => prec.children.len() + prec.popups.iter().position(|&c| c == w).unwrap_or(0),
+            };
+            key.push(idx);
+            w = p;
+        }
+        key.push(w.0 as usize);
+        key.reverse();
+        key
     }
 
     // ----- popups -----------------------------------------------------------

@@ -39,11 +39,35 @@ pub trait WidgetOps {
         Vec::new()
     }
 
-    /// Called after `setValues` changed the named resources.
-    fn set_values(&self, _app: &mut XtApp, _w: WidgetId, _changed: &[String]) {}
+    /// Called after `setValues` changed the named resources; returns
+    /// what the class needs on top of the toolkit's own classification
+    /// (see [`XtApp::set_values`]). The default asks for a redisplay,
+    /// which is what Xt's `set_values` returning `True` means.
+    fn set_values(&self, _app: &mut XtApp, _w: WidgetId, _changed: &[String]) -> SetValuesNeeds {
+        SetValuesNeeds::REDISPLAY
+    }
 
     /// Called before the instance is torn down.
     fn destroy(&self, _app: &mut XtApp, _w: WidgetId) {}
+}
+
+/// What a class's `set_values` asks of the toolkit: Xt's `Boolean
+/// redisplay` result plus a geometry request to the parent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SetValuesNeeds {
+    /// The widget's own drawing is stale.
+    pub redisplay: bool,
+    /// The widget's size or position changed: the parent must re-lay
+    /// it out.
+    pub geometry: bool,
+}
+
+impl SetValuesNeeds {
+    /// Redraw the widget; its geometry is unchanged.
+    pub const REDISPLAY: SetValuesNeeds = SetValuesNeeds {
+        redisplay: true,
+        geometry: false,
+    };
 }
 
 /// A widget class record.

@@ -316,6 +316,25 @@ print("  session create: %.1f us, %.1f KiB (image %.1f us, %.1f KiB: %.1fx, %.1f
       % (d["session_create_us"], d["session_kb"], d["image_build_us"], d["image_kb"], t, m))
 ' || { echo "BENCH_e30.json: malformed or below the 5x gate"; exit 1; }
 
+# E31 is incremental setValues: a label's new text settles only the
+# label, so one label setValues on a realized 242-widget form grid must
+# cost at most 1.5x the 26-widget figure (the whole-tree resync it
+# replaced grew ~10x over the same sizes). Both sides come from the
+# same run, sizes interleaved round by round; the bench asserts it too.
+echo "== bench e31 smoke run + label setValues 242 <=1.5x 26 widgets gate"
+run_bench e31_set_values
+python3 -c '
+import json
+d = json.load(open("BENCH_e31.json"))
+g = {r["widgets"]: r["label_us"] for r in d["grids"]}
+r = g[242] / g[26]
+assert r <= 1.5, (
+    "e31: label setValues %.1f us at 242 widgets is %.2fx the 26-widget %.1f us, gate 1.5x"
+    % (g[242], r, g[26]))
+print("  label setValues: %.1f us at 26, %.1f us at 242 widgets (%.2fx, gate <=1.5x) ok"
+      % (g[26], g[242], r))
+' || { echo "BENCH_e31.json: malformed or above the 1.5x gate"; exit 1; }
+
 # The band was 5% while the cached side was tree-walked; the bytecode
 # VM cut cached iteration times ~3x, which widened the run-to-run
 # spread of the ratio to +/-30% on a busy machine. 70% of baseline
