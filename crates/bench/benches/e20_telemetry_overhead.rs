@@ -1,32 +1,31 @@
 //! E20 — what the telemetry layer costs.
 //!
-//! The telemetry layer claims to be near-free when disabled: every
-//! recording entry point is one load of the enabled flag, and `timer()`
-//! does not even read the clock. This experiment checks that claim on the
-//! E19 loop-heavy workload (`factor 3599` — the divisor loop shrinks `n`
-//! as it factors, so one call is a few hundred instrumented evals and
-//! command dispatches):
+//! Counters are always on: a count is one slot increment in the dense
+//! metric table. What the enabled flag still gates — histogram samples,
+//! with their clock reads, and the journal — costs one flag load while
+//! off. This experiment measures both on the E19 loop-heavy workload
+//! (`factor 3599` — the divisor loop shrinks `n` as it factors, so one
+//! call is a few hundred instrumented evals and command dispatches):
 //!
-//! * **disabled** — the default: flag checks compiled in, recording off;
-//! * **enabled** — every eval and dispatch counted and its latency
-//!   recorded into a histogram.
+//! * **disabled** — the default: counters count, histograms are off;
+//! * **enabled** — every eval and dispatch also timed into a histogram.
 //!
 //! The enabled overhead is a direct A/B within one binary. The disabled
-//! overhead cannot be measured that way — an uninstrumented baseline
-//! would need a different build, and cross-binary deltas on a 30µs
-//! workload are dominated by codegen and scheduler noise (observed up to
-//! ±25% between bench binaries running *identical* interpreter code). It
-//! is instead computed from first principles within this binary: the
-//! number of instrumentation sites executed per iteration (read from the
-//! enabled run's own counters) times the measured per-site cost of the
-//! disabled check, net of timing-loop overhead. The raw cross-binary
-//! delta against `BENCH_e19.json` is reported alongside for reference.
-//! Results go to `BENCH_e20.json`.
+//! and always-on costs cannot be measured that way — an uninstrumented
+//! baseline would need a different build, and cross-binary deltas on a
+//! 30µs workload are dominated by codegen and scheduler noise (observed
+//! up to ±25% between bench binaries running *identical* interpreter
+//! code). They are instead computed from first principles within this
+//! binary: the number of sites executed per iteration (read from the
+//! store's own counters) times the measured per-site cost, net of
+//! timing-loop overhead. The raw cross-binary delta against
+//! `BENCH_e19.json` is reported alongside for reference. Results go to
+//! `BENCH_e20.json`.
 
 use std::time::Duration;
 
 use bench::{criterion_group, criterion_main, measure_median, workspace_root, Criterion};
-use wafe_tcl::{Interp, Telemetry};
+use wafe_tcl::{Interp, Metric, Telemetry};
 
 const FACTOR_TCL: &str = "\
 proc factor {n} {\n\
@@ -64,20 +63,30 @@ fn measure(i: &mut Interp) -> f64 {
     a.min(b)
 }
 
-/// Instrumentation sites executed by one `factor 3599`: evals plus
-/// command dispatches, counted by the telemetry layer itself.
+/// Flag-gated sites executed by one `factor 3599`: evals plus command
+/// dispatches, each a timer start and a histogram sample while enabled.
 fn sites_per_iter() -> u64 {
     let mut i = interp(true);
-    let before = {
-        let s = i.telemetry().snapshot();
-        s.counter("tcl.evals").unwrap_or(0) + s.counter("tcl.dispatches").unwrap_or(0)
-    };
+    let sites = |i: &Interp| i.metric(Metric::TclEvals) + i.metric(Metric::TclDispatches);
+    let before = sites(&i);
     loop_heavy(&mut i);
-    let after = {
-        let s = i.telemetry().snapshot();
-        s.counter("tcl.evals").unwrap_or(0) + s.counter("tcl.dispatches").unwrap_or(0)
+    sites(&i) - before
+}
+
+/// Always-on counter updates made by one `factor 3599` with telemetry
+/// disabled: one per unit of every counter, except the instruction
+/// counter, which takes one add per bytecode run (a hit or a compile).
+fn counts_per_iter() -> u64 {
+    let mut i = interp(false);
+    let updates = |i: &Interp| -> u64 {
+        let counters = Metric::ALL
+            .iter()
+            .filter(|m| m.kind() == wafe_trace::Kind::Counter && **m != Metric::TclBcInstructions);
+        counters.map(|&m| i.metric(m)).sum()
     };
-    after - before
+    let before = updates(&i);
+    loop_heavy(&mut i);
+    updates(&i) - before
 }
 
 /// `cached_ns_per_iter` of the loop-heavy workload from BENCH_e19.json,
@@ -106,29 +115,53 @@ fn bench(c: &mut Criterion) {
 
     // The enabled run really recorded: one counter bump and one histogram
     // sample per eval, hundreds per factor call.
-    let snap = enabled_i.telemetry().snapshot();
-    let evals = snap.counter("tcl.evals").unwrap_or(0);
+    let evals = enabled_i.metric(Metric::TclEvals);
     assert!(evals > 10_000, "enabled run recorded only {evals} evals");
-    assert!(snap.histogram("tcl.eval").is_some());
+    assert!(enabled_i.telemetry().histogram(Metric::TclEval).is_some());
 
-    // Raw primitive costs (ns per call). The no-op closure carries the
-    // timing-loop overhead; the disabled site cost is what remains.
+    // Raw primitive costs (ns per call), each timed over batches of
+    // BATCH calls: a slot increment is well under the cost of one trip
+    // through the timing loop, which would otherwise swamp it. The no-op
+    // batch carries the loop's own cost; the per-site costs are what
+    // remains. `black_box` on the handle keeps the compiler from
+    // folding a batch of increments into one add.
+    const BATCH: u32 = 1000;
     let off = Telemetry::new();
     let on = Telemetry::new();
     on.set_enabled(true);
     let warm = Duration::from_millis(100);
     let budget = Duration::from_millis(400);
-    let noop_ns = measure_median(warm, budget, 11, || std::hint::black_box(0u64));
-    let count_off_ns = measure_median(warm, budget, 11, || off.count("bench.counter"));
-    let count_on_ns = measure_median(warm, budget, 11, || on.count("bench.counter"));
-    let observe_on_ns = measure_median(warm, budget, 11, || {
-        on.observe_since("bench.hist", on.timer())
+    // Generic, so each batch loop is monomorphised and `f` inlined.
+    fn per_call(warm: Duration, budget: Duration, mut f: impl FnMut()) -> f64 {
+        measure_median(warm, budget, 11, || {
+            for _ in 0..BATCH {
+                f();
+            }
+        }) / f64::from(BATCH)
+    }
+    let noop_ns = per_call(warm, budget, || {
+        std::hint::black_box(&off);
     });
-    let site_off_ns = (count_off_ns - noop_ns).max(0.0);
+    let count_ns = per_call(warm, budget, || {
+        std::hint::black_box(&off).count(Metric::TclBcHits)
+    });
+    let flag_off_ns = per_call(warm, budget, || {
+        let t = std::hint::black_box(&off);
+        t.observe_since(Metric::TclEval, t.timer())
+    });
+    let observe_on_ns = per_call(warm, budget, || {
+        let t = std::hint::black_box(&on);
+        t.observe_since(Metric::TclEval, t.timer())
+    });
+    let site_off_ns = (flag_off_ns - noop_ns).max(0.0);
+    let count_site_ns = (count_ns - noop_ns).max(0.0);
 
     // Disabled overhead on the macro workload: sites × per-site cost.
     let sites = sites_per_iter();
     let disabled_pct = sites as f64 * site_off_ns / disabled_ns.max(1.0) * 100.0;
+    // What the always-on counters add to it, the same way.
+    let counts = counts_per_iter();
+    let always_on_pct = counts as f64 * count_site_ns / disabled_ns.max(1.0) * 100.0;
 
     // The noisy cross-binary comparison, for reference only.
     let reference_ns = e19_reference().unwrap_or(disabled_ns);
@@ -137,15 +170,22 @@ fn bench(c: &mut Criterion) {
     bench::row("telemetry disabled", format!("{disabled_ns:.0} ns/iter"));
     bench::row("telemetry enabled", format!("{enabled_ns:.0} ns/iter"));
     bench::row("enabled overhead", format!("{enabled_pct:+.1}%"));
-    bench::row("instrumentation sites / iter", sites);
+    bench::row("flag-gated sites / iter", sites);
     bench::row("disabled site cost", format!("{site_off_ns:.2} ns"));
     bench::row("disabled overhead", format!("{disabled_pct:+.2}%"));
+    bench::row("always-on counter updates / iter", counts);
+    bench::row("always-on count cost", format!("{count_site_ns:.2} ns"));
+    bench::row(
+        "always-on counter overhead",
+        format!("{always_on_pct:+.2}%"),
+    );
     bench::row(
         "vs E19 binary (cross-binary noise)",
         format!("{cross_binary_pct:+.1}%"),
     );
-    bench::row("count() disabled", format!("{count_off_ns:.1} ns"));
-    bench::row("count() enabled", format!("{count_on_ns:.1} ns"));
+    bench::row("no-op (timing loop)", format!("{noop_ns:.2} ns"));
+    bench::row("count() (always on)", format!("{count_ns:.2} ns"));
+    bench::row("timer()+observe disabled", format!("{flag_off_ns:.2} ns"));
     bench::row("timer()+observe enabled", format!("{observe_on_ns:.1} ns"));
 
     let out = format!(
@@ -156,10 +196,14 @@ fn bench(c: &mut Criterion) {
          \"instrumentation_sites_per_iter\": {sites},\n  \
          \"disabled_site_ns\": {site_off_ns:.3},\n  \
          \"disabled_overhead_pct\": {disabled_pct:.2},\n  \
+         \"counter_updates_per_iter\": {counts},\n  \
+         \"count_site_ns\": {count_site_ns:.3},\n  \
+         \"always_on_overhead_pct\": {always_on_pct:.2},\n  \
          \"e19_reference_ns_per_iter\": {reference_ns:.1},\n  \
          \"cross_binary_delta_pct\": {cross_binary_pct:.2},\n  \
-         \"count_disabled_ns\": {count_off_ns:.2},\n  \
-         \"count_enabled_ns\": {count_on_ns:.2},\n  \
+         \"noop_ns\": {noop_ns:.3},\n  \
+         \"count_ns\": {count_ns:.3},\n  \
+         \"observe_disabled_ns\": {flag_off_ns:.3},\n  \
          \"observe_enabled_ns\": {observe_on_ns:.2}\n}}\n"
     );
     let path = workspace_root().join("BENCH_e20.json");

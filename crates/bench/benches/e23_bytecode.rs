@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use bench::{criterion_group, criterion_main, measure_ab, workspace_root, Criterion};
-use wafe_tcl::Interp;
+use wafe_tcl::{Interp, Metric};
 
 const FACTOR_TCL: &str = "\
 proc factor {n} {\n\
@@ -83,7 +83,7 @@ fn measure(name: &'static str, script: &'static str) -> Measured {
     let vm_out = vm_i.eval(script).unwrap().to_string();
     assert_eq!(tree_out, vm_out, "VM output diverged on {name}");
     assert!(
-        vm_i.bc_stats().compiles > 0,
+        vm_i.metric(Metric::TclBcCompiles) > 0,
         "the VM must actually engage on {name}"
     );
 

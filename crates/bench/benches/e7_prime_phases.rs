@@ -5,6 +5,7 @@
 use bench::{criterion_group, criterion_main, Criterion};
 use wafe_core::Flavor;
 use wafe_ipc::ProtocolEngine;
+use wafe_tcl::Metric;
 
 use bench::{banner, row};
 
@@ -51,9 +52,15 @@ fn regenerate_figure() {
         format!("{:?}", start.elapsed()),
     );
     println!("{}", e.session.eval("snapshot 0 0 280 100").unwrap());
-    let (interpreted, passed) = e.stats();
-    row("protocol lines interpreted", interpreted);
-    row("protocol lines passed through", passed);
+    let tel = &e.session.telemetry;
+    row(
+        "protocol lines interpreted",
+        tel.value(Metric::IpcLinesInterpreted),
+    );
+    row(
+        "protocol lines passed through",
+        tel.value(Metric::IpcLinesPassthrough),
+    );
 }
 
 fn bench(c: &mut Criterion) {

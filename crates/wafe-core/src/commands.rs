@@ -4,7 +4,7 @@
 //! `processEvents`, channel configuration and statistics.
 
 use wafe_tcl::error::wrong_num_args;
-use wafe_tcl::{TclError, Value};
+use wafe_tcl::{Metric, TclError, Value};
 use wafe_xproto::geometry::Rect;
 use wafe_xt::callback::{CallbackItem, PredefinedCallback};
 use wafe_xt::resource::ResourceValue;
@@ -75,61 +75,24 @@ fn register_backend_controls(interp: &mut Interp) {
 }
 
 /// The key-sorted `(key, value)` pairs behind `telemetry snapshot`,
-/// `telemetry json` and the `serve metrics` exposition: the store-level
-/// pairs ([`wafe_trace::export::telemetry_pairs`]) plus the
-/// interpreter-side cache/shimmer counters and the toolkit's memory
-/// gauges the store cannot see.
+/// `telemetry json` and the `serve metrics` exposition: the store's
+/// pairs ([`wafe_trace::export::telemetry_pairs`]) plus the state read
+/// live — the interpreter's cache sizes and the toolkit's memory totals.
 pub fn session_snapshot_pairs(
     interp: &wafe_tcl::Interp,
     app_rc: &std::rc::Rc<std::cell::RefCell<wafe_xt::XtApp>>,
 ) -> Vec<(String, String)> {
-    let tel = interp.telemetry();
-    let mut pairs = wafe_trace::export::telemetry_pairs(tel);
-    // The PR-1 parse-cache counters, absorbed into the same
-    // snapshot (`interp cachestats` keeps working unchanged).
-    let cs = interp.cache_stats();
-    for (k, v) in [
-        ("tcl.cache.scriptHits", cs.script_hits),
-        ("tcl.cache.scriptMisses", cs.script_misses),
-        ("tcl.cache.scriptEntries", cs.script_entries as u64),
-        ("tcl.cache.scriptEvictions", cs.script_evictions),
-        ("tcl.cache.exprHits", cs.expr_hits),
-        ("tcl.cache.exprMisses", cs.expr_misses),
-        ("tcl.cache.exprEntries", cs.expr_entries as u64),
-        ("tcl.cache.exprEvictions", cs.expr_evictions),
-        ("tcl.cache.limit", cs.limit as u64),
-    ] {
-        pairs.push((k.to_string(), v.to_string()));
-    }
-    // Memory accounting, read live (gauges, not counters —
-    // they describe current state even while disabled).
-    {
-        let app = app_rc.borrow();
-        let m = &app.memstats;
-        for (k, v) in [
-            ("xt.mem.current", m.current()),
-            ("xt.mem.peak", m.peak()),
-            ("xt.mem.allocs", m.alloc_count()),
-            ("xt.mem.frees", m.free_count()),
-            ("xt.mem.overfree", m.overfree_count()),
-        ] {
-            pairs.push((k.to_string(), v.to_string()));
-        }
-    }
-    // Dual-representation value-layer counters (see
-    // `docs/values.md`): conversions in/out of the cached
-    // int/double/list/script reps and rep reuse.
-    let sh = wafe_tcl::shimmer_stats();
-    for (k, v) in [
-        ("tcl.shimmer.intParses", sh.int_parses),
-        ("tcl.shimmer.doubleParses", sh.double_parses),
-        ("tcl.shimmer.listParses", sh.list_parses),
-        ("tcl.shimmer.repHits", sh.rep_hits),
-        ("tcl.shimmer.renders", sh.renders),
-        ("tcl.shimmer.listCow", sh.list_cow),
-        ("tcl.shimmer.cmdInternHits", sh.cmd_intern_hits),
-    ] {
-        pairs.push((k.to_string(), v.to_string()));
+    let mut pairs = wafe_trace::export::telemetry_pairs(interp.telemetry());
+    let m = &app_rc.borrow().memstats;
+    let mem = [
+        (Metric::XtMemCurrent, m.current()),
+        (Metric::XtMemPeak, m.peak()),
+        (Metric::XtMemAllocs, m.alloc_count()),
+        (Metric::XtMemFrees, m.free_count()),
+        (Metric::XtMemOverfree, m.overfree_count()),
+    ];
+    for (k, v) in interp.cache_sizes().into_iter().chain(mem) {
+        pairs.push((k.name().to_string(), v.to_string()));
     }
     // Deterministic contract: the output is key-sorted, so
     // tests can assert on it verbatim.
@@ -149,42 +112,25 @@ fn register_telemetry(interp: &mut Interp) {
         }
         let tel = interp.telemetry().clone();
         match argv[1].as_str() {
-            "snapshot" => {
+            "snapshot" | "json" => {
                 if argv.len() > 3 {
-                    return Err(wrong_num_args("telemetry snapshot ?prefix?"));
+                    return Err(wrong_num_args(&format!("telemetry {} ?prefix?", argv[1])));
                 }
                 let prefix = argv.get(2).map(|v| v.to_string()).unwrap_or_default();
-                let words: Vec<String> = session_snapshot_pairs(interp, &cx.app)
+                let pairs = session_snapshot_pairs(interp, &cx.app)
                     .into_iter()
-                    .filter(|(k, _)| k.starts_with(&prefix))
-                    .flat_map(|(k, v)| [k, v])
+                    .filter(|(k, _)| k.starts_with(&prefix));
+                if argv[1].as_str() == "snapshot" {
+                    let words: Vec<String> = pairs.flat_map(|(k, v)| [k, v]).collect();
+                    return Ok(Value::from(wafe_tcl::list_join(&words)));
+                }
+                // The same pairs as one JSON object. Every value is an
+                // unsigned integer, so they are emitted bare; keys keep
+                // their dotted form.
+                let fields: Vec<String> = pairs
+                    .map(|(k, v)| format!("{}:{v}", wafe_trace::export::json_string(&k)))
                     .collect();
-                Ok(Value::from(wafe_tcl::list_join(&words)))
-            }
-            "json" => {
-                // The same pairs as `snapshot`, as one JSON object.
-                // Every value is an unsigned integer, so they are
-                // emitted bare; keys keep their dotted form.
-                if argv.len() > 3 {
-                    return Err(wrong_num_args("telemetry json ?prefix?"));
-                }
-                let prefix = argv.get(2).map(|v| v.to_string()).unwrap_or_default();
-                let mut out = String::from("{");
-                let mut first = true;
-                for (k, v) in session_snapshot_pairs(interp, &cx.app) {
-                    if !k.starts_with(&prefix) {
-                        continue;
-                    }
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&wafe_trace::export::json_string(&k));
-                    out.push(':');
-                    out.push_str(&v);
-                }
-                out.push('}');
-                Ok(Value::from(out))
+                Ok(Value::from(format!("{{{}}}", fields.join(","))))
             }
             "journal" => {
                 let n = match argv.len() {
@@ -212,9 +158,9 @@ fn register_telemetry(interp: &mut Interp) {
                 if argv.len() != 3 {
                     return Err(wrong_num_args("telemetry histogram name"));
                 }
-                let h = tel.histogram(&argv[2]).ok_or_else(|| {
-                    TclError::Error(format!("no histogram \"{}\"", argv[2]))
-                })?;
+                let h = Metric::from_name(&argv[2])
+                    .and_then(|m| tel.histogram(m))
+                    .ok_or_else(|| TclError::Error(format!("no histogram \"{}\"", argv[2])))?;
                 let words: Vec<String> = [
                     ("count", h.count),
                     ("minNs", h.min_ns),

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use wafe_tcl::{CmdResult, Interp, OutputSink, TclError};
-use wafe_trace::Telemetry;
+use wafe_trace::{Metric, Telemetry};
 use wafe_xt::app::HostCallKind;
 use wafe_xt::XtApp;
 
@@ -360,19 +360,14 @@ pub fn pump(interp: &mut Interp, app: &Rc<RefCell<XtApp>>, quit: &Rc<Cell<bool>>
             // is already done, so this times the script run itself.
             let timer = interp.telemetry().timer();
             let result = interp.eval(&script);
-            if timer.is_some() {
-                let tel = interp.telemetry().clone();
-                match call.kind {
-                    HostCallKind::Action => {
-                        tel.count("xt.actions.dispatched");
-                        tel.observe_since("xt.action.dispatch", timer);
-                    }
-                    HostCallKind::Callback(_) => {
-                        tel.count("xt.callbacks.dispatched");
-                        tel.observe_since("xt.callback.dispatch", timer);
-                    }
+            let (runs, latency) = match call.kind {
+                HostCallKind::Action => (Metric::XtActionsDispatched, Metric::XtActionDispatch),
+                HostCallKind::Callback(_) => {
+                    (Metric::XtCallbacksDispatched, Metric::XtCallbackDispatch)
                 }
-            }
+            };
+            interp.telemetry().count(runs);
+            interp.telemetry().observe_since(latency, timer);
             if let Err(e) = result {
                 if e.is_error() {
                     app.borrow_mut().warn(format!(

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use wafe_core::{Flavor, WafeSession};
-use wafe_tcl::parse_list;
+use wafe_tcl::{parse_list, Metric};
 
 fn session() -> WafeSession {
     let s = WafeSession::new(Flavor::Athena);
@@ -294,15 +294,75 @@ fn snapshot_prefix_asserts_verbatim() {
     );
 }
 
+/// Counters are always on; the switch gates only what costs a clock
+/// read or a format: histograms (and the timed `tcl.evals` /
+/// `tcl.dispatches` samples) and the journal.
 #[test]
-fn disabled_telemetry_records_no_counters() {
+fn disabled_telemetry_counts_but_records_no_histograms_or_journal() {
     let mut s = WafeSession::new(Flavor::Athena);
     s.eval("label l topLevel").unwrap();
     s.eval("set x 1").unwrap();
     let snap = snapshot(&mut s);
+    assert_eq!(snap["xt.widget.creates"], 2, "topLevel and l: {snap:?}");
+    assert!(snap["tcl.bc.compiles"] >= 2);
+    assert!(snap["tcl.cache.scriptMisses"] >= 2);
     assert!(!snap.contains_key("tcl.evals"), "{snap:?}");
-    assert!(!snap.contains_key("xt.widget.creates"));
+    assert!(!snap.keys().any(|k| k.ends_with(".count")), "{snap:?}");
     assert_eq!(snap["trace.journal.total"], 0);
+    assert!(s.eval("telemetry histogram tcl.eval").is_err());
+}
+
+/// `telemetry reset` zeroes the one store, so no counter survives it:
+/// not the parse-cache, shimmer or bytecode counters either, and the
+/// `interp` views read the same zeroed slots the snapshot does.
+#[test]
+fn reset_zeroes_every_counter_and_interp_views_agree() {
+    let mut s = WafeSession::new(Flavor::Athena);
+    s.eval("proc second {l} {lindex $l 1}").unwrap();
+    for i in 0..5 {
+        s.eval(&format!("subst {{v{i}}}; expr {{{i} + 1}}"))
+            .unwrap();
+        s.eval("second {a b c}").unwrap();
+    }
+    let before = snapshot(&mut s);
+    for key in [
+        "tcl.cache.scriptHits",
+        "tcl.cache.exprMisses",
+        "tcl.cache.substMisses",
+        "tcl.shimmer.listParses",
+        "tcl.bc.compiles",
+    ] {
+        assert!(
+            before.get(key).copied().unwrap_or(0) > 0,
+            "{key}: {before:?}"
+        );
+    }
+    s.eval("telemetry reset").unwrap();
+    // Read straight from the store, before any further eval counts.
+    for &m in Metric::ALL {
+        let v = s.interp.metric(m);
+        match m {
+            // The reset command's own bytecode run adds its instruction
+            // count when it returns, after the reset.
+            Metric::TclBcInstructions => assert_eq!(v, 3, "two PushConsts + Invoke"),
+            _ if m.kind() == wafe_trace::Kind::Counter => assert_eq!(v, 0, "{}", m.name()),
+            _ => {}
+        }
+    }
+    let out = s
+        .eval("set a [interp bcstats]; set b [telemetry snapshot tcl.bc]")
+        .unwrap();
+    let view: Vec<String> = parse_list(&s.eval("set a").unwrap()).unwrap();
+    let agreed: Vec<String> = view[..8]
+        .chunks(2)
+        .filter(|kv| kv[1] != "0")
+        .flat_map(|kv| [format!("tcl.bc.{}", kv[0]), kv[1].clone()])
+        .collect();
+    assert_eq!(
+        parse_list(&out).unwrap(),
+        agreed,
+        "interp bcstats: {view:?}"
+    );
 }
 
 #[test]
@@ -331,7 +391,7 @@ fn bcstats_prefix_asserts_verbatim() {
     // executing, so the instruction count is its two instructions.
     let mut s = session();
     s.eval("set x 1").unwrap();
-    let instructions = s.interp.bc_stats().instructions;
+    let instructions = s.interp.metric(Metric::TclBcInstructions);
     assert_eq!(instructions, 2, "set x 1 is PushConst + StoreVar");
     assert_eq!(
         s.eval("telemetry snapshot tcl.bc").unwrap(),
@@ -354,12 +414,18 @@ fn interp_bcstats_reports_and_bcdisable_switches() {
     // bcdisable returns the previous state and stops the VM; the script
     // still evaluates identically through the tree-walker.
     assert_eq!(s.eval("interp bcdisable").unwrap(), "1");
-    let before = s.interp.bc_stats();
+    let bc = |s: &WafeSession| {
+        (
+            s.interp.metric(Metric::TclBcCompiles),
+            s.interp.metric(Metric::TclBcHits),
+        )
+    };
+    let before = bc(&s);
     s.eval("set n 0; while {$n < 5} {incr n}").unwrap();
     assert_eq!(s.interp.get_var("n").unwrap(), "5");
-    let after = s.interp.bc_stats();
-    assert_eq!(after.compiles, before.compiles);
-    assert_eq!(after.hits, before.hits);
+    let after = bc(&s);
+    assert_eq!(after.0, before.0);
+    assert_eq!(after.1, before.1);
     assert_eq!(s.eval("interp bcenable").unwrap(), "0");
 }
 

@@ -19,7 +19,7 @@ use crate::fault::FaultPlan;
 use crate::poll::{set_nonblocking, Interest, Poller, SysPoller};
 use crate::protocol::ProtocolEngine;
 use crate::supervisor::{
-    install_controls, BackendState, Supervisor, SupervisorConfig, SupervisorCore, SupervisorStats,
+    install_controls, BackendState, Supervisor, SupervisorConfig, SupervisorCore,
 };
 use crate::sys as libc;
 
@@ -307,11 +307,6 @@ impl Frontend {
     /// The backend's supervision state.
     pub fn backend_state(&self) -> BackendState {
         self.supervisor.state()
-    }
-
-    /// A copy of the supervisor's event totals.
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.supervisor.stats()
     }
 
     /// The shared supervisor handle (config, queue, fault plan).

@@ -44,4 +44,4 @@ pub use poll::{
 pub use protocol::{
     is_command_line, LineAssembler, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX,
 };
-pub use supervisor::{BackendState, Supervisor, SupervisorConfig, SupervisorCore, SupervisorStats};
+pub use supervisor::{BackendState, Supervisor, SupervisorConfig, SupervisorCore};

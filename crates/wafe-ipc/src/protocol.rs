@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use wafe_core::{Flavor, WafeSession};
+use wafe_trace::Metric;
 
 /// The default command-prefix character.
 pub const DEFAULT_PREFIX: char = '%';
@@ -122,8 +123,6 @@ pub struct ProtocolEngine {
     to_app: Rc<RefCell<VecDeque<String>>>,
     passthrough: Vec<String>,
     mass_buf: Vec<u8>,
-    lines_interpreted: u64,
-    lines_passed: u64,
     errors: Vec<String>,
 }
 
@@ -155,8 +154,6 @@ impl ProtocolEngine {
             to_app,
             passthrough: Vec::new(),
             mass_buf: Vec::new(),
-            lines_interpreted: 0,
-            lines_passed: 0,
             errors: Vec::new(),
         }
     }
@@ -184,22 +181,21 @@ impl ProtocolEngine {
     /// stdout. Returns the command result for prefixed lines.
     pub fn handle_line(&mut self, line: &str) -> Result<Option<String>, String> {
         let tel = self.session.telemetry.clone();
-        tel.count("ipc.lines.received");
-        tel.add("ipc.bytes.received", line.len() as u64);
+        tel.count(Metric::IpcLinesReceived);
+        tel.add(Metric::IpcBytesReceived, line.len() as u64);
         if line.len() > self.max_line {
             let msg = format!(
                 "command line too long ({} bytes, limit {})",
                 line.len(),
                 self.max_line
             );
-            tel.count("ipc.errors");
+            tel.count(Metric::IpcErrors);
             self.errors.push(msg.clone());
             return Err(msg);
         }
         let trimmed = line.strip_suffix('\n').unwrap_or(line);
         if let Some(cmd) = trimmed.strip_prefix(self.prefix) {
-            self.lines_interpreted += 1;
-            tel.count("ipc.lines.interpreted");
+            tel.count(Metric::IpcLinesInterpreted);
             // The per-command span: a trace root in frontend mode, a
             // child of the scheduler's serve.command span in server
             // mode (the scheduler opens that root around this call).
@@ -208,7 +204,7 @@ impl ProtocolEngine {
                 Ok(v) => Ok(Some(v.to_string())),
                 Err(e) => {
                     let msg = e.message();
-                    tel.count("ipc.errors");
+                    tel.count(Metric::IpcErrors);
                     self.errors.push(msg.clone());
                     Err(msg)
                 }
@@ -218,8 +214,7 @@ impl ProtocolEngine {
             }
             r
         } else {
-            self.lines_passed += 1;
-            tel.count("ipc.lines.passthrough");
+            tel.count(Metric::IpcLinesPassthrough);
             self.passthrough.push(trimmed.to_string());
             Ok(None)
         }
@@ -230,7 +225,7 @@ impl ProtocolEngine {
     /// the data lands in the Tcl variable and the completion script runs.
     pub fn handle_mass_data(&mut self, data: &[u8]) {
         let tel = self.session.telemetry.clone();
-        tel.add("ipc.mass.bytes", data.len() as u64);
+        tel.add(Metric::IpcMassBytes, data.len() as u64);
         self.mass_buf.extend_from_slice(data);
         loop {
             let config = self.session.comm_var.borrow().clone();
@@ -242,7 +237,7 @@ impl ProtocolEngine {
                 return;
             }
             let chunk: Vec<u8> = self.mass_buf.drain(..count).collect();
-            tel.count("ipc.mass.transfers");
+            tel.count(Metric::IpcMassTransfers);
             tel.event("mass.transfer", || format!("{count} bytes -> {}", var));
             let text = String::from_utf8_lossy(&chunk).into_owned();
             if let Err(e) = self.session.interp.set_var(&var, &text) {
@@ -285,11 +280,6 @@ impl ProtocolEngine {
         std::mem::take(&mut self.passthrough)
     }
 
-    /// Protocol statistics: `(interpreted, passed_through)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lines_interpreted, self.lines_passed)
-    }
-
     /// Accumulated protocol errors.
     pub fn take_errors(&mut self) -> Vec<String> {
         std::mem::take(&mut self.errors)
@@ -304,12 +294,21 @@ mod tests {
         ProtocolEngine::new(Flavor::Athena)
     }
 
+    /// `(interpreted, passed through)` line counts from the store.
+    fn lines(e: &ProtocolEngine) -> (u64, u64) {
+        let tel = &e.session.telemetry;
+        (
+            tel.value(Metric::IpcLinesInterpreted),
+            tel.value(Metric::IpcLinesPassthrough),
+        )
+    }
+
     #[test]
     fn prefixed_lines_are_commands() {
         let mut e = engine();
         e.handle_line("%label l topLevel label hi\n").unwrap();
         assert!(e.session.app.borrow().lookup("l").is_some());
-        assert_eq!(e.stats(), (1, 0));
+        assert_eq!(lines(&e), (1, 0));
     }
 
     #[test]
@@ -317,7 +316,7 @@ mod tests {
         let mut e = engine();
         e.handle_line("just some output\n").unwrap();
         assert_eq!(e.take_passthrough(), vec!["just some output"]);
-        assert_eq!(e.stats(), (0, 1));
+        assert_eq!(lines(&e), (0, 1));
     }
 
     #[test]

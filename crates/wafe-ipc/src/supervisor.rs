@@ -38,7 +38,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use wafe_core::WafeSession;
-use wafe_trace::Telemetry;
+use wafe_trace::{Metric, Telemetry};
 
 use crate::codec::LineCodec;
 use crate::fault::{truncate_line, FaultAction, FaultPlan};
@@ -248,48 +248,21 @@ impl fmt::Display for BackendState {
     }
 }
 
-/// Event totals since spawn; mirrored into `ipc.supervisor.*` counters
-/// when telemetry is enabled (the struct itself always counts).
-#[derive(Debug, Clone, Default)]
-pub struct SupervisorStats {
-    /// Successful respawns.
-    pub restarts: u64,
-    /// Read-timeout faults.
-    pub read_timeouts: u64,
-    /// Round-trip-timeout faults.
-    pub roundtrip_timeouts: u64,
-    /// Outbound lines dropped because the queue was full.
-    pub queue_dropped: u64,
-    /// Queued lines delivered after a restart.
-    pub queue_flushed: u64,
-    /// Flood defenses that engaged (deferred lines or oversized buffer).
-    pub flood_trips: u64,
-    /// Times the circuit breaker opened.
-    pub breaker_trips: u64,
-    /// Fault-plan actions that fired.
-    pub faults_injected: u64,
-    /// Child exits observed (including manual kills).
-    pub exits: u64,
-    /// Respawn attempts that failed to spawn.
-    pub spawn_failures: u64,
-    /// Failed writes to the backend's stdin.
-    pub write_errors: u64,
-}
-
 enum PendingCtl {
     Restart,
     Kill,
 }
 
 /// The shared, script-visible half of the supervisor: configuration,
-/// state, stats, the outbound queue and the fault plan. The `backend`
+/// state, the outbound queue and the fault plan. The `backend`
 /// and `faultpoint` commands operate on this handle while the owning
 /// [`Supervisor`] drives the child.
 pub struct SupervisorCore {
     /// Tuning knobs (mutable at runtime via `backend config`).
     pub config: SupervisorConfig,
-    /// Event totals.
-    pub stats: SupervisorStats,
+    /// The session's telemetry store, which holds the event totals
+    /// (`ipc.supervisor.*`) `backend status` reports.
+    tel: Telemetry,
     /// The active fault plan, if any.
     pub plan: Option<FaultPlan>,
     state: BackendState,
@@ -303,10 +276,10 @@ pub struct SupervisorCore {
 }
 
 impl SupervisorCore {
-    fn new(config: SupervisorConfig, plan: Option<FaultPlan>) -> Self {
+    fn new(config: SupervisorConfig, plan: Option<FaultPlan>, tel: Telemetry) -> Self {
         SupervisorCore {
             config,
-            stats: SupervisorStats::default(),
+            tel,
             plan,
             state: BackendState::Running,
             queue: VecDeque::new(),
@@ -347,10 +320,10 @@ impl SupervisorCore {
 
     /// `backend status` payload: a flat key/value word list.
     pub fn status_words(&self) -> Vec<String> {
-        let s = &self.stats;
+        let n = |m: Metric| self.tel.value(m).to_string();
         [
             ("state", self.state.to_string()),
-            ("restarts", s.restarts.to_string()),
+            ("restarts", n(Metric::IpcSupervisorRestarts)),
             (
                 "restartsLeft",
                 self.config
@@ -359,16 +332,19 @@ impl SupervisorCore {
                     .to_string(),
             ),
             ("queued", self.queue.len().to_string()),
-            ("dropped", s.queue_dropped.to_string()),
-            ("flushed", s.queue_flushed.to_string()),
-            ("readTimeouts", s.read_timeouts.to_string()),
-            ("roundtripTimeouts", s.roundtrip_timeouts.to_string()),
-            ("floodTrips", s.flood_trips.to_string()),
-            ("breakerTrips", s.breaker_trips.to_string()),
-            ("faultsInjected", s.faults_injected.to_string()),
-            ("exits", s.exits.to_string()),
-            ("writeErrors", s.write_errors.to_string()),
-            ("spawnFailures", s.spawn_failures.to_string()),
+            ("dropped", n(Metric::IpcSupervisorQueueDropped)),
+            ("flushed", n(Metric::IpcSupervisorQueueFlushed)),
+            ("readTimeouts", n(Metric::IpcSupervisorTimeoutsRead)),
+            (
+                "roundtripTimeouts",
+                n(Metric::IpcSupervisorTimeoutsRoundtrip),
+            ),
+            ("floodTrips", n(Metric::IpcSupervisorFloodTrips)),
+            ("breakerTrips", n(Metric::IpcSupervisorBreakerTrips)),
+            ("faultsInjected", n(Metric::IpcSupervisorFaultsInjected)),
+            ("exits", n(Metric::IpcSupervisorExits)),
+            ("writeErrors", n(Metric::IpcSupervisorWriteErrors)),
+            ("spawnFailures", n(Metric::IpcSupervisorSpawnFailures)),
             ("nowMs", self.now_ms.to_string()),
         ]
         .into_iter()
@@ -417,7 +393,7 @@ impl Supervisor {
         channel_fd: Rc<Cell<i64>>,
     ) -> std::io::Result<Supervisor> {
         let max_buffered = config.max_buffered_bytes;
-        let core = Rc::new(RefCell::new(SupervisorCore::new(config, plan)));
+        let core = Rc::new(RefCell::new(SupervisorCore::new(config, plan, tel.clone())));
         let mut sup = Supervisor {
             core,
             link: None,
@@ -452,11 +428,6 @@ impl Supervisor {
     /// The current state.
     pub fn state(&self) -> BackendState {
         self.core.borrow().state
-    }
-
-    /// A copy of the event totals.
-    pub fn stats(&self) -> SupervisorStats {
-        self.core.borrow().stats.clone()
     }
 
     /// Kills the child process *without* telling the supervisor — the
@@ -513,8 +484,7 @@ impl Supervisor {
                 Ok(())
             }
             Err(e) => {
-                self.core.borrow_mut().stats.write_errors += 1;
-                self.tel.count("ipc.supervisor.write.errors");
+                self.tel.count(Metric::IpcSupervisorWriteErrors);
                 self.enqueue(line);
                 self.declare_fault("write failed", &e.to_string());
                 Ok(())
@@ -527,13 +497,13 @@ impl Supervisor {
             .link
             .as_mut()
             .ok_or_else(|| std::io::Error::other("no backend"))?;
-        self.tel.count("ipc.lines.sent");
-        self.tel.add("ipc.bytes.sent", line.len() as u64);
+        self.tel.count(Metric::IpcLinesSent);
+        self.tel.add(Metric::IpcBytesSent, line.len() as u64);
         self.last_write = self.tel.timer();
         if self.roundtrip_span == 0 {
             self.roundtrip_span = self
                 .tel
-                .span_begin_detached("ipc.roundtrip", || line.to_string());
+                .span_begin_detached(Metric::IpcRoundtrip.name(), || line.to_string());
         }
         link.write_line(line)
     }
@@ -541,14 +511,13 @@ impl Supervisor {
     fn enqueue(&mut self, line: String) {
         let mut core = self.core.borrow_mut();
         if core.queue.len() >= core.config.queue_cap {
-            core.stats.queue_dropped += 1;
-            self.tel.count("ipc.supervisor.queue.dropped");
+            self.tel.count(Metric::IpcSupervisorQueueDropped);
             self.tel
                 .event("supervisor.drop", || format!("queue full, dropped: {line}"));
         } else {
             core.queue.push_back(line);
             let depth = core.queue.len() as u64;
-            self.tel.set_gauge("ipc.supervisor.queue.depth", depth);
+            self.tel.set_gauge(Metric::IpcSupervisorQueueDepth, depth);
         }
     }
 
@@ -561,9 +530,8 @@ impl Supervisor {
         };
         let actions = plan.fire(point);
         if !actions.is_empty() {
-            core.stats.faults_injected += actions.len() as u64;
             self.tel
-                .add("ipc.supervisor.faults.injected", actions.len() as u64);
+                .add(Metric::IpcSupervisorFaultsInjected, actions.len() as u64);
             for a in &actions {
                 self.tel.event("fault.injected", || format!("{point}: {a}"));
             }
@@ -616,8 +584,7 @@ impl Supervisor {
             });
         } else {
             core.state = BackendState::Broken;
-            core.stats.breaker_trips += 1;
-            self.tel.count("ipc.supervisor.breaker.trips");
+            self.tel.count(Metric::IpcSupervisorBreakerTrips);
             let note = self.tel.trace_note();
             self.tel
                 .event("supervisor.breaker", || format!("open after {kind}{note}"));
@@ -626,8 +593,7 @@ impl Supervisor {
 
     fn attempt_respawn(&mut self) {
         if self.fire("spawn").contains(&FaultAction::Kill) {
-            self.core.borrow_mut().stats.spawn_failures += 1;
-            self.tel.count("ipc.supervisor.spawn.failures");
+            self.tel.count(Metric::IpcSupervisorSpawnFailures);
             self.declare_fault("respawn failed", "fault injected: spawn kill");
             return;
         }
@@ -638,12 +604,11 @@ impl Supervisor {
                 {
                     let mut core = self.core.borrow_mut();
                     core.state = BackendState::Running;
-                    core.stats.restarts += 1;
                     let now = core.now_ms;
                     core.last_data_ms = now;
                     core.pending_write_ms = None;
-                    let n = core.stats.restarts;
-                    self.tel.count("ipc.supervisor.restarts");
+                    self.tel.count(Metric::IpcSupervisorRestarts);
+                    let n = self.tel.value(Metric::IpcSupervisorRestarts);
                     let note = self.tel.trace_note();
                     self.tel
                         .event("supervisor.restart", || format!("respawn #{n} ok{note}"));
@@ -660,8 +625,7 @@ impl Supervisor {
                     let Some(queued) = next else { break };
                     match self.transmit(&queued) {
                         Ok(()) => {
-                            self.core.borrow_mut().stats.queue_flushed += 1;
-                            self.tel.count("ipc.supervisor.queue.flushed");
+                            self.tel.count(Metric::IpcSupervisorQueueFlushed);
                         }
                         Err(e) => {
                             self.core.borrow_mut().queue.push_front(queued);
@@ -671,11 +635,10 @@ impl Supervisor {
                     }
                 }
                 let depth = self.core.borrow().queue.len() as u64;
-                self.tel.set_gauge("ipc.supervisor.queue.depth", depth);
+                self.tel.set_gauge(Metric::IpcSupervisorQueueDepth, depth);
             }
             Err(e) => {
-                self.core.borrow_mut().stats.spawn_failures += 1;
-                self.tel.count("ipc.supervisor.spawn.failures");
+                self.tel.count(Metric::IpcSupervisorSpawnFailures);
                 self.declare_fault("respawn failed", &e.to_string());
             }
         }
@@ -818,10 +781,8 @@ impl Supervisor {
             let Some(line) = self.deferred.pop_front() else {
                 break;
             };
-            if self.last_write.is_some() {
-                self.tel
-                    .observe_since("ipc.roundtrip", self.last_write.take());
-            }
+            self.tel
+                .observe_since(Metric::IpcRoundtrip, self.last_write.take());
             self.tel
                 .span_end_detached(std::mem::take(&mut self.roundtrip_span));
             self.core.borrow_mut().pending_write_ms = None;
@@ -829,10 +790,8 @@ impl Supervisor {
             handled += 1;
         }
         if !self.deferred.is_empty() {
-            let mut core = self.core.borrow_mut();
-            core.stats.flood_trips += 1;
             let backlog = self.deferred.len();
-            self.tel.count("ipc.supervisor.flood.trips");
+            self.tel.count(Metric::IpcSupervisorFloodTrips);
             self.tel.event("supervisor.flood", || {
                 format!("deferred {backlog} lines past the {cap}/tick cap")
             });
@@ -860,8 +819,7 @@ impl Supervisor {
                     self.drop_link();
                     let mut core = self.core.borrow_mut();
                     core.state = BackendState::Exited;
-                    core.stats.exits += 1;
-                    self.tel.count("ipc.supervisor.exits");
+                    self.tel.count(Metric::IpcSupervisorExits);
                     let note = self.tel.trace_note();
                     self.tel
                         .event("supervisor.exit", || format!("backend kill{note}"));
@@ -930,11 +888,7 @@ impl Supervisor {
         // Flood defense: an unterminated monster line.
         let overflows = self.codec.take_overflows();
         if overflows > 0 {
-            {
-                let mut core = self.core.borrow_mut();
-                core.stats.flood_trips += overflows;
-            }
-            self.tel.add("ipc.supervisor.flood.trips", overflows);
+            self.tel.add(Metric::IpcSupervisorFloodTrips, overflows);
             self.declare_fault("flood", "unterminated line exceeded floodBytes");
             return;
         }
@@ -958,8 +912,7 @@ impl Supervisor {
             && self.deferred.is_empty()
             && self.delayed.is_empty()
         {
-            self.core.borrow_mut().stats.exits += 1;
-            self.tel.count("ipc.supervisor.exits");
+            self.tel.count(Metric::IpcSupervisorExits);
             let note = self.tel.trace_note();
             self.tel
                 .event("supervisor.exit", || format!("child exited{note}"));
@@ -984,8 +937,7 @@ impl Supervisor {
         };
         if let Some(limit) = read_to {
             if now.saturating_sub(last_data) > limit {
-                self.core.borrow_mut().stats.read_timeouts += 1;
-                self.tel.count("ipc.supervisor.timeouts.read");
+                self.tel.count(Metric::IpcSupervisorTimeoutsRead);
                 self.declare_fault("read timeout", "no data from backend");
                 return;
             }
@@ -993,8 +945,7 @@ impl Supervisor {
         if let Some(limit) = rt_to {
             if let Some(written) = pending_write {
                 if now.saturating_sub(written) > limit {
-                    self.core.borrow_mut().stats.roundtrip_timeouts += 1;
-                    self.tel.count("ipc.supervisor.timeouts.roundtrip");
+                    self.tel.count(Metric::IpcSupervisorTimeoutsRoundtrip);
                     self.declare_fault("roundtrip timeout", "backend did not answer");
                 }
             }
@@ -1136,7 +1087,7 @@ mod tests {
 
     #[test]
     fn status_words_are_a_flat_even_list() {
-        let core = SupervisorCore::new(SupervisorConfig::default(), None);
+        let core = SupervisorCore::new(SupervisorConfig::default(), None, Telemetry::new());
         let words = core.status_words();
         assert!(words.len() >= 8);
         assert!(words.len().is_multiple_of(2));

@@ -11,6 +11,17 @@
 use std::time::Duration;
 
 use wafe_ipc::{BackendState, FaultPlan, Frontend, FrontendConfig, SupervisorConfig};
+use wafe_trace::Metric;
+
+/// One `ipc.supervisor.*` event total from the session's store.
+fn stat(fe: &Frontend, m: Metric) -> u64 {
+    fe.engine.session.telemetry.value(m)
+}
+
+/// `backend status`, for assertion messages.
+fn status(fe: &Frontend) -> Vec<String> {
+    fe.supervisor_core().borrow().status_words()
+}
 
 /// Steps at most `max_ticks`; returns as soon as `done` holds. Panics
 /// if the loop ends (step -> false) before the predicate is satisfied.
@@ -69,12 +80,19 @@ fn kill_mid_line_restarts_and_replays() {
     let script = "echo '%set a 1'; echo '%set b 2'; echo '%set c 3'; sleep 5";
     let mut fe = spawn_sh(script, fast_restarts(3), "line:kill@2");
     run_until(&mut fe, 500, |fe| {
-        fe.supervisor_stats().restarts >= 1 && fe.engine.session.interp.var_exists("c")
+        stat(fe, Metric::IpcSupervisorRestarts) >= 1 && fe.engine.session.interp.var_exists("c")
     });
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.restarts, 1, "exactly one restart");
-    assert_eq!(stats.faults_injected, 1, "the kill fired once");
-    assert_eq!(stats.breaker_trips, 0);
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorRestarts),
+        1,
+        "exactly one restart"
+    );
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorFaultsInjected),
+        1,
+        "the kill fired once"
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorBreakerTrips), 0);
     assert_eq!(fe.backend_state(), BackendState::Running);
     for (var, val) in [("a", "1"), ("b", "2"), ("c", "3")] {
         assert_eq!(
@@ -109,7 +127,7 @@ fn exit_with_output_still_in_the_pipe_loses_no_line() {
         "640",
         "every line written before the exit must be handled"
     );
-    assert_eq!(fe.supervisor_stats().exits, 1);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorExits), 1);
 }
 
 #[test]
@@ -123,11 +141,14 @@ fn wedged_backend_trips_read_timeout_then_breaker() {
     supervisor.read_timeout_ms = Some(50);
     let mut fe = spawn_sh(script, supervisor, "read:wedge");
     run_to_end(&mut fe, 500);
-    let stats = fe.supervisor_stats();
     assert_eq!(fe.backend_state(), BackendState::Broken);
-    assert_eq!(stats.read_timeouts, 3, "initial try + 2 restarts");
-    assert_eq!(stats.restarts, 2);
-    assert_eq!(stats.breaker_trips, 1);
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorTimeoutsRead),
+        3,
+        "initial try + 2 restarts"
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 2);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorBreakerTrips), 1);
     assert!(
         !fe.engine.session.interp.var_exists("alive"),
         "wedged chunks must never reach the interpreter"
@@ -152,10 +173,17 @@ fn flood_is_throttled_not_fatal() {
             .map(|v| v == "300")
             .unwrap_or(false)
     });
-    let stats = fe.supervisor_stats();
-    assert!(stats.flood_trips >= 1, "the throttle engaged: {stats:?}");
-    assert_eq!(stats.restarts, 0, "flooding is not a restart-worthy fault");
-    assert_eq!(stats.faults_injected, 1);
+    assert!(
+        stat(&fe, Metric::IpcSupervisorFloodTrips) >= 1,
+        "the throttle engaged: {:?}",
+        status(&fe)
+    );
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorRestarts),
+        0,
+        "flooding is not a restart-worthy fault"
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorFaultsInjected), 1);
     assert_eq!(fe.backend_state(), BackendState::Running);
     fe.kill();
 }
@@ -180,9 +208,8 @@ fn garbled_line_is_contained() {
         !errors.is_empty(),
         "garbled command line must surface as a protocol error"
     );
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.faults_injected, 1);
-    assert_eq!(stats.restarts, 0);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorFaultsInjected), 1);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 0);
     assert_eq!(fe.backend_state(), BackendState::Running);
     fe.kill();
 }
@@ -198,9 +225,12 @@ fn slow_drip_delays_but_loses_nothing() {
     assert_eq!(fe.backend_state(), BackendState::Exited);
     assert_eq!(fe.engine.session.interp.get_var("d1").unwrap(), "1");
     assert_eq!(fe.engine.session.interp.get_var("d2").unwrap(), "2");
-    let stats = fe.supervisor_stats();
-    assert!(stats.faults_injected >= 1, "{stats:?}");
-    assert_eq!(stats.restarts, 0);
+    assert!(
+        stat(&fe, Metric::IpcSupervisorFaultsInjected) >= 1,
+        "{:?}",
+        status(&fe)
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 0);
 }
 
 #[test]
@@ -226,10 +256,14 @@ fn killed_backend_restarts_and_flushes_queue_in_order() {
     run_until(&mut fe, 500, |fe| {
         fe.engine.session.interp.var_exists("order_four")
     });
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.restarts, 1, "{stats:?}");
-    assert_eq!(stats.queue_flushed, 3);
-    assert_eq!(stats.queue_dropped, 0);
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorRestarts),
+        1,
+        "{:?}",
+        status(&fe)
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorQueueFlushed), 3);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorQueueDropped), 0);
     // The new incarnation counts from 1: order proves in-order flush.
     assert_eq!(fe.engine.session.interp.get_var("order_two").unwrap(), "1");
     assert_eq!(
@@ -260,10 +294,13 @@ fn queue_overflow_drops_newest_with_accounting() {
     // One bounded tick to let the breaker state settle; the GUI session
     // stays alive because stayAliveWhenBroken is set.
     assert!(fe.step(Duration::from_millis(10)).unwrap());
-    let stats = fe.supervisor_stats();
     assert_eq!(fe.backend_state(), BackendState::Broken);
-    assert_eq!(stats.breaker_trips, 1);
-    assert_eq!(stats.queue_dropped, 3, "cap 2: a+b kept, c/d/e dropped");
+    assert_eq!(stat(&fe, Metric::IpcSupervisorBreakerTrips), 1);
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorQueueDropped),
+        3,
+        "cap 2: a+b kept, c/d/e dropped"
+    );
     let status = fe.engine.session.eval("backend status").unwrap();
     assert!(status.contains("broken"), "{status}");
     assert!(status.contains("dropped 3"), "{status}");
@@ -274,9 +311,8 @@ fn queue_overflow_drops_newest_with_accounting() {
     run_until(&mut fe, 500, |fe| {
         fe.engine.session.interp.var_exists("got_b")
     });
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.restarts, 1);
-    assert_eq!(stats.queue_flushed, 2);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 1);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorQueueFlushed), 2);
     assert_eq!(fe.backend_state(), BackendState::Running);
     assert!(fe.engine.session.interp.var_exists("got_a"));
     assert!(
@@ -365,7 +401,7 @@ fn park_and_restore_into_a_fresh_process_replays_the_queue_byte_identically() {
         fe2.engine.session.eval("stamp done").unwrap(),
         "tagged done"
     );
-    assert_eq!(fe2.supervisor_stats().queue_dropped, 0);
+    assert_eq!(stat(&fe2, Metric::IpcSupervisorQueueDropped), 0);
     fe2.kill();
 }
 
@@ -378,15 +414,21 @@ fn roundtrip_timeout_restarts_a_mute_backend() {
     supervisor.roundtrip_timeout_ms = Some(50);
     let mut fe = spawn_sh(script, supervisor, "");
     fe.send_to_app("are you there").unwrap();
-    run_until(&mut fe, 500, |fe| fe.supervisor_stats().restarts >= 1);
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.roundtrip_timeouts, 1, "{stats:?}");
-    assert_eq!(stats.restarts, 1);
+    run_until(&mut fe, 500, |fe| {
+        stat(fe, Metric::IpcSupervisorRestarts) >= 1
+    });
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorTimeoutsRoundtrip),
+        1,
+        "{:?}",
+        status(&fe)
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 1);
     // The fresh incarnation has no unanswered write: no further faults.
     for _ in 0..10 {
         fe.step(Duration::from_millis(10)).unwrap();
     }
-    assert_eq!(fe.supervisor_stats().roundtrip_timeouts, 1);
+    assert_eq!(stat(&fe, Metric::IpcSupervisorTimeoutsRoundtrip), 1);
     assert_eq!(fe.backend_state(), BackendState::Running);
     fe.kill();
 }
@@ -414,7 +456,7 @@ fn faultpoint_command_scripts_the_plan_at_runtime() {
         !fe.engine.session.interp.var_exists("got_during"),
         "lines are dropped while the plan is active"
     );
-    assert!(fe.supervisor_stats().faults_injected >= 1);
+    assert!(stat(&fe, Metric::IpcSupervisorFaultsInjected) >= 1);
     // Clear it: traffic flows again.
     fe.engine.session.eval("faultpoint clear").unwrap();
     assert_eq!(fe.engine.session.eval("faultpoint list").unwrap(), "");

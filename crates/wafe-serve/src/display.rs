@@ -25,6 +25,7 @@ use wafe_ipc::fault::truncate_line;
 use wafe_ipc::{FaultAction, FaultPlan};
 
 use crate::mailbox::SessionSink;
+use wafe_trace::Metric;
 
 /// Per-connection display-channel state, shared between the control
 /// handler (which runs inside the interpreter) and the scheduler
@@ -72,13 +73,13 @@ fn display_control(
             // frame; the scheduler ships it on the next sweep.
             d.set_compositing(true);
             ctl.attached.set(true);
-            tel.count("display.attach");
+            tel.count(Metric::DisplayAttach);
             Ok(String::new())
         }
         Some("detach") if argv.len() == 2 => {
             d.set_compositing(false);
             ctl.attached.set(false);
-            tel.count("display.detach");
+            tel.count(Metric::DisplayDetach);
             Ok(String::new())
         }
         Some("frame") if argv.len() == 2 => {
@@ -86,7 +87,7 @@ fn display_control(
             // the whole screen (the recovery path after it rejected a
             // corrupt frame).
             d.request_full_frame();
-            tel.count("display.resync");
+            tel.count(Metric::DisplayResync);
             Ok(String::new())
         }
         Some("status") if argv.len() == 2 => Ok(wafe_tcl::list_join(&[
@@ -104,10 +105,10 @@ fn display_control(
                     // Loud rejection: counted, and the command errors
                     // (which the engine tallies as a protocol error) —
                     // never a silent best-effort injection.
-                    tel.count("display.event.rejected");
+                    tel.count(Metric::DisplayEventRejected);
                     format!("display event rejected: {e}")
                 })?;
-            tel.count("display.event");
+            tel.count(Metric::DisplayEvent);
             match ev {
                 InputEvent::Key { name, modifiers } => {
                     d.inject_key_named(&name, modifiers_from_mask(modifiers));
@@ -161,21 +162,21 @@ pub fn pump_frame(
         if !sink.can_send_frame() {
             // Backpressure: a frame is still unsent. Leave the damage
             // accumulating — it coalesces into the next frame.
-            tel.count("display.frame.deferred");
+            tel.count(Metric::DisplayFrameDeferred);
             return true;
         }
         let damage = d.take_frame_damage();
         let seq = d.next_frame_seq();
         let frame = Frame::build(d.framebuffer(), &damage, seq);
         let bytes = frame.encode();
-        tel.count("display.frame");
+        tel.count(Metric::DisplayFrame);
         if frame.full {
-            tel.count("display.frame.full");
+            tel.count(Metric::DisplayFrameFull);
         }
-        tel.add("display.frame.rects", frame.rects.len() as u64);
+        tel.add(Metric::DisplayFrameRects, frame.rects.len() as u64);
         // Byte sizes recorded as histogram samples: `telemetry
         // histogram display.frame.bytes` answers "how big are frames".
-        tel.observe_ns("display.frame.bytes", bytes.len() as u64);
+        tel.observe_ns(Metric::DisplayFrameBytes, bytes.len() as u64);
         format!("!display frame {}", to_hex(&bytes))
     };
     let mut line = line;
@@ -183,15 +184,15 @@ pub fn pump_frame(
         for action in plan.fire("display") {
             match action {
                 FaultAction::Drop | FaultAction::Wedge => {
-                    tel.count("display.fault.drop");
+                    tel.count(Metric::DisplayFaultDrop);
                     return true;
                 }
                 FaultAction::Garble => {
-                    tel.count("display.fault.garble");
+                    tel.count(Metric::DisplayFaultGarble);
                     line = plan.garble_line(&line);
                 }
                 FaultAction::Truncate(n) => {
-                    tel.count("display.fault.truncate");
+                    tel.count(Metric::DisplayFaultTruncate);
                     line = truncate_line(&line, n);
                 }
                 _ => {}

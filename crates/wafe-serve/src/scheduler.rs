@@ -41,6 +41,7 @@ use wafe_ipc::{FaultPlan, ProtocolEngine};
 use crate::display::{install_display_control, pump_frame, DisplayCtl};
 use crate::mailbox::{Mailbox, SessionSink};
 use crate::registry::{Registry, SessionId, LIMIT_KEYS};
+use wafe_trace::Metric;
 
 /// Deferred `session park`/`session restore` requests. The control
 /// handler runs *inside* the session's own interpreter, which cannot
@@ -129,8 +130,8 @@ impl Scheduler {
         let display = Rc::new(DisplayCtl::default());
         let engine = build_engine(&self.registry, self.flavor, self.telemetry, &ctl, &display);
         let tel = engine.session.telemetry.clone();
-        tel.count("serve.accept");
-        tel.set_gauge("serve.sessions.active", self.registry.active() as u64);
+        tel.count(Metric::ServeAccept);
+        tel.set_gauge(Metric::ServeSessionsActive, self.registry.active() as u64);
         self.sessions.push(Entry {
             id,
             engine,
@@ -175,8 +176,8 @@ impl Scheduler {
                 if span {
                     tel.span_end();
                 }
-                tel.observe_since("serve.dispatch", timer);
-                tel.count("serve.commands");
+                tel.observe_since(Metric::ServeDispatch, timer);
+                tel.count(Metric::ServeCommands);
                 ran += 1;
                 // A park or restore request ends the quantum: lines
                 // still queued must run in the session as it exists
@@ -199,7 +200,7 @@ impl Scheduler {
             let restore_req = entry.ctl.restore.borrow_mut().take();
             if park_req {
                 let entry = self.sessions.remove(i);
-                self.park_entry(entry, "manual");
+                self.park_entry(entry, Metric::ServeParkManual);
                 continue;
             }
             if let Some(old) = restore_req {
@@ -224,7 +225,7 @@ impl Scheduler {
                 }
             }
             if shed > 0 {
-                tel.add("serve.shed", shed);
+                tel.add(Metric::ServeShed, shed);
             }
             for p in entry.engine.take_passthrough() {
                 self.passthrough.push((entry.id, p));
@@ -240,7 +241,7 @@ impl Scheduler {
             ) {
                 entry.gone = true;
             }
-            tel.set_gauge("serve.queue.depth", entry.mailbox.len() as u64);
+            tel.set_gauge(Metric::ServeQueueDepth, entry.mailbox.len() as u64);
             let finished = entry.gone
                 || entry.engine.session.quit_requested()
                 || (entry.mailbox.is_closed() && entry.mailbox.is_empty());
@@ -256,7 +257,7 @@ impl Scheduler {
                     && !entry.gone
                     && !entry.engine.session.quit_requested();
                 if drain_park {
-                    self.park_entry(entry, "drain");
+                    self.park_entry(entry, Metric::ServeParkDrain);
                 } else {
                     self.finish(entry);
                 }
@@ -282,9 +283,9 @@ impl Scheduler {
                     // client sees `!parked <id>` and can reconnect
                     // later with `session restore <id>`.
                     let entry = self.sessions.remove(i);
-                    entry.engine.session.telemetry.count("serve.evict");
+                    entry.engine.session.telemetry.count(Metric::ServeEvict);
                     self.registry.note_evicted(entry.id);
-                    self.park_entry(entry, "idle");
+                    self.park_entry(entry, Metric::ServeParkIdle);
                 } else {
                     i += 1;
                 }
@@ -319,28 +320,24 @@ impl Scheduler {
     /// Parks a session: captures it (pending application-bound lines
     /// included), hands the encoded snapshot to the registry under the
     /// session's stamped id, acks `!parked <id>` to the client and
-    /// releases the slot. `cause` is `manual`, `idle` or `drain` — the
-    /// `serve.park.*` counter suffix.
-    fn park_entry(&mut self, mut entry: Entry, cause: &str) {
+    /// releases the slot. `cause` is the `serve.park.*` counter of why:
+    /// manual, idle or drain.
+    fn park_entry(&mut self, mut entry: Entry, cause: Metric) {
         let tel = entry.engine.session.telemetry.clone();
         let outbound = entry.engine.take_app_lines();
         let bytes = SessionSnapshot::capture(&entry.engine.session, outbound).encode();
         let len = bytes.len() as u64;
         match self.registry.park(entry.id, bytes, self.now_ms) {
             Ok(()) => {
-                tel.count(match cause {
-                    "idle" => "serve.park.idle",
-                    "drain" => "serve.park.drain",
-                    _ => "serve.park.manual",
-                });
-                tel.add("serve.park.bytes", len);
+                tel.count(cause);
+                tel.add(Metric::ServeParkBytes, len);
                 entry.sink.send(&format!("!parked {}", entry.id));
             }
             Err(e) => {
                 // A persistence failure is loud, never a silent
                 // memory-only checkpoint the client would trust across
                 // a restart.
-                tel.count("serve.park.error");
+                tel.count(Metric::ServeParkError);
                 entry.sink.send(&format!("!park-failed {} {e}", entry.id));
             }
         }
@@ -356,7 +353,11 @@ impl Scheduler {
             // Validated when the command ran, but claimed by another
             // session since — a genuine race, reported like any miss.
             let entry = &mut self.sessions[i];
-            entry.engine.session.telemetry.count("serve.restore.miss");
+            entry
+                .engine
+                .session
+                .telemetry
+                .count(Metric::ServeRestoreMiss);
             if !entry.sink.send(&format!("!restore-miss {old}")) {
                 entry.gone = true;
             }
@@ -368,7 +369,7 @@ impl Scheduler {
         let timer = tel.timer();
         match SessionSnapshot::decode_for(&bytes, self.flavor) {
             Err(e) => {
-                tel.count("serve.restore.error");
+                tel.count(Metric::ServeRestoreError);
                 let entry = &mut self.sessions[i];
                 if !entry.sink.send(&format!("!restore-failed {old} {e}")) {
                     entry.gone = true;
@@ -398,12 +399,12 @@ impl Scheduler {
                         entry.gone = true;
                     }
                 }
-                tel.observe_since("serve.restore", timer);
-                tel.count("serve.restore.ok");
-                tel.add("serve.restore.widgets", report.widgets as u64);
+                tel.observe_since(Metric::ServeRestore, timer);
+                tel.count(Metric::ServeRestoreOk);
+                tel.add(Metric::ServeRestoreWidgets, report.widgets as u64);
                 if report.widgets_skipped > 0 {
                     tel.add(
-                        "serve.restore.widgetsSkipped",
+                        Metric::ServeRestoreWidgetsSkipped,
                         report.widgets_skipped as u64,
                     );
                 }
@@ -415,7 +416,7 @@ impl Scheduler {
         entry.mailbox.close();
         self.registry.release(entry.id);
         let tel = entry.engine.session.telemetry.clone();
-        tel.set_gauge("serve.sessions.active", self.registry.active() as u64);
+        tel.set_gauge(Metric::ServeSessionsActive, self.registry.active() as u64);
         // Dropping the entry drops its sink; a queue sink closing is what
         // tells the event loop to flush the tail and close the socket.
     }
@@ -542,7 +543,7 @@ fn session_control(
             })?;
             if !r.has_parked(id) {
                 r.note_restore_miss();
-                tel.count("serve.restore.miss");
+                tel.count(Metric::ServeRestoreMiss);
                 return Err(format!("no parked session \"{id}\""));
             }
             *ctl.restore.borrow_mut() = Some(id);

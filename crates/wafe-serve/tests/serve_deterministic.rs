@@ -693,3 +693,26 @@ fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
     el1.flush_and_reap();
     assert_eq!(busy.received_lines(), vec!["q0", "q1", "q2"]);
 }
+
+/// Counters belong to the session that caused them, even for two
+/// sessions sharing one worker thread: the value layer's shimmer counts
+/// land in the store of the session whose line is being evaluated.
+#[test]
+fn shimmer_counts_are_attributed_to_their_own_session() {
+    let mut sched = scheduler(Limits::default());
+    let (a_mb, a_buf, _) = session(&mut sched, "parser");
+    let (b_mb, b_buf, _) = session(&mut sched, "bystander");
+    // 200 fresh list strings, each parsed once by `lindex`.
+    assert!(a_mb.push("%for {set i 0} {$i < 200} {incr i} {lindex \"x $i y\" 1}".into()));
+    assert!(b_mb.push("%echo [telemetry snapshot tcl.shimmer.listParses]".into()));
+    assert!(a_mb.push("%echo [telemetry snapshot tcl.shimmer.listParses]".into()));
+    while !(a_mb.is_empty() && b_mb.is_empty()) {
+        sched.run_turn();
+    }
+    let a = lines(&a_buf);
+    let words: Vec<&str> = a[0].split(' ').collect();
+    assert_eq!(words[0], "tcl.shimmer.listParses", "{a:?}");
+    assert!(words[1].parse::<u64>().unwrap() >= 200, "{a:?}");
+    // A counter that never moved is absent from the snapshot: zero.
+    assert_eq!(lines(&b_buf), [""], "B parsed no list of its own");
+}

@@ -21,7 +21,7 @@
 //! * **Decline, don't guess.** A script the compiler cannot express
 //!   (instruction budget exceeded) is marked uncompilable and every
 //!   execution falls back to the tree-walker — identical results, counted
-//!   in [`BcStats::fallbacks`].
+//!   as a bytecode fallback (`Metric::TclBcFallbacks`).
 //!
 //! Two execution-level designs carry the performance:
 //!
@@ -67,6 +67,7 @@ use crate::expr::{
 use crate::interp::{Interp, BC_SPECIAL_NAMES};
 use crate::list::parse_list;
 use crate::value::Value;
+use wafe_trace::Metric;
 
 /// The per-script compilation budget; larger scripts tree-walk.
 const MAX_CODE: usize = 1 << 16;
@@ -318,21 +319,18 @@ pub(crate) fn bytecode_for(interp: &mut Interp, script: &CompiledScript) -> Opti
     match &*script.bc.borrow() {
         BcSlot::Ready { epoch, code } if *epoch == interp.bc_epoch => {
             let code = code.clone();
-            interp.bc_stats.hits += 1;
-            interp.telemetry().count("tcl.bc.hits");
+            interp.telemetry().count(Metric::TclBcHits);
             return Some(code);
         }
         BcSlot::Uncompilable => {
-            interp.bc_stats.fallbacks += 1;
-            interp.telemetry().count("tcl.bc.fallbacks");
+            interp.telemetry().count(Metric::TclBcFallbacks);
             return None;
         }
         _ => {}
     }
     match Compiler::lower(interp, script) {
         Some(code) => {
-            interp.bc_stats.compiles += 1;
-            interp.telemetry().count("tcl.bc.compiles");
+            interp.telemetry().count(Metric::TclBcCompiles);
             let code = Rc::new(code);
             *script.bc.borrow_mut() = BcSlot::Ready {
                 epoch: interp.bc_epoch,
@@ -341,8 +339,7 @@ pub(crate) fn bytecode_for(interp: &mut Interp, script: &CompiledScript) -> Opti
             Some(code)
         }
         None => {
-            interp.bc_stats.fallbacks += 1;
-            interp.telemetry().count("tcl.bc.fallbacks");
+            interp.telemetry().count(Metric::TclBcFallbacks);
             *script.bc.borrow_mut() = BcSlot::Uncompilable;
             None
         }
@@ -1210,8 +1207,7 @@ pub(crate) fn execute(interp: &mut Interp, code: &Rc<ByteCode>) -> TclResult<Val
                 .map(|()| vm.stack.pop().unwrap_or_default())
         }
     };
-    interp.bc_stats.instructions += steps;
-    interp.telemetry().add("tcl.bc.instructions", steps);
+    interp.telemetry().add(Metric::TclBcInstructions, steps);
     if span {
         interp.telemetry().span_end();
     }
@@ -1497,7 +1493,7 @@ mod tests {
     }
 
     fn bc_used(i: &Interp) -> bool {
-        i.bc_stats().compiles > 0 || i.bc_stats().hits > 0
+        i.metric(Metric::TclBcCompiles) > 0 || i.metric(Metric::TclBcHits) > 0
     }
 
     #[test]
@@ -1514,17 +1510,17 @@ mod tests {
         i.eval("set n 0; set sum 0; while {$n < 10} {incr n; incr sum $n}")
             .unwrap();
         assert_eq!(i.get_var("sum").unwrap(), "55");
-        assert!(i.bc_stats().instructions > 50);
+        assert!(i.metric(Metric::TclBcInstructions) > 50);
     }
 
     #[test]
     fn cached_bytecode_hits_on_reeval() {
         let mut i = new();
         i.eval("set x 1").unwrap();
-        let compiles = i.bc_stats().compiles;
+        let compiles = i.metric(Metric::TclBcCompiles);
         i.eval("set x 1").unwrap();
-        assert_eq!(i.bc_stats().compiles, compiles);
-        assert!(i.bc_stats().hits >= 1);
+        assert_eq!(i.metric(Metric::TclBcCompiles), compiles);
+        assert!(i.metric(Metric::TclBcHits) >= 1);
     }
 
     #[test]
@@ -1548,7 +1544,7 @@ mod tests {
         let mut i = new();
         i.set_bc_enabled(false);
         assert_eq!(i.eval("set x 7").unwrap(), "7");
-        assert_eq!(i.bc_stats().compiles, 0);
+        assert_eq!(i.metric(Metric::TclBcCompiles), 0);
         i.set_bc_enabled(true);
         assert_eq!(i.eval("set x 8").unwrap(), "8");
         assert!(bc_used(&i));
@@ -1632,8 +1628,8 @@ mod tests {
     #[test]
     fn uncompilable_fallback_is_sticky_and_counted() {
         let mut i = new();
-        let before = i.bc_stats().fallbacks;
+        let before = i.metric(Metric::TclBcFallbacks);
         let _ = i.eval("set a 1");
-        assert_eq!(i.bc_stats().fallbacks, before);
+        assert_eq!(i.metric(Metric::TclBcFallbacks), before);
     }
 }

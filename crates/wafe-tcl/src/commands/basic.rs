@@ -9,6 +9,7 @@ use crate::glob::glob_match;
 use crate::interp::Interp;
 use crate::list::{list_join, parse_list};
 use crate::value::Value;
+use wafe_trace::Metric;
 
 /// Splits a variable specifier of the form `name` or `name(index)`.
 pub fn split_varspec(spec: &str) -> (String, Option<String>) {
@@ -232,6 +233,47 @@ pub(super) fn register(interp: &mut Interp) {
     interp.register("interp", cmd_interp);
 }
 
+/// `interp cachestats`: the parse caches, then the bytecode cache's
+/// traffic — counted apart, since a script can hit the parse cache yet
+/// still compile (first run) or fall back (uncompilable).
+const CACHESTATS: [(&str, Metric); 16] = [
+    ("hits", Metric::TclCacheScriptHits),
+    ("misses", Metric::TclCacheScriptMisses),
+    ("entries", Metric::TclCacheScriptEntries),
+    ("evictions", Metric::TclCacheScriptEvictions),
+    ("exprHits", Metric::TclCacheExprHits),
+    ("exprMisses", Metric::TclCacheExprMisses),
+    ("exprEntries", Metric::TclCacheExprEntries),
+    ("exprEvictions", Metric::TclCacheExprEvictions),
+    ("limit", Metric::TclCacheLimit),
+    ("bcHits", Metric::TclBcHits),
+    ("bcCompiles", Metric::TclBcCompiles),
+    ("bcFallbacks", Metric::TclBcFallbacks),
+    ("substHits", Metric::TclCacheSubstHits),
+    ("substMisses", Metric::TclCacheSubstMisses),
+    ("substEntries", Metric::TclCacheSubstEntries),
+    ("substEvictions", Metric::TclCacheSubstEvictions),
+];
+
+/// `interp shimmerstats`: the value layer's representation traffic.
+const SHIMMERSTATS: [(&str, Metric); 7] = [
+    ("intParses", Metric::TclShimmerIntParses),
+    ("doubleParses", Metric::TclShimmerDoubleParses),
+    ("listParses", Metric::TclShimmerListParses),
+    ("repHits", Metric::TclShimmerRepHits),
+    ("renders", Metric::TclShimmerRenders),
+    ("listCow", Metric::TclShimmerListCow),
+    ("cmdInternHits", Metric::TclShimmerCmdInternHits),
+];
+
+/// `interp bcstats` (followed by the live `enabled` flag).
+const BCSTATS: [(&str, Metric); 4] = [
+    ("compiles", Metric::TclBcCompiles),
+    ("hits", Metric::TclBcHits),
+    ("fallbacks", Metric::TclBcFallbacks),
+    ("instructions", Metric::TclBcInstructions),
+];
+
 /// `interp cachestats | cacheclear | cachelimit ?n? | shimmerstats |
 /// bcstats | bcenable | bcdisable | profile on|off|report|reset` —
 /// introspection for the parse-once caches, the dual-representation
@@ -241,70 +283,22 @@ fn cmd_interp(i: &mut Interp, argv: &[Value]) -> TclResult<Value> {
         return Err(wrong_num_args("interp option ?arg?"));
     }
     match argv[1].as_str() {
-        "cachestats" => {
+        "cachestats" | "shimmerstats" | "bcstats" => {
             if argv.len() != 2 {
-                return Err(wrong_num_args("interp cachestats"));
+                return Err(wrong_num_args(&format!("interp {}", argv[1])));
             }
-            let s = i.cache_stats();
-            let pairs = [
-                ("hits", s.script_hits.to_string()),
-                ("misses", s.script_misses.to_string()),
-                ("entries", s.script_entries.to_string()),
-                ("evictions", s.script_evictions.to_string()),
-                ("exprHits", s.expr_hits.to_string()),
-                ("exprMisses", s.expr_misses.to_string()),
-                ("exprEntries", s.expr_entries.to_string()),
-                ("exprEvictions", s.expr_evictions.to_string()),
-                ("limit", s.limit.to_string()),
-                // Bytecode-cache traffic, counted apart from the parse
-                // cache above: a script can hit the parse cache yet still
-                // compile (first run) or fall back (uncompilable).
-                ("bcHits", s.bc_hits.to_string()),
-                ("bcCompiles", s.bc_compiles.to_string()),
-                ("bcFallbacks", s.bc_fallbacks.to_string()),
-            ];
-            let words: Vec<String> = pairs
+            let view: &[(&str, Metric)] = match argv[1].as_str() {
+                "cachestats" => &CACHESTATS,
+                "shimmerstats" => &SHIMMERSTATS,
+                _ => &BCSTATS,
+            };
+            let mut words: Vec<String> = view
                 .iter()
-                .flat_map(|(k, v)| [k.to_string(), v.clone()])
+                .flat_map(|&(k, m)| [k.to_string(), i.metric(m).to_string()])
                 .collect();
-            Ok(Value::from(list_join(&words)))
-        }
-        "shimmerstats" => {
-            if argv.len() != 2 {
-                return Err(wrong_num_args("interp shimmerstats"));
+            if argv[1].as_str() == "bcstats" {
+                words.extend(["enabled".to_string(), (i.bc_enabled() as u64).to_string()]);
             }
-            let s = crate::value::shimmer_stats();
-            let pairs = [
-                ("intParses", s.int_parses),
-                ("doubleParses", s.double_parses),
-                ("listParses", s.list_parses),
-                ("repHits", s.rep_hits),
-                ("renders", s.renders),
-                ("listCow", s.list_cow),
-                ("cmdInternHits", s.cmd_intern_hits),
-            ];
-            let words: Vec<String> = pairs
-                .iter()
-                .flat_map(|(k, v)| [k.to_string(), v.to_string()])
-                .collect();
-            Ok(Value::from(list_join(&words)))
-        }
-        "bcstats" => {
-            if argv.len() != 2 {
-                return Err(wrong_num_args("interp bcstats"));
-            }
-            let s = i.bc_stats();
-            let pairs = [
-                ("compiles", s.compiles),
-                ("hits", s.hits),
-                ("fallbacks", s.fallbacks),
-                ("instructions", s.instructions),
-                ("enabled", i.bc_enabled() as u64),
-            ];
-            let words: Vec<String> = pairs
-                .iter()
-                .flat_map(|(k, v)| [k.to_string(), v.to_string()])
-                .collect();
             Ok(Value::from(list_join(&words)))
         }
         "bcenable" | "bcdisable" => {

@@ -42,6 +42,7 @@ use crate::error::TclError;
 use crate::interp::{MAX_NESTING_DEPTH, NESTING_ERROR};
 use crate::parser::{find_matching_brace, find_matching_bracket, parse_backslash, scan_varname};
 use crate::value::Value;
+use wafe_trace::{Metric, Telemetry};
 
 /// One substitution unit of a compiled word.
 #[derive(Debug, Clone)]
@@ -418,9 +419,8 @@ pub(crate) struct LruCache<V> {
     head: usize,
     tail: usize,
     limit: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    /// The store counters of this cache's hits, misses and evictions.
+    metrics: [Metric; 3],
 }
 
 struct LruNode<V> {
@@ -433,7 +433,8 @@ struct LruNode<V> {
 const NIL: usize = usize::MAX;
 
 impl<V: Clone> LruCache<V> {
-    pub fn new(limit: usize) -> Self {
+    /// An empty cache counting into `[hits, misses, evictions]`.
+    pub fn new(limit: usize, metrics: [Metric; 3]) -> Self {
         LruCache {
             map: crate::hash::FnvMap::default(),
             slots: Vec::new(),
@@ -441,9 +442,7 @@ impl<V: Clone> LruCache<V> {
             head: NIL,
             tail: NIL,
             limit,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+            metrics,
         }
     }
 
@@ -481,16 +480,16 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Looks up `key`, refreshing its recency and counting hit/miss.
-    pub fn get(&mut self, key: &str) -> Option<V> {
+    pub fn get(&mut self, key: &str, tel: &Telemetry) -> Option<V> {
         match self.map.get(key).copied() {
             Some(slot) => {
-                self.hits += 1;
+                tel.count(self.metrics[0]);
                 self.unlink(slot);
                 self.push_front(slot);
                 Some(self.node(slot).value.clone())
             }
             None => {
-                self.misses += 1;
+                tel.count(self.metrics[1]);
                 None
             }
         }
@@ -499,20 +498,25 @@ impl<V: Clone> LruCache<V> {
     /// Looks up `key`, building and inserting its value on a miss. With
     /// the cache disabled (limit 0) the value is built and not kept, and
     /// nothing is counted.
-    pub fn get_or_insert_with(&mut self, key: &str, make: impl FnOnce() -> V) -> V {
+    pub fn get_or_insert_with(
+        &mut self,
+        key: &str,
+        tel: &Telemetry,
+        make: impl FnOnce() -> V,
+    ) -> V {
         if self.limit == 0 {
             return make();
         }
-        if let Some(v) = self.get(key) {
+        if let Some(v) = self.get(key, tel) {
             return v;
         }
         let v = make();
-        self.insert(key, v.clone());
+        self.insert(key, v.clone(), tel);
         v
     }
 
     /// Inserts `key`, evicting the least-recently-used entry when full.
-    pub fn insert(&mut self, key: &str, value: V) {
+    pub fn insert(&mut self, key: &str, value: V, tel: &Telemetry) {
         if self.limit == 0 {
             return;
         }
@@ -523,7 +527,7 @@ impl<V: Clone> LruCache<V> {
             return;
         }
         while self.map.len() >= self.limit {
-            self.evict_one();
+            self.evict_one(tel);
         }
         let key: Rc<str> = Rc::from(key);
         let node = LruNode {
@@ -546,7 +550,7 @@ impl<V: Clone> LruCache<V> {
         self.map.insert(key, slot);
     }
 
-    fn evict_one(&mut self) {
+    fn evict_one(&mut self, tel: &Telemetry) {
         let slot = self.tail;
         if slot == NIL {
             return;
@@ -555,7 +559,7 @@ impl<V: Clone> LruCache<V> {
         let node = self.slots[slot].take().expect("tail slot is occupied");
         self.map.remove(&node.key);
         self.free.push(slot);
-        self.evictions += 1;
+        tel.count(self.metrics[2]);
     }
 
     pub fn len(&self) -> usize {
@@ -575,27 +579,15 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Changes the bound, trimming down to it immediately.
-    pub fn set_limit(&mut self, limit: usize) {
+    pub fn set_limit(&mut self, limit: usize, tel: &Telemetry) {
         self.limit = limit;
         if limit == 0 {
             self.clear();
         } else {
             while self.map.len() > limit {
-                self.evict_one();
+                self.evict_one(tel);
             }
         }
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -786,24 +778,33 @@ mod tests {
 
     #[test]
     fn lru_bound_and_counters() {
-        let mut c: LruCache<u32> = LruCache::new(2);
-        assert_eq!(c.get("a"), None);
-        c.insert("a", 1);
-        c.insert("b", 2);
-        assert_eq!(c.get("a"), Some(1));
-        c.insert("c", 3); // Evicts "b", the least recently used.
+        use Metric::{TclCacheSubstEvictions, TclCacheSubstHits, TclCacheSubstMisses};
+        let t = Telemetry::new();
+        let mut c: LruCache<u32> = LruCache::new(
+            2,
+            [
+                TclCacheSubstHits,
+                TclCacheSubstMisses,
+                TclCacheSubstEvictions,
+            ],
+        );
+        assert_eq!(c.get("a", &t), None);
+        c.insert("a", 1, &t);
+        c.insert("b", 2, &t);
+        assert_eq!(c.get("a", &t), Some(1));
+        c.insert("c", 3, &t); // Evicts "b", the least recently used.
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get("b"), None);
-        assert_eq!(c.get("a"), Some(1));
-        assert_eq!(c.get("c"), Some(3));
-        assert_eq!(c.evictions(), 1);
-        assert!(c.hits() >= 3);
-        assert!(c.misses() >= 2);
-        c.set_limit(1);
+        assert_eq!(c.get("b", &t), None);
+        assert_eq!(c.get("a", &t), Some(1));
+        assert_eq!(c.get("c", &t), Some(3));
+        assert_eq!(t.value(TclCacheSubstEvictions), 1);
+        assert!(t.value(TclCacheSubstHits) >= 3);
+        assert!(t.value(TclCacheSubstMisses) >= 2);
+        c.set_limit(1, &t);
         assert_eq!(c.len(), 1);
-        c.set_limit(0);
+        c.set_limit(0, &t);
         assert_eq!(c.len(), 0);
-        c.insert("d", 4);
+        c.insert("d", 4, &t);
         assert_eq!(c.len(), 0, "limit 0 disables insertion");
     }
 }

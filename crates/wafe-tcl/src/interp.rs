@@ -6,6 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use wafe_trace::Metric::{self, *};
 use wafe_trace::Telemetry;
 
 use crate::compile::{compile, compile_subst, CompiledScript, LruCache, Token};
@@ -251,8 +252,6 @@ pub struct Interp {
     /// [`crate::bc::ByteCode`] so stale inlinings recompile instead of
     /// bypassing the new binding.
     pub(crate) bc_epoch: u64,
-    /// Bytecode compile/hit/fallback/instruction counters.
-    pub(crate) bc_stats: BcStats,
     /// Per-proc time / per-opcode hit profiler (`interp profile …`).
     pub(crate) profiler: crate::profile::Profiler,
 }
@@ -264,20 +263,6 @@ pub(crate) const BC_SPECIAL_NAMES: [&str; 9] = [
     "set", "incr", "expr", "if", "while", "for", "foreach", "break", "continue",
 ];
 
-/// Counters of the bytecode layer (see [`crate::bc`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BcStats {
-    /// Scripts lowered to bytecode (includes epoch-forced recompiles).
-    pub compiles: u64,
-    /// Executions served by an already-compiled bytecode body.
-    pub hits: u64,
-    /// Executions that fell back to the tree-walking evaluator because
-    /// the script was declined by the compiler.
-    pub fallbacks: u64,
-    /// Total VM instructions dispatched.
-    pub instructions: u64,
-}
-
 /// A script readied for repeated evaluation: its parse-once compiled
 /// form, or — with the cache disabled (`interp cachelimit 0`) — its
 /// source, compiled afresh on every run and never kept.
@@ -287,37 +272,6 @@ pub enum Prepared {
     Compiled(Rc<CompiledScript>),
     /// Compiled on every run (the Tcl 6.x re-parse baseline).
     Source(String),
-}
-
-/// A snapshot of the interpreter's parse-cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Script-cache lookups that found a compiled entry.
-    pub script_hits: u64,
-    /// Script-cache lookups that missed.
-    pub script_misses: u64,
-    /// Live script-cache entries.
-    pub script_entries: usize,
-    /// Script-cache evictions under the LRU bound.
-    pub script_evictions: u64,
-    /// Expression-cache hits.
-    pub expr_hits: u64,
-    /// Expression-cache misses.
-    pub expr_misses: u64,
-    /// Live expression-cache entries.
-    pub expr_entries: usize,
-    /// Expression-cache evictions.
-    pub expr_evictions: u64,
-    /// The configured bound (0 = caching disabled).
-    pub limit: usize,
-    /// Executions served from already-compiled bytecode — counted apart
-    /// from `script_hits` (a parse-cache hit), so the two layers are
-    /// distinguishable.
-    pub bc_hits: u64,
-    /// Scripts lowered to bytecode.
-    pub bc_compiles: u64,
-    /// Bytecode-declined executions that tree-walked instead.
-    pub bc_fallbacks: u64,
 }
 
 impl Default for Interp {
@@ -368,13 +322,29 @@ impl Interp {
             rand_state: 0x9e3779b97f4a7c15,
             traces: HashMap::new(),
             tracing: std::cell::Cell::new(0),
-            script_cache: LruCache::new(DEFAULT_CACHE_LIMIT),
-            expr_cache: LruCache::new(DEFAULT_CACHE_LIMIT),
-            subst_cache: LruCache::new(DEFAULT_CACHE_LIMIT),
+            script_cache: LruCache::new(
+                DEFAULT_CACHE_LIMIT,
+                [
+                    TclCacheScriptHits,
+                    TclCacheScriptMisses,
+                    TclCacheScriptEvictions,
+                ],
+            ),
+            expr_cache: LruCache::new(
+                DEFAULT_CACHE_LIMIT,
+                [TclCacheExprHits, TclCacheExprMisses, TclCacheExprEvictions],
+            ),
+            subst_cache: LruCache::new(
+                DEFAULT_CACHE_LIMIT,
+                [
+                    TclCacheSubstHits,
+                    TclCacheSubstMisses,
+                    TclCacheSubstEvictions,
+                ],
+            ),
             telemetry: Telemetry::new(),
             bc_enabled: true,
             bc_epoch: 0,
-            bc_stats: BcStats::default(),
             profiler: crate::profile::Profiler::default(),
         }
     }
@@ -872,20 +842,23 @@ impl Interp {
         // One enabled-flag load when telemetry is off; nested evals
         // (bracket substitution, loop bodies) each count as one eval.
         let timer = self.telemetry.timer();
+        // A top-level eval attributes the value layer's shimmer counts
+        // to this interpreter's store.
+        let _shimmer = (self.depth == 0).then(|| crate::value::count_into(&self.telemetry));
         self.depth += 1;
         if self.depth > MAX_NESTING_DEPTH {
             self.depth -= 1;
             return Err(TclError::error(NESTING_ERROR));
         }
-        let span = self.telemetry.span_begin("tcl.eval", detail);
+        let span = self.telemetry.span_begin(Metric::TclEval.name(), detail);
         let r = self.eval_compiled_inner(&script);
         if span {
             self.telemetry.span_end();
         }
         self.depth -= 1;
         if timer.is_some() {
-            self.telemetry.count("tcl.evals");
-            self.telemetry.observe_since("tcl.eval", timer);
+            self.telemetry.count(Metric::TclEvals);
+            self.telemetry.observe_since(Metric::TclEval, timer);
         }
         r
     }
@@ -941,7 +914,7 @@ impl Interp {
             return Rc::new(compile(script));
         }
         self.script_cache
-            .get_or_insert_with(script, || Rc::new(compile(script)))
+            .get_or_insert_with(script, &self.telemetry, || Rc::new(compile(script)))
     }
 
     // ----- telemetry --------------------------------------------------
@@ -958,32 +931,27 @@ impl Interp {
         self.telemetry = telemetry;
     }
 
-    // ----- parse-cache introspection ---------------------------------
+    // ----- counters ---------------------------------------------------
 
-    /// Counters and sizes of the parse-once caches.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            script_hits: self.script_cache.hits(),
-            script_misses: self.script_cache.misses(),
-            script_entries: self.script_cache.len(),
-            script_evictions: self.script_cache.evictions(),
-            expr_hits: self.expr_cache.hits(),
-            expr_misses: self.expr_cache.misses(),
-            expr_entries: self.expr_cache.len(),
-            expr_evictions: self.expr_cache.evictions(),
-            limit: self.script_cache.limit(),
-            bc_hits: self.bc_stats.hits,
-            bc_compiles: self.bc_stats.compiles,
-            bc_fallbacks: self.bc_stats.fallbacks,
-        }
+    /// The parse caches' sizes and bound — state, not counters, so read
+    /// live rather than kept in the store.
+    pub fn cache_sizes(&self) -> [(Metric, u64); 4] {
+        [
+            (TclCacheScriptEntries, self.script_cache.len() as u64),
+            (TclCacheExprEntries, self.expr_cache.len() as u64),
+            (TclCacheSubstEntries, self.subst_cache.len() as u64),
+            (TclCacheLimit, self.script_cache.limit() as u64),
+        ]
+    }
+
+    /// One metric as this interpreter reports it: a cache size read
+    /// live, anything else from the telemetry store.
+    pub fn metric(&self, m: Metric) -> u64 {
+        let live = self.cache_sizes().into_iter().find(|&(k, _)| k == m);
+        live.map_or_else(|| self.telemetry.value(m), |(_, v)| v)
     }
 
     // ----- bytecode layer --------------------------------------------
-
-    /// Counters of the bytecode compiler and VM.
-    pub fn bc_stats(&self) -> BcStats {
-        self.bc_stats
-    }
 
     /// Enables/disables the bytecode VM (the E23 same-binary baseline
     /// switch, and `interp bcdisable`/`bcenable`). Returns the previous
@@ -1014,9 +982,9 @@ impl Interp {
     /// compiles afresh and keeps nothing, re-parsing like Tcl 6.x (used
     /// as the benchmark baseline).
     pub fn set_cache_limit(&mut self, limit: usize) {
-        self.script_cache.set_limit(limit);
-        self.expr_cache.set_limit(limit);
-        self.subst_cache.set_limit(limit);
+        self.script_cache.set_limit(limit, &self.telemetry);
+        self.expr_cache.set_limit(limit, &self.telemetry);
+        self.subst_cache.set_limit(limit, &self.telemetry);
     }
 
     /// True when the parse-once layer is active.
@@ -1028,14 +996,14 @@ impl Interp {
         if self.expr_cache.limit() == 0 || text.len() > MAX_CACHED_SCRIPT_LEN {
             return None;
         }
-        self.expr_cache.get(text)
+        self.expr_cache.get(text, &self.telemetry)
     }
 
     pub(crate) fn expr_cache_put(&mut self, text: &str, compiled: Rc<CompiledExpr>) {
         if text.len() > MAX_CACHED_SCRIPT_LEN {
             return;
         }
-        self.expr_cache.insert(text, compiled);
+        self.expr_cache.insert(text, compiled, &self.telemetry);
     }
 
     // ----- compiled evaluation ---------------------------------------
@@ -1137,8 +1105,8 @@ impl Interp {
         let timer = self.telemetry.timer();
         let r = self.invoke_inner(words);
         if timer.is_some() {
-            self.telemetry.count("tcl.dispatches");
-            self.telemetry.observe_since("tcl.dispatch", timer);
+            self.telemetry.count(Metric::TclDispatches);
+            self.telemetry.observe_since(Metric::TclDispatch, timer);
         }
         r
     }
@@ -1258,7 +1226,7 @@ impl Interp {
             compile_subst(s).into()
         } else {
             self.subst_cache
-                .get_or_insert_with(s, || compile_subst(s).into())
+                .get_or_insert_with(s, &self.telemetry, || compile_subst(s).into())
         };
         let mut out = String::new();
         for part in parts.iter() {

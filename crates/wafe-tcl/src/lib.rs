@@ -46,11 +46,11 @@ pub mod value;
 
 pub use compile::{compile, CompiledScript};
 pub use error::{TclError, TclResult};
-pub use interp::{BcStats, CacheStats, CmdFn, CommandBase, Interp, OutputSink, Prepared};
+pub use interp::{CmdFn, CommandBase, Interp, OutputSink, Prepared};
 pub use list::{list_append, list_join, list_quote, parse_list};
 pub use snapshot::InterpSnapshot;
-pub use value::{reset_shimmer_stats, shimmer_stats, IntRep, ShimmerStats, Value};
-pub use wafe_trace::Telemetry;
+pub use value::{IntRep, Value};
+pub use wafe_trace::{Metric, Telemetry};
 
 /// Convenience alias for the result type returned by Tcl commands.
 pub type CmdResult = TclResult<Value>;

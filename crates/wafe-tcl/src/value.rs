@@ -22,6 +22,7 @@ use std::rc::Rc;
 use crate::compile::CompiledScript;
 use crate::error::TclResult;
 use crate::list::parse_list;
+use wafe_trace::{Metric, Telemetry};
 
 /// Internal (cached) representation of a value. `None` means only the
 /// string rep exists so far.
@@ -58,45 +59,39 @@ struct Inner {
 pub struct Value(Rc<Inner>);
 
 // ---------------------------------------------------------------------------
-// Shimmer telemetry. The interpreter is single-threaded (Rc throughout), so
-// plain thread-locals are the cheapest home for these counters; `Value`
-// methods have no `Interp` access.
+// Shimmer telemetry. `Value` methods cannot reach an `Interp`, so they
+// count into the store of the interpreter running the current top-level
+// evaluation, which installs it through `count_into` (single-threaded,
+// like the rest of the interpreter). Outside any evaluation nothing is
+// counted.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ShimmerStats {
-    /// String → integer parses that populated a cached rep.
-    pub int_parses: u64,
-    /// String → double parses that populated a cached rep.
-    pub double_parses: u64,
-    /// String → list parses that populated a cached rep.
-    pub list_parses: u64,
-    /// Rep cache hits (any kind) that avoided a re-parse.
-    pub rep_hits: u64,
-    /// Value-born values rendered to strings on demand.
-    pub renders: u64,
-    /// Copy-on-write list clones forced by sharing.
-    pub list_cow: u64,
-    /// Command-name intern hits that skipped a table lookup.
-    pub cmd_intern_hits: u64,
-}
-
 thread_local! {
-    static STATS: RefCell<ShimmerStats> = RefCell::new(ShimmerStats::default());
+    static STORE: RefCell<Option<Telemetry>> = const { RefCell::new(None) };
 }
 
-/// Snapshot the thread's shimmer counters.
-pub fn shimmer_stats() -> ShimmerStats {
-    STATS.with(|s| *s.borrow())
+/// Makes `tel` the store shimmer counts go to until the guard drops,
+/// which reinstates the previous one.
+pub(crate) fn count_into(tel: &Telemetry) -> StoreGuard {
+    StoreGuard(STORE.with(|s| s.replace(Some(tel.clone()))))
 }
 
-/// Reset the thread's shimmer counters (tests, benches).
-pub fn reset_shimmer_stats() {
-    STATS.with(|s| *s.borrow_mut() = ShimmerStats::default());
+/// Restores the previously installed shimmer store on drop.
+pub(crate) struct StoreGuard(Option<Telemetry>);
+
+impl Drop for StoreGuard {
+    fn drop(&mut self) {
+        // `try_with`: a guard dropped during thread teardown must not panic.
+        let _ = STORE.try_with(|s| *s.borrow_mut() = self.0.take());
+    }
 }
 
-fn stat(f: impl FnOnce(&mut ShimmerStats)) {
-    STATS.with(|s| f(&mut s.borrow_mut()));
+fn stat(m: Metric) {
+    STORE.with(|s| {
+        if let Some(tel) = &*s.borrow() {
+            tel.count(m);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -212,7 +207,7 @@ impl Value {
 
     fn str_rc(&self) -> &Rc<str> {
         self.0.str_rep.get_or_init(|| {
-            stat(|s| s.renders += 1);
+            stat(Metric::TclShimmerRenders);
             let rep = self.0.int_rep.borrow();
             let rendered: String = match &*rep {
                 IntRep::Int(n) => n.to_string(),
@@ -243,7 +238,7 @@ impl Value {
     pub fn cached_int(&self) -> Option<i64> {
         match &*self.0.int_rep.borrow() {
             IntRep::Int(n) => {
-                stat(|s| s.rep_hits += 1);
+                stat(Metric::TclShimmerRepHits);
                 Some(*n)
             }
             _ => None,
@@ -254,11 +249,11 @@ impl Value {
     pub fn cached_double(&self) -> Option<f64> {
         match &*self.0.int_rep.borrow() {
             IntRep::Double(d) => {
-                stat(|s| s.rep_hits += 1);
+                stat(Metric::TclShimmerRepHits);
                 Some(*d)
             }
             IntRep::Int(n) => {
-                stat(|s| s.rep_hits += 1);
+                stat(Metric::TclShimmerRepHits);
                 Some(*n as f64)
             }
             _ => None,
@@ -275,7 +270,7 @@ impl Value {
         let s = self.as_str();
         let n: i64 = s.trim().parse().ok()?;
         if canonical_int(s, n) {
-            stat(|s| s.int_parses += 1);
+            stat(Metric::TclShimmerIntParses);
             self.set_rep(IntRep::Int(n));
         }
         Some(n)
@@ -291,7 +286,7 @@ impl Value {
         let s = self.as_str();
         let d: f64 = s.trim().parse().ok()?;
         if d.is_finite() && crate::expr::format_double(d) == s {
-            stat(|st| st.double_parses += 1);
+            stat(Metric::TclShimmerDoubleParses);
             self.set_rep(IntRep::Double(d));
         }
         Some(d)
@@ -301,7 +296,7 @@ impl Value {
     /// rendering of `n` (used by `expr`'s coercion after a parse).
     pub fn cache_int_canonical(&self, n: i64) {
         if canonical_int(self.as_str(), n) {
-            stat(|s| s.int_parses += 1);
+            stat(Metric::TclShimmerIntParses);
             self.set_rep(IntRep::Int(n));
         }
     }
@@ -311,7 +306,7 @@ impl Value {
     /// spellings coerce as strings).
     pub fn cache_double_canonical(&self, d: f64) {
         if d.is_finite() && crate::expr::format_double(d) == self.as_str() {
-            stat(|s| s.double_parses += 1);
+            stat(Metric::TclShimmerDoubleParses);
             self.set_rep(IntRep::Double(d));
         }
     }
@@ -332,12 +327,12 @@ impl Value {
     /// The parsed list rep, parsing and caching on first use.
     pub fn as_list(&self) -> TclResult<Rc<Vec<Value>>> {
         if let IntRep::List(elems) = &*self.0.int_rep.borrow() {
-            stat(|s| s.rep_hits += 1);
+            stat(Metric::TclShimmerRepHits);
             return Ok(elems.clone());
         }
         let parsed = parse_list(self.as_str())?;
         let elems: Rc<Vec<Value>> = Rc::new(parsed.into_iter().map(Value::from).collect());
-        stat(|s| s.list_parses += 1);
+        stat(Metric::TclShimmerListParses);
         let mut cur = self.0.int_rep.borrow_mut();
         if !matches!(&*cur, IntRep::Script(_)) {
             *cur = IntRep::List(elems.clone());
@@ -366,7 +361,7 @@ impl Value {
         let mut cur = self.0.int_rep.borrow_mut();
         if matches!(&*cur, IntRep::List(_)) {
             if let IntRep::List(rc) = std::mem::take(&mut *cur) {
-                stat(|s| s.rep_hits += 1);
+                stat(Metric::TclShimmerRepHits);
                 return Some(rc);
             }
         }
@@ -381,7 +376,7 @@ impl Value {
     pub fn cached_script(&self) -> Option<Rc<CompiledScript>> {
         match &*self.0.int_rep.borrow() {
             IntRep::Script(c) => {
-                stat(|s| s.rep_hits += 1);
+                stat(Metric::TclShimmerRepHits);
                 Some(c.clone())
             }
             _ => None,
@@ -401,7 +396,7 @@ impl Value {
         let cmd = self.0.cmd.borrow();
         match &*cmd {
             Some((e, c)) if *e == epoch => {
-                stat(|s| s.cmd_intern_hits += 1);
+                stat(Metric::TclShimmerCmdInternHits);
                 Some(c.clone())
             }
             _ => None,
@@ -437,7 +432,7 @@ pub fn join_values(elems: &[Value]) -> String {
 
 /// Record a copy-on-write list clone (called by the list commands).
 pub(crate) fn note_list_cow() {
-    stat(|s| s.list_cow += 1);
+    stat(Metric::TclShimmerListCow);
 }
 
 // ---------------------------------------------------------------------------
@@ -656,12 +651,15 @@ mod tests {
 
     #[test]
     fn shimmer_counters_move() {
-        reset_shimmer_stats();
+        let tel = Telemetry::new();
+        let guard = count_into(&tel);
         let v = Value::from("123");
         let _ = v.as_int();
         let _ = v.as_int();
-        let s = shimmer_stats();
-        assert_eq!(s.int_parses, 1);
-        assert!(s.rep_hits >= 1);
+        assert_eq!(tel.value(Metric::TclShimmerIntParses), 1);
+        assert!(tel.value(Metric::TclShimmerRepHits) >= 1);
+        drop(guard);
+        let _ = Value::from("456").as_int();
+        assert_eq!(tel.value(Metric::TclShimmerIntParses), 1, "uninstalled");
     }
 }

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use wafe_tcl::{parse_list, Interp, Value};
+use wafe_tcl::{parse_list, Interp, Metric, Value};
 
 /// Evaluates `script` on a VM interpreter and a tree-walking
 /// interpreter, asserting identical outcomes and identical values for
@@ -150,13 +150,13 @@ fn string_and_list_commands_flow_through_generic_invoke() {
 fn bcstats_counts_compile_then_hits() {
     let mut i = Interp::new();
     i.eval("set n 0; while {$n < 10} {incr n}").unwrap();
-    let s1 = i.bc_stats();
-    assert!(s1.compiles >= 1);
-    assert!(s1.instructions > 30);
+    let (compiles1, hits1) = (i.metric(Metric::TclBcCompiles), i.metric(Metric::TclBcHits));
+    assert!(compiles1 >= 1);
+    assert!(i.metric(Metric::TclBcInstructions) > 30);
     i.eval("set n 0; while {$n < 10} {incr n}").unwrap();
-    let s2 = i.bc_stats();
-    assert_eq!(s2.compiles, s1.compiles, "second run must reuse bytecode");
-    assert!(s2.hits > s1.hits);
+    let (compiles2, hits2) = (i.metric(Metric::TclBcCompiles), i.metric(Metric::TclBcHits));
+    assert_eq!(compiles2, compiles1, "second run must reuse bytecode");
+    assert!(hits2 > hits1);
 }
 
 #[test]
@@ -196,17 +196,17 @@ fn bcdisable_and_bcenable_round_trip() {
     // The `interp bcdisable` script itself compiles before the switch
     // flips, so compare against the count after it ran.
     assert_eq!(i.eval("interp bcdisable").unwrap(), "1");
-    let base = i.bc_stats().compiles;
+    let base = i.metric(Metric::TclBcCompiles);
     i.eval("set n 0; while {$n < 5} {incr n}").unwrap();
     assert_eq!(i.get_var("n").unwrap(), "5");
     assert_eq!(
-        i.bc_stats().compiles,
+        i.metric(Metric::TclBcCompiles),
         base,
         "VM must stay cold while disabled"
     );
     assert_eq!(i.eval("interp bcenable").unwrap(), "0");
     i.eval("set n 0; while {$n < 5} {incr n}").unwrap();
-    assert!(i.bc_stats().compiles > base);
+    assert!(i.metric(Metric::TclBcCompiles) > base);
 }
 
 #[test]
@@ -233,11 +233,11 @@ fn redefined_loop_command_is_honored_by_compiled_scripts() {
 fn cachelimit_zero_disables_vm_with_caches() {
     let mut i = Interp::new();
     i.eval("interp cachelimit 0").unwrap();
-    let base = i.bc_stats().compiles;
+    let base = i.metric(Metric::TclBcCompiles);
     i.eval("set n 0; while {$n < 5} {incr n}").unwrap();
     assert_eq!(i.get_var("n").unwrap(), "5");
     assert_eq!(
-        i.bc_stats().compiles,
+        i.metric(Metric::TclBcCompiles),
         base,
         "the Tcl 6.x baseline must not engage the VM"
     );
@@ -251,9 +251,8 @@ fn vm_does_not_add_shimmer_parses() {
     let parses = |bc: bool| {
         let mut i = Interp::new();
         i.set_bc_enabled(bc);
-        wafe_tcl::reset_shimmer_stats();
         i.eval(script).unwrap();
-        wafe_tcl::shimmer_stats().int_parses
+        i.metric(Metric::TclShimmerIntParses)
     };
     let vm = parses(true);
     let tw = parses(false);

@@ -5,7 +5,7 @@
 //! state afterwards.
 
 use wafe_prop::{cases, Rng};
-use wafe_tcl::Interp;
+use wafe_tcl::{Interp, Metric};
 
 const VARS: [&str; 4] = ["v0", "v1", "v2", "v3"];
 
@@ -130,7 +130,7 @@ fn generated_scripts_agree_with_tree_walker() {
             let b = tw.get_var(v).map(|x| x.to_string()).ok();
             assert_eq!(a, b, "variable {v} diverged for script:\n{script}");
         }
-        vm_compiles.set(vm_compiles.get() + vm.bc_stats().compiles);
+        vm_compiles.set(vm_compiles.get() + vm.metric(Metric::TclBcCompiles));
     });
     // Sanity: the generator must actually exercise the VM, not fall
     // back everywhere.

@@ -69,6 +69,50 @@ fn cachestats_reports_expr_side_too() {
     assert!(stat(&mut i, "exprHits") + stat(&mut i, "exprMisses") > 0);
 }
 
+/// The substitution-text cache (`subst`, `$a(idx)` inside `expr`) counts
+/// like the other two, under the four keys `cachestats` appends.
+#[test]
+fn cachestats_reports_subst_side_too() {
+    let mut i = Interp::new();
+    i.eval("set who world").unwrap();
+    for _ in 0..4 {
+        assert_eq!(i.eval("subst {hello $who}").unwrap(), "hello world");
+    }
+    assert_eq!(stat(&mut i, "substMisses"), 1, "the first subst compiles");
+    assert_eq!(stat(&mut i, "substHits"), 3, "repeats reuse the parse");
+    assert_eq!(stat(&mut i, "substEntries"), 1);
+    assert_eq!(stat(&mut i, "substEvictions"), 0);
+    i.eval("interp cachelimit 2").unwrap();
+    for k in 0..4 {
+        i.eval(&format!("subst {{v{k} $who}}")).unwrap();
+    }
+    assert_eq!(stat(&mut i, "substEntries"), 2);
+    assert_eq!(stat(&mut i, "substEvictions"), 3);
+    let keys: Vec<String> = stats(&mut i).into_iter().map(|(k, _)| k).collect();
+    assert_eq!(
+        keys,
+        [
+            "hits",
+            "misses",
+            "entries",
+            "evictions",
+            "exprHits",
+            "exprMisses",
+            "exprEntries",
+            "exprEvictions",
+            "limit",
+            "bcHits",
+            "bcCompiles",
+            "bcFallbacks",
+            "substHits",
+            "substMisses",
+            "substEntries",
+            "substEvictions"
+        ],
+        "the PR-1 keys keep their order; the subst keys come last"
+    );
+}
+
 #[test]
 fn cachelimit_get_and_set() {
     let mut i = Interp::new();

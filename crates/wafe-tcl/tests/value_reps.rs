@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use wafe_tcl::{parse_list, reset_shimmer_stats, Interp};
+use wafe_tcl::{parse_list, Interp};
 
 fn stats(i: &mut Interp) -> HashMap<String, u64> {
     let out = i.eval("interp shimmerstats").unwrap();
@@ -22,7 +22,7 @@ fn stats(i: &mut Interp) -> HashMap<String, u64> {
 #[test]
 fn lappend_is_amortized_o1() {
     let mut i = Interp::new();
-    reset_shimmer_stats();
+    i.telemetry().reset();
     i.eval("set l {}; for {set k 0} {$k < 500} {incr k} {lappend l $k}")
         .unwrap();
     let s = stats(&mut i);
@@ -57,7 +57,7 @@ fn lappend_shared_list_copies_on_write() {
     i.eval("set l {a b}; set saved $l; lappend l c").unwrap();
     assert_eq!(i.eval("set saved").unwrap(), "a b");
     assert_eq!(i.eval("set l").unwrap(), "a b c");
-    reset_shimmer_stats();
+    i.telemetry().reset();
     i.eval("set m {x y}; set keep $m; lappend m z").unwrap();
     let s = stats(&mut i);
     assert!(s["listCow"] >= 1, "shared lappend must count a COW clone");
@@ -79,7 +79,7 @@ fn lappend_self_reference_is_safe() {
 fn numeric_reuse_hits_cached_rep() {
     let mut i = Interp::new();
     i.eval("set n 7777").unwrap();
-    reset_shimmer_stats();
+    i.telemetry().reset();
     i.eval("for {set k 0} {$k < 100} {incr k} {expr {$n + $k}}")
         .unwrap();
     let s = stats(&mut i);

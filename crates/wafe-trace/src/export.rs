@@ -2,39 +2,48 @@
 //! trace-event JSON, both hand-rolled (the workspace is zero-dep).
 
 use crate::span::SpanRecord;
-use crate::Telemetry;
+use crate::{Kind, Metric, Telemetry};
 
 /// Flattens a telemetry store to key-sorted `(key, value)` pairs: every
-/// counter and gauge by name, histograms as `.count/.p50Ns/.p90Ns/.p99Ns`,
-/// plus journal and span occupancy under `trace.journal.*` /
-/// `trace.spans.*`. This is the store-level subset of the Tcl-visible
-/// `telemetry snapshot` (which adds interpreter- and widget-side stats
-/// the store cannot see).
+/// nonzero counter and gauge by name, recorded histograms as
+/// `.count/.p50Ns/.p90Ns/.p99Ns`, plus journal and span occupancy under
+/// `trace.journal.*` / `trace.spans.*`. This is the store-level subset of
+/// the Tcl-visible `telemetry snapshot` (which adds the interpreter's
+/// cache sizes and the toolkit's memory totals, read live).
 pub fn telemetry_pairs(tel: &Telemetry) -> Vec<(String, String)> {
-    let snap = tel.snapshot();
     let mut pairs: Vec<(String, String)> = Vec::new();
-    for (k, v) in &snap.counters {
-        pairs.push((k.to_string(), v.to_string()));
-    }
-    for (k, v) in &snap.gauges {
-        pairs.push((k.to_string(), v.to_string()));
-    }
-    for (k, h) in &snap.histograms {
-        pairs.push((format!("{k}.count"), h.count.to_string()));
-        pairs.push((format!("{k}.p50Ns"), h.p50_ns.to_string()));
-        pairs.push((format!("{k}.p90Ns"), h.p90_ns.to_string()));
-        pairs.push((format!("{k}.p99Ns"), h.p99_ns.to_string()));
+    for &m in Metric::ALL {
+        match m.kind() {
+            Kind::Counter | Kind::Gauge => match tel.value(m) {
+                0 => {}
+                v => pairs.push((m.name().to_string(), v.to_string())),
+            },
+            Kind::Histogram => {
+                if let Some(h) = tel.histogram(m) {
+                    let k = m.name();
+                    pairs.push((format!("{k}.count"), h.count.to_string()));
+                    pairs.push((format!("{k}.p50Ns"), h.p50_ns.to_string()));
+                    pairs.push((format!("{k}.p90Ns"), h.p90_ns.to_string()));
+                    pairs.push((format!("{k}.p99Ns"), h.p99_ns.to_string()));
+                }
+            }
+            Kind::Live => {}
+        }
     }
     let (retained, total, dropped, capacity) = tel.journal_stats();
-    pairs.push(("trace.journal.retained".into(), retained.to_string()));
-    pairs.push(("trace.journal.total".into(), total.to_string()));
-    pairs.push(("trace.journal.dropped".into(), dropped.to_string()));
-    pairs.push(("trace.journal.capacity".into(), capacity.to_string()));
     let spans = tel.span_stats();
-    pairs.push(("trace.spans.retained".into(), spans.retained.to_string()));
-    pairs.push(("trace.spans.total".into(), spans.total.to_string()));
-    pairs.push(("trace.spans.dropped".into(), spans.dropped.to_string()));
-    pairs.push(("trace.spans.capacity".into(), spans.capacity.to_string()));
+    for (m, v) in [
+        (Metric::TraceJournalRetained, retained as u64),
+        (Metric::TraceJournalTotal, total),
+        (Metric::TraceJournalDropped, dropped),
+        (Metric::TraceJournalCapacity, capacity as u64),
+        (Metric::TraceSpansRetained, spans.retained as u64),
+        (Metric::TraceSpansTotal, spans.total),
+        (Metric::TraceSpansDropped, spans.dropped),
+        (Metric::TraceSpansCapacity, spans.capacity as u64),
+    ] {
+        pairs.push((m.name().to_string(), v.to_string()));
+    }
     pairs.sort();
     pairs
 }
@@ -150,16 +159,16 @@ mod tests {
     #[test]
     fn telemetry_pairs_are_sorted_and_complete() {
         let tel = Telemetry::new();
-        tel.set_enabled(true);
-        tel.count("b.two");
-        tel.count("a.one");
-        tel.set_gauge("g.mid", 5);
+        tel.count(Metric::XtWidgetCreates);
+        tel.count(Metric::DisplayAttach);
+        tel.set_gauge(Metric::ServeQueueDepth, 5);
         let pairs = telemetry_pairs(&tel);
         let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "pairs must come out key-sorted");
-        assert!(keys.contains(&"a.one"));
+        assert!(keys.contains(&"display.attach"));
+        assert!(keys.contains(&"serve.queue.depth"));
         assert!(keys.contains(&"trace.journal.dropped"));
         assert!(keys.contains(&"trace.spans.capacity"));
     }

@@ -7,16 +7,19 @@
 //! dispatch, and the duplex pipe protocol. This crate provides the three
 //! primitives those seams share:
 //!
-//! * **monotonic counters** (and settable gauges) keyed by static names,
+//! * **monotonic counters** (and settable gauges), one slot per entry of
+//!   the static [`metric`] table,
 //! * **fixed-bucket latency histograms** with p50/p90/p99 extraction
 //!   ([`histogram`]), and
 //! * a **bounded ring-buffer event journal** ([`journal`]),
 //!
-//! behind a cloneable [`Telemetry`] handle. The handle is near-free when
-//! disabled: every recording entry point is one load of the enabled flag
-//! — no allocation, no formatting, no clock read. Journal detail strings
-//! are built through closures so the formatting cost is only paid when a
-//! record is actually retained.
+//! behind a cloneable [`Telemetry`] handle. Counters and gauges always
+//! record: a [`Metric`] id is a dense index, so a count is one slot
+//! increment. The enabled flag gates only what costs a clock read or a
+//! format — histograms and the journal — and while it is off each of
+//! those entry points is one flag load. Journal detail strings are built
+//! through closures so the formatting cost is only paid when a record is
+//! actually retained.
 //!
 //! The handle is deliberately single-threaded (`Rc` + interior
 //! mutability), matching the rest of the Wafe stack; one handle is
@@ -26,33 +29,35 @@
 //! # Examples
 //!
 //! ```
-//! use wafe_trace::Telemetry;
+//! use wafe_trace::{Metric, Telemetry};
 //!
 //! let t = Telemetry::new();
-//! t.count("demo.ticks"); // disabled: a no-op
+//! t.count(Metric::IpcLinesReceived); // counters record while disabled
+//! t.observe_ns(Metric::IpcRoundtrip, 1_500); // histograms do not
+//! assert!(t.histogram(Metric::IpcRoundtrip).is_none());
 //! t.set_enabled(true);
-//! t.count("demo.ticks");
-//! t.add("demo.bytes", 128);
-//! t.observe_ns("demo.latency", 1_500);
+//! t.add(Metric::IpcBytesReceived, 128);
+//! t.observe_ns(Metric::IpcRoundtrip, 1_500);
 //! t.event("demo.start", || "hello".to_string());
-//! let snap = t.snapshot();
-//! assert_eq!(snap.counter("demo.ticks"), Some(1));
-//! assert_eq!(snap.counter("demo.bytes"), Some(128));
+//! assert_eq!(t.value(Metric::IpcLinesReceived), 1);
+//! assert_eq!(t.value(Metric::IpcBytesReceived), 128);
+//! assert_eq!(t.histogram(Metric::IpcRoundtrip).unwrap().count, 1);
 //! assert_eq!(t.journal_recent(10).len(), 1);
 //! ```
 
 pub mod export;
 pub mod histogram;
 pub mod journal;
+pub mod metric;
 pub mod span;
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_NS, BUCKET_COUNT};
 pub use journal::{EventRecord, Journal, DEFAULT_JOURNAL_CAPACITY};
+pub use metric::{Kind, Metric, METRIC_COUNT};
 pub use span::{SpanRecord, SpanStats, SpanStore, TraceId, DEFAULT_SPAN_CAPACITY};
 
 /// The environment variable that enables telemetry at startup.
@@ -65,9 +70,12 @@ pub const SPANS_ENV_VAR: &str = "WAFE_SPANS";
 
 struct Inner {
     enabled: Cell<bool>,
-    counters: RefCell<BTreeMap<&'static str, u64>>,
-    gauges: RefCell<BTreeMap<&'static str, u64>>,
-    histograms: RefCell<BTreeMap<&'static str, Histogram>>,
+    /// One slot per table metric, indexed by [`Metric`]; counters and
+    /// gauges keep their values here.
+    slots: [Cell<u64>; METRIC_COUNT],
+    /// Histograms by [`Metric`]; empty until the first sample, then one
+    /// entry per table metric, each allocated on its own first sample.
+    histograms: RefCell<Vec<Option<Box<Histogram>>>>,
     journal: RefCell<Journal>,
     spans_enabled: Cell<bool>,
     spans: RefCell<SpanStore>,
@@ -92,9 +100,8 @@ impl Telemetry {
         Telemetry {
             inner: Rc::new(Inner {
                 enabled: Cell::new(false),
-                counters: RefCell::new(BTreeMap::new()),
-                gauges: RefCell::new(BTreeMap::new()),
-                histograms: RefCell::new(BTreeMap::new()),
+                slots: [const { Cell::new(0) }; METRIC_COUNT],
+                histograms: RefCell::new(Vec::new()),
                 journal: RefCell::new(Journal::default()),
                 spans_enabled: Cell::new(false),
                 spans: RefCell::new(SpanStore::default()),
@@ -118,13 +125,14 @@ impl Telemetry {
         t
     }
 
-    /// Whether recording is active.
+    /// Whether histograms and the journal record (counters always do).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.enabled.get()
     }
 
-    /// Turns recording on or off. Accumulated data is kept either way.
+    /// Turns histogram and journal recording on or off. Accumulated data
+    /// is kept either way.
     pub fn set_enabled(&self, on: bool) {
         self.inner.enabled.set(on);
     }
@@ -133,28 +141,29 @@ impl Telemetry {
 
     /// Increments a counter by one.
     #[inline]
-    pub fn count(&self, name: &'static str) {
-        self.add(name, 1);
+    pub fn count(&self, m: Metric) {
+        self.add(m, 1);
     }
 
     /// Increments a counter by `delta`.
     #[inline]
-    pub fn add(&self, name: &'static str, delta: u64) {
-        if !self.enabled() {
-            return;
-        }
-        *self.inner.counters.borrow_mut().entry(name).or_insert(0) += delta;
+    pub fn add(&self, m: Metric, delta: u64) {
+        debug_assert_eq!(m.kind(), Kind::Counter, "{} is not a counter", m.name());
+        let slot = &self.inner.slots[m as usize];
+        slot.set(slot.get().wrapping_add(delta));
     }
 
-    /// Sets a gauge to an absolute value (recorded even while a counter
-    /// with the same name would be suppressed — gauges describe current
-    /// state, so the last write wins).
+    /// Sets a gauge to an absolute value (last write wins).
     #[inline]
-    pub fn set_gauge(&self, name: &'static str, value: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.inner.gauges.borrow_mut().insert(name, value);
+    pub fn set_gauge(&self, m: Metric, value: u64) {
+        debug_assert_eq!(m.kind(), Kind::Gauge, "{} is not a gauge", m.name());
+        self.inner.slots[m as usize].set(value);
+    }
+
+    /// The current value of a counter or gauge (0 for other kinds).
+    #[inline]
+    pub fn value(&self, m: Metric) -> u64 {
+        self.inner.slots[m as usize].get()
     }
 
     // ----- latency histograms ----------------------------------------
@@ -174,26 +183,32 @@ impl Telemetry {
     /// `None` start (telemetry was disabled at start time) records
     /// nothing, even if telemetry has been enabled in between.
     #[inline]
-    pub fn observe_since(&self, name: &'static str, started: Option<Instant>) {
+    pub fn observe_since(&self, m: Metric, started: Option<Instant>) {
         if let Some(t0) = started {
             if self.enabled() {
-                self.observe_ns(name, t0.elapsed().as_nanos() as u64);
+                self.observe_ns(m, t0.elapsed().as_nanos() as u64);
             }
         }
     }
 
     /// Records one latency sample in nanoseconds.
     #[inline]
-    pub fn observe_ns(&self, name: &'static str, ns: u64) {
+    pub fn observe_ns(&self, m: Metric, ns: u64) {
         if !self.enabled() {
             return;
         }
-        self.inner
-            .histograms
-            .borrow_mut()
-            .entry(name)
-            .or_default()
-            .record(ns);
+        debug_assert_eq!(m.kind(), Kind::Histogram, "{} is not a histogram", m.name());
+        let mut hs = self.inner.histograms.borrow_mut();
+        if hs.is_empty() {
+            hs.resize_with(METRIC_COUNT, || None);
+        }
+        hs[m as usize].get_or_insert_default().record(ns);
+    }
+
+    /// A summary of one histogram, if it has been recorded to.
+    pub fn histogram(&self, m: Metric) -> Option<HistogramSnapshot> {
+        let hs = self.inner.histograms.borrow();
+        hs.get(m as usize)?.as_deref().map(Histogram::snapshot)
     }
 
     // ----- journal ----------------------------------------------------
@@ -337,50 +352,15 @@ impl Telemetry {
         self.inner.spans.borrow_mut().set_capacity(capacity);
     }
 
-    // ----- snapshot and reset ----------------------------------------
+    // ----- reset ------------------------------------------------------
 
-    /// A point-in-time copy of every counter, gauge and histogram.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .inner
-                .counters
-                .borrow()
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            gauges: self
-                .inner
-                .gauges
-                .borrow()
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            histograms: self
-                .inner
-                .histograms
-                .borrow()
-                .iter()
-                .map(|(&k, h)| (k, h.snapshot()))
-                .collect(),
-        }
-    }
-
-    /// A summary of one histogram, if it has been recorded to.
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.inner
-            .histograms
-            .borrow()
-            .get(name)
-            .map(Histogram::snapshot)
-    }
-
-    /// Clears counters, gauges, histograms and the journal. The enabled
-    /// flag is **not** touched: `telemetry reset` re-arms measurement, it
-    /// does not stop it.
+    /// Zeroes counters and gauges and clears histograms and the journal.
+    /// The enabled flag is **not** touched: `telemetry reset` re-arms
+    /// measurement, it does not stop it.
     pub fn reset(&self) {
-        self.inner.counters.borrow_mut().clear();
-        self.inner.gauges.borrow_mut().clear();
+        for slot in &self.inner.slots {
+            slot.set(0);
+        }
         self.inner.histograms.borrow_mut().clear();
         // A full reset starts the journal over, sequence numbers
         // included (unlike Journal::clear, which preserves them).
@@ -392,73 +372,22 @@ impl Telemetry {
     }
 }
 
-/// A point-in-time copy of a [`Telemetry`] store, sorted by name.
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    /// Monotonic counters.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Last-write-wins gauges.
-    pub gauges: Vec<(&'static str, u64)>,
-    /// Histogram summaries.
-    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
-}
-
-impl Snapshot {
-    /// Looks up a counter by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// All counters under a dotted prefix (e.g. `ipc.supervisor.`),
-    /// sorted by name — the supervisor's introspection surface.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&'static str, u64)> {
-        let mut out: Vec<(&'static str, u64)> = self
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .copied()
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Looks up a histogram summary by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, h)| h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_records_nothing() {
+    fn disabled_counts_but_records_no_histograms_or_journal() {
         let t = Telemetry::new();
         assert!(!t.enabled());
-        t.count("x");
-        t.add("x", 10);
-        t.set_gauge("g", 5);
-        t.observe_ns("h", 100);
+        t.count(Metric::IpcLinesReceived);
+        t.add(Metric::IpcLinesReceived, 10);
+        t.set_gauge(Metric::ServeQueueDepth, 5);
+        t.observe_ns(Metric::IpcRoundtrip, 100);
         t.event("e", || panic!("detail closure must not run while disabled"));
-        let s = t.snapshot();
-        assert!(s.counters.is_empty());
-        assert!(s.gauges.is_empty());
-        assert!(s.histograms.is_empty());
+        assert_eq!(t.value(Metric::IpcLinesReceived), 11);
+        assert_eq!(t.value(Metric::ServeQueueDepth), 5);
+        assert!(t.histogram(Metric::IpcRoundtrip).is_none());
         assert_eq!(t.journal_recent(10).len(), 0);
         assert!(t.timer().is_none());
     }
@@ -468,11 +397,11 @@ mod tests {
         let t = Telemetry::new();
         t.set_enabled(true);
         let t2 = t.clone();
-        t.count("evals");
-        t2.count("evals");
-        t2.observe_ns("lat", 1_000);
-        assert_eq!(t.snapshot().counter("evals"), Some(2));
-        assert_eq!(t.histogram("lat").unwrap().count, 1);
+        t.count(Metric::TclEvals);
+        t2.count(Metric::TclEvals);
+        t2.observe_ns(Metric::TclEval, 1_000);
+        assert_eq!(t.value(Metric::TclEvals), 2);
+        assert_eq!(t.histogram(Metric::TclEval).unwrap().count, 1);
     }
 
     #[test]
@@ -480,22 +409,22 @@ mod tests {
         let t = Telemetry::new();
         let started = t.timer();
         t.set_enabled(true);
-        t.observe_since("lat", started);
-        assert!(t.histogram("lat").is_none());
+        t.observe_since(Metric::TclEval, started);
+        assert!(t.histogram(Metric::TclEval).is_none());
     }
 
     #[test]
     fn reset_clears_data_but_not_enabled() {
         let t = Telemetry::new();
         t.set_enabled(true);
-        t.count("c");
-        t.set_gauge("g", 1);
-        t.observe_ns("h", 10);
+        t.count(Metric::TclEvals);
+        t.set_gauge(Metric::ServeQueueDepth, 1);
+        t.observe_ns(Metric::TclEval, 10);
         t.event("e", || "d".into());
         t.reset();
         assert!(t.enabled(), "reset must not disable");
-        let s = t.snapshot();
-        assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
+        assert!(Metric::ALL.iter().all(|&m| t.value(m) == 0));
+        assert!(t.histogram(Metric::TclEval).is_none());
         assert_eq!(t.journal_recent(100).len(), 0);
     }
 
@@ -568,11 +497,14 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_by_name() {
         let t = Telemetry::new();
-        t.set_enabled(true);
-        t.count("zzz");
-        t.count("aaa");
-        t.count("mmm");
-        let names: Vec<&str> = t.snapshot().counters.iter().map(|&(k, _)| k).collect();
-        assert_eq!(names, vec!["aaa", "mmm", "zzz"]);
+        t.count(Metric::XtWidgetCreates);
+        t.count(Metric::DisplayAttach);
+        t.count(Metric::TclBcHits);
+        let pairs = export::telemetry_pairs(&t);
+        let names: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(names, sorted);
+        assert!(names.contains(&"tcl.bc.hits") && names.contains(&"display.attach"));
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use wafe_trace::Telemetry;
+use wafe_trace::{Metric, Telemetry};
 use wafe_xproto::display::{Display, GrabKind, WindowAttributes};
 use wafe_xproto::font::{FontDb, FontId};
 use wafe_xproto::geometry::Rect;
@@ -394,7 +394,7 @@ impl XtApp {
             accelerators_installed: Vec::new(),
         };
         self.memstats.alloc(tracked);
-        self.telemetry.count("xt.widget.creates");
+        self.telemetry.count(Metric::XtWidgetCreates);
         self.telemetry
             .event("widget.create", || format!("{name} {}", class.name));
         self.widgets.insert(id.0, rec);
@@ -463,7 +463,7 @@ impl XtApp {
             .map(ResourceValue::tracked_size)
             .sum::<usize>();
         self.memstats.free(tracked);
-        self.telemetry.count("xt.widget.destroys");
+        self.telemetry.count(Metric::XtWidgetDestroys);
         self.telemetry.event("widget.destroy", || {
             format!("{} {}", rec.name, rec.class.name)
         });
@@ -1144,8 +1144,10 @@ impl XtApp {
                 n_redrawn += 1;
             }
         }
-        self.telemetry.add("xt.settle.laid_out", n_laid_out as u64);
-        self.telemetry.add("xt.settle.redrawn", n_redrawn as u64);
+        self.telemetry
+            .add(Metric::XtSettleLaidOut, n_laid_out as u64);
+        self.telemetry
+            .add(Metric::XtSettleRedrawn, n_redrawn as u64);
         for di in displays {
             self.displays[di].flush();
         }
@@ -1405,7 +1407,7 @@ impl XtApp {
 
     /// Queues a host call directly (used by the global `exec` action).
     pub fn queue_host_call(&mut self, call: HostCall) {
-        self.telemetry.count("xt.hostcalls.queued");
+        self.telemetry.count(Metric::XtHostcallsQueued);
         self.host_calls.push_back(call);
     }
 
@@ -1432,7 +1434,7 @@ impl XtApp {
             }
         }
         if n > 0 {
-            self.telemetry.add("xt.events.dispatched", n as u64);
+            self.telemetry.add(Metric::XtEventsDispatched, n as u64);
         }
         n
     }

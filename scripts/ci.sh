@@ -76,23 +76,28 @@ timeout 60 sh -c '
 
 # waferd smoke test: spawn the release binary, connect N clients over
 # loopback, round-trip one command each, then drain from a client and
-# require a clean exit — all under a hard timeout.
+# require a clean exit — all under a hard timeout. Before the drain, one
+# scrape of the --metrics endpoint must show the server-wide counters.
 echo "== waferd smoke test (30s guard)"
 timeout 30 sh -c '
-    ./target/release/waferd --quiet --max-sessions 16 > /tmp/waferd-ci.out 2>&1 &
+    ./target/release/waferd --quiet --max-sessions 16 --metrics 127.0.0.1:0 \
+        > /tmp/waferd-ci.out 2>&1 &
     pid=$!
     port=""
+    mport=""
     i=0
     while [ $i -lt 50 ]; do
         port=$(sed -n "s/.*listening tcp 127\.0\.0\.1:\([0-9]*\)/\1/p" /tmp/waferd-ci.out)
-        [ -n "$port" ] && break
+        mport=$(sed -n "s/.*metrics tcp 127\.0\.0\.1:\([0-9]*\)/\1/p" /tmp/waferd-ci.out)
+        [ -n "$port" ] && [ -n "$mport" ] && break
         sleep 0.1
         i=$((i + 1))
     done
     [ -n "$port" ] || { echo "waferd did not report a port"; kill $pid; exit 1; }
-    python3 - "$port" <<"EOF" || { kill $pid; exit 1; }
+    [ -n "$mport" ] || { echo "waferd did not report a metrics port"; kill $pid; exit 1; }
+    python3 - "$port" "$mport" <<"EOF" || { kill $pid; exit 1; }
 import socket, sys
-port = int(sys.argv[1])
+port, mport = int(sys.argv[1]), int(sys.argv[2])
 conns = []
 for c in range(8):
     s = socket.create_connection(("127.0.0.1", port), timeout=5)
@@ -101,6 +106,12 @@ for c in range(8):
     got = f.readline().rstrip("\n")
     assert got == f"smoke-{c}", f"client {c}: {got!r}"
     conns.append((s, f))
+scrape = socket.create_connection(("127.0.0.1", mport), timeout=5)
+page = scrape.makefile("rb").read().decode()
+scrape.close()
+for want in ("wafe_serve_server_accepted 8", "wafe_serve_server_commands 16",
+             "wafe_serve_server_active 8"):
+    assert want + "\n" in page, f"metrics scrape lacks {want!r}: {page!r}"
 s, f = conns[0]
 f.write("%serve drain\n"); f.flush()
 for s, f in conns:

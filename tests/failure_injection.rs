@@ -9,6 +9,17 @@ use std::time::{Duration, Instant};
 
 use wafe::core::Flavor;
 use wafe::ipc::{BackendState, Frontend, FrontendConfig, ProtocolEngine, SupervisorConfig};
+use wafe::tcl::Metric;
+
+/// One `ipc.supervisor.*` event total from the session's store.
+fn stat(fe: &Frontend, m: Metric) -> u64 {
+    fe.engine.session.telemetry.value(m)
+}
+
+/// `backend status`, for assertion messages.
+fn status(fe: &Frontend) -> Vec<String> {
+    fe.supervisor_core().borrow().status_words()
+}
 
 fn spawn_sh(script: &str) -> Frontend {
     spawn_sh_with(script, SupervisorConfig::default())
@@ -197,9 +208,13 @@ fn wedged_backend_trips_read_timeout_instead_of_hanging() {
     }
     assert!(ended, "the wedged backend must not hang the session");
     assert_eq!(fe.backend_state(), BackendState::Broken);
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.read_timeouts, 1, "{stats:?}");
-    assert_eq!(stats.breaker_trips, 1);
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorTimeoutsRead),
+        1,
+        "{:?}",
+        status(&fe)
+    );
+    assert_eq!(stat(&fe, Metric::IpcSupervisorBreakerTrips), 1);
     // The GUI session itself is still usable after the breaker opened.
     assert_eq!(fe.engine.session.eval("set x alive").unwrap(), "alive");
     fe.kill();
@@ -293,9 +308,13 @@ fn prime_backend_restarts_end_to_end() {
         }
     }
     assert_eq!(fe.engine.session.eval("gV result label").unwrap(), "7*5");
-    let stats = fe.supervisor_stats();
-    assert_eq!(stats.restarts, 1, "{stats:?}");
-    assert!(stats.queue_flushed >= 1);
+    assert_eq!(
+        stat(&fe, Metric::IpcSupervisorRestarts),
+        1,
+        "{:?}",
+        status(&fe)
+    );
+    assert!(stat(&fe, Metric::IpcSupervisorQueueFlushed) >= 1);
     assert_eq!(fe.backend_state(), BackendState::Running);
     fe.kill();
 }
