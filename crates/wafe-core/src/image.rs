@@ -27,6 +27,7 @@ use std::rc::Rc;
 
 use wafe_tcl::error::wrong_num_args;
 use wafe_tcl::{CommandBase, Interp, TclError};
+use wafe_trace::Telemetry;
 use wafe_xproto::GrabKind;
 use wafe_xt::app::HostCallKind;
 use wafe_xt::{XtApp, XtError};
@@ -132,9 +133,10 @@ impl ToolkitImage {
     }
 
     /// A fresh application context sharing the image's class records,
-    /// converters and global actions, carrying the image's warnings.
-    pub(crate) fn new_app(&self) -> XtApp {
-        let mut app = self.toolkit.sharing_toolkit();
+    /// converters and global actions, carrying the image's warnings and
+    /// counting into the session's `telemetry`.
+    pub(crate) fn new_app(&self, telemetry: Telemetry) -> XtApp {
+        let mut app = self.toolkit.sharing_toolkit(telemetry);
         for w in &self.warnings {
             app.warn(w.clone());
         }

@@ -132,13 +132,11 @@ impl WafeSession {
     pub fn new(flavor: Flavor) -> Self {
         let image = ToolkitImage::shared(flavor);
         let telemetry = Telemetry::from_env();
-        let mut app = image.new_app();
-        app.telemetry = telemetry.clone();
+        let mut app = image.new_app(telemetry.clone());
         app.create_widget("topLevel", "TopLevelShell", None, 0, &[], true)
             .expect("topLevel creation cannot fail");
 
-        let mut interp = Interp::with_base(image.commands().clone());
-        interp.set_telemetry(telemetry.clone());
+        let mut interp = Interp::with_base(image.commands().clone(), telemetry.clone());
         let output = Rc::new(RefCell::new(String::new()));
         interp.set_output(OutputSink::Buffer(output.clone()));
 

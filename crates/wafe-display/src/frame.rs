@@ -94,42 +94,58 @@ pub struct Frame {
     pub rects: Vec<FrameRect>,
 }
 
-/// Run-length encodes a pixel row sequence.
-fn rle_runs(pixels: &[Pixel]) -> Vec<(u32, Pixel)> {
-    let mut runs: Vec<(u32, Pixel)> = Vec::new();
-    for &p in pixels {
-        match runs.last_mut() {
-            Some((n, q)) if *q == p => *n += 1,
-            _ => runs.push((1, p)),
+/// Run-length encodes a rectangle straight from the framebuffer's rows
+/// (runs continue across row ends, the rect read row-major). Gives up
+/// with `None` once the runs would encode no smaller than raw pixels —
+/// they only grow, so raw has already won.
+fn rle_runs(fb: &Framebuffer, rect: Rect) -> Option<Vec<(u32, Pixel)>> {
+    let raw_len = 4 * rect.area() as usize;
+    let mut runs = Vec::new();
+    let (mut n, mut cur) = (0u32, 0);
+    for row in fb.rows(rect) {
+        let mut rest = row;
+        while let Some(&p) = rest.first() {
+            let len = rest.iter().position(|&q| q != p).unwrap_or(rest.len());
+            rest = &rest[len..];
+            if n > 0 && p == cur {
+                n += len as u32;
+                continue;
+            }
+            if n > 0 {
+                runs.push((n, cur));
+                if 4 + 8 * runs.len() >= raw_len {
+                    return None;
+                }
+            }
+            (n, cur) = (len as u32, p);
         }
     }
-    runs
+    if n > 0 {
+        runs.push((n, cur));
+    }
+    (4 + 8 * runs.len() < raw_len).then_some(runs)
 }
 
 impl Frame {
     /// Builds the frame for `damage` from a composited framebuffer.
     /// Full damage becomes a single screen-sized rect; each rect's
-    /// pixels are RLE-compressed iff that is strictly smaller than raw.
+    /// pixels are RLE-compressed iff that is strictly smaller than raw,
+    /// and copied out raw only when raw wins.
     pub fn build(fb: &Framebuffer, damage: &Damage, seq: u64) -> Frame {
         let screen = Rect::new(0, 0, fb.width, fb.height);
-        let rects: Vec<Rect> = if damage.full {
-            vec![screen]
+        let full = [screen];
+        let rects = if damage.full {
+            &full[..]
         } else {
-            damage
-                .rects
-                .iter()
-                .filter_map(|r| r.intersect(&screen))
-                .collect()
+            &damage.rects[..]
         };
         let rects = rects
-            .into_iter()
+            .iter()
+            .filter_map(|r| r.intersect(&screen))
             .map(|rect| {
-                let raw = fb.rect_pixels(rect);
-                let runs = rle_runs(&raw);
-                let data = if 4 + 8 * runs.len() < 4 * raw.len() {
-                    PixelData::Rle(runs)
-                } else {
-                    PixelData::Raw(raw)
+                let data = match rle_runs(fb, rect) {
+                    Some(runs) => PixelData::Rle(runs),
+                    None => PixelData::Raw(fb.rect_pixels(rect)),
                 };
                 FrameRect { rect, data }
             })
@@ -145,7 +161,7 @@ impl Frame {
 
     /// Serializes the frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.encoded_len());
         w.put_bytes(&FRAME_MAGIC);
         w.put_u32(PROTOCOL_VERSION);
         w.put_u64(self.seq);

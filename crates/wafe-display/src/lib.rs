@@ -32,4 +32,4 @@ pub use event::{
     modifier_mask, modifiers_from_mask, InputEvent, EVENT_MAGIC, MOD_CONTROL, MOD_META, MOD_SHIFT,
 };
 pub use frame::{Frame, FrameRect, PixelData, FRAME_MAGIC, PROTOCOL_VERSION};
-pub use wire::{from_hex, to_hex, DecodeError};
+pub use wire::{from_hex, hex_line, to_hex, DecodeError};

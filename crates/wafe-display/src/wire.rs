@@ -66,6 +66,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// An empty writer with room for a `len`-byte message (checksum
+    /// trailer included), so writing it never reallocates.
+    pub fn with_capacity(len: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(len),
+        }
+    }
+
     /// Appends raw bytes (magic tags).
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
@@ -240,32 +248,70 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The two lowercase hex digits of every byte value.
+static HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut t = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
+    }
+    t
+};
+
+/// The value of every hex digit (either case); 0xff marks a non-digit.
+static HEX_VALUES: [u8; 256] = {
+    let mut t = [0xffu8; 256];
+    let mut i = 0;
+    while i < 10 {
+        t[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        t[b'a' as usize + i] = 10 + i as u8;
+        t[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    t
+};
+
+/// `prefix` followed by the lowercase hex encoding of `bytes`, built in
+/// one buffer — a `!display frame <hex>` line without an intermediate
+/// hex string.
+pub fn hex_line(prefix: &str, bytes: &[u8]) -> String {
+    let mut out = vec![0u8; prefix.len() + 2 * bytes.len()];
+    let (head, digits) = out.split_at_mut(prefix.len());
+    head.copy_from_slice(prefix.as_bytes());
+    for (pair, &b) in digits.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[b as usize]);
+    }
+    String::from_utf8(out).expect("a str prefix and hex digits are UTF-8")
+}
+
 /// Lowercase hex encoding — how binary messages ride the `%`-line
 /// channel without escaping concerns.
 pub fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-        s.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-    }
-    s
+    hex_line("", bytes)
 }
 
-/// Inverse of [`to_hex`]; rejects odd lengths and non-hex digits.
+/// Inverse of [`to_hex`] (either case); rejects odd lengths and
+/// non-hex digits.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, DecodeError> {
     if !s.len().is_multiple_of(2) {
         return Err(DecodeError::BadValue("hex length"));
     }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let b = s.as_bytes();
-    for pair in b.chunks(2) {
-        let hi = (pair[0] as char)
-            .to_digit(16)
-            .ok_or(DecodeError::BadValue("hex digit"))?;
-        let lo = (pair[1] as char)
-            .to_digit(16)
-            .ok_or(DecodeError::BadValue("hex digit"))?;
-        out.push(((hi << 4) | lo) as u8);
+    let mut out = vec![0u8; s.len() / 2];
+    // Branch-free: a non-digit's 0xff survives the OR and fails below.
+    let mut seen = 0u8;
+    for (byte, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
+        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        seen |= hi | lo;
+        *byte = (hi << 4) | (lo & 0xf);
+    }
+    if seen > 0xf {
+        return Err(DecodeError::BadValue("hex digit"));
     }
     Ok(out)
 }
@@ -340,5 +386,18 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&data)).unwrap(), data);
         assert!(from_hex("abc").is_err(), "odd length");
         assert!(from_hex("zz").is_err(), "non-hex digit");
+        assert_eq!(from_hex("0aFf").unwrap(), vec![0x0a, 0xff], "either case");
+        for bad in ["0g", "g0", " 0", "\u{e9}"] {
+            assert!(from_hex(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn hex_matches_the_formatter_for_every_byte() {
+        let all: Vec<u8> = (0..=255).collect();
+        let want: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), want);
+        assert_eq!(hex_line("!x ", &all[..2]), "!x 0001");
+        assert_eq!(from_hex(&want).unwrap(), all);
     }
 }

@@ -112,10 +112,19 @@ fn built_frames_round_trip_and_carry_the_framebuffer_pixels() {
         let back = Frame::decode(&frame.encode()).unwrap();
         assert_eq!(back, frame);
         for fr in &back.rects {
+            let raw = fb.rect_pixels(fr.rect);
             assert_eq!(
                 fr.data.expand(),
-                fb.rect_pixels(fr.rect),
+                raw,
                 "decoded pixels must match the framebuffer at {:?}",
+                fr.rect
+            );
+            // Canonical choice: RLE exactly when it is strictly smaller.
+            let runs = 1 + raw.windows(2).filter(|p| p[0] != p[1]).count();
+            assert_eq!(
+                matches!(fr.data, PixelData::Rle(_)),
+                4 + 8 * runs < 4 * raw.len(),
+                "encoding choice at {:?}",
                 fr.rect
             );
         }

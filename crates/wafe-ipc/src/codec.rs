@@ -99,11 +99,17 @@ impl LineCodec {
     /// used on the pipe.
     pub fn encode(line: &str) -> Vec<u8> {
         let mut out = Vec::with_capacity(line.len() + 1);
+        Self::encode_into(&mut out, line);
+        out
+    }
+
+    /// [`encode`](Self::encode), appending to a write buffer instead of
+    /// allocating one per line.
+    pub fn encode_into(out: &mut Vec<u8>, line: &str) {
         out.extend_from_slice(line.as_bytes());
         if !line.ends_with('\n') {
             out.push(b'\n');
         }
-        out
     }
 
     /// Bytes buffered without a terminating newline yet.

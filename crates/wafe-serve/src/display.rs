@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use wafe_core::WafeSession;
-use wafe_display::{from_hex, modifiers_from_mask, to_hex, Frame, InputEvent};
+use wafe_display::{from_hex, hex_line, modifiers_from_mask, Frame, InputEvent};
 use wafe_ipc::fault::truncate_line;
 use wafe_ipc::{FaultAction, FaultPlan};
 
@@ -177,7 +177,7 @@ pub fn pump_frame(
         // Byte sizes recorded as histogram samples: `telemetry
         // histogram display.frame.bytes` answers "how big are frames".
         tel.observe_ns(Metric::DisplayFrameBytes, bytes.len() as u64);
-        format!("!display frame {}", to_hex(&bytes))
+        hex_line("!display frame ", &bytes)
     };
     let mut line = line;
     if let Some(plan) = faults {
@@ -199,5 +199,5 @@ pub fn pump_frame(
             }
         }
     }
-    sink.send_frame(&line)
+    sink.send_frame(line)
 }

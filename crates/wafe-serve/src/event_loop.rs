@@ -422,7 +422,7 @@ impl EventLoop {
                 conn.wpos = 0;
                 // Coalesce: one write call per flush, not per line.
                 while let Some(line) = conn.out.pop() {
-                    conn.wbuf.extend_from_slice(&LineCodec::encode(&line));
+                    LineCodec::encode_into(&mut conn.wbuf, &line);
                     if conn.wbuf.len() >= READ_SWEEP_CAP {
                         break;
                     }

@@ -121,12 +121,12 @@ impl OutQueue {
     }
 
     /// Enqueues one line; `false` means the client side is gone.
-    pub fn push(&self, line: &str) -> bool {
+    pub fn push(&self, line: String) -> bool {
         let mut q = self.lock();
         if q.receiver_gone {
             return false;
         }
-        q.lines.push_back(line.to_string());
+        q.lines.push_back(line);
         true
     }
 
@@ -143,12 +143,12 @@ impl OutQueue {
 
     /// Stores a display frame, replacing any unsent one. `false` means
     /// the client side is gone.
-    pub fn set_frame(&self, line: &str) -> bool {
+    pub fn set_frame(&self, line: String) -> bool {
         let mut q = self.lock();
         if q.receiver_gone {
             return false;
         }
-        q.frame = Some(line.to_string());
+        q.frame = Some(line);
         true
     }
 
@@ -211,13 +211,12 @@ impl SessionSink {
         (SessionSink::Buffer(buf.clone()), buf)
     }
 
-    /// Delivers one line; `false` means the receiving side is gone.
-    pub fn send(&self, line: &str) -> bool {
+    /// Delivers one line, moving it into the buffer or queue; `false`
+    /// means the receiving side is gone.
+    pub fn send(&self, line: String) -> bool {
         match self {
             SessionSink::Buffer(buf) => {
-                buf.lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(line.to_string());
+                buf.lock().unwrap_or_else(|p| p.into_inner()).push(line);
                 true
             }
             SessionSink::Queue(q) => q.push(line),
@@ -238,7 +237,7 @@ impl SessionSink {
     /// Delivers one display frame line; `false` means the receiving
     /// side is gone. On a queue sink the frame takes the dedicated
     /// slot rather than the line queue.
-    pub fn send_frame(&self, line: &str) -> bool {
+    pub fn send_frame(&self, line: String) -> bool {
         match self {
             SessionSink::Buffer(_) => self.send(line),
             SessionSink::Queue(q) => q.set_frame(line),
@@ -276,8 +275,8 @@ mod tests {
     #[test]
     fn buffer_sink_collects_in_order() {
         let (sink, buf) = SessionSink::buffer();
-        assert!(sink.send("one"));
-        assert!(sink.send("two"));
+        assert!(sink.send("one".into()));
+        assert!(sink.send("two".into()));
         assert_eq!(*buf.lock().unwrap(), vec!["one", "two"]);
     }
 
@@ -285,7 +284,7 @@ mod tests {
     fn out_queue_flush_then_close_protocol() {
         let q = OutQueue::new();
         let sink = SessionSink::Queue(q.clone());
-        assert!(sink.send("reply"));
+        assert!(sink.send("reply".into()));
         assert!(!q.is_finished(), "open and non-empty");
         drop(sink);
         assert!(q.sink_closed());
@@ -293,7 +292,7 @@ mod tests {
         assert_eq!(q.pop().as_deref(), Some("reply"));
         assert!(q.is_finished());
         q.mark_receiver_gone();
-        assert!(!q.push("void"), "gone client refuses pushes");
+        assert!(!q.push("void".into()), "gone client refuses pushes");
     }
 
     #[test]
@@ -301,15 +300,21 @@ mod tests {
         let q = OutQueue::new();
         let sink = SessionSink::Queue(q.clone());
         assert!(sink.can_send_frame());
-        assert!(sink.send_frame("!display frame aa"));
+        assert!(sink.send_frame("!display frame aa".into()));
         assert!(!sink.can_send_frame(), "one frame in flight");
-        assert!(sink.send_frame("!display frame bb"), "newer frame replaces");
-        assert!(sink.send("reply"));
+        assert!(
+            sink.send_frame("!display frame bb".into()),
+            "newer frame replaces"
+        );
+        assert!(sink.send("reply".into()));
         assert_eq!(q.len(), 2, "lines plus the one frame slot");
         assert_eq!(q.pop().as_deref(), Some("reply"), "replies drain first");
         assert_eq!(q.pop().as_deref(), Some("!display frame bb"));
         assert!(sink.can_send_frame(), "slot free once flushed");
         q.mark_receiver_gone();
-        assert!(!sink.send_frame("!display frame cc"), "gone client refuses");
+        assert!(
+            !sink.send_frame("!display frame cc".into()),
+            "gone client refuses"
+        );
     }
 }

@@ -210,7 +210,7 @@ impl Scheduler {
             let tel = entry.engine.session.telemetry.clone();
             // Outbound: only application-bound lines, like the pipe.
             for out in entry.engine.take_app_lines() {
-                if !entry.sink.send(&out) {
+                if !entry.sink.send(out) {
                     entry.gone = true;
                 }
             }
@@ -220,7 +220,7 @@ impl Scheduler {
             let shed = entry.mailbox.take_shed();
             for _ in 0..shed {
                 self.registry.note_shed_queue(entry.id);
-                if !entry.sink.send("!shed queue-full") {
+                if !entry.sink.send("!shed queue-full".into()) {
                     entry.gone = true;
                 }
             }
@@ -331,14 +331,14 @@ impl Scheduler {
             Ok(()) => {
                 tel.count(cause);
                 tel.add(Metric::ServeParkBytes, len);
-                entry.sink.send(&format!("!parked {}", entry.id));
+                entry.sink.send(format!("!parked {}", entry.id));
             }
             Err(e) => {
                 // A persistence failure is loud, never a silent
                 // memory-only checkpoint the client would trust across
                 // a restart.
                 tel.count(Metric::ServeParkError);
-                entry.sink.send(&format!("!park-failed {} {e}", entry.id));
+                entry.sink.send(format!("!park-failed {} {e}", entry.id));
             }
         }
         self.finish(entry);
@@ -358,7 +358,7 @@ impl Scheduler {
                 .session
                 .telemetry
                 .count(Metric::ServeRestoreMiss);
-            if !entry.sink.send(&format!("!restore-miss {old}")) {
+            if !entry.sink.send(format!("!restore-miss {old}")) {
                 entry.gone = true;
             }
             return;
@@ -371,7 +371,7 @@ impl Scheduler {
             Err(e) => {
                 tel.count(Metric::ServeRestoreError);
                 let entry = &mut self.sessions[i];
-                if !entry.sink.send(&format!("!restore-failed {old} {e}")) {
+                if !entry.sink.send(format!("!restore-failed {old} {e}")) {
                     entry.gone = true;
                 }
             }
@@ -385,16 +385,16 @@ impl Scheduler {
                 // before the swap — it precedes the restore causally
                 // and must precede `!restored` on the wire.
                 for line in entry.engine.take_app_lines() {
-                    if !entry.sink.send(&line) {
+                    if !entry.sink.send(line) {
                         entry.gone = true;
                     }
                 }
                 entry.engine = engine;
                 entry.last_activity_ms = self.now_ms;
-                if !entry.sink.send(&format!("!restored {old}")) {
+                if !entry.sink.send(format!("!restored {old}")) {
                     entry.gone = true;
                 }
-                for line in &snap.outbound {
+                for line in snap.outbound {
                     if !entry.sink.send(line) {
                         entry.gone = true;
                     }

@@ -122,7 +122,7 @@ impl CommandBase {
 thread_local! {
     /// The Tcl built-ins, built once per thread.
     static TCL_BASE: Rc<CommandBase> = {
-        let mut bare = Interp::with_base(Rc::new(CommandBase::default()));
+        let mut bare = Interp::with_base(Rc::new(CommandBase::default()), Telemetry::new());
         crate::commands::register_all(&mut bare);
         Rc::new(CommandBase {
             cmds: bare.native_commands(),
@@ -302,13 +302,14 @@ fn span_preview(script: &str) -> String {
 impl Interp {
     /// Creates an interpreter with all built-in commands registered.
     pub fn new() -> Self {
-        Self::with_base(TCL_BASE.with(Rc::clone))
+        Self::with_base(TCL_BASE.with(Rc::clone), Telemetry::new())
     }
 
     /// Creates an interpreter whose commands are `base` (typically a
     /// table from [`freeze_commands`](Interp::freeze_commands)) and an
-    /// empty table of its own.
-    pub fn with_base(base: Rc<CommandBase>) -> Self {
+    /// empty table of its own, counting into `telemetry` (an embedding
+    /// passes the store its other layers share).
+    pub fn with_base(base: Rc<CommandBase>, telemetry: Telemetry) -> Self {
         Interp {
             commands: FnvMap::default(),
             base,
@@ -342,7 +343,7 @@ impl Interp {
                     TclCacheSubstEvictions,
                 ],
             ),
-            telemetry: Telemetry::new(),
+            telemetry,
             bc_enabled: true,
             bc_epoch: 0,
             profiler: crate::profile::Profiler::default(),

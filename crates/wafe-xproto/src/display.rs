@@ -9,7 +9,7 @@ use crate::font::FontDb;
 use crate::framebuffer::{AsciiCanvas, DrawOp, Framebuffer};
 use crate::geometry::{Point, Rect};
 use crate::keysym::{key_for_char, key_for_name, KeyInfo};
-use crate::window::{Window, WindowId};
+use crate::window::{Window, WindowId, WindowMap};
 
 /// An interned atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,10 +51,11 @@ impl Default for WindowAttributes {
 }
 
 /// A simulated X display (one screen, TrueColor).
+#[derive(Clone)]
 pub struct Display {
     /// The display name it was opened with (e.g. `:0`, `dec4:0`).
     pub name: String,
-    windows: HashMap<WindowId, Window>,
+    windows: WindowMap,
     root: WindowId,
     next_id: u64,
     queue: VecDeque<Event>,
@@ -88,11 +89,22 @@ pub const SCREEN_W: u32 = 1024;
 /// Default screen height.
 pub const SCREEN_H: u32 = 768;
 
+/// The absolute origin of `w`'s content, given its parent's.
+fn content_origin(parent: Point, w: &Window) -> Point {
+    let b = w.border_width as i32;
+    parent.offset(w.rect.x + b, w.rect.y + b)
+}
+
+/// `w`'s absolute content rectangle, given its own content origin.
+fn content_rect(origin: Point, w: &Window) -> Rect {
+    Rect::new(origin.x, origin.y, w.rect.w, w.rect.h)
+}
+
 impl Display {
     /// Opens a display with an empty root window.
     pub fn open(name: &str) -> Self {
         let root = WindowId(1);
-        let mut windows = HashMap::new();
+        let mut windows = WindowMap::default();
         let mut root_win = Window::new(root, None, Rect::new(0, 0, SCREEN_W, SCREEN_H));
         root_win.mapped = true;
         root_win.background = 0xbebebe; // Root weave grey.
@@ -176,12 +188,51 @@ impl Display {
         self.damage.add(r);
     }
 
+    /// Records the reach of a window's mapped subtree as damaged, if the
+    /// window is viewable: everything a change to its geometry, border
+    /// width, mapping or stacking can repaint. A child's border is not
+    /// clipped to its parent, so the subtree can reach past the
+    /// window's own footprint.
+    fn damage_subtree(&mut self, id: WindowId) {
+        if !self.is_viewable(id) {
+            return;
+        }
+        let origin = match self.windows[&id].parent {
+            Some(p) => self.abs_position(p),
+            None => Point::new(0, 0),
+        };
+        if let Some(r) = self.reach(id, origin) {
+            self.damage.add(r);
+        }
+    }
+
+    /// The bounding box of every footprint (content plus border) in
+    /// `id`'s mapped subtree, given its parent's absolute content
+    /// origin: what painting the subtree can write. `None` when unmapped.
+    fn reach(&self, id: WindowId, origin: Point) -> Option<Rect> {
+        let w = self.windows.get(&id)?;
+        if !w.mapped || w.destroyed {
+            return None;
+        }
+        let origin = content_origin(origin, w);
+        let own = content_rect(origin, w).inflated(w.border_width);
+        Some(
+            w.children
+                .iter()
+                .fold(own, |reach, &c| match self.reach(c, origin) {
+                    Some(r) => reach.union(&r),
+                    None => reach,
+                }),
+        )
+    }
+
     /// Destroys a window and its subtree, generating `DestroyNotify` for
     /// each, depth-first.
     pub fn destroy_window(&mut self, id: WindowId) {
         if id == self.root {
             return;
         }
+        // The recursion below damages every descendant's footprint.
         self.damage_window(id);
         let children = match self.windows.get(&id) {
             Some(w) if !w.destroyed => w.children.clone(),
@@ -212,7 +263,7 @@ impl Display {
             return;
         }
         self.windows.get_mut(&id).unwrap().mapped = true;
-        self.damage_window(id);
+        self.damage_subtree(id);
         self.push(Event::new(EventKind::MapNotify, id));
         self.expose(id);
         self.update_pointer_window();
@@ -224,7 +275,7 @@ impl Display {
         if !ok {
             return;
         }
-        self.damage_window(id);
+        self.damage_subtree(id);
         self.windows.get_mut(&id).unwrap().mapped = false;
         self.push(Event::new(EventKind::UnmapNotify, id));
         self.update_pointer_window();
@@ -251,7 +302,7 @@ impl Display {
             _ => return,
         };
         if changed {
-            self.damage_window(id); // Old footprint: parent must repaint it.
+            self.damage_subtree(id); // Old reach: the parent must repaint it.
         }
         let resized = match self.windows.get_mut(&id) {
             Some(w) => {
@@ -262,7 +313,7 @@ impl Display {
             None => return,
         };
         if changed {
-            self.damage_window(id); // New footprint.
+            self.damage_subtree(id); // New reach.
             let mut e = Event::new(EventKind::ConfigureNotify, id);
             e.x = rect.x;
             e.y = rect.y;
@@ -304,18 +355,26 @@ impl Display {
         // Damage only on a real change: the toolkit re-syncs attributes
         // for whole subtrees after a layout pass, and an unchanged
         // window must not dirty the screen.
-        let changed = match self.windows.get(&id) {
+        let (changed, rebordered) = match self.windows.get(&id) {
             Some(w) => {
-                background.is_some_and(|b| b != w.background)
-                    || border_pixel.is_some_and(|b| b != w.border_pixel)
-                    || border_width.is_some_and(|b| b != w.border_width)
+                let rebordered = border_width.is_some_and(|b| b != w.border_width);
+                let changed = rebordered
+                    || background.is_some_and(|b| b != w.background)
+                    || border_pixel.is_some_and(|b| b != w.border_pixel);
+                (changed, rebordered)
             }
-            None => false,
+            None => (false, false),
         };
         if !changed {
             return;
         }
-        self.damage_window(id); // Old footprint (border width may shrink).
+        // A new border width moves the content and every descendant.
+        let damage = if rebordered {
+            Self::damage_subtree
+        } else {
+            Self::damage_window
+        };
+        damage(self, id); // Before: a border width may shrink.
         if let Some(w) = self.windows.get_mut(&id) {
             if let Some(b) = background {
                 w.background = b;
@@ -327,16 +386,16 @@ impl Display {
                 w.border_width = b;
             }
         }
-        self.damage_window(id);
+        damage(self, id);
     }
 
     /// Raises a window to the top of its siblings' stacking order.
     pub fn raise_window(&mut self, id: WindowId) {
-        self.damage_window(id);
         let parent = match self.windows.get(&id) {
-            Some(w) => w.parent,
-            None => return,
+            Some(w) if !w.destroyed => w.parent,
+            _ => return,
         };
+        self.damage_subtree(id);
         if let Some(p) = parent.and_then(|p| self.windows.get_mut(&p)) {
             p.children.retain(|&c| c != id);
             p.children.push(id);
@@ -371,20 +430,24 @@ impl Display {
 
     /// The deepest viewable window containing the root-relative point.
     pub fn window_at(&self, p: Point) -> WindowId {
-        self.descend(self.root, p)
+        let origin = content_origin(Point::new(0, 0), &self.windows[&self.root]);
+        self.descend(self.root, origin, p)
     }
 
-    fn descend(&self, win: WindowId, p: Point) -> WindowId {
-        let w = &self.windows[&win];
+    /// Hit-tests `win`'s children, topmost first. `origin` is `win`'s
+    /// absolute content origin, carried down instead of climbing the
+    /// tree for every child.
+    fn descend(&self, win: WindowId, origin: Point, p: Point) -> WindowId {
         // Children are stored bottom-most first; hit-test topmost first.
-        for &c in w.children.iter().rev() {
+        for &c in self.windows[&win].children.iter().rev() {
             match self.windows.get(&c) {
-                Some(cw) if cw.mapped && !cw.destroyed => {}
+                Some(cw) if cw.mapped && !cw.destroyed => {
+                    let o = content_origin(origin, cw);
+                    if content_rect(o, cw).contains(p) {
+                        return self.descend(c, o, p);
+                    }
+                }
                 _ => continue,
-            }
-            let abs = self.abs_rect(c);
-            if abs.contains(p) {
-                return self.descend(c, p);
             }
         }
         win
@@ -442,86 +505,102 @@ impl Display {
     }
 
     /// Repaints the damaged regions into the persistent framebuffer,
-    /// materializing it (with a full paint) on first use. `paint`
-    /// starts at the root, whose background covers every clip, so a
-    /// damaged region needs no separate clear.
+    /// materializing it (with a full paint) on first use. Each damage
+    /// rect is one walk from the root, whose background covers the
+    /// whole screen, so a damaged region needs no separate clear.
     fn repaint(&mut self, damage: &Damage) {
         let mut fb = std::mem::replace(&mut self.framebuffer, Framebuffer::new(0, 0, 0));
         let first = fb.is_empty();
         if first {
             fb = Framebuffer::new(SCREEN_W, SCREEN_H, 0xbebebe);
         }
+        let screen = Rect::new(0, 0, SCREEN_W, SCREEN_H);
         if first || damage.full {
-            self.paint(self.root, Rect::new(0, 0, SCREEN_W, SCREEN_H), &mut fb);
+            self.paint_window(self.root, Point::new(0, 0), screen, screen, &mut fb);
         } else {
             for r in &damage.rects {
-                self.paint(self.root, *r, &mut fb);
+                self.paint_window(self.root, Point::new(0, 0), screen, *r, &mut fb);
             }
         }
         self.framebuffer = fb;
     }
 
-    fn paint(&self, id: WindowId, clip: Rect, fb: &mut Framebuffer) {
+    /// Paints window `id` and its subtree, writing only pixels inside
+    /// `damage`. `origin` is the parent's absolute content origin and
+    /// `clip` the parent's visible content. This is the whole-screen
+    /// paint with every write clipped to the damage: the same windows in
+    /// the same order, content clipped to the ancestors' content, and a
+    /// border not clipped to the ancestors (the whole-screen paint never
+    /// clipped it, and its pixels are kept). So inside the damage every
+    /// pixel ends as a whole-screen paint leaves it, and nothing outside
+    /// is written.
+    fn paint_window(
+        &self,
+        id: WindowId,
+        origin: Point,
+        clip: Rect,
+        damage: Rect,
+        fb: &mut Framebuffer,
+    ) {
         let w = &self.windows[&id];
         if !w.mapped || w.destroyed {
             return;
         }
-        let abs = self.abs_rect(id);
-        let clip = match abs.intersect(&clip) {
-            Some(c) => c,
-            None => return,
+        let origin = content_origin(origin, w);
+        let abs = content_rect(origin, w);
+        let Some(clip) = abs.intersect(&clip) else {
+            return;
         };
         if w.border_width > 0 {
-            let b = w.border_width as i32;
-            let border = Rect::new(
-                abs.x - b,
-                abs.y - b,
-                abs.w + 2 * w.border_width,
-                abs.h + 2 * w.border_width,
-            );
-            fb.draw_rect(border, border, w.border_pixel);
-        }
-        fb.fill_rect(abs, clip, w.background);
-        for op in &w.display_list {
-            match op {
-                DrawOp::FillRect { rect, pixel } => {
-                    fb.fill_rect(rect.translated(abs.x, abs.y), clip, *pixel);
-                }
-                DrawOp::DrawRect { rect, pixel } => {
-                    fb.draw_rect(rect.translated(abs.x, abs.y), clip, *pixel);
-                }
-                DrawOp::DrawLine {
-                    x1,
-                    y1,
-                    x2,
-                    y2,
-                    pixel,
-                } => {
-                    fb.draw_line(abs.x + x1, abs.y + y1, abs.x + x2, abs.y + y2, clip, *pixel);
-                }
-                DrawOp::DrawText {
-                    x,
-                    y,
-                    text,
-                    pixel,
-                    font,
-                } => {
-                    let f = self.fonts.get(*font);
-                    fb.draw_text_blocks(abs.x + x, abs.y + y, text, clip, *pixel, f.char_width);
-                }
-                DrawOp::PutImage {
-                    x,
-                    y,
-                    w: iw,
-                    h: ih,
-                    data,
-                } => {
-                    fb.put_image(abs.x + x, abs.y + y, *iw, *ih, data, clip);
-                }
+            let border = abs.inflated(w.border_width);
+            if let Some(ink) = border.intersect(&damage) {
+                fb.draw_rect(border, ink, w.border_pixel);
             }
         }
-        for &c in &w.children.clone() {
-            self.paint(c, clip, fb);
+        if let Some(ink) = clip.intersect(&damage) {
+            fb.fill_rect(abs, ink, w.background);
+            for op in &w.display_list {
+                self.paint_op(op, origin, ink, fb);
+            }
+        }
+        for &c in &w.children {
+            self.paint_window(c, origin, clip, damage, fb);
+        }
+    }
+
+    /// Draws one display-list op of a window whose content starts at
+    /// `origin`, clipped to `ink`.
+    fn paint_op(&self, op: &DrawOp, origin: Point, ink: Rect, fb: &mut Framebuffer) {
+        let Point { x: ox, y: oy } = origin;
+        match op {
+            DrawOp::FillRect { rect, pixel } => {
+                fb.fill_rect(rect.translated(ox, oy), ink, *pixel);
+            }
+            DrawOp::DrawRect { rect, pixel } => {
+                fb.draw_rect(rect.translated(ox, oy), ink, *pixel);
+            }
+            DrawOp::DrawLine {
+                x1,
+                y1,
+                x2,
+                y2,
+                pixel,
+            } => {
+                fb.draw_line(ox + x1, oy + y1, ox + x2, oy + y2, ink, *pixel);
+            }
+            DrawOp::DrawText {
+                x,
+                y,
+                text,
+                pixel,
+                font,
+            } => {
+                let f = self.fonts.get(*font);
+                fb.draw_text_blocks(ox + x, oy + y, text, ink, *pixel, f.char_width);
+            }
+            DrawOp::PutImage { x, y, w, h, data } => {
+                fb.put_image(ox + x, oy + y, *w, *h, data, ink);
+            }
         }
     }
 

@@ -50,6 +50,7 @@ impl Font {
 
 /// The font database: a fixed set of synthetic faces resolved by name or
 /// XLFD glob pattern.
+#[derive(Clone)]
 pub struct FontDb {
     fonts: Vec<Font>,
 }

@@ -94,18 +94,36 @@ impl Framebuffer {
         self.width == 0 || self.height == 0
     }
 
+    fn bounds(&self) -> Rect {
+        Rect::new(0, 0, self.width, self.height)
+    }
+
+    /// `rect ∩ clip ∩ buffer`: the pixels a clipped primitive may write.
+    fn clipped(&self, rect: Rect, clip: Rect) -> Option<Rect> {
+        rect.intersect(&clip)?.intersect(&self.bounds())
+    }
+
+    /// Index of pixel `(x, y)`, which must lie inside the buffer.
+    fn index(&self, x: i32, y: i32) -> usize {
+        y as usize * self.width as usize + x as usize
+    }
+
+    /// The rows of a rectangle (clipped to the buffer), top to bottom,
+    /// each a slice of the pixel buffer.
+    pub fn rows(&self, rect: Rect) -> impl Iterator<Item = &[Pixel]> + '_ {
+        let r = rect.intersect(&self.bounds()).unwrap_or_default();
+        (r.y..r.y + r.h as i32).map(move |y| {
+            let start = self.index(r.x, y);
+            &self.pixels[start..start + r.w as usize]
+        })
+    }
+
     /// Copies the pixels of a rectangle (clipped to the buffer),
     /// row-major — the payload of a display-protocol damage rect.
     pub fn rect_pixels(&self, rect: Rect) -> Vec<Pixel> {
-        let bounds = Rect::new(0, 0, self.width, self.height);
-        let r = match rect.intersect(&bounds) {
-            Some(r) => r,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::with_capacity((r.w * r.h) as usize);
-        for y in r.y..r.y + r.h as i32 {
-            let row = (y as u32 * self.width + r.x as u32) as usize;
-            out.extend_from_slice(&self.pixels[row..row + r.w as usize]);
+        let mut out = Vec::with_capacity(rect.area() as usize);
+        for row in self.rows(rect) {
+            out.extend_from_slice(row);
         }
         out
     }
@@ -115,7 +133,7 @@ impl Framebuffer {
         if x < 0 || y < 0 || x as u32 >= self.width || y as u32 >= self.height {
             return 0;
         }
-        self.pixels[(y as u32 * self.width + x as u32) as usize]
+        self.pixels[self.index(x, y)]
     }
 
     /// Writes one pixel; out-of-bounds writes are clipped.
@@ -123,19 +141,19 @@ impl Framebuffer {
         if x < 0 || y < 0 || x as u32 >= self.width || y as u32 >= self.height {
             return;
         }
-        self.pixels[(y as u32 * self.width + x as u32) as usize] = p;
+        let i = self.index(x, y);
+        self.pixels[i] = p;
     }
 
-    /// Fills a rectangle, clipped to the buffer and to `clip`.
+    /// Fills a rectangle, clipped to the buffer and to `clip`: one
+    /// clip, then one slice fill per row.
     pub fn fill_rect(&mut self, rect: Rect, clip: Rect, p: Pixel) {
-        let target = match rect.intersect(&clip) {
-            Some(r) => r,
-            None => return,
+        let Some(r) = self.clipped(rect, clip) else {
+            return;
         };
-        for y in target.y..target.y + target.h as i32 {
-            for x in target.x..target.x + target.w as i32 {
-                self.put(x, y, p);
-            }
+        for y in r.y..r.y + r.h as i32 {
+            let start = self.index(r.x, y);
+            self.pixels[start..start + r.w as usize].fill(p);
         }
     }
 
@@ -148,8 +166,20 @@ impl Framebuffer {
         self.draw_line(x2, rect.y, x2, y2, clip, p);
     }
 
-    /// Draws a line (Bresenham), clipped.
+    /// Draws a line, clipped. Both endpoints are inked. A horizontal or
+    /// vertical line is a 1-pixel-wide fill of exactly the pixels
+    /// Bresenham would visit; any other line walks Bresenham.
     pub fn draw_line(&mut self, x1: i32, y1: i32, x2: i32, y2: i32, clip: Rect, p: Pixel) {
+        if x1 == x2 || y1 == y2 {
+            let span = Rect::new(
+                x1.min(x2),
+                y1.min(y2),
+                x1.abs_diff(x2) + 1,
+                y1.abs_diff(y2) + 1,
+            );
+            self.fill_rect(span, clip, p);
+            return;
+        }
         let (mut x, mut y) = (x1, y1);
         let dx = (x2 - x1).abs();
         let dy = -(y2 - y1).abs();
@@ -178,6 +208,7 @@ impl Framebuffer {
     /// Renders text with the 5×7 bitmap font, one glyph per cell. The
     /// glyph top sits a fixed 7 rows above the baseline (the bitmap's
     /// height), whatever the nominal font ascent; wide cells centre it.
+    /// Glyph cells outside the clip are skipped without being read.
     pub fn draw_text_blocks(
         &mut self,
         x: i32,
@@ -188,29 +219,49 @@ impl Framebuffer {
         char_width: u32,
     ) {
         let top = baseline - 7;
+        let Some(clip) = clip.intersect(&self.bounds()) else {
+            return;
+        };
+        let (right, bottom) = (clip.x + clip.w as i32, clip.y + clip.h as i32);
+        if top + 7 <= clip.y || top >= bottom {
+            return;
+        }
         let pad = (char_width.saturating_sub(5) / 2) as i32;
         for (i, c) in text.chars().enumerate() {
             let gx = x + (i as u32 * char_width) as i32 + pad;
-            for (col, row) in crate::font5x7::lit_pixels(c) {
+            if gx >= right {
+                // Cells only move right: the rest of the text is clipped.
+                break;
+            }
+            if gx + 5 <= clip.x {
+                continue;
+            }
+            for (col, bits) in crate::font5x7::columns(c).into_iter().enumerate() {
                 let px = gx + col as i32;
-                let py = top + row as i32;
-                if clip.contains(crate::geometry::Point::new(px, py)) {
-                    self.put(px, py, p);
+                if px < clip.x || px >= right {
+                    continue;
+                }
+                for row in 0..7 {
+                    let py = top + row;
+                    if bits & (1 << row) != 0 && py >= clip.y && py < bottom {
+                        let i = self.index(px, py);
+                        self.pixels[i] = p;
+                    }
                 }
             }
         }
     }
 
-    /// Copies an image, clipped.
+    /// Copies an image, clipped: one slice copy per visible row.
     pub fn put_image(&mut self, x: i32, y: i32, w: u32, h: u32, data: &[Pixel], clip: Rect) {
-        for row in 0..h {
-            for col in 0..w {
-                let px = x + col as i32;
-                let py = y + row as i32;
-                if clip.contains(crate::geometry::Point::new(px, py)) {
-                    self.put(px, py, data[(row * w + col) as usize]);
-                }
-            }
+        let Some(r) = self.clipped(Rect::new(x, y, w, h), clip) else {
+            return;
+        };
+        let (dx, dy) = ((r.x - x) as usize, (r.y - y) as usize);
+        for row in 0..r.h as usize {
+            let src = (dy + row) * w as usize + dx;
+            let dst = self.index(r.x, r.y + row as i32);
+            self.pixels[dst..dst + r.w as usize].copy_from_slice(&data[src..src + r.w as usize]);
         }
     }
 

@@ -1,5 +1,8 @@
 //! Server-side window records.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::color::Pixel;
 use crate::framebuffer::DrawOp;
 use crate::geometry::Rect;
@@ -7,6 +10,33 @@ use crate::geometry::Rect;
 /// A window resource id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WindowId(pub u64);
+
+/// The display's window table. Ids are sequential integers the display
+/// allocates itself (never taken from input, so nobody can craft
+/// colliding keys), and one multiply spreads them over the table: the
+/// paint walk and hit-tests look up every window they visit, and
+/// SipHash would dominate that.
+pub(crate) type WindowMap = HashMap<WindowId, Window, BuildHasherDefault<WindowIdHasher>>;
+
+/// Fibonacci hashing of a [`WindowId`]'s integer.
+#[derive(Default)]
+pub(crate) struct WindowIdHasher(u64);
+
+impl Hasher for WindowIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// A server-side window.
 #[derive(Debug, Clone)]

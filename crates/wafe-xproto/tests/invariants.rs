@@ -2,10 +2,13 @@
 //! and framebuffer invariants under random window trees and event
 //! streams.
 
+use std::rc::Rc;
+
 use wafe_prop::{cases, Rng};
 use wafe_xproto::display::{Display, WindowAttributes};
+use wafe_xproto::font5x7::glyph;
 use wafe_xproto::geometry::{Point, Rect};
-use wafe_xproto::{EventKind, WindowId};
+use wafe_xproto::{DrawOp, EventKind, FontId, Framebuffer, Pixel, WindowId, SCREEN_H, SCREEN_W};
 
 /// Draws one random window spec: (x, y, w, h, mapped).
 fn random_spec(rng: &mut Rng) -> (i32, i32, u8, u8, bool) {
@@ -187,4 +190,629 @@ fn enter_leave_pairing_over_random_walk() {
     }
     assert_eq!(enters, 20);
     assert_eq!(leaves, 20);
+}
+
+// ----- the paint contract ----------------------------------------------
+//
+// A flush repaints only the damage: inside it every pixel must end as a
+// whole-screen paint leaves it, and outside it nothing may change.
+
+const PALETTE: [Pixel; 7] = [
+    0x000000, 0xffffff, 0xff0000, 0x00a000, 0x0000ff, 0xffd700, 0x808080,
+];
+
+/// The whole-screen paint, restated pixel by pixel: every write through
+/// `put`, Bresenham for every line, each border drawn whole (clipped
+/// to nothing but the screen), content clipped to the ancestors'
+/// content. An oracle independent of the display's own paint walk.
+fn reference_paint(d: &Display) -> Framebuffer {
+    let mut fb = Framebuffer::new(SCREEN_W, SCREEN_H, 0xbebebe);
+    reference_window(d, d.root(), Rect::new(0, 0, SCREEN_W, SCREEN_H), &mut fb);
+    fb
+}
+
+fn reference_window(d: &Display, id: WindowId, clip: Rect, fb: &mut Framebuffer) {
+    let Some(w) = d.window(id) else { return };
+    if !w.mapped {
+        return;
+    }
+    let abs = d.abs_rect(id);
+    let Some(clip) = abs.intersect(&clip) else {
+        return;
+    };
+    if w.border_width > 0 {
+        let border = abs.inflated(w.border_width);
+        reference_outline(fb, border, border, w.border_pixel);
+    }
+    reference_fill(fb, abs, clip, w.background);
+    for op in &w.display_list {
+        match op {
+            DrawOp::FillRect { rect, pixel } => {
+                reference_fill(fb, rect.translated(abs.x, abs.y), clip, *pixel)
+            }
+            DrawOp::DrawRect { rect, pixel } => {
+                reference_outline(fb, rect.translated(abs.x, abs.y), clip, *pixel)
+            }
+            DrawOp::DrawLine {
+                x1,
+                y1,
+                x2,
+                y2,
+                pixel,
+            } => reference_line(
+                fb,
+                abs.x + x1,
+                abs.y + y1,
+                abs.x + x2,
+                abs.y + y2,
+                clip,
+                *pixel,
+            ),
+            DrawOp::DrawText {
+                x,
+                y,
+                text,
+                pixel,
+                font,
+            } => {
+                let cw = d.fonts.get(*font).char_width;
+                reference_text(fb, abs.x + x, abs.y + y, text, clip, *pixel, cw);
+            }
+            DrawOp::PutImage {
+                x,
+                y,
+                w: iw,
+                h: ih,
+                data,
+            } => reference_image(fb, abs.x + x, abs.y + y, *iw, *ih, data, clip),
+        }
+    }
+    for &c in &w.children {
+        reference_window(d, c, clip, fb);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn reference_text(
+    fb: &mut Framebuffer,
+    x: i32,
+    baseline: i32,
+    text: &str,
+    clip: Rect,
+    p: Pixel,
+    cw: u32,
+) {
+    let (top, pad) = (baseline - 7, (cw.saturating_sub(5) / 2) as i32);
+    for (i, c) in text.chars().enumerate() {
+        let gx = x + (i as u32 * cw) as i32 + pad;
+        let cols = glyph(c).copied().unwrap_or([0x7f; 5]);
+        for (col, bits) in cols.iter().enumerate() {
+            for row in 0..7 {
+                let at = Point::new(gx + col as i32, top + row);
+                if bits & (1 << row) != 0 && clip.contains(at) {
+                    fb.put(at.x, at.y, p);
+                }
+            }
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn reference_image(
+    fb: &mut Framebuffer,
+    x: i32,
+    y: i32,
+    w: u32,
+    h: u32,
+    data: &[Pixel],
+    clip: Rect,
+) {
+    for row in 0..h {
+        for col in 0..w {
+            let at = Point::new(x + col as i32, y + row as i32);
+            if clip.contains(at) {
+                fb.put(at.x, at.y, data[(row * w + col) as usize]);
+            }
+        }
+    }
+}
+
+fn reference_fill(fb: &mut Framebuffer, rect: Rect, clip: Rect, p: Pixel) {
+    if let Some(t) = rect.intersect(&clip) {
+        for y in t.y..t.y + t.h as i32 {
+            for x in t.x..t.x + t.w as i32 {
+                fb.put(x, y, p);
+            }
+        }
+    }
+}
+
+fn reference_outline(fb: &mut Framebuffer, r: Rect, clip: Rect, p: Pixel) {
+    let (x2, y2) = (r.x + r.w as i32 - 1, r.y + r.h as i32 - 1);
+    reference_line(fb, r.x, r.y, x2, r.y, clip, p);
+    reference_line(fb, r.x, y2, x2, y2, clip, p);
+    reference_line(fb, r.x, r.y, r.x, y2, clip, p);
+    reference_line(fb, x2, r.y, x2, y2, clip, p);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn reference_line(fb: &mut Framebuffer, x1: i32, y1: i32, x2: i32, y2: i32, clip: Rect, p: Pixel) {
+    let (mut x, mut y) = (x1, y1);
+    let (dx, dy) = ((x2 - x1).abs(), -(y2 - y1).abs());
+    let (sx, sy) = (if x1 < x2 { 1 } else { -1 }, if y1 < y2 { 1 } else { -1 });
+    let mut err = dx + dy;
+    loop {
+        if clip.contains(Point::new(x, y)) {
+            fb.put(x, y, p);
+        }
+        if x == x2 && y == y2 {
+            break;
+        }
+        let e2 = 2 * err;
+        if e2 >= dy {
+            err += dy;
+            x += sx;
+        }
+        if e2 <= dx {
+            err += dx;
+            y += sy;
+        }
+    }
+}
+
+/// `None` when equal, else the number of differing pixels and the first.
+fn pixel_diff(a: &Framebuffer, b: &Framebuffer) -> Option<String> {
+    if a == b {
+        return None;
+    }
+    let mut first = None;
+    let mut n = 0;
+    for y in 0..a.height as i32 {
+        for x in 0..a.width as i32 {
+            if a.get(x, y) != b.get(x, y) {
+                n += 1;
+                first.get_or_insert((x, y));
+            }
+        }
+    }
+    Some(format!("{n} pixels differ, first at {first:?}"))
+}
+
+fn random_rect(rng: &mut Rng) -> Rect {
+    Rect::new(
+        rng.range_i64(-30, 240) as i32,
+        rng.range_i64(-30, 180) as i32,
+        rng.range_u32(0, 140),
+        rng.range_u32(0, 110),
+    )
+}
+
+/// A random display list using every op: fills and outlines (empty
+/// ones too), axis-aligned and diagonal lines, text in every font (with
+/// a non-ASCII box glyph now and then), and images, all free to spill
+/// past the window.
+fn random_ops(rng: &mut Rng, fonts: &[FontId]) -> Vec<DrawOp> {
+    let coord = |rng: &mut Rng| rng.range_i64(-15, 120) as i32;
+    (0..rng.range(0, 6))
+        .map(|_| {
+            let pixel = *rng.pick(&PALETTE);
+            match rng.range(0, 5) {
+                0 => DrawOp::FillRect {
+                    rect: Rect::new(
+                        coord(rng),
+                        coord(rng),
+                        rng.range_u32(0, 60),
+                        rng.range_u32(0, 40),
+                    ),
+                    pixel,
+                },
+                1 => DrawOp::DrawRect {
+                    rect: Rect::new(
+                        coord(rng),
+                        coord(rng),
+                        rng.range_u32(0, 60),
+                        rng.range_u32(0, 40),
+                    ),
+                    pixel,
+                },
+                2 => {
+                    let (x1, y1) = (coord(rng), coord(rng));
+                    let (x2, y2) = match rng.range(0, 3) {
+                        0 => (coord(rng), y1),
+                        1 => (x1, coord(rng)),
+                        _ => (coord(rng), coord(rng)),
+                    };
+                    DrawOp::DrawLine {
+                        x1,
+                        y1,
+                        x2,
+                        y2,
+                        pixel,
+                    }
+                }
+                3 => {
+                    let mut text = rng.ascii_string(14);
+                    if rng.range(0, 3) == 0 {
+                        text.push('é');
+                    }
+                    DrawOp::DrawText {
+                        x: coord(rng),
+                        y: coord(rng),
+                        text,
+                        pixel,
+                        font: *rng.pick(fonts),
+                    }
+                }
+                _ => {
+                    let (w, h) = (rng.range_u32(1, 14), rng.range_u32(1, 14));
+                    let data = (0..w * h).map(|_| *rng.pick(&PALETTE)).collect();
+                    DrawOp::PutImage {
+                        x: coord(rng),
+                        y: coord(rng),
+                        w,
+                        h,
+                        data: Rc::new(data),
+                    }
+                }
+            }
+        })
+        .collect()
+}
+
+fn test_fonts(d: &Display) -> Vec<FontId> {
+    ["fixed", "9x15", "*-lucida-*"]
+        .iter()
+        .map(|name| d.fonts.resolve(name).unwrap_or(d.fonts.default_font()))
+        .collect()
+}
+
+/// Creates a window under the root or a random live window: any
+/// position (children may spill out of their parents and overlap their
+/// siblings), border 0-3, a random display list, mapped 3 times in 4.
+fn random_window(rng: &mut Rng, d: &mut Display, wins: &[WindowId]) -> WindowId {
+    let parent = if wins.is_empty() || rng.range(0, 2) == 0 {
+        d.root()
+    } else {
+        *rng.pick(wins)
+    };
+    // A child mostly straddles its parent's edges, so its border often
+    // sticks out of the parent while its content still shows.
+    let rect = match d.window_rect(parent) {
+        Some(p) if parent != d.root() && rng.range(0, 4) > 0 => Rect::new(
+            rng.range_i64(-12, p.w as i64 + 1) as i32,
+            rng.range_i64(-12, p.h as i64 + 1) as i32,
+            rng.range_u32(0, p.w + 24),
+            rng.range_u32(0, p.h + 24),
+        ),
+        _ => random_rect(rng),
+    };
+    let id = d.create_window(
+        parent,
+        WindowAttributes {
+            rect,
+            border_width: rng.range_u32(0, 4),
+            background: *rng.pick(&PALETTE),
+            override_redirect: false,
+        },
+    );
+    d.set_window_attrs(id, None, Some(*rng.pick(&PALETTE)), None);
+    let fonts = test_fonts(d);
+    d.set_display_list(id, random_ops(rng, &fonts));
+    if rng.range(0, 3) > 0 {
+        d.map_window(id);
+    }
+    id
+}
+
+/// One random mutation of a live window (or the root's background).
+fn random_mutation(rng: &mut Rng, d: &mut Display, wins: &mut Vec<WindowId>) {
+    wins.retain(|&w| d.window(w).is_some());
+    if wins.is_empty() || rng.range(0, 9) == 0 {
+        let w = random_window(rng, d, wins);
+        wins.push(w);
+        return;
+    }
+    let w = *rng.pick(wins);
+    match rng.range(0, 9) {
+        0 => {
+            let bg = rng.chance().then(|| *rng.pick(&PALETTE));
+            let border = rng.chance().then(|| *rng.pick(&PALETTE));
+            let width = rng.chance().then(|| rng.range_u32(0, 4));
+            d.set_window_attrs(w, bg, border, width);
+        }
+        1 => d.configure_window(w, random_rect(rng)),
+        2 => {
+            let r = d.window_rect(w).expect("live window");
+            let (dx, dy) = (rng.range_i64(-8, 8) as i32, rng.range_i64(-8, 8) as i32);
+            d.configure_window(w, r.translated(dx, dy));
+        }
+        3 => d.map_window(w),
+        4 => d.unmap_window(w),
+        5 => d.raise_window(w),
+        6 => {
+            let fonts = test_fonts(d);
+            d.set_display_list(w, random_ops(rng, &fonts));
+        }
+        7 => d.destroy_window(w),
+        _ => d.set_window_attrs(d.root(), Some(*rng.pick(&PALETTE)), None, None),
+    }
+}
+
+/// The paint oracle. Random trees under random mutations; after every
+/// flush the incrementally painted framebuffer equals a whole-screen
+/// repaint of the same display, and no pixel outside the flushed damage
+/// changed. At the end of each case both equal the reference paint.
+#[test]
+fn incremental_flush_matches_full_repaint_and_stays_in_the_damage() {
+    cases(40, |rng| {
+        let mut d = Display::open(":0");
+        let mut wins = Vec::new();
+        for _ in 0..rng.range(1, 10) {
+            let w = random_window(rng, &mut d, &wins);
+            wins.push(w);
+        }
+        d.set_compositing(true);
+        d.flush();
+        let _ = d.take_frame_damage();
+        let mut incremental = 0;
+        for step in 0..12 {
+            for _ in 0..rng.range(1, 3) {
+                random_mutation(rng, &mut d, &mut wins);
+            }
+            let before = d.framebuffer().clone();
+            d.flush();
+            let damage = d.take_frame_damage();
+            let after = d.framebuffer().clone();
+            if !damage.full {
+                incremental += 1;
+                let mut expect = before;
+                for r in &damage.rects {
+                    expect.put_image(r.x, r.y, r.w, r.h, &after.rect_pixels(*r), *r);
+                }
+                if let Some(diff) = pixel_diff(&expect, &after) {
+                    panic!("step {step}: the flush wrote outside its damage: {diff}");
+                }
+            }
+            let mut twin = d.clone();
+            twin.request_full_frame();
+            twin.flush();
+            if let Some(diff) = pixel_diff(twin.framebuffer(), &after) {
+                panic!("step {step}: incremental flush != full repaint: {diff}");
+            }
+        }
+        assert!(incremental > 0, "no step exercised an incremental flush");
+        if let Some(diff) = pixel_diff(&reference_paint(&d), d.framebuffer()) {
+            panic!("full repaint != reference paint: {diff}");
+        }
+    });
+}
+
+/// Builds the sibling-overlap scene: bordered A with child C, and
+/// sibling B stacked above A over A's bottom-right border.
+fn overlap_scene() -> (Display, WindowId) {
+    let mut d = Display::open(":0");
+    let attrs = |x, y, w, h, bw, background| WindowAttributes {
+        rect: Rect::new(x, y, w, h),
+        border_width: bw,
+        background,
+        override_redirect: false,
+    };
+    let a = d.create_window(d.root(), attrs(10, 10, 100, 100, 3, 0xffffff));
+    let c = d.create_window(a, attrs(5, 5, 40, 40, 1, 0x00a000));
+    let b = d.create_window(d.root(), attrs(60, 60, 100, 100, 1, 0x0000ff));
+    for w in [a, c, b] {
+        d.map_window(w);
+    }
+    (d, c)
+}
+
+/// A's border lies under B; recolouring C (inside A, nowhere near B)
+/// must not repaint A's border over B.
+#[test]
+fn border_under_sibling_survives_incremental_repaint() {
+    let (mut incremental, c) = overlap_scene();
+    incremental.flush();
+    let _ = incremental.framebuffer(); // Materialize: full paint.
+    incremental.set_window_attrs(c, Some(0xff0000), None, None);
+    incremental.flush();
+
+    let (mut full, c) = overlap_scene();
+    full.set_window_attrs(c, Some(0xff0000), None, None);
+    full.flush();
+    let full = full.framebuffer().clone(); // First paint is whole-screen.
+    if let Some(diff) = pixel_diff(&full, incremental.framebuffer()) {
+        panic!("incremental repaint corrupted the overlap: {diff}");
+    }
+}
+
+/// Every framebuffer primitive writes exactly the pixels of its
+/// per-pixel statement, whatever the shape, the clip and the buffer
+/// edges (a small buffer, so shapes and clips hang off every side).
+#[test]
+fn framebuffer_primitives_match_per_pixel_reference() {
+    cases(2000, |rng| {
+        let (w, h) = (rng.range_u32(1, 40), rng.range_u32(1, 30));
+        let coord = |rng: &mut Rng| rng.range_i64(-12, 45) as i32;
+        let clip = Rect::new(
+            coord(rng),
+            coord(rng),
+            rng.range_u32(0, 50),
+            rng.range_u32(0, 40),
+        );
+        let (x, y) = (coord(rng), coord(rng));
+        let (x2, y2) = match rng.range(0, 3) {
+            0 => (coord(rng), y),
+            1 => (x, coord(rng)),
+            _ => (coord(rng), coord(rng)),
+        };
+        let rect = Rect::new(x, y, rng.range_u32(0, 30), rng.range_u32(0, 30));
+        let p = *rng.pick(&PALETTE);
+        let mut fast = Framebuffer::new(w, h, 0xbebebe);
+        let mut slow = fast.clone();
+        match rng.range(0, 5) {
+            0 => {
+                fast.fill_rect(rect, clip, p);
+                reference_fill(&mut slow, rect, clip, p);
+            }
+            1 => {
+                fast.draw_rect(rect, clip, p);
+                reference_outline(&mut slow, rect, clip, p);
+            }
+            2 => {
+                fast.draw_line(x, y, x2, y2, clip, p);
+                reference_line(&mut slow, x, y, x2, y2, clip, p);
+            }
+            3 => {
+                let mut text = rng.ascii_string(8);
+                if rng.chance() {
+                    text.push('\u{e9}');
+                }
+                let cw = rng.range_u32(0, 10);
+                fast.draw_text_blocks(x, y, &text, clip, p, cw);
+                reference_text(&mut slow, x, y, &text, clip, p, cw);
+            }
+            _ => {
+                let (iw, ih) = (rng.range_u32(1, 20), rng.range_u32(1, 20));
+                let data: Vec<Pixel> = (0..iw * ih).map(|_| *rng.pick(&PALETTE)).collect();
+                fast.put_image(x, y, iw, ih, &data, clip);
+                reference_image(&mut slow, x, y, iw, ih, &data, clip);
+            }
+        }
+        if let Some(diff) = pixel_diff(&slow, &fast) {
+            panic!("primitive differs from its reference: {diff}");
+        }
+    });
+}
+
+/// A child's border is not clipped to its parent. Moved so that its
+/// border sticks out of the parent over a sibling below, it stays on
+/// top when that sibling later repaints, though the damage misses the
+/// parent altogether.
+#[test]
+fn border_moved_out_of_its_parent_survives_later_damage() {
+    let mut d = Display::open(":0");
+    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
+        rect: Rect::new(x, y, w, h),
+        border_width,
+        background,
+        override_redirect: false,
+    };
+    let below = d.create_window(d.root(), attrs(40, 40, 20, 20, 0, 0x0000ff));
+    let a = d.create_window(d.root(), attrs(10, 10, 20, 20, 1, 0xffffff));
+    let c = d.create_window(a, attrs(0, 0, 5, 5, 3, 0xff0000));
+    for w in [below, a, c] {
+        d.map_window(w);
+    }
+    d.set_compositing(true);
+    d.flush();
+    // C's border outline now runs round (26,26)..=(51,51), past A's
+    // footprint (10,10)..=(31,31).
+    d.configure_window(c, Rect::new(15, 15, 20, 20));
+    d.flush();
+    d.set_window_attrs(below, Some(0x00a000), None, None);
+    d.flush();
+    let mut full = d.clone();
+    full.request_full_frame();
+    full.flush();
+    if let Some(diff) = pixel_diff(full.framebuffer(), d.framebuffer()) {
+        panic!("the sibling's repaint lost the escaped border: {diff}");
+    }
+    assert_eq!(d.framebuffer().get(51, 45), 0x000000, "C's border");
+}
+
+/// A new border width moves a window's content and its whole subtree:
+/// the grandchild's border, sticking out of every ancestor, is cleared
+/// at its old place, drawn at its new one, and still drawn when a
+/// sibling below repaints under it later.
+#[test]
+fn border_width_change_repaints_the_moved_subtree() {
+    let mut d = Display::open(":0");
+    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
+        rect: Rect::new(x, y, w, h),
+        border_width,
+        background,
+        override_redirect: false,
+    };
+    let below = d.create_window(d.root(), attrs(43, 30, 10, 10, 0, 0x0000ff));
+    let z = d.create_window(d.root(), attrs(0, 0, 30, 30, 0, 0xffffff));
+    let a = d.create_window(z, attrs(5, 5, 20, 20, 1, 0xffd700));
+    let c = d.create_window(a, attrs(15, 15, 20, 20, 1, 0xff0000));
+    for w in [below, z, a, c] {
+        d.map_window(w);
+    }
+    d.set_compositing(true);
+    d.flush();
+    let matches_full = |d: &mut Display, what: &str| {
+        let mut full = d.clone();
+        full.request_full_frame();
+        full.flush();
+        if let Some(diff) = pixel_diff(full.framebuffer(), d.framebuffer()) {
+            panic!("{what}: {diff}");
+        }
+    };
+    // C's border outline moves from (21,21)..=(42,42) to (24,24)..=(45,45).
+    d.set_window_attrs(a, None, None, Some(4));
+    d.flush();
+    matches_full(&mut d, "after the border change");
+    d.set_window_attrs(below, Some(0x00a000), None, None);
+    d.flush();
+    matches_full(&mut d, "after the sibling below repainted");
+    assert_eq!(d.framebuffer().get(45, 35), 0x000000, "C's border");
+}
+
+/// Unmapping a window takes its whole subtree off the screen, borders
+/// that stick out of it included.
+#[test]
+fn unmap_clears_descendant_borders_outside_the_window() {
+    let mut d = Display::open(":0");
+    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
+        rect: Rect::new(x, y, w, h),
+        border_width,
+        background,
+        override_redirect: false,
+    };
+    let a = d.create_window(d.root(), attrs(10, 10, 20, 20, 1, 0xffffff));
+    let c = d.create_window(a, attrs(15, 15, 20, 20, 1, 0xff0000));
+    for w in [a, c] {
+        d.map_window(w);
+    }
+    d.set_compositing(true);
+    d.flush();
+    assert_eq!(
+        d.framebuffer().get(47, 40),
+        0x000000,
+        "C's border, outside A"
+    );
+    d.unmap_window(a);
+    d.flush();
+    assert_eq!(d.framebuffer().get(47, 40), 0xbebebe, "root background");
+}
+
+/// Raising a window brings its whole subtree to the top, borders that
+/// stick out of it included.
+#[test]
+fn raise_lifts_descendant_borders_outside_the_window() {
+    let mut d = Display::open(":0");
+    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
+        rect: Rect::new(x, y, w, h),
+        border_width,
+        background,
+        override_redirect: false,
+    };
+    let a = d.create_window(d.root(), attrs(10, 10, 20, 20, 1, 0xffffff));
+    let c = d.create_window(a, attrs(15, 15, 20, 20, 1, 0xff0000));
+    let above = d.create_window(d.root(), attrs(40, 35, 20, 20, 0, 0x0000ff));
+    for w in [a, c, above] {
+        d.map_window(w);
+    }
+    d.set_compositing(true);
+    d.flush();
+    assert_eq!(
+        d.framebuffer().get(47, 40),
+        0x0000ff,
+        "covered by the sibling"
+    );
+    d.raise_window(a);
+    d.flush();
+    assert_eq!(d.framebuffer().get(47, 40), 0x000000, "C's border on top");
 }

@@ -158,18 +158,21 @@ impl XtApp {
             Rc::default(),
             Rc::new(ConverterRegistry::new()),
             Rc::default(),
+            Telemetry::new(),
         )
     }
 
     /// A fresh application context — no widgets, default resource
     /// database — sharing this one's class records, converters and
     /// global actions: the toolkit is initialised once
-    /// (`XtInitializeWidgetClass`), only instances are per context.
-    pub fn sharing_toolkit(&self) -> Self {
+    /// (`XtInitializeWidgetClass`), only instances are per context. The
+    /// new context counts into `telemetry`.
+    pub fn sharing_toolkit(&self, telemetry: Telemetry) -> Self {
         Self::with_toolkit(
             self.classes.clone(),
             self.converters.clone(),
             self.global_actions.clone(),
+            telemetry,
         )
     }
 
@@ -177,6 +180,7 @@ impl XtApp {
         classes: Rc<HashMap<String, Rc<WidgetClass>>>,
         converters: Rc<ConverterRegistry>,
         global_actions: Rc<ActionTable>,
+        telemetry: Telemetry,
     ) -> Self {
         XtApp {
             displays: vec![Display::open(":0")],
@@ -187,7 +191,7 @@ impl XtApp {
             global_actions,
             resource_db: XrmDb::new(),
             memstats: MemStats::new(),
-            telemetry: Telemetry::new(),
+            telemetry,
             host_calls: VecDeque::new(),
             window_map: HashMap::new(),
             next_id: 1,

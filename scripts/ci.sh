@@ -210,44 +210,47 @@ assert g <= 6.0, "e21: lappend growth %.2fx at 4N > 6x" % g
 print("  lappend growth at 4N: %.2fx (gate <=6x) ok" % g)
 ' || { echo "BENCH_e21.json: malformed or above the 6x growth gate"; exit 1; }
 
-# E22 is the multi-session server: the run itself asserts 64 truly
-# concurrent sessions with zero protocol corruption.
-echo "== bench e22 smoke run"
-run_bench e22_serve_throughput
-python3 -c 'import json; json.load(open("BENCH_e22.json"))' \
-    || { echo "BENCH_e22.json: malformed"; exit 1; }
-
-# E24 is the readiness-driven event loop at scale. CI runs the smoke
-# shape (256 clients via WAFE_E24_CLIENTS; the full 1k/4k/10k sweep is
-# a manual run) — the bench itself asserts peak_active == clients and
-# zero protocol corruption. The gate below requires smoke commands/s
-# to stay within 70% of the e22 64-client figure just regenerated
-# above: 4x the concurrency must not cost more than the noise band.
-# Like the other timing gates, one retry before failing.
-echo "== bench e24 smoke run (256 clients) + >=70% of e22-c64 gate"
-run_e24() {
+# E22 is the multi-session server and E24 the readiness-driven event
+# loop at scale. Each run asserts its own invariants: e22 that 64
+# sessions are truly concurrent with zero protocol corruption; e24 (in
+# CI at its smoke shape, 256 clients via WAFE_E24_CLIENTS; the full
+# 1k/4k/10k sweep is a manual run) that peak_active == clients, again
+# with zero corruption. The gate requires the 256-client commands/s to
+# stay within 70% of the 64-client e22 figure: 4x the concurrency must
+# not cost more than the noise band. Either figure alone swings by a
+# third between back-to-back runs on a small VM, so both come from
+# five alternating e22 / e24 rounds of this run and the gate compares
+# their medians.
+echo "== bench e22/e24 smoke rounds (256 clients) + >=70% of e22-c64 gate"
+rounds=$(mktemp -d)
+i=1
+while [ $i -le 5 ]; do
+    run_bench e22_serve_throughput
+    cp BENCH_e22.json "$rounds/e22-$i.json"
     WAFE_E24_CLIENTS=256 cargo bench -q -p bench --bench e24_serve_scale \
         --offline >/dev/null 2>&1 \
         || WAFE_E24_CLIENTS=256 cargo bench -q -p bench \
             --bench e24_serve_scale --offline >/dev/null
-}
-check_e24() {
-    python3 -c '
-import json
-smoke = json.load(open("target/BENCH_e24_smoke.json"))
-e22 = json.load(open("BENCH_e22.json"))
-c256 = {w["name"]: w for w in smoke["workloads"]}["poll_c256"]
-c64 = {w["name"]: w for w in e22["workloads"]}["serve_c64"]
-ratio = c256["commands_per_sec"] / c64["commands_per_sec"]
+    cp target/BENCH_e24_smoke.json "$rounds/e24-$i.json"
+    i=$((i + 1))
+done
+python3 - "$rounds" <<"EOF" || { echo "e22/e24: malformed JSON or below the 70% gate"; exit 1; }
+import glob, json, statistics, sys
+def cps(kind, workload):
+    return [
+        {w["name"]: w for w in json.load(open(f))["workloads"]}[workload]["commands_per_sec"]
+        for f in sorted(glob.glob(f"{sys.argv[1]}/{kind}-*.json"))
+    ]
+c64, c256 = cps("e22", "serve_c64"), cps("e24", "poll_c256")
+m64, m256 = statistics.median(c64), statistics.median(c256)
+ratio = m256 / m64
 assert ratio >= 0.70, (
-    "e24: %.0f cmd/s at 256 clients is %.0f%% of e22 c64 (%.0f), gate 70%%"
-    % (c256["commands_per_sec"], ratio * 100, c64["commands_per_sec"]))
-print("  256-client commands/s: %.0f (%.0f%% of e22 c64, gate >=70%%) ok"
-      % (c256["commands_per_sec"], ratio * 100))
-'
-}
-run_e24
-check_e24 || { run_e24; check_e24; }
+    "e24: median %.0f cmd/s at 256 clients is %.0f%% of the e22 c64 median (%.0f), gate 70%%"
+    % (m256, ratio * 100, m64))
+print("  256-client commands/s: median %.0f over %d rounds (%.0f%% of the e22 c64 median %.0f, gate >=70%%) ok"
+      % (m256, len(c256), ratio * 100, m64))
+EOF
+rm -rf "$rounds"
 
 # E23 is the bytecode VM: the run itself asserts byte-identical output
 # against the tree-walker on every workload, and the gate below requires
@@ -345,6 +348,25 @@ assert r <= 1.5, (
 print("  label setValues: %.1f us at 26, %.1f us at 242 widgets (%.2fx, gate <=1.5x) ok"
       % (g[26], g[242], r))
 ' || { echo "BENCH_e31.json: malformed or above the 1.5x gate"; exit 1; }
+
+# The E31 ticker is a label update flushed, composited and built into a
+# frame with a display client attached. The flush paints only the
+# damage, so the frame costs the label: on the 242-widget grid the
+# ticker must keep at least 0.65 of its 26-widget frames/s (a root-down
+# paint of every window dropped it to ~0.5). Same run as the gate above,
+# sizes interleaved round by round.
+echo "== e31 ticker frames/s 242 >=0.65x 26 widgets gate"
+python3 -c '
+import json
+d = json.load(open("BENCH_e31.json"))
+f = {r["widgets"]: r["ticker_frames_per_sec"] for r in d["grids"]}
+r = f[242] / f[26]
+assert r >= 0.65, (
+    "e31: ticker %.0f frames/s at 242 widgets is %.2fx the 26-widget %.0f, gate 0.65x"
+    % (f[242], r, f[26]))
+print("  ticker: %.0f frames/s at 26, %.0f at 242 widgets (%.2fx, gate >=0.65x) ok"
+      % (f[26], f[242], r))
+' || { echo "BENCH_e31.json: malformed or below the 0.65x ticker gate"; exit 1; }
 
 # The band was 5% while the cached side was tree-walked; the bytecode
 # VM cut cached iteration times ~3x, which widened the run-to-run
