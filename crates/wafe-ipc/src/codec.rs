@@ -3,94 +3,80 @@
 //! Both transports that speak the frontend protocol — the duplex pipe
 //! of frontend mode (`frontend.rs`/`supervisor.rs`) and the socket
 //! connections of `wafe-serve` — frame the same byte stream the same
-//! way: `\n`-terminated lines, a bounded per-line length with oversized
-//! lines discarded (counted, the stream resynchronises at the next
-//! newline), and a leading prefix character deciding command vs
-//! passthrough. [`LineCodec`] packages that contract in one reusable
-//! type so the two transports cannot drift; it is a thin composition of
-//! [`LineAssembler`] (framing) and [`is_command_line`] (classification),
-//! keeping the pipe protocol byte-identical to what it was when the
-//! assembler lived alone.
+//! way: `\n`-terminated lines and a bounded per-line length, with
+//! oversized lines discarded (counted; the stream resynchronises at the
+//! next newline). [`LineCodec`] is that framing, in one type so the two
+//! transports cannot drift. Telling commands from passthrough is the
+//! engine's job (`ProtocolEngine::handle_line`).
 
-use crate::protocol::{is_command_line, LineAssembler, DEFAULT_MAX_LINE, DEFAULT_PREFIX};
-
-/// One decoded line with its protocol classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LineKind {
-    /// The line starts with the prefix character: a Wafe command (the
-    /// payload still carries the prefix; `ProtocolEngine::handle_line`
-    /// strips it).
-    Command(String),
-    /// Any other line: passed through untouched.
-    Passthrough(String),
-}
-
-impl LineKind {
-    /// The line text, whichever side of the classification it fell on.
-    pub fn text(&self) -> &str {
-        match self {
-            LineKind::Command(s) | LineKind::Passthrough(s) => s,
-        }
-    }
-}
-
-/// Incremental byte-stream → classified-line codec with a bounded
-/// buffer. The observable output is invariant under re-chunking of the
-/// same byte stream (the property `wafe-prop` tests on the assembler
-/// carry over unchanged).
+/// Incremental byte-stream ↔ line framing with a bounded buffer.
+///
+/// Bytes are pushed in whatever chunks the transport delivers; complete
+/// `\n`-terminated lines come out (without the terminator, lossy
+/// UTF-8). A line that exceeds `max` bytes before its newline arrives
+/// is discarded — the overflow is counted and the codec skips to the
+/// next newline. The observable output (lines and overflow count) is
+/// invariant under re-chunking of the same byte stream.
 pub struct LineCodec {
-    assembler: LineAssembler,
-    prefix: char,
-}
-
-impl Default for LineCodec {
-    fn default() -> Self {
-        LineCodec::new(DEFAULT_MAX_LINE)
-    }
+    buf: Vec<u8>,
+    max: usize,
+    skipping: bool,
+    overflows: u64,
 }
 
 impl LineCodec {
-    /// A codec with the default `%` prefix and the given line cap.
+    /// A codec discarding lines longer than `max_line` bytes.
     pub fn new(max_line: usize) -> Self {
         LineCodec {
-            assembler: LineAssembler::new(max_line),
-            prefix: DEFAULT_PREFIX,
+            buf: Vec::new(),
+            max: max_line,
+            skipping: false,
+            overflows: 0,
         }
-    }
-
-    /// A codec with a custom prefix character.
-    pub fn with_prefix(max_line: usize, prefix: char) -> Self {
-        LineCodec {
-            assembler: LineAssembler::new(max_line),
-            prefix,
-        }
-    }
-
-    /// The command-prefix character this codec classifies with.
-    pub fn prefix(&self) -> char {
-        self.prefix
     }
 
     /// Feeds a chunk; returns the complete lines it finished, without
-    /// their terminators (framing only — classification untouched).
+    /// their terminators.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<String> {
-        self.assembler.push(bytes)
-    }
-
-    /// Feeds a chunk; returns the completed lines classified as
-    /// command or passthrough.
-    pub fn decode(&mut self, bytes: &[u8]) -> Vec<LineKind> {
-        self.assembler
-            .push(bytes)
-            .into_iter()
-            .map(|line| {
-                if is_command_line(&line, self.prefix) {
-                    LineKind::Command(line)
-                } else {
-                    LineKind::Passthrough(line)
+        let mut lines = Vec::new();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let nl = rest.iter().position(|&b| b == b'\n');
+            if self.skipping {
+                match nl {
+                    Some(i) => {
+                        self.skipping = false;
+                        rest = &rest[i + 1..];
+                    }
+                    None => return lines,
                 }
-            })
-            .collect()
+                continue;
+            }
+            match nl {
+                Some(i) => {
+                    if self.buf.len() + i > self.max {
+                        // The line completed but is over the cap.
+                        self.buf.clear();
+                        self.overflows += 1;
+                    } else {
+                        self.buf.extend_from_slice(&rest[..i]);
+                        lines.push(String::from_utf8_lossy(&self.buf).into_owned());
+                        self.buf.clear();
+                    }
+                    rest = &rest[i + 1..];
+                }
+                None => {
+                    self.buf.extend_from_slice(rest);
+                    if self.buf.len() > self.max {
+                        self.buf.clear();
+                        self.skipping = true;
+                        self.overflows += 1;
+                    }
+                    rest = &[];
+                }
+            }
+        }
+        lines
     }
 
     /// Encodes one outbound line: the wire form is the text plus a
@@ -114,17 +100,18 @@ impl LineCodec {
 
     /// Bytes buffered without a terminating newline yet.
     pub fn pending(&self) -> usize {
-        self.assembler.pending()
+        self.buf.len()
     }
 
     /// Discards any partial line (peer died mid-line).
     pub fn clear(&mut self) {
-        self.assembler.clear();
+        self.buf.clear();
+        self.skipping = false;
     }
 
     /// Takes (and resets) the count of discarded over-length lines.
     pub fn take_overflows(&mut self) -> u64 {
-        self.assembler.take_overflows()
+        std::mem::take(&mut self.overflows)
     }
 }
 
@@ -133,34 +120,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn decode_classifies_and_reframes() {
-        let mut c = LineCodec::default();
-        assert_eq!(c.decode(b"%set x "), Vec::new());
+    fn reframes_chunked_bytes() {
+        let mut c = LineCodec::new(usize::MAX);
+        assert_eq!(c.push(b"%set x "), Vec::<String>::new());
         assert_eq!(c.pending(), 7);
-        let got = c.decode(b"1\nplain\n%echo hi\n");
-        assert_eq!(
-            got,
-            vec![
-                LineKind::Command("%set x 1".into()),
-                LineKind::Passthrough("plain".into()),
-                LineKind::Command("%echo hi".into()),
-            ]
-        );
-        assert_eq!(got[0].text(), "%set x 1");
+        assert_eq!(c.push(b"1\nplain\n%se"), vec!["%set x 1", "plain"]);
+        assert_eq!(c.push(b"t y 2\n"), vec!["%set y 2"]);
+        assert_eq!(c.pending(), 0);
+    }
+
+    #[test]
+    fn discards_oversized_lines() {
+        let mut c = LineCodec::new(8);
+        // Oversized whether it completes in one chunk or dribbles in.
+        assert_eq!(c.push(b"0123456789ab\nok\n"), vec!["ok"]);
+        assert_eq!(c.take_overflows(), 1);
+        for _ in 0..5 {
+            assert!(c.push(b"xxxx").is_empty());
+        }
+        assert_eq!(c.push(b"tail\nok2\n"), vec!["ok2"]);
+        assert_eq!(c.take_overflows(), 1, "one overflow per discarded line");
+        // A line of exactly max bytes survives.
+        let mut b = LineCodec::new(4);
+        assert_eq!(b.push(b"abcd\n"), vec!["abcd"]);
+        assert_eq!(b.take_overflows(), 0);
     }
 
     #[test]
     fn chunking_invariance_carries_over() {
-        // The same stream byte-at-a-time and in one chunk decode equal.
-        let stream = b"%a\nplain\n%b\n";
-        let mut whole = LineCodec::default();
-        let all = whole.decode(stream);
-        let mut dribble = LineCodec::default();
+        // The same stream byte-at-a-time and in one chunk frame equal.
+        let stream = b"%a\nplain\n0123456789\n%b\n";
+        let mut whole = LineCodec::new(8);
+        let all = whole.push(stream);
+        let mut dribble = LineCodec::new(8);
         let mut got = Vec::new();
         for b in stream {
-            got.extend(dribble.decode(&[*b]));
+            got.extend(dribble.push(&[*b]));
         }
         assert_eq!(all, got);
+        assert_eq!(whole.take_overflows(), dribble.take_overflows());
     }
 
     #[test]
@@ -168,29 +166,5 @@ mod tests {
         assert_eq!(LineCodec::encode("%set x 1"), b"%set x 1\n");
         assert_eq!(LineCodec::encode("%set x 1\n"), b"%set x 1\n");
         assert_eq!(LineCodec::encode(""), b"\n");
-    }
-
-    #[test]
-    fn oversize_lines_counted_like_the_assembler() {
-        let mut c = LineCodec::new(4);
-        assert_eq!(
-            c.decode(b"123456789\nok\n"),
-            vec![LineKind::Passthrough("ok".into())]
-        );
-        assert_eq!(c.take_overflows(), 1);
-    }
-
-    #[test]
-    fn custom_prefix_classifies() {
-        let mut c = LineCodec::with_prefix(1024, '#');
-        let got = c.decode(b"#cmd\n%plain\n");
-        assert_eq!(
-            got,
-            vec![
-                LineKind::Command("#cmd".into()),
-                LineKind::Passthrough("%plain".into()),
-            ]
-        );
-        assert_eq!(c.prefix(), '#');
     }
 }

@@ -35,13 +35,11 @@ pub mod protocol;
 pub mod supervisor;
 pub(crate) mod sys;
 
-pub use codec::{LineCodec, LineKind};
+pub use codec::LineCodec;
 pub use fault::{FaultAction, FaultPlan, FAULTS_ENV_VAR, FAULT_POINTS};
 pub use frontend::{backend_from_argv0, Frontend, FrontendConfig, SpawnSpec};
 pub use poll::{
     is_fd_exhaustion, set_nonblocking, Interest, PollSet, Poller, Readiness, SimPoller, SysPoller,
 };
-pub use protocol::{
-    is_command_line, LineAssembler, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX,
-};
+pub use protocol::{is_command_line, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX};
 pub use supervisor::{BackendState, Supervisor, SupervisorConfig, SupervisorCore};

@@ -23,97 +23,6 @@ pub fn is_command_line(line: &str, prefix: char) -> bool {
     line.strip_suffix('\n').unwrap_or(line).starts_with(prefix)
 }
 
-/// Incremental byte-stream → line framing with a bounded buffer.
-///
-/// Bytes are pushed in whatever chunks the pipe delivers; complete
-/// `\n`-terminated lines come out (without the terminator, lossy
-/// UTF-8). A line that exceeds `max` bytes before its newline arrives
-/// is discarded — the overflow is counted and the assembler skips to
-/// the next newline. The observable output (lines and overflow count)
-/// is invariant under re-chunking of the same byte stream.
-pub struct LineAssembler {
-    buf: Vec<u8>,
-    max: usize,
-    skipping: bool,
-    overflows: u64,
-}
-
-impl LineAssembler {
-    /// An assembler discarding lines longer than `max` bytes.
-    pub fn new(max: usize) -> Self {
-        LineAssembler {
-            buf: Vec::new(),
-            max,
-            skipping: false,
-            overflows: 0,
-        }
-    }
-
-    /// An assembler with no length cap.
-    pub fn unbounded() -> Self {
-        LineAssembler::new(usize::MAX)
-    }
-
-    /// Feeds a chunk; returns the complete lines it finished.
-    pub fn push(&mut self, bytes: &[u8]) -> Vec<String> {
-        let mut lines = Vec::new();
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let nl = rest.iter().position(|&b| b == b'\n');
-            if self.skipping {
-                match nl {
-                    Some(i) => {
-                        self.skipping = false;
-                        rest = &rest[i + 1..];
-                    }
-                    None => return lines,
-                }
-                continue;
-            }
-            match nl {
-                Some(i) => {
-                    if self.buf.len() + i > self.max {
-                        // The line completed but is over the cap.
-                        self.buf.clear();
-                        self.overflows += 1;
-                    } else {
-                        self.buf.extend_from_slice(&rest[..i]);
-                        lines.push(String::from_utf8_lossy(&self.buf).into_owned());
-                        self.buf.clear();
-                    }
-                    rest = &rest[i + 1..];
-                }
-                None => {
-                    self.buf.extend_from_slice(rest);
-                    if self.buf.len() > self.max {
-                        self.buf.clear();
-                        self.skipping = true;
-                        self.overflows += 1;
-                    }
-                    rest = &[];
-                }
-            }
-        }
-        lines
-    }
-
-    /// Bytes buffered without a terminating newline yet.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Discards any partial line (used when the producing child dies).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.skipping = false;
-    }
-
-    /// Takes (and resets) the count of discarded over-length lines.
-    pub fn take_overflows(&mut self) -> u64 {
-        std::mem::take(&mut self.overflows)
-    }
-}
-
 /// The protocol engine: a Wafe session plus the line protocol around it.
 pub struct ProtocolEngine {
     /// The embedded Wafe session.
@@ -465,33 +374,6 @@ mod tests {
         e.session.pump();
         let snap = e.session.eval("snapshot 0 0 200 60").unwrap();
         assert!(snap.contains("visible"), "{snap}");
-    }
-
-    #[test]
-    fn assembler_reframes_chunked_bytes() {
-        let mut a = LineAssembler::unbounded();
-        assert_eq!(a.push(b"%set x "), Vec::<String>::new());
-        assert_eq!(a.pending(), 7);
-        assert_eq!(a.push(b"1\nplain\n%se"), vec!["%set x 1", "plain"]);
-        assert_eq!(a.push(b"t y 2\n"), vec!["%set y 2"]);
-        assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    fn assembler_discards_oversized_lines() {
-        let mut a = LineAssembler::new(8);
-        // Oversized whether it completes in one chunk or dribbles in.
-        assert_eq!(a.push(b"0123456789ab\nok\n"), vec!["ok"]);
-        assert_eq!(a.take_overflows(), 1);
-        for _ in 0..5 {
-            assert!(a.push(b"xxxx").is_empty());
-        }
-        assert_eq!(a.push(b"tail\nok2\n"), vec!["ok2"]);
-        assert_eq!(a.take_overflows(), 1, "one overflow per discarded line");
-        // A line of exactly max bytes survives.
-        let mut b = LineAssembler::new(4);
-        assert_eq!(b.push(b"abcd\n"), vec!["abcd"]);
-        assert_eq!(b.take_overflows(), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests for the frontend protocol framing: however the pipe
-//! chops a byte stream into chunks, the `LineAssembler` must never
+//! chops a byte stream into chunks, the `LineCodec` must never
 //! panic, never emit a partial line, and produce exactly the same
 //! lines, overflow count and `%`-prefix classification as any other
 //! chunking of the same bytes.
 
-use wafe_ipc::{is_command_line, LineAssembler, DEFAULT_PREFIX};
+use wafe_ipc::{is_command_line, LineCodec, DEFAULT_PREFIX};
 use wafe_prop::{cases, Rng};
 
 /// A byte stream mixing protocol-ish lines, binary noise and pathologic
@@ -47,18 +47,18 @@ fn arbitrary_stream(rng: &mut Rng) -> Vec<u8> {
     out
 }
 
-/// Feeds `bytes` to a fresh assembler in random chunks; returns the
+/// Feeds `bytes` to a fresh codec in random chunks; returns the
 /// emitted lines and the overflow count.
 fn feed_chunked(rng: &mut Rng, bytes: &[u8], max: usize) -> (Vec<String>, u64) {
-    let mut asm = LineAssembler::new(max);
+    let mut codec = LineCodec::new(max);
     let mut lines = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
         let step = rng.range(1, 17).min(bytes.len() - i);
-        lines.extend(asm.push(&bytes[i..i + step]));
+        lines.extend(codec.push(&bytes[i..i + step]));
         i += step;
     }
-    (lines, asm.take_overflows())
+    (lines, codec.take_overflows())
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn reframing_is_chunking_invariant() {
     cases(300, |rng| {
         let stream = arbitrary_stream(rng);
         // Reference: the whole stream in one push.
-        let mut whole = LineAssembler::new(64);
+        let mut whole = LineCodec::new(64);
         let reference = whole.push(&stream);
         let ref_overflows = whole.take_overflows();
         // Three independent random chunkings must agree exactly.
@@ -103,7 +103,7 @@ fn reframing_is_chunking_invariant() {
 fn classification_is_stable_under_rechunking() {
     cases(300, |rng| {
         let stream = arbitrary_stream(rng);
-        let mut whole = LineAssembler::unbounded();
+        let mut whole = LineCodec::new(usize::MAX);
         let reference: Vec<bool> = whole
             .push(&stream)
             .iter()
@@ -121,14 +121,14 @@ fn classification_is_stable_under_rechunking() {
 #[test]
 fn pending_bytes_never_exceed_cap() {
     cases(200, |rng| {
-        let mut asm = LineAssembler::new(32);
+        let mut codec = LineCodec::new(32);
         for _ in 0..rng.range(1, 20) {
             let chunk = rng.vec(0, 64, |r| r.below(256) as u8);
-            let _ = asm.push(&chunk);
+            let _ = codec.push(&chunk);
             assert!(
-                asm.pending() <= 32,
+                codec.pending() <= 32,
                 "buffered partial must respect the cap: {}",
-                asm.pending()
+                codec.pending()
             );
         }
     });

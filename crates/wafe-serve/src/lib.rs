@@ -43,7 +43,9 @@
 //! `serve.accept` / `serve.commands` / `serve.shed` / `serve.evict`
 //! counters, `serve.sessions.active` / `serve.queue.depth` gauges and
 //! the `serve.dispatch` latency histogram (p50/p90/p99 via `telemetry
-//! histogram serve.dispatch`). The `serve status|sessions|drain|limits`
+//! histogram serve.dispatch`). Each session store rolls its counters up
+//! into its registry shard, so the server-wide totals (`serve status`)
+//! are the same counts, not a second tally. The `serve status|sessions|drain|limits`
 //! command is registered by wafe-core and dispatches into
 //! [`scheduler::install_serve_control`].
 
@@ -58,7 +60,7 @@ pub mod sim;
 pub use display::{install_display_control, DisplayCtl};
 pub use event_loop::{AcceptLoop, Acceptor, ConnAssign, ConnIo, EventLoop, Wake};
 pub use mailbox::{Mailbox, OutQueue, SessionSink};
-pub use registry::{Limits, Registry, ServerStats, SessionId, ShedReason, LIMIT_KEYS};
+pub use registry::{Limits, Registry, SessionId, ShedReason, LIMIT_KEYS};
 pub use scheduler::{install_serve_control, install_session_control, Scheduler, SessionCtl};
 pub use server::{Server, ServerConfig};
 pub use sim::{SimClient, SimNet};

@@ -3,15 +3,23 @@
 //!
 //! The registry is the state shared between the accept loop, the worker
 //! event loops and the `serve` Tcl command. To keep that sharing off
-//! the hot path it is *sharded*: slots, per-slot bookkeeping, parked
-//! snapshots and the event counters live in one [`Mutex`]-guarded shard
-//! per worker, and a session's stamped id pins it to its shard for life
+//! the hot path it is *sharded*: slots, per-slot bookkeeping and parked
+//! snapshots live in one [`Mutex`]-guarded shard per worker, and a
+//! session's stamped id pins it to its shard for life
 //! (`shard = slot % nshards`). Workers therefore never contend on each
 //! other's locks — only `serve status` / `serve metrics` walk all
 //! shards, aggregating at read time. The only cross-shard state is a
 //! pair of atomics (the active count backing exact `maxSessions`
 //! admission and the draining flag) plus rarely-touched configuration
 //! (limits, park directory).
+//!
+//! Each shard also owns a [`Rollup`]: the metric table's counters as
+//! lock-free atomics. Every session store on the shard rolls its
+//! counters up into it, and the registry counts the events no session
+//! sees there (admissions, admission sheds, closes, accept errors).
+//! `serve status` and the `serve.server.*` metrics rows are one view,
+//! [`FACTS`], over the summed shard totals, so every server event is
+//! counted once, at one call site.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -19,6 +27,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+use wafe_trace::{Kind, Metric, Rollup};
 
 use crate::event_loop::Wake;
 
@@ -139,47 +149,46 @@ impl Limits {
     }
 }
 
-/// Server-wide event totals (`serve status`). Kept per shard and summed
-/// at read time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerStats {
-    /// Sessions admitted.
-    pub accepted: u64,
-    /// Connections refused at admission (max-sessions or draining).
-    pub shed_admission: u64,
-    /// Inbound lines refused because a session's mailbox was full.
-    pub shed_queue: u64,
-    /// Sessions evicted for idling past `idleEvict`.
-    pub evicted: u64,
-    /// Sessions released (any cause: disconnect, quit, evict, drain).
-    pub closed: u64,
-    /// Protocol lines dispatched across all sessions.
-    pub commands: u64,
-    /// Sessions parked (idle eviction, drain park-all, `session park`).
-    pub parked: u64,
-    /// Parked snapshots restored into a reconnecting session.
-    pub restored: u64,
-    /// Restore attempts naming an unknown or already-taken snapshot.
-    pub restore_miss: u64,
-    /// `accept(2)` failures (fd exhaustion etc.) the accept loop backed
-    /// off from instead of spinning on.
-    pub accept_errors: u64,
+/// Where one numeric `serve status` value comes from.
+enum Fact {
+    /// The server-wide total of these table counters.
+    Total(&'static [Metric]),
+    /// Sessions currently registered.
+    Active,
+    /// Snapshots currently parked.
+    ParkedNow,
 }
 
-impl ServerStats {
-    fn add(&mut self, o: &ServerStats) {
-        self.accepted += o.accepted;
-        self.shed_admission += o.shed_admission;
-        self.shed_queue += o.shed_queue;
-        self.evicted += o.evicted;
-        self.closed += o.closed;
-        self.commands += o.commands;
-        self.parked += o.parked;
-        self.restored += o.restored;
-        self.restore_miss += o.restore_miss;
-        self.accept_errors += o.accept_errors;
-    }
-}
+/// The numeric `serve status` keys, in wire order, and their sources.
+/// `serve metrics` and `waferd --metrics` export the same list as
+/// `serve.server.<key>` rows.
+const FACTS: &[(&str, Fact)] = &[
+    ("active", Fact::Active),
+    ("accepted", Fact::Total(&[Metric::ServeServerAccepted])),
+    (
+        "shedAdmission",
+        Fact::Total(&[Metric::ServeServerShedAdmission]),
+    ),
+    ("shedQueue", Fact::Total(&[Metric::ServeShed])),
+    ("evicted", Fact::Total(&[Metric::ServeEvict])),
+    ("closed", Fact::Total(&[Metric::ServeServerClosed])),
+    ("commands", Fact::Total(&[Metric::ServeCommands])),
+    (
+        "parked",
+        Fact::Total(&[
+            Metric::ServeParkManual,
+            Metric::ServeParkIdle,
+            Metric::ServeParkDrain,
+        ]),
+    ),
+    ("restored", Fact::Total(&[Metric::ServeRestoreOk])),
+    ("restoreMiss", Fact::Total(&[Metric::ServeRestoreMiss])),
+    ("parkedNow", Fact::ParkedNow),
+    (
+        "acceptErrors",
+        Fact::Total(&[Metric::ServeServerAcceptErrors]),
+    ),
+];
 
 /// One parked session's checkpoint, held by the registry until a
 /// reconnect claims it (or, with a park directory, until a later
@@ -207,7 +216,6 @@ struct ShardInner {
     /// of the shard's local slot `i` carries; bumped on release.
     generations: Vec<u32>,
     slots: Vec<Option<Slot>>,
-    stats: ServerStats,
     /// Parked snapshots, keyed by the full stamped identity. The
     /// generation stamp is what makes park/reconnect race-free: a slot
     /// may be re-tenanted immediately, but `slot:generation` never
@@ -218,10 +226,17 @@ struct ShardInner {
     queued: usize,
 }
 
+/// One worker's share of the registry.
+struct Shard {
+    inner: Mutex<ShardInner>,
+    /// The shard's counter totals, counted without the lock.
+    counters: Arc<Rollup>,
+}
+
 /// The shared half of the server. Cheap to clone behind an `Arc`; every
 /// method takes `&self`.
 pub struct Registry {
-    shards: Vec<Mutex<ShardInner>>,
+    shards: Vec<Shard>,
     /// Live session count across all shards; admission reserves with a
     /// CAS against `maxSessions`, so the limit stays exact without a
     /// global lock.
@@ -259,7 +274,10 @@ impl Registry {
         let nshards = nshards.max(1);
         Registry {
             shards: (0..nshards)
-                .map(|_| Mutex::new(ShardInner::default()))
+                .map(|_| Shard {
+                    inner: Mutex::new(ShardInner::default()),
+                    counters: Arc::default(),
+                })
                 .collect(),
             active: AtomicUsize::new(0),
             next_admit: AtomicUsize::new(0),
@@ -306,7 +324,26 @@ impl Registry {
     }
 
     fn shard(&self, i: usize) -> std::sync::MutexGuard<'_, ShardInner> {
-        self.shards[i].lock().unwrap_or_else(|p| p.into_inner())
+        self.shards[i]
+            .inner
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The counter totals of `shard`, which the stores of the sessions
+    /// it owns roll up into.
+    pub(crate) fn shard_counters(&self, shard: usize) -> Arc<Rollup> {
+        self.shards[shard].counters.clone()
+    }
+
+    /// Counts one event only the registry sees against `shard`.
+    fn count(&self, shard: usize, m: Metric) {
+        self.shards[shard].counters.add(m, 1);
+    }
+
+    /// The server-wide total of one table counter.
+    fn total(&self, m: Metric) -> u64 {
+        self.shards.iter().map(|s| s.counters.value(m)).sum()
     }
 
     fn shard_for_slot(&self, slot: u32) -> std::sync::MutexGuard<'_, ShardInner> {
@@ -338,16 +375,18 @@ impl Registry {
     pub fn admit(&self, peer: &str, now_ms: u64) -> Result<SessionId, ShedReason> {
         let cursor = self.next_admit.fetch_add(1, Ordering::Relaxed);
         let nshards = self.shards.len();
+        let shed = |reason| {
+            self.count(cursor % nshards, Metric::ServeServerShedAdmission);
+            Err(reason)
+        };
         if self.draining() {
-            self.shard(cursor % nshards).stats.shed_admission += 1;
-            return Err(ShedReason::Draining);
+            return shed(ShedReason::Draining);
         }
         let max = self.limits().max_sessions;
         let mut cur = self.active.load(Ordering::Relaxed);
         loop {
             if cur >= max {
-                self.shard(cursor % nshards).stats.shed_admission += 1;
-                return Err(ShedReason::MaxSessions);
+                return shed(ShedReason::MaxSessions);
             }
             match self.active.compare_exchange_weak(
                 cur,
@@ -377,7 +416,7 @@ impl Registry {
                 shard.slots.len() - 1
             }
         };
-        shard.stats.accepted += 1;
+        self.count(shard_idx, Metric::ServeServerAccepted);
         Ok(SessionId {
             slot: (local * nshards + shard_idx) as u32,
             generation: shard.generations[local],
@@ -398,18 +437,18 @@ impl Registry {
         }
         shard.slots[local] = None;
         shard.generations[local] += 1;
-        shard.stats.closed += 1;
         drop(shard);
+        self.count(self.shard_of(id), Metric::ServeServerClosed);
         self.active.fetch_sub(1, Ordering::SeqCst);
         true
     }
 
-    /// Adds dispatched-line counts to a session and its shard's total.
+    /// Adds dispatched-line counts to a session's `serve sessions` row
+    /// (the server total is its store's `serve.commands`, rolled up).
     pub fn note_commands(&self, id: SessionId, n: u64) {
         let nshards = self.shards.len();
         let local = id.slot as usize / nshards;
         let mut shard = self.shard_for_slot(id.slot);
-        shard.stats.commands += n;
         if local < shard.slots.len() && shard.generations[local] == id.generation {
             if let Some(slot) = shard.slots[local].as_mut() {
                 slot.commands += n;
@@ -417,43 +456,14 @@ impl Registry {
         }
     }
 
-    /// Counts one queue-full shed against the session's shard (the
-    /// transport replies `!shed queue-full` to the client).
-    pub fn note_shed_queue(&self, id: SessionId) {
-        self.shard_for_slot(id.slot).stats.shed_queue += 1;
-    }
-
-    /// Counts one idle eviction against the session's shard.
-    pub fn note_evicted(&self, id: SessionId) {
-        self.shard_for_slot(id.slot).stats.evicted += 1;
-    }
-
     /// Counts one accept-loop failure (`EMFILE`/`ENFILE` back-off).
     pub fn note_accept_error(&self) {
-        self.shard(0).stats.accept_errors += 1;
-    }
-
-    /// Counts a restore attempt that named an unknown snapshot (the
-    /// in-band `session restore` validation path; [`take_parked`]
-    /// counts its own misses).
-    ///
-    /// [`take_parked`]: Registry::take_parked
-    pub fn note_restore_miss(&self) {
-        self.shard(0).stats.restore_miss += 1;
+        self.count(0, Metric::ServeServerAcceptErrors);
     }
 
     /// Sessions currently registered.
     pub fn active(&self) -> usize {
         self.active.load(Ordering::SeqCst)
-    }
-
-    /// The server-wide totals, summed across shards.
-    pub fn stats(&self) -> ServerStats {
-        let mut total = ServerStats::default();
-        for i in 0..self.shards.len() {
-            total.add(&self.shard(i).stats);
-        }
-        total
     }
 
     /// A copy of the current limits.
@@ -508,29 +518,21 @@ impl Registry {
                 parked_ms: now_ms,
             },
         );
-        shard.stats.parked += 1;
         Ok(())
     }
 
     /// Claims a parked snapshot, removing it from the registry (and the
-    /// park directory, if one is configured). `None` counts a restore
-    /// miss: the id was never parked, or was already claimed.
+    /// park directory, if one is configured). `None`: the id was never
+    /// parked, or was already claimed.
     pub fn take_parked(&self, id: SessionId) -> Option<Vec<u8>> {
-        let mut shard = self.shard_for_slot(id.slot);
-        match shard.parked.remove(&(id.slot, id.generation)) {
-            Some(p) => {
-                shard.stats.restored += 1;
-                drop(shard);
-                if let Some(dir) = self.park_dir() {
-                    let _ = std::fs::remove_file(dir.join(park_file_name(id)));
-                }
-                Some(p.bytes)
-            }
-            None => {
-                shard.stats.restore_miss += 1;
-                None
-            }
+        let p = self
+            .shard_for_slot(id.slot)
+            .parked
+            .remove(&(id.slot, id.generation))?;
+        if let Some(dir) = self.park_dir() {
+            let _ = std::fs::remove_file(dir.join(park_file_name(id)));
         }
+        Some(p.bytes)
     }
 
     /// Whether a snapshot is parked under this exact stamped identity.
@@ -638,78 +640,82 @@ impl Registry {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// `serve status` payload: a flat key/value word list. The original
-    /// aggregate keys come first (their positions are part of the wire
-    /// contract); the shard-era keys — `acceptErrors`, `poller` and the
-    /// per-shard `shards` breakdown — are appended at the end.
+    /// The numeric `serve status` facts, in [`FACTS`] order.
+    fn facts(&self) -> Vec<(&'static str, u64)> {
+        FACTS
+            .iter()
+            .map(|(key, fact)| {
+                let v = match fact {
+                    Fact::Total(ms) => ms.iter().map(|&m| self.total(m)).sum(),
+                    Fact::Active => self.active() as u64,
+                    Fact::ParkedNow => self.parked_count() as u64,
+                };
+                (*key, v)
+            })
+            .collect()
+    }
+
+    /// `serve status` payload: a flat key/value word list. `state`
+    /// first, then [`FACTS`] (their positions are part of the wire
+    /// contract), then the `poller` and the per-shard `shards`
+    /// breakdown.
     pub fn status_words(&self) -> Vec<String> {
-        let draining = self.draining();
-        let s = self.stats();
-        let mut shard_rows = Vec::new();
-        for i in 0..self.shards.len() {
-            let shard = self.shard(i);
-            let active = shard.slots.iter().filter(|s| s.is_some()).count();
-            shard_rows.push(wafe_tcl::list_join(&[
-                "shard".to_string(),
-                i.to_string(),
-                "active".to_string(),
-                active.to_string(),
-                "queued".to_string(),
-                shard.queued.to_string(),
-            ]));
+        let state = if self.draining() {
+            "draining"
+        } else {
+            "serving"
+        };
+        let mut words = vec!["state".to_string(), state.to_string()];
+        for (key, v) in self.facts() {
+            words.push(key.to_string());
+            words.push(v.to_string());
         }
-        [
-            (
-                "state",
-                if draining { "draining" } else { "serving" }.into(),
-            ),
-            ("active", self.active().to_string()),
-            ("accepted", s.accepted.to_string()),
-            ("shedAdmission", s.shed_admission.to_string()),
-            ("shedQueue", s.shed_queue.to_string()),
-            ("evicted", s.evicted.to_string()),
-            ("closed", s.closed.to_string()),
-            ("commands", s.commands.to_string()),
-            ("parked", s.parked.to_string()),
-            ("restored", s.restored.to_string()),
-            ("restoreMiss", s.restore_miss.to_string()),
-            ("parkedNow", self.parked_count().to_string()),
-            ("acceptErrors", s.accept_errors.to_string()),
-            ("poller", self.poller_backend().to_string()),
-            ("shards", wafe_tcl::list_join(&shard_rows)),
-        ]
-        .into_iter()
-        .flat_map(|(k, v): (&str, String)| [k.to_string(), v])
-        .collect()
+        let shard_rows: Vec<String> = (0..self.shards.len())
+            .map(|i| {
+                let shard = self.shard(i);
+                let active = shard.slots.iter().filter(|s| s.is_some()).count();
+                format!("shard {i} active {active} queued {}", shard.queued)
+            })
+            .collect();
+        words.extend([
+            "poller".to_string(),
+            self.poller_backend().to_string(),
+            "shards".to_string(),
+            wafe_tcl::list_join(&shard_rows),
+        ]);
+        words
     }
 
     /// The server-level rows of the metrics exposition (`serve metrics`
-    /// and waferd's `--metrics` endpoint): the `serve status` facts as
-    /// key-sorted numeric pairs under `serve.server.*` (the non-numeric
-    /// `state` word becomes the 0/1 `draining` flag).
+    /// and waferd's `--metrics` endpoint): the [`FACTS`] as key-sorted
+    /// `serve.server.*` pairs, plus the 0/1 `draining` flag standing in
+    /// for the `state` word.
     pub fn metrics_pairs(&self) -> Vec<(String, String)> {
-        let draining = self.draining();
-        let s = self.stats();
-        let mut pairs: Vec<(String, String)> = [
-            ("draining", draining as u64),
-            ("active", self.active() as u64),
-            ("accepted", s.accepted),
-            ("shedAdmission", s.shed_admission),
-            ("shedQueue", s.shed_queue),
-            ("evicted", s.evicted),
-            ("closed", s.closed),
-            ("commands", s.commands),
-            ("parked", s.parked),
-            ("restored", s.restored),
-            ("restoreMiss", s.restore_miss),
-            ("parkedNow", self.parked_count() as u64),
-            ("acceptErrors", s.accept_errors),
-        ]
-        .into_iter()
-        .map(|(k, v)| (format!("serve.server.{k}"), v.to_string()))
-        .collect();
+        let mut pairs: Vec<(String, String)> = self
+            .facts()
+            .into_iter()
+            .chain([("draining", self.draining() as u64)])
+            .map(|(k, v)| (format!("serve.server.{k}"), v.to_string()))
+            .collect();
         pairs.sort();
         pairs
+    }
+
+    /// The server-wide totals of every counter the session stores roll
+    /// up, by table name, nonzero only. The registry's own
+    /// `serve.server.*` counters are left out: [`metrics_pairs`] already
+    /// exports them.
+    ///
+    /// [`metrics_pairs`]: Registry::metrics_pairs
+    pub fn rollup_pairs(&self) -> Vec<(String, String)> {
+        Metric::ALL
+            .iter()
+            .filter(|m| m.kind() == Kind::Counter && !m.name().starts_with("serve.server."))
+            .filter_map(|&m| match self.total(m) {
+                0 => None,
+                v => Some((m.name().to_string(), v.to_string())),
+            })
+            .collect()
     }
 
     /// `serve sessions` payload: one `{id peer admittedMs commands}`
@@ -776,6 +782,13 @@ fn parse_park_file_name(name: &str) -> Option<SessionId> {
 mod tests {
     use super::*;
 
+    /// One numeric `serve status` value.
+    fn status(r: &Registry, key: &str) -> u64 {
+        let words = r.status_words();
+        let i = words.iter().position(|w| w == key).expect("status key");
+        words[i + 1].parse().expect("numeric")
+    }
+
     #[test]
     fn generations_never_reuse() {
         let r = Registry::new(Limits::default());
@@ -802,7 +815,7 @@ mod tests {
         r.admit("c", 0).unwrap();
         r.begin_drain();
         assert_eq!(r.admit("d", 0), Err(ShedReason::Draining));
-        assert_eq!(r.stats().shed_admission, 2);
+        assert_eq!(status(&r, "shedAdmission"), 2);
     }
 
     #[test]
@@ -835,8 +848,6 @@ mod tests {
         );
         assert_eq!(r.take_parked(id), Some(vec![1, 2, 3]));
         assert_eq!(r.take_parked(id), None, "second claim is a miss");
-        let s = r.stats();
-        assert_eq!((s.parked, s.restored, s.restore_miss), (1, 1, 1));
     }
 
     #[test]
@@ -921,8 +932,9 @@ mod tests {
         assert_eq!(r.active(), 5);
         r.release(ids[0]);
         assert!(r.admit("fits", 0).is_ok());
-        assert_eq!(r.stats().accepted, 6);
-        assert_eq!(r.stats().shed_admission, 1);
+        assert_eq!(status(&r, "accepted"), 6);
+        assert_eq!(status(&r, "shedAdmission"), 1);
+        assert_eq!(status(&r, "closed"), 1);
     }
 
     #[test]
@@ -954,5 +966,13 @@ mod tests {
                 .1,
             "1"
         );
+        // Shard totals sum into the view, and the roll-up rows leave
+        // the registry's own counters to `metrics_pairs`.
+        r.shard_counters(0).add(Metric::ServeCommands, 2);
+        r.shard_counters(1).add(Metric::ServeCommands, 3);
+        assert_eq!(status(&r, "commands"), 5);
+        let rolled = r.rollup_pairs();
+        assert!(rolled.contains(&("serve.commands".to_string(), "5".to_string())));
+        assert!(rolled.iter().all(|(k, _)| !k.starts_with("serve.server.")));
     }
 }

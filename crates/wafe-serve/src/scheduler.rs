@@ -128,7 +128,14 @@ impl Scheduler {
     pub fn attach(&mut self, id: SessionId, mailbox: Arc<Mailbox>, sink: SessionSink) {
         let ctl = Rc::new(SessionCtl::default());
         let display = Rc::new(DisplayCtl::default());
-        let engine = build_engine(&self.registry, self.flavor, self.telemetry, &ctl, &display);
+        let engine = build_engine(
+            &self.registry,
+            id,
+            self.flavor,
+            self.telemetry,
+            &ctl,
+            &display,
+        );
         let tel = engine.session.telemetry.clone();
         tel.count(Metric::ServeAccept);
         tel.set_gauge(Metric::ServeSessionsActive, self.registry.active() as u64);
@@ -219,7 +226,6 @@ impl Scheduler {
             // replies to the lines that did get through.
             let shed = entry.mailbox.take_shed();
             for _ in 0..shed {
-                self.registry.note_shed_queue(entry.id);
                 if !entry.sink.send("!shed queue-full".into()) {
                     entry.gone = true;
                 }
@@ -284,7 +290,6 @@ impl Scheduler {
                     // later with `session restore <id>`.
                     let entry = self.sessions.remove(i);
                     entry.engine.session.telemetry.count(Metric::ServeEvict);
-                    self.registry.note_evicted(entry.id);
                     self.park_entry(entry, Metric::ServeParkIdle);
                 } else {
                     i += 1;
@@ -376,8 +381,15 @@ impl Scheduler {
                 }
             }
             Ok(snap) => {
-                let mut engine =
-                    build_engine(&self.registry, self.flavor, self.telemetry, &ctl, &display);
+                let id = self.sessions[i].id;
+                let mut engine = build_engine(
+                    &self.registry,
+                    id,
+                    self.flavor,
+                    self.telemetry,
+                    &ctl,
+                    &display,
+                );
                 let report = snap.restore_into(&mut engine.session);
                 let tel = engine.session.telemetry.clone();
                 let entry = &mut self.sessions[i];
@@ -422,20 +434,24 @@ impl Scheduler {
     }
 }
 
-/// A fully wired serve-mode engine: telemetry per the server flag, and
-/// the `serve` and `session` control handlers installed. Used both for
-/// freshly attached connections and for restored engines (which share
-/// the connection's [`SessionCtl`]).
+/// A fully wired serve-mode engine for session `id`: telemetry per the
+/// server flag and rolled up into the session's shard, and the `serve`
+/// and `session` control handlers installed. Used both for freshly
+/// attached connections and for restored engines (which share the
+/// connection's [`SessionCtl`]).
 fn build_engine(
     registry: &Arc<Registry>,
+    id: SessionId,
     flavor: Flavor,
     telemetry: bool,
     ctl: &Rc<SessionCtl>,
     display: &Rc<DisplayCtl>,
 ) -> ProtocolEngine {
     let mut engine = ProtocolEngine::new(flavor);
+    let tel = &engine.session.telemetry;
+    tel.roll_up_into(registry.shard_counters(registry.shard_of(id)));
     if telemetry {
-        engine.session.telemetry.set_enabled(true);
+        tel.set_enabled(true);
     }
     install_serve_control(registry, &mut engine.session);
     install_session_control(registry, ctl, &mut engine.session);
@@ -465,7 +481,8 @@ fn serve_control(
         Some("sessions") if argv.len() == 2 => Ok(wafe_tcl::list_join(&r.sessions_words())),
         Some("metrics") if argv.len() == 2 => {
             // Prometheus text exposition: the server-wide registry rows
-            // plus this session's telemetry store, key-sorted.
+            // plus this session's telemetry store, key-sorted (the
+            // roll-up totals stay out: they share the store's names).
             let mut pairs = r.metrics_pairs();
             pairs.extend(wafe_trace::export::telemetry_pairs(tel));
             pairs.sort();
@@ -542,7 +559,6 @@ fn session_control(
                 )
             })?;
             if !r.has_parked(id) {
-                r.note_restore_miss();
                 tel.count(Metric::ServeRestoreMiss);
                 return Err(format!("no parked session \"{id}\""));
             }

@@ -14,6 +14,9 @@ use wafe_serve::{
     SimNet,
 };
 
+mod common;
+use common::status;
+
 fn new_loop(registry: &Arc<Registry>, shard: usize, net: &SimNet) -> EventLoop {
     let sched = Scheduler::new(registry.clone(), Flavor::Athena, false);
     EventLoop::with_wake(sched, shard, net.poller(), Some(net.wake_pair()))
@@ -121,19 +124,19 @@ fn accept_errors_back_off_for_a_tick_and_are_counted() {
 
     // Tick 1: EMFILE. Counted, loop alive, back-off armed.
     assert_eq!(accept.poll_once(0), 0);
-    assert_eq!(registry.stats().accept_errors, 1);
+    assert_eq!(status(&registry, "acceptErrors"), 1);
     assert!(accept.backing_off());
     // Tick 2: the back-off tick — the listener is not even polled.
     assert_eq!(accept.poll_once(0), 0);
-    assert_eq!(registry.stats().accept_errors, 1, "no accept attempted");
+    assert_eq!(status(&registry, "acceptErrors"), 1, "no accept attempted");
     assert!(!accept.backing_off());
     // Tick 3: ENFILE. Counted again, still alive.
     assert_eq!(accept.poll_once(0), 0);
-    assert_eq!(registry.stats().accept_errors, 2);
+    assert_eq!(status(&registry, "acceptErrors"), 2);
     // Tick 4: back-off again. Tick 5: the real connection gets in.
     assert_eq!(accept.poll_once(0), 0);
     assert_eq!(accept.poll_once(0), 1, "accepting resumed after back-off");
-    assert_eq!(registry.stats().accepted, 1);
+    assert_eq!(status(&registry, "accepted"), 1);
     let assign = rx.try_recv().expect("routed to the worker");
     assert_eq!(assign.id.slot, 0);
     drop(assign);
@@ -158,7 +161,7 @@ fn shed_reply_reaches_the_simulated_client_before_the_close() {
     assert_eq!(accept.poll_once(0), 0);
     assert_eq!(client.received_lines(), vec!["!shed max-sessions"]);
     assert!(client.is_shutdown());
-    assert_eq!(registry.stats().shed_admission, 1);
+    assert_eq!(status(&registry, "shedAdmission"), 1);
 }
 
 #[test]
@@ -169,7 +172,7 @@ fn one_byte_reads_reassemble_byte_identically_across_a_park_and_restore() {
 
     // Phase 1: the first tenant dribbles state-building commands one
     // byte per poll wakeup — every byte is a separate readiness event,
-    // a separate read(2), a separate LineAssembler push.
+    // a separate read(2), a separate LineCodec push.
     let (id_a, client_a) = attach_client(&mut el, &registry, &net);
     for b in b"%set greeting salut\n%session park\n" {
         client_a.send(&[*b]);
@@ -196,8 +199,8 @@ fn one_byte_reads_reassemble_byte_identically_across_a_park_and_restore() {
         vec![format!("!restored {id_a}"), "salut".to_string()],
         "reassembled byte-identically across park/restore"
     );
-    assert_eq!(registry.stats().restored, 1);
-    assert_eq!(registry.stats().restore_miss, 0);
+    assert_eq!(status(&registry, "restored"), 1);
+    assert_eq!(status(&registry, "restoreMiss"), 0);
 }
 
 #[test]
@@ -214,7 +217,7 @@ fn client_eof_finishes_the_session_and_closes_the_connection() {
     assert!(client.is_shutdown(), "EOF drains the mailbox then closes");
     assert_eq!(el.conn_count(), 0);
     assert_eq!(registry.active(), 0);
-    assert_eq!(registry.stats().closed, 1);
+    assert_eq!(status(&registry, "closed"), 1);
 }
 
 #[test]
@@ -242,7 +245,7 @@ fn queue_overflow_on_the_sim_transport_sheds_explicitly() {
             "!shed queue-full"
         ]
     );
-    assert_eq!(registry.stats().shed_queue, 3);
+    assert_eq!(status(&registry, "shedQueue"), 3);
 }
 
 // ---------------------------------------------------------------------------

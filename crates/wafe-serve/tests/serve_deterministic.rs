@@ -11,6 +11,9 @@ use std::sync::Arc;
 use wafe_core::Flavor;
 use wafe_serve::{Limits, Mailbox, Registry, Scheduler, SessionSink, ShedReason};
 
+mod common;
+use common::status;
+
 fn scheduler(limits: Limits) -> Scheduler {
     Scheduler::new(Arc::new(Registry::new(limits)), Flavor::Athena, false)
 }
@@ -90,7 +93,7 @@ fn admission_control_sheds_beyond_max_sessions() {
     session(&mut sched, "one");
     session(&mut sched, "two");
     assert_eq!(registry.admit("three", 0), Err(ShedReason::MaxSessions));
-    assert_eq!(registry.stats().shed_admission, 1);
+    assert_eq!(status(&registry, "shedAdmission"), 1);
     assert_eq!(registry.active(), 2);
     // The shed reply the transport sends is the reason, spelled out.
     assert_eq!(ShedReason::MaxSessions.to_string(), "max-sessions");
@@ -119,7 +122,7 @@ fn queue_full_sheds_explicitly_and_keeps_the_session() {
         got,
         ["m0", "m1", "m2", "!shed queue-full", "!shed queue-full"]
     );
-    assert_eq!(registry.stats().shed_queue, 2);
+    assert_eq!(status(&registry, "shedQueue"), 2);
     assert_eq!(
         registry.active(),
         1,
@@ -156,7 +159,7 @@ fn graceful_drain_flushes_mailboxes_before_releasing() {
     assert_eq!(lines(&buf_a), ["a0", "a1", "a2", "a3", "a4", "a5"]);
     assert_eq!(lines(&buf_b), ["b0"]);
     assert_eq!(registry.active(), 0, "every slot released");
-    assert_eq!(registry.stats().closed, 2);
+    assert_eq!(status(&registry, "closed"), 2);
     assert_eq!(registry.admit("late", 0), Err(ShedReason::Draining));
 }
 
@@ -202,8 +205,8 @@ fn idle_sessions_are_parked_on_virtual_ticks() {
     assert_eq!(lines(&buf_b), [format!("!parked {id_b}")]);
     assert_eq!(lines(&buf_a), ["ping"]);
     assert_eq!(registry.active(), 1);
-    assert_eq!(registry.stats().evicted, 1);
-    assert_eq!(registry.stats().parked, 1);
+    assert_eq!(status(&registry, "evicted"), 1);
+    assert_eq!(status(&registry, "parked"), 1);
     assert!(registry.has_parked(id_b), "eviction parks, not discards");
     // The evicted id is stale: its slot can be re-admitted under a new
     // generation, and a late release of the old id is ignored.
@@ -232,7 +235,7 @@ fn manual_park_then_restore_replays_queued_output_in_order() {
     // thing the client sees is the park ack, verbatim.
     assert_eq!(lines(&buf_a), [format!("!parked {id_a}")]);
     assert_eq!(registry.active(), 0, "park releases the slot");
-    assert_eq!(registry.stats().parked, 1);
+    assert_eq!(status(&registry, "parked"), 1);
     assert!(registry.has_parked(id_a));
 
     // A later connection lists the snapshot and restores by stamped id:
@@ -260,7 +263,7 @@ fn manual_park_then_restore_replays_queued_output_in_order() {
         !registry.has_parked(id_a),
         "a snapshot restores exactly once"
     );
-    assert_eq!(registry.stats().restored, 1);
+    assert_eq!(status(&registry, "restored"), 1);
     // Counter surface: the registry exports the park/restore totals.
     let pairs = registry.metrics_pairs();
     let get = |k: &str| {
@@ -289,7 +292,11 @@ fn restore_of_an_unknown_id_is_a_loud_miss_that_keeps_the_session() {
     assert!(mb.push("%echo still-alive".into()));
     sched.run_turn();
     assert_eq!(lines(&buf), ["1", "1", "still-alive"]);
-    assert_eq!(registry.stats().restore_miss, 1, "bad syntax is not a miss");
+    assert_eq!(
+        status(&registry, "restoreMiss"),
+        1,
+        "bad syntax is not a miss"
+    );
     assert_eq!(registry.active(), 1, "a failed restore keeps the session");
 }
 
@@ -357,7 +364,7 @@ fn parked_then_restored_session_continues_workload_byte_identically() {
     assert_eq!(after[0], format!("!restored {id_a}"));
     combined.extend(after[1..].iter().cloned());
     assert_eq!(combined, lines(&control_buf), "byte-identical continuation");
-    assert_eq!(registry.stats().restored, 1);
+    assert_eq!(status(&registry, "restored"), 1);
 }
 
 #[test]
@@ -379,7 +386,7 @@ fn drain_with_park_dir_parks_every_session_for_the_next_process() {
     }
     assert_eq!(lines(&buf_a), [format!("!parked {id_a}")]);
     assert_eq!(lines(&buf_b), [format!("!parked {id_b}")]);
-    assert_eq!(registry.stats().parked, 2);
+    assert_eq!(status(&registry, "parked"), 2);
 
     // Second "process": a fresh registry over the same directory finds
     // both snapshots; each session restores under its old id.
@@ -435,7 +442,8 @@ fn park_one_to_disk(
 }
 
 /// A restarted server over `dir`: a new client restores `old`, then
-/// reports the restore counters and whether any state came back.
+/// reports the restore counters, whether any state came back and
+/// `serve status`.
 fn restore_from_disk(dir: &std::path::Path, old: wafe_serve::SessionId) -> Vec<String> {
     let registry = Arc::new(Registry::new(Limits::default()));
     registry.set_park_dir(dir.to_path_buf()).unwrap();
@@ -447,23 +455,36 @@ fn restore_from_disk(dir: &std::path::Path, old: wafe_serve::SessionId) -> Vec<S
     assert!(mailbox.push(format!("%session restore {old}")));
     assert!(mailbox.push("%echo [telemetry snapshot serve.restore.]".into()));
     assert!(mailbox.push("%echo [info exists who]".into()));
+    assert!(mailbox.push("%echo [serve status]".into()));
     while !mailbox.is_empty() {
         sched.run_turn();
     }
     lines(&buf)
 }
 
+/// The value of one key in a flat `key value ...` reply line (0 when
+/// absent, as a counter that never moved is).
+fn value_in(line: &str, key: &str) -> u64 {
+    let words: Vec<&str> = line.split(' ').collect();
+    words
+        .iter()
+        .position(|w| *w == key)
+        .map_or(0, |i| words[i + 1].parse().expect("numeric value"))
+}
+
 /// A damaged snapshot is refused whole: `!restore-failed` naming the
-/// id, the `serve.restore.error` counter, and a session with none of
-/// the parked state in it.
+/// id, the `serve.restore.error` counter, a session with none of the
+/// parked state in it, and no restore in the server totals.
 fn assert_refused_whole(got: &[String], old: wafe_serve::SessionId) {
-    assert_eq!(got.len(), 3, "{got:?}");
+    assert_eq!(got.len(), 4, "{got:?}");
     assert!(
         got[0].starts_with(&format!("!restore-failed {old} corrupt snapshot")),
         "{got:?}"
     );
     assert_eq!(got[1], "serve.restore.error 1");
     assert_eq!(got[2], "0", "a refused snapshot restores nothing");
+    assert_eq!(value_in(&got[3], "restored"), 0, "{}", got[3]);
+    assert_eq!(value_in(&got[3], "restoreMiss"), 0, "{}", got[3]);
 }
 
 #[test]
@@ -504,6 +525,7 @@ fn stale_tmp_park_file_is_swept_and_ignored() {
     let got = restore_from_disk(&dir, id);
     assert_eq!(got[0], format!("!restored {id}"));
     assert_eq!(got[2], "1", "the complete snapshot still restores");
+    assert_eq!(value_in(&got[3], "restored"), 1, "{}", got[3]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -517,7 +539,7 @@ fn quit_command_releases_the_session() {
     sched.run_turn();
     assert_eq!(lines(&buf), ["bye"]);
     assert_eq!(registry.active(), 0);
-    assert_eq!(registry.stats().closed, 1);
+    assert_eq!(status(&registry, "closed"), 1);
 }
 
 #[test]
@@ -584,7 +606,7 @@ fn fifty_sessions_multiplex_without_crosstalk() {
         let want: Vec<String> = (0..5).map(|i| format!("{s}-{i}")).collect();
         assert_eq!(lines(buf), want, "session {s}");
     }
-    assert_eq!(registry.stats().commands, 500);
+    assert_eq!(status(&registry, "commands"), 500);
 }
 
 #[test]
@@ -715,4 +737,110 @@ fn shimmer_counts_are_attributed_to_their_own_session() {
     assert!(words[1].parse::<u64>().unwrap() >= 200, "{a:?}");
     // A counter that never moved is absent from the snapshot: zero.
     assert_eq!(lines(&b_buf), [""], "B parsed no list of its own");
+}
+
+/// The `serve.server.*` rows of the metrics exposition, keyed by their
+/// `serve status` key.
+fn server_rows(registry: &Registry) -> Vec<(String, u64)> {
+    registry
+        .metrics_pairs()
+        .into_iter()
+        .filter_map(|(k, v)| {
+            let key = k.strip_prefix("serve.server.")?.to_string();
+            Some((key, v.parse().unwrap()))
+        })
+        .collect()
+}
+
+/// `serve status`, the `serve.server.*` rows and the sessions' own
+/// counters are one count: sessions on both shards roll up into the
+/// totals, and a session's `telemetry reset` never lowers one.
+#[test]
+fn server_totals_roll_up_from_both_shards_and_survive_a_session_reset() {
+    let registry = Arc::new(Registry::with_shards(
+        Limits {
+            queue_depth: 2,
+            idle_evict_ms: 100,
+            ..Limits::default()
+        },
+        2,
+    ));
+    let mut sched = Scheduler::new(registry.clone(), Flavor::Athena, false);
+    let sessions: Vec<_> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|peer| session(&mut sched, peer))
+        .collect();
+    let shards: Vec<usize> = sessions.iter().map(|s| registry.shard_of(s.2)).collect();
+    assert_eq!(shards, [0, 1, 0, 1]);
+    let server_agrees = || {
+        for (key, v) in server_rows(&registry) {
+            if key != "draining" {
+                assert_eq!(status(&registry, &key), v, "serve.server.{key}");
+            }
+        }
+    };
+
+    // Phase 1: session n runs two lines and sheds n more against the
+    // depth-2 mailbox, then reports its own serve.* counters.
+    for (n, (mb, _, _)) in sessions.iter().enumerate() {
+        for i in 0..n + 2 {
+            assert_eq!(mb.push(format!("%set x {i}")), i < 2);
+        }
+    }
+    sched.run_turn();
+    for (mb, _, _) in &sessions {
+        assert!(mb.push("%echo [telemetry snapshot serve.]".into()));
+    }
+    sched.run_turn();
+    let reports: Vec<String> = sessions
+        .iter()
+        .map(|s| lines(&s.1).last().cloned().unwrap())
+        .collect();
+    let sum = |key: &str| reports.iter().map(|r| value_in(r, key)).sum::<u64>();
+    assert_eq!(sum("serve.shed"), 6, "{reports:?}");
+    assert_eq!(status(&registry, "shedQueue"), sum("serve.shed"));
+    // Each report line counts itself once it returns.
+    assert_eq!(status(&registry, "commands"), sum("serve.commands") + 4);
+    assert_eq!(status(&registry, "commands"), 12);
+    server_agrees();
+
+    // Phase 2: c (shard 0) parks itself; d (shard 1) idles out. A
+    // parked session's counters leave with it, so its `!parked` notice
+    // is its record.
+    sched.advance(60);
+    let (a, b, c, d) = (&sessions[0], &sessions[1], &sessions[2], &sessions[3]);
+    assert!(a.0.push("%set x 1".into()));
+    assert!(b.0.push("%set x 1".into()));
+    assert!(c.0.push("%session park".into()));
+    sched.run_turn();
+    sched.advance(60);
+    for s in [c, d] {
+        assert_eq!(lines(&s.1).last(), Some(&format!("!parked {}", s.2)));
+    }
+    assert_eq!(status(&registry, "parked"), 2);
+    assert_eq!(status(&registry, "evicted"), 1);
+    assert_eq!(status(&registry, "commands"), 15);
+    server_agrees();
+
+    // Phase 3: resetting a session on each shard zeroes only its own
+    // view; every server total holds (commands grows by the two reset
+    // lines themselves).
+    let before = server_rows(&registry);
+    assert!(a.0.push("%telemetry reset".into()));
+    assert!(b.0.push("%telemetry reset".into()));
+    sched.run_turn();
+    let after = server_rows(&registry);
+    for ((key, was), (_, now)) in before.iter().zip(&after) {
+        let grew = if key == "commands" { 2 } else { 0 };
+        assert_eq!(*now, was + grew, "serve.server.{key}");
+    }
+    server_agrees();
+    assert!(a.0.push("%echo [telemetry snapshot serve.commands]".into()));
+    sched.run_turn();
+    assert_eq!(
+        lines(&a.1).last().map(String::as_str),
+        Some("serve.commands 1"),
+        "the session's own view restarted at the reset line"
+    );
+    assert_eq!(status(&registry, "commands"), 18);
 }

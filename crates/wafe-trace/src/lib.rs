@@ -26,6 +26,12 @@
 //! created by the session and shared by the interpreter, the toolkit and
 //! the pipe protocol so `telemetry snapshot` sees every layer at once.
 //!
+//! Server-wide totals use the same table: a store may roll its counters
+//! up into a [`Rollup`], a `Send + Sync` array of relaxed atomics shared
+//! by many stores (the server keeps one per registry shard). Every count
+//! then lands in both; [`Telemetry::reset`] zeroes only the store, so
+//! the roll-up stays monotonic.
+//!
 //! # Examples
 //!
 //! ```
@@ -51,8 +57,10 @@ pub mod journal;
 pub mod metric;
 pub mod span;
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_NS, BUCKET_COUNT};
@@ -80,6 +88,36 @@ struct Inner {
     spans_enabled: Cell<bool>,
     spans: RefCell<SpanStore>,
     epoch: Instant,
+    /// Where counts also go, once [`Telemetry::roll_up_into`] set it.
+    rollup: OnceCell<Arc<Rollup>>,
+}
+
+/// Counter totals shared by many stores: one relaxed atomic per table
+/// metric, indexed by [`Metric`]. Only counters reach it; gauges,
+/// histograms and the journal stay per store.
+pub struct Rollup {
+    slots: [AtomicU64; METRIC_COUNT],
+}
+
+impl Default for Rollup {
+    fn default() -> Self {
+        Rollup {
+            slots: [const { AtomicU64::new(0) }; METRIC_COUNT],
+        }
+    }
+}
+
+impl Rollup {
+    /// Adds `delta` to a counter's total.
+    #[inline]
+    pub fn add(&self, m: Metric, delta: u64) {
+        self.slots[m as usize].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// A counter's total so far.
+    pub fn value(&self, m: Metric) -> u64 {
+        self.slots[m as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// A cloneable handle onto one telemetry store (clones share the store).
@@ -106,6 +144,7 @@ impl Telemetry {
                 spans_enabled: Cell::new(false),
                 spans: RefCell::new(SpanStore::default()),
                 epoch: Instant::now(),
+                rollup: OnceCell::new(),
             }),
         }
     }
@@ -151,6 +190,22 @@ impl Telemetry {
         debug_assert_eq!(m.kind(), Kind::Counter, "{} is not a counter", m.name());
         let slot = &self.inner.slots[m as usize];
         slot.set(slot.get().wrapping_add(delta));
+        if let Some(r) = self.inner.rollup.get() {
+            r.add(m, delta);
+        }
+    }
+
+    /// Rolls this store's counters up into `sink` from now on, after
+    /// adding what they already hold, so the sink's totals include
+    /// everything counted before the call too. A store has one sink.
+    pub fn roll_up_into(&self, sink: Arc<Rollup>) {
+        assert!(self.inner.rollup.get().is_none(), "store already rolls up");
+        for &m in Metric::ALL {
+            if m.kind() == Kind::Counter {
+                sink.add(m, self.value(m));
+            }
+        }
+        let _ = self.inner.rollup.set(sink);
     }
 
     /// Sets a gauge to an absolute value (last write wins).
@@ -356,7 +411,8 @@ impl Telemetry {
 
     /// Zeroes counters and gauges and clears histograms and the journal.
     /// The enabled flag is **not** touched: `telemetry reset` re-arms
-    /// measurement, it does not stop it.
+    /// measurement, it does not stop it. A [`Rollup`] this store feeds
+    /// keeps its totals.
     pub fn reset(&self) {
         for slot in &self.inner.slots {
             slot.set(0);
@@ -426,6 +482,23 @@ mod tests {
         assert!(Metric::ALL.iter().all(|&m| t.value(m) == 0));
         assert!(t.histogram(Metric::TclEval).is_none());
         assert_eq!(t.journal_recent(100).len(), 0);
+    }
+
+    #[test]
+    fn counters_roll_up_and_reset_leaves_the_totals() {
+        let sink = Arc::new(Rollup::default());
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        a.count(Metric::ServeCommands);
+        a.roll_up_into(sink.clone());
+        b.roll_up_into(sink.clone());
+        a.add(Metric::ServeCommands, 2);
+        b.count(Metric::ServeCommands);
+        b.set_gauge(Metric::ServeQueueDepth, 7);
+        assert_eq!(sink.value(Metric::ServeCommands), 4, "1 before + 3 after");
+        assert_eq!(sink.value(Metric::ServeQueueDepth), 0, "gauges stay local");
+        a.reset();
+        assert_eq!(a.value(Metric::ServeCommands), 0);
+        assert_eq!(sink.value(Metric::ServeCommands), 4, "totals are monotonic");
     }
 
     #[test]

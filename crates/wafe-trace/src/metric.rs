@@ -135,6 +135,12 @@ metrics! {
     ServeRestoreError = "serve.restore.error" Counter,
     ServeRestoreWidgets = "serve.restore.widgets" Counter,
     ServeRestoreWidgetsSkipped = "serve.restore.widgetsSkipped" Counter,
+    // The multi-session server, counted by the registry: events no
+    // session store sees (a refused connection never gets one).
+    ServeServerAccepted = "serve.server.accepted" Counter,
+    ServeServerShedAdmission = "serve.server.shedAdmission" Counter,
+    ServeServerClosed = "serve.server.closed" Counter,
+    ServeServerAcceptErrors = "serve.server.acceptErrors" Counter,
     // The remote display channel.
     DisplayAttach = "display.attach" Counter,
     DisplayDetach = "display.detach" Counter,

@@ -77,7 +77,8 @@ timeout 60 sh -c '
 # waferd smoke test: spawn the release binary, connect N clients over
 # loopback, round-trip one command each, then drain from a client and
 # require a clean exit — all under a hard timeout. Before the drain, one
-# scrape of the --metrics endpoint must show the server-wide counters.
+# scrape of the --metrics endpoint must show the server-wide counters,
+# and a second one must match a client's `serve status` key by key.
 echo "== waferd smoke test (30s guard)"
 timeout 30 sh -c '
     ./target/release/waferd --quiet --max-sessions 16 --metrics 127.0.0.1:0 \
@@ -112,6 +113,29 @@ scrape.close()
 for want in ("wafe_serve_server_accepted 8", "wafe_serve_server_commands 16",
              "wafe_serve_server_active 8"):
     assert want + "\n" in page, f"metrics scrape lacks {want!r}: {page!r}"
+# serve status and the scrape are one view: every numeric status key
+# equals its wafe_serve_server_<key> row (commands one more, since the
+# status line is counted once it returns), and the rolled-up session
+# total wafe_serve_commands agrees with both.
+f = conns[0][1]
+f.write("%echo [serve status]\n"); f.flush()
+words = f.readline().split()
+status = {}
+for k, v in zip(words[0::2], words[1::2]):
+    if k == "shards":
+        break
+    if v.isdigit():
+        status[k] = int(v)
+assert status.get("commands") == 16, f"serve status: {words!r}"
+scrape = socket.create_connection(("127.0.0.1", mport), timeout=5)
+page = scrape.makefile("rb").read().decode()
+scrape.close()
+rows = dict(l.rsplit(" ", 1) for l in page.splitlines() if l)
+for k, v in status.items():
+    want = str(v + 1 if k == "commands" else v)
+    got = rows.get("wafe_serve_server_" + k)
+    assert got == want, f"status {k} {v} vs scrape {got!r}: {page!r}"
+assert rows.get("wafe_serve_commands") == "17", f"no roll-up row: {page!r}"
 s, f = conns[0]
 f.write("%serve drain\n"); f.flush()
 for s, f in conns:

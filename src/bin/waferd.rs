@@ -16,7 +16,8 @@
 //!
 //! `--metrics ADDR` opens a second TCP listener that answers every
 //! connection with one Prometheus text-exposition page of the
-//! server-wide counters and closes — scrape-friendly without an HTTP
+//! server-wide counters (the `serve.server.*` rows and every rolled-up
+//! session counter's total) and closes — scrape-friendly without an HTTP
 //! stack. The server runs until a client issues `%serve drain`.
 //!
 //! `--park-dir DIR` persists parked session snapshots (idle eviction,
@@ -152,7 +153,8 @@ fn main() {
 
 /// The ops scrape endpoint: a detached thread that answers every
 /// connection with one `HTTP/1.0` page of Prometheus text exposition
-/// (the registry's server-wide counters) and closes. Write-and-close is
+/// (the `serve.server.*` rows plus the server-wide totals of every
+/// rolled-up session counter) and closes. Write-and-close is
 /// deliberately request-agnostic: `curl`, `nc` and a real scraper all
 /// get the same bytes, with no HTTP parser to maintain. The thread dies
 /// with the process when the drain finishes.
@@ -165,7 +167,10 @@ fn start_metrics_listener(
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { continue };
-            let body = wafe_trace::export::prometheus_text(&registry.metrics_pairs());
+            let mut pairs = registry.metrics_pairs();
+            pairs.extend(registry.rollup_pairs());
+            pairs.sort();
+            let body = wafe_trace::export::prometheus_text(&pairs);
             let _ = stream.write_all(
                 format!(
                     "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
