@@ -120,30 +120,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reframes_chunked_bytes() {
+    fn decode_classifies_and_reframes() {
+        // Framing is the codec's; classifying a framed line is
+        // `is_command_line`, exactly as the engine does it.
         let mut c = LineCodec::new(usize::MAX);
         assert_eq!(c.push(b"%set x "), Vec::<String>::new());
         assert_eq!(c.pending(), 7);
-        assert_eq!(c.push(b"1\nplain\n%se"), vec!["%set x 1", "plain"]);
-        assert_eq!(c.push(b"t y 2\n"), vec!["%set y 2"]);
+        let got = c.push(b"1\nplain\n%echo hi\n");
+        assert_eq!(got, vec!["%set x 1", "plain", "%echo hi"]);
+        let kinds: Vec<bool> = got
+            .iter()
+            .map(|l| crate::is_command_line(l, crate::DEFAULT_PREFIX))
+            .collect();
+        assert_eq!(kinds, vec![true, false, true]);
         assert_eq!(c.pending(), 0);
     }
 
     #[test]
-    fn discards_oversized_lines() {
-        let mut c = LineCodec::new(8);
-        // Oversized whether it completes in one chunk or dribbles in.
-        assert_eq!(c.push(b"0123456789ab\nok\n"), vec!["ok"]);
+    fn oversize_lines_counted_like_the_assembler() {
+        let mut c = LineCodec::new(4);
+        assert_eq!(c.push(b"123456789\nok\n"), vec!["ok"]);
         assert_eq!(c.take_overflows(), 1);
-        for _ in 0..5 {
-            assert!(c.push(b"xxxx").is_empty());
-        }
-        assert_eq!(c.push(b"tail\nok2\n"), vec!["ok2"]);
-        assert_eq!(c.take_overflows(), 1, "one overflow per discarded line");
-        // A line of exactly max bytes survives.
-        let mut b = LineCodec::new(4);
-        assert_eq!(b.push(b"abcd\n"), vec!["abcd"]);
-        assert_eq!(b.take_overflows(), 0);
+        assert_eq!(c.take_overflows(), 0, "taking resets the count");
     }
 
     #[test]

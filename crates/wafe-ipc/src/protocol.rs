@@ -377,6 +377,34 @@ mod tests {
     }
 
     #[test]
+    fn assembler_reframes_chunked_bytes() {
+        // Inbound framing for every transport is the shared `LineCodec`.
+        let mut a = crate::LineCodec::new(usize::MAX);
+        assert_eq!(a.push(b"%set x "), Vec::<String>::new());
+        assert_eq!(a.pending(), 7);
+        assert_eq!(a.push(b"1\nplain\n%se"), vec!["%set x 1", "plain"]);
+        assert_eq!(a.push(b"t y 2\n"), vec!["%set y 2"]);
+        assert_eq!(a.pending(), 0);
+    }
+
+    #[test]
+    fn assembler_discards_oversized_lines() {
+        let mut a = crate::LineCodec::new(8);
+        // Oversized whether it completes in one chunk or dribbles in.
+        assert_eq!(a.push(b"0123456789ab\nok\n"), vec!["ok"]);
+        assert_eq!(a.take_overflows(), 1);
+        for _ in 0..5 {
+            assert!(a.push(b"xxxx").is_empty());
+        }
+        assert_eq!(a.push(b"tail\nok2\n"), vec!["ok2"]);
+        assert_eq!(a.take_overflows(), 1, "one overflow per discarded line");
+        // A line of exactly max bytes survives.
+        let mut b = crate::LineCodec::new(4);
+        assert_eq!(b.push(b"abcd\n"), vec!["abcd"]);
+        assert_eq!(b.take_overflows(), 0);
+    }
+
+    #[test]
     fn classification_matches_engine_behaviour() {
         assert!(is_command_line("%set x 1", DEFAULT_PREFIX));
         assert!(is_command_line("%set x 1\n", DEFAULT_PREFIX));
