@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn decode_classifies_and_reframes() {
         // Framing is the codec's; classifying a framed line is
-        // `is_command_line`, exactly as the engine does it.
+        // `command_body`, exactly as the engine does it.
         let mut c = LineCodec::new(usize::MAX);
         assert_eq!(c.push(b"%set x "), Vec::<String>::new());
         assert_eq!(c.pending(), 7);
@@ -130,7 +130,7 @@ mod tests {
         assert_eq!(got, vec!["%set x 1", "plain", "%echo hi"]);
         let kinds: Vec<bool> = got
             .iter()
-            .map(|l| crate::is_command_line(l, crate::DEFAULT_PREFIX))
+            .map(|l| crate::command_body(l, crate::DEFAULT_PREFIX).is_some())
             .collect();
         assert_eq!(kinds, vec![true, false, true]);
         assert_eq!(c.pending(), 0);

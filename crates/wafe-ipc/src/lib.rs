@@ -41,5 +41,5 @@ pub use frontend::{backend_from_argv0, Frontend, FrontendConfig, SpawnSpec};
 pub use poll::{
     is_fd_exhaustion, set_nonblocking, Interest, PollSet, Poller, Readiness, SimPoller, SysPoller,
 };
-pub use protocol::{is_command_line, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX};
+pub use protocol::{command_body, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX};
 pub use supervisor::{BackendState, Supervisor, SupervisorConfig, SupervisorCore};

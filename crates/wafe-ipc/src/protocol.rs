@@ -16,11 +16,13 @@ pub const DEFAULT_PREFIX: char = '%';
 pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
 
 /// Pure classification of one assembled line (trailing newline already
-/// stripped or not — both accepted): is it a command under `prefix`?
-/// Factored out so the framing property tests can check that the
-/// classification is stable however the byte stream was chunked.
-pub fn is_command_line(line: &str, prefix: char) -> bool {
-    line.strip_suffix('\n').unwrap_or(line).starts_with(prefix)
+/// stripped or not — both accepted): the command it carries under
+/// `prefix`, or `None` for a passthrough line. The engine classifies
+/// every line through this, so the framing property tests check that
+/// the classification the engine runs is stable however the byte
+/// stream was chunked.
+pub fn command_body(line: &str, prefix: char) -> Option<&str> {
+    line.strip_suffix('\n').unwrap_or(line).strip_prefix(prefix)
 }
 
 /// The protocol engine: a Wafe session plus the line protocol around it.
@@ -103,7 +105,7 @@ impl ProtocolEngine {
             return Err(msg);
         }
         let trimmed = line.strip_suffix('\n').unwrap_or(line);
-        if let Some(cmd) = trimmed.strip_prefix(self.prefix) {
+        if let Some(cmd) = command_body(line, self.prefix) {
             tel.count(Metric::IpcLinesInterpreted);
             // The per-command span: a trace root in frontend mode, a
             // child of the scheduler's serve.command span in server
@@ -406,11 +408,11 @@ mod tests {
 
     #[test]
     fn classification_matches_engine_behaviour() {
-        assert!(is_command_line("%set x 1", DEFAULT_PREFIX));
-        assert!(is_command_line("%set x 1\n", DEFAULT_PREFIX));
-        assert!(!is_command_line("plain", DEFAULT_PREFIX));
-        assert!(!is_command_line("", DEFAULT_PREFIX));
-        assert!(is_command_line("#cmd", '#'));
+        assert_eq!(command_body("%set x 1", DEFAULT_PREFIX), Some("set x 1"));
+        assert_eq!(command_body("%set x 1\n", DEFAULT_PREFIX), Some("set x 1"));
+        assert_eq!(command_body("plain", DEFAULT_PREFIX), None);
+        assert_eq!(command_body("", DEFAULT_PREFIX), None);
+        assert_eq!(command_body("#cmd", '#'), Some("cmd"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! lines, overflow count and `%`-prefix classification as any other
 //! chunking of the same bytes.
 
-use wafe_ipc::{is_command_line, LineCodec, DEFAULT_PREFIX};
+use wafe_ipc::{command_body, LineCodec, DEFAULT_PREFIX};
 use wafe_prop::{cases, Rng};
 
 /// A byte stream mixing protocol-ish lines, binary noise and pathologic
@@ -104,15 +104,15 @@ fn classification_is_stable_under_rechunking() {
     cases(300, |rng| {
         let stream = arbitrary_stream(rng);
         let mut whole = LineCodec::new(usize::MAX);
-        let reference: Vec<bool> = whole
+        let reference: Vec<Option<String>> = whole
             .push(&stream)
             .iter()
-            .map(|l| is_command_line(l, DEFAULT_PREFIX))
+            .map(|l| command_body(l, DEFAULT_PREFIX).map(str::to_string))
             .collect();
         let (lines, _) = feed_chunked(rng, &stream, usize::MAX);
-        let rechunked: Vec<bool> = lines
+        let rechunked: Vec<Option<String>> = lines
             .iter()
-            .map(|l| is_command_line(l, DEFAULT_PREFIX))
+            .map(|l| command_body(l, DEFAULT_PREFIX).map(str::to_string))
             .collect();
         assert_eq!(rechunked, reference);
     });

@@ -10,11 +10,12 @@
 //! remote user's clicks and keys run the same translation machinery as
 //! the paper's local ones.
 //!
-//! Backpressure is *coalesce-to-latest*: when the outbound frame slot
-//! is occupied, no frame is built — the damage keeps accumulating in
-//! the display's pending-frame tracker and collapses into one bigger
-//! (at worst full-screen) frame when the slot frees. A slow client
-//! falls behind in time, never in content, and memory stays bounded.
+//! Backpressure is *coalesce-to-latest*: each connection has one
+//! outbound frame slot, and while it holds an unsent frame no frame is
+//! built — the damage keeps accumulating in the display's pending-frame
+//! tracker and collapses into one bigger (at worst full-screen) frame
+//! once the flush has taken the slot's frame. A slow client falls
+//! behind in time, never in content, and memory stays bounded.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -24,7 +25,6 @@ use wafe_display::{from_hex, hex_line, modifiers_from_mask, Frame, InputEvent};
 use wafe_ipc::fault::truncate_line;
 use wafe_ipc::{FaultAction, FaultPlan};
 
-use crate::mailbox::SessionSink;
 use wafe_trace::Metric;
 
 /// Per-connection display-channel state, shared between the control
@@ -136,34 +136,34 @@ fn display_control(
     }
 }
 
-/// Ships at most one frame for a session: flush the display, and if
-/// damage is pending and the sink's frame slot is free, encode and
-/// send it (consulting the `display` fault point on the way out).
-/// Returns `false` when the client side is gone.
+/// Builds at most one frame for a session: flush the display, and if
+/// damage is pending and the connection's frame `slot` is free, encode
+/// the frame into it (consulting the `display` fault point on the way
+/// out).
 pub fn pump_frame(
     session: &WafeSession,
     ctl: &DisplayCtl,
-    sink: &SessionSink,
+    slot: &mut Option<String>,
     faults: &mut Option<FaultPlan>,
-) -> bool {
+) {
     if !ctl.attached() {
-        return true;
+        return;
     }
     let tel = session.telemetry.clone();
     let line = {
         let mut app = session.app.borrow_mut();
         let Some(d) = app.displays.get_mut(0) else {
-            return true;
+            return;
         };
         d.flush();
         if !d.has_pending_frame() {
-            return true;
+            return;
         }
-        if !sink.can_send_frame() {
+        if slot.is_some() {
             // Backpressure: a frame is still unsent. Leave the damage
             // accumulating — it coalesces into the next frame.
             tel.count(Metric::DisplayFrameDeferred);
-            return true;
+            return;
         }
         let damage = d.take_frame_damage();
         let seq = d.next_frame_seq();
@@ -185,7 +185,7 @@ pub fn pump_frame(
             match action {
                 FaultAction::Drop | FaultAction::Wedge => {
                     tel.count(Metric::DisplayFaultDrop);
-                    return true;
+                    return;
                 }
                 FaultAction::Garble => {
                     tel.count(Metric::DisplayFaultGarble);
@@ -199,5 +199,5 @@ pub fn pump_frame(
             }
         }
     }
-    sink.send_frame(line)
+    *slot = Some(line);
 }

@@ -1,11 +1,12 @@
 //! The readiness-driven transport: one poll(2) wakeup drains every
-//! readable connection into its mailbox, then the quantum scheduler
-//! runs, then replies are flushed — no per-connection threads.
+//! readable connection into its session's inbound queue, then the
+//! quantum scheduler runs, then replies are flushed — no per-connection
+//! threads.
 //!
-//! Each worker owns one [`EventLoop`]: its [`Scheduler`], its registry
-//! shard, and the connections routed to it (`slot % workers`). The
-//! loop is written as separate steps — [`poll_io`](EventLoop::poll_io),
-//! [`run_turn`](EventLoop::run_turn),
+//! Each worker owns one [`EventLoop`]: its [`Scheduler`] (which holds
+//! the session records, connections included), its registry shard and
+//! its poll set. The loop is written as separate steps —
+//! [`poll_io`](EventLoop::poll_io), [`run_turn`](EventLoop::run_turn),
 //! [`flush_and_reap`](EventLoop::flush_and_reap),
 //! [`advance`](EventLoop::advance) — so the deterministic tests can
 //! interleave them with scripted I/O exactly like the scheduler tests
@@ -27,13 +28,12 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use wafe_ipc::{set_nonblocking, Interest, LineCodec, PollSet, Poller, DEFAULT_MAX_LINE};
+use wafe_ipc::{set_nonblocking, Interest, LineCodec, PollSet, Poller};
 
-use crate::mailbox::{Mailbox, OutQueue, SessionSink};
 use crate::registry::Registry;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{Scheduler, Session};
 
-/// Most bytes one connection may feed into its mailbox per sweep.
+/// Most bytes one connection may feed into its session per sweep.
 /// Batching stays bounded: a flooding client cannot monopolise the
 /// sweep any more than it can monopolise the scheduler's quantum.
 const READ_SWEEP_CAP: usize = 64 * 1024;
@@ -171,28 +171,100 @@ const WAKE_TOKEN: usize = usize::MAX;
 pub struct ConnAssign {
     pub id: crate::registry::SessionId,
     pub io: Box<dyn ConnIo>,
-    pub mailbox: Arc<Mailbox>,
-    pub out: Arc<OutQueue>,
 }
 
-struct Conn {
-    io: Box<dyn ConnIo>,
-    codec: LineCodec,
-    mailbox: Arc<Mailbox>,
-    out: Arc<OutQueue>,
-    /// Encoded-but-unwritten bytes (partial write under backpressure).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    read_eof: bool,
-    gone: bool,
-}
-
-impl Conn {
+impl Session {
     fn want_read(&self) -> bool {
-        !self.read_eof && !self.mailbox.is_closed()
+        !self.eof
     }
+
     fn want_write(&self) -> bool {
         self.wpos < self.wbuf.len()
+    }
+
+    /// Reads until `WouldBlock`, EOF or the sweep cap; decoded lines
+    /// join the inbound queue (an over-capacity line is counted there
+    /// and answered `!shed queue-full` by the scheduler). Returns the
+    /// lines decoded.
+    fn sweep_read(&mut self) -> usize {
+        if !self.want_read() {
+            return 0;
+        }
+        let mut buf = [0u8; 8192];
+        let mut taken = 0usize;
+        let mut lines = 0usize;
+        // Past the cap the sweep stops; level-triggered polling brings
+        // the rest at the next wakeup.
+        while taken < READ_SWEEP_CAP {
+            match self.io.read(&mut buf) {
+                Ok(0) => {
+                    self.eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    taken += n;
+                    for line in self.codec.push(&buf[..n]) {
+                        self.push_inbound(line);
+                        lines += 1;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.gone = true;
+                    self.eof = true;
+                    break;
+                }
+            }
+        }
+        lines
+    }
+
+    /// Moves the outbound lines, then the frame slot, into the write
+    /// buffer and pushes the buffer into the socket until it would
+    /// block.
+    fn flush(&mut self) {
+        if self.gone {
+            return;
+        }
+        loop {
+            if self.wpos >= self.wbuf.len() {
+                self.wbuf.clear();
+                self.wpos = 0;
+                // Coalesce: one write call per flush, not per line.
+                // Replies drain first; the frame goes last, so they
+                // are never delayed behind a bulky frame.
+                while let Some(line) = self.out.pop_front().or_else(|| self.frame.take()) {
+                    LineCodec::encode_into(&mut self.wbuf, &line);
+                    if self.wbuf.len() >= READ_SWEEP_CAP {
+                        break;
+                    }
+                }
+                if self.wbuf.is_empty() {
+                    break;
+                }
+            }
+            match self.io.write(&self.wbuf[self.wpos..]) {
+                Ok(0) => {
+                    self.gone = true;
+                    break;
+                }
+                Ok(n) => self.wpos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.gone = true;
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Whether the connection can be retired: the client vanished, or
+    /// the session is released and every reply written.
+    fn retired(&self) -> bool {
+        self.gone
+            || (self.done && self.out.is_empty() && self.frame.is_none() && !self.want_write())
     }
 }
 
@@ -202,7 +274,6 @@ pub struct EventLoop {
     sched: Scheduler,
     shard: usize,
     poll: PollSet,
-    conns: Vec<Option<Conn>>,
     /// Read half of the wake channel (polled under [`WAKE_TOKEN`]).
     wake: Option<Box<dyn ConnIo>>,
     /// Wake bytes drained so far.
@@ -243,7 +314,6 @@ impl EventLoop {
             sched,
             shard,
             poll,
-            conns: Vec::new(),
             wake,
             wakes: 0,
         }
@@ -278,44 +348,20 @@ impl EventLoop {
 
     /// Live connections on this loop.
     pub fn conn_count(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
+        self.sched.sessions.iter().flatten().count()
     }
 
     /// Takes ownership of an admitted connection: the session joins the
     /// scheduler ring, the socket joins the poll set.
     pub fn attach(&mut self, assign: ConnAssign) {
-        self.sched.attach(
-            assign.id,
-            assign.mailbox.clone(),
-            SessionSink::Queue(assign.out.clone()),
-        );
-        let conn = Conn {
-            io: assign.io,
-            codec: LineCodec::new(DEFAULT_MAX_LINE),
-            mailbox: assign.mailbox,
-            out: assign.out,
-            wbuf: Vec::new(),
-            wpos: 0,
-            read_eof: false,
-            gone: false,
-        };
-        let token = match self.conns.iter().position(|c| c.is_none()) {
-            Some(i) => {
-                self.conns[i] = Some(conn);
-                i
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
-        };
-        let c = self.conns[token].as_ref().expect("just inserted");
-        self.poll.register(Interest::read(token, c.io.fd()));
+        let fd = assign.io.fd();
+        let token = self.sched.attach(assign.id, assign.io);
+        self.poll.register(Interest::read(token, fd));
     }
 
     /// One poll wakeup: waits up to `timeout_ms`, then drains *every*
-    /// readable connection into its mailbox (the batched sweep) before
-    /// returning. Returns how many protocol lines were enqueued.
+    /// readable connection into its session (the batched sweep) before
+    /// returning. Returns how many protocol lines were decoded.
     pub fn poll_io(&mut self, timeout_ms: i32) -> usize {
         let ready: Vec<(usize, bool)> = match self.poll.wait(timeout_ms) {
             Ok(r) => r.iter().map(|r| (r.token, r.writable)).collect(),
@@ -327,62 +373,19 @@ impl EventLoop {
                 self.drain_wake();
                 continue;
             }
+            let Some(s) = self.sched.sessions.get_mut(token).and_then(Option::as_mut) else {
+                continue;
+            };
             if writable {
-                self.flush_conn(token);
+                s.flush();
             }
-            enqueued += self.sweep_read(token);
+            enqueued += s.sweep_read();
             self.update_interest(token);
         }
         enqueued
     }
 
-    /// Reads one connection until `WouldBlock`, EOF or the sweep cap;
-    /// decoded lines land in the session's mailbox (an over-capacity
-    /// push is counted there and answered `!shed queue-full` by the
-    /// scheduler). Returns lines enqueued.
-    fn sweep_read(&mut self, token: usize) -> usize {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-            return 0;
-        };
-        if !conn.want_read() {
-            return 0;
-        }
-        let mut buf = [0u8; 8192];
-        let mut taken = 0usize;
-        let mut lines = 0usize;
-        loop {
-            if taken >= READ_SWEEP_CAP {
-                break; // level-triggered: the rest waits for the next wakeup
-            }
-            match conn.io.read(&mut buf) {
-                Ok(0) => {
-                    conn.read_eof = true;
-                    conn.mailbox.close();
-                    break;
-                }
-                Ok(n) => {
-                    taken += n;
-                    for line in conn.codec.push(&buf[..n]) {
-                        let _ = conn.mailbox.push(line);
-                        lines += 1;
-                    }
-                    if conn.mailbox.is_closed() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.gone = true;
-                    conn.mailbox.close();
-                    break;
-                }
-            }
-        }
-        lines
-    }
-
-    /// One scheduler sweep over the mailboxes just filled.
+    /// One scheduler sweep over the inbound queues just filled.
     pub fn run_turn(&mut self) -> usize {
         self.sched.run_turn()
     }
@@ -397,91 +400,33 @@ impl EventLoop {
     /// updates the shard's queue-depth gauge. Call after
     /// [`run_turn`](EventLoop::run_turn).
     pub fn flush_and_reap(&mut self) {
-        for token in 0..self.conns.len() {
-            if self.conns[token].is_some() {
-                self.flush_conn(token);
-                self.reap(token);
+        for token in 0..self.sched.sessions.len() {
+            let Some(s) = self.sched.sessions[token].as_mut() else {
+                continue;
+            };
+            s.flush();
+            if s.retired() {
+                // A vanished client's session is released here; a
+                // finished one was released when it finished.
+                self.sched.close(token);
+                self.poll.deregister(token);
+            } else {
+                self.update_interest(token);
             }
         }
-        let registry = self.sched.registry().clone();
-        registry.set_shard_queued(self.shard, self.sched.queued_lines());
-    }
-
-    /// Moves lines from the out queue into the write buffer and pushes
-    /// the buffer into the socket until it would block.
-    fn flush_conn(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.gone {
-            return;
-        }
-        loop {
-            if conn.wpos >= conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
-                // Coalesce: one write call per flush, not per line.
-                while let Some(line) = conn.out.pop() {
-                    LineCodec::encode_into(&mut conn.wbuf, &line);
-                    if conn.wbuf.len() >= READ_SWEEP_CAP {
-                        break;
-                    }
-                }
-                if conn.wbuf.is_empty() {
-                    break;
-                }
-            }
-            match conn.io.write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => {
-                    conn.gone = true;
-                    break;
-                }
-                Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.gone = true;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Retires a connection that is finished (session released and tail
-    /// flushed) or dead.
-    fn reap(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.gone {
-            // The client vanished: stop the session's output, let the
-            // scheduler notice on its next send and release the slot.
-            conn.out.mark_receiver_gone();
-            conn.mailbox.close();
-            conn.io.shutdown();
-            self.conns[token] = None;
-            self.poll.deregister(token);
-            return;
-        }
-        if conn.out.is_finished() && !conn.want_write() {
-            // Session released (sink dropped) and every reply written.
-            conn.io.shutdown();
-            self.conns[token] = None;
-            self.poll.deregister(token);
-            return;
-        }
-        self.update_interest(token);
+        let queued = self.sched.queued_lines();
+        self.sched.registry().set_shard_queued(self.shard, queued);
     }
 
     fn update_interest(&mut self, token: usize) {
-        let Some(conn) = self.conns.get(token).and_then(Option::as_ref) else {
+        let Some(s) = self.sched.sessions.get(token).and_then(Option::as_ref) else {
             return;
         };
-        let (read, write) = (conn.want_read(), conn.want_write());
+        let (read, write) = (s.want_read(), s.want_write());
         if read || write {
             self.poll.register(Interest {
                 token,
-                fd: conn.io.fd(),
+                fd: s.io.fd(),
                 read,
                 write,
             });
@@ -493,14 +438,12 @@ impl EventLoop {
     /// Whether the loop has anything to do right now (skip the poll
     /// timeout when true).
     pub fn has_pending_work(&mut self) -> bool {
-        self.conns.iter().flatten().any(|c| {
-            !c.mailbox.is_empty() || !c.out.is_empty() || c.want_write() || c.out.is_finished()
-        })
+        self.sched.sessions.iter().flatten().any(Session::has_work)
     }
 
     /// Drained and every connection retired — the worker may exit.
     pub fn is_drained(&mut self) -> bool {
-        self.sched.is_drained() && self.conn_count() == 0
+        self.sched.is_drained()
     }
 
     /// Passthrough lines collected by the scheduler since last call.
@@ -610,15 +553,8 @@ impl AcceptLoop {
                 return false;
             }
         };
-        let mailbox = Mailbox::new(self.registry.limits().queue_depth);
-        let out = OutQueue::new();
         let worker = id.slot as usize % self.txs.len().max(1);
-        if let Err(mut refused) = self.txs[worker].send(ConnAssign {
-            id,
-            io,
-            mailbox,
-            out,
-        }) {
+        if let Err(mut refused) = self.txs[worker].send(ConnAssign { id, io }) {
             // Drain raced the accept; the worker is gone.
             self.registry.release(id);
             refused.0.io.shutdown();

@@ -13,24 +13,25 @@
 //! * [`registry`] — generation-stamped session identities, admission
 //!   control (max-sessions, draining) and the server-wide counters
 //!   behind the `serve status` Tcl command.
-//! * [`mailbox`] — the bounded per-session inbound queue (full = an
-//!   explicit `!shed queue-full` reply, never a silent drop) and the
-//!   outbound sink abstraction.
 //! * [`scheduler`] — the deterministic core: sessions pinned to a
-//!   worker, round-robin sweeps of at most `quantum` lines per session
-//!   (a flooding client cannot starve a quiet one), idle eviction and
-//!   drain timeout on a virtual-tick clock. Everything the tests
-//!   assert lives here, with no threads and no wall clock. Idle
+//!   worker, each one record holding the engine and the connection
+//!   (a bounded inbound queue — full = an explicit `!shed queue-full`
+//!   reply, never a silent drop — and the outbound lines, frame slot
+//!   and write buffer), round-robin sweeps of at most `quantum` lines
+//!   per session (a flooding client cannot starve a quiet one), idle
+//!   eviction and drain timeout on a virtual-tick clock. Everything
+//!   the tests assert lives here, with no threads and no wall clock. Idle
 //!   eviction *parks* the session — a versioned `SessionSnapshot`
 //!   kept by the registry under the generation-stamped id — and a
 //!   reconnect saying `session restore <id>` gets it back, queued
 //!   outbound lines replayed in order (`docs/checkpoint.md`).
 //! * [`event_loop`] — the readiness-driven transport core: one poll(2)
-//!   wakeup drains every readable connection into its mailbox (the
+//!   wakeup drains every readable connection into its session (the
 //!   batched sweep), the scheduler runs, replies flush — behind the
 //!   [`wafe_ipc::Poller`] trait so tests swap in a simulated net.
-//! * [`sim`] — that simulated net: scripted byte chunks, accept-queue
-//!   errors and readiness with no timing anywhere.
+//! * [`sim`] — that simulated net: scripted byte chunks, write
+//!   windows, accept-queue errors and readiness with no timing
+//!   anywhere.
 //! * [`server`] — the socket transport: the accept thread and the
 //!   event-loop workers, plus graceful drain.
 //! * [`display`] — the remote display channel: `%display attach` turns
@@ -51,7 +52,6 @@
 
 pub mod display;
 pub mod event_loop;
-pub mod mailbox;
 pub mod registry;
 pub mod scheduler;
 pub mod server;
@@ -59,7 +59,6 @@ pub mod sim;
 
 pub use display::{install_display_control, DisplayCtl};
 pub use event_loop::{AcceptLoop, Acceptor, ConnAssign, ConnIo, EventLoop, Wake};
-pub use mailbox::{Mailbox, OutQueue, SessionSink};
 pub use registry::{Limits, Registry, SessionId, ShedReason, LIMIT_KEYS};
 pub use scheduler::{install_serve_control, install_session_control, Scheduler, SessionCtl};
 pub use server::{Server, ServerConfig};

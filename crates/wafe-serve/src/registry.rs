@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wafe_trace::{Kind, Metric, Rollup};
@@ -78,8 +78,8 @@ impl fmt::Display for ShedReason {
 pub struct Limits {
     /// Concurrent sessions admitted before `!shed max-sessions`.
     pub max_sessions: usize,
-    /// Lines a session's mailbox holds before `!shed queue-full`
-    /// (applies to mailboxes created after a change).
+    /// Inbound lines a session queues before `!shed queue-full`
+    /// (applies to sessions attached after a change).
     pub queue_depth: usize,
     /// Lines one session may run per scheduler sweep — the fairness
     /// quantum: a flooding client only ever gets this much ahead.
@@ -199,12 +199,30 @@ struct Parked {
     parked_ms: u64,
 }
 
+/// A session's dispatched-line count (the `serve sessions` `commands`
+/// column): owned by its registry slot, bumped by the owning worker
+/// with a relaxed add, never under the shard lock. Unlike the session's
+/// own `serve.commands`, a `telemetry reset` does not touch it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineCount(Arc<AtomicU64>);
+
+impl LineCount {
+    /// Counts `n` more dispatched lines.
+    pub(crate) fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Per-session bookkeeping for the `serve sessions` listing.
 #[derive(Debug, Clone)]
 struct Slot {
     peer: String,
     admitted_ms: u64,
-    commands: u64,
+    commands: LineCount,
 }
 
 /// One registry shard: everything a single worker touches for its own
@@ -221,9 +239,6 @@ struct ShardInner {
     /// may be re-tenanted immediately, but `slot:generation` never
     /// recurs, so a parked id can neither collide nor be forged stale.
     parked: HashMap<(u32, u32), Parked>,
-    /// Mailbox-depth gauge, updated by the shard's event loop after
-    /// each sweep (the `serve status` shards breakdown).
-    queued: usize,
 }
 
 /// One worker's share of the registry.
@@ -231,6 +246,9 @@ struct Shard {
     inner: Mutex<ShardInner>,
     /// The shard's counter totals, counted without the lock.
     counters: Arc<Rollup>,
+    /// Inbound-queue depth gauge, stored by the shard's event loop
+    /// after each flush pass (the `serve status` shards breakdown).
+    queued: AtomicUsize,
 }
 
 /// The shared half of the server. Cheap to clone behind an `Arc`; every
@@ -277,6 +295,7 @@ impl Registry {
                 .map(|_| Shard {
                     inner: Mutex::new(ShardInner::default()),
                     counters: Arc::default(),
+                    queued: AtomicUsize::new(0),
                 })
                 .collect(),
             active: AtomicUsize::new(0),
@@ -360,11 +379,11 @@ impl Registry {
         *self.poller.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Updates one shard's mailbox-depth gauge (set by its event loop
-    /// after each sweep).
+    /// Updates one shard's inbound-queue depth gauge (set by its event
+    /// loop after each flush pass).
     pub fn set_shard_queued(&self, shard: usize, queued: usize) {
-        if shard < self.shards.len() {
-            self.shard(shard).queued = queued;
+        if let Some(s) = self.shards.get(shard) {
+            s.queued.store(queued, Ordering::Relaxed);
         }
     }
 
@@ -402,7 +421,7 @@ impl Registry {
         let slot = Slot {
             peer: peer.to_string(),
             admitted_ms: now_ms,
-            commands: 0,
+            commands: LineCount::default(),
         };
         let mut shard = self.shard(shard_idx);
         let local = match shard.slots.iter().position(|s| s.is_none()) {
@@ -443,16 +462,14 @@ impl Registry {
         true
     }
 
-    /// Adds dispatched-line counts to a session's `serve sessions` row
-    /// (the server total is its store's `serve.commands`, rolled up).
-    pub fn note_commands(&self, id: SessionId, n: u64) {
-        let nshards = self.shards.len();
-        let local = id.slot as usize / nshards;
-        let mut shard = self.shard_for_slot(id.slot);
-        if local < shard.slots.len() && shard.generations[local] == id.generation {
-            if let Some(slot) = shard.slots[local].as_mut() {
-                slot.commands += n;
-            }
+    /// The `serve sessions` line count of a live session, for its
+    /// worker to bump; a stale id gets a detached count nobody reads.
+    pub(crate) fn line_count(&self, id: SessionId) -> LineCount {
+        let local = id.slot as usize / self.shards.len();
+        let shard = self.shard_for_slot(id.slot);
+        match shard.slots.get(local) {
+            Some(Some(slot)) if shard.generations[local] == id.generation => slot.commands.clone(),
+            _ => LineCount::default(),
         }
     }
 
@@ -635,7 +652,8 @@ impl Registry {
     }
 
     /// Starts the graceful drain: acceptors stop admitting, schedulers
-    /// flush their mailboxes and release every session.
+    /// close every session's input, flush what is queued and release
+    /// every session.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
@@ -672,9 +690,9 @@ impl Registry {
         }
         let shard_rows: Vec<String> = (0..self.shards.len())
             .map(|i| {
-                let shard = self.shard(i);
-                let active = shard.slots.iter().filter(|s| s.is_some()).count();
-                format!("shard {i} active {active} queued {}", shard.queued)
+                let active = self.shard(i).slots.iter().filter(|s| s.is_some()).count();
+                let queued = self.shards[i].queued.load(Ordering::Relaxed);
+                format!("shard {i} active {active} queued {queued}")
             })
             .collect();
         words.extend([
@@ -737,7 +755,7 @@ impl Registry {
                         id.to_string(),
                         s.peer.clone(),
                         s.admitted_ms.to_string(),
-                        s.commands.to_string(),
+                        s.commands.get().to_string(),
                     ]),
                 ));
             }

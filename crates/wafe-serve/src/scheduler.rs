@@ -1,14 +1,21 @@
 //! The round-robin fairness scheduler: one per worker thread, owning
-//! every session assigned to that worker.
+//! every session assigned to that worker — engine and connection in
+//! one record.
 //!
 //! `WafeSession` is single-threaded by construction (`Rc` all the way
-//! down), so sessions are *pinned*: the transport hands the scheduler a
-//! [`SessionId`], a [`Mailbox`] and a [`SessionSink`] — all `Send` —
-//! and the scheduler builds the `ProtocolEngine` locally. Each
-//! [`run_turn`](Scheduler::run_turn) sweep gives every session at most
-//! `quantum` lines before moving on, so a flooding client only ever
-//! gets one quantum ahead of a quiet one; its surplus waits in its own
-//! mailbox, never in anyone else's way.
+//! down), so sessions are *pinned*: the accept loop hands the worker a
+//! [`SessionId`] and the socket — both `Send` — and the scheduler
+//! builds the `ProtocolEngine` locally. Everything else about the
+//! session lives in one worker-local [`Session`] record, indexed by its
+//! poll token: the engine, the socket and its line codec, the bounded
+//! inbound queue, the outbound lines, the frame slot and the write
+//! buffer. The event loop reads into and writes out of the same record
+//! the scheduler sweeps, so no queue between them is shared or locked.
+//!
+//! Each [`run_turn`](Scheduler::run_turn) sweep gives every session at
+//! most `quantum` lines before moving on, so a flooding client only
+//! ever gets one quantum ahead of a quiet one; its surplus waits in its
+//! own inbound queue, never in anyone else's way.
 //!
 //! Time is virtual, exactly like the backend supervisor's clock: the
 //! driver calls [`advance`](Scheduler::advance) with elapsed
@@ -32,15 +39,16 @@
 //! queued, replayed in order right after the `!restored` ack.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use wafe_core::{Flavor, SessionSnapshot, WafeSession};
-use wafe_ipc::{FaultPlan, ProtocolEngine};
+use wafe_ipc::{FaultPlan, LineCodec, ProtocolEngine, DEFAULT_MAX_LINE};
 
 use crate::display::{install_display_control, pump_frame, DisplayCtl};
-use crate::mailbox::{Mailbox, SessionSink};
-use crate::registry::{Registry, SessionId, LIMIT_KEYS};
+use crate::event_loop::ConnIo;
+use crate::registry::{LineCount, Registry, SessionId, LIMIT_KEYS};
 use wafe_trace::Metric;
 
 /// Deferred `session park`/`session restore` requests. The control
@@ -54,15 +62,76 @@ pub struct SessionCtl {
     restore: RefCell<Option<SessionId>>,
 }
 
-struct Entry {
+/// One served session: its engine and its connection. The scheduler
+/// owns the table of these; the event loop's read, flush and reap
+/// steps work on the transport fields of the same record.
+pub(crate) struct Session {
     id: SessionId,
     engine: ProtocolEngine,
     ctl: Rc<SessionCtl>,
     display: Rc<DisplayCtl>,
-    mailbox: Arc<Mailbox>,
-    sink: SessionSink,
+    /// The registry slot's `serve sessions` line count.
+    lines: LineCount,
+    pub(crate) io: Box<dyn ConnIo>,
+    pub(crate) codec: LineCodec,
+    /// No more input: client EOF, drain, or the session finished.
+    /// Lines already queued still run (unless the session finished).
+    pub(crate) eof: bool,
+    /// The client vanished (read or write error): reap at once.
+    pub(crate) gone: bool,
+    /// Decoded lines waiting for the scheduler, at most `cap`.
+    inbound: VecDeque<String>,
+    cap: usize,
+    /// Lines refused on a full queue since the last sweep; answered
+    /// `!shed queue-full` after that sweep's replies.
+    shed: u64,
+    /// Application-bound lines waiting for the flush.
+    pub(crate) out: VecDeque<String>,
+    /// At most one display frame waiting per connection, flushed after
+    /// the lines. While it holds a frame, no new one is built: damage
+    /// keeps accumulating and coalesces into the next one.
+    pub(crate) frame: Option<String>,
+    /// Encoded-but-unwritten bytes (partial write under backpressure).
+    pub(crate) wbuf: Vec<u8>,
+    pub(crate) wpos: usize,
     last_activity_ms: u64,
-    gone: bool,
+    /// Released from the registry: flush the tail, then close.
+    pub(crate) done: bool,
+}
+
+impl Session {
+    /// Queues one decoded line, or counts it shed on a full queue.
+    pub(crate) fn push_inbound(&mut self, line: String) {
+        if self.inbound.len() < self.cap {
+            self.inbound.push_back(line);
+        } else {
+            self.shed += 1;
+        }
+    }
+
+    /// Whether the event loop has anything of this session's to do.
+    pub(crate) fn has_work(&self) -> bool {
+        !self.inbound.is_empty()
+            || !self.out.is_empty()
+            || self.frame.is_some()
+            || self.wpos < self.wbuf.len()
+            || self.done
+    }
+
+    /// Ends the session: its slot goes back to the registry and its
+    /// input is dropped; the event loop flushes what is already queued
+    /// outbound, then closes the connection.
+    fn finish(&mut self, registry: &Registry) {
+        if self.done {
+            return;
+        }
+        self.done = true;
+        self.eof = true;
+        self.inbound.clear();
+        registry.release(self.id);
+        let tel = &self.engine.session.telemetry;
+        tel.set_gauge(Metric::ServeSessionsActive, registry.active() as u64);
+    }
 }
 
 /// One worker's session multiplexer. Single-threaded; the shared state
@@ -71,7 +140,9 @@ pub struct Scheduler {
     registry: Arc<Registry>,
     flavor: Flavor,
     telemetry: bool,
-    sessions: Vec<Entry>,
+    /// The worker's session table, indexed by poll token; `None` is a
+    /// free token.
+    pub(crate) sessions: Vec<Option<Session>>,
     passthrough: Vec<(SessionId, String)>,
     now_ms: u64,
     drain_started_ms: Option<u64>,
@@ -112,20 +183,26 @@ impl Scheduler {
         self.now_ms
     }
 
-    /// Sessions this scheduler currently owns.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
+    fn live(&self) -> impl Iterator<Item = &Session> {
+        self.sessions.iter().flatten().filter(|s| !s.done)
     }
 
-    /// Mailbox lines queued across this scheduler's sessions (the
+    /// Inbound lines queued across this scheduler's sessions (the
     /// shard's `queued` gauge in the `serve status` breakdown).
     pub fn queued_lines(&self) -> usize {
-        self.sessions.iter().map(|e| e.mailbox.len()).sum()
+        self.live().map(|s| s.inbound.len()).sum()
+    }
+
+    /// Inbound lines queued for session `id` (0 once it is gone).
+    pub fn queued(&self, id: SessionId) -> usize {
+        self.live()
+            .find(|s| s.id == id)
+            .map_or(0, |s| s.inbound.len())
     }
 
     /// Builds the session for an admitted connection and takes it into
-    /// the round-robin ring.
-    pub fn attach(&mut self, id: SessionId, mailbox: Arc<Mailbox>, sink: SessionSink) {
+    /// the round-robin ring. Returns its poll token.
+    pub fn attach(&mut self, id: SessionId, io: Box<dyn ConnIo>) -> usize {
         let ctl = Rc::new(SessionCtl::default());
         let display = Rc::new(DisplayCtl::default());
         let engine = build_engine(
@@ -139,39 +216,69 @@ impl Scheduler {
         let tel = engine.session.telemetry.clone();
         tel.count(Metric::ServeAccept);
         tel.set_gauge(Metric::ServeSessionsActive, self.registry.active() as u64);
-        self.sessions.push(Entry {
+        let session = Session {
             id,
             engine,
             ctl,
             display,
-            mailbox,
-            sink,
-            last_activity_ms: self.now_ms,
+            lines: self.registry.line_count(id),
+            io,
+            codec: LineCodec::new(DEFAULT_MAX_LINE),
+            eof: false,
             gone: false,
-        });
+            inbound: VecDeque::new(),
+            cap: self.registry.limits().queue_depth.max(1),
+            shed: 0,
+            out: VecDeque::new(),
+            frame: None,
+            wbuf: Vec::new(),
+            wpos: 0,
+            last_activity_ms: self.now_ms,
+            done: false,
+        };
+        match self.sessions.iter().position(Option::is_none) {
+            Some(token) => {
+                self.sessions[token] = Some(session);
+                token
+            }
+            None => {
+                self.sessions.push(Some(session));
+                self.sessions.len() - 1
+            }
+        }
+    }
+
+    /// Removes session `token` from the table and closes its socket.
+    /// A session still live (its client vanished) is released first.
+    pub(crate) fn close(&mut self, token: usize) {
+        if let Some(mut s) = self.sessions[token].take() {
+            s.finish(&self.registry);
+            s.io.shutdown();
+        }
     }
 
     /// One round-robin sweep: every session runs at most `quantum`
-    /// mailbox lines, its outbound lines are delivered, finished
-    /// sessions are released. Returns the number of lines dispatched
-    /// (0 = nothing to do, the driver may sleep).
+    /// queued lines, its outbound lines are queued for the flush,
+    /// finished sessions are released. Returns the number of lines
+    /// dispatched (0 = nothing to do, the caller may sleep).
     pub fn run_turn(&mut self) -> usize {
         if self.registry.draining() && self.drain_started_ms.is_none() {
             // Drain: no further input, flush what is already queued.
             self.drain_started_ms = Some(self.now_ms);
-            for e in &self.sessions {
-                e.mailbox.close();
+            for s in self.sessions.iter_mut().flatten() {
+                s.eof = true;
             }
         }
         let quantum = self.registry.limits().quantum.max(1);
         let mut dispatched = 0usize;
-        let mut i = 0;
-        while i < self.sessions.len() {
-            let entry = &mut self.sessions[i];
+        for i in 0..self.sessions.len() {
+            let Some(entry) = self.sessions[i].as_mut().filter(|s| !s.done) else {
+                continue;
+            };
             let tel = entry.engine.session.telemetry.clone();
             let mut ran = 0usize;
             while ran < quantum {
-                let Some(line) = entry.mailbox.pop() else {
+                let Some(line) = entry.inbound.pop_front() else {
                     break;
                 };
                 let timer = tel.timer();
@@ -197,7 +304,7 @@ impl Scheduler {
             if ran > 0 {
                 dispatched += ran;
                 entry.last_activity_ms = self.now_ms;
-                self.registry.note_commands(entry.id, ran as u64);
+                entry.lines.add(ran as u64);
             }
             // Deferred `session` control actions, acted on before the
             // outbound flush: lines still pending inside the engine
@@ -206,29 +313,22 @@ impl Scheduler {
             let park_req = entry.ctl.park.take();
             let restore_req = entry.ctl.restore.borrow_mut().take();
             if park_req {
-                let entry = self.sessions.remove(i);
-                self.park_entry(entry, Metric::ServeParkManual);
+                self.park(i, Metric::ServeParkManual);
                 continue;
             }
             if let Some(old) = restore_req {
-                self.restore_entry(i, old);
+                self.restore(i, old);
             }
-            let entry = &mut self.sessions[i];
+            let entry = self.sessions[i].as_mut().expect("a live session");
             let tel = entry.engine.session.telemetry.clone();
             // Outbound: only application-bound lines, like the pipe.
-            for out in entry.engine.take_app_lines() {
-                if !entry.sink.send(out) {
-                    entry.gone = true;
-                }
-            }
+            entry.out.extend(entry.engine.take_app_lines());
             // Queue-full sheds the transport recorded since last sweep:
             // count them and tell the client explicitly, after the
             // replies to the lines that did get through.
-            let shed = entry.mailbox.take_shed();
+            let shed = std::mem::take(&mut entry.shed);
             for _ in 0..shed {
-                if !entry.sink.send("!shed queue-full".into()) {
-                    entry.gone = true;
-                }
+                entry.out.push_back("!shed queue-full".into());
             }
             if shed > 0 {
                 tel.add(Metric::ServeShed, shed);
@@ -236,23 +336,19 @@ impl Scheduler {
             for p in entry.engine.take_passthrough() {
                 self.passthrough.push((entry.id, p));
             }
-            let _ = entry.engine.take_errors(); // counted as ipc.errors
-                                                // The display frame pump: after the replies, so a frame
-                                                // never delays the lines whose commands produced it.
-            if !pump_frame(
+            // Protocol errors are counted as ipc.errors.
+            let _ = entry.engine.take_errors();
+            // The display frame pump: after the replies, so a frame
+            // never delays the lines whose commands produced it.
+            pump_frame(
                 &entry.engine.session,
                 &entry.display,
-                &entry.sink,
+                &mut entry.frame,
                 &mut self.faults,
-            ) {
-                entry.gone = true;
-            }
-            tel.set_gauge(Metric::ServeQueueDepth, entry.mailbox.len() as u64);
-            let finished = entry.gone
-                || entry.engine.session.quit_requested()
-                || (entry.mailbox.is_closed() && entry.mailbox.is_empty());
-            if finished {
-                let entry = self.sessions.remove(i);
+            );
+            tel.set_gauge(Metric::ServeQueueDepth, entry.inbound.len() as u64);
+            let quit = entry.engine.session.quit_requested();
+            if entry.gone || quit || (entry.eof && entry.inbound.is_empty()) {
                 // A persistent drain (waferd --park-dir) parks every
                 // session it flushes instead of dropping it, so the
                 // whole server's state survives the restart. Sessions
@@ -261,14 +357,12 @@ impl Scheduler {
                 let drain_park = self.registry.draining()
                     && self.registry.park_persistent()
                     && !entry.gone
-                    && !entry.engine.session.quit_requested();
+                    && !quit;
                 if drain_park {
-                    self.park_entry(entry, Metric::ServeParkDrain);
+                    self.park(i, Metric::ServeParkDrain);
                 } else {
-                    self.finish(entry);
+                    entry.finish(&self.registry);
                 }
-            } else {
-                i += 1;
             }
         }
         dispatched
@@ -280,39 +374,37 @@ impl Scheduler {
         self.now_ms = self.now_ms.saturating_add(ms);
         let limits = self.registry.limits();
         if limits.idle_evict_ms > 0 && !self.registry.draining() {
-            let mut i = 0;
-            while i < self.sessions.len() {
-                let e = &self.sessions[i];
+            for i in 0..self.sessions.len() {
+                let Some(e) = self.sessions[i].as_ref().filter(|s| !s.done) else {
+                    continue;
+                };
                 let idle = self.now_ms.saturating_sub(e.last_activity_ms);
-                if e.mailbox.is_empty() && idle > limits.idle_evict_ms {
+                if e.inbound.is_empty() && idle > limits.idle_evict_ms {
                     // Idle eviction parks instead of discarding: the
                     // client sees `!parked <id>` and can reconnect
                     // later with `session restore <id>`.
-                    let entry = self.sessions.remove(i);
-                    entry.engine.session.telemetry.count(Metric::ServeEvict);
-                    self.park_entry(entry, Metric::ServeParkIdle);
-                } else {
-                    i += 1;
+                    e.engine.session.telemetry.count(Metric::ServeEvict);
+                    self.park(i, Metric::ServeParkIdle);
                 }
             }
         }
         if let Some(started) = self.drain_started_ms {
             if limits.drain_timeout_ms > 0
                 && self.now_ms.saturating_sub(started) > limits.drain_timeout_ms
-                && !self.sessions.is_empty()
             {
                 // Sessions still busy past the deadline are cut off
-                // with their remaining queue unflushed.
-                for entry in std::mem::take(&mut self.sessions) {
-                    self.finish(entry);
+                // with their remaining input unflushed.
+                for s in self.sessions.iter_mut().flatten() {
+                    s.finish(&self.registry);
                 }
             }
         }
     }
 
-    /// Whether a drain is in progress and this scheduler is done.
+    /// Whether a drain is in progress and this scheduler is done: every
+    /// session released and its connection closed.
     pub fn is_drained(&self) -> bool {
-        self.registry.draining() && self.sessions.is_empty()
+        self.registry.draining() && self.sessions.iter().all(Option::is_none)
     }
 
     /// Takes the passthrough lines collected since the last call, each
@@ -322,12 +414,13 @@ impl Scheduler {
         std::mem::take(&mut self.passthrough)
     }
 
-    /// Parks a session: captures it (pending application-bound lines
+    /// Parks session `i`: captures it (pending application-bound lines
     /// included), hands the encoded snapshot to the registry under the
     /// session's stamped id, acks `!parked <id>` to the client and
     /// releases the slot. `cause` is the `serve.park.*` counter of why:
     /// manual, idle or drain.
-    fn park_entry(&mut self, mut entry: Entry, cause: Metric) {
+    fn park(&mut self, i: usize, cause: Metric) {
+        let entry = self.sessions[i].as_mut().expect("a live session");
         let tel = entry.engine.session.telemetry.clone();
         let outbound = entry.engine.take_app_lines();
         let bytes = SessionSnapshot::capture(&entry.engine.session, outbound).encode();
@@ -336,81 +429,60 @@ impl Scheduler {
             Ok(()) => {
                 tel.count(cause);
                 tel.add(Metric::ServeParkBytes, len);
-                entry.sink.send(format!("!parked {}", entry.id));
+                entry.out.push_back(format!("!parked {}", entry.id));
             }
             Err(e) => {
                 // A persistence failure is loud, never a silent
                 // memory-only checkpoint the client would trust across
                 // a restart.
                 tel.count(Metric::ServeParkError);
-                entry.sink.send(format!("!park-failed {} {e}", entry.id));
+                entry
+                    .out
+                    .push_back(format!("!park-failed {} {e}", entry.id));
             }
         }
-        self.finish(entry);
+        entry.finish(&self.registry);
     }
 
     /// Replaces session `i`'s engine with one restored from the parked
     /// snapshot `old`, then replays the snapshot's outbound lines to
     /// the client right after the `!restored` ack — in exactly the
     /// order they were queued at park time.
-    fn restore_entry(&mut self, i: usize, old: SessionId) {
+    fn restore(&mut self, i: usize, old: SessionId) {
+        let entry = self.sessions[i].as_mut().expect("a live session");
+        let tel = entry.engine.session.telemetry.clone();
         let Some(bytes) = self.registry.take_parked(old) else {
             // Validated when the command ran, but claimed by another
             // session since — a genuine race, reported like any miss.
-            let entry = &mut self.sessions[i];
-            entry
-                .engine
-                .session
-                .telemetry
-                .count(Metric::ServeRestoreMiss);
-            if !entry.sink.send(format!("!restore-miss {old}")) {
-                entry.gone = true;
-            }
+            tel.count(Metric::ServeRestoreMiss);
+            entry.out.push_back(format!("!restore-miss {old}"));
             return;
         };
-        let ctl = self.sessions[i].ctl.clone();
-        let display = self.sessions[i].display.clone();
-        let tel = self.sessions[i].engine.session.telemetry.clone();
         let timer = tel.timer();
         match SessionSnapshot::decode_for(&bytes, self.flavor) {
             Err(e) => {
                 tel.count(Metric::ServeRestoreError);
-                let entry = &mut self.sessions[i];
-                if !entry.sink.send(format!("!restore-failed {old} {e}")) {
-                    entry.gone = true;
-                }
+                entry.out.push_back(format!("!restore-failed {old} {e}"));
             }
             Ok(snap) => {
-                let id = self.sessions[i].id;
                 let mut engine = build_engine(
                     &self.registry,
-                    id,
+                    entry.id,
                     self.flavor,
                     self.telemetry,
-                    &ctl,
-                    &display,
+                    &entry.ctl,
+                    &entry.display,
                 );
                 let report = snap.restore_into(&mut engine.session);
                 let tel = engine.session.telemetry.clone();
-                let entry = &mut self.sessions[i];
                 // Output the outgoing engine still held is flushed
                 // before the swap — it precedes the restore causally
                 // and must precede `!restored` on the wire.
-                for line in entry.engine.take_app_lines() {
-                    if !entry.sink.send(line) {
-                        entry.gone = true;
-                    }
-                }
+                entry.out.extend(entry.engine.take_app_lines());
                 entry.engine = engine;
                 entry.last_activity_ms = self.now_ms;
-                if !entry.sink.send(format!("!restored {old}")) {
-                    entry.gone = true;
-                }
-                for line in snap.outbound {
-                    if !entry.sink.send(line) {
-                        entry.gone = true;
-                    }
-                }
+                entry.out.push_back(format!("!restored {old}"));
+                entry.out.extend(snap.outbound);
                 tel.observe_since(Metric::ServeRestore, timer);
                 tel.count(Metric::ServeRestoreOk);
                 tel.add(Metric::ServeRestoreWidgets, report.widgets as u64);
@@ -422,15 +494,6 @@ impl Scheduler {
                 }
             }
         }
-    }
-
-    fn finish(&mut self, entry: Entry) {
-        entry.mailbox.close();
-        self.registry.release(entry.id);
-        let tel = entry.engine.session.telemetry.clone();
-        tel.set_gauge(Metric::ServeSessionsActive, self.registry.active() as u64);
-        // Dropping the entry drops its sink; a queue sink closing is what
-        // tells the event loop to flush the tail and close the socket.
     }
 }
 

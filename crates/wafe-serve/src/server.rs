@@ -9,8 +9,9 @@
 //! only ever touches its own shard's lock. Teardown is a single one-way
 //! flag: [`Registry::begin_drain`] (set by `Server::drain` or a client's
 //! `%serve drain`). The acceptor observes it and stops accepting;
-//! schedulers observe it, close every mailbox, flush what was queued
-//! and release the sessions; released sinks close the connections.
+//! schedulers observe it, close every session's input, run what was
+//! queued and release the sessions; each connection closes once its
+//! replies are written.
 
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
@@ -181,16 +182,16 @@ impl Server {
     }
 
     /// Starts the graceful drain and blocks until it completes: stop
-    /// accepting, flush every mailbox, release every session, exit.
+    /// accepting, run every queued line, release every session, exit.
     pub fn drain(self) {
         self.registry.begin_drain();
         self.wait();
     }
 }
 
-/// One worker: attach assignments, poll the sockets, sweep
-/// the mailboxes, run the scheduler, flush the replies — forever, until
-/// the drain empties the loop.
+/// One worker: attach assignments, poll the sockets, run the
+/// scheduler, flush the replies — forever, until the drain empties the
+/// loop.
 fn worker_event_loop(
     registry: Arc<Registry>,
     rx: Receiver<ConnAssign>,

@@ -6,8 +6,11 @@
 //! Chunk boundaries are preserved — each injected chunk is returned by
 //! exactly one `read` call — so a test controls precisely how a line is
 //! split across poll wakeups (the 1-byte-dribble reassembly tests).
-//! The poller derives readiness from the queue states, so there is no
-//! timing anywhere: a fd is readable iff bytes (or EOF) are pending.
+//! A client's scripted write window stalls the server's writes the way
+//! a full socket buffer does (the backpressure tests). The poller
+//! derives readiness from the queue states, so there is no timing
+//! anywhere: a fd is readable iff bytes (or EOF) are pending, writable
+//! iff its window is open.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -25,6 +28,13 @@ struct SimConnState {
     eof: bool,
     /// Server→client bytes.
     received: Vec<u8>,
+    /// Bytes the server may still write before `WouldBlock`; `None`
+    /// is unlimited.
+    write_window: Option<usize>,
+    /// Whether the last poll watched this conn for writability.
+    write_armed: bool,
+    /// The client vanished: reads and writes fail.
+    reset: bool,
     shutdown: bool,
 }
 
@@ -117,7 +127,10 @@ impl SimNet {
 
     /// The poller deriving readiness from this net's queues.
     pub fn poller(&self) -> Box<dyn Poller> {
-        Box::new(SimNetPoller { net: self.clone() })
+        Box::new(SimNetPoller {
+            net: self.clone(),
+            watched: Vec::new(),
+        })
     }
 
     fn readable(&self, fd: RawFd) -> bool {
@@ -127,8 +140,13 @@ impl SimNet {
         }
         s.conns
             .get(&fd)
-            .map(|c| !c.inbound.is_empty() || c.eof)
+            .map(|c| !c.inbound.is_empty() || c.eof || c.reset)
             .unwrap_or(false)
+    }
+
+    fn writable(&self, fd: RawFd) -> bool {
+        let s = self.lock();
+        s.conns.get(&fd).is_some_and(|c| c.write_window != Some(0))
     }
 }
 
@@ -154,6 +172,32 @@ impl SimClient {
         let mut s = self.net.lock();
         if let Some(c) = s.conns.get_mut(&self.fd) {
             c.eof = true;
+        }
+    }
+
+    /// Scripts the client's receive window: the server's writes accept
+    /// at most `bytes` more, then return `WouldBlock`. `None` (the
+    /// default) is unlimited.
+    pub fn set_write_window(&self, bytes: Option<usize>) {
+        let mut s = self.net.lock();
+        if let Some(c) = s.conns.get_mut(&self.fd) {
+            c.write_window = bytes;
+        }
+    }
+
+    /// Whether the server's last poll watched this connection for
+    /// writability (its write interest is armed).
+    pub fn write_armed(&self) -> bool {
+        let s = self.net.lock();
+        s.conns.get(&self.fd).is_some_and(|c| c.write_armed)
+    }
+
+    /// The client vanishes: the server's next read or write on this
+    /// connection fails with `ECONNRESET`.
+    pub fn reset(&self) {
+        let mut s = self.net.lock();
+        if let Some(c) = s.conns.get_mut(&self.fd) {
+            c.reset = true;
         }
     }
 
@@ -201,6 +245,9 @@ impl ConnIo for SimConnIo {
         let Some(c) = s.conns.get_mut(&self.fd) else {
             return Ok(0);
         };
+        if c.reset {
+            return Err(io::Error::from(io::ErrorKind::ConnectionReset));
+        }
         match c.inbound.pop_front() {
             Some(mut chunk) => {
                 if chunk.len() > buf.len() {
@@ -221,11 +268,18 @@ impl ConnIo for SimConnIo {
         let Some(c) = s.conns.get_mut(&self.fd) else {
             return Err(io::Error::from(io::ErrorKind::BrokenPipe));
         };
-        if c.shutdown {
+        if c.shutdown || c.reset {
             return Err(io::Error::from(io::ErrorKind::BrokenPipe));
         }
-        c.received.extend_from_slice(buf);
-        Ok(buf.len())
+        let n = c.write_window.map_or(buf.len(), |w| w.min(buf.len()));
+        if n == 0 && !buf.is_empty() {
+            return Err(io::Error::from(io::ErrorKind::WouldBlock));
+        }
+        if let Some(w) = c.write_window.as_mut() {
+            *w -= n;
+        }
+        c.received.extend_from_slice(&buf[..n]);
+        Ok(n)
     }
 
     fn shutdown(&mut self) {
@@ -264,6 +318,8 @@ impl Acceptor for SimAcceptor {
 /// Readiness straight from the [`SimNet`] queues; never waits.
 struct SimNetPoller {
     net: SimNet,
+    /// The conns the last wait watched.
+    watched: Vec<RawFd>,
 }
 
 impl Poller for SimNetPoller {
@@ -278,11 +334,25 @@ impl Poller for SimNetPoller {
         out: &mut Vec<Readiness>,
     ) -> io::Result<()> {
         out.clear();
+        {
+            let mut s = self.net.lock();
+            for fd in self.watched.drain(..) {
+                if let Some(c) = s.conns.get_mut(&fd) {
+                    c.write_armed = false;
+                }
+            }
+            for i in interests {
+                if let Some(c) = s.conns.get_mut(&i.fd) {
+                    c.write_armed = i.write;
+                    self.watched.push(i.fd);
+                }
+            }
+        }
         for i in interests {
             let r = Readiness {
                 token: i.token,
                 readable: i.read && self.net.readable(i.fd),
-                writable: i.write,
+                writable: i.write && self.net.writable(i.fd),
                 hup: false,
             };
             if r.any() {

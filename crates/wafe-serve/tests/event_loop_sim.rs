@@ -2,7 +2,8 @@
 //! chunks, scripted accept errors, readiness derived from queue state —
 //! no sockets, no threads, no timing. These pin down the transport
 //! semantics the real poll(2) backend must share: batched sweeps,
-//! chunking-invariant reassembly, accept-error back-off.
+//! chunking-invariant reassembly, accept-error back-off, write
+//! backpressure.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -10,8 +11,7 @@ use std::sync::Arc;
 use wafe_core::Flavor;
 use wafe_serve::event_loop::ConnAssign;
 use wafe_serve::{
-    AcceptLoop, EventLoop, Limits, Mailbox, OutQueue, Registry, Scheduler, SessionId, SimClient,
-    SimNet,
+    AcceptLoop, EventLoop, Limits, Registry, Scheduler, SessionId, SimClient, SimNet,
 };
 
 mod common;
@@ -30,12 +30,7 @@ fn attach_client(
 ) -> (SessionId, SimClient) {
     let id = registry.admit("sim/test", 0).expect("admit");
     let (client, io) = net.socketpair();
-    el.attach(ConnAssign {
-        id,
-        io,
-        mailbox: Mailbox::new(registry.limits().queue_depth),
-        out: OutQueue::new(),
-    });
+    el.attach(ConnAssign { id, io });
     (id, client)
 }
 
@@ -58,7 +53,7 @@ fn one_wakeup_drains_every_readable_connection_before_the_scheduler_runs() {
         c.send(format!("%echo from-{i}\n").as_bytes());
     }
     // The batched sweep: one poll wakeup moves all three lines into
-    // their mailboxes...
+    // their sessions' inbound queues...
     assert_eq!(el.poll_io(0), 3, "all readable conns drained in one wakeup");
     // ...and only then does the scheduler sweep, dispatching all three.
     assert_eq!(el.run_turn(), 3);
@@ -214,10 +209,33 @@ fn client_eof_finishes_the_session_and_closes_the_connection() {
     tick(&mut el);
     tick(&mut el);
     assert_eq!(client.received_lines(), vec!["last-words"]);
-    assert!(client.is_shutdown(), "EOF drains the mailbox then closes");
+    assert!(
+        client.is_shutdown(),
+        "EOF runs the queued input then closes"
+    );
     assert_eq!(el.conn_count(), 0);
     assert_eq!(registry.active(), 0);
     assert_eq!(status(&registry, "closed"), 1);
+}
+
+#[test]
+fn a_vanished_client_releases_its_slot() {
+    let registry = Arc::new(Registry::new(Limits::default()));
+    let net = SimNet::new();
+    let mut el = new_loop(&registry, 0, &net);
+    let (_, client) = attach_client(&mut el, &registry, &net);
+    client.send(b"%echo before\n");
+    tick(&mut el);
+    assert_eq!(client.received_lines(), vec!["before"]);
+    // The client resets the connection: the next read fails, and the
+    // same worker iteration releases the slot and retires the conn.
+    client.send(b"%echo after\n");
+    client.reset();
+    tick(&mut el);
+    assert_eq!(el.conn_count(), 0);
+    assert_eq!(registry.active(), 0, "the vanished client's slot is free");
+    assert_eq!(status(&registry, "closed"), 1);
+    assert_eq!(client.received_lines(), vec!["before"]);
 }
 
 #[test]
@@ -393,4 +411,86 @@ fn garbled_frame_is_rejected_loudly_and_a_resync_recovers() {
     assert_eq!(recovered.seq, 3, "sequence numbers keep counting");
     let r = recovered.rects[0].rect;
     assert_eq!((r.x, r.y, r.w, r.h), (0, 0, 1024, 768));
+}
+
+/// Paints a frame's patches onto a client-side copy of the screen.
+fn paint(screen: &mut [u32], frame: &Frame) {
+    let width = frame.width as usize;
+    for fr in &frame.rects {
+        let (x, w) = (fr.rect.x as usize, fr.rect.w as usize);
+        for (row, px) in fr.data.expand().chunks(w).enumerate() {
+            let at = (fr.rect.y as usize + row) * width + x;
+            screen[at..at + w].copy_from_slice(px);
+        }
+    }
+}
+
+/// The server-wide total of one rolled-up counter.
+fn total(registry: &Registry, name: &str) -> u64 {
+    registry
+        .rollup_pairs()
+        .iter()
+        .find(|(k, _)| k == name)
+        .map_or(0, |(_, v)| v.parse().unwrap())
+}
+
+#[test]
+fn a_stalled_client_gets_every_reply_then_one_coalesced_frame() {
+    let registry = Arc::new(Registry::new(Limits::default()));
+    let net = SimNet::new();
+    let mut el = new_loop(&registry, 0, &net);
+    let (_, client) = attach_client(&mut el, &registry, &net);
+    client.send(b"%display attach\n%label hello topLevel label Hi width 120 height 40\n%realize\n");
+    tick(&mut el);
+    let mut screen = vec![0u32; SCREEN as usize];
+    let first = frame_lines(&client);
+    assert_eq!(first.len(), 1);
+    paint(&mut screen, &decode_frame_line(&first[0]));
+    let seen = client.received_lines().len();
+
+    // The client stops reading. Its reply sticks in the write buffer...
+    client.set_write_window(Some(0));
+    client.send(b"%echo r1\n");
+    tick(&mut el);
+    // ...the next change still gets a frame, which waits in the slot
+    // behind the stuck bytes...
+    client.send(b"%sV hello label Changed\n%echo r2\n");
+    tick(&mut el);
+    assert_eq!(total(&registry, "display.frame"), 2);
+    // ...and while it waits, no frame is built: damage accumulates.
+    client.send(b"%sV hello label Again\n%echo r3\n");
+    tick(&mut el);
+    client.send(b"%sV hello label {Once more}\n%echo r4\n");
+    tick(&mut el);
+    assert_eq!(total(&registry, "display.frame"), 2, "no second frame");
+    assert_eq!(total(&registry, "display.frame.deferred"), 2);
+    assert!(
+        client.write_armed(),
+        "the stuck write waits for writability"
+    );
+    assert_eq!(client.received_lines().len(), seen, "nothing got through");
+
+    // The window opens: every reply, in order, ahead of the waiting
+    // frame, then exactly one frame carrying all the deferred damage.
+    client.set_write_window(None);
+    tick(&mut el);
+    let got = client.received_lines();
+    assert_eq!(got[seen..seen + 4], ["r1", "r2", "r3", "r4"]);
+    assert_eq!(got.len(), seen + 6, "{:?}", &got[seen..]);
+    assert_eq!(total(&registry, "display.frame"), 3);
+    for line in &got[seen + 4..] {
+        let frame = decode_frame_line(line);
+        assert!(!frame.full, "deferred damage stays damage-tracked");
+        paint(&mut screen, &frame);
+    }
+    el.poll_io(0);
+    assert!(!client.write_armed(), "disarmed once the buffer drained");
+
+    // The painted copy is the session's current framebuffer: a resync
+    // ships the whole screen, and it matches pixel for pixel.
+    client.send(b"%display frame\n");
+    tick(&mut el);
+    let resync = decode_frame_line(client.received_lines().last().unwrap());
+    assert!(resync.full);
+    assert_eq!(resync.rects[0].data.expand(), screen);
 }

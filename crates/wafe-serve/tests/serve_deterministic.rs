@@ -1,43 +1,77 @@
 //! Deterministic tests of the serving core: scheduler fairness,
-//! admission-control shedding, graceful drain and idle eviction —
-//! all driven directly on a [`Scheduler`] with buffer sinks and the
-//! virtual-tick clock. No threads, no sockets, no wall-clock asserts:
-//! each test is a pure function of the lines pushed and the ticks
-//! advanced, which is what lets ci.sh repeat the suite 50 times as a
-//! flakiness gate.
+//! admission-control shedding, graceful drain and idle eviction — all
+//! driven on a worker's [`EventLoop`] over the simulated net, tick by
+//! tick, with the virtual-tick clock. No threads, no sockets, no
+//! wall-clock asserts: each test is a pure function of the bytes the
+//! clients send and the ticks advanced, which is what lets ci.sh repeat
+//! the suite 50 times as a flakiness gate.
 
 use std::sync::Arc;
 
 use wafe_core::Flavor;
-use wafe_serve::{Limits, Mailbox, Registry, Scheduler, SessionSink, ShedReason};
+use wafe_serve::event_loop::ConnAssign;
+use wafe_serve::{
+    EventLoop, Limits, Registry, Scheduler, SessionId, ShedReason, SimClient, SimNet,
+};
 
 mod common;
 use common::status;
 
-fn scheduler(limits: Limits) -> Scheduler {
-    Scheduler::new(Arc::new(Registry::new(limits)), Flavor::Athena, false)
+/// One worker's event loop on a fresh single-shard registry.
+fn server(limits: Limits) -> (EventLoop, SimNet) {
+    event_loop(Arc::new(Registry::new(limits)), false)
 }
 
-/// Admits a session and attaches it; returns its mailbox and the
-/// buffer its outbound lines land in.
-fn session(
-    sched: &mut Scheduler,
-    peer: &str,
-) -> (
-    Arc<Mailbox>,
-    Arc<std::sync::Mutex<Vec<String>>>,
-    wafe_serve::SessionId,
-) {
-    let registry = sched.registry().clone();
-    let id = registry.admit(peer, sched.now_ms()).expect("admitted");
-    let mailbox = Mailbox::new(registry.limits().queue_depth);
-    let (sink, buf) = SessionSink::buffer();
-    sched.attach(id, mailbox.clone(), sink);
-    (mailbox, buf, id)
+/// One worker's event loop (shard 0) over a fresh simulated net.
+fn event_loop(registry: Arc<Registry>, telemetry: bool) -> (EventLoop, SimNet) {
+    let net = SimNet::new();
+    let sched = Scheduler::new(registry, Flavor::Athena, telemetry);
+    let el = EventLoop::with_wake(sched, 0, net.poller(), Some(net.wake_pair()));
+    (el, net)
 }
 
-fn lines(buf: &std::sync::Mutex<Vec<String>>) -> Vec<String> {
-    buf.lock().unwrap().clone()
+/// Admits a session for `peer` and attaches a simulated connection.
+fn session(el: &mut EventLoop, net: &SimNet, peer: &str) -> (SimClient, SessionId) {
+    let registry = el.scheduler().registry().clone();
+    let id = registry
+        .admit(peer, el.scheduler().now_ms())
+        .expect("admitted");
+    let (client, io) = net.socketpair();
+    el.attach(ConnAssign { id, io });
+    (client, id)
+}
+
+/// The client writes `lines`, newline-terminated, in one chunk.
+fn send<S: AsRef<str>>(client: &SimClient, lines: &[S]) {
+    let mut bytes = Vec::new();
+    for l in lines {
+        bytes.extend_from_slice(l.as_ref().as_bytes());
+        bytes.push(b'\n');
+    }
+    client.send(&bytes);
+}
+
+/// One full worker iteration, as server.rs drives it. Returns the
+/// lines the scheduler dispatched.
+fn tick(el: &mut EventLoop) -> usize {
+    el.poll_io(0);
+    let ran = el.run_turn();
+    el.flush_and_reap();
+    ran
+}
+
+/// Ticks until a turn dispatches nothing.
+fn settle(el: &mut EventLoop) {
+    let mut guard = 0;
+    while tick(el) > 0 {
+        guard += 1;
+        assert!(guard < 1_000, "the loop never went idle");
+    }
+}
+
+/// Inbound lines queued for session `id`.
+fn queued(el: &mut EventLoop, id: SessionId) -> usize {
+    el.scheduler().queued(id)
 }
 
 #[test]
@@ -46,52 +80,56 @@ fn round_robin_quantum_keeps_a_flooder_from_starving_others() {
     // B must be fully served after exactly two sweeps, while A's
     // surplus is still queued — A can never get more than one quantum
     // ahead of B.
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         quantum: 4,
         queue_depth: 1_000,
         ..Limits::default()
     });
-    let (flood_mb, flood_buf, _) = session(&mut sched, "flooder");
-    let (quiet_mb, quiet_buf, _) = session(&mut sched, "quiet");
-    for i in 0..100 {
-        assert!(flood_mb.push(format!("%echo a{i}")));
-    }
-    for i in 0..5 {
-        assert!(quiet_mb.push(format!("%echo b{i}")));
-    }
+    let (flood, flood_id) = session(&mut el, &net, "flooder");
+    let (quiet, quiet_id) = session(&mut el, &net, "quiet");
+    send(
+        &flood,
+        &(0..100).map(|i| format!("%echo a{i}")).collect::<Vec<_>>(),
+    );
+    send(
+        &quiet,
+        &(0..5).map(|i| format!("%echo b{i}")).collect::<Vec<_>>(),
+    );
+    assert_eq!(el.poll_io(0), 105, "every line queued, none shed");
 
     // Sweep 1: both sessions run exactly one quantum.
-    assert_eq!(sched.run_turn(), 8);
-    assert_eq!(lines(&flood_buf), ["a0", "a1", "a2", "a3"]);
-    assert_eq!(lines(&quiet_buf), ["b0", "b1", "b2", "b3"]);
-    assert_eq!(flood_mb.len(), 96);
+    assert_eq!(el.run_turn(), 8);
+    el.flush_and_reap();
+    assert_eq!(flood.received_lines(), ["a0", "a1", "a2", "a3"]);
+    assert_eq!(quiet.received_lines(), ["b0", "b1", "b2", "b3"]);
+    assert_eq!(queued(&mut el, flood_id), 96);
 
     // Sweep 2: the quiet session finishes; the flooder is still deep
     // in its own backlog.
-    assert_eq!(sched.run_turn(), 5);
-    assert_eq!(lines(&quiet_buf), ["b0", "b1", "b2", "b3", "b4"]);
-    assert!(quiet_mb.is_empty());
-    assert_eq!(flood_mb.len(), 92);
+    assert_eq!(tick(&mut el), 5);
+    assert_eq!(quiet.received_lines(), ["b0", "b1", "b2", "b3", "b4"]);
+    assert_eq!(queued(&mut el, quiet_id), 0);
+    assert_eq!(queued(&mut el, flood_id), 92);
 
     // The flooder drains at quantum speed from here on.
     let mut turns = 0;
-    while !flood_mb.is_empty() {
-        sched.run_turn();
+    while queued(&mut el, flood_id) > 0 {
+        tick(&mut el);
         turns += 1;
         assert!(turns <= 23, "flooder must drain in 92/4 = 23 turns");
     }
-    assert_eq!(lines(&flood_buf).len(), 100);
+    assert_eq!(flood.received_lines().len(), 100);
 }
 
 #[test]
 fn admission_control_sheds_beyond_max_sessions() {
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         max_sessions: 2,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    session(&mut sched, "one");
-    session(&mut sched, "two");
+    let registry = el.scheduler().registry().clone();
+    session(&mut el, &net, "one");
+    session(&mut el, &net, "two");
     assert_eq!(registry.admit("three", 0), Err(ShedReason::MaxSessions));
     assert_eq!(status(&registry, "shedAdmission"), 1);
     assert_eq!(registry.active(), 2);
@@ -102,24 +140,26 @@ fn admission_control_sheds_beyond_max_sessions() {
 
 #[test]
 fn queue_full_sheds_explicitly_and_keeps_the_session() {
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         queue_depth: 3,
         quantum: 8,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let (mb, buf, _) = session(&mut sched, "chatty");
-    // 5 pushes against a depth of 3: two refused.
-    for i in 0..5 {
-        let accepted = mb.push(format!("%echo m{i}"));
-        assert_eq!(accepted, i < 3, "push {i}");
-    }
-    sched.run_turn();
-    let got = lines(&buf);
+    let registry = el.scheduler().registry().clone();
+    let (client, id) = session(&mut el, &net, "chatty");
+    // 5 lines against a depth of 3: two refused.
+    send(
+        &client,
+        &(0..5).map(|i| format!("%echo m{i}")).collect::<Vec<_>>(),
+    );
+    el.poll_io(0);
+    assert_eq!(queued(&mut el, id), 3, "the first three queued");
+    el.run_turn();
+    el.flush_and_reap();
     // The three accepted lines round-tripped; each shed line produced
     // an explicit notice, not a silent drop.
     assert_eq!(
-        got,
+        client.received_lines(),
         ["m0", "m1", "m2", "!shed queue-full", "!shed queue-full"]
     );
     assert_eq!(status(&registry, "shedQueue"), 2);
@@ -129,35 +169,45 @@ fn queue_full_sheds_explicitly_and_keeps_the_session() {
         "shedding load does not kill the session"
     );
     // The session keeps working afterwards.
-    assert!(mb.push("%echo recovered".into()));
-    sched.run_turn();
-    assert_eq!(lines(&buf).last().map(String::as_str), Some("recovered"));
+    send(&client, &["%echo recovered"]);
+    tick(&mut el);
+    assert_eq!(
+        client.received_lines().last().map(String::as_str),
+        Some("recovered")
+    );
 }
 
 #[test]
 fn graceful_drain_flushes_mailboxes_before_releasing() {
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         quantum: 2,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let (mb_a, buf_a, _) = session(&mut sched, "a");
-    let (mb_b, buf_b, _) = session(&mut sched, "b");
-    for i in 0..6 {
-        assert!(mb_a.push(format!("%echo a{i}")));
-    }
-    assert!(mb_b.push("%echo b0".into()));
+    let registry = el.scheduler().registry().clone();
+    let (a, _) = session(&mut el, &net, "a");
+    let (b, _) = session(&mut el, &net, "b");
+    send(
+        &a,
+        &(0..6).map(|i| format!("%echo a{i}")).collect::<Vec<_>>(),
+    );
+    send(&b, &["%echo b0"]);
+    el.poll_io(0);
     registry.begin_drain();
-    assert!(!sched.is_drained(), "queued work first");
+    assert!(!el.is_drained(), "queued work first");
     // New input is refused the moment the scheduler notices the drain…
-    sched.run_turn();
-    assert!(!mb_a.push("%echo late".into()), "drain closed the mailbox");
-    // …but everything already queued is flushed, at quantum pace.
-    while !sched.is_drained() {
-        sched.run_turn();
+    tick(&mut el);
+    send(&a, &["%echo late"]);
+    // …but everything already queued is flushed, at quantum pace (and
+    // the line sent after the drain never runs).
+    let mut guard = 0;
+    while !el.is_drained() {
+        tick(&mut el);
+        guard += 1;
+        assert!(guard < 100, "drain never completed");
     }
-    assert_eq!(lines(&buf_a), ["a0", "a1", "a2", "a3", "a4", "a5"]);
-    assert_eq!(lines(&buf_b), ["b0"]);
+    assert_eq!(a.received_lines(), ["a0", "a1", "a2", "a3", "a4", "a5"]);
+    assert_eq!(b.received_lines(), ["b0"]);
+    assert!(a.is_shutdown() && b.is_shutdown(), "connections closed");
     assert_eq!(registry.active(), 0, "every slot released");
     assert_eq!(status(&registry, "closed"), 2);
     assert_eq!(registry.admit("late", 0), Err(ShedReason::Draining));
@@ -165,45 +215,49 @@ fn graceful_drain_flushes_mailboxes_before_releasing() {
 
 #[test]
 fn drain_timeout_cuts_off_a_session_that_cannot_finish() {
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         quantum: 1,
         drain_timeout_ms: 100,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let (mb, buf, _) = session(&mut sched, "slow");
-    for i in 0..50 {
-        assert!(mb.push(format!("%echo s{i}")));
-    }
+    let registry = el.scheduler().registry().clone();
+    let (client, _) = session(&mut el, &net, "slow");
+    send(
+        &client,
+        &(0..50).map(|i| format!("%echo s{i}")).collect::<Vec<_>>(),
+    );
+    el.poll_io(0);
     registry.begin_drain();
-    sched.run_turn(); // notices the drain, flushes 1 of 50
-    sched.advance(101); // virtual deadline passes
-    assert!(sched.is_drained(), "cut off, queue unflushed");
-    assert_eq!(lines(&buf), ["s0"]);
+    tick(&mut el); // notices the drain, flushes 1 of 50
+    el.advance(101); // virtual deadline passes
+    el.flush_and_reap();
+    assert!(el.is_drained(), "cut off, queue unflushed");
+    assert_eq!(client.received_lines(), ["s0"]);
     assert_eq!(registry.active(), 0);
 }
 
 #[test]
 fn idle_sessions_are_parked_on_virtual_ticks() {
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         idle_evict_ms: 100,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let (mb_a, buf_a, id_a) = session(&mut sched, "active");
-    let (_mb_b, buf_b, id_b) = session(&mut sched, "idle");
-    sched.advance(60);
+    let registry = el.scheduler().registry().clone();
+    let (a, id_a) = session(&mut el, &net, "active");
+    let (b, id_b) = session(&mut el, &net, "idle");
+    el.advance(60);
     // A speaks at t=60; B stays silent.
-    assert!(mb_a.push("%echo ping".into()));
-    sched.run_turn();
-    sched.advance(60);
-    sched.run_turn();
+    send(&a, &["%echo ping"]);
+    tick(&mut el);
+    el.advance(60);
+    tick(&mut el);
     // t=120: B idled 120ms > 100 and is *parked* — an explicit notice
     // carrying the stamped id it can present to come back, never a
     // silent drop of its state. A's last activity was 60ms ago and it
     // survives.
-    assert_eq!(lines(&buf_b), [format!("!parked {id_b}")]);
-    assert_eq!(lines(&buf_a), ["ping"]);
+    assert_eq!(b.received_lines(), [format!("!parked {id_b}")]);
+    assert!(b.is_shutdown(), "the parked session's conn is closed");
+    assert_eq!(a.received_lines(), ["ping"]);
     assert_eq!(registry.active(), 1);
     assert_eq!(status(&registry, "evicted"), 1);
     assert_eq!(status(&registry, "parked"), 1);
@@ -211,7 +265,7 @@ fn idle_sessions_are_parked_on_virtual_ticks() {
     // The evicted id is stale: its slot can be re-admitted under a new
     // generation, and a late release of the old id is ignored.
     assert!(!registry.release(id_b), "stale release is a no-op");
-    let id_c = registry.admit("next", sched.now_ms()).unwrap();
+    let id_c = registry.admit("next", el.scheduler().now_ms()).unwrap();
     assert_eq!(id_c.slot, id_b.slot);
     assert!(id_c.generation > id_b.generation);
     assert!(
@@ -223,29 +277,39 @@ fn idle_sessions_are_parked_on_virtual_ticks() {
 
 #[test]
 fn manual_park_then_restore_replays_queued_output_in_order() {
-    let mut sched = scheduler(Limits::default());
-    let registry = sched.registry().clone();
-    let (mb_a, buf_a, id_a) = session(&mut sched, "parker");
-    assert!(mb_a.push("%set greeting {hello from the past}".into()));
-    assert!(mb_a.push("%label sign topLevel label Parked".into()));
-    assert!(mb_a.push("%echo queued-before-park".into()));
-    assert!(mb_a.push("%session park".into()));
-    sched.run_turn();
+    let (mut el, net) = server(Limits::default());
+    let registry = el.scheduler().registry().clone();
+    let (a, id_a) = session(&mut el, &net, "parker");
+    send(
+        &a,
+        &[
+            "%set greeting {hello from the past}",
+            "%label sign topLevel label Parked",
+            "%echo queued-before-park",
+            "%session park",
+        ],
+    );
+    tick(&mut el);
     // The pending echo rides the snapshot instead of the wire: the only
     // thing the client sees is the park ack, verbatim.
-    assert_eq!(lines(&buf_a), [format!("!parked {id_a}")]);
+    assert_eq!(a.received_lines(), [format!("!parked {id_a}")]);
     assert_eq!(registry.active(), 0, "park releases the slot");
     assert_eq!(status(&registry, "parked"), 1);
     assert!(registry.has_parked(id_a));
 
     // A later connection lists the snapshot and restores by stamped id:
     // the ack comes first, then the queued output replayed in order.
-    let (mb_b, buf_b, _) = session(&mut sched, "returning");
-    assert!(mb_b.push("%echo [lindex [lindex [session snapshots] 0] 0]".into()));
-    assert!(mb_b.push(format!("%session restore {id_a}")));
-    sched.run_turn();
+    let (b, _) = session(&mut el, &net, "returning");
+    send(
+        &b,
+        &[
+            "%echo [lindex [lindex [session snapshots] 0] 0]".to_string(),
+            format!("%session restore {id_a}"),
+        ],
+    );
+    tick(&mut el);
     assert_eq!(
-        lines(&buf_b),
+        b.received_lines(),
         [
             id_a.to_string(),
             format!("!restored {id_a}"),
@@ -253,10 +317,10 @@ fn manual_park_then_restore_replays_queued_output_in_order() {
         ]
     );
     // The restored engine carries the old interpreter and widget state.
-    assert!(mb_b.push("%echo [set greeting]".into()));
-    sched.run_turn();
+    send(&b, &["%echo [set greeting]"]);
+    tick(&mut el);
     assert_eq!(
-        lines(&buf_b).last().map(String::as_str),
+        b.received_lines().last().map(String::as_str),
         Some("hello from the past")
     );
     assert!(
@@ -282,16 +346,21 @@ fn manual_park_then_restore_replays_queued_output_in_order() {
 
 #[test]
 fn restore_of_an_unknown_id_is_a_loud_miss_that_keeps_the_session() {
-    let mut sched = scheduler(Limits::default());
-    let registry = sched.registry().clone();
-    let (mb, buf, _) = session(&mut sched, "guesser");
+    let (mut el, net) = server(Limits::default());
+    let registry = el.scheduler().registry().clone();
+    let (client, _) = session(&mut el, &net, "guesser");
     // Command errors are not echoed (byte-identity with the pipe), so
     // read the miss back through catch.
-    assert!(mb.push("%echo [catch {session restore 7:9}]".into()));
-    assert!(mb.push("%echo [catch {session restore not-an-id}]".into()));
-    assert!(mb.push("%echo still-alive".into()));
-    sched.run_turn();
-    assert_eq!(lines(&buf), ["1", "1", "still-alive"]);
+    send(
+        &client,
+        &[
+            "%echo [catch {session restore 7:9}]",
+            "%echo [catch {session restore not-an-id}]",
+            "%echo still-alive",
+        ],
+    );
+    tick(&mut el);
+    assert_eq!(client.received_lines(), ["1", "1", "still-alive"]);
     assert_eq!(
         status(&registry, "restoreMiss"),
         1,
@@ -317,53 +386,47 @@ fn parked_then_restored_session_continues_workload_byte_identically() {
         .collect();
 
     // Control: one session, never parked.
-    let mut control = scheduler(Limits::default());
-    let (mb, control_buf, _) = session(&mut control, "control");
-    assert!(mb.push(DEFINE.into()));
-    for l in first.iter().chain(&second) {
-        assert!(mb.push(l.clone()));
-    }
-    while !mb.is_empty() {
-        control.run_turn();
-    }
+    let (mut control, control_net) = server(Limits::default());
+    let (control_client, _) = session(&mut control, &control_net, "control");
+    send(&control_client, &[DEFINE]);
+    send(&control_client, &first);
+    send(&control_client, &second);
+    settle(&mut control);
 
     // Experiment: first half, idle park at a known virtual tick,
     // restore under the stamped id, second half.
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         idle_evict_ms: 50,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let (mb_a, buf_a, id_a) = session(&mut sched, "before");
-    assert!(mb_a.push(DEFINE.into()));
-    for l in &first {
-        assert!(mb_a.push(l.clone()));
-    }
-    while !mb_a.is_empty() {
-        sched.run_turn();
-    }
-    sched.advance(51);
+    let registry = el.scheduler().registry().clone();
+    let (a, id_a) = session(&mut el, &net, "before");
+    send(&a, &[DEFINE]);
+    send(&a, &first);
+    settle(&mut el);
+    el.advance(51);
+    el.flush_and_reap();
     assert_eq!(
-        lines(&buf_a).last(),
+        a.received_lines().last(),
         Some(&format!("!parked {id_a}")),
         "idle-parked at virtual t=51"
     );
 
-    let (mb_b, buf_b, _) = session(&mut sched, "after");
-    assert!(mb_b.push(format!("%session restore {id_a}")));
-    for l in &second {
-        assert!(mb_b.push(l.clone()));
-    }
-    while !mb_b.is_empty() {
-        sched.run_turn();
-    }
+    let (b, _) = session(&mut el, &net, "after");
+    send(&b, &[format!("%session restore {id_a}")]);
+    send(&b, &second);
+    settle(&mut el);
 
-    let mut combined = lines(&buf_a);
+    let mut combined = a.received_lines();
     assert_eq!(combined.pop(), Some(format!("!parked {id_a}")));
-    let after = lines(&buf_b);
+    let after = b.received_lines();
     assert_eq!(after[0], format!("!restored {id_a}"));
     combined.extend(after[1..].iter().cloned());
-    assert_eq!(combined, lines(&control_buf), "byte-identical continuation");
+    assert_eq!(
+        combined,
+        control_client.received_lines(),
+        "byte-identical continuation"
+    );
     assert_eq!(status(&registry, "restored"), 1);
 }
 
@@ -373,37 +436,41 @@ fn drain_with_park_dir_parks_every_session_for_the_next_process() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // First "process": two sessions with state, then a drain.
-    let mut sched = scheduler(Limits::default());
-    let registry = sched.registry().clone();
+    let (mut el, net) = server(Limits::default());
+    let registry = el.scheduler().registry().clone();
     registry.set_park_dir(dir.clone()).unwrap();
-    let (mb_a, buf_a, id_a) = session(&mut sched, "a");
-    let (mb_b, buf_b, id_b) = session(&mut sched, "b");
-    assert!(mb_a.push("%set who alpha".into()));
-    assert!(mb_b.push("%set who beta".into()));
+    let (a, id_a) = session(&mut el, &net, "a");
+    let (b, id_b) = session(&mut el, &net, "b");
+    send(&a, &["%set who alpha"]);
+    send(&b, &["%set who beta"]);
+    el.poll_io(0);
     registry.begin_drain();
-    while !sched.is_drained() {
-        sched.run_turn();
+    while !el.is_drained() {
+        tick(&mut el);
     }
-    assert_eq!(lines(&buf_a), [format!("!parked {id_a}")]);
-    assert_eq!(lines(&buf_b), [format!("!parked {id_b}")]);
+    assert_eq!(a.received_lines(), [format!("!parked {id_a}")]);
+    assert_eq!(b.received_lines(), [format!("!parked {id_b}")]);
     assert_eq!(status(&registry, "parked"), 2);
 
     // Second "process": a fresh registry over the same directory finds
     // both snapshots; each session restores under its old id.
     let registry2 = Arc::new(Registry::new(Limits::default()));
     assert_eq!(registry2.set_park_dir(dir.clone()).unwrap(), 2);
-    let mut sched2 = Scheduler::new(registry2.clone(), Flavor::Athena, false);
+    let (mut el2, net2) = event_loop(registry2.clone(), false);
     for (old, want) in [(id_a, "alpha"), (id_b, "beta")] {
-        let id = registry2.admit("returning", 0).unwrap();
-        let mailbox = Mailbox::new(registry2.limits().queue_depth);
-        let (sink, buf) = SessionSink::buffer();
-        sched2.attach(id, mailbox.clone(), sink);
-        assert!(mailbox.push(format!("%session restore {old}")));
-        assert!(mailbox.push("%echo [set who]".into()));
-        while !mailbox.is_empty() {
-            sched2.run_turn();
-        }
-        assert_eq!(lines(&buf), [format!("!restored {old}"), want.to_string()]);
+        let (client, _) = session(&mut el2, &net2, "returning");
+        send(
+            &client,
+            &[
+                format!("%session restore {old}"),
+                "%echo [set who]".to_string(),
+            ],
+        );
+        settle(&mut el2);
+        assert_eq!(
+            client.received_lines(),
+            [format!("!restored {old}"), want.to_string()]
+        );
     }
     assert_eq!(registry2.parked_count(), 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -421,16 +488,13 @@ fn park_one_to_disk(
 ) {
     let dir = std::env::temp_dir().join(format!("wafe-park-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut sched = scheduler(Limits::default());
-    let registry = sched.registry().clone();
+    let (mut el, net) = server(Limits::default());
+    let registry = el.scheduler().registry().clone();
     registry.set_park_dir(dir.clone()).unwrap();
-    let (mb, buf, id) = session(&mut sched, "parker");
-    assert!(mb.push("%set who alpha".into()));
-    assert!(mb.push("%session park".into()));
-    while !mb.is_empty() {
-        sched.run_turn();
-    }
-    assert_eq!(lines(&buf), [format!("!parked {id}")]);
+    let (client, id) = session(&mut el, &net, "parker");
+    send(&client, &["%set who alpha", "%session park"]);
+    settle(&mut el);
+    assert_eq!(client.received_lines(), [format!("!parked {id}")]);
     let file = dir.join(format!("park-{}-{}.wsnap", id.slot, id.generation));
     assert!(file.exists(), "park writes through");
     assert!(
@@ -447,19 +511,19 @@ fn park_one_to_disk(
 fn restore_from_disk(dir: &std::path::Path, old: wafe_serve::SessionId) -> Vec<String> {
     let registry = Arc::new(Registry::new(Limits::default()));
     registry.set_park_dir(dir.to_path_buf()).unwrap();
-    let mut sched = Scheduler::new(registry.clone(), Flavor::Athena, true);
-    let id = registry.admit("returning", 0).unwrap();
-    let mailbox = Mailbox::new(registry.limits().queue_depth);
-    let (sink, buf) = SessionSink::buffer();
-    sched.attach(id, mailbox.clone(), sink);
-    assert!(mailbox.push(format!("%session restore {old}")));
-    assert!(mailbox.push("%echo [telemetry snapshot serve.restore.]".into()));
-    assert!(mailbox.push("%echo [info exists who]".into()));
-    assert!(mailbox.push("%echo [serve status]".into()));
-    while !mailbox.is_empty() {
-        sched.run_turn();
-    }
-    lines(&buf)
+    let (mut el, net) = event_loop(registry, true);
+    let (client, _) = session(&mut el, &net, "returning");
+    send(
+        &client,
+        &[
+            format!("%session restore {old}"),
+            "%echo [telemetry snapshot serve.restore.]".to_string(),
+            "%echo [info exists who]".to_string(),
+            "%echo [serve status]".to_string(),
+        ],
+    );
+    settle(&mut el);
+    client.received_lines()
 }
 
 /// The value of one key in a flat `key value ...` reply line (0 when
@@ -531,44 +595,48 @@ fn stale_tmp_park_file_is_swept_and_ignored() {
 
 #[test]
 fn quit_command_releases_the_session() {
-    let mut sched = scheduler(Limits::default());
-    let registry = sched.registry().clone();
-    let (mb, buf, _) = session(&mut sched, "quitter");
-    assert!(mb.push("%echo bye".into()));
-    assert!(mb.push("%quit".into()));
-    sched.run_turn();
-    assert_eq!(lines(&buf), ["bye"]);
+    let (mut el, net) = server(Limits::default());
+    let registry = el.scheduler().registry().clone();
+    let (client, _) = session(&mut el, &net, "quitter");
+    send(&client, &["%echo bye", "%quit"]);
+    tick(&mut el);
+    assert_eq!(client.received_lines(), ["bye"]);
+    assert!(client.is_shutdown(), "the reply is written, then the close");
     assert_eq!(registry.active(), 0);
     assert_eq!(status(&registry, "closed"), 1);
 }
 
 #[test]
 fn serve_command_reports_and_drains_from_inside_a_session() {
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         max_sessions: 7,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let (mb, buf, _) = session(&mut sched, "operator");
+    let registry = el.scheduler().registry().clone();
+    let (client, _) = session(&mut el, &net, "operator");
     // Command results are not echoed (byte-identity with the pipe);
     // clients read them back through command substitution.
-    assert!(mb.push("%echo [serve limits maxSessions]".into()));
-    assert!(mb.push("%echo [lindex [serve status] 1]".into()));
-    assert!(mb.push("%serve limits maxSessions 9".into()));
-    assert!(mb.push("%echo [serve limits maxSessions]".into()));
-    assert!(mb.push("%echo [lindex [lindex [serve sessions] 0] 1]".into()));
-    sched.run_turn();
-    assert_eq!(lines(&buf), ["7", "serving", "9", "operator"]);
+    send(
+        &client,
+        &[
+            "%echo [serve limits maxSessions]",
+            "%echo [lindex [serve status] 1]",
+            "%serve limits maxSessions 9",
+            "%echo [serve limits maxSessions]",
+            "%echo [lindex [lindex [serve sessions] 0] 1]",
+        ],
+    );
+    tick(&mut el);
+    assert_eq!(client.received_lines(), ["7", "serving", "9", "operator"]);
     assert_eq!(registry.limits().max_sessions, 9);
-    // Draining from inside: the session's own mailbox flushes, then
+    // Draining from inside: the session's own queued input runs, then
     // every session is released.
-    assert!(mb.push("%serve drain".into()));
-    assert!(mb.push("%echo flushed-after-drain".into()));
-    while !sched.is_drained() {
-        sched.run_turn();
+    send(&client, &["%serve drain", "%echo flushed-after-drain"]);
+    while !el.is_drained() {
+        tick(&mut el);
     }
     assert_eq!(
-        lines(&buf).last().map(String::as_str),
+        client.received_lines().last().map(String::as_str),
         Some("flushed-after-drain")
     );
     assert_eq!(registry.active(), 0);
@@ -578,33 +646,35 @@ fn serve_command_reports_and_drains_from_inside_a_session() {
 fn fifty_sessions_multiplex_without_crosstalk() {
     // One scheduler, 50 sessions, interleaved traffic: every session
     // must get exactly its own replies, in its own order.
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         max_sessions: 64,
         quantum: 3,
         ..Limits::default()
     });
-    let registry = sched.registry().clone();
-    let mut handles = Vec::new();
+    let registry = el.scheduler().registry().clone();
+    let mut clients = Vec::new();
     for s in 0..50 {
-        let (mb, buf, _) = session(&mut sched, &format!("client-{s}"));
-        for i in 0..5 {
-            assert!(mb.push(format!("%set v {s}-{i}")));
-            assert!(mb.push("%echo [set v]".to_string()));
-        }
-        handles.push((mb, buf));
+        let (client, _) = session(&mut el, &net, &format!("client-{s}"));
+        let script: Vec<String> = (0..5)
+            .flat_map(|i| [format!("%set v {s}-{i}"), "%echo [set v]".to_string()])
+            .collect();
+        send(&client, &script);
+        clients.push(client);
     }
+    assert_eq!(el.poll_io(0), 500, "one wakeup reads every client");
     let mut guard = 0;
-    while handles.iter().any(|(mb, _)| !mb.is_empty()) {
-        sched.run_turn();
+    while el.scheduler().queued_lines() > 0 {
+        el.run_turn();
+        el.flush_and_reap();
         guard += 1;
         assert!(
             guard <= 10,
             "500 lines / (50 sessions * 3 quantum) < 10 turns"
         );
     }
-    for (s, (_, buf)) in handles.iter().enumerate() {
+    for (s, client) in clients.iter().enumerate() {
         let want: Vec<String> = (0..5).map(|i| format!("{s}-{i}")).collect();
-        assert_eq!(lines(buf), want, "session {s}");
+        assert_eq!(client.received_lines(), want, "session {s}");
     }
     assert_eq!(status(&registry, "commands"), 500);
 }
@@ -614,21 +684,22 @@ fn span_tree_attributes_every_layer_of_a_dispatched_command() {
     // The acceptance test for causal tracing: a scripted session turns
     // spans on, defines and calls a proc, turns spans off, and prints
     // the tree. Every tick is virtual, so the tree is byte-stable.
-    let mut sched = scheduler(Limits {
+    let (mut el, net) = server(Limits {
         quantum: 8,
         ..Limits::default()
     });
-    let (mb, buf, id) = session(&mut sched, "tracer");
-    for line in [
-        "%telemetry spans on",
-        "%proc double {x} {expr {$x * 2}}",
-        "%echo [double 21]",
-        "%telemetry spans off",
-        "%echo [telemetry spans tree]",
-    ] {
-        assert!(mb.push(line.to_string()));
-    }
-    sched.run_turn();
+    let (client, id) = session(&mut el, &net, "tracer");
+    send(
+        &client,
+        &[
+            "%telemetry spans on",
+            "%proc double {x} {expr {$x * 2}}",
+            "%echo [double 21]",
+            "%telemetry spans off",
+            "%echo [telemetry spans tree]",
+        ],
+    );
+    tick(&mut el);
     // `%telemetry spans on` records nothing (its own begins ran while
     // still disabled); `%telemetry spans off` leaves nothing open; the
     // tree-printing command's spans are themselves still open when the
@@ -651,14 +722,11 @@ fn span_tree_attributes_every_layer_of_a_dispatched_command() {
         "            tcl.bc 1:2 [15,16]".to_string(),
     ]
     .into();
-    assert_eq!(lines(&buf), want);
+    assert_eq!(client.received_lines(), want);
 }
 
 #[test]
 fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
-    use wafe_serve::event_loop::ConnAssign;
-    use wafe_serve::{EventLoop, OutQueue, SimNet};
-
     // Two shards, two event loops, one simulated net — exactly the
     // poll-model server shape, scripted tick by tick.
     let registry = Arc::new(Registry::with_shards(Limits::default(), 2));
@@ -666,12 +734,7 @@ fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
     let attach = |el: &mut EventLoop| {
         let id = registry.admit("sim/test", 0).expect("admitted");
         let (client, io) = net.socketpair();
-        el.attach(ConnAssign {
-            id,
-            io,
-            mailbox: Mailbox::new(registry.limits().queue_depth),
-            out: OutQueue::new(),
-        });
+        el.attach(ConnAssign { id, io });
         client
     };
     let mut el0 = EventLoop::with_wake(
@@ -689,7 +752,7 @@ fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
     let operator = attach(&mut el0); // slot 0 -> shard 0
     let busy = attach(&mut el1); // slot 1 -> shard 1
 
-    // Shard 1 has three lines swept into the mailbox but not yet run:
+    // Shard 1 has three lines swept into its session but not yet run:
     // its queue-depth gauge reads 3 at status time.
     busy.send(b"%echo q0\n%echo q1\n%echo q2\n");
     el1.poll_io(0);
@@ -721,22 +784,32 @@ fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
 /// land in the store of the session whose line is being evaluated.
 #[test]
 fn shimmer_counts_are_attributed_to_their_own_session() {
-    let mut sched = scheduler(Limits::default());
-    let (a_mb, a_buf, _) = session(&mut sched, "parser");
-    let (b_mb, b_buf, _) = session(&mut sched, "bystander");
+    let (mut el, net) = server(Limits::default());
+    let (a_client, _) = session(&mut el, &net, "parser");
+    let (b_client, _) = session(&mut el, &net, "bystander");
     // 200 fresh list strings, each parsed once by `lindex`.
-    assert!(a_mb.push("%for {set i 0} {$i < 200} {incr i} {lindex \"x $i y\" 1}".into()));
-    assert!(b_mb.push("%echo [telemetry snapshot tcl.shimmer.listParses]".into()));
-    assert!(a_mb.push("%echo [telemetry snapshot tcl.shimmer.listParses]".into()));
-    while !(a_mb.is_empty() && b_mb.is_empty()) {
-        sched.run_turn();
-    }
-    let a = lines(&a_buf);
+    send(
+        &a_client,
+        &[
+            "%for {set i 0} {$i < 200} {incr i} {lindex \"x $i y\" 1}",
+            "%echo [telemetry snapshot tcl.shimmer.listParses]",
+        ],
+    );
+    send(
+        &b_client,
+        &["%echo [telemetry snapshot tcl.shimmer.listParses]"],
+    );
+    settle(&mut el);
+    let a = a_client.received_lines();
     let words: Vec<&str> = a[0].split(' ').collect();
     assert_eq!(words[0], "tcl.shimmer.listParses", "{a:?}");
     assert!(words[1].parse::<u64>().unwrap() >= 200, "{a:?}");
     // A counter that never moved is absent from the snapshot: zero.
-    assert_eq!(lines(&b_buf), [""], "B parsed no list of its own");
+    assert_eq!(
+        b_client.received_lines(),
+        [""],
+        "B parsed no list of its own"
+    );
 }
 
 /// The `serve.server.*` rows of the metrics exposition, keyed by their
@@ -765,12 +838,12 @@ fn server_totals_roll_up_from_both_shards_and_survive_a_session_reset() {
         },
         2,
     ));
-    let mut sched = Scheduler::new(registry.clone(), Flavor::Athena, false);
-    let sessions: Vec<_> = ["a", "b", "c", "d"]
+    let (mut el, net) = event_loop(registry.clone(), false);
+    let sessions: Vec<(SimClient, SessionId)> = ["a", "b", "c", "d"]
         .iter()
-        .map(|peer| session(&mut sched, peer))
+        .map(|peer| session(&mut el, &net, peer))
         .collect();
-    let shards: Vec<usize> = sessions.iter().map(|s| registry.shard_of(s.2)).collect();
+    let shards: Vec<usize> = sessions.iter().map(|s| registry.shard_of(s.1)).collect();
     assert_eq!(shards, [0, 1, 0, 1]);
     let server_agrees = || {
         for (key, v) in server_rows(&registry) {
@@ -781,20 +854,25 @@ fn server_totals_roll_up_from_both_shards_and_survive_a_session_reset() {
     };
 
     // Phase 1: session n runs two lines and sheds n more against the
-    // depth-2 mailbox, then reports its own serve.* counters.
-    for (n, (mb, _, _)) in sessions.iter().enumerate() {
-        for i in 0..n + 2 {
-            assert_eq!(mb.push(format!("%set x {i}")), i < 2);
-        }
+    // depth-2 queue, then reports its own serve.* counters.
+    for (n, (client, _)) in sessions.iter().enumerate() {
+        let script: Vec<String> = (0..n + 2).map(|i| format!("%set x {i}")).collect();
+        send(client, &script);
     }
-    sched.run_turn();
-    for (mb, _, _) in &sessions {
-        assert!(mb.push("%echo [telemetry snapshot serve.]".into()));
+    el.poll_io(0);
+    for (_, id) in &sessions {
+        assert_eq!(queued(&mut el, *id), 2, "the depth-2 queue took two");
     }
-    sched.run_turn();
+    el.run_turn();
+    el.flush_and_reap();
+    for (n, (client, _)) in sessions.iter().enumerate() {
+        assert_eq!(client.received_lines(), vec!["!shed queue-full"; n]);
+        send(client, &["%echo [telemetry snapshot serve.]"]);
+    }
+    tick(&mut el);
     let reports: Vec<String> = sessions
         .iter()
-        .map(|s| lines(&s.1).last().cloned().unwrap())
+        .map(|s| s.0.received_lines().last().cloned().unwrap())
         .collect();
     let sum = |key: &str| reports.iter().map(|r| value_in(r, key)).sum::<u64>();
     assert_eq!(sum("serve.shed"), 6, "{reports:?}");
@@ -807,15 +885,19 @@ fn server_totals_roll_up_from_both_shards_and_survive_a_session_reset() {
     // Phase 2: c (shard 0) parks itself; d (shard 1) idles out. A
     // parked session's counters leave with it, so its `!parked` notice
     // is its record.
-    sched.advance(60);
+    el.advance(60);
     let (a, b, c, d) = (&sessions[0], &sessions[1], &sessions[2], &sessions[3]);
-    assert!(a.0.push("%set x 1".into()));
-    assert!(b.0.push("%set x 1".into()));
-    assert!(c.0.push("%session park".into()));
-    sched.run_turn();
-    sched.advance(60);
+    send(&a.0, &["%set x 1"]);
+    send(&b.0, &["%set x 1"]);
+    send(&c.0, &["%session park"]);
+    tick(&mut el);
+    el.advance(60);
+    el.flush_and_reap();
     for s in [c, d] {
-        assert_eq!(lines(&s.1).last(), Some(&format!("!parked {}", s.2)));
+        assert_eq!(
+            s.0.received_lines().last(),
+            Some(&format!("!parked {}", s.1))
+        );
     }
     assert_eq!(status(&registry, "parked"), 2);
     assert_eq!(status(&registry, "evicted"), 1);
@@ -826,21 +908,49 @@ fn server_totals_roll_up_from_both_shards_and_survive_a_session_reset() {
     // view; every server total holds (commands grows by the two reset
     // lines themselves).
     let before = server_rows(&registry);
-    assert!(a.0.push("%telemetry reset".into()));
-    assert!(b.0.push("%telemetry reset".into()));
-    sched.run_turn();
+    send(&a.0, &["%telemetry reset"]);
+    send(&b.0, &["%telemetry reset"]);
+    tick(&mut el);
     let after = server_rows(&registry);
     for ((key, was), (_, now)) in before.iter().zip(&after) {
         let grew = if key == "commands" { 2 } else { 0 };
         assert_eq!(*now, was + grew, "serve.server.{key}");
     }
     server_agrees();
-    assert!(a.0.push("%echo [telemetry snapshot serve.commands]".into()));
-    sched.run_turn();
+    send(&a.0, &["%echo [telemetry snapshot serve.commands]"]);
+    tick(&mut el);
     assert_eq!(
-        lines(&a.1).last().map(String::as_str),
+        a.0.received_lines().last().map(String::as_str),
         Some("serve.commands 1"),
         "the session's own view restarted at the reset line"
     );
     assert_eq!(status(&registry, "commands"), 18);
+}
+
+/// The `serve sessions` `commands` column counts every line the session
+/// dispatched, on its own slot, and a `telemetry reset` — which
+/// restarts the session's own `serve.commands` — leaves it alone.
+#[test]
+fn sessions_commands_column_counts_dispatched_lines_across_a_reset() {
+    let (mut el, net) = server(Limits::default());
+    let (_, _) = session(&mut el, &net, "bystander");
+    let (client, _) = session(&mut el, &net, "counter");
+    let script: Vec<String> = (0..5).map(|i| format!("%set x {i}")).collect();
+    send(&client, &script);
+    tick(&mut el);
+    send(&client, &["%telemetry reset"]);
+    tick(&mut el);
+    // The row is read mid-turn, so it holds the lines of earlier turns:
+    // five sets and the reset.
+    send(
+        &client,
+        &["%echo [lindex [serve sessions] 1] [telemetry snapshot serve.commands]"],
+    );
+    tick(&mut el);
+    assert_eq!(
+        client.received_lines(),
+        ["1:1 counter 0 6 serve.commands 1"]
+    );
+    let rows = el.scheduler().registry().sessions_words();
+    assert_eq!(rows, ["0:1 bystander 0 0", "1:1 counter 0 7"]);
 }

@@ -46,15 +46,15 @@ timeout 60 sh -c '
     done
 ' || { echo "supervisor chaos suite: FAILED (or exceeded 60s)"; exit 1; }
 
-# The serve scheduler tests are deterministic the same way (virtual
-# tick clock, buffer sinks, no wall-clock asserts); repeat them as a
-# flakiness gate too.
+# The serve scheduler and event-loop tests are deterministic the same
+# way (virtual tick clock, the simulated net, no wall-clock asserts);
+# repeat both suites as a flakiness gate too.
 echo "== serve deterministic suite x50 (60s guard)"
 timeout 60 sh -c '
     i=1
     while [ $i -le 50 ]; do
-        cargo test -q -p wafe-serve --test serve_deterministic --offline \
-            >/dev/null 2>&1 || { echo "serve run $i failed"; exit 1; }
+        cargo test -q -p wafe-serve --test serve_deterministic --test event_loop_sim \
+            --offline >/dev/null 2>&1 || { echo "serve run $i failed"; exit 1; }
         i=$((i + 1))
     done
 ' || { echo "serve deterministic suite: FAILED (or exceeded 60s)"; exit 1; }
