@@ -5,7 +5,7 @@
 //! sessions against a real `waferd` child process (spawned so the
 //! server's fd budget is its own, not the harness's). Each client runs
 //! paced `%set`/`%echo` round trips; the harness itself is poll-driven
-//! (one thread, nonblocking sockets through the same [`PollSet`] the
+//! (one thread, nonblocking sockets through the same [`SysPoller`] the
 //! server uses), because 10k blocking client threads would measure the
 //! harness, not the server.
 //!
@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use bench::{criterion_group, criterion_main, workspace_root, Criterion};
 use wafe_core::Flavor;
-use wafe_ipc::{Interest, PollSet, ProtocolEngine, SysPoller};
+use wafe_ipc::{Interest, Poller, ProtocolEngine, SysPoller};
 
 const SCALES: [usize; 3] = [1000, 4000, 10000];
 
@@ -161,7 +161,8 @@ fn percentile(sorted_us: &[u64], q: f64) -> f64 {
 fn measure(clients: usize) -> Measured {
     let trips = trips_for(clients);
     let server = Waferd::spawn();
-    let mut poll = PollSet::new(Box::new(SysPoller::new()));
+    let mut poller = SysPoller::new();
+    let mut ready = Vec::new();
     let mut conns: Vec<Client> = Vec::with_capacity(clients);
 
     // Connect and send the warmup line while still blocking — the
@@ -184,16 +185,19 @@ fn measure(clients: usize) -> Measured {
             got: Vec::with_capacity(trips),
         });
     }
-    for (t, c) in conns.iter().enumerate() {
-        poll.register(Interest::read(t, c.stream.as_raw_fd()));
-    }
+    // Indexed by token: a client's write interest flips in place.
+    let mut interests: Vec<Interest> = conns
+        .iter()
+        .enumerate()
+        .map(|(t, c)| Interest::read(t, c.stream.as_raw_fd()))
+        .collect();
 
     // Phase 1: every session answers its warmup — proof all `clients`
     // sessions are attached before the clock starts.
     let mut pending = clients;
     while pending > 0 {
-        let ready: Vec<_> = poll.wait(100).expect("poll").to_vec();
-        for r in ready {
+        poller.wait(&interests, 100, &mut ready).expect("poll");
+        for r in &ready {
             let c = &mut conns[r.token];
             for line in c.read_lines() {
                 assert_eq!(line, "warm", "warmup reply");
@@ -222,17 +226,15 @@ fn measure(clients: usize) -> Measured {
     let mut latencies_us: Vec<u64> = Vec::with_capacity(clients * trips);
     for (t, c) in conns.iter_mut().enumerate() {
         c.enqueue_trip(t, 0, start);
-        if c.flush() {
-            poll.set_write_interest(t, true);
-        }
+        interests[t].write = c.flush();
     }
     let mut pending = clients;
     while pending > 0 {
-        let ready: Vec<_> = poll.wait(100).expect("poll").to_vec();
-        for r in ready {
+        poller.wait(&interests, 100, &mut ready).expect("poll");
+        for r in &ready {
             let t = r.token;
             if r.writable && !conns[t].flush() {
-                poll.set_write_interest(t, false);
+                interests[t].write = false;
             }
             if !r.readable && !r.hup {
                 continue;
@@ -254,7 +256,7 @@ fn measure(clients: usize) -> Measured {
                 }
             }
             if finished_trips > 0 && conns[t].trips_done < trips && conns[t].flush() {
-                poll.set_write_interest(t, true);
+                interests[t].write = true;
             }
         }
     }

@@ -38,8 +38,6 @@ pub(crate) mod sys;
 pub use codec::LineCodec;
 pub use fault::{FaultAction, FaultPlan, FAULTS_ENV_VAR, FAULT_POINTS};
 pub use frontend::{backend_from_argv0, Frontend, FrontendConfig, SpawnSpec};
-pub use poll::{
-    is_fd_exhaustion, set_nonblocking, Interest, PollSet, Poller, Readiness, SimPoller, SysPoller,
-};
+pub use poll::{set_nonblocking, Interest, Poller, Readiness, SysPoller};
 pub use protocol::{command_body, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX};
 pub use supervisor::{BackendState, Supervisor, SupervisorConfig, SupervisorCore};

@@ -7,13 +7,12 @@
 //! poll call in the workspace.
 //!
 //! The [`Poller`] trait is deliberately stateless about registration:
-//! the caller owns its interest list and passes it on every wait. That
-//! keeps the contract level-triggered and makes the simulated
-//! implementation ([`SimPoller`]) trivially deterministic — readiness
-//! is whatever the test scripted, not whatever a kernel felt like
-//! coalescing.
+//! the caller owns its interest list and passes it on every wait, so
+//! there is no registered copy to keep in sync. wafe-serve's event loop
+//! derives that list afresh from its session table on each wakeup; its
+//! simulated net implements the same trait, so the deterministic tests
+//! see exactly the interest the real `poll(2)` would.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::os::unix::io::RawFd;
 
@@ -161,123 +160,6 @@ impl Poller for SysPoller {
     }
 }
 
-/// Deterministic poller for virtual-tick tests: readiness is exactly
-/// what the test marked via [`SimPoller::set_ready`], filtered against
-/// the interests the caller is currently watching.
-#[derive(Default)]
-pub struct SimPoller {
-    ready: BTreeMap<usize, Readiness>,
-}
-
-impl SimPoller {
-    pub fn new() -> SimPoller {
-        SimPoller::default()
-    }
-
-    /// Marks `token` as ready; sticks until [`clear_ready`](Self::clear_ready).
-    pub fn set_ready(&mut self, token: usize, readable: bool, writable: bool, hup: bool) {
-        self.ready.insert(
-            token,
-            Readiness {
-                token,
-                readable,
-                writable,
-                hup,
-            },
-        );
-    }
-
-    pub fn clear_ready(&mut self, token: usize) {
-        self.ready.remove(&token);
-    }
-}
-
-impl Poller for SimPoller {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn wait(
-        &mut self,
-        interests: &[Interest],
-        _timeout_ms: i32,
-        out: &mut Vec<Readiness>,
-    ) -> io::Result<()> {
-        out.clear();
-        for i in interests {
-            if let Some(r) = self.ready.get(&i.token) {
-                let r = Readiness {
-                    token: i.token,
-                    readable: r.readable && i.read,
-                    writable: r.writable && i.write,
-                    hup: r.hup,
-                };
-                if r.any() {
-                    out.push(r);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Owned interest list + scratch buffers around a [`Poller`] — the
-/// ergonomic face most callers want.
-pub struct PollSet {
-    poller: Box<dyn Poller>,
-    interests: Vec<Interest>,
-    ready: Vec<Readiness>,
-}
-
-impl PollSet {
-    pub fn new(poller: Box<dyn Poller>) -> PollSet {
-        PollSet {
-            poller,
-            interests: Vec::new(),
-            ready: Vec::new(),
-        }
-    }
-
-    pub fn backend(&self) -> &'static str {
-        self.poller.name()
-    }
-
-    /// Replaces any existing interest for `token`.
-    pub fn register(&mut self, interest: Interest) {
-        self.deregister(interest.token);
-        self.interests.push(interest);
-    }
-
-    pub fn deregister(&mut self, token: usize) {
-        self.interests.retain(|i| i.token != token);
-    }
-
-    /// Flips the write-interest bit without re-registering.
-    pub fn set_write_interest(&mut self, token: usize, write: bool) {
-        for i in &mut self.interests {
-            if i.token == token {
-                i.write = write;
-            }
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.interests.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.interests.is_empty()
-    }
-
-    /// Waits up to `timeout_ms`; returns the ready set (empty on
-    /// timeout or `EINTR`).
-    pub fn wait(&mut self, timeout_ms: i32) -> io::Result<&[Readiness]> {
-        self.poller
-            .wait(&self.interests, timeout_ms, &mut self.ready)?;
-        Ok(&self.ready)
-    }
-}
-
 /// Puts `fd` into non-blocking mode via `fcntl(2)`.
 pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     // SAFETY: fcntl F_GETFL/F_SETFL on an owned, valid fd.
@@ -293,50 +175,9 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
-/// True when `err` is `EMFILE`/`ENFILE` — the accept loop must back
-/// off instead of spinning on these.
-pub fn is_fd_exhaustion(err: &io::Error) -> bool {
-    matches!(err.raw_os_error(), Some(sys::EMFILE) | Some(sys::ENFILE))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_poller_reports_only_watched_tokens() {
-        let mut p = SimPoller::new();
-        p.set_ready(3, true, false, false);
-        p.set_ready(9, true, false, false);
-        let mut out = Vec::new();
-        let interests = [Interest::read(3, -1)];
-        p.wait(&interests, 0, &mut out).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].token, 3);
-        assert!(out[0].readable);
-    }
-
-    #[test]
-    fn sim_poller_write_readiness_requires_interest() {
-        let mut p = SimPoller::new();
-        p.set_ready(1, false, true, false);
-        let mut out = Vec::new();
-        p.wait(&[Interest::read(1, -1)], 0, &mut out).unwrap();
-        assert!(out.is_empty());
-        p.wait(
-            &[Interest {
-                token: 1,
-                fd: -1,
-                read: true,
-                write: true,
-            }],
-            0,
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].writable);
-    }
 
     #[test]
     fn sys_poller_sees_pipe_readability() {
@@ -344,9 +185,11 @@ mod tests {
         // SAFETY: fds is a valid 2-element array for pipe(2).
         assert_eq!(unsafe { sys::pipe(fds.as_mut_ptr()) }, 0);
         let (r, w) = (fds[0], fds[1]);
-        let mut set = PollSet::new(Box::new(SysPoller::new()));
-        set.register(Interest::read(7, r));
-        assert!(set.wait(0).unwrap().is_empty());
+        let mut poller = SysPoller::new();
+        let interests = [Interest::read(7, r)];
+        let mut ready = Vec::new();
+        poller.wait(&interests, 0, &mut ready).unwrap();
+        assert!(ready.is_empty());
         // SAFETY: writing to an owned pipe write end.
         unsafe {
             let byte = b"x";
@@ -355,7 +198,7 @@ mod tests {
             }
             assert_eq!(write(w, byte.as_ptr(), 1), 1);
         }
-        let ready = set.wait(100).unwrap();
+        poller.wait(&interests, 100, &mut ready).unwrap();
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].token, 7);
         assert!(ready[0].readable);
@@ -364,24 +207,5 @@ mod tests {
             sys::close(r);
             sys::close(w);
         }
-    }
-
-    #[test]
-    fn pollset_register_replaces_and_flips_write() {
-        let mut set = PollSet::new(Box::new(SimPoller::new()));
-        set.register(Interest::read(1, 10));
-        set.register(Interest::read(1, 11));
-        assert_eq!(set.len(), 1);
-        set.set_write_interest(1, true);
-        set.register(Interest::read(2, 12));
-        set.deregister(1);
-        assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn fd_exhaustion_classifier() {
-        assert!(is_fd_exhaustion(&io::Error::from_raw_os_error(24)));
-        assert!(is_fd_exhaustion(&io::Error::from_raw_os_error(23)));
-        assert!(!is_fd_exhaustion(&io::Error::from_raw_os_error(11)));
     }
 }

@@ -34,11 +34,6 @@ pub const POLLHUP: c_short = 0x010;
 /// Invalid request: fd not open (revents only).
 pub const POLLNVAL: c_short = 0x020;
 
-/// `errno` for "too many open files" (per-process limit).
-pub const EMFILE: i32 = 24;
-/// `errno` for "too many open files in system".
-pub const ENFILE: i32 = 23;
-
 /// `fcntl(2)`: get file status flags.
 pub const F_GETFL: c_int = 3;
 /// `fcntl(2)`: set file status flags.

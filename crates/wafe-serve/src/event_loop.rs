@@ -5,7 +5,9 @@
 //!
 //! Each worker owns one [`EventLoop`]: its [`Scheduler`] (which holds
 //! the session records, connections included), its registry shard and
-//! its poll set. The loop is written as separate steps —
+//! its poller. What the poller watches is derived from the session
+//! records on every wakeup — there is no registered copy to keep in
+//! step. The loop is written as separate steps —
 //! [`poll_io`](EventLoop::poll_io), [`run_turn`](EventLoop::run_turn),
 //! [`flush_and_reap`](EventLoop::flush_and_reap),
 //! [`advance`](EventLoop::advance) — so the deterministic tests can
@@ -28,7 +30,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use wafe_ipc::{set_nonblocking, Interest, LineCodec, PollSet, Poller};
+use wafe_ipc::{set_nonblocking, Interest, LineCodec, Poller, Readiness};
 
 use crate::registry::Registry;
 use crate::scheduler::{Scheduler, Session};
@@ -165,6 +167,19 @@ pub fn socket_wake() -> io::Result<(Box<dyn ConnIo>, Arc<dyn Wake>)> {
 /// The poll token of the wake channel's read half.
 const WAKE_TOKEN: usize = usize::MAX;
 
+/// Empties a wake channel; returns the wake bytes read.
+fn drain(rx: &mut dyn ConnIo) -> u64 {
+    let mut buf = [0u8; 64];
+    let mut n = 0;
+    loop {
+        match rx.read(&mut buf) {
+            Ok(k) if k > 0 => n += k as u64,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => return n,
+        }
+    }
+}
+
 /// One admitted connection, handed from the accept loop to the worker
 /// that owns its session. Everything in it is `Send`; the `!Send`
 /// session is built on the worker.
@@ -273,7 +288,10 @@ impl Session {
 pub struct EventLoop {
     sched: Scheduler,
     shard: usize,
-    poll: PollSet,
+    poller: Box<dyn Poller>,
+    /// Scratch for each wakeup's interest list and its ready set.
+    interests: Vec<Interest>,
+    ready: Vec<Readiness>,
     /// Read half of the wake channel (polled under [`WAKE_TOKEN`]).
     wake: Option<Box<dyn ConnIo>>,
     /// Wake bytes drained so far.
@@ -295,8 +313,8 @@ impl EventLoop {
     }
 
     /// Like [`new`](EventLoop::new), with the given wake channel: its
-    /// read half joins the poll set, its write half is published in the
-    /// registry for the accept loop ([`Registry::wake`]).
+    /// read half is polled on every wakeup, its write half is published
+    /// in the registry for the accept loop ([`Registry::wake`]).
     pub fn with_wake(
         sched: Scheduler,
         shard: usize,
@@ -304,16 +322,16 @@ impl EventLoop {
         wake: Option<(Box<dyn ConnIo>, Arc<dyn Wake>)>,
     ) -> EventLoop {
         sched.registry().set_poller_backend(poller.name());
-        let mut poll = PollSet::new(poller);
         let wake = wake.map(|(rx, tx)| {
             sched.registry().set_waker(shard, tx);
-            poll.register(Interest::read(WAKE_TOKEN, rx.fd()));
             rx
         });
         EventLoop {
             sched,
             shard,
-            poll,
+            poller,
+            interests: Vec::new(),
+            ready: Vec::new(),
             wake,
             wakes: 0,
         }
@@ -323,21 +341,6 @@ impl EventLoop {
     /// loop signalled (fewer if several arrived within one poll).
     pub fn wakes(&self) -> u64 {
         self.wakes
-    }
-
-    /// Empties the wake channel.
-    fn drain_wake(&mut self) {
-        let Some(rx) = self.wake.as_mut() else {
-            return;
-        };
-        let mut buf = [0u8; 64];
-        loop {
-            match rx.read(&mut buf) {
-                Ok(n) if n > 0 => self.wakes += n as u64,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                _ => break,
-            }
-        }
     }
 
     /// The scheduler (virtual clock, registry access) — tests drive it
@@ -352,35 +355,55 @@ impl EventLoop {
     }
 
     /// Takes ownership of an admitted connection: the session joins the
-    /// scheduler ring, the socket joins the poll set.
+    /// scheduler ring, and from the next wakeup on its socket is polled.
     pub fn attach(&mut self, assign: ConnAssign) {
-        let fd = assign.io.fd();
-        let token = self.sched.attach(assign.id, assign.io);
-        self.poll.register(Interest::read(token, fd));
+        self.sched.attach(assign.id, assign.io);
     }
 
-    /// One poll wakeup: waits up to `timeout_ms`, then drains *every*
-    /// readable connection into its session (the batched sweep) before
+    /// One poll wakeup: watches the wake channel and every session as
+    /// its record wants — read until EOF, write while output is stuck —
+    /// waits up to `timeout_ms`, then drains *every* readable
+    /// connection into its session (the batched sweep) before
     /// returning. Returns how many protocol lines were decoded.
     pub fn poll_io(&mut self, timeout_ms: i32) -> usize {
-        let ready: Vec<(usize, bool)> = match self.poll.wait(timeout_ms) {
-            Ok(r) => r.iter().map(|r| (r.token, r.writable)).collect(),
-            Err(_) => return 0,
-        };
+        self.interests.clear();
+        if let Some(rx) = &self.wake {
+            self.interests.push(Interest::read(WAKE_TOKEN, rx.fd()));
+        }
+        for (token, s) in self.sched.sessions.iter().enumerate() {
+            let Some(s) = s else { continue };
+            let (read, write) = (s.want_read(), s.want_write());
+            if read || write {
+                self.interests.push(Interest {
+                    token,
+                    fd: s.io.fd(),
+                    read,
+                    write,
+                });
+            }
+        }
+        if self
+            .poller
+            .wait(&self.interests, timeout_ms, &mut self.ready)
+            .is_err()
+        {
+            return 0;
+        }
         let mut enqueued = 0;
-        for (token, writable) in ready {
-            if token == WAKE_TOKEN {
-                self.drain_wake();
+        for r in &self.ready {
+            if r.token == WAKE_TOKEN {
+                if let Some(rx) = self.wake.as_mut() {
+                    self.wakes += drain(rx.as_mut());
+                }
                 continue;
             }
-            let Some(s) = self.sched.sessions.get_mut(token).and_then(Option::as_mut) else {
+            let Some(s) = self.sched.sessions[r.token].as_mut() else {
                 continue;
             };
-            if writable {
+            if r.writable {
                 s.flush();
             }
             enqueued += s.sweep_read();
-            self.update_interest(token);
         }
         enqueued
     }
@@ -409,36 +432,19 @@ impl EventLoop {
                 // A vanished client's session is released here; a
                 // finished one was released when it finished.
                 self.sched.close(token);
-                self.poll.deregister(token);
-            } else {
-                self.update_interest(token);
             }
         }
         let queued = self.sched.queued_lines();
         self.sched.registry().set_shard_queued(self.shard, queued);
     }
 
-    fn update_interest(&mut self, token: usize) {
-        let Some(s) = self.sched.sessions.get(token).and_then(Option::as_ref) else {
-            return;
-        };
-        let (read, write) = (s.want_read(), s.want_write());
-        if read || write {
-            self.poll.register(Interest {
-                token,
-                fd: s.io.fd(),
-                read,
-                write,
-            });
-        } else {
-            self.poll.deregister(token);
-        }
-    }
-
     /// Whether the loop has anything to do right now (skip the poll
-    /// timeout when true).
+    /// timeout when true): some session has inbound lines still
+    /// queued. Output left after [`flush_and_reap`](EventLoop::flush_and_reap)
+    /// means the write blocked, and the next poll waits for
+    /// writability instead of spinning.
     pub fn has_pending_work(&mut self) -> bool {
-        self.sched.sessions.iter().flatten().any(Session::has_work)
+        self.sched.queued_lines() > 0
     }
 
     /// Drained and every connection retired — the worker may exit.

@@ -28,7 +28,9 @@
 //! * [`event_loop`] — the readiness-driven transport core: one poll(2)
 //!   wakeup drains every readable connection into its session (the
 //!   batched sweep), the scheduler runs, replies flush — behind the
-//!   [`wafe_ipc::Poller`] trait so tests swap in a simulated net.
+//!   [`wafe_ipc::Poller`] trait so tests swap in a simulated net. The
+//!   poll interest is derived from the session records on each wakeup;
+//!   the session table is the only copy of it.
 //! * [`sim`] — that simulated net: scripted byte chunks, write
 //!   windows, accept-queue errors and readiness with no timing
 //!   anywhere.

@@ -109,15 +109,6 @@ impl Session {
         }
     }
 
-    /// Whether the event loop has anything of this session's to do.
-    pub(crate) fn has_work(&self) -> bool {
-        !self.inbound.is_empty()
-            || !self.out.is_empty()
-            || self.frame.is_some()
-            || self.wpos < self.wbuf.len()
-            || self.done
-    }
-
     /// Ends the session: its slot goes back to the registry and its
     /// input is dropped; the event loop flushes what is already queued
     /// outbound, then closes the connection.

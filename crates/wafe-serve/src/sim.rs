@@ -31,6 +31,8 @@ struct SimConnState {
     /// Bytes the server may still write before `WouldBlock`; `None`
     /// is unlimited.
     write_window: Option<usize>,
+    /// Whether the last poll watched this conn for readability.
+    read_armed: bool,
     /// Whether the last poll watched this conn for writability.
     write_armed: bool,
     /// The client vanished: reads and writes fail.
@@ -186,6 +188,13 @@ impl SimClient {
     }
 
     /// Whether the server's last poll watched this connection for
+    /// readability (its read interest is armed).
+    pub fn read_armed(&self) -> bool {
+        let s = self.net.lock();
+        s.conns.get(&self.fd).is_some_and(|c| c.read_armed)
+    }
+
+    /// Whether the server's last poll watched this connection for
     /// writability (its write interest is armed).
     pub fn write_armed(&self) -> bool {
         let s = self.net.lock();
@@ -338,11 +347,13 @@ impl Poller for SimNetPoller {
             let mut s = self.net.lock();
             for fd in self.watched.drain(..) {
                 if let Some(c) = s.conns.get_mut(&fd) {
+                    c.read_armed = false;
                     c.write_armed = false;
                 }
             }
             for i in interests {
                 if let Some(c) = s.conns.get_mut(&i.fd) {
+                    c.read_armed = i.read;
                     c.write_armed = i.write;
                     self.watched.push(i.fd);
                 }

@@ -219,6 +219,46 @@ fn client_eof_finishes_the_session_and_closes_the_connection() {
 }
 
 #[test]
+fn the_poller_watches_what_each_session_record_wants() {
+    let registry = Arc::new(Registry::new(Limits::default()));
+    let net = SimNet::new();
+    let mut el = new_loop(&registry, 0, &net);
+    let (_, leaving) = attach_client(&mut el, &registry, &net);
+    let (_, live) = attach_client(&mut el, &registry, &net);
+    el.poll_io(0);
+    assert!(live.read_armed() && !live.write_armed(), "live: read only");
+    assert!(leaving.read_armed() && !leaving.write_armed());
+
+    // EOF with the last reply stuck behind a shut window: the session
+    // finishes, and its connection is watched for write only.
+    leaving.set_write_window(Some(0));
+    leaving.send(b"%echo tail\n");
+    leaving.send_eof();
+    tick(&mut el);
+    el.poll_io(0);
+    assert!(!leaving.read_armed(), "no read interest past EOF");
+    assert!(leaving.write_armed(), "the tail waits for writability");
+    assert!(live.read_armed() && !live.write_armed());
+
+    // The window opens: the tail goes out, the connection is reaped
+    // and no longer watched at all.
+    leaving.set_write_window(None);
+    tick(&mut el);
+    assert_eq!(leaving.received_lines(), vec!["tail"]);
+    assert!(leaving.is_shutdown());
+    el.poll_io(0);
+    assert!(!leaving.read_armed() && !leaving.write_armed(), "reaped");
+    assert_eq!(el.conn_count(), 1);
+
+    // A new attach takes the freed token and is watched for read.
+    let (_, next) = attach_client(&mut el, &registry, &net);
+    el.poll_io(0);
+    assert!(next.read_armed() && !next.write_armed(), "reused token");
+    assert!(!leaving.read_armed() && !leaving.write_armed());
+    assert!(live.read_armed());
+}
+
+#[test]
 fn a_vanished_client_releases_its_slot() {
     let registry = Arc::new(Registry::new(Limits::default()));
     let net = SimNet::new();
@@ -467,6 +507,10 @@ fn a_stalled_client_gets_every_reply_then_one_coalesced_frame() {
     assert!(
         client.write_armed(),
         "the stuck write waits for writability"
+    );
+    assert!(
+        !el.has_pending_work(),
+        "a stuck write blocks in poll instead of spinning at timeout 0"
     );
     assert_eq!(client.received_lines().len(), seen, "nothing got through");
 
