@@ -302,9 +302,13 @@ fn disabled_telemetry_counts_but_records_no_histograms_or_journal() {
     let mut s = WafeSession::new(Flavor::Athena);
     s.eval("label l topLevel").unwrap();
     s.eval("set x 1").unwrap();
+    s.eval("set x 1").unwrap();
     let snap = snapshot(&mut s);
     assert_eq!(snap["xt.widget.creates"], 2, "topLevel and l: {snap:?}");
-    assert!(snap["tcl.bc.compiles"] >= 2);
+    // Only the repeated `set x 1` is lowered; the label line, its first
+    // run and the snapshot line tree-walk.
+    assert_eq!(snap["tcl.bc.compiles"], 1, "{snap:?}");
+    assert_eq!(snap["tcl.bc.deferred"], 3, "{snap:?}");
     assert!(snap["tcl.cache.scriptMisses"] >= 2);
     assert!(!snap.contains_key("tcl.evals"), "{snap:?}");
     assert!(!snap.keys().any(|k| k.ends_with(".count")), "{snap:?}");
@@ -338,31 +342,33 @@ fn reset_zeroes_every_counter_and_interp_views_agree() {
         );
     }
     s.eval("telemetry reset").unwrap();
-    // Read straight from the store, before any further eval counts.
+    // Read straight from the store, before any further eval counts. The
+    // reset line is on its first run, so it tree-walks and no bytecode
+    // run adds instructions after the reset.
     for &m in Metric::ALL {
-        let v = s.interp.metric(m);
-        match m {
-            // The reset command's own bytecode run adds its instruction
-            // count when it returns, after the reset.
-            Metric::TclBcInstructions => assert_eq!(v, 3, "two PushConsts + Invoke"),
-            _ if m.kind() == wafe_trace::Kind::Counter => assert_eq!(v, 0, "{}", m.name()),
-            _ => {}
+        if m.kind() == wafe_trace::Kind::Counter {
+            assert_eq!(s.interp.metric(m), 0, "{}", m.name());
         }
     }
-    let out = s
-        .eval("set a [interp bcstats]; set b [telemetry snapshot tcl.bc]")
-        .unwrap();
+    // The first run tree-walks and defers each bracket as it reaches it,
+    // so the two views would read different deferral counts; the
+    // second run is lowered, and nothing counts between its two reads.
+    let line = "set a [interp bcstats]; set b [telemetry snapshot tcl.bc]";
+    s.eval(line).unwrap();
+    let out = s.eval(line).unwrap();
+    assert_eq!(out, "tcl.bc.compiles 1 tcl.bc.deferred 3");
     let view: Vec<String> = parse_list(&s.eval("set a").unwrap()).unwrap();
-    let agreed: Vec<String> = view[..8]
+    let agreed: BTreeMap<String, String> = view[..10]
         .chunks(2)
         .filter(|kv| kv[1] != "0")
-        .flat_map(|kv| [format!("tcl.bc.{}", kv[0]), kv[1].clone()])
+        .map(|kv| (format!("tcl.bc.{}", kv[0]), kv[1].clone()))
         .collect();
-    assert_eq!(
-        parse_list(&out).unwrap(),
-        agreed,
-        "interp bcstats: {view:?}"
-    );
+    let snapped: BTreeMap<String, String> = parse_list(&out)
+        .unwrap()
+        .chunks(2)
+        .map(|kv| (kv[0].clone(), kv[1].clone()))
+        .collect();
+    assert_eq!(snapped, agreed, "interp bcstats: {view:?}");
 }
 
 #[test]
@@ -370,7 +376,10 @@ fn snapshot_reports_bytecode_counters() {
     let mut s = session();
     s.eval("set n 0; while {$n < 25} {incr n}").unwrap();
     let snap = snapshot(&mut s);
-    assert!(snap["tcl.bc.compiles"] >= 1, "{snap:?}");
+    // The loop line is lowered on its first run; the snapshot line is
+    // not, as it does not loop.
+    assert_eq!(snap["tcl.bc.compiles"], 1, "{snap:?}");
+    assert_eq!(snap["tcl.bc.deferred"], 1, "{snap:?}");
     assert!(
         snap["tcl.bc.instructions"] > 100,
         "a 25-iteration loop dispatches well over 100 instructions: {snap:?}"
@@ -378,24 +387,27 @@ fn snapshot_reports_bytecode_counters() {
     // Re-running the same script hits the cached bytecode.
     s.eval("set n 0; while {$n < 25} {incr n}").unwrap();
     let snap2 = snapshot(&mut s);
-    assert!(snap2["tcl.bc.hits"] >= 1, "{snap2:?}");
-    assert_eq!(snap2["tcl.bc.compiles"], snap["tcl.bc.compiles"]);
+    assert_eq!(snap2["tcl.bc.hits"], 1, "{snap2:?}");
+    // The one new compile is the snapshot line's own second run.
+    assert_eq!(snap2["tcl.bc.compiles"], 2, "{snap2:?}");
+    assert_eq!(snap2["tcl.bc.deferred"], 1, "{snap2:?}");
 }
 
 #[test]
 fn bcstats_prefix_asserts_verbatim() {
-    // The key-sorted snapshot pins the whole tcl.bc prefix verbatim: a
-    // fresh session reports exactly two compiles (`set x 1` plus the
-    // snapshot script itself, which compiles before the snapshot is
-    // taken), no hits and no fallbacks. Only `set x 1` has finished
-    // executing, so the instruction count is its two instructions.
+    // The key-sorted snapshot pins the whole tcl.bc prefix verbatim: on
+    // a fresh session `set x 1` tree-walks its first run (one deferral)
+    // and compiles on its second, which runs its two instructions. The
+    // snapshot line is on its first run, so it is the second deferral.
+    // No hits and no fallbacks.
     let mut s = session();
+    s.eval("set x 1").unwrap();
     s.eval("set x 1").unwrap();
     let instructions = s.interp.metric(Metric::TclBcInstructions);
     assert_eq!(instructions, 2, "set x 1 is PushConst + StoreVar");
     assert_eq!(
         s.eval("telemetry snapshot tcl.bc").unwrap(),
-        format!("tcl.bc.compiles 2 tcl.bc.instructions {instructions}")
+        format!("tcl.bc.compiles 1 tcl.bc.deferred 2 tcl.bc.instructions {instructions}")
     );
 }
 
@@ -409,7 +421,9 @@ fn interp_bcstats_reports_and_bcdisable_switches() {
         .map(|kv| (kv[0].clone(), kv[1].clone()))
         .collect();
     assert_eq!(st["enabled"], "1");
-    assert!(st["compiles"].parse::<u64>().unwrap() >= 1, "{st:?}");
+    // The loop line compiles on its first run; the bcstats line defers.
+    assert_eq!(st["compiles"], "1", "{st:?}");
+    assert_eq!(st["deferred"], "1", "{st:?}");
     assert!(st["instructions"].parse::<u64>().unwrap() > 20);
     // bcdisable returns the previous state and stops the VM; the script
     // still evaluates identically through the tree-walker.

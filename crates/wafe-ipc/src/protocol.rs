@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use wafe_core::{Flavor, WafeSession};
+use wafe_tcl::Value;
 use wafe_trace::Metric;
 
 /// The default command-prefix character.
@@ -89,8 +90,9 @@ impl ProtocolEngine {
     ///
     /// A line starting with the prefix character is interpreted as a Wafe
     /// command; any other line is passed through to the frontend's
-    /// stdout. Returns the command result for prefixed lines.
-    pub fn handle_line(&mut self, line: &str) -> Result<Option<String>, String> {
+    /// stdout. Returns the command result for prefixed lines, as the
+    /// interpreter's shared [`Value`]: callers that drop it copy nothing.
+    pub fn handle_line(&mut self, line: &str) -> Result<Option<Value>, String> {
         let tel = self.session.telemetry.clone();
         tel.count(Metric::IpcLinesReceived);
         tel.add(Metric::IpcBytesReceived, line.len() as u64);
@@ -112,7 +114,7 @@ impl ProtocolEngine {
             // mode (the scheduler opens that root around this call).
             let span = tel.span_begin("ipc.command", || trimmed.to_string());
             let r = match self.session.eval(cmd) {
-                Ok(v) => Ok(Some(v.to_string())),
+                Ok(v) => Ok(Some(v)),
                 Err(e) => {
                     let msg = e.message();
                     tel.count(Metric::IpcErrors);

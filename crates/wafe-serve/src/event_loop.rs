@@ -465,6 +465,9 @@ pub struct AcceptLoop {
     acceptors: Vec<Box<dyn Acceptor>>,
     txs: Vec<Sender<ConnAssign>>,
     poller: Box<dyn Poller>,
+    /// One read interest per listener, token = acceptor index. The
+    /// listeners are fixed, so the list is built once.
+    interests: Vec<Interest>,
     ready: Vec<wafe_ipc::Readiness>,
     /// Ticks left to sit out after an accept failure.
     backoff_ticks: u32,
@@ -477,11 +480,17 @@ impl AcceptLoop {
         txs: Vec<Sender<ConnAssign>>,
         poller: Box<dyn Poller>,
     ) -> AcceptLoop {
+        let interests = acceptors
+            .iter()
+            .enumerate()
+            .map(|(i, a)| Interest::read(i, a.fd()))
+            .collect();
         AcceptLoop {
             registry,
             acceptors,
             txs,
             poller,
+            interests,
             ready: Vec::new(),
             backoff_ticks: 0,
         }
@@ -508,24 +517,17 @@ impl AcceptLoop {
             let _ = self.poller.wait(&[], timeout_ms, &mut self.ready);
             return 0;
         }
-        let interests: Vec<Interest> = self
-            .acceptors
-            .iter()
-            .enumerate()
-            .map(|(i, a)| Interest::read(i, a.fd()))
-            .collect();
         if self
             .poller
-            .wait(&interests, timeout_ms, &mut self.ready)
+            .wait(&self.interests, timeout_ms, &mut self.ready)
             .is_err()
         {
             return 0;
         }
-        let ready: Vec<usize> = self.ready.iter().map(|r| r.token).collect();
         let mut admitted = 0;
-        for token in ready {
+        for r in &self.ready {
             loop {
-                match self.acceptors[token].accept() {
+                match self.acceptors[r.token].accept() {
                     Ok(Some((io, peer))) => {
                         if self.launch(io, peer) {
                             admitted += 1;
@@ -547,7 +549,7 @@ impl AcceptLoop {
 
     /// Admission for one accepted stream; sheds reply `!shed <reason>`
     /// before the close. Returns whether the connection was admitted.
-    fn launch(&mut self, mut io: Box<dyn ConnIo>, peer: String) -> bool {
+    fn launch(&self, mut io: Box<dyn ConnIo>, peer: String) -> bool {
         let id = match self.registry.admit(&peer, 0) {
             Ok(id) => id,
             Err(reason) => {

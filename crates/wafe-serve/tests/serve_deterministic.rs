@@ -682,8 +682,8 @@ fn fifty_sessions_multiplex_without_crosstalk() {
 #[test]
 fn span_tree_attributes_every_layer_of_a_dispatched_command() {
     // The acceptance test for causal tracing: a scripted session turns
-    // spans on, defines and calls a proc, turns spans off, and prints
-    // the tree. Every tick is virtual, so the tree is byte-stable.
+    // spans on, defines a proc and calls it twice, turns spans off, and
+    // prints the tree. Every tick is virtual, so the tree is byte-stable.
     let (mut el, net) = server(Limits {
         quantum: 8,
         ..Limits::default()
@@ -695,6 +695,7 @@ fn span_tree_attributes_every_layer_of_a_dispatched_command() {
             "%telemetry spans on",
             "%proc double {x} {expr {$x * 2}}",
             "%echo [double 21]",
+            "%echo [double 21]",
             "%telemetry spans off",
             "%echo [telemetry spans tree]",
         ],
@@ -704,22 +705,31 @@ fn span_tree_attributes_every_layer_of_a_dispatched_command() {
     // still disabled); `%telemetry spans off` leaves nothing open; the
     // tree-printing command's spans are themselves still open when the
     // tree renders, so they never appear in their own output. What is
-    // left is exactly the two traced commands, every layer attributed:
-    // the serve dispatch root, the ipc protocol hop, the eval, the
-    // bytecode run, and the proc call — one trace ID per command.
+    // left is exactly the three traced commands, every layer attributed:
+    // the serve dispatch root, the ipc protocol hop, the eval and the
+    // proc call, one trace ID per command. The first run of each script
+    // tree-walks, so the first call evaluates its `[...]` and the proc
+    // body as nested evals; the repeated line and the proc body's second
+    // run are lowered, so the bytecode run shows up only in the last.
     let want: Vec<String> = [
         "42".to_string(),
-        format!("serve.command 1:1 [1,8] {id} %proc double {{x}} {{expr {{$x * 2}}}}"),
-        "  ipc.command 1:1 [2,7] %proc double {x} {expr {$x * 2}}".to_string(),
-        "    tcl.eval 1:1 [3,6] proc double {x} {expr {$x * 2}}".to_string(),
-        "      tcl.bc 1:1 [4,5]".to_string(),
-        format!("serve.command 1:2 [9,22] {id} %echo [double 21]"),
-        "  ipc.command 1:2 [10,21] %echo [double 21]".to_string(),
-        "    tcl.eval 1:2 [11,20] echo [double 21]".to_string(),
-        "      tcl.bc 1:2 [12,19]".to_string(),
-        "        tcl.proc 1:2 [13,18] double".to_string(),
-        "          tcl.eval 1:2 [14,17]".to_string(),
-        "            tcl.bc 1:2 [15,16]".to_string(),
+        "42".to_string(),
+        format!("serve.command 1:1 [1,6] {id} %proc double {{x}} {{expr {{$x * 2}}}}"),
+        "  ipc.command 1:1 [2,5] %proc double {x} {expr {$x * 2}}".to_string(),
+        "    tcl.eval 1:1 [3,4] proc double {x} {expr {$x * 2}}".to_string(),
+        format!("serve.command 1:2 [7,18] {id} %echo [double 21]"),
+        "  ipc.command 1:2 [8,17] %echo [double 21]".to_string(),
+        "    tcl.eval 1:2 [9,16] echo [double 21]".to_string(),
+        "      tcl.eval 1:2 [10,15]".to_string(),
+        "        tcl.proc 1:2 [11,14] double".to_string(),
+        "          tcl.eval 1:2 [12,13]".to_string(),
+        format!("serve.command 1:3 [19,32] {id} %echo [double 21]"),
+        "  ipc.command 1:3 [20,31] %echo [double 21]".to_string(),
+        "    tcl.eval 1:3 [21,30] echo [double 21]".to_string(),
+        "      tcl.bc 1:3 [22,29]".to_string(),
+        "        tcl.proc 1:3 [23,28] double".to_string(),
+        "          tcl.eval 1:3 [24,27]".to_string(),
+        "            tcl.bc 1:3 [25,26]".to_string(),
     ]
     .into();
     assert_eq!(client.received_lines(), want);

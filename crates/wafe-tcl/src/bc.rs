@@ -3,11 +3,22 @@
 //! [`bytecode_for`] lowers a [`CompiledScript`] to a flat instruction
 //! stream over a `Vec<Value>` operand stack, cached on the script itself
 //! (shared by the parse cache, `Value` script reps and proc bodies, so a
-//! body compiles once no matter how it is reached). The compiler inlines
-//! a small set of special forms — `set incr expr if while for foreach
-//! break continue` — turning loops into jumps and `expr` trees into
-//! arithmetic opcodes, and lowers everything else to the generic
-//! substitute-and-invoke sequence the tree-walker performs.
+//! body compiles once no matter how it is reached).
+//!
+//! Lowering is tiered, as `Tcl_EvalEx` keeps bytecode only for code that
+//! is reused. A script's first run tree-walks and marks it
+//! [`BcSlot::Seen`]; its second run lowers it. A script that *iterates*
+//! (one of its commands, or of its `[...]` scripts, starts with a literal
+//! `while`, `for` or `foreach`; see `CompiledScript::iterates`) is
+//! lowered on its first run, because entering the VM once per iteration
+//! of a tree-walked loop costs more than running the whole loop in it.
+//! So a one-shot protocol line never pays for lowering, and proc bodies,
+//! loop bodies and cached text reach bytecode from their second run on.
+//!
+//! The compiler inlines a small set of special forms — `set incr expr
+//! if while for foreach break continue` — turning loops into jumps and
+//! `expr` trees into arithmetic opcodes, and lowers everything else to
+//! the generic substitute-and-invoke sequence the tree-walker performs.
 //!
 //! Two rules keep the layer safe:
 //!
@@ -82,9 +93,11 @@ const NO_ELEM: u32 = u32::MAX;
 /// The bytecode cache slot carried by every [`CompiledScript`].
 #[derive(Debug, Clone, Default)]
 pub(crate) enum BcSlot {
-    /// Not yet attempted.
+    /// Never run.
     #[default]
     Unknown,
+    /// Run once, tree-walked: the next run lowers it.
+    Seen,
     /// The compiler declined (budget); sticky — structure cannot change.
     Uncompilable,
     /// Compiled at the given [`Interp::bc_epoch`]; stale stamps recompile.
@@ -308,15 +321,17 @@ pub(crate) struct ByteCode {
 }
 
 /// Returns the bytecode for `script`, compiling (or recompiling after an
-/// epoch bump) on demand. `None` means the script is uncompilable and the
-/// caller must tree-walk; the verdict is cached so repeat executions pay
-/// one enum check. A script holding a syntax error is never lowered (the
-/// tree-walker raises it) and is not counted as a fallback.
+/// epoch bump) on demand. `None` means the caller must tree-walk: the
+/// script is uncompilable (a cached verdict, so repeat executions pay
+/// one enum check) or is on its first run and does not iterate, which
+/// defers lowering to the second run (`Metric::TclBcDeferred`). A script
+/// holding a syntax error is never lowered (the tree-walker raises it)
+/// and is counted neither as a fallback nor as deferred.
 pub(crate) fn bytecode_for(interp: &mut Interp, script: &CompiledScript) -> Option<Rc<ByteCode>> {
     if script.syntax_error {
         return None;
     }
-    match &*script.bc.borrow() {
+    match &mut *script.bc.borrow_mut() {
         BcSlot::Ready { epoch, code } if *epoch == interp.bc_epoch => {
             let code = code.clone();
             interp.telemetry().count(Metric::TclBcHits);
@@ -324,6 +339,11 @@ pub(crate) fn bytecode_for(interp: &mut Interp, script: &CompiledScript) -> Opti
         }
         BcSlot::Uncompilable => {
             interp.telemetry().count(Metric::TclBcFallbacks);
+            return None;
+        }
+        slot @ BcSlot::Unknown if !script.iterates => {
+            *slot = BcSlot::Seen;
+            interp.telemetry().count(Metric::TclBcDeferred);
             return None;
         }
         _ => {}
@@ -1492,16 +1512,48 @@ mod tests {
         Interp::new()
     }
 
-    fn bc_used(i: &Interp) -> bool {
-        i.metric(Metric::TclBcCompiles) > 0 || i.metric(Metric::TclBcHits) > 0
+    /// `(compiles, hits, deferred)`.
+    fn tiers(i: &Interp) -> (u64, u64, u64) {
+        (
+            i.metric(Metric::TclBcCompiles),
+            i.metric(Metric::TclBcHits),
+            i.metric(Metric::TclBcDeferred),
+        )
+    }
+
+    /// Evaluates `script` twice: the first run tree-walks, the second
+    /// runs the bytecode. Both must agree; returns the second.
+    fn eval_lowered(i: &mut Interp, script: &str) -> TclResult<Value> {
+        let first = i.eval(script).map(|v| v.to_string());
+        let second = i.eval(script);
+        assert_eq!(
+            first,
+            second.as_ref().map(|v| v.to_string()).map_err(Clone::clone)
+        );
+        second
     }
 
     #[test]
     fn simple_script_compiles_and_runs() {
         let mut i = new();
-        assert_eq!(i.eval("set a 1; set b 2; set c 3").unwrap(), "3");
-        assert!(bc_used(&i));
+        assert_eq!(
+            eval_lowered(&mut i, "set a 1; set b 2; set c 3").unwrap(),
+            "3"
+        );
+        assert_eq!(tiers(&i), (1, 0, 1));
         assert_eq!(i.get_var("b").unwrap(), "2");
+    }
+
+    #[test]
+    fn non_looping_script_lowers_on_its_second_run() {
+        let mut i = new();
+        i.eval("set x 1").unwrap();
+        assert_eq!(tiers(&i), (0, 0, 1), "first run tree-walks");
+        assert_eq!(i.metric(Metric::TclBcInstructions), 0);
+        i.eval("set x 1").unwrap();
+        assert_eq!(tiers(&i), (1, 0, 1), "second run compiles once");
+        i.eval("set x 1").unwrap();
+        assert_eq!(tiers(&i), (1, 1, 1), "third run hits");
     }
 
     #[test]
@@ -1510,26 +1562,40 @@ mod tests {
         i.eval("set n 0; set sum 0; while {$n < 10} {incr n; incr sum $n}")
             .unwrap();
         assert_eq!(i.get_var("sum").unwrap(), "55");
+        // A loop line is lowered on its first run, body and all.
+        assert_eq!(tiers(&i), (1, 0, 0));
         assert!(i.metric(Metric::TclBcInstructions) > 50);
+    }
+
+    #[test]
+    fn a_loop_inside_brackets_iterates_too() {
+        let mut i = new();
+        i.eval("set n 0; set r [while {$n < 3} {incr n}]$n")
+            .unwrap();
+        assert_eq!(i.get_var("r").unwrap(), "3");
+        assert_eq!(tiers(&i), (1, 0, 0));
     }
 
     #[test]
     fn cached_bytecode_hits_on_reeval() {
         let mut i = new();
         i.eval("set x 1").unwrap();
-        let compiles = i.metric(Metric::TclBcCompiles);
         i.eval("set x 1").unwrap();
-        assert_eq!(i.metric(Metric::TclBcCompiles), compiles);
-        assert!(i.metric(Metric::TclBcHits) >= 1);
+        assert_eq!(i.metric(Metric::TclBcCompiles), 1);
+        i.eval("set x 1").unwrap();
+        assert_eq!(i.metric(Metric::TclBcCompiles), 1);
+        assert_eq!(i.metric(Metric::TclBcHits), 1);
     }
 
     #[test]
     fn redefining_special_recompiles_against_new_binding() {
         let mut i = new();
-        assert_eq!(i.eval("set q 5").unwrap(), "5");
+        assert_eq!(eval_lowered(&mut i, "set q 5").unwrap(), "5");
+        assert_eq!(i.metric(Metric::TclBcCompiles), 1);
         // Shadow `set`: compiled scripts must notice the rebinding.
         i.register("set", |_, _| Ok(Value::from("shadowed")));
         assert_eq!(i.eval("set q 5").unwrap(), "shadowed");
+        assert_eq!(i.metric(Metric::TclBcCompiles), 2);
     }
 
     #[test]
@@ -1543,11 +1609,17 @@ mod tests {
     fn vm_disable_switch_falls_back() {
         let mut i = new();
         i.set_bc_enabled(false);
-        assert_eq!(i.eval("set x 7").unwrap(), "7");
-        assert_eq!(i.metric(Metric::TclBcCompiles), 0);
+        assert_eq!(eval_lowered(&mut i, "set x 7").unwrap(), "7");
+        assert_eq!(
+            tiers(&i),
+            (0, 0, 0),
+            "a disabled VM neither runs nor defers"
+        );
         i.set_bc_enabled(true);
-        assert_eq!(i.eval("set x 8").unwrap(), "8");
-        assert!(bc_used(&i));
+        assert_eq!(i.eval("set x 7").unwrap(), "7");
+        assert_eq!(tiers(&i), (0, 0, 1), "the disabled runs never counted");
+        assert_eq!(i.eval("set x 7").unwrap(), "7");
+        assert_eq!(tiers(&i), (1, 0, 1));
     }
 
     #[test]
@@ -1563,10 +1635,14 @@ mod tests {
     #[test]
     fn expr_string_literal_comparison_matches_tree_walker() {
         let mut i = new();
-        assert_eq!(i.eval(r#"expr {"abc" < "abd"}"#).unwrap(), "1");
+        assert_eq!(
+            eval_lowered(&mut i, r#"expr {"abc" < "abd"}"#).unwrap(),
+            "1"
+        );
         // A numeric-looking quoted literal stays a string: addition on it
         // is an error under both engines.
-        assert!(i.eval(r#"expr {"5" + 1}"#).is_err());
+        assert!(eval_lowered(&mut i, r#"expr {"5" + 1}"#).is_err());
+        assert_eq!(i.metric(Metric::TclBcCompiles), 2);
     }
 
     #[test]
@@ -1580,10 +1656,12 @@ mod tests {
             "expr {1e400}",
             "set x [expr {1e308 * 10}]; catch {expr {$x + 1}} msg; set msg",
         ] {
-            let a = vm.eval(script).map(|v| v.to_string());
+            let a = eval_lowered(&mut vm, script).map(|v| v.to_string());
             let b = tw.eval(script).map(|v| v.to_string());
             assert_eq!(a, b, "script: {script}");
         }
+        // Four scripts, plus the `catch` body their second runs reach.
+        assert_eq!(vm.metric(Metric::TclBcCompiles), 5);
     }
 
     #[test]
@@ -1592,9 +1670,10 @@ mod tests {
         // `llength $l` runs through generic invoke after cached writes to
         // `l`: the write-through must be visible.
         assert_eq!(
-            i.eval("set l {a b}; set l {a b c}; llength $l").unwrap(),
+            eval_lowered(&mut i, "set l {a b}; set l {a b c}; llength $l").unwrap(),
             "3"
         );
+        assert_eq!(i.metric(Metric::TclBcCompiles), 1);
     }
 
     #[test]

@@ -267,10 +267,11 @@ const SHIMMERSTATS: [(&str, Metric); 7] = [
 ];
 
 /// `interp bcstats` (followed by the live `enabled` flag).
-const BCSTATS: [(&str, Metric); 4] = [
+const BCSTATS: [(&str, Metric); 5] = [
     ("compiles", Metric::TclBcCompiles),
     ("hits", Metric::TclBcHits),
     ("fallbacks", Metric::TclBcFallbacks),
+    ("deferred", Metric::TclBcDeferred),
     ("instructions", Metric::TclBcInstructions),
 ];
 

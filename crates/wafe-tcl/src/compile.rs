@@ -100,9 +100,14 @@ pub struct CompiledScript {
     /// inside a `[...]` or array index: running the script always raises
     /// that syntax error once the commands before it have run.
     pub(crate) syntax_error: bool,
-    /// The script's bytecode form, produced lazily by the first bytecode
-    /// execution and shared by everything that shares this script (the
-    /// text cache, `Value` script reps, proc bodies). See [`crate::bc`].
+    /// True when a command of the script, or of a `[...]` script inside
+    /// it, starts with a literal `while`, `for` or `foreach`: such a
+    /// script is lowered to bytecode on its first run, not its second.
+    pub(crate) iterates: bool,
+    /// The script's bytecode form, produced lazily once the script runs
+    /// again (or iterates) and shared by everything that shares this
+    /// script (the text cache, `Value` script reps, proc bodies). See
+    /// [`crate::bc`].
     pub(crate) bc: std::cell::RefCell<crate::bc::BcSlot>,
 }
 
@@ -159,10 +164,24 @@ fn compile_chars(chars: &[char], depth: usize) -> CompiledScript {
             }
         }
     }
+    let iterates = commands.iter().any(|c| {
+        matches!(c.words.first(), Some(Token::Literal(w)) if matches!(w.as_str(), "while" | "for" | "foreach"))
+            || c.words.iter().any(token_iterates)
+    });
     CompiledScript {
         commands,
         syntax_error,
+        iterates,
         bc: Default::default(),
+    }
+}
+
+/// True when `token` holds a `[...]` script that iterates.
+fn token_iterates(token: &Token) -> bool {
+    match token {
+        Token::BracketSub(inner) => inner.iterates,
+        Token::Compound(parts) | Token::VarSub(_, Some(parts)) => parts.iter().any(token_iterates),
+        Token::Literal(_) | Token::VarSub(_, None) | Token::Error(_) => false,
     }
 }
 

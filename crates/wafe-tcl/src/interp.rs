@@ -1026,9 +1026,10 @@ impl Interp {
     fn eval_compiled_inner(&mut self, script: &CompiledScript) -> TclResult<Value> {
         // Bytecode fast path: lower the script once and dispatch a flat
         // instruction stream. The compiler declines rather than guesses —
-        // a `None` here (a script holding a syntax error, or `bcdisable`,
-        // or the Tcl 6.x `cachelimit 0` baseline, or recursion past
-        // `BC_MAX_DEPTH`) means the tree-walker below runs instead.
+        // a `None` here (a script holding a syntax error, a first run of
+        // a script that does not loop, or `bcdisable`, or the Tcl 6.x
+        // `cachelimit 0` baseline, or recursion past `BC_MAX_DEPTH`)
+        // means the tree-walker below runs instead.
         // The VM bound counts entered evaluations only: inlined ones add
         // no native frames.
         if self.bc_enabled && self.depth - self.inlined <= BC_MAX_DEPTH && self.cache_enabled() {

@@ -7,27 +7,43 @@ use std::collections::BTreeMap;
 
 use wafe_tcl::{parse_list, Interp, Metric, Value};
 
-/// Evaluates `script` on a VM interpreter and a tree-walking
+/// Evaluates `script` twice on a VM interpreter and on a tree-walking
 /// interpreter, asserting identical outcomes and identical values for
-/// `vars` afterwards.
+/// `vars` after each run. A script that does not loop tree-walks its
+/// first run on the VM interpreter too; the second run is the one that
+/// executes its bytecode.
 fn assert_parity(script: &str, vars: &[&str]) {
     let mut vm = Interp::new();
     let mut tw = Interp::new();
     assert!(tw.set_bc_enabled(false));
-    let a = vm
-        .eval(script)
-        .map(|v| v.to_string())
-        .map_err(|e| e.message().to_string());
-    let b = tw
-        .eval(script)
-        .map(|v| v.to_string())
-        .map_err(|e| e.message().to_string());
-    assert_eq!(a, b, "result diverged for script: {script}");
-    for v in vars {
-        let a = vm.get_var(v).map(|x| x.to_string()).ok();
-        let b = tw.get_var(v).map(|x| x.to_string()).ok();
-        assert_eq!(a, b, "variable {v} diverged for script: {script}");
+    for run in 1..=2 {
+        let a = vm
+            .eval(script)
+            .map(|v| v.to_string())
+            .map_err(|e| e.message().to_string());
+        let b = tw
+            .eval(script)
+            .map(|v| v.to_string())
+            .map_err(|e| e.message().to_string());
+        assert_eq!(a, b, "result diverged on run {run} for script: {script}");
+        for v in vars {
+            let a = vm.get_var(v).map(|x| x.to_string()).ok();
+            let b = tw.get_var(v).map(|x| x.to_string()).ok();
+            assert_eq!(
+                a, b,
+                "variable {v} diverged on run {run} for script: {script}"
+            );
+        }
     }
+}
+
+/// `(compiles, hits, deferred)`.
+fn tiers(i: &Interp) -> (u64, u64, u64) {
+    (
+        i.metric(Metric::TclBcCompiles),
+        i.metric(Metric::TclBcHits),
+        i.metric(Metric::TclBcDeferred),
+    )
 }
 
 #[test]
@@ -163,31 +179,48 @@ fn bcstats_counts_compile_then_hits() {
 fn interp_bcstats_subcommand_verbatim() {
     let mut i = Interp::new();
     i.eval("set x 1").unwrap();
-    // `set x 1` is PushConst + StoreVar; the `interp bcstats` script
-    // below compiles (second compile) before its own invoke runs, and
-    // its two instructions have not yet been counted at snapshot time.
+    i.eval("set x 1").unwrap();
+    // The first `set x 1` tree-walks (deferred); the second compiles to
+    // PushConst + StoreVar and runs them. The `interp bcstats` script is
+    // on its first run too, so it tree-walks: the second deferral.
     assert_eq!(
         i.eval("interp bcstats").unwrap(),
-        "compiles 2 hits 0 fallbacks 0 instructions 2 enabled 1"
+        "compiles 1 hits 0 fallbacks 0 deferred 2 instructions 2 enabled 1"
     );
 }
 
 #[test]
 fn cachestats_separates_bytecode_from_parse_cache() {
     let mut i = Interp::new();
-    i.eval("set x 1").unwrap();
-    i.eval("set x 1").unwrap();
+    for _ in 0..3 {
+        i.eval("set x 1").unwrap();
+    }
     let stats: BTreeMap<String, String> = parse_list(&i.eval("interp cachestats").unwrap())
         .unwrap()
         .chunks(2)
         .map(|kv| (kv[0].clone(), kv[1].clone()))
         .collect();
-    // The second `set x 1` hits both the parse cache and the bytecode
-    // cache; they are reported under distinct keys.
-    assert!(stats["hits"].parse::<u64>().unwrap() >= 1, "{stats:?}");
-    assert!(stats["bcHits"].parse::<u64>().unwrap() >= 1, "{stats:?}");
+    // The second and third `set x 1` hit the parse cache; the second
+    // compiles the bytecode and the third hits it. The two caches are
+    // reported under distinct keys.
+    assert_eq!(stats["hits"], "2", "{stats:?}");
+    assert_eq!(stats["bcHits"], "1", "{stats:?}");
     assert_eq!(stats["bcFallbacks"], "0");
-    assert!(stats["bcCompiles"].parse::<u64>().unwrap() >= 2);
+    assert_eq!(stats["bcCompiles"], "1", "{stats:?}");
+}
+
+#[test]
+fn a_proc_called_once_that_loops_runs_in_the_vm() {
+    let mut i = Interp::new();
+    // The line itself does not loop (the body is a braced word), so it
+    // tree-walks; the proc body starts a `foreach`, so its first call
+    // is lowered and the loop runs in the VM.
+    let out = i
+        .eval("proc sum {l} {set s 0; foreach x $l {incr s $x}; return $s}; sum {1 2 3 4 5 6}")
+        .unwrap();
+    assert_eq!(out, "21");
+    assert_eq!(tiers(&i), (1, 0, 1));
+    assert!(i.metric(Metric::TclBcInstructions) > 30);
 }
 
 #[test]
@@ -265,7 +298,11 @@ fn vm_does_not_add_shimmer_parses() {
 #[test]
 fn values_keep_reps_across_vm_boundary() {
     let mut i = Interp::new();
-    i.eval("set big [expr {1 << 40}]").unwrap();
+    // The second run is the one that executes bytecode.
+    for _ in 0..2 {
+        i.eval("set big [expr {1 << 40}]").unwrap();
+    }
+    assert_eq!(i.metric(Metric::TclBcCompiles), 1);
     let v: Value = i.get_var("big").unwrap();
     assert_eq!(v.as_int(), Some(1 << 40), "int rep must survive the VM");
 }
@@ -275,7 +312,9 @@ fn values_keep_reps_across_vm_boundary() {
 /// brackets fails or succeeds identically under the VM, the tree-walker
 /// (`interp bcdisable`) and the compile-every-run baseline (`interp
 /// cachelimit 0`), at top level and inside a proc body; so does a
-/// recursion whose calls sit in inlined `if` bodies.
+/// recursion whose calls sit in inlined `if` bodies. Each script runs
+/// twice, so the VM mode covers both the tree-walked first run and the
+/// lowered second one.
 #[test]
 fn nesting_limit_counts_inlined_brackets() {
     let modes = ["", "interp bcdisable", "interp cachelimit 0"];
@@ -288,14 +327,18 @@ fn nesting_limit_counts_inlined_brackets() {
             ("recursion", format!("{recurse}; g {}", n / 2 - 2)),
             ("recursion", format!("{recurse}; g {}", n / 2)),
         ] {
-            let outcomes: Vec<Result<String, String>> = modes
+            let outcomes: Vec<Vec<Result<String, String>>> = modes
                 .iter()
                 .map(|setup| {
                     let mut i = Interp::new();
                     i.eval(setup).unwrap();
-                    i.eval(&script)
-                        .map(|v| v.to_string())
-                        .map_err(|e| e.message().to_string())
+                    (0..2)
+                        .map(|_| {
+                            i.eval(&script)
+                                .map(|v| v.to_string())
+                                .map_err(|e| e.message().to_string())
+                        })
+                        .collect()
                 })
                 .collect();
             assert!(

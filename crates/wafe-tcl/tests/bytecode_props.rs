@@ -2,7 +2,8 @@
 //! (`set`/`incr`/`expr`/`if`/`while`/`foreach`/`break`/`continue` over
 //! small integers) evaluate identically under the VM and the
 //! tree-walker — same result value or error message, same variable
-//! state afterwards.
+//! state afterwards — on a first run and again on a second, which is
+//! the one that executes bytecode for a script without a loop.
 
 use wafe_prop::{cases, Rng};
 use wafe_tcl::{Interp, Metric};
@@ -116,19 +117,26 @@ fn generated_scripts_agree_with_tree_walker() {
         let mut vm = Interp::new();
         let mut tw = Interp::new();
         tw.set_bc_enabled(false);
-        let a = vm
-            .eval(&script)
-            .map(|v| v.to_string())
-            .map_err(|e| e.message().to_string());
-        let b = tw
-            .eval(&script)
-            .map(|v| v.to_string())
-            .map_err(|e| e.message().to_string());
-        assert_eq!(a, b, "result diverged for script:\n{script}");
-        for v in VARS {
-            let a = vm.get_var(v).map(|x| x.to_string()).ok();
-            let b = tw.get_var(v).map(|x| x.to_string()).ok();
-            assert_eq!(a, b, "variable {v} diverged for script:\n{script}");
+        // Twice: a script without a loop tree-walks its first run on the
+        // VM interpreter as well, and runs its bytecode on the second.
+        for run in 1..=2 {
+            let a = vm
+                .eval(&script)
+                .map(|v| v.to_string())
+                .map_err(|e| e.message().to_string());
+            let b = tw
+                .eval(&script)
+                .map(|v| v.to_string())
+                .map_err(|e| e.message().to_string());
+            assert_eq!(a, b, "result diverged on run {run} for script:\n{script}");
+            for v in VARS {
+                let a = vm.get_var(v).map(|x| x.to_string()).ok();
+                let b = tw.get_var(v).map(|x| x.to_string()).ok();
+                assert_eq!(
+                    a, b,
+                    "variable {v} diverged on run {run} for script:\n{script}"
+                );
+            }
         }
         vm_compiles.set(vm_compiles.get() + vm.metric(Metric::TclBcCompiles));
     });

@@ -56,6 +56,7 @@ metrics! {
     TclBcCompiles = "tcl.bc.compiles" Counter,
     TclBcHits = "tcl.bc.hits" Counter,
     TclBcFallbacks = "tcl.bc.fallbacks" Counter,
+    TclBcDeferred = "tcl.bc.deferred" Counter,
     TclBcInstructions = "tcl.bc.instructions" Counter,
     TclCacheScriptHits = "tcl.cache.scriptHits" Counter,
     TclCacheScriptMisses = "tcl.cache.scriptMisses" Counter,

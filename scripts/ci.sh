@@ -278,17 +278,19 @@ rm -rf "$rounds"
 
 # E23 is the bytecode VM: the run itself asserts byte-identical output
 # against the tree-walker on every workload, and the gate below requires
-# >=3x on the loop-heavy workload. The speedup field is a median of
-# interleaved per-round tree/VM ratios, so machine-wide drift cancels.
-echo "== bench e23 smoke run + >=3x VM gate"
+# >=3x on the loop-heavy workload and on the one-shot loop line (a
+# fresh interpreter per run: it pins that a loop is lowered on its
+# first run). The speedup field is a median of interleaved per-round
+# tree/VM ratios, so machine-wide drift cancels.
+echo "== bench e23 smoke run + >=3x VM gates"
 run_bench e23_bytecode
 python3 -c '
 import json
 d = json.load(open("BENCH_e23.json"))
 s = {w["name"]: w["speedup"] for w in d["workloads"]}
-lh = s["loop_heavy_factor"]
-assert lh >= 3.0, "e23: loop_heavy_factor %.2fx < 3x" % lh
-print("  loop_heavy_factor: %.2fx (gate >=3x) ok" % lh)
+for name in ("loop_heavy_factor", "one_shot_tight_arith"):
+    assert s[name] >= 3.0, "e23: %s %.2fx < 3x" % (name, s[name])
+    print("  %s: %.2fx (gate >=3x) ok" % (name, s[name]))
 ' || { echo "BENCH_e23.json: malformed or below the 3x gate"; exit 1; }
 
 # E26 is the observability plane: the run itself asserts output parity
