@@ -18,19 +18,29 @@
 //! and, with a display client attached, E28's ticker: frames/s of a
 //! label update flushed, composited and built into a frame.
 //!
+//! The deep-tree row is the same ticker on a different tree: 1, 8 or 64
+//! subtrees side by side, each eight nested Forms ending in a leaf
+//! label, none overlapping the first subtree's leaf, which is the label
+//! updated (µs per frame). The paint walk returns at a window whose
+//! visible area misses the damage, so a sibling subtree costs one
+//! intersection, not a visit to each of its nine windows.
+//!
 //! Sizes are interleaved round by round and each figure is the median
 //! of per-round figures, so machine-wide drift hits every size alike.
 //! Results go to `BENCH_e31.json`. The acceptance gates are that the
 //! label `setValues` at 242 widgets costs at most 1.5× the 26-widget
-//! figure, and that the ticker at 242 widgets keeps at least 0.65 of
-//! its 26-widget frames/s: the compositing flush paints the damage, so
-//! a label frame costs the label, not the tree.
+//! figure, that the ticker at 242 widgets keeps at least 0.65 of its
+//! 26-widget frames/s, and that a deep-tree frame with 64 subtrees
+//! costs at most 1.5× the one-subtree figure: the compositing flush
+//! paints the damage, so a label frame costs the label, not the tree.
 
 use std::time::Instant;
 
 use bench::workspace_root;
 use wafe_core::{Flavor, WafeSession};
 use wafe_display::Frame;
+use wafe_xproto::geometry::Rect;
+use wafe_xproto::{SCREEN_H, SCREEN_W};
 
 /// (rows, cols) of the label grid: 26, 98 and 242 widgets.
 const GRIDS: [(usize, usize); 3] = [(6, 4), (12, 8), (20, 12)];
@@ -41,6 +51,12 @@ const OPS: usize = 400;
 const WIDTH_OPS: usize = 60;
 /// Ticker frames per size and round.
 const FRAMES: usize = 100;
+/// Subtree counts of the deep-tree row.
+const SUBTREES: [usize; 3] = [1, 8, 64];
+/// Nested Forms per subtree, above its leaf label.
+const DEPTH: usize = 8;
+/// Subtrees per row of the deep tree.
+const PER_ROW: usize = 8;
 
 /// A realized form grid of `rows x cols` labels.
 fn grid(rows: usize, cols: usize, display: bool) -> WafeSession {
@@ -60,14 +76,57 @@ fn grid(rows: usize, cols: usize, display: bool) -> WafeSession {
     }
     s.eval("realize").unwrap();
     if display {
-        let mut app = s.app.borrow_mut();
-        let d = &mut app.displays[0];
-        d.set_compositing(true);
-        // Ship the attach-time full frame: only steady state is timed.
-        d.flush();
-        let _ = d.take_frame_damage();
-        let _ = d.next_frame_seq();
+        attach_display(&s);
     }
+    s
+}
+
+/// Turns compositing on and ships the attach-time full frame, so only
+/// steady state is timed.
+fn attach_display(s: &WafeSession) {
+    let mut app = s.app.borrow_mut();
+    let d = &mut app.displays[0];
+    d.set_compositing(true);
+    d.flush();
+    let _ = d.take_frame_damage();
+    let _ = d.next_frame_seq();
+}
+
+/// A realized form of `n` subtrees in rows of [`PER_ROW`], each
+/// [`DEPTH`] nested Forms ending in a leaf label `t<k>_leaf`, with a
+/// display attached. Every leaf lies on the screen.
+fn deep(n: usize) -> WafeSession {
+    let mut s = WafeSession::new(Flavor::Athena);
+    s.eval("form deep topLevel").unwrap();
+    for k in 0..n {
+        let mut cmd = format!("form t{k}_0 deep");
+        if k % PER_ROW > 0 {
+            cmd.push_str(&format!(" fromHoriz t{}_0", k - 1));
+        }
+        if k >= PER_ROW {
+            cmd.push_str(&format!(" fromVert t{}_0", k - PER_ROW));
+        }
+        s.eval(&cmd).unwrap();
+        for level in 1..DEPTH {
+            s.eval(&format!("form t{k}_{level} t{k}_{}", level - 1))
+                .unwrap();
+        }
+        s.eval(&format!(
+            "label t{k}_leaf t{k}_{} label 000 width 30 height 10",
+            DEPTH - 1
+        ))
+        .unwrap();
+    }
+    s.eval("realize").unwrap();
+    {
+        let app = s.app.borrow();
+        let d = &app.displays[0];
+        let leaf = app.lookup(&format!("t{}_leaf", n - 1)).unwrap();
+        let r = d.abs_rect(app.widget(leaf).window.unwrap());
+        let screen = Rect::new(0, 0, SCREEN_W, SCREEN_H);
+        assert!(screen.contains_rect(&r), "leaf {r:?} off the screen");
+    }
+    attach_display(&s);
     s
 }
 
@@ -93,8 +152,8 @@ fn mean_us(
 }
 
 /// One pumped frame after a label update, as the scheduler builds it.
-fn ticker_frame(s: &mut WafeSession, label: &str, i: usize) -> usize {
-    s.eval(&format!("setValues {label} label {{frame {i:06}}}"))
+fn ticker_frame(s: &mut WafeSession, label: &str, text: &str) -> usize {
+    s.eval(&format!("setValues {label} label {{{text}}}"))
         .unwrap();
     let mut app = s.app.borrow_mut();
     let d = &mut app.displays[0];
@@ -126,6 +185,8 @@ fn main() {
     let mut width_samples = vec![Vec::new(); GRIDS.len()];
     let mut fps_samples = vec![Vec::new(); GRIDS.len()];
     let mut bytes = vec![0usize; GRIDS.len()];
+    let mut deeps: Vec<WafeSession> = SUBTREES.iter().map(|&n| deep(n)).collect();
+    let mut deep_samples = vec![Vec::new(); SUBTREES.len()];
     let mut next = 0usize;
     for round in 0..=ROUNDS {
         for (k, &(rows, _)) in GRIDS.iter().enumerate() {
@@ -140,7 +201,8 @@ fn main() {
             });
             let (mut frame_bytes, t) = (0usize, Instant::now());
             for i in 0..FRAMES {
-                frame_bytes += ticker_frame(&mut tickers[k], &label, round * FRAMES + i);
+                let text = format!("frame {:06}", round * FRAMES + i);
+                frame_bytes += ticker_frame(&mut tickers[k], &label, &text);
             }
             let fps = FRAMES as f64 / t.elapsed().as_secs_f64();
             // Round 0 warms caches and allocators; it is not kept.
@@ -151,7 +213,17 @@ fn main() {
                 bytes[k] += frame_bytes;
             }
         }
+        for (k, s) in deeps.iter_mut().enumerate() {
+            let t = Instant::now();
+            for i in 0..FRAMES {
+                ticker_frame(s, "t0_leaf", &format!("{:03}", (round * FRAMES + i) % 1000));
+            }
+            if round > 0 {
+                deep_samples[k].push(t.elapsed().as_secs_f64() * 1e6 / FRAMES as f64);
+            }
+        }
     }
+    let deep_us: Vec<f64> = deep_samples.into_iter().map(median).collect();
 
     let rows: Vec<Row> = (0..GRIDS.len())
         .map(|k| Row {
@@ -183,6 +255,18 @@ fn main() {
         format!("{ticker_ratio:.2}x frames/s (gate >=0.65x)"),
     );
 
+    for (n, us) in SUBTREES.iter().zip(&deep_us) {
+        bench::row(
+            &format!("deep tree, {n} subtrees"),
+            format!("leaf frame {us:.2} µs"),
+        );
+    }
+    let deep_ratio = deep_us[2] / deep_us[0];
+    bench::row(
+        &format!("deep tree {} / {} subtrees", SUBTREES[2], SUBTREES[0]),
+        format!("{deep_ratio:.2}x µs/frame (gate <=1.5x)"),
+    );
+
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
@@ -199,8 +283,17 @@ fn main() {
          \"ticker_frames_per_round\": {FRAMES},\n  \
          \"grids\": [\n{}\n  ],\n  \
          \"label_ratio_largest_to_smallest\": {ratio:.3},\n  \
-         \"ticker_ratio_largest_to_smallest\": {ticker_ratio:.3}\n}}\n",
-        body.join(",\n")
+         \"ticker_ratio_largest_to_smallest\": {ticker_ratio:.3},\n  \
+         \"deep_depth\": {DEPTH},\n  \
+         \"deep_trees\": [\n{}\n  ],\n  \
+         \"deep_ratio_largest_to_smallest\": {deep_ratio:.3}\n}}\n",
+        body.join(",\n"),
+        SUBTREES
+            .iter()
+            .zip(&deep_us)
+            .map(|(n, us)| format!("    {{\"subtrees\": {n}, \"leaf_frame_us\": {us:.2}}}"))
+            .collect::<Vec<_>>()
+            .join(",\n")
     );
     let path = workspace_root().join("BENCH_e31.json");
     std::fs::write(&path, out).expect("write BENCH_e31.json");
@@ -219,5 +312,12 @@ fn main() {
          frames/s, got {ticker_ratio:.2}x",
         rows[2].widgets,
         rows[0].widgets
+    );
+    assert!(
+        deep_ratio <= 1.5,
+        "acceptance: a leaf frame with {} deep subtrees must cost <=1.5x the \
+         {}-subtree figure, got {deep_ratio:.2}x",
+        SUBTREES[2],
+        SUBTREES[0]
     );
 }

@@ -1,22 +1,27 @@
 //! Whole-screen paints pinned to a fixture.
 //!
 //! `tests/fixtures/paint-hashes.txt` holds one FNV-1a-64 hash per scene:
-//! the PPM bytes of a display's framebuffer after a whole-screen repaint.
-//! The scenes are the E8 figure scripts (Figure 6's design tool on `:0`,
-//! Figure 2's widget graph on a second display) and the waferd-bench
+//! the PPM bytes of a display's whole screen painted by X's rules. The
+//! scenes are the E8 figure scripts (Figure 6's design tool on `:0`,
+//! Figure 2's widget graph on a second display), the waferd-bench
 //! `gui_frames` dashboard for seed 1, once set up and then after every
-//! 50 of its first 200 seeded ops (label updates and button clicks).
+//! 50 of its first 200 seeded ops (label updates and button clicks), and
+//! a form with 3-px borders whose child straddles the form's edge.
 //!
-//! The fixture was written by the root-down paint that composited the
-//! screen before the damage-clipped paint walk replaced it, so it is
-//! the reference for what a whole-screen paint writes: a difference
-//! here is a rendering change, not a fixture to refresh.
+//! Every hash is taken from the per-pixel X reference in
+//! `wafe-xproto/tests/reference/mod.rs`, which shares no code with the
+//! display's paint walk, and the walk's whole-screen repaint must equal
+//! that reference pixel for pixel. So a difference here is a rendering
+//! change, not a fixture to refresh.
 //!
 //! To add a scene, rewrite the fixture with `WAFE_WRITE_PAINT_FIXTURE=1
 //! cargo test -p wafe-core --test paint_fixture`; the existing entries
 //! must come out unchanged.
 
 use wafe_core::{Flavor, WafeSession};
+
+#[path = "../../wafe-xproto/tests/reference/mod.rs"]
+mod reference;
 
 fn fixture_path() -> String {
     format!(
@@ -34,14 +39,20 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Repaints display `index` whole and hashes its pixels.
+/// Hashes the X reference paint of display `index`, after checking
+/// that the display's own whole-screen repaint matches it.
 fn full_paint_hash(s: &WafeSession, index: usize) -> String {
     let mut app = s.app.borrow_mut();
     let d = &mut app.displays[index];
     d.request_full_frame();
     d.flush();
+    let want = reference::reference_paint(d);
+    assert!(
+        d.framebuffer() == &want,
+        "display {index}: the paint walk differs from the X reference"
+    );
     let mut ppm = Vec::new();
-    d.framebuffer().write_ppm(&mut ppm).expect("PPM to memory");
+    want.write_ppm(&mut ppm).expect("PPM to memory");
     format!("{:016x}", fnv1a64(&ppm))
 }
 
@@ -187,11 +198,29 @@ fn dashboard(out: &mut Vec<(String, String)>) {
     }
 }
 
+/// A form with a 3-px border holding two 3-px-bordered labels; the
+/// second straddles the form's right and bottom edges, so the form
+/// clips it, border included, and the form's own border shows past it.
+fn straddle(out: &mut Vec<(String, String)>) {
+    let mut s = WafeSession::new(Flavor::Athena);
+    for cmd in [
+        "form f topLevel borderWidth 3 width 120 height 50",
+        "label l f label {3-px border} borderWidth 3 width 80 height 20",
+        "label r f fromHoriz l label {straddles the edge} borderWidth 3 \
+         width 100 height 20 vertDistance 30",
+        "realize",
+    ] {
+        s.eval(cmd).unwrap();
+    }
+    out.push(("straddle-3px-border".into(), full_paint_hash(&s, 0)));
+}
+
 #[test]
 fn whole_screen_paints_match_the_fixture() {
     let mut scenes = Vec::new();
     e8_figures(&mut scenes);
     dashboard(&mut scenes);
+    straddle(&mut scenes);
     let text: String = scenes
         .iter()
         .map(|(name, hash)| format!("{name} {hash}\n"))

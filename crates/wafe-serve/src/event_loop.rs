@@ -37,7 +37,9 @@ use crate::scheduler::{Scheduler, Session};
 
 /// Most bytes one connection may feed into its session per sweep.
 /// Batching stays bounded: a flooding client cannot monopolise the
-/// sweep any more than it can monopolise the scheduler's quantum.
+/// sweep any more than it can monopolise the scheduler's quantum. It is
+/// also the unsent output at which a connection stops being read, so a
+/// client that sends but never reads cannot grow its output unbounded.
 const READ_SWEEP_CAP: usize = 64 * 1024;
 
 /// A nonblocking byte stream the event loop can poll. Implemented for
@@ -189,18 +191,27 @@ pub struct ConnAssign {
 }
 
 impl Session {
+    /// Read until EOF, but not while the unsent output is at the cap:
+    /// reading resumes as the client drains it.
     fn want_read(&self) -> bool {
-        !self.eof
+        !self.eof && self.unsent() < READ_SWEEP_CAP
+    }
+
+    /// Output bytes not yet written: the rest of the write buffer and
+    /// the queued lines with their newlines.
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos + self.out.iter().map(|l| l.len() + 1).sum::<usize>()
     }
 
     fn want_write(&self) -> bool {
         self.wpos < self.wbuf.len()
     }
 
-    /// Reads until `WouldBlock`, EOF or the sweep cap; decoded lines
-    /// join the inbound queue (an over-capacity line is counted there
-    /// and answered `!shed queue-full` by the scheduler). Returns the
-    /// lines decoded.
+    /// Reads until `WouldBlock`, EOF, the sweep cap or a full inbound
+    /// queue; decoded lines join the inbound queue (a line past its
+    /// capacity, from the last read, is counted there and answered
+    /// `!shed queue-full` by the scheduler). Unread bytes wait in the
+    /// socket. Returns the lines decoded.
     fn sweep_read(&mut self) -> usize {
         if !self.want_read() {
             return 0;
@@ -208,9 +219,9 @@ impl Session {
         let mut buf = [0u8; 8192];
         let mut taken = 0usize;
         let mut lines = 0usize;
-        // Past the cap the sweep stops; level-triggered polling brings
-        // the rest at the next wakeup.
-        while taken < READ_SWEEP_CAP {
+        // Past the cap, or with the queue full, the sweep stops;
+        // level-triggered polling brings the rest at the next wakeup.
+        while taken < READ_SWEEP_CAP && !self.inbound_full() {
             match self.io.read(&mut buf) {
                 Ok(0) => {
                     self.eof = true;
@@ -352,6 +363,17 @@ impl EventLoop {
     /// Live connections on this loop.
     pub fn conn_count(&self) -> usize {
         self.sched.sessions.iter().flatten().count()
+    }
+
+    /// Output bytes queued on this loop's connections but not yet
+    /// written.
+    pub fn unsent_bytes(&self) -> usize {
+        self.sched
+            .sessions
+            .iter()
+            .flatten()
+            .map(Session::unsent)
+            .sum()
     }
 
     /// Takes ownership of an admitted connection: the session joins the

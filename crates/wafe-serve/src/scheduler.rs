@@ -100,9 +100,14 @@ pub(crate) struct Session {
 }
 
 impl Session {
+    /// Whether the inbound queue is at its capacity.
+    pub(crate) fn inbound_full(&self) -> bool {
+        self.inbound.len() >= self.cap
+    }
+
     /// Queues one decoded line, or counts it shed on a full queue.
     pub(crate) fn push_inbound(&mut self, line: String) {
-        if self.inbound.len() < self.cap {
+        if !self.inbound_full() {
             self.inbound.push_back(line);
         } else {
             self.shed += 1;

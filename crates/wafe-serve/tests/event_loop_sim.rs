@@ -538,3 +538,43 @@ fn a_stalled_client_gets_every_reply_then_one_coalesced_frame() {
     assert!(resync.full);
     assert_eq!(resync.rects[0].data.expand(), screen);
 }
+
+#[test]
+fn a_client_that_never_reads_stops_being_read_and_its_output_stays_bounded() {
+    let registry = Arc::new(Registry::new(Limits::default()));
+    let net = SimNet::new();
+    let mut el = new_loop(&registry, 0, &net);
+    let (_, client) = attach_client(&mut el, &registry, &net);
+    client.set_write_window(Some(0));
+    // The client keeps sending 32 lines a tick, each answered with ~110
+    // bytes, and reads nothing: ~350 KB of replies over 100 ticks.
+    let payload = "x".repeat(100);
+    let mut sent = 0;
+    for _ in 0..100 {
+        let chunk: String = (0..32)
+            .map(|k| format!("%echo {:05} {payload}\n", sent + k))
+            .collect();
+        client.send(chunk.as_bytes());
+        sent += 32;
+        tick(&mut el);
+        // The cap (64 KiB) plus one sweep's replies.
+        assert!(el.unsent_bytes() < 128 * 1024, "{}", el.unsent_bytes());
+    }
+    el.poll_io(0);
+    assert!(!client.read_armed(), "read interest dropped at the cap");
+    assert!(client.write_armed(), "the output waits for writability");
+    assert!(el.unsent_bytes() >= 64 * 1024);
+    assert!(client.received().is_empty());
+
+    // The window opens: reading resumes, and every reply arrives in
+    // order, none shed.
+    client.set_write_window(None);
+    for _ in 0..200 {
+        tick(&mut el);
+    }
+    let want: Vec<String> = (0..sent).map(|i| format!("{i:05} {payload}")).collect();
+    assert_eq!(client.received_lines(), want);
+    assert_eq!(el.unsent_bytes(), 0);
+    el.poll_io(0);
+    assert!(client.read_armed(), "read interest back once drained");
+}

@@ -100,6 +100,24 @@ fn content_rect(origin: Point, w: &Window) -> Rect {
     Rect::new(origin.x, origin.y, w.rect.w, w.rect.h)
 }
 
+/// A border `b` pixels wide round `content`: the outer rect minus the
+/// content, as top and bottom strips the full outer width and left and
+/// right strips the content height, so no pixel is in two strips.
+fn border_strips(content: Rect, b: u32) -> [Rect; 4] {
+    let (bi, right, bottom) = (
+        b as i32,
+        content.x + content.w as i32,
+        content.y + content.h as i32,
+    );
+    let full = content.w + 2 * b;
+    [
+        Rect::new(content.x - bi, content.y - bi, full, b),
+        Rect::new(content.x - bi, bottom, full, b),
+        Rect::new(content.x - bi, content.y, b, content.h),
+        Rect::new(right, content.y, b, content.h),
+    ]
+}
+
 impl Display {
     /// Opens a display with an empty root window.
     pub fn open(name: &str) -> Self {
@@ -174,56 +192,27 @@ impl Display {
         id
     }
 
-    /// Records the on-screen footprint of a window (content plus
-    /// border) as damaged, if it is currently visible.
+    /// Records a viewable window's footprint as damaged: its outer
+    /// rect (content plus border) clipped to its parent's content. The
+    /// paint clips every window, border included, to its parent, so
+    /// this covers every pixel the window and its subtree can show, and
+    /// it is the one damage rule for every change to a window.
     fn damage_window(&mut self, id: WindowId) {
-        let border = match self.windows.get(&id) {
-            Some(w) if !w.destroyed => w.border_width,
-            _ => return,
-        };
         if !self.is_viewable(id) {
             return;
         }
-        let r = self.abs_rect(id).inflated(border);
-        self.damage.add(r);
-    }
-
-    /// Records the reach of a window's mapped subtree as damaged, if the
-    /// window is viewable: everything a change to its geometry, border
-    /// width, mapping or stacking can repaint. A child's border is not
-    /// clipped to its parent, so the subtree can reach past the
-    /// window's own footprint.
-    fn damage_subtree(&mut self, id: WindowId) {
-        if !self.is_viewable(id) {
-            return;
-        }
-        let origin = match self.windows[&id].parent {
-            Some(p) => self.abs_position(p),
-            None => Point::new(0, 0),
+        let w = &self.windows[&id];
+        let (origin, clip) = match w.parent {
+            Some(p) => {
+                let origin = self.abs_position(p);
+                (origin, content_rect(origin, &self.windows[&p]))
+            }
+            None => (Point::new(0, 0), Rect::new(0, 0, SCREEN_W, SCREEN_H)),
         };
-        if let Some(r) = self.reach(id, origin) {
+        let outer = content_rect(content_origin(origin, w), w).inflated(w.border_width);
+        if let Some(r) = outer.intersect(&clip) {
             self.damage.add(r);
         }
-    }
-
-    /// The bounding box of every footprint (content plus border) in
-    /// `id`'s mapped subtree, given its parent's absolute content
-    /// origin: what painting the subtree can write. `None` when unmapped.
-    fn reach(&self, id: WindowId, origin: Point) -> Option<Rect> {
-        let w = self.windows.get(&id)?;
-        if !w.mapped || w.destroyed {
-            return None;
-        }
-        let origin = content_origin(origin, w);
-        let own = content_rect(origin, w).inflated(w.border_width);
-        Some(
-            w.children
-                .iter()
-                .fold(own, |reach, &c| match self.reach(c, origin) {
-                    Some(r) => reach.union(&r),
-                    None => reach,
-                }),
-        )
     }
 
     /// Destroys a window and its subtree, generating `DestroyNotify` for
@@ -232,14 +221,20 @@ impl Display {
         if id == self.root {
             return;
         }
-        // The recursion below damages every descendant's footprint.
+        // The footprint covers every descendant: damage it once.
         self.damage_window(id);
+        self.destroy_tree(id);
+    }
+
+    /// Marks `id` and its subtree destroyed, children first, each with
+    /// its `DestroyNotify`.
+    fn destroy_tree(&mut self, id: WindowId) {
         let children = match self.windows.get(&id) {
             Some(w) if !w.destroyed => w.children.clone(),
             _ => return,
         };
         for c in children {
-            self.destroy_window(c);
+            self.destroy_tree(c);
         }
         if let Some(w) = self.windows.get_mut(&id) {
             w.destroyed = true;
@@ -263,7 +258,7 @@ impl Display {
             return;
         }
         self.windows.get_mut(&id).unwrap().mapped = true;
-        self.damage_subtree(id);
+        self.damage_window(id);
         self.push(Event::new(EventKind::MapNotify, id));
         self.expose(id);
         self.update_pointer_window();
@@ -275,7 +270,7 @@ impl Display {
         if !ok {
             return;
         }
-        self.damage_subtree(id);
+        self.damage_window(id);
         self.windows.get_mut(&id).unwrap().mapped = false;
         self.push(Event::new(EventKind::UnmapNotify, id));
         self.update_pointer_window();
@@ -302,7 +297,7 @@ impl Display {
             _ => return,
         };
         if changed {
-            self.damage_subtree(id); // Old reach: the parent must repaint it.
+            self.damage_window(id); // Old footprint: the parent repaints it.
         }
         let resized = match self.windows.get_mut(&id) {
             Some(w) => {
@@ -313,7 +308,7 @@ impl Display {
             None => return,
         };
         if changed {
-            self.damage_subtree(id); // New reach.
+            self.damage_window(id); // New footprint.
             let mut e = Event::new(EventKind::ConfigureNotify, id);
             e.x = rect.x;
             e.y = rect.y;
@@ -355,26 +350,15 @@ impl Display {
         // Damage only on a real change: the toolkit re-syncs attributes
         // for whole subtrees after a layout pass, and an unchanged
         // window must not dirty the screen.
-        let (changed, rebordered) = match self.windows.get(&id) {
-            Some(w) => {
-                let rebordered = border_width.is_some_and(|b| b != w.border_width);
-                let changed = rebordered
-                    || background.is_some_and(|b| b != w.background)
-                    || border_pixel.is_some_and(|b| b != w.border_pixel);
-                (changed, rebordered)
-            }
-            None => (false, false),
-        };
+        let changed = self.windows.get(&id).is_some_and(|w| {
+            background.is_some_and(|b| b != w.background)
+                || border_pixel.is_some_and(|b| b != w.border_pixel)
+                || border_width.is_some_and(|b| b != w.border_width)
+        });
         if !changed {
             return;
         }
-        // A new border width moves the content and every descendant.
-        let damage = if rebordered {
-            Self::damage_subtree
-        } else {
-            Self::damage_window
-        };
-        damage(self, id); // Before: a border width may shrink.
+        self.damage_window(id); // Before: a border width may shrink.
         if let Some(w) = self.windows.get_mut(&id) {
             if let Some(b) = background {
                 w.background = b;
@@ -386,7 +370,7 @@ impl Display {
                 w.border_width = b;
             }
         }
-        damage(self, id);
+        self.damage_window(id);
     }
 
     /// Raises a window to the top of its siblings' stacking order.
@@ -395,7 +379,7 @@ impl Display {
             Some(w) if !w.destroyed => w.parent,
             _ => return,
         };
-        self.damage_subtree(id);
+        self.damage_window(id);
         if let Some(p) = parent.and_then(|p| self.windows.get_mut(&p)) {
             p.children.retain(|&c| c != id);
             p.children.push(id);
@@ -516,55 +500,48 @@ impl Display {
         }
         let screen = Rect::new(0, 0, SCREEN_W, SCREEN_H);
         if first || damage.full {
-            self.paint_window(self.root, Point::new(0, 0), screen, screen, &mut fb);
+            self.paint_window(self.root, Point::new(0, 0), screen, &mut fb);
         } else {
             for r in &damage.rects {
-                self.paint_window(self.root, Point::new(0, 0), screen, *r, &mut fb);
+                self.paint_window(self.root, Point::new(0, 0), *r, &mut fb);
             }
         }
         self.framebuffer = fb;
     }
 
-    /// Paints window `id` and its subtree, writing only pixels inside
-    /// `damage`. `origin` is the parent's absolute content origin and
-    /// `clip` the parent's visible content. This is the whole-screen
-    /// paint with every write clipped to the damage: the same windows in
-    /// the same order, content clipped to the ancestors' content, and a
-    /// border not clipped to the ancestors (the whole-screen paint never
-    /// clipped it, and its pixels are kept). So inside the damage every
-    /// pixel ends as a whole-screen paint leaves it, and nothing outside
-    /// is written.
-    fn paint_window(
-        &self,
-        id: WindowId,
-        origin: Point,
-        clip: Rect,
-        damage: Rect,
-        fb: &mut Framebuffer,
-    ) {
+    /// Paints window `id` and its subtree as X does, writing only
+    /// pixels inside `clip`: the parent's visible content intersected
+    /// with the damage. `origin` is the parent's absolute content
+    /// origin. The window's visible area is its outer rect (content
+    /// plus border) clipped to `clip`; the walk returns at once when
+    /// that is empty, so a subtree away from the damage costs one
+    /// intersection. Otherwise it fills the border as the strips
+    /// between the outer rect and the content, then the content and
+    /// the children, each clipped to the content.
+    fn paint_window(&self, id: WindowId, origin: Point, clip: Rect, fb: &mut Framebuffer) {
         let w = &self.windows[&id];
         if !w.mapped || w.destroyed {
             return;
         }
         let origin = content_origin(origin, w);
-        let abs = content_rect(origin, w);
-        let Some(clip) = abs.intersect(&clip) else {
+        let content = content_rect(origin, w);
+        let Some(visible) = content.inflated(w.border_width).intersect(&clip) else {
             return;
         };
         if w.border_width > 0 {
-            let border = abs.inflated(w.border_width);
-            if let Some(ink) = border.intersect(&damage) {
-                fb.draw_rect(border, ink, w.border_pixel);
+            for strip in border_strips(content, w.border_width) {
+                fb.fill_rect(strip, visible, w.border_pixel);
             }
         }
-        if let Some(ink) = clip.intersect(&damage) {
-            fb.fill_rect(abs, ink, w.background);
-            for op in &w.display_list {
-                self.paint_op(op, origin, ink, fb);
-            }
+        let Some(clip) = content.intersect(&visible) else {
+            return;
+        };
+        fb.fill_rect(content, clip, w.background);
+        for op in &w.display_list {
+            self.paint_op(op, origin, clip, fb);
         }
         for &c in &w.children {
-            self.paint_window(c, origin, clip, damage, fb);
+            self.paint_window(c, origin, clip, fb);
         }
     }
 

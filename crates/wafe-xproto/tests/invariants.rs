@@ -6,9 +6,14 @@ use std::rc::Rc;
 
 use wafe_prop::{cases, Rng};
 use wafe_xproto::display::{Display, WindowAttributes};
-use wafe_xproto::font5x7::glyph;
 use wafe_xproto::geometry::{Point, Rect};
-use wafe_xproto::{DrawOp, EventKind, FontId, Framebuffer, Pixel, WindowId, SCREEN_H, SCREEN_W};
+use wafe_xproto::{DrawOp, EventKind, FontId, Framebuffer, Pixel, WindowId};
+
+mod reference;
+use reference::{
+    reference_fill, reference_image, reference_line, reference_outline, reference_paint,
+    reference_text,
+};
 
 /// Draws one random window spec: (x, y, w, h, mapped).
 fn random_spec(rng: &mut Rng) -> (i32, i32, u8, u8, bool) {
@@ -195,170 +200,13 @@ fn enter_leave_pairing_over_random_walk() {
 // ----- the paint contract ----------------------------------------------
 //
 // A flush repaints only the damage: inside it every pixel must end as a
-// whole-screen paint leaves it, and outside it nothing may change.
+// whole-screen paint leaves it, and outside it nothing may change. A
+// whole-screen paint follows X (`reference/mod.rs`): borders are filled,
+// and every window, border included, is clipped to its ancestors.
 
 const PALETTE: [Pixel; 7] = [
     0x000000, 0xffffff, 0xff0000, 0x00a000, 0x0000ff, 0xffd700, 0x808080,
 ];
-
-/// The whole-screen paint, restated pixel by pixel: every write through
-/// `put`, Bresenham for every line, each border drawn whole (clipped
-/// to nothing but the screen), content clipped to the ancestors'
-/// content. An oracle independent of the display's own paint walk.
-fn reference_paint(d: &Display) -> Framebuffer {
-    let mut fb = Framebuffer::new(SCREEN_W, SCREEN_H, 0xbebebe);
-    reference_window(d, d.root(), Rect::new(0, 0, SCREEN_W, SCREEN_H), &mut fb);
-    fb
-}
-
-fn reference_window(d: &Display, id: WindowId, clip: Rect, fb: &mut Framebuffer) {
-    let Some(w) = d.window(id) else { return };
-    if !w.mapped {
-        return;
-    }
-    let abs = d.abs_rect(id);
-    let Some(clip) = abs.intersect(&clip) else {
-        return;
-    };
-    if w.border_width > 0 {
-        let border = abs.inflated(w.border_width);
-        reference_outline(fb, border, border, w.border_pixel);
-    }
-    reference_fill(fb, abs, clip, w.background);
-    for op in &w.display_list {
-        match op {
-            DrawOp::FillRect { rect, pixel } => {
-                reference_fill(fb, rect.translated(abs.x, abs.y), clip, *pixel)
-            }
-            DrawOp::DrawRect { rect, pixel } => {
-                reference_outline(fb, rect.translated(abs.x, abs.y), clip, *pixel)
-            }
-            DrawOp::DrawLine {
-                x1,
-                y1,
-                x2,
-                y2,
-                pixel,
-            } => reference_line(
-                fb,
-                abs.x + x1,
-                abs.y + y1,
-                abs.x + x2,
-                abs.y + y2,
-                clip,
-                *pixel,
-            ),
-            DrawOp::DrawText {
-                x,
-                y,
-                text,
-                pixel,
-                font,
-            } => {
-                let cw = d.fonts.get(*font).char_width;
-                reference_text(fb, abs.x + x, abs.y + y, text, clip, *pixel, cw);
-            }
-            DrawOp::PutImage {
-                x,
-                y,
-                w: iw,
-                h: ih,
-                data,
-            } => reference_image(fb, abs.x + x, abs.y + y, *iw, *ih, data, clip),
-        }
-    }
-    for &c in &w.children {
-        reference_window(d, c, clip, fb);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reference_text(
-    fb: &mut Framebuffer,
-    x: i32,
-    baseline: i32,
-    text: &str,
-    clip: Rect,
-    p: Pixel,
-    cw: u32,
-) {
-    let (top, pad) = (baseline - 7, (cw.saturating_sub(5) / 2) as i32);
-    for (i, c) in text.chars().enumerate() {
-        let gx = x + (i as u32 * cw) as i32 + pad;
-        let cols = glyph(c).copied().unwrap_or([0x7f; 5]);
-        for (col, bits) in cols.iter().enumerate() {
-            for row in 0..7 {
-                let at = Point::new(gx + col as i32, top + row);
-                if bits & (1 << row) != 0 && clip.contains(at) {
-                    fb.put(at.x, at.y, p);
-                }
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reference_image(
-    fb: &mut Framebuffer,
-    x: i32,
-    y: i32,
-    w: u32,
-    h: u32,
-    data: &[Pixel],
-    clip: Rect,
-) {
-    for row in 0..h {
-        for col in 0..w {
-            let at = Point::new(x + col as i32, y + row as i32);
-            if clip.contains(at) {
-                fb.put(at.x, at.y, data[(row * w + col) as usize]);
-            }
-        }
-    }
-}
-
-fn reference_fill(fb: &mut Framebuffer, rect: Rect, clip: Rect, p: Pixel) {
-    if let Some(t) = rect.intersect(&clip) {
-        for y in t.y..t.y + t.h as i32 {
-            for x in t.x..t.x + t.w as i32 {
-                fb.put(x, y, p);
-            }
-        }
-    }
-}
-
-fn reference_outline(fb: &mut Framebuffer, r: Rect, clip: Rect, p: Pixel) {
-    let (x2, y2) = (r.x + r.w as i32 - 1, r.y + r.h as i32 - 1);
-    reference_line(fb, r.x, r.y, x2, r.y, clip, p);
-    reference_line(fb, r.x, y2, x2, y2, clip, p);
-    reference_line(fb, r.x, r.y, r.x, y2, clip, p);
-    reference_line(fb, x2, r.y, x2, y2, clip, p);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reference_line(fb: &mut Framebuffer, x1: i32, y1: i32, x2: i32, y2: i32, clip: Rect, p: Pixel) {
-    let (mut x, mut y) = (x1, y1);
-    let (dx, dy) = ((x2 - x1).abs(), -(y2 - y1).abs());
-    let (sx, sy) = (if x1 < x2 { 1 } else { -1 }, if y1 < y2 { 1 } else { -1 });
-    let mut err = dx + dy;
-    loop {
-        if clip.contains(Point::new(x, y)) {
-            fb.put(x, y, p);
-        }
-        if x == x2 && y == y2 {
-            break;
-        }
-        let e2 = 2 * err;
-        if e2 >= dy {
-            err += dy;
-            x += sx;
-        }
-        if e2 <= dx {
-            err += dx;
-            y += sy;
-        }
-    }
-}
 
 /// `None` when equal, else the number of differing pixels and the first.
 fn pixel_diff(a: &Framebuffer, b: &Framebuffer) -> Option<String> {
@@ -475,8 +323,8 @@ fn random_window(rng: &mut Rng, d: &mut Display, wins: &[WindowId]) -> WindowId 
     } else {
         *rng.pick(wins)
     };
-    // A child mostly straddles its parent's edges, so its border often
-    // sticks out of the parent while its content still shows.
+    // A child mostly straddles its parent's edges, so most windows are
+    // clipped by their parent, often through the border alone.
     let rect = match d.window_rect(parent) {
         Some(p) if parent != d.root() && rng.range(0, 4) > 0 => Rect::new(
             rng.range_i64(-12, p.w as i64 + 1) as i32,
@@ -606,8 +454,8 @@ fn overlap_scene() -> (Display, WindowId) {
     (d, c)
 }
 
-/// A's border lies under B; recolouring C (inside A, nowhere near B)
-/// must not repaint A's border over B.
+/// A's 3-px border lies under B; recolouring C (inside A, nowhere near
+/// B) must not repaint A's border over B. The border is filled whole.
 #[test]
 fn border_under_sibling_survives_incremental_repaint() {
     let (mut incremental, c) = overlap_scene();
@@ -623,6 +471,14 @@ fn border_under_sibling_survives_incremental_repaint() {
     if let Some(diff) = pixel_diff(&full, incremental.framebuffer()) {
         panic!("incremental repaint corrupted the overlap: {diff}");
     }
+    if let Some(diff) = pixel_diff(&reference_paint(&incremental), &full) {
+        panic!("the paint differs from the X reference: {diff}");
+    }
+    let fb = incremental.framebuffer();
+    for x in 10..13 {
+        assert_eq!(fb.get(x, 50), 0x000000, "A's border is filled at x={x}");
+    }
+    assert_eq!(fb.get(114, 114), 0x0000ff, "B covers A's border");
 }
 
 /// Every framebuffer primitive writes exactly the pixels of its
@@ -684,19 +540,35 @@ fn framebuffer_primitives_match_per_pixel_reference() {
     });
 }
 
-/// A child's border is not clipped to its parent. Moved so that its
-/// border sticks out of the parent over a sibling below, it stays on
-/// top when that sibling later repaints, though the damage misses the
-/// parent altogether.
-#[test]
-fn border_moved_out_of_its_parent_survives_later_damage() {
-    let mut d = Display::open(":0");
-    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
+/// Compares an incrementally flushed display with a whole-screen
+/// repaint of its clone and with the X reference.
+fn assert_paints_agree(d: &mut Display, what: &str) {
+    let mut full = d.clone();
+    full.request_full_frame();
+    full.flush();
+    if let Some(diff) = pixel_diff(full.framebuffer(), d.framebuffer()) {
+        panic!("{what}: incremental != full repaint: {diff}");
+    }
+    if let Some(diff) = pixel_diff(&reference_paint(d), d.framebuffer()) {
+        panic!("{what}: paint != X reference: {diff}");
+    }
+}
+
+fn attrs(x: i32, y: i32, w: u32, h: u32, border_width: u32, background: Pixel) -> WindowAttributes {
+    WindowAttributes {
         rect: Rect::new(x, y, w, h),
         border_width,
         background,
         override_redirect: false,
-    };
+    }
+}
+
+/// A child moved so that it straddles its parent's edge is clipped to
+/// the parent's content, border included: past the edge the sibling
+/// below shows, also after that sibling repaints.
+#[test]
+fn border_moved_past_its_parent_is_clipped_to_it() {
+    let mut d = Display::open(":0");
     let below = d.create_window(d.root(), attrs(40, 40, 20, 20, 0, 0x0000ff));
     let a = d.create_window(d.root(), attrs(10, 10, 20, 20, 1, 0xffffff));
     let c = d.create_window(a, attrs(0, 0, 5, 5, 3, 0xff0000));
@@ -705,34 +577,28 @@ fn border_moved_out_of_its_parent_survives_later_damage() {
     }
     d.set_compositing(true);
     d.flush();
-    // C's border outline now runs round (26,26)..=(51,51), past A's
-    // footprint (10,10)..=(31,31).
+    // C's outer rect becomes (26,26)..=(51,51); A's content is
+    // (11,11)..=(30,30), so only (26,26)..=(30,30) of C shows.
     d.configure_window(c, Rect::new(15, 15, 20, 20));
     d.flush();
+    assert_paints_agree(&mut d, "after the move");
     d.set_window_attrs(below, Some(0x00a000), None, None);
     d.flush();
-    let mut full = d.clone();
-    full.request_full_frame();
-    full.flush();
-    if let Some(diff) = pixel_diff(full.framebuffer(), d.framebuffer()) {
-        panic!("the sibling's repaint lost the escaped border: {diff}");
-    }
-    assert_eq!(d.framebuffer().get(51, 45), 0x000000, "C's border");
+    assert_paints_agree(&mut d, "after the sibling below repainted");
+    let fb = d.framebuffer();
+    assert_eq!(fb.get(27, 27), 0x000000, "C's border, inside A");
+    assert_eq!(fb.get(30, 30), 0xff0000, "C's content, inside A");
+    assert_eq!(fb.get(31, 28), 0x000000, "A's own border");
+    assert_eq!(fb.get(35, 35), 0xbebebe, "root: C is clipped to A");
+    assert_eq!(fb.get(51, 45), 0x00a000, "the sibling, not C's border");
 }
 
 /// A new border width moves a window's content and its whole subtree:
-/// the grandchild's border, sticking out of every ancestor, is cleared
-/// at its old place, drawn at its new one, and still drawn when a
-/// sibling below repaints under it later.
+/// the border is filled at its new width, the grandchild moves with
+/// the content and stays clipped to it, and its old place is cleared.
 #[test]
 fn border_width_change_repaints_the_moved_subtree() {
     let mut d = Display::open(":0");
-    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
-        rect: Rect::new(x, y, w, h),
-        border_width,
-        background,
-        override_redirect: false,
-    };
     let below = d.create_window(d.root(), attrs(43, 30, 10, 10, 0, 0x0000ff));
     let z = d.create_window(d.root(), attrs(0, 0, 30, 30, 0, 0xffffff));
     let a = d.create_window(z, attrs(5, 5, 20, 20, 1, 0xffd700));
@@ -742,35 +608,30 @@ fn border_width_change_repaints_the_moved_subtree() {
     }
     d.set_compositing(true);
     d.flush();
-    let matches_full = |d: &mut Display, what: &str| {
-        let mut full = d.clone();
-        full.request_full_frame();
-        full.flush();
-        if let Some(diff) = pixel_diff(full.framebuffer(), d.framebuffer()) {
-            panic!("{what}: {diff}");
-        }
-    };
-    // C's border outline moves from (21,21)..=(42,42) to (24,24)..=(45,45).
+    assert_eq!(d.framebuffer().get(21, 23), 0x000000, "C's border");
+    // A's content moves from (6,6) to (9,9), and C's outer rect from
+    // (21,21) to (24,24); both stay clipped to A's content.
     d.set_window_attrs(a, None, None, Some(4));
     d.flush();
-    matches_full(&mut d, "after the border change");
+    assert_paints_agree(&mut d, "after the border change");
     d.set_window_attrs(below, Some(0x00a000), None, None);
     d.flush();
-    matches_full(&mut d, "after the sibling below repainted");
-    assert_eq!(d.framebuffer().get(45, 35), 0x000000, "C's border");
+    assert_paints_agree(&mut d, "after the sibling below repainted");
+    let fb = d.framebuffer();
+    for x in 5..9 {
+        assert_eq!(fb.get(x, 15), 0x000000, "A's 4-px border at x={x}");
+    }
+    assert_eq!(fb.get(21, 23), 0xffd700, "C's old border place: A");
+    assert_eq!(fb.get(24, 26), 0x000000, "C's border at its new place");
+    assert_eq!(fb.get(26, 26), 0xff0000, "C's content");
+    assert_eq!(fb.get(45, 35), 0x00a000, "the sibling, not C's border");
 }
 
-/// Unmapping a window takes its whole subtree off the screen, borders
-/// that stick out of it included.
+/// A child's border is clipped to its window, and unmapping the window
+/// takes the whole subtree off the screen.
 #[test]
-fn unmap_clears_descendant_borders_outside_the_window() {
+fn a_descendant_border_is_clipped_to_the_window_and_unmapped_with_it() {
     let mut d = Display::open(":0");
-    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
-        rect: Rect::new(x, y, w, h),
-        border_width,
-        background,
-        override_redirect: false,
-    };
     let a = d.create_window(d.root(), attrs(10, 10, 20, 20, 1, 0xffffff));
     let c = d.create_window(a, attrs(15, 15, 20, 20, 1, 0xff0000));
     for w in [a, c] {
@@ -778,41 +639,81 @@ fn unmap_clears_descendant_borders_outside_the_window() {
     }
     d.set_compositing(true);
     d.flush();
-    assert_eq!(
-        d.framebuffer().get(47, 40),
-        0x000000,
-        "C's border, outside A"
-    );
+    assert_paints_agree(&mut d, "mapped");
+    let fb = d.framebuffer();
+    assert_eq!(fb.get(26, 28), 0x000000, "C's border, inside A");
+    assert_eq!(fb.get(29, 29), 0xff0000, "C's content, inside A");
+    assert_eq!(fb.get(47, 40), 0xbebebe, "root: C is clipped to A");
     d.unmap_window(a);
     d.flush();
-    assert_eq!(d.framebuffer().get(47, 40), 0xbebebe, "root background");
+    assert_paints_agree(&mut d, "unmapped");
+    assert_eq!(d.framebuffer().get(26, 28), 0xbebebe, "root background");
 }
 
-/// Raising a window brings its whole subtree to the top, borders that
-/// stick out of it included.
+/// Raising a window brings its whole subtree to the top, clipped to
+/// the window: past its edge the sibling it was raised over still
+/// shows.
 #[test]
-fn raise_lifts_descendant_borders_outside_the_window() {
+fn raise_lifts_the_subtree_clipped_to_the_window() {
     let mut d = Display::open(":0");
-    let attrs = |x, y, w, h, border_width, background| WindowAttributes {
-        rect: Rect::new(x, y, w, h),
-        border_width,
-        background,
-        override_redirect: false,
-    };
     let a = d.create_window(d.root(), attrs(10, 10, 20, 20, 1, 0xffffff));
     let c = d.create_window(a, attrs(15, 15, 20, 20, 1, 0xff0000));
-    let above = d.create_window(d.root(), attrs(40, 35, 20, 20, 0, 0x0000ff));
+    let above = d.create_window(d.root(), attrs(28, 28, 20, 20, 0, 0x0000ff));
     for w in [a, c, above] {
         d.map_window(w);
     }
     d.set_compositing(true);
     d.flush();
-    assert_eq!(
-        d.framebuffer().get(47, 40),
-        0x0000ff,
-        "covered by the sibling"
-    );
+    assert_eq!(d.framebuffer().get(29, 29), 0x0000ff, "covered");
+    assert_eq!(d.framebuffer().get(40, 40), 0x0000ff, "covered");
     d.raise_window(a);
     d.flush();
-    assert_eq!(d.framebuffer().get(47, 40), 0x000000, "C's border on top");
+    assert_paints_agree(&mut d, "raised");
+    let fb = d.framebuffer();
+    assert_eq!(fb.get(29, 29), 0xff0000, "C's content on top");
+    assert_eq!(fb.get(31, 29), 0x000000, "A's border on top");
+    assert_eq!(fb.get(40, 40), 0x0000ff, "C does not escape A");
+}
+
+/// A child with a 3-px border straddles its parent's right edge: the
+/// parent's border and the sibling beside it show past the parent's
+/// content, never the child.
+#[test]
+fn a_straddling_child_border_is_clipped_to_its_parent() {
+    let mut d = Display::open(":0");
+    let p = d.create_window(d.root(), attrs(10, 10, 40, 40, 2, 0xffffff));
+    let beside = d.create_window(d.root(), attrs(54, 0, 30, 60, 0, 0x0000ff));
+    let c = d.create_window(p, attrs(30, 10, 20, 10, 3, 0xff0000));
+    d.set_window_attrs(p, None, Some(0xffd700), None);
+    for w in [p, beside, c] {
+        d.map_window(w);
+    }
+    d.set_compositing(true);
+    d.flush();
+    // P's content is (12,12)..=(51,51), its border reaches x=53. C's
+    // outer rect is (42,22)..=(67,37).
+    assert_paints_agree(&mut d, "mapped");
+    let check = |d: &mut Display| {
+        let fb = d.framebuffer();
+        assert_eq!(fb.get(44, 22), 0x000000, "C's border, inside P");
+        assert_eq!(fb.get(50, 30), 0xff0000, "C's content, inside P");
+        assert_eq!(fb.get(53, 22), 0xffd700, "P's border, not C's");
+        assert_eq!(fb.get(60, 22), 0x0000ff, "the sibling, not C's border");
+        assert_eq!(fb.get(67, 30), 0x0000ff, "the sibling, not C's border");
+    };
+    check(&mut d);
+    // The same after incremental repaints of the child and the sibling.
+    d.set_window_attrs(c, None, Some(0x000000), Some(3));
+    d.set_display_list(
+        c,
+        vec![DrawOp::FillRect {
+            rect: Rect::new(-5, -5, 40, 20),
+            pixel: 0xff0000,
+        }],
+    );
+    d.set_window_attrs(beside, Some(0x0000fe), None, None);
+    d.set_window_attrs(beside, Some(0x0000ff), None, None);
+    d.flush();
+    assert_paints_agree(&mut d, "repainted");
+    check(&mut d);
 }

@@ -394,6 +394,26 @@ print("  ticker: %.0f frames/s at 26, %.0f at 242 widgets (%.2fx, gate >=0.65x) 
       % (f[26], f[242], r))
 ' || { echo "BENCH_e31.json: malformed or below the 0.65x ticker gate"; exit 1; }
 
+# The E31 deep-tree row is the same ticker on 1, 8 and 64 subtrees of
+# eight nested Forms each, none overlapping the updated leaf. The paint
+# walk returns at a window whose visible area misses the damage, so a
+# sibling subtree costs one intersection: the leaf's frame at 64
+# subtrees must cost at most 1.5x the one-subtree figure (a walk that
+# visits every window read ~2.2x). Same run as the gates above, sizes
+# interleaved round by round.
+echo "== e31 deep-tree leaf frame 64 <=1.5x 1 subtree gate"
+python3 -c '
+import json
+d = json.load(open("BENCH_e31.json"))
+f = {r["subtrees"]: r["leaf_frame_us"] for r in d["deep_trees"]}
+r = f[64] / f[1]
+assert r <= 1.5, (
+    "e31: leaf frame %.2f us with 64 subtrees is %.2fx the 1-subtree %.2f us, gate 1.5x"
+    % (f[64], r, f[1]))
+print("  deep tree: %.2f us/frame at 1, %.2f at 64 subtrees (%.2fx, gate <=1.5x) ok"
+      % (f[1], f[64], r))
+' || { echo "BENCH_e31.json: malformed or above the 1.5x deep-tree gate"; exit 1; }
+
 # The band was 5% while the cached side was tree-walked; the bytecode
 # VM cut cached iteration times ~3x, which widened the run-to-run
 # spread of the ratio to +/-30% on a busy machine. 70% of baseline

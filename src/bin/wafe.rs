@@ -193,11 +193,7 @@ fn run_frontend(program: &str, args: Vec<String>, flavor: Flavor, split: &wafe_c
     }
     loop {
         match fe.step(Duration::from_millis(20)) {
-            Ok(true) => {
-                for line in std::mem::take(&mut fe.printed) {
-                    println!("{line}");
-                }
-            }
+            Ok(true) => report_step(&mut fe),
             Ok(false) => break,
             Err(e) => {
                 eprintln!("wafe: frontend loop error: {e}");
@@ -205,8 +201,18 @@ fn run_frontend(program: &str, args: Vec<String>, flavor: Flavor, split: &wafe_c
             }
         }
     }
+    report_step(&mut fe);
+}
+
+/// Writes what a frontend step left behind: passthrough lines to
+/// stdout, and each failed line's protocol error to stderr, so none
+/// accumulates in a long-running frontend.
+fn report_step(fe: &mut Frontend) {
     for line in std::mem::take(&mut fe.printed) {
         println!("{line}");
+    }
+    for msg in fe.engine.take_errors() {
+        eprintln!("wafe: {msg}");
     }
 }
 

@@ -132,3 +132,40 @@ fn app_defaults_env_file_applies() {
     assert!(stdout.contains("FromAppDefaults"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn frontend_mode_reports_each_protocol_error_on_stderr() {
+    // The backend sends two failing command lines around a good one; the
+    // frontend writes each error to stderr as it happens and goes on.
+    let dir = std::env::temp_dir().join(format!("wafe-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let backend = dir.join("errapp");
+    std::fs::write(
+        &backend,
+        "#!/bin/sh\necho '%no_such_command one'\necho '%echo fine'\n\
+         echo '%set'\necho '%quit'\n",
+    )
+    .unwrap();
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::PermissionsExt;
+        std::fs::set_permissions(&backend, std::fs::Permissions::from_mode(0o755)).unwrap();
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_wafe"))
+        .arg("--app")
+        .arg(&backend)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run wafe --app");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("wafe: ")).collect();
+    assert_eq!(
+        errors,
+        [
+            "wafe: invalid command name \"no_such_command\"",
+            "wafe: wrong # args: should be \"set varName ?newValue?\"",
+        ],
+        "{stderr}"
+    );
+}
