@@ -206,11 +206,6 @@ impl WafeSession {
         self.ctx.quit.get()
     }
 
-    /// Shared quit flag (for the binary and the frontend loop).
-    pub fn quit_flag(&self) -> Rc<Cell<bool>> {
-        self.ctx.quit.clone()
-    }
-
     /// Takes everything `echo`/`puts` wrote since the last call.
     pub fn take_output(&mut self) -> String {
         std::mem::take(&mut *self.output.borrow_mut())
@@ -227,47 +222,6 @@ impl WafeSession {
     }
 
     // ----- virtual time ------------------------------------------------------
-
-    /// Schedules a script after `ms` virtual milliseconds.
-    pub fn add_timeout(&mut self, ms: u64, script: &str) {
-        let deadline_ms = self.ctx.clock_ms.get() + ms;
-        self.ctx.timers.borrow_mut().push(Timer {
-            deadline_ms,
-            script: script.to_string(),
-        });
-    }
-
-    /// Advances the virtual clock, firing due timeouts in order.
-    pub fn advance_time(&mut self, ms: u64) {
-        let target = self.ctx.clock_ms.get() + ms;
-        loop {
-            let next = {
-                let timers = self.ctx.timers.borrow();
-                timers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.deadline_ms <= target)
-                    .min_by_key(|(_, t)| t.deadline_ms)
-                    .map(|(i, t)| (i, t.deadline_ms))
-            };
-            match next {
-                Some((i, deadline)) => {
-                    let t = self.ctx.timers.borrow_mut().remove(i);
-                    self.ctx.clock_ms.set(deadline);
-                    if let Err(e) = self.interp.eval(&t.script) {
-                        if e.is_error() {
-                            self.app
-                                .borrow_mut()
-                                .warn(format!("timeout script failed: {e}"));
-                        }
-                    }
-                    self.pump();
-                }
-                None => break,
-            }
-        }
-        self.ctx.clock_ms.set(target);
-    }
 
     /// Number of pending timeouts.
     pub fn pending_timeouts(&self) -> usize {

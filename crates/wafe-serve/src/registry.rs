@@ -332,11 +332,6 @@ impl Registry {
         }
     }
 
-    /// How many shards (== workers) the registry was built for.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a stamped id lives on.
     pub fn shard_of(&self, id: SessionId) -> usize {
         id.slot as usize % self.shards.len()

@@ -436,13 +436,6 @@ impl Interp {
         self.bind(name, Command::Native(Rc::new(f)));
     }
 
-    /// Registers a native command from an already-shared handler. Useful
-    /// to register one handler under several names (the paper notes "Tcl
-    /// allows to register the same command under various names").
-    pub fn register_shared(&mut self, name: &str, f: CmdFn) {
-        self.bind(name, Command::Native(f));
-    }
-
     /// Removes a command; returns true if it existed.
     pub fn unregister(&mut self, name: &str) -> bool {
         let existed = self.has_command(name);

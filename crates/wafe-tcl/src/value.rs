@@ -340,11 +340,6 @@ impl Value {
         Ok(elems)
     }
 
-    /// True when a list rep is already cached.
-    pub fn has_list_rep(&self) -> bool {
-        matches!(&*self.0.int_rep.borrow(), IntRep::List(_))
-    }
-
     /// Sole-owner rep steal for amortized O(1) `lappend`.
     ///
     /// When exactly two handles reference this value — the variable slot

@@ -402,11 +402,6 @@ impl Telemetry {
         self.inner.spans.borrow_mut().clear();
     }
 
-    /// Replaces the span ring with an empty one of the given capacity.
-    pub fn set_span_capacity(&self, capacity: usize) {
-        self.inner.spans.borrow_mut().set_capacity(capacity);
-    }
-
     // ----- reset ------------------------------------------------------
 
     /// Zeroes counters and gauges and clears histograms and the journal.

@@ -312,13 +312,6 @@ impl SpanStore {
         *self = SpanStore::new(self.capacity);
         self.generation = generation;
     }
-
-    /// Replaces the ring with an empty one of the given capacity.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.ring.clear();
-        self.head = 0;
-        self.capacity = capacity.max(1);
-    }
 }
 
 /// Renders finished spans as an indented causal tree, two spaces per

@@ -89,15 +89,47 @@ pub const SCREEN_W: u32 = 1024;
 /// Default screen height.
 pub const SCREEN_H: u32 = 768;
 
-/// The absolute origin of `w`'s content, given its parent's.
-fn content_origin(parent: Point, w: &Window) -> Point {
-    let b = w.border_width as i32;
-    parent.offset(w.rect.x + b, w.rect.y + b)
+/// The whole screen: the root's parent clip.
+const SCREEN: Rect = Rect::new(0, 0, SCREEN_W, SCREEN_H);
+
+/// Where a window shows on the screen, by X's rule.
+struct Visible {
+    /// The absolute origin of the content.
+    origin: Point,
+    /// The absolute content rectangle, unclipped.
+    content: Rect,
+    /// The outer rect (content plus border) clipped to the parent's
+    /// visible content: every pixel the window and its subtree can show.
+    area: Rect,
 }
 
-/// `w`'s absolute content rectangle, given its own content origin.
-fn content_rect(origin: Point, w: &Window) -> Rect {
-    Rect::new(origin.x, origin.y, w.rect.w, w.rect.h)
+impl Visible {
+    /// The visible content: where the display list and the children
+    /// show, and so the clip the children get.
+    fn inside(&self) -> Option<Rect> {
+        self.content.intersect(&self.area)
+    }
+}
+
+/// X's visible-area rule, the one statement of it for paint, damage,
+/// hit-testing and the ASCII view: a window shows its outer rect
+/// (content plus border), clipped to its parent's visible content.
+/// `origin` is the parent's absolute content origin and `clip` its
+/// visible content. `None` when the window is unmapped, destroyed or
+/// shows nothing.
+fn visible(w: &Window, origin: Point, clip: Rect) -> Option<Visible> {
+    if !w.mapped || w.destroyed {
+        return None;
+    }
+    let b = w.border_width as i32;
+    let origin = origin.offset(w.rect.x + b, w.rect.y + b);
+    let content = Rect::new(origin.x, origin.y, w.rect.w, w.rect.h);
+    let area = content.inflated(w.border_width).intersect(&clip)?;
+    Some(Visible {
+        origin,
+        content,
+        area,
+    })
 }
 
 /// A border `b` pixels wide round `content`: the outer rect minus the
@@ -192,27 +224,28 @@ impl Display {
         id
     }
 
-    /// Records a viewable window's footprint as damaged: its outer
-    /// rect (content plus border) clipped to its parent's content. The
-    /// paint clips every window, border included, to its parent, so
-    /// this covers every pixel the window and its subtree can show, and
-    /// it is the one damage rule for every change to a window.
+    /// Records a window's visible area as damaged. The paint writes a
+    /// window and its subtree only inside that area, so it covers every
+    /// pixel a change to the window can touch, and it is the one damage
+    /// rule for every change to a window.
     fn damage_window(&mut self, id: WindowId) {
-        if !self.is_viewable(id) {
-            return;
+        if let Some(v) = self.visible_of(id) {
+            self.damage.add(v.area);
         }
-        let w = &self.windows[&id];
+    }
+
+    /// Where `id` shows: one climb to the root, folded back down
+    /// through [`visible`].
+    fn visible_of(&self, id: WindowId) -> Option<Visible> {
+        let w = self.windows.get(&id)?;
         let (origin, clip) = match w.parent {
             Some(p) => {
-                let origin = self.abs_position(p);
-                (origin, content_rect(origin, &self.windows[&p]))
+                let parent = self.visible_of(p)?;
+                (parent.origin, parent.inside()?)
             }
-            None => (Point::new(0, 0), Rect::new(0, 0, SCREEN_W, SCREEN_H)),
+            None => (Point::new(0, 0), SCREEN),
         };
-        let outer = content_rect(content_origin(origin, w), w).inflated(w.border_width);
-        if let Some(r) = outer.intersect(&clip) {
-            self.damage.add(r);
-        }
+        visible(w, origin, clip)
     }
 
     /// Destroys a window and its subtree, generating `DestroyNotify` for
@@ -279,14 +312,10 @@ impl Display {
     /// True if a window is mapped (and every ancestor is, making it
     /// viewable).
     pub fn is_viewable(&self, id: WindowId) -> bool {
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            match self.windows.get(&c) {
-                Some(w) if w.mapped && !w.destroyed => cur = w.parent,
-                _ => return false,
-            }
+        match self.windows.get(&id) {
+            Some(w) if w.mapped && !w.destroyed => w.parent.is_none_or(|p| self.is_viewable(p)),
+            _ => false,
         }
-        true
     }
 
     /// Moves/resizes a window, generating `ConfigureNotify` (and an
@@ -388,21 +417,12 @@ impl Display {
 
     /// The absolute (root-relative) position of a window's origin.
     pub fn abs_position(&self, id: WindowId) -> Point {
-        let mut p = Point::new(0, 0);
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            match self.windows.get(&c) {
-                Some(w) => {
-                    p = p.offset(
-                        w.rect.x + w.border_width as i32,
-                        w.rect.y + w.border_width as i32,
-                    );
-                    cur = w.parent;
-                }
-                None => break,
-            }
-        }
-        p
+        let Some(w) = self.windows.get(&id) else {
+            return Point::new(0, 0);
+        };
+        let b = w.border_width as i32;
+        let origin = w.parent.map_or(Point::new(0, 0), |p| self.abs_position(p));
+        origin.offset(w.rect.x + b, w.rect.y + b)
     }
 
     /// The absolute rectangle of a window.
@@ -412,29 +432,29 @@ impl Display {
         Rect::new(p.x, p.y, r.w, r.h)
     }
 
-    /// The deepest viewable window containing the root-relative point.
+    /// The deepest window whose visible area, border included, holds
+    /// the root-relative point: the window the pointer is "in" by the
+    /// X11 protocol's containment rule.
     pub fn window_at(&self, p: Point) -> WindowId {
-        let origin = content_origin(Point::new(0, 0), &self.windows[&self.root]);
-        self.descend(self.root, origin, p)
+        self.descend(self.root, Point::new(0, 0), SCREEN, p)
+            .unwrap_or(self.root)
     }
 
-    /// Hit-tests `win`'s children, topmost first. `origin` is `win`'s
-    /// absolute content origin, carried down instead of climbing the
-    /// tree for every child.
-    fn descend(&self, win: WindowId, origin: Point, p: Point) -> WindowId {
+    /// The deepest window of `id`'s subtree whose visible area holds
+    /// `p`, children topmost first, or `None` when `id`'s does not.
+    /// `origin` and `clip` are the parent's content origin and visible
+    /// content, carried down instead of climbing the tree.
+    fn descend(&self, id: WindowId, origin: Point, clip: Rect, p: Point) -> Option<WindowId> {
+        let w = &self.windows[&id];
+        let v = visible(w, origin, clip).filter(|v| v.area.contains(p))?;
         // Children are stored bottom-most first; hit-test topmost first.
-        for &c in self.windows[&win].children.iter().rev() {
-            match self.windows.get(&c) {
-                Some(cw) if cw.mapped && !cw.destroyed => {
-                    let o = content_origin(origin, cw);
-                    if content_rect(o, cw).contains(p) {
-                        return self.descend(c, o, p);
-                    }
-                }
-                _ => continue,
-            }
-        }
-        win
+        let inside = v.inside();
+        let child = w
+            .children
+            .iter()
+            .rev()
+            .find_map(|&c| self.descend(c, v.origin, inside?, p));
+        Some(child.unwrap_or(id))
     }
 
     // ----- drawing ------------------------------------------------------
@@ -498,9 +518,8 @@ impl Display {
         if first {
             fb = Framebuffer::new(SCREEN_W, SCREEN_H, 0xbebebe);
         }
-        let screen = Rect::new(0, 0, SCREEN_W, SCREEN_H);
         if first || damage.full {
-            self.paint_window(self.root, Point::new(0, 0), screen, &mut fb);
+            self.paint_window(self.root, Point::new(0, 0), SCREEN, &mut fb);
         } else {
             for r in &damage.rects {
                 self.paint_window(self.root, Point::new(0, 0), *r, &mut fb);
@@ -512,36 +531,30 @@ impl Display {
     /// Paints window `id` and its subtree as X does, writing only
     /// pixels inside `clip`: the parent's visible content intersected
     /// with the damage. `origin` is the parent's absolute content
-    /// origin. The window's visible area is its outer rect (content
-    /// plus border) clipped to `clip`; the walk returns at once when
-    /// that is empty, so a subtree away from the damage costs one
+    /// origin. The walk returns at once when the window's visible area
+    /// misses `clip`, so a subtree away from the damage costs one
     /// intersection. Otherwise it fills the border as the strips
     /// between the outer rect and the content, then the content and
-    /// the children, each clipped to the content.
+    /// the children, each clipped to the visible content.
     fn paint_window(&self, id: WindowId, origin: Point, clip: Rect, fb: &mut Framebuffer) {
         let w = &self.windows[&id];
-        if !w.mapped || w.destroyed {
-            return;
-        }
-        let origin = content_origin(origin, w);
-        let content = content_rect(origin, w);
-        let Some(visible) = content.inflated(w.border_width).intersect(&clip) else {
+        let Some(v) = visible(w, origin, clip) else {
             return;
         };
         if w.border_width > 0 {
-            for strip in border_strips(content, w.border_width) {
-                fb.fill_rect(strip, visible, w.border_pixel);
+            for strip in border_strips(v.content, w.border_width) {
+                fb.fill_rect(strip, v.area, w.border_pixel);
             }
         }
-        let Some(clip) = content.intersect(&visible) else {
+        let Some(clip) = v.inside() else {
             return;
         };
-        fb.fill_rect(content, clip, w.background);
+        fb.fill_rect(v.content, clip, w.background);
         for op in &w.display_list {
-            self.paint_op(op, origin, clip, fb);
+            self.paint_op(op, v.origin, clip, fb);
         }
         for &c in &w.children {
-            self.paint_window(c, origin, clip, fb);
+            self.paint_window(c, v.origin, clip, fb);
         }
     }
 
@@ -678,40 +691,43 @@ impl Display {
     /// Renders an ASCII screenshot of the viewable window tree — the
     /// reproduction's stand-in for the paper's figures. Two passes:
     /// window boxes first, then all text, so borders never overwrite
-    /// labels.
+    /// labels. Each window shows only inside its visible area, as it
+    /// does on the framebuffer.
     pub fn snapshot_ascii(&self, area: Rect) -> String {
-        let mut canvas = AsciiCanvas::new(area.w, area.h);
-        self.snap(self.root, area, &mut canvas, false);
-        self.snap(self.root, area, &mut canvas, true);
+        let mut canvas = AsciiCanvas::new(area);
+        for labels in [false, true] {
+            self.snap(self.root, Point::new(0, 0), SCREEN, &mut canvas, labels);
+        }
         canvas.render()
     }
 
-    fn snap(&self, id: WindowId, area: Rect, canvas: &mut AsciiCanvas, text_pass: bool) {
+    /// One pass of [`Self::snapshot_ascii`] over `id`'s subtree, boxes
+    /// or `labels`; `origin` and `clip` are the parent's content origin
+    /// and visible content.
+    fn snap(&self, id: WindowId, origin: Point, clip: Rect, out: &mut AsciiCanvas, labels: bool) {
         let w = &self.windows[&id];
-        if !w.mapped || w.destroyed {
+        let Some(v) = visible(w, origin, clip) else {
             return;
+        };
+        if !labels && w.border_width > 0 {
+            out.box_at_pixel(v.content, v.area);
         }
-        let abs = self.abs_rect(id);
-        if !text_pass && id != self.root && w.border_width > 0 {
-            canvas.box_at_pixel(abs.translated(-area.x, -area.y));
-        }
-        if text_pass {
+        let Some(inside) = v.inside() else {
+            return;
+        };
+        if labels {
             for op in &w.display_list {
                 if let DrawOp::DrawText {
                     x, y, text, font, ..
                 } = op
                 {
-                    let f = self.fonts.get(*font);
-                    canvas.text_at_pixel(
-                        abs.x + x - area.x,
-                        abs.y + y - f.ascent as i32 / 2 - area.y,
-                        text,
-                    );
+                    let at = v.origin.offset(*x, *y);
+                    out.text_at_pixel(at, text, self.fonts.get(*font), inside);
                 }
             }
         }
         for &c in &w.children {
-            self.snap(c, area, canvas, text_pass);
+            self.snap(c, v.origin, inside, out, labels);
         }
     }
 
@@ -743,6 +759,20 @@ impl Display {
         self.focus = id;
     }
 
+    /// An event of `kind` for `target` at the pointer: `x`, `y`
+    /// relative to the target's content origin, the root position and
+    /// the held modifiers.
+    fn pointer_event(&self, kind: EventKind, target: WindowId) -> Event {
+        let abs = self.abs_position(target);
+        let mut e = Event::new(kind, target);
+        e.x = self.pointer.x - abs.x;
+        e.y = self.pointer.y - abs.y;
+        e.x_root = self.pointer.x;
+        e.y_root = self.pointer.y;
+        e.modifiers = self.held_modifiers;
+        e
+    }
+
     fn update_pointer_window(&mut self) {
         let now = self.window_at(self.pointer);
         let was = self.pointer_window;
@@ -750,23 +780,11 @@ impl Display {
             // Leave the old, enter the new (no virtual crossing chain —
             // sufficient for the toolkit's translation matching).
             if self.windows.contains_key(&was) {
-                let abs = self.abs_rect(was);
-                let mut e = Event::new(EventKind::LeaveNotify, was);
-                e.x = self.pointer.x - abs.x;
-                e.y = self.pointer.y - abs.y;
-                e.x_root = self.pointer.x;
-                e.y_root = self.pointer.y;
-                e.modifiers = self.held_modifiers;
+                let e = self.pointer_event(EventKind::LeaveNotify, was);
                 self.deliver(e);
             }
             self.pointer_window = now;
-            let abs = self.abs_rect(now);
-            let mut e = Event::new(EventKind::EnterNotify, now);
-            e.x = self.pointer.x - abs.x;
-            e.y = self.pointer.y - abs.y;
-            e.x_root = self.pointer.x;
-            e.y_root = self.pointer.y;
-            e.modifiers = self.held_modifiers;
+            let e = self.pointer_event(EventKind::EnterNotify, now);
             self.deliver(e);
         }
     }
@@ -776,35 +794,19 @@ impl Display {
     pub fn inject_pointer_move(&mut self, x: i32, y: i32) {
         self.pointer = Point::new(x, y);
         self.update_pointer_window();
-        let target = self.pointer_window;
-        let abs = self.abs_rect(target);
-        let mut e = Event::new(EventKind::MotionNotify, target);
-        e.x = x - abs.x;
-        e.y = y - abs.y;
-        e.x_root = x;
-        e.y_root = y;
-        e.modifiers = self.held_modifiers;
+        let e = self.pointer_event(EventKind::MotionNotify, self.pointer_window);
         self.deliver(e);
     }
 
     /// Presses or releases a pointer button at the current position.
     pub fn inject_button(&mut self, button: u8, press: bool) {
-        let target = self.pointer_window;
-        let abs = self.abs_rect(target);
-        let mut e = Event::new(
-            if press {
-                EventKind::ButtonPress
-            } else {
-                EventKind::ButtonRelease
-            },
-            target,
-        );
+        let kind = if press {
+            EventKind::ButtonPress
+        } else {
+            EventKind::ButtonRelease
+        };
+        let mut e = self.pointer_event(kind, self.pointer_window);
         e.button = button;
-        e.x = self.pointer.x - abs.x;
-        e.y = self.pointer.y - abs.y;
-        e.x_root = self.pointer.x;
-        e.y_root = self.pointer.y;
-        e.modifiers = self.held_modifiers;
         self.deliver(e);
     }
 
@@ -816,24 +818,15 @@ impl Display {
     }
 
     fn key_event(&mut self, info: &KeyInfo, press: bool) {
-        let target = self.focus.unwrap_or(self.pointer_window);
-        let abs = self.abs_rect(target);
-        let mut e = Event::new(
-            if press {
-                EventKind::KeyPress
-            } else {
-                EventKind::KeyRelease
-            },
-            target,
-        );
+        let kind = if press {
+            EventKind::KeyPress
+        } else {
+            EventKind::KeyRelease
+        };
+        let mut e = self.pointer_event(kind, self.focus.unwrap_or(self.pointer_window));
         e.keycode = info.keycode;
         e.keysym = info.keysym.clone();
         e.ascii = info.ascii.clone();
-        e.x = self.pointer.x - abs.x;
-        e.y = self.pointer.y - abs.y;
-        e.x_root = self.pointer.x;
-        e.y_root = self.pointer.y;
-        e.modifiers = self.held_modifiers;
         self.deliver(e);
     }
 

@@ -7,8 +7,8 @@
 //! the paper's screenshots (Figures 2, 3 and 6).
 
 use crate::color::Pixel;
-use crate::font::FontId;
-use crate::geometry::Rect;
+use crate::font::{Font, FontId};
+use crate::geometry::{Point, Rect};
 
 /// One retained drawing operation, in window-relative coordinates.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,7 +187,7 @@ impl Framebuffer {
         let sy = if y1 < y2 { 1 } else { -1 };
         let mut err = dx + dy;
         loop {
-            if clip.contains(crate::geometry::Point::new(x, y)) {
+            if clip.contains(Point::new(x, y)) {
                 self.put(x, y, p);
             }
             if x == x2 && y == y2 {
@@ -287,15 +287,17 @@ impl Framebuffer {
 
 /// A character-cell canvas for ASCII screenshots.
 ///
-/// Cells are 8x16 pixels: window-relative pixel coordinates divide down
-/// to cells. Text lands as itself; fills as background shading; borders
-/// as box-drawing strokes.
+/// Cells are 8x16 pixels of a screen area: screen pixels divide down to
+/// cells, rounding down, so a pixel left of or above the area lands off
+/// the canvas. Text lands as itself, borders as box-drawing strokes.
 #[derive(Debug, Clone)]
 pub struct AsciiCanvas {
     /// Width in character cells.
     pub cols: usize,
     /// Height in character cells.
     pub rows: usize,
+    /// The screen pixel at the top-left of cell (0, 0).
+    origin: Point,
     cells: Vec<char>,
 }
 
@@ -305,13 +307,14 @@ pub const CELL_W: i32 = 8;
 pub const CELL_H: i32 = 16;
 
 impl AsciiCanvas {
-    /// Creates a blank canvas covering `width`x`height` pixels.
-    pub fn new(width: u32, height: u32) -> Self {
-        let cols = (width as i32 / CELL_W).max(1) as usize;
-        let rows = (height as i32 / CELL_H).max(1) as usize;
+    /// Creates a blank canvas covering the screen area `area`.
+    pub fn new(area: Rect) -> Self {
+        let cols = (area.w as i32 / CELL_W).max(1) as usize;
+        let rows = (area.h as i32 / CELL_H).max(1) as usize;
         AsciiCanvas {
             cols,
             rows,
+            origin: Point::new(area.x, area.y),
             cells: vec![' '; cols * rows],
         }
     }
@@ -324,36 +327,60 @@ impl AsciiCanvas {
         self.cells[row as usize * self.cols + col as usize] = c;
     }
 
-    /// Writes text starting at a pixel position.
-    pub fn text_at_pixel(&mut self, x: i32, y: i32, text: &str) {
-        let col0 = x / CELL_W;
-        let row = y / CELL_H;
+    /// The cell holding screen pixel `(x, y)`.
+    fn cell(&self, x: i32, y: i32) -> (i32, i32) {
+        (
+            (x - self.origin.x).div_euclid(CELL_W),
+            (y - self.origin.y).div_euclid(CELL_H),
+        )
+    }
+
+    /// Writes a string drawn at screen pixel `at` (the left edge of its
+    /// first glyph, on the baseline) in `font`, one cell per character
+    /// from the cell of the pixel half an ascent above `at`. Character
+    /// `i` shows only where the leftmost column of its glyph,
+    /// `(at.x + i * char_width, at.y)`, lies in `clip`.
+    pub fn text_at_pixel(&mut self, at: Point, text: &str, font: &Font, clip: Rect) {
+        let (col0, row) = self.cell(at.x, at.y - font.ascent as i32 / 2);
         for (i, c) in text.chars().enumerate() {
-            self.put(col0 + i as i32, row, c);
+            let i = i as i32;
+            if clip.contains(at.offset(i * font.char_width as i32, 0)) {
+                self.put(col0 + i, row, c);
+            }
         }
     }
 
-    /// Draws a box outline for a pixel rectangle.
-    pub fn box_at_pixel(&mut self, rect: Rect) {
-        let c0 = rect.x / CELL_W;
-        let r0 = rect.y / CELL_H;
-        let c1 = (rect.x + rect.w as i32 - 1) / CELL_W;
-        let r1 = (rect.y + rect.h as i32 - 1) / CELL_H;
+    /// Outlines the screen rectangle `rect`. Each cell of the outline
+    /// stands for one pixel of it: a corner for a corner cell, else the
+    /// first pixel of the edge inside the cell. A cell shows only where
+    /// its pixel lies in `clip`.
+    pub fn box_at_pixel(&mut self, rect: Rect, clip: Rect) {
+        let (right, bottom) = (rect.x + rect.w as i32 - 1, rect.y + rect.h as i32 - 1);
+        let ((c0, r0), (c1, r1)) = (self.cell(rect.x, rect.y), self.cell(right, bottom));
         if c1 <= c0 || r1 <= r0 {
             return;
         }
-        for c in c0..=c1 {
-            self.put(c, r0, '-');
-            self.put(c, r1, '-');
-        }
+        // The pixel a cell stands for, along one axis: the outline's end
+        // `hi` in the last cell, else its first pixel in the cell.
+        let along =
+            |cell, last, cell_px: i32, lo: i32, hi| if cell == last { hi } else { lo.max(cell_px) };
         for r in r0..=r1 {
-            self.put(c0, r, '|');
-            self.put(c1, r, '|');
+            let y = along(r, r1, self.origin.y + r * CELL_H, rect.y, bottom);
+            let edge_row = r == r0 || r == r1;
+            // Every cell of the top and bottom rows, the two ends of the others.
+            let step = if edge_row { 1 } else { (c1 - c0) as usize };
+            for c in (c0..=c1).step_by(step) {
+                let x = along(c, c1, self.origin.x + c * CELL_W, rect.x, right);
+                if clip.contains(Point::new(x, y)) {
+                    let stroke = match (edge_row, c == c0 || c == c1) {
+                        (true, true) => '+',
+                        (true, false) => '-',
+                        _ => '|',
+                    };
+                    self.put(c, r, stroke);
+                }
+            }
         }
-        self.put(c0, r0, '+');
-        self.put(c1, r0, '+');
-        self.put(c0, r1, '+');
-        self.put(c1, r1, '+');
     }
 
     /// Renders the canvas as lines, right-trimmed.
@@ -377,6 +404,7 @@ impl AsciiCanvas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::font::FontDb;
 
     #[test]
     fn fill_and_read() {
@@ -433,9 +461,15 @@ mod tests {
 
     #[test]
     fn ascii_canvas_text_and_box() {
-        let mut c = AsciiCanvas::new(160, 64);
-        c.text_at_pixel(16, 16, "hello");
-        c.box_at_pixel(Rect::new(0, 0, 160, 64));
+        let (area, fonts) = (Rect::new(0, 0, 160, 64), FontDb::new());
+        let mut c = AsciiCanvas::new(area);
+        c.text_at_pixel(
+            Point::new(16, 30),
+            "hello",
+            fonts.get(fonts.default_font()),
+            area,
+        );
+        c.box_at_pixel(area, area);
         let out = c.render();
         assert!(out.contains("hello"));
         assert!(out.contains('+'));
@@ -444,8 +478,14 @@ mod tests {
 
     #[test]
     fn ascii_canvas_clips() {
-        let mut c = AsciiCanvas::new(80, 32);
-        c.text_at_pixel(1000, 1000, "off");
+        let (mut c, fonts) = (AsciiCanvas::new(Rect::new(0, 0, 80, 32)), FontDb::new());
+        let everywhere = Rect::new(0, 0, 2000, 2000);
+        c.text_at_pixel(
+            Point::new(1000, 1000),
+            "off",
+            fonts.get(fonts.default_font()),
+            everywhere,
+        );
         c.put(-1, -1, 'x');
         assert!(!c.render().contains("off"));
     }

@@ -36,7 +36,7 @@ pub struct Rect {
 
 impl Rect {
     /// Creates a rectangle.
-    pub fn new(x: i32, y: i32, w: u32, h: u32) -> Self {
+    pub const fn new(x: i32, y: i32, w: u32, h: u32) -> Self {
         Rect { x, y, w, h }
     }
 

@@ -213,12 +213,6 @@ pub fn key_for_name(name: &str) -> Option<KeyInfo> {
     }
 }
 
-/// Human-readable keysym name for display (identity; keysyms here are
-/// already names).
-pub fn keysym_name(keysym: &str) -> &str {
-    keysym
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,6 +39,6 @@ pub use event::{Event, EventKind, Modifiers};
 pub use font::{Font, FontDb, FontId};
 pub use framebuffer::{DrawOp, Framebuffer};
 pub use geometry::{Point, Rect};
-pub use keysym::{keysym_name, KeyInfo};
+pub use keysym::KeyInfo;
 pub use pixmap::{parse_xbm, parse_xpm, Pixmap};
 pub use window::WindowId;

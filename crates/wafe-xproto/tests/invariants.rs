@@ -11,8 +11,8 @@ use wafe_xproto::{DrawOp, EventKind, FontId, Framebuffer, Pixel, WindowId};
 
 mod reference;
 use reference::{
-    reference_fill, reference_image, reference_line, reference_outline, reference_paint,
-    reference_text,
+    reference_fill, reference_image, reference_line, reference_outline, reference_owner,
+    reference_paint, reference_text,
 };
 
 /// Draws one random window spec: (x, y, w, h, mapped).
@@ -48,8 +48,8 @@ fn build_tree(d: &mut Display, spec: &[(i32, i32, u8, u8, bool)]) -> Vec<WindowI
 }
 
 /// `window_at` always returns a viewable window (or the root), and
-/// that window's absolute rect contains the point (root's always
-/// does).
+/// that window is the one whose pixel the X reference paints at the
+/// point, border included.
 #[test]
 fn window_at_is_consistent() {
     cases(256, |rng| {
@@ -60,8 +60,7 @@ fn window_at_is_consistent() {
         build_tree(&mut d, &spec);
         let hit = d.window_at(Point::new(px, py));
         assert!(d.is_viewable(hit));
-        let abs = d.abs_rect(hit);
-        assert!(abs.contains(Point::new(px, py)) || hit == d.root());
+        assert_eq!(hit, reference_owner(&d, Point::new(px, py)));
     });
 }
 
@@ -716,4 +715,61 @@ fn a_straddling_child_border_is_clipped_to_its_parent() {
     d.flush();
     assert_paints_agree(&mut d, "repainted");
     check(&mut d);
+}
+
+/// Hit-testing in nested, straddling trees under random mutations:
+/// every point goes to the window whose pixel the X reference paints
+/// there, so a window's border takes clicks and a child takes none
+/// where its parent clips it.
+#[test]
+fn window_at_is_the_reference_owner_in_nested_trees() {
+    cases(40, |rng| {
+        let mut d = Display::open(":0");
+        let mut wins = Vec::new();
+        for _ in 0..rng.range(1, 10) {
+            let w = random_window(rng, &mut d, &wins);
+            wins.push(w);
+        }
+        for _ in 0..rng.range(0, 6) {
+            random_mutation(rng, &mut d, &mut wins);
+        }
+        for _ in 0..64 {
+            let p = Point::new(
+                rng.range_i64(-30, 260) as i32,
+                rng.range_i64(-30, 200) as i32,
+            );
+            assert_eq!(d.window_at(p), reference_owner(&d, p), "at {p:?}");
+        }
+    });
+}
+
+/// X's rule for border pixels: a click on a window's 3-px border goes
+/// to that window, with a negative window-relative `x`; a click on the
+/// parent's border, where a straddling child is clipped, goes to the
+/// parent; past the parent it goes to the root, not the child.
+#[test]
+fn a_border_takes_clicks_and_a_clipped_child_does_not() {
+    let mut d = Display::open(":0");
+    let p = d.create_window(d.root(), attrs(10, 10, 40, 40, 2, 0xffffff));
+    let c = d.create_window(p, attrs(30, 10, 20, 10, 3, 0xff0000));
+    for w in [p, c] {
+        d.map_window(w);
+    }
+    // P's content is (12,12)..=(51,51), its border reaches x=53. C's
+    // content starts at (45,25); its outer rect is (42,22)..=(67,37).
+    let mut press_at = |x, y| {
+        while d.next_event().is_some() {}
+        d.inject_click(x, y, 1);
+        std::iter::from_fn(|| d.next_event())
+            .find(|e| e.kind == EventKind::ButtonPress)
+            .expect("a press")
+    };
+    let on_c_border = press_at(43, 30);
+    assert_eq!(on_c_border.window, c, "C's left border is C's");
+    assert_eq!((on_c_border.x, on_c_border.y), (-2, 5));
+    let on_p_border = press_at(53, 30);
+    assert_eq!(on_p_border.window, p, "P's border, where C is clipped");
+    assert_eq!((on_p_border.x, on_p_border.y), (41, 18));
+    let past_p = press_at(60, 30);
+    assert_eq!(past_p.window, d.root(), "C does not show past P");
 }

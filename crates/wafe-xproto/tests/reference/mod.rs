@@ -8,7 +8,9 @@
 //! - a window, border included, shows only inside the content of every
 //!   ancestor;
 //! - a window's display list shows only inside its own content;
-//! - siblings paint bottom-most first, children above their parent.
+//! - siblings paint bottom-most first, children above their parent;
+//! - a point belongs to the window whose content or border pixel is
+//!   painted last there, or to the root.
 //!
 //! The display's own property tests use this module, and the paint
 //! fixture of the command layer checks its hashes against it through a
@@ -37,6 +39,40 @@ fn ancestors_clip(d: &Display, id: WindowId) -> Option<Rect> {
         cur = d.window(p).and_then(|w| w.parent);
     }
     Some(clip)
+}
+
+/// The window whose content or border pixel the reference paints at
+/// `p`, or the root: the window the pointer is "in" at `p` by the X11
+/// protocol's containment rule.
+pub fn reference_owner(d: &Display, p: Point) -> WindowId {
+    let mut owner = d.root();
+    owner_walk(d, d.root(), p, &mut owner);
+    owner
+}
+
+/// Walks `id`'s subtree in paint order, recording each window that
+/// paints `p` over the one before.
+fn owner_walk(d: &Display, id: WindowId, p: Point, owner: &mut WindowId) {
+    let Some(w) = d.window(id) else { return };
+    if !w.mapped {
+        return;
+    }
+    let Some(clip) = ancestors_clip(d, id) else {
+        return;
+    };
+    let b = w.border_width as i32;
+    let content = d.abs_rect(id);
+    let paints_p = p.x >= content.x - b
+        && p.x < content.x + content.w as i32 + b
+        && p.y >= content.y - b
+        && p.y < content.y + content.h as i32 + b
+        && clip.contains(p);
+    if paints_p {
+        *owner = id;
+    }
+    for &c in &w.children {
+        owner_walk(d, c, p, owner);
+    }
 }
 
 fn reference_window(d: &Display, id: WindowId, fb: &mut Framebuffer) {

@@ -501,11 +501,6 @@ impl XtApp {
         self.widgets.contains_key(&w.0)
     }
 
-    /// Mutable widget record.
-    pub fn widget_mut(&mut self, w: WidgetId) -> &mut WidgetRec {
-        self.widgets.get_mut(&w.0).unwrap()
-    }
-
     /// Number of live widgets.
     pub fn widget_count(&self) -> usize {
         self.widgets.len()
