@@ -13,7 +13,10 @@
 //!
 //! * **label** — `setValues` of one label's text (µs per call);
 //! * **width** — `setValues` of a `width` in a `fromHoriz` chain, which
-//!   re-lays out the form (µs per call);
+//!   re-lays out the form (µs per call), and, from the settle counters
+//!   after the timed rounds, the widgets each call redrew and configured:
+//!   the relayout configures only the row's labels, which moved or
+//!   resized, and redraws the resized label and the form;
 //!
 //! and, with a display client attached, E28's ticker: frames/s of a
 //! label update flushed, composited and built into a frame.
@@ -33,12 +36,15 @@
 //! 26-widget frames/s, and that a deep-tree frame with 64 subtrees
 //! costs at most 1.5× the one-subtree figure: the compositing flush
 //! paints the damage, so a label frame costs the label, not the tree.
+//! A count gate, free of timing noise: a width `setValues` redraws as
+//! many widgets at 242 widgets as at 26 and 98.
 
 use std::time::Instant;
 
 use bench::workspace_root;
 use wafe_core::{Flavor, WafeSession};
 use wafe_display::Frame;
+use wafe_trace::Metric;
 use wafe_xproto::geometry::Rect;
 use wafe_xproto::{SCREEN_H, SCREEN_W};
 
@@ -151,6 +157,25 @@ fn mean_us(
     t.elapsed().as_secs_f64() * 1e6 / ops as f64
 }
 
+fn width_script(chain: &str, i: usize) -> String {
+    format!("setValues {chain} width {}", 100 + 40 * (i % 2))
+}
+
+/// Widgets redrawn and windows configured per width `setValues`, from
+/// the settle counters (off while timing) over [`WIDTH_OPS`] calls.
+fn width_counts(s: &mut WafeSession, chain: &str, next: &mut usize) -> (f64, f64) {
+    let t = s.telemetry.clone();
+    let was_enabled = t.enabled();
+    t.set_enabled(true);
+    let counts = || [Metric::XtSettleRedrawn, Metric::XtSettleConfigured].map(|m| t.value(m));
+    let before = counts();
+    mean_us(s, WIDTH_OPS, next, |i| width_script(chain, i));
+    let after = counts();
+    t.set_enabled(was_enabled);
+    let per_op = |k: usize| (after[k] - before[k]) as f64 / WIDTH_OPS as f64;
+    (per_op(0), per_op(1))
+}
+
 /// One pumped frame after a label update, as the scheduler builds it.
 fn ticker_frame(s: &mut WafeSession, label: &str, text: &str) -> usize {
     s.eval(&format!("setValues {label} label {{{text}}}"))
@@ -172,6 +197,8 @@ struct Row {
     widgets: usize,
     label_us: f64,
     width_us: f64,
+    width_redrawn: f64,
+    width_configured: f64,
     frames_per_sec: f64,
     bytes_per_frame: f64,
 }
@@ -196,9 +223,7 @@ fn main() {
                 format!("setValues {label} label {{v {i}}}")
             });
             let chain = format!("r{}c0", rows / 2);
-            let width_us = mean_us(s, WIDTH_OPS, &mut next, |i| {
-                format!("setValues {chain} width {}", 100 + 40 * (i % 2))
-            });
+            let width_us = mean_us(s, WIDTH_OPS, &mut next, |i| width_script(&chain, i));
             let (mut frame_bytes, t) = (0usize, Instant::now());
             for i in 0..FRAMES {
                 let text = format!("frame {:06}", round * FRAMES + i);
@@ -226,12 +251,19 @@ fn main() {
     let deep_us: Vec<f64> = deep_samples.into_iter().map(median).collect();
 
     let rows: Vec<Row> = (0..GRIDS.len())
-        .map(|k| Row {
-            widgets: widgets(&sessions[k]),
-            label_us: median(label_samples[k].clone()),
-            width_us: median(width_samples[k].clone()),
-            frames_per_sec: median(fps_samples[k].clone()),
-            bytes_per_frame: bytes[k] as f64 / (ROUNDS * FRAMES) as f64,
+        .map(|k| {
+            let chain = format!("r{}c0", GRIDS[k].0 / 2);
+            let (width_redrawn, width_configured) =
+                width_counts(&mut sessions[k], &chain, &mut next);
+            Row {
+                widgets: widgets(&sessions[k]),
+                label_us: median(label_samples[k].clone()),
+                width_us: median(width_samples[k].clone()),
+                width_redrawn,
+                width_configured,
+                frames_per_sec: median(fps_samples[k].clone()),
+                bytes_per_frame: bytes[k] as f64 / (ROUNDS * FRAMES) as f64,
+            }
         })
         .collect();
 
@@ -239,8 +271,14 @@ fn main() {
         bench::row(
             &format!("{} widgets", row.widgets),
             format!(
-                "label {:.1} µs, width {:.1} µs, ticker {:.0} frames/s ({:.0} bytes/frame)",
-                row.label_us, row.width_us, row.frames_per_sec, row.bytes_per_frame
+                "label {:.1} µs, width {:.1} µs ({:.1} redrawn, {:.1} configured), \
+                 ticker {:.0} frames/s ({:.0} bytes/frame)",
+                row.label_us,
+                row.width_us,
+                row.width_redrawn,
+                row.width_configured,
+                row.frames_per_sec,
+                row.bytes_per_frame
             ),
         );
     }
@@ -272,8 +310,15 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"widgets\": {}, \"label_us\": {:.2}, \"width_us\": {:.2}, \
+                 \"width_redrawn_per_op\": {:.2}, \"width_configured_per_op\": {:.2}, \
                  \"ticker_frames_per_sec\": {:.1}, \"ticker_bytes_per_frame\": {:.1}}}",
-                r.widgets, r.label_us, r.width_us, r.frames_per_sec, r.bytes_per_frame
+                r.widgets,
+                r.label_us,
+                r.width_us,
+                r.width_redrawn,
+                r.width_configured,
+                r.frames_per_sec,
+                r.bytes_per_frame
             )
         })
         .collect();
@@ -312,6 +357,12 @@ fn main() {
          frames/s, got {ticker_ratio:.2}x",
         rows[2].widgets,
         rows[0].widgets
+    );
+    assert!(
+        rows.iter()
+            .all(|r| r.width_redrawn == rows[0].width_redrawn),
+        "acceptance: a width setValues must redraw as many widgets at every grid size, got {:?}",
+        rows.iter().map(|r| r.width_redrawn).collect::<Vec<_>>()
     );
     assert!(
         deep_ratio <= 1.5,

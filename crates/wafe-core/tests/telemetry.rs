@@ -519,13 +519,18 @@ fn dashboard() -> WafeSession {
     s
 }
 
-/// How many widgets one command re-laid-out and redisplayed.
-fn settle_work(s: &mut WafeSession, script: &str) -> (u64, u64) {
+/// How many widgets one command re-laid-out, configured and
+/// redisplayed.
+fn settle_work(s: &mut WafeSession, script: &str) -> (u64, u64, u64) {
     let before = snapshot(s);
     s.eval(script).unwrap();
     let after = snapshot(s);
     let delta = |k: &str| after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0);
-    (delta("xt.settle.laid_out"), delta("xt.settle.redrawn"))
+    (
+        delta("xt.settle.laid_out"),
+        delta("xt.settle.configured"),
+        delta("xt.settle.redrawn"),
+    )
 }
 
 #[test]
@@ -533,15 +538,20 @@ fn settle_counters_show_a_label_change_costs_the_label() {
     let mut s = dashboard();
     assert_eq!(
         settle_work(&mut s, "sV r2c1 label {new text}"),
-        (0, 1),
-        "one label sV: nothing laid out, one widget redrawn"
+        (0, 1, 1),
+        "one label sV: nothing laid out, the label synced and redrawn"
     );
     assert_eq!(
         settle_work(&mut s, "sV r2c1 label one background red"),
-        (0, 1),
+        (0, 1, 1),
         "one setValues call settles once"
     );
-    let (laid_out, redrawn) = settle_work(&mut s, "sV r2c1 width 150");
-    assert!(laid_out > 0, "a width change re-lays out the form");
-    assert_eq!(redrawn, laid_out, "the laid-out subtree is redrawn");
+    // The wider label pushes r2c2 and r2c3 right. The form re-lays out
+    // itself and its 29 children, but configures only the three widgets
+    // that moved or resized, and redraws the resized label and the form.
+    assert_eq!(
+        settle_work(&mut s, "sV r2c1 width 150"),
+        (30, 3, 2),
+        "a relayout configures what moved"
+    );
 }

@@ -82,6 +82,7 @@ metrics! {
     XtWidgetCreates = "xt.widget.creates" Counter,
     XtWidgetDestroys = "xt.widget.destroys" Counter,
     XtSettleLaidOut = "xt.settle.laid_out" Counter,
+    XtSettleConfigured = "xt.settle.configured" Counter,
     XtSettleRedrawn = "xt.settle.redrawn" Counter,
     XtHostcallsQueued = "xt.hostcalls.queued" Counter,
     XtEventsDispatched = "xt.events.dispatched" Counter,

@@ -342,7 +342,7 @@ impl Display {
             e.x = rect.x;
             e.y = rect.y;
             self.push(e);
-            if resized && self.is_viewable(id) {
+            if resized {
                 self.expose(id);
             }
             self.update_pointer_window();
@@ -376,9 +376,9 @@ impl Display {
         border_pixel: Option<Pixel>,
         border_width: Option<u32>,
     ) {
-        // Damage only on a real change: the toolkit re-syncs attributes
-        // for whole subtrees after a layout pass, and an unchanged
-        // window must not dirty the screen.
+        // Damage only on a real change: the toolkit re-syncs every
+        // attribute of a window it syncs, and an unchanged window must
+        // not dirty the screen.
         let changed = self.windows.get(&id).is_some_and(|w| {
             background.is_some_and(|b| b != w.background)
                 || border_pixel.is_some_and(|b| b != w.border_pixel)
@@ -460,8 +460,8 @@ impl Display {
     // ----- drawing ------------------------------------------------------
 
     /// Replaces a window's retained display list. Damages the window
-    /// only when the list actually changed — redisplay passes rebuild
-    /// whole subtrees, and identical output must not dirty the screen.
+    /// only when the list actually changed — a redraw often rebuilds
+    /// the same list, and identical output must not dirty the screen.
     pub fn set_display_list(&mut self, id: WindowId, ops: Vec<DrawOp>) {
         if let Some(w) = self.windows.get_mut(&id) {
             if w.display_list == ops {
@@ -472,21 +472,25 @@ impl Display {
         self.damage_window(id);
     }
 
-    /// Generates `Expose` for a window and its viewable descendants.
+    /// Generates `Expose` for a viewable window and its viewable
+    /// descendants, in preorder. Viewability is checked once: below a
+    /// viewable window, a mapped child is viewable.
     pub fn expose(&mut self, id: WindowId) {
         if !self.is_viewable(id) {
             return;
         }
-        let rect = self.window_rect(id).unwrap_or_default();
-        let mut e = Event::new(EventKind::Expose, id);
-        e.x = 0;
-        e.y = 0;
-        e.x_root = rect.w as i32; // Expose carries width/height in x_root/y_root slots.
-        e.y_root = rect.h as i32;
-        self.push(e);
-        let children = self.windows[&id].children.clone();
-        for c in children {
-            self.expose(c);
+        let mut stack = vec![id];
+        while let Some(id) = stack.pop() {
+            let w = &self.windows[&id];
+            let mut e = Event::new(EventKind::Expose, id);
+            e.x_root = w.rect.w as i32; // Expose carries width/height in x_root/y_root slots.
+            e.y_root = w.rect.h as i32;
+            stack.extend(w.children.iter().rev().filter(|c| {
+                self.windows
+                    .get(c)
+                    .is_some_and(|c| c.mapped && !c.destroyed)
+            }));
+            self.push(e);
         }
     }
 

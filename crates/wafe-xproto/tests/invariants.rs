@@ -141,6 +141,50 @@ fn destroy_is_complete() {
     });
 }
 
+/// `expose` checks viewability once and then follows mapped children:
+/// a window under an unmapped one gets no `Expose`, and the rest come in
+/// preorder, as X reports them.
+#[test]
+fn expose_reports_viewable_windows_in_preorder() {
+    let mut d = Display::open(":0");
+    let win = |d: &mut Display, parent| d.create_window(parent, attrs(100, 100, 40, 30, 0, 0));
+    let root = d.root();
+    let top = win(&mut d, root);
+    let a = win(&mut d, top);
+    let a1 = win(&mut d, a);
+    let a2 = win(&mut d, a);
+    let b = win(&mut d, top);
+    let b1 = win(&mut d, b);
+    let c = win(&mut d, top);
+    // `b` stays unmapped, so neither it nor its mapped child is viewable.
+    for w in [top, a, a1, a2, b1, c] {
+        d.map_window(w);
+    }
+    while d.next_event().is_some() {}
+    d.configure_window(top, Rect::new(100, 100, 60, 50));
+    let events: Vec<(EventKind, WindowId)> = std::iter::from_fn(|| d.next_event())
+        .map(|e| (e.kind, e.window))
+        .collect();
+    use EventKind::{ConfigureNotify, Expose};
+    assert_eq!(
+        events,
+        [
+            (ConfigureNotify, top),
+            (Expose, top),
+            (Expose, a),
+            (Expose, a1),
+            (Expose, a2),
+            (Expose, c),
+        ]
+    );
+    d.expose(b1);
+    assert_eq!(
+        d.pending(),
+        0,
+        "a window under an unmapped one is not exposed"
+    );
+}
+
 /// The framebuffer flush never panics and keeps its dimensions.
 #[test]
 fn flush_is_safe() {

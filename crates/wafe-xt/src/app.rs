@@ -31,7 +31,8 @@ const GEOMETRY_RESOURCES: [&str; 5] = ["x", "y", "width", "height", "borderWidth
 enum Mark {
     /// Re-lay-out this widget's subtree (`do_layout`).
     Layout,
-    /// The widget's geometry changed: its parent re-lays it out.
+    /// The widget's geometry or a constraint changed: its parent re-lays
+    /// it out and redraws.
     Geometry,
     /// Created into a realized parent: windows are made after layout.
     Realize,
@@ -39,8 +40,20 @@ enum Mark {
     Sync,
     /// Sync the window and recompute the widget's drawing.
     Redraw,
-    /// Sync the window and redraw the whole subtree (`sensitive`).
-    RedrawTree,
+}
+
+/// What a place pass found for [`XtApp::settle`]: how many widgets it
+/// laid out, which windows no longer match their widget's geometry and
+/// which drawings that made stale.
+#[derive(Default)]
+struct Relayout {
+    /// Widgets the place pass visited.
+    laid_out: usize,
+    /// Widgets whose geometry no longer matches their window.
+    moved: Vec<WidgetId>,
+    /// Widgets whose size changed, and composites whose layout moved or
+    /// resized a child (Tree draws its edges from child positions).
+    redraw: Vec<WidgetId>,
 }
 
 /// Errors from toolkit operations.
@@ -710,9 +723,8 @@ impl XtApp {
     /// a non-geometry resource of a leaf redraws that widget;
     /// `x`/`y`/`width`/`height`/`borderWidth` or a constraint re-lays
     /// out the parent; any resource of a composite re-lays out its
-    /// subtree; `sensitive` redraws the subtree. If a value fails to
-    /// convert, the ones already stored are still settled before the
-    /// error returns.
+    /// subtree. If a value fails to convert, the ones already stored are
+    /// still settled before the error returns.
     pub fn set_values<'a>(
         &mut self,
         w: WidgetId,
@@ -776,9 +788,7 @@ impl XtApp {
         if class.is_composite {
             self.mark(w, Mark::Layout);
         }
-        if key == "sensitive" {
-            self.mark(w, Mark::RedrawTree);
-        } else if needs.redisplay {
+        if needs.redisplay {
             self.mark(w, Mark::Redraw);
         }
         Ok(())
@@ -845,7 +855,7 @@ impl XtApp {
     /// (top-down placement) over a tree.
     pub fn do_layout(&mut self, w: WidgetId) {
         self.size_pass(w);
-        self.place_pass(w);
+        self.place_pass(w, &mut Relayout::default());
     }
 
     fn size_pass(&mut self, w: WidgetId) {
@@ -870,13 +880,47 @@ impl XtApp {
         }
     }
 
-    fn place_pass(&mut self, w: WidgetId) {
+    /// Lays out `w`'s subtree top-down, noting in `out` each widget whose
+    /// geometry no longer matches its window. Returns whether `w`'s does
+    /// not.
+    fn place_pass(&mut self, w: WidgetId, out: &mut Relayout) -> bool {
+        out.laid_out += 1;
         let ops = self.widgets[&w.0].class.ops.clone();
         ops.layout(self, w);
         let children = self.widgets[&w.0].children.clone();
+        let mut moved_child = false;
         for c in children {
-            self.place_pass(c);
+            moved_child |= self.place_pass(c, out);
         }
+        if moved_child {
+            out.redraw.push(w);
+        }
+        let rec = &self.widgets[&w.0];
+        let Some(old) = rec
+            .window
+            .and_then(|win| self.displays[rec.display_idx].window(win))
+        else {
+            return false;
+        };
+        let new = self.window_rect(w);
+        if old.rect == new && old.border_width == self.dim_resource(w, "borderWidth") {
+            return false;
+        }
+        if (old.rect.w, old.rect.h) != (new.w, new.h) {
+            out.redraw.push(w);
+        }
+        out.moved.push(w);
+        true
+    }
+
+    /// The window rectangle a widget's geometry resources ask for.
+    fn window_rect(&self, w: WidgetId) -> Rect {
+        Rect::new(
+            self.pos_resource(w, "x"),
+            self.pos_resource(w, "y"),
+            self.dim_resource(w, "width").max(1),
+            self.dim_resource(w, "height").max(1),
+        )
     }
 
     /// `XtRealizeWidget`: computes layout, creates windows for the whole
@@ -902,12 +946,7 @@ impl XtApp {
         let (rect, border, background, display_idx, managed, mapped_when_managed) = {
             let rec = &self.widgets[&w.0];
             (
-                Rect::new(
-                    self.pos_resource(w, "x"),
-                    self.pos_resource(w, "y"),
-                    self.dim_resource(w, "width").max(1),
-                    self.dim_resource(w, "height").max(1),
-                ),
+                self.window_rect(w),
                 self.dim_resource(w, "borderWidth"),
                 self.pixel_resource(w, "background"),
                 rec.display_idx,
@@ -939,8 +978,8 @@ impl XtApp {
         }
     }
 
-    /// Pushes resource geometry down to the live windows of a subtree
-    /// after a layout.
+    /// Pushes resource geometry down to the live windows of a whole
+    /// subtree: the whole-tree resync [`Self::settle`] must match.
     pub fn sync_geometry(&mut self, w: WidgetId) {
         self.sync_window(w);
         let children = self.widgets[&w.0].children.clone();
@@ -955,12 +994,7 @@ impl XtApp {
         let rec = &self.widgets[&w.0];
         let display_idx = rec.display_idx;
         if let Some(win) = rec.window {
-            let rect = Rect::new(
-                self.pos_resource(w, "x"),
-                self.pos_resource(w, "y"),
-                self.dim_resource(w, "width").max(1),
-                self.dim_resource(w, "height").max(1),
-            );
+            let rect = self.window_rect(w);
             let bg = self.pixel_resource(w, "background");
             let bc = self.pixel_resource(w, "borderColor");
             let bw = self.dim_resource(w, "borderWidth");
@@ -969,16 +1003,13 @@ impl XtApp {
         }
     }
 
-    /// Recomputes the retained drawing of a whole tree; returns how many
-    /// widgets it redrew.
-    pub fn redisplay_tree(&mut self, w: WidgetId) -> usize {
+    /// Recomputes the retained drawing of a whole tree.
+    pub fn redisplay_tree(&mut self, w: WidgetId) {
         self.redisplay_widget(w);
         let children = self.widgets[&w.0].children.clone();
-        let mut n = 1;
         for c in children {
-            n += self.redisplay_tree(c);
+            self.redisplay_tree(c);
         }
-        n
     }
 
     /// Recomputes one widget's retained drawing.
@@ -1046,7 +1077,7 @@ impl XtApp {
 
     /// Marks a realized widget's subtree for re-layout (a composite's
     /// own resources or scroll state changed); [`Self::settle`] lays it
-    /// out, then its parent too if its own geometry moved.
+    /// out.
     pub fn mark_layout(&mut self, w: WidgetId) {
         self.mark(w, Mark::Layout);
     }
@@ -1064,13 +1095,18 @@ impl XtApp {
     /// 1. Layout runs only where requested: at the parent of a widget
     ///    whose geometry changed or that is zero-sized (a whole-tree size
     ///    pass would ask it for its preferred size again), and at a
-    ///    composite whose resources changed. It walks up while a
-    ///    laid-out widget's own geometry moves.
+    ///    composite whose resources changed. The place pass notes each
+    ///    widget whose geometry no longer matches its window.
     /// 2. Widgets created into a realized parent get their windows.
-    /// 3. Windows of laid-out subtrees and of marked widgets are synced;
-    ///    resized windows get their redisplay through the `Expose`
-    ///    events `configure_window` queues.
-    /// 4. Laid-out subtrees and marked widgets are redisplayed.
+    /// 3. The windows of marked widgets, of widgets the layout moved or
+    ///    resized and of new subtrees are synced: like
+    ///    `XtConfigureWidget`, a relayout configures only what moved.
+    ///    Resized windows get their redisplay through the `Expose` events
+    ///    `configure_window` queues.
+    /// 4. Redisplayed are: widgets marked for a redraw or a layout, the
+    ///    parents of widgets whose geometry or constraints changed,
+    ///    widgets the layout resized, composites whose layout moved or
+    ///    resized a child, and new subtrees and their parents.
     /// 5. Each touched display is flushed once.
     ///
     /// Steps 3 and 4 run in tree preorder, the order of the whole-tree
@@ -1094,59 +1130,68 @@ impl XtApp {
                 displays.push(rec.display_idx);
             }
             match mark {
-                Mark::Layout => layout.push(w),
-                Mark::Geometry | Mark::Realize => layout.push(self.layout_parent(w)),
-                Mark::Sync => sync.push((w, false)),
-                Mark::Redraw | Mark::RedrawTree => {
-                    sync.push((w, false));
-                    redraw.push((w, mark == Mark::RedrawTree));
+                Mark::Layout => {
+                    // Its resources or children changed, and a drawing
+                    // may show its children (Tree's edges).
+                    layout.push(w);
+                    redraw.push(w);
                 }
+                Mark::Geometry => {
+                    // A constraint may change the parent's drawing without
+                    // moving a child (Tree's `parentNode` edges).
+                    let p = self.layout_parent(w);
+                    layout.push(p);
+                    redraw.push(p);
+                }
+                Mark::Realize => {
+                    // The parent's drawing may show its children (Tree).
+                    let p = self.layout_parent(w);
+                    layout.push(p);
+                    redraw.push(p);
+                    realize.push(w);
+                    continue;
+                }
+                Mark::Sync => {}
+                Mark::Redraw => redraw.push(w),
             }
+            sync.push(w);
             let zero_sized =
                 self.dim_resource(w, "width") == 0 || self.dim_resource(w, "height") == 0;
-            if mark == Mark::Realize {
-                realize.push(w);
-            } else if zero_sized && mark != Mark::Sync {
+            if zero_sized && mark != Mark::Sync {
                 // A whole-tree size pass re-measures a zero-sized widget
                 // on every run, so any change to it may resize it. (A
                 // move never ran that pass.)
                 layout.push(self.layout_parent(w));
             }
         }
-        let laid_out = self.settle_layout(layout);
-        let n_laid_out: usize = laid_out.iter().map(|&l| self.subtree_len(l)).sum();
+        let relayout = self.settle_layout(layout);
         for w in realize {
             let rec = &self.widgets[&w.0];
             if let Some(p) = rec.parent.filter(|_| !rec.realized) {
                 if let Some(pwin) = self.widgets[&p.0].window {
                     self.create_windows(w, pwin);
+                    let new = self.subtree(w);
+                    sync.extend(&new);
+                    redraw.extend(new);
                 }
             }
         }
-        for &l in &laid_out {
-            sync.push((l, true));
-            redraw.push((l, true));
+        sync.extend(relayout.moved);
+        redraw.extend(relayout.redraw);
+        let sync = self.in_preorder(sync);
+        for &w in &sync {
+            self.sync_window(w);
         }
-        for (w, subtree) in self.in_preorder(sync) {
-            if subtree {
-                self.sync_geometry(w);
-            } else {
-                self.sync_window(w);
-            }
-        }
-        let mut n_redrawn = 0;
-        for (w, subtree) in self.in_preorder(redraw) {
-            if subtree {
-                n_redrawn += self.redisplay_tree(w);
-            } else {
-                self.redisplay_widget(w);
-                n_redrawn += 1;
-            }
+        let redraw = self.in_preorder(redraw);
+        for &w in &redraw {
+            self.redisplay_widget(w);
         }
         self.telemetry
-            .add(Metric::XtSettleLaidOut, n_laid_out as u64);
+            .add(Metric::XtSettleLaidOut, relayout.laid_out as u64);
         self.telemetry
-            .add(Metric::XtSettleRedrawn, n_redrawn as u64);
+            .add(Metric::XtSettleConfigured, sync.len() as u64);
+        self.telemetry
+            .add(Metric::XtSettleRedrawn, redraw.len() as u64);
         for di in displays {
             self.displays[di].flush();
         }
@@ -1161,98 +1206,59 @@ impl XtApp {
         }
     }
 
-    /// Runs `do_layout` at each requested widget, shallowest first,
-    /// skipping requests inside a subtree already laid out, and walks up
-    /// to the parent while a laid-out widget's own geometry changed.
-    /// Returns the roots of the laid-out subtrees.
-    fn settle_layout(&mut self, mut pending: Vec<WidgetId>) -> Vec<WidgetId> {
-        let mut done: Vec<WidgetId> = Vec::new();
-        pending.retain(|w| self.is_realized(*w));
-        pending.sort_by_key(|&w| std::cmp::Reverse(self.depth(w)));
-        while let Some(l) = pending.pop() {
-            if done.iter().any(|&d| self.is_ancestor_or_self(d, l)) {
+    /// Runs the size and place passes at each requested realized widget,
+    /// skipping requests inside a subtree already laid out. No layout
+    /// changes its own widget's geometry unless that widget is
+    /// zero-sized, and a zero-sized widget's parent is always requested
+    /// with it, so no laid-out widget needs its parent laid out again.
+    fn settle_layout(&mut self, pending: Vec<WidgetId>) -> Relayout {
+        let mut out = Relayout::default();
+        let mut last: Option<Vec<usize>> = None;
+        for (key, l) in self.preorder_keyed(pending) {
+            // Preorder puts a subtree's widgets right after its root.
+            if !self.is_realized(l) || last.as_ref().is_some_and(|k| key.starts_with(k)) {
                 continue;
             }
-            let before = self.geometry(l);
-            self.do_layout(l);
-            done.retain(|&d| !self.is_ancestor_or_self(l, d));
-            done.push(l);
-            if self.geometry(l) != before {
-                let p = self.layout_parent(l);
-                if p != l {
-                    pending.push(p);
-                }
-            }
+            self.size_pass(l);
+            self.place_pass(l, &mut out);
+            last = Some(key);
         }
-        done
+        out
     }
 
-    fn geometry(&self, w: WidgetId) -> (i32, i32, u32, u32, u32) {
-        (
-            self.pos_resource(w, "x"),
-            self.pos_resource(w, "y"),
-            self.dim_resource(w, "width"),
-            self.dim_resource(w, "height"),
-            self.dim_resource(w, "borderWidth"),
-        )
-    }
-
-    fn depth(&self, mut w: WidgetId) -> usize {
-        let mut d = 0;
-        while let Some(p) = self.widgets[&w.0].parent {
-            w = p;
-            d += 1;
+    /// `w` and its descendants (not popups), in preorder.
+    fn subtree(&self, w: WidgetId) -> Vec<WidgetId> {
+        let mut out = Vec::new();
+        let mut stack = vec![w];
+        while let Some(w) = stack.pop() {
+            out.push(w);
+            stack.extend(self.widgets[&w.0].children.iter().rev());
         }
-        d
+        out
     }
 
-    fn is_ancestor_or_self(&self, anc: WidgetId, mut w: WidgetId) -> bool {
-        loop {
-            if w == anc {
-                return true;
-            }
-            match self.widgets[&w.0].parent {
-                Some(p) => w = p,
-                None => return false,
-            }
-        }
-    }
-
-    fn subtree_len(&self, w: WidgetId) -> usize {
-        1 + self.widgets[&w.0]
-            .children
-            .iter()
-            .map(|&c| self.subtree_len(c))
-            .sum::<usize>()
-    }
-
-    /// Orders `(widget, whole subtree?)` items as a preorder walk of
-    /// their trees visits them, dropping duplicates and items inside a
-    /// listed subtree.
-    fn in_preorder(&self, items: Vec<(WidgetId, bool)>) -> Vec<(WidgetId, bool)> {
+    /// Orders widgets as a preorder walk of their trees visits them,
+    /// dropping duplicates.
+    fn in_preorder(&self, items: Vec<WidgetId>) -> Vec<WidgetId> {
         if items.len() < 2 {
             return items;
         }
-        let mut keyed: Vec<(Vec<usize>, WidgetId, bool)> = items
+        self.preorder_keyed(items)
             .into_iter()
-            .map(|(w, subtree)| (self.preorder_key(w), w, subtree))
+            .map(|(_, w)| w)
+            .collect()
+    }
+
+    /// Widgets with their [`Self::preorder_key`], sorted by it, without
+    /// duplicates.
+    fn preorder_keyed(&self, items: Vec<WidgetId>) -> Vec<(Vec<usize>, WidgetId)> {
+        let mut keyed: Vec<(Vec<usize>, WidgetId)> = items
+            .into_iter()
+            .map(|w| (self.preorder_key(w), w))
             .collect();
-        // A subtree item sorts before a single item for the same widget.
-        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(b.2.cmp(&a.2)));
-        let mut out: Vec<(WidgetId, bool)> = Vec::new();
-        let mut covering: Option<Vec<usize>> = None;
-        let mut last: Option<&Vec<usize>> = None;
-        for (key, w, subtree) in &keyed {
-            if covering.as_ref().is_some_and(|c| key.starts_with(c)) || last == Some(key) {
-                continue;
-            }
-            if *subtree {
-                covering = Some(key.clone());
-            }
-            last = Some(key);
-            out.push((*w, *subtree));
-        }
-        out
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        keyed.dedup_by(|a, b| a.0 == b.0);
+        keyed
     }
 
     /// A widget's place in a preorder walk: its root's id, then its

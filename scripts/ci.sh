@@ -414,6 +414,23 @@ print("  deep tree: %.2f us/frame at 1, %.2f at 64 subtrees (%.2fx, gate <=1.5x)
       % (f[1], f[64], r))
 ' || { echo "BENCH_e31.json: malformed or above the 1.5x deep-tree gate"; exit 1; }
 
+# A width setValues in a fromHoriz chain re-lays out the form, but the
+# relayout configures only the labels that moved or resized and redraws
+# only the resized label and the form. Counted, not timed: the widgets
+# redrawn per width op must be the same at 26, 98 and 242 widgets (the
+# subtree redraw it replaced redrew every widget). Same run as above.
+echo "== e31 width setValues redraws the same count at 26, 98, 242 widgets gate"
+python3 -c '
+import json
+d = json.load(open("BENCH_e31.json"))
+g = {r["widgets"]: r for r in d["grids"]}
+n = [g[k]["width_redrawn_per_op"] for k in (26, 98, 242)]
+assert n[0] == n[1] == n[2], (
+    "e31: width setValues redraws %s widgets at 26/98/242 widgets, gate: equal" % n)
+print("  width setValues: %.1f redrawn at 26/98/242 widgets, %s configured (gate: redrawn equal) ok"
+      % (n[0], "/".join("%.1f" % g[k]["width_configured_per_op"] for k in (26, 98, 242))))
+' || { echo "BENCH_e31.json: malformed or width redraws grow with the tree"; exit 1; }
+
 # The band was 5% while the cached side was tree-walked; the bytecode
 # VM cut cached iteration times ~3x, which widened the run-to-run
 # spread of the ratio to +/-30% on a busy machine. 70% of baseline
