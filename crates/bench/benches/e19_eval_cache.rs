@@ -1,8 +1,10 @@
-//! E19 — the parse-once eval cache.
+//! E19 — the parse-once eval cache: a script is parsed once per run.
 //!
 //! The paper's limitations section concedes that Tcl 6.x is slow because
-//! every piece of script is re-parsed every time it runs. This experiment
-//! measures what the compilation cache buys back on two workloads:
+//! every piece of script is re-parsed every time it runs. With parse-once
+//! compilation a proc body, loop body or guard is lexed once, and every
+//! later run only substitutes, so the *length* of a body's text must not
+//! show in the cost of running it. Two workloads:
 //!
 //! * **loop-heavy** — the E18 prime-factorisation proc (`for` + `while` +
 //!   `expr` + `linsert`), dominated by loop bodies evaluated thousands of
@@ -10,97 +12,115 @@
 //! * **proc-heavy** — a small proc called many times from a `for` loop,
 //!   dominated by proc-body evaluation.
 //!
-//! Each workload runs once with the cache disabled (`interp cachelimit 0`
-//! — every run compiles afresh and keeps nothing, tree-walking the
-//! result: the Tcl 6.x re-parse-everything baseline) and once with the
-//! default cache, on the **same interpreter code**. Results go to stdout
-//! and to `BENCH_e19.json` at the workspace root for machines to read.
+//! Each runs plain and padded: [`PAD_LINES`] `#` comment lines (~2.4 KiB)
+//! at the top of every proc and loop body. A re-parse on every run would
+//! lex the padding on every iteration and call: the interpreter's former
+//! compile-every-run mode (the Tcl 6.x cost) read 4.2-4.5× loop-heavy and
+//! 1.9-2.8× proc-heavy here;
+//! parsed once, the comments cost nothing after the first run. The check
+//! is the median per-round padded/plain ratio, both sides interleaved in
+//! one run, and must stay at most [`MAX_PADDED_RATIO`] on each workload.
+//! Results go to stdout and to `BENCH_e19.json` at the workspace root.
 
 use std::time::Duration;
 
-use bench::{criterion_group, criterion_main, measure_ab, workspace_root, Criterion};
+use bench::{measure_ab, workspace_root};
 use wafe_tcl::Interp;
 
+/// Comment lines padded into every proc and loop body.
+const PAD_LINES: usize = 30;
+
+/// The gate: a body's comment text must not cost a re-parse per run.
+const MAX_PADDED_RATIO: f64 = 1.25;
+
+/// The E18 factoriser; `{pad}` marks where each body's comments go.
 const FACTOR_TCL: &str = "\
-proc factor {n} {\n\
-    set result {}\n\
-    for {set d 2} {$d <= $n} {incr d} {\n\
-        while {$n % $d == 0} {\n\
-            set result [linsert $result 0 $d]\n\
-            set n [expr {$n / $d}]\n\
-        }\n\
-    }\n\
-    return [join $result *]\n\
+proc factor {n} {{pad}
+    set result {}
+    for {set d 2} {$d <= $n} {incr d} {{pad}
+        while {$n % $d == 0} {{pad}
+            set result [linsert $result 0 $d]
+            set n [expr {$n / $d}]
+        }
+    }
+    return [join $result *]
 }";
 
 /// The loop-heavy E18 workload: factor a semiprime, ~3600 iterations of
 /// the outer `for` with an `expr` guard each time.
-fn loop_heavy(i: &mut Interp) -> String {
-    i.eval("factor 3599").unwrap().to_string()
-}
+const LOOP_HEAVY: &str = "factor 3599";
 
-const SUMPROC_TCL: &str = "proc addup {a b} {return [expr {$a + $b}]}";
+const SUMPROC_TCL: &str = "proc addup {a b} {{pad}\nreturn [expr {$a + $b}]}";
 
 /// The proc-call-heavy workload: 500 calls of a two-argument proc.
-fn proc_heavy(i: &mut Interp) -> String {
-    i.eval("set s 0; for {set k 0} {$k < 500} {incr k} {set s [addup $s $k]}; set s")
-        .unwrap()
-        .to_string()
+const PROC_HEAVY: &str =
+    "set s 0; for {set k 0} {$k < 500} {incr k} {{pad}\nset s [addup $s $k]}; set s";
+
+/// `PAD_LINES` comment lines of 80 bytes each.
+fn padding() -> String {
+    (0..PAD_LINES)
+        .map(|k| format!("\n    # {k:02} {}", "-".repeat(71)))
+        .collect()
 }
 
-fn interp_with(cache_limit: usize) -> Interp {
+/// An interpreter holding both procs, their bodies padded with `pad`.
+fn interp_with(pad: &str) -> Interp {
     let mut i = Interp::new();
-    i.set_cache_limit(cache_limit);
-    i.eval(FACTOR_TCL).unwrap();
-    i.eval(SUMPROC_TCL).unwrap();
+    i.eval(&FACTOR_TCL.replace("{pad}", pad)).unwrap();
+    i.eval(&SUMPROC_TCL.replace("{pad}", pad)).unwrap();
     i
 }
 
 struct Measured {
     name: &'static str,
-    cold_ns: f64,
-    cached_ns: f64,
-    /// Median of per-round cold/cached ratios — the number the ci.sh
-    /// no-regression gate reads. The rounds interleave both engines,
-    /// so machine-wide drift cancels instead of skewing whichever
-    /// engine ran while the machine was busy.
-    speedup: f64,
+    plain_ns: f64,
+    padded_ns: f64,
+    /// Median of per-round padded/plain ratios — the number the bench
+    /// asserts and the ci.sh gate reads.
+    ratio: f64,
 }
 
-fn measure(name: &'static str, workload: fn(&mut Interp) -> String) -> Measured {
-    // Same-result sanity check: the cache must be invisible.
-    let mut cold_i = interp_with(0);
-    let mut warm_i = interp_with(wafe_tcl::interp::DEFAULT_CACHE_LIMIT);
-    assert_eq!(workload(&mut cold_i), workload(&mut warm_i));
-
+fn measure(name: &'static str, driver: &str) -> Measured {
+    let pad = padding();
+    let (mut plain, mut padded) = (interp_with(""), interp_with(&pad));
+    let plain_line = driver.replace("{pad}", "");
+    let padded_line = driver.replace("{pad}", &pad);
+    // The padding is only comments: both sides compute the same result.
+    assert_eq!(
+        plain.eval(&plain_line).unwrap().to_string(),
+        padded.eval(&padded_line).unwrap().to_string()
+    );
     let stats = measure_ab(
         Duration::from_millis(200),
-        15,
-        Duration::from_millis(2),
+        21,
+        Duration::from_millis(5),
         || {
-            std::hint::black_box(workload(&mut cold_i).len());
+            std::hint::black_box(padded.eval(&padded_line).unwrap());
         },
         || {
-            std::hint::black_box(workload(&mut warm_i).len());
+            std::hint::black_box(plain.eval(&plain_line).unwrap());
         },
     );
     Measured {
         name,
-        cold_ns: stats.a_ns,
-        cached_ns: stats.b_ns,
-        speedup: stats.ratio,
+        plain_ns: stats.b_ns,
+        padded_ns: stats.a_ns,
+        ratio: stats.ratio,
     }
 }
 
-fn write_json(results: &[Measured]) {
-    let mut out = String::from("{\n  \"experiment\": \"e19_eval_cache\",\n  \"workloads\": [\n");
+fn write_json(results: &[Measured], pad_bytes: usize) {
+    let mut out = format!(
+        "{{\n  \"experiment\": \"e19_eval_cache\",\n  \"pad_bytes_per_body\": {pad_bytes},\n  \
+         \"padded_ratio_gate_max\": {MAX_PADDED_RATIO:.2},\n  \"workloads\": [\n"
+    );
     for (k, m) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cold_ns_per_iter\": {:.1}, \"cached_ns_per_iter\": {:.1}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"plain_ns_per_iter\": {:.1}, \"padded_ns_per_iter\": {:.1}, \"padded_ratio\": {:.2}}}{}\n",
             m.name,
-            m.cold_ns,
-            m.cached_ns,
-            m.speedup,
+            m.plain_ns,
+            m.padded_ns,
+            m.ratio,
             if k + 1 < results.len() { "," } else { "" },
         ));
     }
@@ -110,48 +130,37 @@ fn write_json(results: &[Measured]) {
     println!("  wrote {}", path.display());
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     bench::banner(
         "E19",
-        "parse-once eval cache vs Tcl 6.x re-parse-everything",
+        "parse-once: comment-padded bodies cost no more per run",
     );
     let results = [
-        measure("loop_heavy_factor", loop_heavy),
-        measure("proc_heavy_calls", proc_heavy),
+        measure("loop_heavy_factor", LOOP_HEAVY),
+        measure("proc_heavy_calls", PROC_HEAVY),
     ];
+    let pad_bytes = padding().len();
     for m in &results {
         bench::row(
-            &format!("{} cold (cachelimit 0)", m.name),
-            format!("{:.0} ns/iter", m.cold_ns),
+            &format!("{} plain", m.name),
+            format!("{:.0} ns/iter", m.plain_ns),
         );
         bench::row(
-            &format!("{} cached", m.name),
-            format!("{:.0} ns/iter", m.cached_ns),
+            &format!("{} padded (+{pad_bytes} B per body)", m.name),
+            format!("{:.0} ns/iter", m.padded_ns),
         );
-        bench::row(&format!("{} speedup", m.name), format!("{:.1}x", m.speedup));
+        bench::row(
+            &format!("{} padded/plain", m.name),
+            format!("{:.2}x (gate <={MAX_PADDED_RATIO}x)", m.ratio),
+        );
     }
-    write_json(&results);
-    assert!(
-        results[0].speedup >= 5.0,
-        "acceptance: >=5x on the loop-heavy workload, got {:.2}x",
-        results[0].speedup
-    );
-
-    // Keep a criterion-style group so E19 reports like the others.
-    let mut group = c.benchmark_group("e19_eval_cache");
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_millis(1000));
-    group.sample_size(11);
-    group.bench_function("factor_3599_cached", |b| {
-        let mut i = interp_with(wafe_tcl::interp::DEFAULT_CACHE_LIMIT);
-        b.iter(|| loop_heavy(&mut i));
-    });
-    group.bench_function("factor_3599_cold", |b| {
-        let mut i = interp_with(0);
-        b.iter(|| loop_heavy(&mut i));
-    });
-    group.finish();
+    write_json(&results, pad_bytes);
+    for m in &results {
+        assert!(
+            m.ratio <= MAX_PADDED_RATIO,
+            "acceptance: {} padded/plain must be <= {MAX_PADDED_RATIO}x, got {:.2}x",
+            m.name,
+            m.ratio
+        );
+    }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

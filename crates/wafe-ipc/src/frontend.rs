@@ -3,7 +3,7 @@
 //! The child process lives behind the supervisor (`supervisor.rs`):
 //! this module owns the raw transport — spawning with the mass-channel
 //! fd wired in, non-blocking reads, poll(2) multiplexing — packaged as
-//! a [`ChildLink`] the supervisor can tear down and respawn.
+//! a `ChildLink` the supervisor can tear down and respawn.
 
 use std::cell::Cell;
 use std::io::{Read, Write};
@@ -329,7 +329,7 @@ impl Frontend {
         self.supervisor.kill_child_process();
     }
 
-    /// Checkpoints the frontend into an encoded [`SessionSnapshot`]:
+    /// Checkpoints the frontend into an encoded [`wafe_core::SessionSnapshot`]:
     /// the session's persistent state plus every application-bound line
     /// still queued — the protocol engine's pending lines followed by
     /// the supervisor's bounded outbound queue, preserving delivery
@@ -456,10 +456,10 @@ mod tests {
         fe.kill();
     }
 
-    #[test]
-    fn mass_channel_via_fd5() {
-        // The paper's mass-transfer flow with a real child writing to the
-        // inherited fd.
+    /// The paper's mass-transfer flow with a real child writing 1000
+    /// bytes to the inherited fd, under `faults`; returns the frontend
+    /// once the text widget holds every byte.
+    fn mass_transfer(faults: Option<FaultPlan>) -> Frontend {
         let script = r#"
             echo '%asciiText text topLevel editType edit'
             echo '%realize'
@@ -471,6 +471,7 @@ mod tests {
         let mut fe = Frontend::spawn(FrontendConfig {
             args: vec!["-c".into(), script.into()],
             mass_channel: true,
+            faults,
             ..FrontendConfig::new("sh")
         })
         .expect("spawn sh");
@@ -492,6 +493,20 @@ mod tests {
         }
         assert_eq!(got.len(), 1000, "mass transfer must deliver all bytes");
         assert!(got.chars().all(|c| c == 'z'));
+        fe
+    }
+
+    #[test]
+    fn mass_channel_via_fd5() {
+        mass_transfer(None).kill();
+    }
+
+    #[test]
+    fn delayed_mass_chunks_are_released_whole() {
+        let plan = FaultPlan::parse("mass:delay=100").expect("fault spec");
+        let mut fe = mass_transfer(Some(plan));
+        let tel = &fe.engine.session.telemetry;
+        assert!(tel.value(wafe_trace::Metric::IpcSupervisorFaultsInjected) >= 1);
         fe.kill();
     }
 

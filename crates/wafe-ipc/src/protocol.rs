@@ -54,9 +54,9 @@ impl ProtocolEngine {
             let mut part = partial.borrow_mut();
             part.push_str(s);
             while let Some(nl) = part.find('\n') {
-                let line: String = part.drain(..=nl).collect();
-                q.borrow_mut()
-                    .push_back(line.trim_end_matches('\n').to_string());
+                let mut line: String = part.drain(..=nl).collect();
+                line.pop(); // the newline at `nl`
+                q.borrow_mut().push_back(line);
             }
         });
         ProtocolEngine {

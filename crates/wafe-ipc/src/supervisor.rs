@@ -361,6 +361,9 @@ fn backoff_ms(config: &SupervisorConfig, attempt: u32) -> u64 {
         .min(config.backoff_max_ms)
 }
 
+/// Chunks a `Delay` fault holds back, each with the tick it falls due.
+type DelayQueue = VecDeque<(u64, Vec<u8>)>;
+
 /// The driving half: owns the child process (when one is alive), the
 /// shared line codec and the fault-delayed byte queues, and advances the
 /// state machine once per [`tick`](Supervisor::tick).
@@ -370,8 +373,8 @@ pub struct Supervisor {
     spec: SpawnSpec,
     codec: LineCodec,
     deferred: VecDeque<String>,
-    delayed: VecDeque<(u64, Vec<u8>)>,
-    delayed_mass: VecDeque<(u64, Vec<u8>)>,
+    delayed: DelayQueue,
+    delayed_mass: DelayQueue,
     channel_fd: Rc<Cell<i64>>,
     tel: Telemetry,
     last_write: Option<Instant>,
@@ -646,12 +649,21 @@ impl Supervisor {
 
     // ----- inbound ----------------------------------------------------
 
-    fn ingest_read_bytes(&mut self, mut chunk: Vec<u8>) {
-        for action in self.fire("read") {
+    /// Applies the byte faults fired at `point` (the `read` and `mass`
+    /// channels) to `chunk`. Returns the bytes to pass on, or `None`
+    /// when a kill tore the child down or a delay parked the chunk in the
+    /// channel's `queue`.
+    fn byte_faults(
+        &mut self,
+        point: &'static str,
+        mut chunk: Vec<u8>,
+        queue: fn(&mut Self) -> &mut DelayQueue,
+    ) -> Option<Vec<u8>> {
+        for action in self.fire(point) {
             match action {
                 FaultAction::Kill => {
-                    self.declare_fault("injected kill", "read");
-                    return;
+                    self.declare_fault("injected kill", point);
+                    return None;
                 }
                 FaultAction::Wedge | FaultAction::Drop => chunk.clear(),
                 FaultAction::Garble => {
@@ -661,9 +673,9 @@ impl Supervisor {
                 FaultAction::Delay(ms) => {
                     if !chunk.is_empty() {
                         let due = self.core.borrow().now_ms + ms;
-                        self.delayed.push_back((due, chunk));
+                        queue(self).push_back((due, chunk));
                     }
-                    return;
+                    return None;
                 }
                 FaultAction::Flood(n) => {
                     let one = chunk.clone();
@@ -673,7 +685,27 @@ impl Supervisor {
                 }
             }
         }
-        self.assemble(chunk);
+        Some(chunk)
+    }
+
+    /// Hands each chunk of `queue` whose delay has run out to `deliver`,
+    /// oldest first.
+    fn release_due(
+        &mut self,
+        queue: fn(&mut Self) -> &mut DelayQueue,
+        mut deliver: impl FnMut(&mut Self, Vec<u8>),
+    ) {
+        let now = self.core.borrow().now_ms;
+        while matches!(queue(self).front(), Some((due, _)) if *due <= now) {
+            let (_, chunk) = queue(self).pop_front().expect("front checked");
+            deliver(self, chunk);
+        }
+    }
+
+    fn ingest_read_bytes(&mut self, chunk: Vec<u8>) {
+        if let Some(chunk) = self.byte_faults("read", chunk, |s| &mut s.delayed) {
+            self.assemble(chunk);
+        }
     }
 
     fn assemble(&mut self, chunk: Vec<u8>) {
@@ -719,41 +751,10 @@ impl Supervisor {
         self.deferred.extend(lines);
     }
 
-    fn release_delayed(&mut self) {
-        let now = self.core.borrow().now_ms;
-        while matches!(self.delayed.front(), Some((due, _)) if *due <= now) {
-            let (_, chunk) = self.delayed.pop_front().expect("front checked");
-            self.assemble(chunk);
-        }
-    }
-
-    fn ingest_mass(&mut self, engine: &mut ProtocolEngine, mut chunk: Vec<u8>) {
-        for action in self.fire("mass") {
-            match action {
-                FaultAction::Kill => {
-                    self.declare_fault("injected kill", "mass");
-                    return;
-                }
-                FaultAction::Wedge | FaultAction::Drop => chunk.clear(),
-                FaultAction::Garble => {
-                    self.with_plan(|p| p.garble_bytes(&mut chunk));
-                }
-                FaultAction::Truncate(n) => chunk.truncate(n),
-                FaultAction::Delay(ms) => {
-                    if !chunk.is_empty() {
-                        let due = self.core.borrow().now_ms + ms;
-                        self.delayed_mass.push_back((due, chunk));
-                    }
-                    return;
-                }
-                FaultAction::Flood(n) => {
-                    let one = chunk.clone();
-                    for _ in 1..n {
-                        chunk.extend_from_slice(&one);
-                    }
-                }
-            }
-        }
+    fn ingest_mass(&mut self, engine: &mut ProtocolEngine, chunk: Vec<u8>) {
+        let Some(chunk) = self.byte_faults("mass", chunk, |s| &mut s.delayed_mass) else {
+            return;
+        };
         if !chunk.is_empty() {
             {
                 let mut core = self.core.borrow_mut();
@@ -761,16 +762,6 @@ impl Supervisor {
                 core.last_data_ms = now;
             }
             engine.handle_mass_data(&chunk);
-        }
-    }
-
-    fn release_delayed_mass(&mut self, engine: &mut ProtocolEngine) {
-        let now = self.core.borrow().now_ms;
-        while matches!(self.delayed_mass.front(), Some((due, _)) if *due <= now) {
-            let (_, chunk) = self.delayed_mass.pop_front().expect("front checked");
-            if !chunk.is_empty() {
-                engine.handle_mass_data(&chunk);
-            }
         }
     }
 
@@ -868,7 +859,7 @@ impl Supervisor {
                 self.ingest_read_bytes(chunk);
             }
         }
-        self.release_delayed();
+        self.release_due(|s| &mut s.delayed, Self::assemble);
         if self.core.borrow().state != BackendState::Running {
             return;
         }
@@ -880,7 +871,10 @@ impl Supervisor {
                 self.ingest_mass(engine, mass);
             }
         }
-        self.release_delayed_mass(engine);
+        self.release_due(
+            |s| &mut s.delayed_mass,
+            |_, chunk| engine.handle_mass_data(&chunk),
+        );
         if self.core.borrow().state != BackendState::Running {
             return;
         }

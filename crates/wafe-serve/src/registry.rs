@@ -18,7 +18,7 @@
 //! counters up into it, and the registry counts the events no session
 //! sees there (admissions, admission sheds, closes, accept errors).
 //! `serve status` and the `serve.server.*` metrics rows are one view,
-//! [`FACTS`], over the summed shard totals, so every server event is
+//! `FACTS`, over the summed shard totals, so every server event is
 //! counted once, at one call site.
 
 use std::collections::HashMap;
@@ -669,7 +669,7 @@ impl Registry {
     }
 
     /// `serve status` payload: a flat key/value word list. `state`
-    /// first, then [`FACTS`] (their positions are part of the wire
+    /// first, then `FACTS` (their positions are part of the wire
     /// contract), then the `poller` and the per-shard `shards`
     /// breakdown.
     pub fn status_words(&self) -> Vec<String> {
@@ -700,7 +700,7 @@ impl Registry {
     }
 
     /// The server-level rows of the metrics exposition (`serve metrics`
-    /// and waferd's `--metrics` endpoint): the [`FACTS`] as key-sorted
+    /// and waferd's `--metrics` endpoint): the `FACTS` as key-sorted
     /// `serve.server.*` pairs, plus the 0/1 `draining` flag standing in
     /// for the `state` word.
     pub fn metrics_pairs(&self) -> Vec<(String, String)> {

@@ -6,7 +6,7 @@
 //! down), so sessions are *pinned*: the accept loop hands the worker a
 //! [`SessionId`] and the socket — both `Send` — and the scheduler
 //! builds the `ProtocolEngine` locally. Everything else about the
-//! session lives in one worker-local [`Session`] record, indexed by its
+//! session lives in one worker-local `Session` record, indexed by its
 //! poll token: the engine, the socket and its line codec, the bounded
 //! inbound queue, the outbound lines, the frame slot and the write
 //! buffer. The event loop reads into and writes out of the same record

@@ -1,13 +1,13 @@
 //! Bytecode compiler and VM: the Tcl 8.0-style execution layer.
 //!
-//! [`bytecode_for`] lowers a [`CompiledScript`] to a flat instruction
+//! `bytecode_for` lowers a [`CompiledScript`] to a flat instruction
 //! stream over a `Vec<Value>` operand stack, cached on the script itself
 //! (shared by the parse cache, `Value` script reps and proc bodies, so a
 //! body compiles once no matter how it is reached).
 //!
 //! Lowering is tiered, as `Tcl_EvalEx` keeps bytecode only for code that
 //! is reused. A script's first run tree-walks and marks it
-//! [`BcSlot::Seen`]; its second run lowers it. A script that *iterates*
+//! `BcSlot::Seen`; its second run lowers it. A script that *iterates*
 //! (one of its commands, or of its `[...]` scripts, starts with a literal
 //! `while`, `for` or `foreach`; see `CompiledScript::iterates`) is
 //! lowered on its first run, because entering the VM once per iteration
@@ -24,7 +24,7 @@
 //!
 //! * **Never wrong, just less inlined.** A special form is inlined only
 //!   when its structure is fully literal *and* the command name still
-//!   resolves to the pristine built-in ([`Interp::bc_special_pristine`]);
+//!   resolves to the pristine built-in (`Interp::bc_special_pristine`);
 //!   otherwise the command lowers to a generic invoke of whatever is
 //!   bound at run time. Rebinding one of the inlined names bumps
 //!   `Interp::bc_epoch`, so already-compiled scripts recompile instead of
@@ -60,7 +60,7 @@
 //!   write, in order, and may touch anything).
 //!
 //! `break`/`continue` remain the `TclError::Break`/`Continue` completion
-//! codes. The VM keeps a side table of [`LoopRange`]s; when an
+//! codes. The VM keeps a side table of `LoopRange`s; when an
 //! instruction inside a loop body raises one, the operand and iterator
 //! stacks are truncated to the loop's entry depths and control jumps to
 //! the break/continue target. Outside any range the code propagates to
@@ -73,7 +73,7 @@ use crate::compile::{CompiledCommand, CompiledScript, Token};
 use crate::error::{TclError, TclResult};
 use crate::expr::{
     coerce, coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp,
-    Node, PreparedExpr, UnOp, Value as EValue,
+    Node, UnOp, Value as EValue,
 };
 use crate::interp::{Interp, BC_SPECIAL_NAMES};
 use crate::list::parse_list;
@@ -757,7 +757,7 @@ impl<'a> Compiler<'a> {
         };
         // Compile through the interpreter's expr cache: the same parse the
         // tree-walker would do on first evaluation, done once here.
-        let PreparedExpr::Compiled(ce) = prepare_expr(self.interp, text.as_str()) else {
+        let Ok(ce) = prepare_expr(self.interp, text.as_str()) else {
             return None;
         };
         self.expr(ce.node())?;
@@ -875,7 +875,7 @@ impl<'a> Compiler<'a> {
     /// Compiles a literal guard text through the expr cache; `None` when
     /// it does not parse (the built-in reports the error lazily).
     fn guard(&mut self, text: &Value) -> Option<()> {
-        let PreparedExpr::Compiled(ce) = prepare_expr(self.interp, text.as_str()) else {
+        let Ok(ce) = prepare_expr(self.interp, text.as_str()) else {
             return None;
         };
         self.expr(ce.node())

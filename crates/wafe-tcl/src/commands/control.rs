@@ -2,7 +2,7 @@
 //! global upvar uplevel switch case`.
 
 use crate::error::{wrong_num_args, TclError, TclResult};
-use crate::expr::{eval_expr_bool, eval_prepared_bool, prepare_expr};
+use crate::expr::{eval_expr_bool, prepare_expr};
 use crate::glob::glob_match;
 use crate::interp::{Interp, ProcDef};
 use crate::list::parse_list;
@@ -96,10 +96,10 @@ fn cmd_while(i: &mut Interp, argv: &[Value]) -> TclResult<Value> {
         return Err(wrong_num_args("while test command"));
     }
     // Parse the guard and body once; every iteration only substitutes.
-    let test = prepare_expr(i, &argv[1]);
-    let body = i.prepare_value(&argv[2]);
-    while eval_prepared_bool(i, &test)? {
-        match i.run_prepared(&body) {
+    let test = prepare_expr(i, &argv[1])?;
+    let body = i.compiled_value(&argv[2]);
+    while test.eval(i)?.truthy()? {
+        match i.eval_compiled(&body) {
             Ok(_) | Err(TclError::Continue) => {}
             Err(TclError::Break) => break,
             Err(e) => return Err(e),
@@ -113,16 +113,16 @@ fn cmd_for(i: &mut Interp, argv: &[Value]) -> TclResult<Value> {
         return Err(wrong_num_args("for start test next command"));
     }
     i.eval_value(&argv[1])?;
-    let test = prepare_expr(i, &argv[2]);
-    let next = i.prepare_value(&argv[3]);
-    let body = i.prepare_value(&argv[4]);
-    while eval_prepared_bool(i, &test)? {
-        match i.run_prepared(&body) {
+    let test = prepare_expr(i, &argv[2])?;
+    let next = i.compiled_value(&argv[3]);
+    let body = i.compiled_value(&argv[4]);
+    while test.eval(i)?.truthy()? {
+        match i.eval_compiled(&body) {
             Ok(_) | Err(TclError::Continue) => {}
             Err(TclError::Break) => break,
             Err(e) => return Err(e),
         }
-        i.run_prepared(&next)?;
+        i.eval_compiled(&next)?;
     }
     Ok(Value::empty())
 }
@@ -138,7 +138,7 @@ fn cmd_foreach(i: &mut Interp, argv: &[Value]) -> TclResult<Value> {
     // Iterate the shared list rep: each element is a cheap `Value` clone,
     // so loop variables keep any cached numeric rep of the elements.
     let items = argv[2].as_list()?;
-    let body = i.prepare_value(&argv[3]);
+    let body = i.compiled_value(&argv[3]);
     let mut idx = 0usize;
     while idx < items.len() {
         for v in &vars {
@@ -146,7 +146,7 @@ fn cmd_foreach(i: &mut Interp, argv: &[Value]) -> TclResult<Value> {
             i.set_var(v, value)?;
             idx += 1;
         }
-        match i.run_prepared(&body) {
+        match i.eval_compiled(&body) {
             Ok(_) | Err(TclError::Continue) => {}
             Err(TclError::Break) => break,
             Err(e) => return Err(e),

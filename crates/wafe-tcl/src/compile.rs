@@ -422,9 +422,15 @@ impl Word {
     }
 }
 
+/// Keys longer than this are neither kept nor counted: the caches are
+/// meant for hot loop bodies, proc calls and guards, not one-shot
+/// `source` text (which still compiles once for its own run).
+const MAX_CACHED_KEY_LEN: usize = 1 << 16;
+
 /// A bounded, least-recently-used cache from script/expression text to
 /// its compiled form. Keys are the full source text, so a cache hit is
-/// exact: same text, same parse.
+/// exact: same text, same parse. At limit 0, or for a key longer than
+/// [`MAX_CACHED_KEY_LEN`], the cache keeps and counts nothing.
 ///
 /// Entries sit in a doubly linked recency list threaded through a slab,
 /// so a hit, an insert and an eviction each cost O(1) — a protocol line
@@ -498,8 +504,16 @@ impl<V: Clone> LruCache<V> {
         self.head = slot;
     }
 
+    /// True when `key` bypasses the cache: neither kept nor counted.
+    fn bypassed(&self, key: &str) -> bool {
+        self.limit == 0 || key.len() > MAX_CACHED_KEY_LEN
+    }
+
     /// Looks up `key`, refreshing its recency and counting hit/miss.
     pub fn get(&mut self, key: &str, tel: &Telemetry) -> Option<V> {
+        if self.bypassed(key) {
+            return None;
+        }
         match self.map.get(key).copied() {
             Some(slot) => {
                 tel.count(self.metrics[0]);
@@ -514,18 +528,13 @@ impl<V: Clone> LruCache<V> {
         }
     }
 
-    /// Looks up `key`, building and inserting its value on a miss. With
-    /// the cache disabled (limit 0) the value is built and not kept, and
-    /// nothing is counted.
+    /// Looks up `key`, building and inserting its value on a miss.
     pub fn get_or_insert_with(
         &mut self,
         key: &str,
         tel: &Telemetry,
         make: impl FnOnce() -> V,
     ) -> V {
-        if self.limit == 0 {
-            return make();
-        }
         if let Some(v) = self.get(key, tel) {
             return v;
         }
@@ -536,7 +545,7 @@ impl<V: Clone> LruCache<V> {
 
     /// Inserts `key`, evicting the least-recently-used entry when full.
     pub fn insert(&mut self, key: &str, value: V, tel: &Telemetry) {
-        if self.limit == 0 {
+        if self.bypassed(key) {
             return;
         }
         if let Some(slot) = self.map.get(key).copied() {
@@ -821,9 +830,22 @@ mod tests {
         assert!(t.value(TclCacheSubstMisses) >= 2);
         c.set_limit(1, &t);
         assert_eq!(c.len(), 1);
+        let (hits, misses) = (t.value(TclCacheSubstHits), t.value(TclCacheSubstMisses));
         c.set_limit(0, &t);
         assert_eq!(c.len(), 0);
         c.insert("d", 4, &t);
         assert_eq!(c.len(), 0, "limit 0 disables insertion");
+        assert_eq!(c.get("d", &t), None);
+        c.set_limit(2, &t);
+        let long = "x".repeat(MAX_CACHED_KEY_LEN + 1);
+        c.insert(&long, 5, &t);
+        assert_eq!(c.get(&long, &t), None);
+        assert_eq!(c.len(), 0, "an over-long key is not kept");
+        assert_eq!(t.value(TclCacheSubstHits), hits, "bypasses count no hit");
+        assert_eq!(
+            t.value(TclCacheSubstMisses),
+            misses,
+            "bypasses count no miss"
+        );
     }
 }

@@ -124,6 +124,11 @@ impl CompiledExpr {
     pub(crate) fn node(&self) -> &Node {
         &self.node
     }
+
+    /// Evaluates the parsed tree: only substitution and arithmetic run.
+    pub fn eval(&self, interp: &mut Interp) -> TclResult<Value> {
+        eval_node(interp, &self.node)
+    }
 }
 
 /// Parses an expression without evaluating it.
@@ -133,48 +138,18 @@ pub fn compile_expr(text: &str) -> TclResult<CompiledExpr> {
     })
 }
 
-/// An expression readied for repeated evaluation (`while`/`for` guards):
-/// compiled when the text parses, raw source otherwise so that the error
-/// surfaces at evaluation time exactly as Tcl reports it.
-#[derive(Clone)]
-pub enum PreparedExpr {
-    /// Parsed once; evaluation substitutes only.
-    Compiled(Rc<CompiledExpr>),
-    /// Did not parse (or caching disabled): re-parse at each evaluation.
-    Source(String),
-}
-
-/// Readies an expression for repeated evaluation, consulting the
-/// interpreter's expression cache. With caching disabled this always
-/// yields the re-parsing form (the Tcl 6.x baseline).
-pub fn prepare_expr(interp: &mut Interp, text: &str) -> PreparedExpr {
-    if !interp.cache_enabled() {
-        return PreparedExpr::Source(text.to_string());
-    }
+/// Parses an expression once for repeated evaluation (`while`/`for`
+/// guards, `expr` words), through the interpreter's expression cache. A
+/// text that does not parse raises its syntax error here; nothing of the
+/// expression has been evaluated by then, so the error comes exactly
+/// where evaluating the text would raise it.
+pub fn prepare_expr(interp: &mut Interp, text: &str) -> TclResult<Rc<CompiledExpr>> {
     if let Some(c) = interp.expr_cache_get(text) {
-        return PreparedExpr::Compiled(c);
+        return Ok(c);
     }
-    match compile_expr(text) {
-        Ok(c) => {
-            let rc = Rc::new(c);
-            interp.expr_cache_put(text, rc.clone());
-            PreparedExpr::Compiled(rc)
-        }
-        Err(_) => PreparedExpr::Source(text.to_string()),
-    }
-}
-
-/// Evaluates a [`PreparedExpr`].
-pub fn eval_prepared(interp: &mut Interp, prepared: &PreparedExpr) -> TclResult<Value> {
-    match prepared {
-        PreparedExpr::Compiled(c) => eval_node(interp, &c.node),
-        PreparedExpr::Source(s) => eval_expr(interp, s),
-    }
-}
-
-/// Evaluates a [`PreparedExpr`] as a boolean.
-pub fn eval_prepared_bool(interp: &mut Interp, prepared: &PreparedExpr) -> TclResult<bool> {
-    eval_prepared(interp, prepared)?.truthy()
+    let c = Rc::new(compile_expr(text)?);
+    interp.expr_cache_put(text, c.clone());
+    Ok(c)
 }
 
 fn parse_text(text: &str) -> TclResult<Node> {
@@ -196,16 +171,7 @@ fn parse_text(text: &str) -> TclResult<Node> {
 /// Evaluates an expression string in the context of an interpreter.
 /// Already-seen expression texts hit the interpreter's parse cache.
 pub fn eval_expr(interp: &mut Interp, text: &str) -> TclResult<Value> {
-    if let Some(c) = interp.expr_cache_get(text) {
-        return eval_node(interp, &c.node);
-    }
-    let node = parse_text(text)?;
-    if interp.cache_enabled() {
-        let rc = Rc::new(CompiledExpr { node });
-        interp.expr_cache_put(text, rc.clone());
-        return eval_node(interp, &rc.node);
-    }
-    eval_node(interp, &node)
+    prepare_expr(interp, text)?.eval(interp)
 }
 
 /// Evaluates an expression and renders the result as a string.

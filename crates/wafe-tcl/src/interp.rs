@@ -32,10 +32,6 @@ pub const DEFAULT_CACHE_LIMIT: usize = 512;
 /// recursion within the native stack. Results are identical either way.
 pub(crate) const BC_MAX_DEPTH: usize = 16;
 
-/// Scripts longer than this are compiled but not cached: the cache is
-/// meant for hot loop bodies and proc calls, not one-shot `source` text.
-const MAX_CACHED_SCRIPT_LEN: usize = 1 << 16;
-
 /// The unsized native-command function type behind [`CmdFn`].
 pub type NativeFn = dyn Fn(&mut Interp, &[Value]) -> TclResult<Value>;
 
@@ -68,8 +64,7 @@ pub struct ProcDef {
     pub body: String,
     /// The body's parse-once form, compiled when the proc is defined. A
     /// body with a syntax error still compiles: it raises the error when
-    /// a call reaches it. Calls under `interp cachelimit 0` compile the
-    /// body text afresh instead. Redefining a proc replaces the whole
+    /// a call reaches it. Redefining a proc replaces the whole
     /// `ProcDef`, so a stale compiled body can never outlive its source
     /// text.
     pub compiled: Rc<CompiledScript>,
@@ -262,17 +257,6 @@ pub struct Interp {
 pub(crate) const BC_SPECIAL_NAMES: [&str; 9] = [
     "set", "incr", "expr", "if", "while", "for", "foreach", "break", "continue",
 ];
-
-/// A script readied for repeated evaluation: its parse-once compiled
-/// form, or — with the cache disabled (`interp cachelimit 0`) — its
-/// source, compiled afresh on every run and never kept.
-#[derive(Clone)]
-pub enum Prepared {
-    /// Compiled once; each run only substitutes.
-    Compiled(Rc<CompiledScript>),
-    /// Compiled on every run (the Tcl 6.x re-parse baseline).
-    Source(String),
-}
 
 impl Default for Interp {
     fn default() -> Self {
@@ -862,25 +846,14 @@ impl Interp {
     /// compiled script (e.g. `catch {...}` inside a loop) hits the rep on
     /// every iteration after the first — no hashing, no text lookup.
     pub fn eval_value(&mut self, script: &Value) -> TclResult<Value> {
-        let prepared = self.prepare_value(script);
-        self.run_prepared(&prepared)
+        let compiled = self.compiled_value(script);
+        self.eval_rc(compiled, String::new)
     }
 
-    /// Readies a script held in a [`Value`] for repeated evaluation (loop
-    /// bodies): compiled once, or — with the cache disabled (`interp
-    /// cachelimit 0`) — the source, compiled afresh on every run. The
-    /// compiled form is kept as the value's own script rep, so preparing
-    /// the same `Value` (a shared loop-body literal) again skips the text
-    /// cache lookup.
-    pub fn prepare_value(&mut self, script: &Value) -> Prepared {
-        if !self.cache_enabled() {
-            return Prepared::Source(script.to_string());
-        }
-        Prepared::Compiled(self.compiled_value(script))
-    }
-
-    /// The compiled form of a script held in a [`Value`]: its script rep,
-    /// else the text cache's entry, which then becomes the rep.
+    /// The compiled form of a script held in a [`Value`] (loop bodies):
+    /// its script rep, else the text cache's entry or a fresh compile,
+    /// which then becomes the rep — so the same `Value` (a shared
+    /// loop-body literal) compiles once whatever the cache bound.
     pub(crate) fn compiled_value(&mut self, script: &Value) -> Rc<CompiledScript> {
         if let Some(c) = script.cached_script() {
             return c;
@@ -890,23 +863,9 @@ impl Interp {
         c
     }
 
-    /// Runs a [`Prepared`] script.
-    pub fn run_prepared(&mut self, prepared: &Prepared) -> TclResult<Value> {
-        match prepared {
-            Prepared::Compiled(c) => self.eval_compiled(c),
-            Prepared::Source(s) => self.eval(s),
-        }
-    }
-
-    /// Cache lookup + compile-on-miss. With caching disabled the script
-    /// is compiled and not kept.
+    /// Cache lookup + compile-on-miss. Text the cache does not keep
+    /// (limit 0, over-long) is compiled for this run only.
     fn lookup_or_compile(&mut self, script: &str) -> Rc<CompiledScript> {
-        if script.len() > MAX_CACHED_SCRIPT_LEN {
-            // Over-long text still compiles (parse-once pays off within
-            // the one run via proc bodies and loops) but does not occupy
-            // the cache.
-            return Rc::new(compile(script));
-        }
         self.script_cache
             .get_or_insert_with(script, &self.telemetry, || Rc::new(compile(script)))
     }
@@ -966,37 +925,25 @@ impl Interp {
         self.subst_cache.clear();
     }
 
-    /// The cache bound; 0 means caching is disabled.
+    /// The text caches' bound; 0 means they keep nothing.
     pub fn cache_limit(&self) -> usize {
         self.script_cache.limit()
     }
 
-    /// Sets the bound of every parse cache, trimming immediately.
-    /// `0` disables the parse-once layer entirely — every evaluation
-    /// compiles afresh and keeps nothing, re-parsing like Tcl 6.x (used
-    /// as the benchmark baseline).
+    /// Sets the bound of the script, expression and substitution text
+    /// caches, trimming immediately. At `0` they keep and count nothing;
+    /// `Value` script reps, proc bodies and bytecode are kept regardless.
     pub fn set_cache_limit(&mut self, limit: usize) {
         self.script_cache.set_limit(limit, &self.telemetry);
         self.expr_cache.set_limit(limit, &self.telemetry);
         self.subst_cache.set_limit(limit, &self.telemetry);
     }
 
-    /// True when the parse-once layer is active.
-    pub fn cache_enabled(&self) -> bool {
-        self.script_cache.limit() > 0
-    }
-
     pub(crate) fn expr_cache_get(&mut self, text: &str) -> Option<Rc<CompiledExpr>> {
-        if self.expr_cache.limit() == 0 || text.len() > MAX_CACHED_SCRIPT_LEN {
-            return None;
-        }
         self.expr_cache.get(text, &self.telemetry)
     }
 
     pub(crate) fn expr_cache_put(&mut self, text: &str, compiled: Rc<CompiledExpr>) {
-        if text.len() > MAX_CACHED_SCRIPT_LEN {
-            return;
-        }
         self.expr_cache.insert(text, compiled, &self.telemetry);
     }
 
@@ -1020,12 +967,12 @@ impl Interp {
         // Bytecode fast path: lower the script once and dispatch a flat
         // instruction stream. The compiler declines rather than guesses —
         // a `None` here (a script holding a syntax error, a first run of
-        // a script that does not loop, or `bcdisable`, or the Tcl 6.x
-        // `cachelimit 0` baseline, or recursion past `BC_MAX_DEPTH`)
+        // a script that does not loop, or `bcdisable`, or recursion past
+        // `BC_MAX_DEPTH`)
         // means the tree-walker below runs instead.
         // The VM bound counts entered evaluations only: inlined ones add
         // no native frames.
-        if self.bc_enabled && self.depth - self.inlined <= BC_MAX_DEPTH && self.cache_enabled() {
+        if self.bc_enabled && self.depth - self.inlined <= BC_MAX_DEPTH {
             if let Some(code) = crate::bc::bytecode_for(self, script) {
                 // Code whose inlined brackets and bodies would nest past
                 // the limit tree-walks, which raises the error at the
@@ -1188,11 +1135,7 @@ impl Interp {
         self.active = self.frames.len() - 1;
         let span = self.telemetry.span_begin("tcl.proc", || name.to_string());
         let prof = self.profiler.enter(name);
-        let r = if self.cache_enabled() {
-            self.eval_compiled(&p.compiled)
-        } else {
-            self.eval(&p.body)
-        };
+        let r = self.eval_compiled(&p.compiled);
         if prof {
             self.profiler.exit();
         }
@@ -1217,12 +1160,9 @@ impl Interp {
     /// `expr`). The text compiles once, like a script; a syntax error is
     /// raised after the substitutions before it have run.
     pub fn substitute_all(&mut self, s: &str) -> TclResult<String> {
-        let parts: Rc<[Token]> = if s.len() > MAX_CACHED_SCRIPT_LEN {
-            compile_subst(s).into()
-        } else {
-            self.subst_cache
-                .get_or_insert_with(s, &self.telemetry, || compile_subst(s).into())
-        };
+        let parts: Rc<[Token]> = self
+            .subst_cache
+            .get_or_insert_with(s, &self.telemetry, || compile_subst(s).into());
         let mut out = String::new();
         for part in parts.iter() {
             out.push_str(&self.subst_token(part)?);

@@ -46,7 +46,7 @@ pub mod value;
 
 pub use compile::{compile, CompiledScript};
 pub use error::{TclError, TclResult};
-pub use interp::{CmdFn, CommandBase, Interp, OutputSink, Prepared};
+pub use interp::{CmdFn, CommandBase, Interp, OutputSink};
 pub use list::{list_append, list_join, list_quote, parse_list};
 pub use snapshot::InterpSnapshot;
 pub use value::{IntRep, Value};

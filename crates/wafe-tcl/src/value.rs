@@ -412,7 +412,7 @@ fn canonical_int(s: &str, n: i64) -> bool {
 }
 
 /// Join values into a canonical Tcl list string. Produces exactly what
-/// [`list_join`] yields for the same element texts, without the
+/// [`crate::list_join`] yields for the same element texts, without the
 /// intermediate `Vec<String>`.
 pub fn join_values(elems: &[Value]) -> String {
     let mut out = String::new();

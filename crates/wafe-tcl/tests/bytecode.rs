@@ -262,18 +262,76 @@ fn redefined_loop_command_is_honored_by_compiled_scripts() {
     assert_eq!(i.eval(script).unwrap(), "shadowed-x");
 }
 
+/// `interp cachelimit 0` bounds only the text caches: a looping line
+/// still lowers to bytecode on its first run, the caches keep and count
+/// nothing, and results match the default interpreter's.
 #[test]
-fn cachelimit_zero_disables_vm_with_caches() {
+fn cachelimit_zero_keeps_the_vm() {
+    let script = "set n 0; while {$n < 5} {incr n}; set s 0; foreach x {1 2 3} {incr s $x}";
+    let mut plain = Interp::new();
     let mut i = Interp::new();
     i.eval("interp cachelimit 0").unwrap();
+    i.eval("interp cacheclear").unwrap();
+    let counters = [
+        Metric::TclCacheScriptHits,
+        Metric::TclCacheScriptMisses,
+        Metric::TclCacheExprHits,
+        Metric::TclCacheExprMisses,
+    ];
+    let before = counters.map(|m| i.metric(m));
     let base = i.metric(Metric::TclBcCompiles);
-    i.eval("set n 0; while {$n < 5} {incr n}").unwrap();
-    assert_eq!(i.get_var("n").unwrap(), "5");
-    assert_eq!(
-        i.metric(Metric::TclBcCompiles),
-        base,
-        "the Tcl 6.x baseline must not engage the VM"
+    for _ in 0..2 {
+        assert_eq!(
+            i.eval(script).unwrap().to_string(),
+            plain.eval(script).unwrap().to_string()
+        );
+        for v in ["n", "s"] {
+            assert_eq!(i.get_var(v).unwrap(), plain.get_var(v).unwrap());
+        }
+    }
+    assert!(
+        i.metric(Metric::TclBcCompiles) > base,
+        "a looping line lowers with no text cache"
     );
+    for m in [
+        Metric::TclCacheScriptEntries,
+        Metric::TclCacheExprEntries,
+        Metric::TclCacheSubstEntries,
+    ] {
+        assert_eq!(i.metric(m), 0, "{m:?} under cachelimit 0");
+    }
+    assert_eq!(counters.map(|m| i.metric(m)), before, "nothing counted");
+}
+
+/// A `while`/`for` guard that does not parse raises its syntax error
+/// when the loop first tests it: `for` has run its start script by then,
+/// `while` has run nothing. Identical on the VM, the tree-walker and
+/// with no text cache, at top level and on a second (lowered) run.
+#[test]
+fn guard_parse_errors_raise_at_the_first_test() {
+    let cases = [
+        (
+            "catch {for {set i 7} {$i <} {incr i} {}} m; list $m $i",
+            "{empty expression} 7",
+        ),
+        (
+            "catch {while {)} {set hit 1}} m; list $m [info exists hit]",
+            "{syntax error in expression near \")\"} 0",
+        ),
+    ];
+    for setup in ["", "interp bcdisable", "interp cachelimit 0"] {
+        for (script, want) in cases {
+            let mut i = Interp::new();
+            i.eval(setup).unwrap();
+            for run in 1..=2 {
+                assert_eq!(
+                    i.eval(script).unwrap().to_string(),
+                    want,
+                    "{setup:?} run {run}: {script}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -310,8 +368,8 @@ fn values_keep_reps_across_vm_boundary() {
 /// The VM inlines bracket substitutions, but every one still counts
 /// toward the nesting limit as the tree-walker counts it: a nest of `n`
 /// brackets fails or succeeds identically under the VM, the tree-walker
-/// (`interp bcdisable`) and the compile-every-run baseline (`interp
-/// cachelimit 0`), at top level and inside a proc body; so does a
+/// (`interp bcdisable`) and with no text cache (`interp cachelimit 0`),
+/// at top level and inside a proc body; so does a
 /// recursion whose calls sit in inlined `if` bodies. Each script runs
 /// twice, so the VM mode covers both the tree-walked first run and the
 /// lowered second one.

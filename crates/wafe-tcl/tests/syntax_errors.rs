@@ -15,7 +15,7 @@
 //! a difference here is a behaviour change, not a fixture to refresh.
 //!
 //! Every entry must replay identically with the default caches, with
-//! `interp cachelimit 0` (compile on every run) and with `interp
+//! `interp cachelimit 0` (no text cache) and with `interp
 //! bcdisable` (tree-walker only).
 //!
 //! To extend the corpus, change the generator and rewrite the fixture

@@ -12,6 +12,9 @@ cargo fmt --check
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc --workspace --no-deps (intra-doc links, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
@@ -210,11 +213,10 @@ EOF
     exit 0
 ' || { echo "waferd display smoke test: FAILED (or exceeded 30s)"; exit 1; }
 
-# Perf gates. E19 must not regress: the freshly measured speedups are
-# compared against the committed BENCH_e19.json (ratios, not raw ns, so
-# the gate is machine-portable). Timing asserts are noise-sensitive
-# right after the heavy steps above, so each bench gets one retry
-# before the gate fails.
+# Perf gates. Each compares ratios from one run, not raw ns, so the
+# gates are machine-portable. Timing asserts are noise-sensitive right
+# after the heavy steps above, so each bench gets one retry before the
+# gate fails.
 run_bench() {
     cargo bench -q -p bench --bench "$1" --offline >/dev/null 2>&1 \
         || cargo bench -q -p bench --bench "$1" --offline >/dev/null
@@ -431,30 +433,22 @@ print("  width setValues: %.1f redrawn at 26/98/242 widgets, %s configured (gate
       % (n[0], "/".join("%.1f" % g[k]["width_configured_per_op"] for k in (26, 98, 242))))
 ' || { echo "BENCH_e31.json: malformed or width redraws grow with the tree"; exit 1; }
 
-# The band was 5% while the cached side was tree-walked; the bytecode
-# VM cut cached iteration times ~3x, which widened the run-to-run
-# spread of the ratio to +/-30% on a busy machine. 70% of baseline
-# still catches every structural regression this gate exists for —
-# the parse cache breaking (speedup collapses to ~1x) or the VM
-# disengaging (back to the ~6.5x tree-walker ratio vs ~19x committed).
-echo "== bench e19 no-regression check (>=70% of baseline)"
-baseline=$(git show HEAD:BENCH_e19.json 2>/dev/null || cat BENCH_e19.json)
-check_e19() {
-    echo "$baseline" | python3 -c '
-import json, sys
-base = {w["name"]: w["speedup"] for w in json.load(sys.stdin)["workloads"]}
-fresh = {w["name"]: w["speedup"] for w in json.load(open("BENCH_e19.json"))["workloads"]}
-for name, b in base.items():
-    f = fresh[name]
-    if f < b * 0.70:
-        sys.exit(f"e19 regression: {name} speedup {f:.2f}x < 70% of baseline {b:.2f}x")
-    print(f"  {name}: {f:.2f}x (baseline {b:.2f}x) ok")
-'
-}
-# The comparison itself also gets one retry: e19 runs right after the
-# other bench smoke runs, and a busy machine can depress the first
-# sample below the band without any real regression.
+# E19 is the parse-once cache: a proc or loop body is lexed once per
+# run, so ~2.4 KiB of comment lines padded into every body of the
+# loop-heavy (`factor 3599`) and proc-heavy workloads must cost at most
+# 1.25x the plain bodies (the median of interleaved per-round ratios,
+# same run). A re-parse on every run read 4.2-4.5x / 1.9-2.8x. The bench asserts
+# it too; the VM disengaging on the same `factor` workload is E23's
+# gate above.
+echo "== bench e19 smoke run + padded/plain <=1.25x gate"
 run_bench e19_eval_cache
-check_e19 || { run_bench e19_eval_cache; check_e19; }
+python3 -c '
+import json
+d = json.load(open("BENCH_e19.json"))
+for w in d["workloads"]:
+    r = w["padded_ratio"]
+    assert r <= 1.25, "e19: %s padded/plain %.2fx > 1.25x" % (w["name"], r)
+    print("  %s: padded/plain %.2fx (gate <=1.25x) ok" % (w["name"], r))
+' || { echo "BENCH_e19.json: malformed or above the 1.25x padded gate"; exit 1; }
 
 echo "CI OK"
