@@ -61,15 +61,17 @@
 //!
 //! `break`/`continue` remain the `TclError::Break`/`Continue` completion
 //! codes. The VM keeps a side table of `LoopRange`s; when an
-//! instruction inside a loop body raises one, the operand and iterator
-//! stacks are truncated to the loop's entry depths and control jumps to
-//! the break/continue target. Outside any range the code propagates to
-//! the caller exactly as the tree-walker would (so `catch`, proc frames
-//! and guard expressions behave identically).
+//! instruction inside a loop body raises one, the operand, numeric and
+//! iterator stacks are truncated to the loop's entry depths (a loop
+//! inside an `expr` operand's bracket is entered with operands already
+//! on the numeric stack) and control jumps to the break/continue
+//! target. Outside any range the code propagates to the caller exactly
+//! as the tree-walker would (so `catch`, proc frames and guard
+//! expressions behave identically).
 
 use std::rc::Rc;
 
-use crate::compile::{CompiledCommand, CompiledScript, Token};
+use crate::compile::{syntax_error, CompiledCommand, CompiledScript, Token};
 use crate::error::{TclError, TclResult};
 use crate::expr::{
     coerce, coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp,
@@ -166,14 +168,10 @@ enum Instr {
     /// Peephole-fused pair of adjacent `NLoadVar`s (both operands of a
     /// comparison like `$n % $d == 0` in one dispatch).
     NLoadVar2(u32, u32),
-    /// `$name(raw)` inside `expr`: substitute `names[r]` once for the
-    /// element index (at the site's inlining level), push the coerced
-    /// element of `names[n]`.
-    NElem(u32, u32, u32),
-    /// Evaluate `names[t]` as a script through [`Interp::eval`] — the
-    /// text path the tree-walker uses for `[...]` inside `expr` — from
-    /// the site's inlining level, and push its coerced result. Barrier.
-    NEvalText(u32, u32),
+    /// Pop a main-stack value, push its coerced form onto the numeric
+    /// stack: a `$name(index)` or `[script]` operand, lowered by the
+    /// word emitter just before.
+    NCoerce,
     /// Pop two numeric operands, apply the binary operator, push.
     NBin(BinOp),
     /// Peephole-fused `NPushNum` + `NBin`: apply the operator with
@@ -203,7 +201,7 @@ enum Instr {
 
 /// Display names for the profiler's per-opcode hit counters, indexed by
 /// [`Instr::opcode`]. Keep in `Instr` declaration order.
-pub(crate) const OPCODE_NAMES: [&str; 33] = [
+pub(crate) const OPCODE_NAMES: [&str; 32] = [
     "PushConst",
     "Pop",
     "LoadVar",
@@ -225,8 +223,7 @@ pub(crate) const OPCODE_NAMES: [&str; 33] = [
     "NPushNum",
     "NLoadVar",
     "NLoadVar2",
-    "NElem",
-    "NEvalText",
+    "NCoerce",
     "NBin",
     "NBinNum",
     "NBinJumpIfFalse",
@@ -264,18 +261,17 @@ impl Instr {
             Instr::NPushNum(..) => 18,
             Instr::NLoadVar(..) => 19,
             Instr::NLoadVar2(..) => 20,
-            Instr::NElem(..) => 21,
-            Instr::NEvalText(..) => 22,
-            Instr::NBin(..) => 23,
-            Instr::NBinNum(..) => 24,
-            Instr::NBinJumpIfFalse(..) => 25,
-            Instr::NBinNumJumpIfFalse(..) => 26,
-            Instr::NUn(..) => 27,
-            Instr::NTruth => 28,
-            Instr::NCallFunc(..) => 29,
-            Instr::NJumpIfFalse(..) => 30,
-            Instr::NJumpIfTrue(..) => 31,
-            Instr::NToValue => 32,
+            Instr::NCoerce => 21,
+            Instr::NBin(..) => 22,
+            Instr::NBinNum(..) => 23,
+            Instr::NBinJumpIfFalse(..) => 24,
+            Instr::NBinNumJumpIfFalse(..) => 25,
+            Instr::NUn(..) => 26,
+            Instr::NTruth => 27,
+            Instr::NCallFunc(..) => 28,
+            Instr::NJumpIfFalse(..) => 29,
+            Instr::NJumpIfTrue(..) => 30,
+            Instr::NToValue => 31,
         }
     }
 }
@@ -290,6 +286,9 @@ struct LoopRange {
     cont_to: u32,
     /// Operand-stack depth at loop entry.
     stack: u32,
+    /// Numeric-stack depth at loop entry (non-zero for a loop inside a
+    /// `[...]` operand of an expression).
+    nums: u32,
     /// Iterator-stack depth after a break (foreach pops its iterator).
     iters_break: u32,
     /// Iterator-stack depth after a continue (foreach keeps iterating).
@@ -370,12 +369,23 @@ pub(crate) fn bytecode_for(interp: &mut Interp, script: &CompiledScript) -> Opti
 // Compiler
 // ---------------------------------------------------------------------------
 
-/// Compile-time operand/iterator depths, threaded through the lowering so
-/// loop ranges know what to truncate to on break/continue.
-#[derive(Clone, Copy)]
+/// Compile-time operand/numeric/iterator depths, threaded through the
+/// lowering so loop ranges know what to truncate to on break/continue.
+#[derive(Clone, Copy, Default)]
 struct Ctx {
     depth: u32,
+    nums: u32,
     iters: u32,
+}
+
+impl Ctx {
+    /// The same context with `k` more values on the numeric stack.
+    fn nums(self, k: usize) -> Ctx {
+        Ctx {
+            nums: self.nums + k as u32,
+            ..self
+        }
+    }
 }
 
 struct Compiler<'a> {
@@ -416,7 +426,7 @@ impl<'a> Compiler<'a> {
             max_inline: 0,
             label_mark: 0,
         };
-        c.script(script, Ctx { depth: 0, iters: 0 });
+        c.script(script, Ctx::default());
         if c.code.len() > MAX_CODE {
             return None;
         }
@@ -673,7 +683,7 @@ impl<'a> Compiler<'a> {
         match name {
             "set" => self.sf_set(cmd, ctx),
             "incr" => self.sf_incr(cmd),
-            "expr" => self.sf_expr(cmd),
+            "expr" => self.sf_expr(cmd, ctx),
             "if" => self.sf_if(cmd, ctx),
             "while" => self.sf_while(cmd, ctx),
             "for" => self.sf_for(cmd, ctx),
@@ -748,26 +758,22 @@ impl<'a> Compiler<'a> {
         Some(())
     }
 
-    fn sf_expr(&mut self, cmd: &CompiledCommand) -> Option<()> {
+    fn sf_expr(&mut self, cmd: &CompiledCommand, ctx: Ctx) -> Option<()> {
         if cmd.words.len() != 2 {
             return None;
         }
         let Token::Literal(text) = &cmd.words[1] else {
             return None;
         };
-        // Compile through the interpreter's expr cache: the same parse the
-        // tree-walker would do on first evaluation, done once here.
-        let Ok(ce) = prepare_expr(self.interp, text.as_str()) else {
-            return None;
-        };
-        self.expr(ce.node())?;
+        self.guard(text, ctx)?;
         self.emit(Instr::NToValue);
         Some(())
     }
 
     /// Lowers one `expr` AST node onto the numeric stack — the exact
-    /// `eval_node` recursion, flattened.
-    fn expr(&mut self, n: &Node) -> Option<()> {
+    /// `eval_node` recursion, flattened. `ctx.nums` is the numeric depth
+    /// before the node's value lands.
+    fn expr(&mut self, n: &Node, ctx: Ctx) -> Option<()> {
         match n {
             Node::Lit(v) => {
                 // A quoted string literal that *looks* numeric (e.g. "5")
@@ -782,27 +788,29 @@ impl<'a> Compiler<'a> {
                 let k = self.num(v.clone());
                 self.emit(Instr::NPushNum(k));
             }
-            Node::Var(name, None) => {
+            Node::Var(name) => {
                 let i = self.name(name);
                 self.emit_nloadvar(i);
             }
-            Node::Var(name, Some(raw)) => {
-                let ni = self.name(name);
-                let ri = self.name(raw);
-                self.emit(Instr::NElem(ni, ri, self.inline));
+            Node::Sub(t) => {
+                // The word emitter never lowers a syntax error: the
+                // built-in raises it when the operand is reached.
+                if syntax_error(t).is_some() {
+                    return None;
+                }
+                self.token(t, ctx);
+                self.emit(Instr::NCoerce);
             }
-            Node::Cmd(script) => {
-                let si = self.name(script);
-                self.emit(Instr::NEvalText(si, self.inline));
-            }
+            // A substituted string the numeric stack does not carry.
+            Node::Quoted(_) => return None,
             Node::Unary(op, a) => {
-                self.expr(a)?;
+                self.expr(a, ctx)?;
                 self.emit(Instr::NUn(*op));
             }
             Node::Binary(BinOp::And, a, b) => {
-                self.expr(a)?;
+                self.expr(a, ctx)?;
                 let jf = self.emit_branch_false();
-                self.expr(b)?;
+                self.expr(b, ctx)?;
                 self.emit(Instr::NTruth);
                 let j = self.emit(Instr::Jump(0));
                 let at = self.here();
@@ -813,9 +821,9 @@ impl<'a> Compiler<'a> {
                 self.patch(j, at);
             }
             Node::Binary(BinOp::Or, a, b) => {
-                self.expr(a)?;
+                self.expr(a, ctx)?;
                 let jt = self.emit(Instr::NJumpIfTrue(0));
-                self.expr(b)?;
+                self.expr(b, ctx)?;
                 self.emit(Instr::NTruth);
                 let j = self.emit(Instr::Jump(0));
                 let at = self.here();
@@ -826,24 +834,24 @@ impl<'a> Compiler<'a> {
                 self.patch(j, at);
             }
             Node::Binary(op, a, b) => {
-                self.expr(a)?;
-                self.expr(b)?;
+                self.expr(a, ctx)?;
+                self.expr(b, ctx.nums(1))?;
                 self.emit_nbin(*op);
             }
             Node::Ternary(c, t, e) => {
-                self.expr(c)?;
+                self.expr(c, ctx)?;
                 let jf = self.emit_branch_false();
-                self.expr(t)?;
+                self.expr(t, ctx)?;
                 let j = self.emit(Instr::Jump(0));
                 let at = self.here();
                 self.patch(jf, at);
-                self.expr(e)?;
+                self.expr(e, ctx)?;
                 let at = self.here();
                 self.patch(j, at);
             }
             Node::Call(name, args) => {
-                for a in args {
-                    self.expr(a)?;
+                for (i, a) in args.iter().enumerate() {
+                    self.expr(a, ctx.nums(i))?;
                 }
                 let ni = self.name(name);
                 self.emit(Instr::NCallFunc(ni, args.len() as u32));
@@ -872,13 +880,16 @@ impl<'a> Compiler<'a> {
         Some(())
     }
 
-    /// Compiles a literal guard text through the expr cache; `None` when
-    /// it does not parse (the built-in reports the error lazily).
-    fn guard(&mut self, text: &Value) -> Option<()> {
+    /// Lowers a literal expression text (an `expr` word or a guard),
+    /// parsed through the expr cache — the parse the tree-walker would do
+    /// on first evaluation, done once here. `None` when it does not parse
+    /// (the built-in raises the error) or holds an operand the numeric
+    /// stack cannot carry.
+    fn guard(&mut self, text: &Value, ctx: Ctx) -> Option<()> {
         let Ok(ce) = prepare_expr(self.interp, text.as_str()) else {
             return None;
         };
-        self.expr(ce.node())
+        self.expr(ce.node(), ctx)
     }
 
     fn sf_if(&mut self, cmd: &CompiledCommand, ctx: Ctx) -> Option<()> {
@@ -902,7 +913,7 @@ impl<'a> Compiler<'a> {
             }
             let then_body = words.get(a)?;
             a += 1;
-            self.guard(guard)?;
+            self.guard(guard, ctx)?;
             let jf = self.emit_branch_false();
             self.body(then_body, ctx)?;
             end_jumps.push(self.emit(Instr::Jump(0)));
@@ -945,7 +956,7 @@ impl<'a> Compiler<'a> {
             return None;
         };
         let top = self.here();
-        self.guard(test)?;
+        self.guard(test, ctx)?;
         let jf = self.emit_branch_false();
         let body_start = self.here();
         self.body(body, ctx)?;
@@ -961,6 +972,7 @@ impl<'a> Compiler<'a> {
             break_to: end,
             cont_to: top,
             stack: ctx.depth,
+            nums: ctx.nums,
             iters_break: ctx.iters,
             iters_cont: ctx.iters,
         });
@@ -983,7 +995,7 @@ impl<'a> Compiler<'a> {
         self.body(start, ctx)?;
         self.emit_pop();
         let top = self.here();
-        self.guard(test)?;
+        self.guard(test, ctx)?;
         let jf = self.emit_branch_false();
         let body_start = self.here();
         self.body(body, ctx)?;
@@ -1003,6 +1015,7 @@ impl<'a> Compiler<'a> {
             break_to: end,
             cont_to: cont,
             stack: ctx.depth,
+            nums: ctx.nums,
             iters_break: ctx.iters,
             iters_cont: ctx.iters,
         });
@@ -1048,6 +1061,7 @@ impl<'a> Compiler<'a> {
             break_to: end,
             cont_to: step as u32,
             stack: ctx.depth,
+            nums: ctx.nums,
             iters_break: ctx.iters,
             iters_cont: ctx.iters + 1,
         });
@@ -1341,20 +1355,9 @@ fn step(interp: &mut Interp, bc: &ByteCode, pc: usize, vm: &mut Vm) -> TclResult
             nload(interp, bc, vm, a)?;
             nload(interp, bc, vm, b)?;
         }
-        Instr::NElem(n, r, level) => {
-            // The element text may itself substitute commands
-            // (`$a([next])`): full barrier around it.
-            vm.flush(interp, bc)?;
-            let idx = interp.at_inline_level(level, |i| i.substitute_all(&bc.names[r as usize]));
-            vm.barrier(interp);
-            let v = interp.get_elem_ref(&bc.names[n as usize], &idx?)?;
-            vm.nums.push(coerce_value(v));
-        }
-        Instr::NEvalText(t, level) => {
-            vm.flush(interp, bc)?;
-            let r = interp.at_inline_level(level, |i| i.eval(&bc.names[t as usize]));
-            vm.barrier(interp);
-            vm.nums.push(coerce_value(&r?));
+        Instr::NCoerce => {
+            let v = vm.stack.pop().expect("bc stack");
+            vm.nums.push(coerce_value(&v));
         }
         Instr::NBin(op) => {
             let b = vm.nums.pop().expect("bc num stack");
@@ -1492,9 +1495,7 @@ fn unwind(bc: &ByteCode, pc: usize, e: &TclError, vm: &mut Vm) -> Option<usize> 
     }
     let r = innermost?;
     vm.stack.truncate(r.stack as usize);
-    // The numeric stack is empty at every command boundary, which is
-    // where all jump targets sit.
-    vm.nums.clear();
+    vm.nums.truncate(r.nums as usize);
     if is_break {
         vm.iters.truncate(r.iters_break as usize);
         Some(r.break_to as usize)

@@ -22,6 +22,10 @@
 //! What still happens per evaluation: variable reads, nested-script
 //! evaluation for `[...]`, and the concatenation of compound words.
 //!
+//! This is the only lexer of substitutions: `expr` operands (`$a(i)`,
+//! `[...]`, `"..."`, `{...}`) compile to the same tokens through
+//! `compile_operand`, and `subst` text through `compile_subst`.
+//!
 //! Compilation is a pure function of the script text: it never touches
 //! interpreter state, so compiled scripts are shared freely (`Rc`) between
 //! the interpreter's script cache, proc definitions and loop bodies.
@@ -38,7 +42,7 @@
 
 use std::rc::Rc;
 
-use crate::error::TclError;
+use crate::error::{TclError, TclResult};
 use crate::interp::{MAX_NESTING_DEPTH, NESTING_ERROR};
 use crate::parser::{find_matching_brace, find_matching_bracket, parse_backslash, scan_varname};
 use crate::value::Value;
@@ -120,8 +124,7 @@ pub fn compile(script: &str) -> CompiledScript {
 
 /// Compiles free-form text under full-substitution rules (backslash,
 /// `$`, `[]`; everything else is literal) into the parts to substitute
-/// and concatenate — the text of `subst` and of `$name(index)` forms
-/// inside `expr`. Total, like [`compile`].
+/// and concatenate — the text of `subst`. Total, like [`compile`].
 pub(crate) fn compile_subst(text: &str) -> Vec<Token> {
     let chars: Vec<char> = text.chars().collect();
     compile_subst_chars(&chars, 0).unwrap_or_else(|parts| parts)
@@ -259,77 +262,120 @@ fn compile_command(chars: &[char], pos: usize, depth: usize) -> Scan<Vec<Token>>
 
 /// Compiles a braced word starting at its `{`: verbatim text.
 fn compile_braced(chars: &[char], pos: usize) -> Scan<Token> {
-    let end = find_matching_brace(chars, pos).map_err(delimiter_error)?;
-    if !at_word_end(chars, end + 1) {
+    let (text, next) = braced(chars, pos).map_err(delimiter_error)?;
+    if !at_word_end(chars, next) {
         return Err(error_token("extra characters after close-brace"));
     }
+    Ok((text, next))
+}
+
+/// The braced text starting at the `{` at `chars[pos]`, as a literal,
+/// and the position after its close brace.
+fn braced(chars: &[char], pos: usize) -> TclResult<(Token, usize)> {
+    let end = find_matching_brace(chars, pos)?;
     let text: String = chars[pos + 1..end].iter().collect();
     Ok((Token::Literal(Value::from(text)), end + 1))
 }
 
 /// Compiles a double-quoted word starting just after the opening quote.
-fn compile_quoted(chars: &[char], mut pos: usize, depth: usize) -> Scan<Token> {
+fn compile_quoted(chars: &[char], pos: usize, depth: usize) -> Scan<Token> {
     let mut word = Word::default();
-    while pos < chars.len() {
-        match chars[pos] {
-            '"' => {
-                if !at_word_end(chars, pos + 1) {
-                    return Err(word.fail("extra characters after close-quote"));
-                }
-                return Ok((word.finish(), pos + 1));
-            }
-            '\\' | '$' | '[' => match word.substitution(chars, pos, depth) {
-                Some(next) => pos = next,
-                None => return Err(word.finish()),
-            },
-            c => {
-                word.lit.push(c);
-                pos += 1;
-            }
-        }
+    match word.scan(chars, pos, depth, |c, p| c[p] == '"') {
+        Some(end) if end == chars.len() => Err(word.fail("missing \"")),
+        Some(end) if at_word_end(chars, end + 1) => Ok((word.finish(), end + 1)),
+        Some(_) => Err(word.fail("extra characters after close-quote")),
+        None => Err(word.finish()),
     }
-    Err(word.fail("missing \""))
 }
 
-/// Compiles a bare word starting at `pos`.
-fn compile_bare(chars: &[char], mut pos: usize, depth: usize) -> Scan<Token> {
-    let mut word = Word::default();
-    while pos < chars.len() {
-        match chars[pos] {
-            ' ' | '\t' | '\n' | ';' => break,
-            // Backslash-newline ends the word (acts as separator).
-            '\\' if chars.get(pos + 1) == Some(&'\n') => break,
-            '\\' | '$' | '[' => match word.substitution(chars, pos, depth) {
-                Some(next) => pos = next,
-                None => return Err(word.finish()),
-            },
-            c => {
-                word.lit.push(c);
-                pos += 1;
+/// Compiles one `expr` operand starting at `chars[pos]` — a `$`-form,
+/// `[script]`, `"quoted text"` or `{braced text}` — into the token a
+/// script word of that form compiles to, and the position after it. The
+/// script's word-end rule does not apply: an operator may follow.
+///
+/// `Err` is an expression syntax error, raised before anything is
+/// evaluated: the operand's own close delimiter is missing, a `$` has
+/// no name, or a quoted operand holds a syntax error (its close quote
+/// cannot be found past one). A syntax error inside a `[...]` operand or
+/// an array index stays in the token, as in a script word, and raises
+/// when the operand is substituted.
+pub(crate) fn compile_operand(chars: &[char], pos: usize) -> TclResult<(Token, usize)> {
+    match chars[pos] {
+        '$' => var_sub(chars, pos, 0)
+            .ok_or_else(|| TclError::error("\"$\" without variable name in expression")),
+        '[' => bracket_sub(chars, pos, 0),
+        '{' => braced(chars, pos),
+        _ => {
+            let mut word = Word::default();
+            match word.scan(chars, pos + 1, 0, |c, p| c[p] == '"') {
+                Some(end) if end == chars.len() => Err(TclError::error("missing \" in expression")),
+                Some(end) => Ok((word.finish(), end + 1)),
+                None => {
+                    let word = word.finish();
+                    Err(TclError::error(
+                        syntax_error(&word).expect("stops at an error"),
+                    ))
+                }
             }
         }
     }
-    Ok((word.finish(), pos))
+}
+
+/// Compiles a bare word starting at `pos`; white space, a command
+/// separator or a backslash-newline ends it.
+fn compile_bare(chars: &[char], pos: usize, depth: usize) -> Scan<Token> {
+    let mut word = Word::default();
+    match word.scan(chars, pos, depth, at_word_end) {
+        Some(end) => Ok((word.finish(), end)),
+        None => Err(word.finish()),
+    }
 }
 
 /// Compiles substitution text; `Err` holds the parts when they end in a
 /// syntax error.
 fn compile_subst_chars(chars: &[char], depth: usize) -> Result<Vec<Token>, Vec<Token>> {
     let mut word = Word::default();
-    let mut pos = 0usize;
-    while pos < chars.len() {
-        match chars[pos] {
-            '\\' | '$' | '[' => match word.substitution(chars, pos, depth) {
-                Some(next) => pos = next,
-                None => return Err(word.into_parts()),
-            },
-            c => {
-                word.lit.push(c);
-                pos += 1;
-            }
-        }
+    match word.scan(chars, 0, depth, |_, _| false) {
+        Some(_) => Ok(word.into_parts()),
+        None => Err(word.into_parts()),
     }
-    Ok(word.into_parts())
+}
+
+/// The `$`-form starting at the `$` at `chars[pos]`, with its array
+/// index compiled as substitution text, and the position after it.
+/// `None` when no variable name follows the `$`.
+fn var_sub(chars: &[char], pos: usize, depth: usize) -> Option<(Token, usize)> {
+    let (name, index, next) = scan_varname(chars, pos + 1);
+    if name.is_empty() {
+        return None;
+    }
+    let index = index.map(|raw| {
+        let raw: Vec<char> = raw.chars().collect();
+        compile_subst_chars(&raw, depth).unwrap_or_else(|parts| parts)
+    });
+    Some((Token::VarSub(name, index), next))
+}
+
+/// The `[script]` starting at `chars[pos]`, compiled, and the position
+/// after its `]`. `Err` when the `[` has no matching `]`.
+fn bracket_sub(chars: &[char], pos: usize, depth: usize) -> TclResult<(Token, usize)> {
+    let end = find_matching_bracket(chars, pos)?;
+    let inner = compile_chars(&chars[pos + 1..end], depth + 1);
+    Ok((Token::BracketSub(Rc::new(inner)), end + 1))
+}
+
+/// The message of the syntax error substituting `token` raises, if any:
+/// the [`Token::Error`] it is or ends in (scanning stops at the first
+/// error, so a failing part is always the last one).
+pub(crate) fn syntax_error(token: &Token) -> Option<&str> {
+    match token {
+        Token::Error(msg) => Some(msg),
+        Token::BracketSub(inner) if inner.syntax_error => {
+            syntax_error(inner.commands.last()?.words.last()?)
+        }
+        Token::Compound(parts) | Token::VarSub(_, Some(parts)) => syntax_error(parts.last()?),
+        _ => None,
+    }
 }
 
 /// The parts of one word, or of substitution text, as they are scanned:
@@ -354,50 +400,59 @@ impl Word {
         self.parts.push(tok);
     }
 
+    /// Scans text from `pos` into this word, up to the first position
+    /// where `end` holds or the end of the text, and returns that
+    /// position; `None` when a substitution ended in a syntax error (then
+    /// the word's last part).
+    fn scan(
+        &mut self,
+        chars: &[char],
+        mut pos: usize,
+        depth: usize,
+        end: impl Fn(&[char], usize) -> bool,
+    ) -> Option<usize> {
+        while pos < chars.len() && !end(chars, pos) {
+            match chars[pos] {
+                '\\' | '$' | '[' => pos = self.substitution(chars, pos, depth)?,
+                c => {
+                    self.lit.push(c);
+                    pos += 1;
+                }
+            }
+        }
+        Some(pos)
+    }
+
     /// Compiles the backslash sequence, `$`-form or `[script]` at
     /// `chars[pos]` into this word. Returns the position after it, or
     /// `None` when it ended in a syntax error (then the word's last
     /// part).
     fn substitution(&mut self, chars: &[char], pos: usize, depth: usize) -> Option<usize> {
-        match chars[pos] {
+        let (tok, next) = match chars[pos] {
             '\\' => {
                 let (s, next) = parse_backslash(chars, pos);
                 self.lit.push_str(&s);
-                Some(next)
+                return Some(next);
             }
-            '$' => {
-                let (name, index, next) = scan_varname(chars, pos + 1);
-                if name.is_empty() {
+            '$' => match var_sub(chars, pos, depth) {
+                Some(sub) => sub,
+                None => {
                     // `$` with no name is a literal dollar.
                     self.lit.push('$');
                     return Some(pos + 1);
                 }
-                let Some(raw) = index else {
-                    self.push(Token::VarSub(name, None));
-                    return Some(next);
-                };
-                let raw: Vec<char> = raw.chars().collect();
-                let (idx, complete) = match compile_subst_chars(&raw, depth) {
-                    Ok(idx) => (idx, true),
-                    Err(idx) => (idx, false),
-                };
-                self.push(Token::VarSub(name, Some(idx)));
-                complete.then_some(next)
-            }
-            _ => {
-                let end = match find_matching_bracket(chars, pos) {
-                    Ok(end) => end,
-                    Err(e) => {
-                        self.push(delimiter_error(e));
-                        return None;
-                    }
-                };
-                let inner = compile_chars(&chars[pos + 1..end], depth + 1);
-                let failed = inner.syntax_error;
-                self.push(Token::BracketSub(Rc::new(inner)));
-                (!failed).then_some(end + 1)
-            }
-        }
+            },
+            _ => match bracket_sub(chars, pos, depth) {
+                Ok(sub) => sub,
+                Err(e) => {
+                    self.push(delimiter_error(e));
+                    return None;
+                }
+            },
+        };
+        let failed = syntax_error(&tok).is_some();
+        self.push(tok);
+        (!failed).then_some(next)
     }
 
     /// Ends the word with a syntax error.
@@ -629,18 +684,9 @@ mod tests {
         c
     }
 
-    /// The message of the error token that ends `c`, looking into the
-    /// last part of its last word.
+    /// The message of the error token that ends `c`.
     fn error_message(c: &CompiledScript) -> Option<String> {
-        fn last_error(t: &Token) -> Option<String> {
-            match t {
-                Token::Error(msg) => Some(msg.to_string()),
-                Token::Compound(parts) | Token::VarSub(_, Some(parts)) => last_error(parts.last()?),
-                Token::BracketSub(inner) => error_message(inner),
-                _ => None,
-            }
-        }
-        last_error(c.commands.last()?.words.last()?)
+        syntax_error(c.commands.last()?.words.last()?).map(str::to_string)
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! Tcl expressions have C-like syntax and semantics over integers, doubles
 //! and strings. `expr` performs its own round of `$var` and `[command]`
 //! substitution, which is what makes the `if {$x < 3} ...` idiom work:
-//! the braces defer substitution to expression-evaluation time.
+//! the braces defer substitution to expression-evaluation time. The
+//! operands that substitute (`$name`, `$name(index)`, `[script]` and
+//! `"quoted text"`) are lexed by the script compiler
+//! (`compile::compile_operand`) into the tokens a script word
+//! of the same form compiles to, so they substitute exactly as words do.
 //!
 //! Evaluation builds a small AST first so that `&&`, `||` and `?:` can
 //! short-circuit: their unevaluated operand's variables are never read and
@@ -11,9 +15,9 @@
 
 use std::rc::Rc;
 
+use crate::compile::{compile_operand, Token};
 use crate::error::{TclError, TclResult};
 use crate::interp::Interp;
-use crate::parser::{find_matching_brace, find_matching_bracket, parse_backslash, scan_varname};
 use crate::value::Value as TclValue;
 
 /// A value inside the expression evaluator.
@@ -71,10 +75,14 @@ pub fn format_double(d: f64) -> String {
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
     Lit(Value),
-    /// `$name` or `$name(indexText)`; resolved lazily.
-    Var(String, Option<String>),
-    /// `[script]`; run lazily.
-    Cmd(String),
+    /// `$name`: a scalar read, coerced.
+    Var(String),
+    /// `$name(index)` or `[script]`: substituted like a script word when
+    /// evaluated, then coerced.
+    Sub(Token),
+    /// A `"quoted"` operand holding substitutions: substituted when
+    /// evaluated, and kept a string.
+    Quoted(Token),
     Unary(UnOp, Box<Node>),
     Binary(BinOp, Box<Node>, Box<Node>),
     Ternary(Box<Node>, Box<Node>, Box<Node>),
@@ -131,13 +139,6 @@ impl CompiledExpr {
     }
 }
 
-/// Parses an expression without evaluating it.
-pub fn compile_expr(text: &str) -> TclResult<CompiledExpr> {
-    Ok(CompiledExpr {
-        node: parse_text(text)?,
-    })
-}
-
 /// Parses an expression once for repeated evaluation (`while`/`for`
 /// guards, `expr` words), through the interpreter's expression cache. A
 /// text that does not parse raises its syntax error here; nothing of the
@@ -147,7 +148,9 @@ pub fn prepare_expr(interp: &mut Interp, text: &str) -> TclResult<Rc<CompiledExp
     if let Some(c) = interp.expr_cache_get(text) {
         return Ok(c);
     }
-    let c = Rc::new(compile_expr(text)?);
+    let c = Rc::new(CompiledExpr {
+        node: parse_text(text)?,
+    });
     interp.expr_cache_put(text, c.clone());
     Ok(c)
 }
@@ -374,44 +377,15 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 Ok(inner)
             }
-            '$' => {
-                let (name, index, next) = scan_varname(self.chars, self.pos + 1);
-                if name.is_empty() {
-                    return Err(TclError::error("\"$\" without variable name in expression"));
-                }
+            '$' | '[' | '"' | '{' => {
+                let (token, next) = compile_operand(self.chars, self.pos)?;
                 self.pos = next;
-                Ok(Node::Var(name, index))
-            }
-            '[' => {
-                let end = find_matching_bracket(self.chars, self.pos)?;
-                let script: String = self.chars[self.pos + 1..end].iter().collect();
-                self.pos = end + 1;
-                Ok(Node::Cmd(script))
-            }
-            '"' => {
-                let mut s = String::new();
-                let mut i = self.pos + 1;
-                while i < self.chars.len() && self.chars[i] != '"' {
-                    if self.chars[i] == '\\' {
-                        let (t, next) = parse_backslash(self.chars, i);
-                        s.push_str(&t);
-                        i = next;
-                    } else {
-                        s.push(self.chars[i]);
-                        i += 1;
-                    }
-                }
-                if i >= self.chars.len() {
-                    return Err(TclError::error("missing \" in expression"));
-                }
-                self.pos = i + 1;
-                Ok(Node::Lit(Value::Str(s)))
-            }
-            '{' => {
-                let end = find_matching_brace(self.chars, self.pos)?;
-                let s: String = self.chars[self.pos + 1..end].iter().collect();
-                self.pos = end + 1;
-                Ok(Node::Lit(Value::Str(s)))
+                Ok(match token {
+                    Token::Literal(v) => Node::Lit(Value::Str(v.as_str().to_string())),
+                    t if c == '"' => Node::Quoted(t),
+                    Token::VarSub(name, None) => Node::Var(name),
+                    t => Node::Sub(t),
+                })
             }
             c if c.is_ascii_digit() || c == '.' => self.parse_number(),
             c if c.is_alphabetic() || c == '_' => self.parse_func_or_word(),
@@ -576,12 +550,9 @@ pub(crate) fn coerce_value(v: &TclValue) -> Value {
 fn eval_node(interp: &mut Interp, node: &Node) -> TclResult<Value> {
     match node {
         Node::Lit(v) => Ok(v.clone()),
-        Node::Var(name, None) => Ok(coerce_value(interp.get_var_ref(name)?)),
-        Node::Var(name, Some(raw)) => {
-            let idx = interp.substitute_all(raw)?;
-            Ok(coerce_value(interp.get_elem_ref(name, &idx)?))
-        }
-        Node::Cmd(script) => Ok(coerce_value(&interp.eval(script)?)),
+        Node::Var(name) => Ok(coerce_value(interp.get_var_ref(name)?)),
+        Node::Sub(t) => Ok(coerce_value(&interp.subst_token(t)?)),
+        Node::Quoted(t) => Ok(Value::Str(interp.subst_token(t)?.as_str().to_string())),
         Node::Unary(op, a) => {
             let v = eval_node(interp, a)?;
             eval_unop(*op, v)

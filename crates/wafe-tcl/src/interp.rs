@@ -232,7 +232,7 @@ pub struct Interp {
     script_cache: LruCache<Rc<CompiledScript>>,
     /// Parse-once cache for `expr` texts.
     expr_cache: LruCache<Rc<CompiledExpr>>,
-    /// Parse-once cache for substitution texts (see
+    /// Parse-once cache for `subst` texts (see
     /// [`Interp::substitute_all`]).
     subst_cache: LruCache<Rc<[Token]>>,
     /// Telemetry store shared with the embedding (session, frontend).
@@ -1003,7 +1003,7 @@ impl Interp {
     }
 
     /// Performs the per-evaluation substitution step for one token.
-    fn subst_token(&mut self, token: &Token) -> TclResult<Value> {
+    pub(crate) fn subst_token(&mut self, token: &Token) -> TclResult<Value> {
         match token {
             Token::Literal(v) => Ok(v.clone()),
             Token::VarSub(name, None) => self.get_var(name),
@@ -1156,9 +1156,9 @@ impl Interp {
     }
 
     /// Performs `$`, `[]` and backslash substitution on an entire string
-    /// (the text of `subst`, and the index of `$name(index)` inside
-    /// `expr`). The text compiles once, like a script; a syntax error is
-    /// raised after the substitutions before it have run.
+    /// (the text of `subst`, which is runtime data). The text compiles
+    /// once, like a script; a syntax error is raised after the
+    /// substitutions before it have run.
     pub fn substitute_all(&mut self, s: &str) -> TclResult<String> {
         let parts: Rc<[Token]> = self
             .subst_cache

@@ -38,7 +38,7 @@ pub mod glob;
 pub mod hash;
 pub mod interp;
 pub mod list;
-pub mod parser;
+mod parser;
 pub(crate) mod profile;
 pub mod regex;
 pub mod snapshot;

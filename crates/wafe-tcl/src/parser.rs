@@ -1,9 +1,6 @@
-//! Lexical helpers of the Tcl parser.
-//!
-//! Script syntax is read by the compiler ([`mod@crate::compile`]) and the
-//! `expr` parser ([`crate::expr`]); this module holds the pure-lexical
-//! scanners they share: matching-delimiter searches, variable-name scans
-//! and backslash processing.
+//! Lexical helpers of the script compiler ([`mod@crate::compile`]), the
+//! crate's only lexer of substitutions: matching-delimiter searches,
+//! variable-name scans and backslash processing.
 
 use crate::error::{TclError, TclResult};
 
@@ -14,7 +11,7 @@ use crate::error::{TclError, TclResult};
 /// Supported sequences follow the Tcl book: `\b \f \n \r \t \v`, octal
 /// `\ddd`, hex `\xhh`, and backslash-newline (plus following white space)
 /// which collapses to a single space. Any other `\c` yields `c`.
-pub fn parse_backslash(chars: &[char], pos: usize) -> (String, usize) {
+pub(crate) fn parse_backslash(chars: &[char], pos: usize) -> (String, usize) {
     debug_assert_eq!(chars[pos], '\\');
     if pos + 1 >= chars.len() {
         return ("\\".into(), pos + 1);
@@ -65,7 +62,7 @@ pub fn parse_backslash(chars: &[char], pos: usize) -> (String, usize) {
 /// Finds the index of the `}` matching the `{` at `chars[pos]`.
 ///
 /// Braces nest; a backslash escapes the following character.
-pub fn find_matching_brace(chars: &[char], pos: usize) -> TclResult<usize> {
+pub(crate) fn find_matching_brace(chars: &[char], pos: usize) -> TclResult<usize> {
     debug_assert_eq!(chars[pos], '{');
     let mut depth = 1usize;
     let mut i = pos + 1;
@@ -91,7 +88,7 @@ pub fn find_matching_brace(chars: &[char], pos: usize) -> TclResult<usize> {
 /// Skips nested brackets, braced blocks, double-quoted strings and
 /// backslash escapes — the scan mirrors how Tcl finds the end of a command
 /// substitution.
-pub fn find_matching_bracket(chars: &[char], pos: usize) -> TclResult<usize> {
+pub(crate) fn find_matching_bracket(chars: &[char], pos: usize) -> TclResult<usize> {
     debug_assert_eq!(chars[pos], '[');
     let mut depth = 1usize;
     let mut i = pos + 1;
@@ -128,7 +125,7 @@ pub fn find_matching_bracket(chars: &[char], pos: usize) -> TclResult<usize> {
 /// raw text between parentheses, still needing substitution) is `None` for
 /// scalars. If no valid name follows, `name` is empty and the caller
 /// treats the `$` literally.
-pub fn scan_varname(chars: &[char], pos: usize) -> (String, Option<String>, usize) {
+pub(crate) fn scan_varname(chars: &[char], pos: usize) -> (String, Option<String>, usize) {
     let mut i = pos;
     if i < chars.len() && chars[i] == '{' {
         // ${name}: everything to the close brace, verbatim.

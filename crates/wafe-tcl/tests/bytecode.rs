@@ -86,8 +86,49 @@ fn expr_parity() {
         "set a(i) 3; set i i; expr {$a($i) + 1}",
         "expr {nosuchfunc(1)}",
         "expr {$undefined + 1}",
+        // Operands that substitute: a loop in a bracket breaks while the
+        // numeric stack holds the left operand; quoted operands stay
+        // strings; a missing close delimiter of the operand is a syntax
+        // error, while one inside its bracket or index raises only when
+        // the operand is reached.
+        "set a(2) 5; set k 1; expr {$a([incr k]) + $k}",
+        "set x 3; expr {$x + [foreach y {a b c} {if {$y == \"b\"} break}; string length $y]}",
+        "set a x; expr {\"[set a]y\" == \"xy\"}",
+        "set x 5; expr {\"$x\" + 1}",
+        "expr {0 && [set a {b}c]}",
+        "expr {1 && [set a {b}c]}",
+        "expr {0 && $a([x)}",
+        "expr {1 + $a([x)}",
+        "expr {[set a}",
+        "expr {\"abc}",
+        "expr {\"[set a\"}",
+        "expr {$ + 1}",
     ] {
-        assert_parity(s, &["x"]);
+        assert_parity(s, &["x", "a", "k"]);
+    }
+}
+
+/// A double-quoted `expr` operand substitutes, as Tcl's `expr` manual
+/// says, and stays a string operand, under the VM, the tree-walker and
+/// with no text cache, on a first and a second run.
+#[test]
+fn quoted_operands_substitute() {
+    for setup in ["", "interp bcdisable", "interp cachelimit 0"] {
+        let mut i = Interp::new();
+        i.eval(setup).unwrap();
+        for run in 1..=2 {
+            for (script, want) in [
+                ("set a x; expr {\"$a\" == \"x\"}", "1"),
+                ("expr {\"[set a]y\" == \"xy\"}", "1"),
+                ("set r 0; if {\"$a\" == \"x\"} {set r 1}; set r", "1"),
+                ("expr {\"$a\"}", "x"),
+            ] {
+                let got = i.eval(script).map(|v| v.to_string());
+                assert_eq!(got.as_deref(), Ok(want), "{setup:?} run {run}: {script}");
+            }
+            let e = i.eval("set n 5; expr {\"$n\" + 1}").unwrap_err();
+            assert!(e.message().contains("non-numeric string \"5\""), "{e:?}");
+        }
     }
 }
 
@@ -117,6 +158,12 @@ fn control_flow_parity() {
         "if {} {set r 1}",
         "while {bogus expr} {set never 1}",
         "foreach x {bad {list} {set never 1}",
+        // `break`, `continue` and `error` raised in a guard's bracket.
+        "set r {}; foreach x {1 2 3} {while {[if {$x == 2} continue; set x] < 0} {}; set r $r$x}",
+        "set r {}; foreach x {1 2 3} {if {[if {$x == 2} break; set x] > 0} {set r $r$x}}",
+        "set r {}; set i 0; while {[incr i] < 5 && [string length $r] < 3} {set r $r$i}",
+        "set r 0; if {[error boom] > 0} {set r 1}",
+        "set r 0; while {[incr r] < 3 || [error late]} {}",
     ] {
         assert_parity(s, &["r", "i", "g", "x", "a", "b"]);
     }
@@ -370,20 +417,44 @@ fn values_keep_reps_across_vm_boundary() {
 /// brackets fails or succeeds identically under the VM, the tree-walker
 /// (`interp bcdisable`) and with no text cache (`interp cachelimit 0`),
 /// at top level and inside a proc body; so does a
-/// recursion whose calls sit in inlined `if` bodies. Each script runs
-/// twice, so the VM mode covers both the tree-walked first run and the
-/// lowered second one.
+/// recursion whose calls sit in inlined `if` bodies. The same holds
+/// where the brackets are expression operands: a nest of `n`
+/// `expr {[...] + 0}` brackets, and a recursion whose calls sit in an
+/// `if` guard's bracket. Each script runs twice, so the VM mode covers
+/// both the tree-walked first run and the lowered second one.
 #[test]
 fn nesting_limit_counts_inlined_brackets() {
+    // An unoptimized build spends ~10 KiB of native stack per nested
+    // `expr` operand level, more than a 2 MiB test thread holds at the
+    // limit; the interpreter itself runs on 8 MiB main threads.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(nesting_limit_places)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn nesting_limit_places() {
     let modes = ["", "interp bcdisable", "interp cachelimit 0"];
     let recurse = "proc g {n} {if {$n > 0} {g [expr {$n - 1}]}}";
+    let guard = "proc h {n} {if {$n <= 0} {return 1}; \
+                 if {[h [expr {$n - 1}]] > 0} {return 1}; return 0}";
     for n in [499, 500, 501] {
         let nest = format!("{}set x 1{}", "[".repeat(n), "]".repeat(n));
+        let operands = format!("{}set x 1{}", "expr {[".repeat(n), "] + 0}".repeat(n));
         for (place, script) in [
             ("top level", nest.clone()),
             ("proc body", format!("proc f {{}} {{{nest}}}; f")),
             ("recursion", format!("{recurse}; g {}", n / 2 - 2)),
             ("recursion", format!("{recurse}; g {}", n / 2)),
+            ("expr operands", operands.clone()),
+            (
+                "expr operands in a proc",
+                format!("proc f {{}} {{{operands}}}; f"),
+            ),
+            ("guard recursion", format!("{guard}; h {}", n / 2 - 2)),
+            ("guard recursion", format!("{guard}; h {}", n / 2)),
         ] {
             let outcomes: Vec<Vec<Result<String, String>>> = modes
                 .iter()

@@ -69,7 +69,7 @@ fn cachestats_reports_expr_side_too() {
     assert!(stat(&mut i, "exprHits") + stat(&mut i, "exprMisses") > 0);
 }
 
-/// The substitution-text cache (`subst`, `$a(idx)` inside `expr`) counts
+/// The substitution-text cache (`subst` text) counts
 /// like the other two, under the four keys `cachestats` appends.
 #[test]
 fn cachestats_reports_subst_side_too() {
@@ -278,4 +278,43 @@ fn bad_interp_subcommand_is_an_error() {
     assert!(e.message().contains("bad option"));
     let e = i.eval("interp cachelimit nope").unwrap_err();
     assert!(e.message().contains("expected integer"));
+}
+
+/// Expression operands compile with their expression: a guard holding
+/// `[...]` and `$a($i)` runs without a text-cache lookup, so after its
+/// first call a proc looping on such a guard leaves the script and
+/// substitution caches' counters where they were — on the VM and on
+/// the tree-walker. The calls go through `invoke`, which has no text to
+/// look up either.
+#[test]
+fn expression_operands_never_look_up_text() {
+    for setup in ["", "interp bcdisable"] {
+        let mut i = Interp::new();
+        i.eval(setup).unwrap();
+        i.eval(
+            "proc f {} {global l a; set n 0; set i 1; \
+             while {[llength $l] > $n && $a($i) > 0} {incr n}; return $n}",
+        )
+        .unwrap();
+        i.eval("set l {x y z}; set a(1) 1").unwrap();
+        let call = [wafe_tcl::Value::from("f")];
+        assert_eq!(i.invoke(&call).unwrap(), "3");
+        let probe = |i: &mut Interp| -> Vec<i64> {
+            let all = stats(i);
+            ["hits", "misses", "substHits", "substMisses"]
+                .iter()
+                .map(|k| all.iter().find(|(name, _)| name == k).unwrap().1)
+                .collect()
+        };
+        let before = probe(&mut i);
+        for _ in 0..100 {
+            assert_eq!(i.invoke(&call).unwrap(), "3");
+        }
+        // The second `interp cachestats` line is itself one script hit.
+        assert_eq!(
+            probe(&mut i),
+            [before[0] + 1, before[1], before[2], before[3]],
+            "mode {setup:?}"
+        );
+    }
 }

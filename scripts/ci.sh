@@ -222,6 +222,24 @@ run_bench() {
         || cargo bench -q -p bench --bench "$1" --offline >/dev/null
 }
 
+# E14 is the lines-of-code inventory, a tracked number that should go
+# down: the total committed in BENCH_e14.json must equal a fresh count
+# of the tree (one committed total was once found 256 lines stale).
+# The run rewrites the file, so a change that moves the count commits
+# the regenerated BENCH_e14.json with it.
+echo "== bench e14 LoC inventory + committed-total gate"
+e14_total() {
+    python3 -c 'import json; print(json.load(open("BENCH_e14.json"))["total"])'
+}
+committed=$(e14_total)
+run_bench e14_loc_inventory
+fresh=$(e14_total)
+[ "$fresh" = "$committed" ] || {
+    echo "BENCH_e14.json: committed total $committed, fresh count $fresh"
+    exit 1
+}
+echo "  LoC total: $fresh (matches the committed BENCH_e14.json) ok"
+
 # E21 is the dual-rep value model: building a list of 4N elements with
 # lappend must take at most 6x as long as building one of N (linear is
 # 4x, the strings-only model's quadratic growth 16x). Both sides come
