@@ -38,11 +38,12 @@ pub fn register_handwritten(interp: &mut Interp) {
 }
 
 /// `backend status|restart|kill|config|queue`, `faultpoint
-/// set|clear|list`, `serve status|sessions|drain|limits` and `display
-/// attach|detach|frame|event|status` — the embedder control surface. The behaviour is installed by the
-/// embedding process (wafe-ipc's frontend, wafe-serve's scheduler)
-/// through [`crate::WafeSession::controls`]; in a plain session each command
-/// reports which embedding it needs.
+/// set|clear|list`, `serve status|sessions|drain|limits`, `session
+/// park|restore|snapshots` and `display attach|detach|frame|event|status`
+/// — the embedder control surface. The embedding process (wafe-ipc's
+/// frontend, wafe-serve's scheduler) registers the real commands on the
+/// session's interpreter, shadowing these placeholders; in a plain
+/// session each command reports which embedding it needs.
 fn register_backend_controls(interp: &mut Interp) {
     for (name, absent) in [
         ("backend", "requires frontend mode (no backend attached)"),
@@ -60,16 +61,8 @@ fn register_backend_controls(interp: &mut Interp) {
             "requires server mode (no display channel attached)",
         ),
     ] {
-        interp.register(name, move |interp, argv| {
-            let cx = SessionCtx::of(interp)?;
-            let mut controls = cx.controls.borrow_mut();
-            // Control handlers are an embedding-facing API and stay on
-            // plain strings; convert at this boundary.
-            let words: Vec<String> = argv.iter().map(|v| v.to_string()).collect();
-            match controls.get_mut(argv[0].as_str()) {
-                Some(handler) => handler(&words).map(Value::from).map_err(TclError::Error),
-                None => Err(TclError::Error(format!("{} {absent}", argv[0]))),
-            }
+        interp.register(name, move |_, argv| {
+            Err(TclError::Error(format!("{} {absent}", argv[0])))
         });
     }
 }

@@ -35,5 +35,5 @@ pub mod spec;
 
 pub use args::{split_args, SplitArgs};
 pub use image::ToolkitImage;
-pub use session::{ControlHandler, Flavor, WafeSession};
+pub use session::{Flavor, WafeSession};
 pub use snapshot::{RestoreReport, SessionSnapshot, WidgetSnap, FORMAT_VERSION};

@@ -16,10 +16,36 @@
 //! clientData (Athena List: `%i` index, `%s` active element).
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use wafe_xproto::{Event, EventKind};
 
-/// Substitutes action percent codes using the triggering event.
+/// Copies `script`, letting `replace` write the text for each `%c` code
+/// into the output. `%%` is `%`; a code `replace` does not know (it
+/// returns false) stays `%c`, and a trailing `%` stays too.
+fn substitute(script: &str, replace: impl Fn(char, &mut String) -> bool) -> String {
+    let mut out = String::with_capacity(script.len());
+    let mut rest = script;
+    while let Some(i) = rest.find('%') {
+        out.push_str(&rest[..i]);
+        let mut tail = rest[i + 1..].chars();
+        match tail.next() {
+            None | Some('%') => out.push('%'),
+            Some(code) => {
+                if !replace(code, &mut out) {
+                    out.push('%');
+                    out.push(code);
+                }
+            }
+        }
+        rest = tail.as_str();
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Substitutes action percent codes using the triggering event. A code
+/// the event does not carry is left untouched, per the paper.
 pub fn substitute_action(script: &str, widget_name: &str, event: &Event) -> String {
     let is_button = matches!(
         event.kind,
@@ -28,44 +54,23 @@ pub fn substitute_action(script: &str, widget_name: &str, event: &Event) -> Stri
     let is_key = matches!(event.kind, EventKind::KeyPress | EventKind::KeyRelease);
     let is_crossing = matches!(event.kind, EventKind::EnterNotify | EventKind::LeaveNotify);
     let has_coords = is_button || is_key || is_crossing;
-    let mut out = String::with_capacity(script.len());
-    let chars: Vec<char> = script.chars().collect();
-    let mut i = 0usize;
-    while i < chars.len() {
-        if chars[i] != '%' || i + 1 >= chars.len() {
-            out.push(chars[i]);
-            i += 1;
-            continue;
-        }
-        let code = chars[i + 1];
-        let replacement: Option<String> = match code {
-            '%' => Some("%".into()),
-            't' => Some(event.wafe_type_name().to_string()),
-            'w' => Some(widget_name.to_string()),
-            'b' if is_button => Some(event.button.to_string()),
-            'x' if has_coords => Some(event.x.to_string()),
-            'y' if has_coords => Some(event.y.to_string()),
-            'X' if has_coords => Some(event.x_root.to_string()),
-            'Y' if has_coords => Some(event.y_root.to_string()),
-            'a' if is_key => Some(event.ascii.clone()),
-            'k' if is_key => Some(event.keycode.to_string()),
-            's' if is_key => Some(event.keysym.clone()),
-            _ => None,
+    substitute(script, |code, out| {
+        // Writing to a `String` cannot fail.
+        let _ = match code {
+            't' => write!(out, "{}", event.wafe_type_name()),
+            'w' => write!(out, "{widget_name}"),
+            'b' if is_button => write!(out, "{}", event.button),
+            'x' if has_coords => write!(out, "{}", event.x),
+            'y' if has_coords => write!(out, "{}", event.y),
+            'X' if has_coords => write!(out, "{}", event.x_root),
+            'Y' if has_coords => write!(out, "{}", event.y_root),
+            'a' if is_key => write!(out, "{}", event.ascii),
+            'k' if is_key => write!(out, "{}", event.keycode),
+            's' if is_key => write!(out, "{}", event.keysym),
+            _ => return false,
         };
-        match replacement {
-            Some(r) => {
-                out.push_str(&r);
-                i += 2;
-            }
-            None => {
-                // Invalid combination: left untouched, per the paper.
-                out.push('%');
-                out.push(code);
-                i += 2;
-            }
-        }
-    }
-    out
+        true
+    })
 }
 
 /// Substitutes callback percent codes: `%w` plus class clientData.
@@ -74,29 +79,17 @@ pub fn substitute_callback(
     widget_name: &str,
     data: &HashMap<char, String>,
 ) -> String {
-    let mut out = String::with_capacity(script.len());
-    let chars: Vec<char> = script.chars().collect();
-    let mut i = 0usize;
-    while i < chars.len() {
-        if chars[i] != '%' || i + 1 >= chars.len() {
-            out.push(chars[i]);
-            i += 1;
-            continue;
-        }
-        let code = chars[i + 1];
-        if code == '%' {
-            out.push('%');
-        } else if code == 'w' {
-            out.push_str(widget_name);
-        } else if let Some(v) = data.get(&code) {
-            out.push_str(v);
-        } else {
-            out.push('%');
-            out.push(code);
-        }
-        i += 2;
-    }
-    out
+    substitute(script, |code, out| {
+        let text = match code {
+            'w' => widget_name,
+            _ => match data.get(&code) {
+                Some(v) => v,
+                None => return false,
+            },
+        };
+        out.push_str(text);
+        true
+    })
 }
 
 #[cfg(test)]

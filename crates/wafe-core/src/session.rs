@@ -9,7 +9,6 @@
 //! application C code.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use wafe_tcl::{CmdResult, Interp, OutputSink, TclError};
@@ -48,11 +47,6 @@ pub const XAW_SPEC: &str = include_str!("../specs/xaw.wspec");
 /// Motif specification.
 pub const MOTIF_SPEC: &str = include_str!("../specs/motif.wspec");
 
-/// A handler an outer layer (the wafe-ipc backend supervisor) installs
-/// into [`WafeSession::controls`]; receives the full argv of the
-/// dispatching command.
-pub type ControlHandler = Box<dyn FnMut(&[String]) -> Result<String, String>>;
-
 /// A pending timeout (virtual-time based, deterministic).
 pub(crate) struct Timer {
     pub(crate) deadline_ms: u64,
@@ -74,7 +68,6 @@ pub(crate) struct SessionCtx {
     pub(crate) clock_ms: Cell<u64>,
     pub(crate) comm_var: Rc<RefCell<Option<(String, usize, String)>>>,
     pub(crate) channel_fd: Rc<Cell<i64>>,
-    pub(crate) controls: Rc<RefCell<HashMap<String, ControlHandler>>>,
 }
 
 impl SessionCtx {
@@ -118,11 +111,6 @@ pub struct WafeSession {
     /// when `WAFE_TELEMETRY` is set; scripts toggle it with the
     /// `telemetry enable|disable` command.
     pub telemetry: Telemetry,
-    /// Control handlers installed by outer layers, keyed by command name
-    /// (`backend`, `faultpoint`). wafe-core registers the commands; an
-    /// embedding frontend supplies the behaviour. Without a handler the
-    /// commands report that no backend is attached.
-    pub controls: Rc<RefCell<HashMap<String, ControlHandler>>>,
 }
 
 impl WafeSession {
@@ -150,7 +138,6 @@ impl WafeSession {
             clock_ms: Cell::new(0),
             comm_var: Rc::new(RefCell::new(None)),
             channel_fd: Rc::new(Cell::new(-1)),
-            controls: Rc::new(RefCell::new(HashMap::new())),
         });
         interp.set_context(ctx.clone());
         WafeSession {
@@ -161,7 +148,6 @@ impl WafeSession {
             comm_var: ctx.comm_var.clone(),
             channel_fd: ctx.channel_fd.clone(),
             telemetry,
-            controls: ctx.controls.clone(),
             ctx,
         }
     }

@@ -38,6 +38,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use wafe_core::WafeSession;
+use wafe_tcl::{TclError, Value};
 use wafe_trace::{Metric, Telemetry};
 
 use crate::codec::LineCodec;
@@ -947,25 +948,27 @@ impl Supervisor {
     }
 }
 
-/// Installs the `backend` and `faultpoint` control handlers into the
-/// session's dispatch table (the commands themselves are registered by
-/// `wafe-core`; without a frontend they report "no backend attached").
+/// Registers the `backend` and `faultpoint` commands on the session's
+/// interpreter, shadowing the toolkit image's placeholders (which report
+/// "no backend attached").
 pub fn install_controls(core: &Rc<RefCell<SupervisorCore>>, session: &mut WafeSession) {
     let c = core.clone();
-    session.controls.borrow_mut().insert(
-        "backend".into(),
-        Box::new(move |argv| backend_control(&c, argv)),
-    );
+    session.interp.register("backend", move |_, argv| {
+        backend_control(&c, argv)
+            .map(Value::from)
+            .map_err(TclError::Error)
+    });
     let c = core.clone();
-    session.controls.borrow_mut().insert(
-        "faultpoint".into(),
-        Box::new(move |argv| faultpoint_control(&c, argv)),
-    );
+    session.interp.register("faultpoint", move |_, argv| {
+        faultpoint_control(&c, argv)
+            .map(Value::from)
+            .map_err(TclError::Error)
+    });
 }
 
-fn backend_control(core: &Rc<RefCell<SupervisorCore>>, argv: &[String]) -> Result<String, String> {
+fn backend_control(core: &Rc<RefCell<SupervisorCore>>, argv: &[Value]) -> Result<String, String> {
     const USAGE: &str = "backend status|restart|kill|config ?key ?value??|queue";
-    match argv.get(1).map(String::as_str) {
+    match argv.get(1).map(Value::as_str) {
         Some("status") if argv.len() == 2 => Ok(wafe_tcl::list_join(&core.borrow().status_words())),
         Some("restart") if argv.len() == 2 => {
             core.borrow_mut().request_restart();
@@ -989,7 +992,7 @@ fn backend_control(core: &Rc<RefCell<SupervisorCore>>, argv: &[String]) -> Resul
                     .collect();
                 Ok(wafe_tcl::list_join(&words))
             }
-            3 => core.borrow().config.get(&argv[2]).ok_or_else(|| {
+            3 => core.borrow().config.get(argv[2].as_str()).ok_or_else(|| {
                 format!(
                     "unknown config key \"{}\": must be one of {}",
                     argv[2],
@@ -997,7 +1000,9 @@ fn backend_control(core: &Rc<RefCell<SupervisorCore>>, argv: &[String]) -> Resul
                 )
             }),
             4 => {
-                core.borrow_mut().config.set(&argv[2], &argv[3])?;
+                core.borrow_mut()
+                    .config
+                    .set(argv[2].as_str(), argv[3].as_str())?;
                 Ok(String::new())
             }
             _ => Err(format!("wrong # args: should be \"{USAGE}\"")),
@@ -1009,12 +1014,12 @@ fn backend_control(core: &Rc<RefCell<SupervisorCore>>, argv: &[String]) -> Resul
 
 fn faultpoint_control(
     core: &Rc<RefCell<SupervisorCore>>,
-    argv: &[String],
+    argv: &[Value],
 ) -> Result<String, String> {
     const USAGE: &str = "faultpoint set spec|clear|list";
-    match argv.get(1).map(String::as_str) {
+    match argv.get(1).map(Value::as_str) {
         Some("set") if argv.len() == 3 => {
-            let plan = FaultPlan::parse(&argv[2])?;
+            let plan = FaultPlan::parse(argv[2].as_str())?;
             let n = plan.describe().len();
             core.borrow_mut().plan = Some(plan);
             Ok(n.to_string())

@@ -24,6 +24,7 @@ use wafe_core::WafeSession;
 use wafe_display::{from_hex, hex_line, modifiers_from_mask, Frame, InputEvent};
 use wafe_ipc::fault::truncate_line;
 use wafe_ipc::{FaultAction, FaultPlan};
+use wafe_tcl::{TclError, Value};
 
 use wafe_trace::Metric;
 
@@ -43,23 +44,24 @@ impl DisplayCtl {
     }
 }
 
-/// Installs the `display` control handler (registered as a command by
-/// wafe-core) into one session's dispatch table.
+/// Registers the `display` command on one session's interpreter,
+/// shadowing the toolkit image's placeholder.
 pub fn install_display_control(ctl: &Rc<DisplayCtl>, session: &mut WafeSession) {
     let c = ctl.clone();
     let app = session.app.clone();
     let tel = session.telemetry.clone();
-    session.controls.borrow_mut().insert(
-        "display".into(),
-        Box::new(move |argv| display_control(&c, &app, &tel, argv)),
-    );
+    session.interp.register("display", move |_, argv| {
+        display_control(&c, &app, &tel, argv)
+            .map(Value::from)
+            .map_err(TclError::Error)
+    });
 }
 
 fn display_control(
     ctl: &Rc<DisplayCtl>,
     app: &Rc<std::cell::RefCell<wafe_xt::XtApp>>,
     tel: &wafe_trace::Telemetry,
-    argv: &[String],
+    argv: &[Value],
 ) -> Result<String, String> {
     const USAGE: &str = "display attach|detach|frame|status|event hexbytes";
     let mut app = app.borrow_mut();
@@ -67,7 +69,7 @@ fn display_control(
         .displays
         .get_mut(0)
         .ok_or_else(|| "no display open".to_string())?;
-    match argv.get(1).map(String::as_str) {
+    match argv.get(1).map(Value::as_str) {
         Some("attach") if argv.len() == 2 => {
             // Attach turns compositing on and schedules a full first
             // frame; the scheduler ships it on the next sweep.
@@ -99,7 +101,7 @@ fn display_control(
             (d.has_pending_frame() as u8).to_string(),
         ])),
         Some("event") if argv.len() == 3 => {
-            let ev = from_hex(&argv[2])
+            let ev = from_hex(argv[2].as_str())
                 .and_then(|bytes| InputEvent::decode(&bytes))
                 .map_err(|e| {
                     // Loud rejection: counted, and the command errors

@@ -572,7 +572,7 @@ impl AcceptLoop {
     /// Admission for one accepted stream; sheds reply `!shed <reason>`
     /// before the close. Returns whether the connection was admitted.
     fn launch(&self, mut io: Box<dyn ConnIo>, peer: String) -> bool {
-        let id = match self.registry.admit(&peer, 0) {
+        let id = match self.registry.admit(&peer) {
             Ok(id) => id,
             Err(reason) => {
                 // Explicit load shedding, never a silent close. The

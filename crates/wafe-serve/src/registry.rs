@@ -221,7 +221,6 @@ impl LineCount {
 #[derive(Debug, Clone)]
 struct Slot {
     peer: String,
-    admitted_ms: u64,
     commands: LineCount,
 }
 
@@ -386,7 +385,7 @@ impl Registry {
     /// was shed. The active count is reserved with a CAS first, so
     /// `maxSessions` stays exact even with shards admitting in
     /// parallel.
-    pub fn admit(&self, peer: &str, now_ms: u64) -> Result<SessionId, ShedReason> {
+    pub fn admit(&self, peer: &str) -> Result<SessionId, ShedReason> {
         let cursor = self.next_admit.fetch_add(1, Ordering::Relaxed);
         let nshards = self.shards.len();
         let shed = |reason| {
@@ -415,7 +414,6 @@ impl Registry {
         let shard_idx = cursor % nshards;
         let slot = Slot {
             peer: peer.to_string(),
-            admitted_ms: now_ms,
             commands: LineCount::default(),
         };
         let mut shard = self.shard(shard_idx);
@@ -731,7 +729,7 @@ impl Registry {
             .collect()
     }
 
-    /// `serve sessions` payload: one `{id peer admittedMs commands}`
+    /// `serve sessions` payload: one `{id peer commands}`
     /// sublist per live session, in slot order.
     pub fn sessions_words(&self) -> Vec<String> {
         let nshards = self.shards.len();
@@ -749,7 +747,6 @@ impl Registry {
                     wafe_tcl::list_join(&[
                         id.to_string(),
                         s.peer.clone(),
-                        s.admitted_ms.to_string(),
                         s.commands.get().to_string(),
                     ]),
                 ));
@@ -805,10 +802,10 @@ mod tests {
     #[test]
     fn generations_never_reuse() {
         let r = Registry::new(Limits::default());
-        let a = r.admit("one", 0).unwrap();
+        let a = r.admit("one").unwrap();
         assert_eq!((a.slot, a.generation), (0, 1));
         assert!(r.release(a));
-        let b = r.admit("two", 0).unwrap();
+        let b = r.admit("two").unwrap();
         assert_eq!(b.slot, a.slot, "slot is reused");
         assert_eq!(b.generation, 2, "generation is not");
         assert!(!r.release(a), "stale release is ignored");
@@ -821,13 +818,13 @@ mod tests {
             max_sessions: 2,
             ..Limits::default()
         });
-        r.admit("a", 0).unwrap();
-        let b = r.admit("b", 0).unwrap();
-        assert_eq!(r.admit("c", 0), Err(ShedReason::MaxSessions));
+        r.admit("a").unwrap();
+        let b = r.admit("b").unwrap();
+        assert_eq!(r.admit("c"), Err(ShedReason::MaxSessions));
         r.release(b);
-        r.admit("c", 0).unwrap();
+        r.admit("c").unwrap();
         r.begin_drain();
-        assert_eq!(r.admit("d", 0), Err(ShedReason::Draining));
+        assert_eq!(r.admit("d"), Err(ShedReason::Draining));
         assert_eq!(status(&r, "shedAdmission"), 2);
     }
 
@@ -848,12 +845,12 @@ mod tests {
     #[test]
     fn parked_snapshots_are_claimed_exactly_once() {
         let r = Registry::default();
-        let id = r.admit("one", 0).unwrap();
+        let id = r.admit("one").unwrap();
         r.park(id, vec![1, 2, 3], 7).unwrap();
         assert!(r.has_parked(id));
         assert_eq!(r.parked_words(), vec!["0:1 3 7".to_string()]);
         r.release(id);
-        let reused = r.admit("two", 0).unwrap();
+        let reused = r.admit("two").unwrap();
         assert_eq!(reused.slot, id.slot);
         assert!(
             !r.has_parked(reused),
@@ -870,7 +867,7 @@ mod tests {
 
         let r = Registry::default();
         r.set_park_dir(dir.clone()).unwrap();
-        let id = r.admit("one", 0).unwrap();
+        let id = r.admit("one").unwrap();
         r.park(id, b"snapshot-bytes".to_vec(), 0).unwrap();
         r.release(id);
         assert!(dir.join("park-0-1.wsnap").exists());
@@ -880,7 +877,7 @@ mod tests {
         // will never mint 0:1 again.
         let r2 = Registry::default();
         assert_eq!(r2.set_park_dir(dir.clone()).unwrap(), 1);
-        let fresh = r2.admit("two", 0).unwrap();
+        let fresh = r2.admit("two").unwrap();
         assert_eq!((fresh.slot, fresh.generation), (0, 2));
         assert_eq!(r2.take_parked(id), Some(b"snapshot-bytes".to_vec()));
         assert!(
@@ -905,9 +902,7 @@ mod tests {
     #[test]
     fn sharded_slots_interleave_and_route_by_modulo() {
         let r = Registry::with_shards(Limits::default(), 4);
-        let ids: Vec<SessionId> = (0..6)
-            .map(|i| r.admit(&format!("c{i}"), 0).unwrap())
-            .collect();
+        let ids: Vec<SessionId> = (0..6).map(|i| r.admit(&format!("c{i}")).unwrap()).collect();
         // Round-robin admission: global slots 0,1,2,3 then 4,5 (the
         // second lap of shards 0 and 1).
         assert_eq!(
@@ -938,13 +933,11 @@ mod tests {
             },
             4,
         );
-        let ids: Vec<_> = (0..5)
-            .map(|i| r.admit(&format!("c{i}"), 0).unwrap())
-            .collect();
-        assert_eq!(r.admit("over", 0), Err(ShedReason::MaxSessions));
+        let ids: Vec<_> = (0..5).map(|i| r.admit(&format!("c{i}")).unwrap()).collect();
+        assert_eq!(r.admit("over"), Err(ShedReason::MaxSessions));
         assert_eq!(r.active(), 5);
         r.release(ids[0]);
-        assert!(r.admit("fits", 0).is_ok());
+        assert!(r.admit("fits").is_ok());
         assert_eq!(status(&r, "accepted"), 6);
         assert_eq!(status(&r, "shedAdmission"), 1);
         assert_eq!(status(&r, "closed"), 1);
@@ -954,7 +947,7 @@ mod tests {
     fn status_reports_poller_and_shard_breakdown() {
         let r = Registry::with_shards(Limits::default(), 2);
         r.set_poller_backend("sim");
-        r.admit("a", 0).unwrap();
+        r.admit("a").unwrap();
         r.set_shard_queued(1, 9);
         let words = r.status_words();
         let find = |key: &str| {

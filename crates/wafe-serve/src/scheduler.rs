@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 use wafe_core::{Flavor, SessionSnapshot, WafeSession};
 use wafe_ipc::{FaultPlan, LineCodec, ProtocolEngine, DEFAULT_MAX_LINE};
+use wafe_tcl::{TclError, Value};
 
 use crate::display::{install_display_control, pump_frame, DisplayCtl};
 use crate::event_loop::ConnIo;
@@ -518,24 +519,25 @@ fn build_engine(
     engine
 }
 
-/// Installs the `serve` control handler (registered as a command by
-/// wafe-core) into one session's dispatch table.
+/// Registers the `serve` command on one session's interpreter,
+/// shadowing the toolkit image's placeholder.
 pub fn install_serve_control(registry: &Arc<Registry>, session: &mut WafeSession) {
     let r = registry.clone();
     let tel = session.telemetry.clone();
-    session.controls.borrow_mut().insert(
-        "serve".into(),
-        Box::new(move |argv| serve_control(&r, &tel, argv)),
-    );
+    session.interp.register("serve", move |_, argv| {
+        serve_control(&r, &tel, argv)
+            .map(Value::from)
+            .map_err(TclError::Error)
+    });
 }
 
 fn serve_control(
     r: &Arc<Registry>,
     tel: &wafe_trace::Telemetry,
-    argv: &[String],
+    argv: &[Value],
 ) -> Result<String, String> {
     const USAGE: &str = "serve status|sessions|drain|metrics|limits ?key ?value??";
-    match argv.get(1).map(String::as_str) {
+    match argv.get(1).map(Value::as_str) {
         Some("status") if argv.len() == 2 => Ok(wafe_tcl::list_join(&r.status_words())),
         Some("sessions") if argv.len() == 2 => Ok(wafe_tcl::list_join(&r.sessions_words())),
         Some("metrics") if argv.len() == 2 => {
@@ -564,7 +566,7 @@ fn serve_control(
                     .collect();
                 Ok(wafe_tcl::list_join(&words))
             }
-            3 => r.get_limit(&argv[2]).ok_or_else(|| {
+            3 => r.get_limit(argv[2].as_str()).ok_or_else(|| {
                 format!(
                     "unknown limit \"{}\": must be one of {}",
                     argv[2],
@@ -572,7 +574,7 @@ fn serve_control(
                 )
             }),
             4 => {
-                r.set_limit(&argv[2], &argv[3])?;
+                r.set_limit(argv[2].as_str(), argv[3].as_str())?;
                 Ok(String::new())
             }
             _ => Err(format!("wrong # args: should be \"{USAGE}\"")),
@@ -581,8 +583,8 @@ fn serve_control(
     }
 }
 
-/// Installs the `session` control handler (registered as a command by
-/// wafe-core) into one session's dispatch table. Park and restore only
+/// Registers the `session` command on one session's interpreter,
+/// shadowing the toolkit image's placeholder. Park and restore only
 /// raise flags on `ctl`; the scheduler acts on them after the quantum.
 pub fn install_session_control(
     registry: &Arc<Registry>,
@@ -592,26 +594,27 @@ pub fn install_session_control(
     let r = registry.clone();
     let c = ctl.clone();
     let tel = session.telemetry.clone();
-    session.controls.borrow_mut().insert(
-        "session".into(),
-        Box::new(move |argv| session_control(&r, &c, &tel, argv)),
-    );
+    session.interp.register("session", move |_, argv| {
+        session_control(&r, &c, &tel, argv)
+            .map(Value::from)
+            .map_err(TclError::Error)
+    });
 }
 
 fn session_control(
     r: &Arc<Registry>,
     ctl: &Rc<SessionCtl>,
     tel: &wafe_trace::Telemetry,
-    argv: &[String],
+    argv: &[Value],
 ) -> Result<String, String> {
     const USAGE: &str = "session park|restore slot:generation|snapshots";
-    match argv.get(1).map(String::as_str) {
+    match argv.get(1).map(Value::as_str) {
         Some("park") if argv.len() == 2 => {
             ctl.park.set(true);
             Ok(String::new())
         }
         Some("restore") if argv.len() == 3 => {
-            let id = parse_session_id(&argv[2]).ok_or_else(|| {
+            let id = parse_session_id(argv[2].as_str()).ok_or_else(|| {
                 format!(
                     "bad session id \"{}\": should be \"slot:generation\"",
                     argv[2]

@@ -28,7 +28,7 @@ fn attach_client(
     registry: &Arc<Registry>,
     net: &SimNet,
 ) -> (SessionId, SimClient) {
-    let id = registry.admit("sim/test", 0).expect("admit");
+    let id = registry.admit("sim/test").expect("admit");
     let (client, io) = net.socketpair();
     el.attach(ConnAssign { id, io });
     (id, client)

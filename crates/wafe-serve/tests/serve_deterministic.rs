@@ -33,9 +33,7 @@ fn event_loop(registry: Arc<Registry>, telemetry: bool) -> (EventLoop, SimNet) {
 /// Admits a session for `peer` and attaches a simulated connection.
 fn session(el: &mut EventLoop, net: &SimNet, peer: &str) -> (SimClient, SessionId) {
     let registry = el.scheduler().registry().clone();
-    let id = registry
-        .admit(peer, el.scheduler().now_ms())
-        .expect("admitted");
+    let id = registry.admit(peer).expect("admitted");
     let (client, io) = net.socketpair();
     el.attach(ConnAssign { id, io });
     (client, id)
@@ -130,7 +128,7 @@ fn admission_control_sheds_beyond_max_sessions() {
     let registry = el.scheduler().registry().clone();
     session(&mut el, &net, "one");
     session(&mut el, &net, "two");
-    assert_eq!(registry.admit("three", 0), Err(ShedReason::MaxSessions));
+    assert_eq!(registry.admit("three"), Err(ShedReason::MaxSessions));
     assert_eq!(status(&registry, "shedAdmission"), 1);
     assert_eq!(registry.active(), 2);
     // The shed reply the transport sends is the reason, spelled out.
@@ -210,7 +208,7 @@ fn graceful_drain_flushes_mailboxes_before_releasing() {
     assert!(a.is_shutdown() && b.is_shutdown(), "connections closed");
     assert_eq!(registry.active(), 0, "every slot released");
     assert_eq!(status(&registry, "closed"), 2);
-    assert_eq!(registry.admit("late", 0), Err(ShedReason::Draining));
+    assert_eq!(registry.admit("late"), Err(ShedReason::Draining));
 }
 
 #[test]
@@ -265,7 +263,7 @@ fn idle_sessions_are_parked_on_virtual_ticks() {
     // The evicted id is stale: its slot can be re-admitted under a new
     // generation, and a late release of the old id is ignored.
     assert!(!registry.release(id_b), "stale release is a no-op");
-    let id_c = registry.admit("next", el.scheduler().now_ms()).unwrap();
+    let id_c = registry.admit("next").unwrap();
     assert_eq!(id_c.slot, id_b.slot);
     assert!(id_c.generation > id_b.generation);
     assert!(
@@ -742,7 +740,7 @@ fn status_reports_poller_backend_and_per_shard_breakdown_verbatim() {
     let registry = Arc::new(Registry::with_shards(Limits::default(), 2));
     let net = SimNet::new();
     let attach = |el: &mut EventLoop| {
-        let id = registry.admit("sim/test", 0).expect("admitted");
+        let id = registry.admit("sim/test").expect("admitted");
         let (client, io) = net.socketpair();
         el.attach(ConnAssign { id, io });
         client
@@ -957,10 +955,7 @@ fn sessions_commands_column_counts_dispatched_lines_across_a_reset() {
         &["%echo [lindex [serve sessions] 1] [telemetry snapshot serve.commands]"],
     );
     tick(&mut el);
-    assert_eq!(
-        client.received_lines(),
-        ["1:1 counter 0 6 serve.commands 1"]
-    );
+    assert_eq!(client.received_lines(), ["1:1 counter 6 serve.commands 1"]);
     let rows = el.scheduler().registry().sessions_words();
-    assert_eq!(rows, ["0:1 bystander 0 0", "1:1 counter 0 7"]);
+    assert_eq!(rows, ["0:1 bystander 0", "1:1 counter 7"]);
 }

@@ -74,8 +74,8 @@ use std::rc::Rc;
 use crate::compile::{syntax_error, CompiledCommand, CompiledScript, Token};
 use crate::error::{TclError, TclResult};
 use crate::expr::{
-    coerce, coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp,
-    Node, UnOp, Value as EValue,
+    coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp, Node,
+    UnOp, Value as EValue,
 };
 use crate::interp::{Interp, BC_SPECIAL_NAMES};
 use crate::list::parse_list;
@@ -776,15 +776,6 @@ impl<'a> Compiler<'a> {
     fn expr(&mut self, n: &Node, ctx: Ctx) -> Option<()> {
         match n {
             Node::Lit(v) => {
-                // A quoted string literal that *looks* numeric (e.g. "5")
-                // would be coerced by a later numeric operator, where the
-                // tree-walker keeps it a string (`"5"+1` is an error).
-                // Decline; the generic path preserves the semantics.
-                if let EValue::Str(s) = v {
-                    if !matches!(coerce(s), EValue::Str(_)) {
-                        return None;
-                    }
-                }
                 let k = self.num(v.clone());
                 self.emit(Instr::NPushNum(k));
             }
@@ -801,8 +792,6 @@ impl<'a> Compiler<'a> {
                 self.token(t, ctx);
                 self.emit(Instr::NCoerce);
             }
-            // A substituted string the numeric stack does not carry.
-            Node::Quoted(_) => return None,
             Node::Unary(op, a) => {
                 self.expr(a, ctx)?;
                 self.emit(Instr::NUn(*op));
@@ -1640,9 +1629,8 @@ mod tests {
             eval_lowered(&mut i, r#"expr {"abc" < "abd"}"#).unwrap(),
             "1"
         );
-        // A numeric-looking quoted literal stays a string: addition on it
-        // is an error under both engines.
-        assert!(eval_lowered(&mut i, r#"expr {"5" + 1}"#).is_err());
+        // A numeric-looking quoted literal is a number, as in Tcl.
+        assert_eq!(eval_lowered(&mut i, r#"expr {"5" + 1}"#).unwrap(), "6");
         assert_eq!(i.metric(Metric::TclBcCompiles), 2);
     }
 

@@ -77,12 +77,10 @@ pub(crate) enum Node {
     Lit(Value),
     /// `$name`: a scalar read, coerced.
     Var(String),
-    /// `$name(index)` or `[script]`: substituted like a script word when
-    /// evaluated, then coerced.
+    /// `$name(index)`, `[script]` or a `"quoted"` operand holding
+    /// substitutions: substituted like a script word when evaluated,
+    /// then coerced.
     Sub(Token),
-    /// A `"quoted"` operand holding substitutions: substituted when
-    /// evaluated, and kept a string.
-    Quoted(Token),
     Unary(UnOp, Box<Node>),
     Binary(BinOp, Box<Node>, Box<Node>),
     Ternary(Box<Node>, Box<Node>, Box<Node>),
@@ -380,9 +378,10 @@ impl<'a> Parser<'a> {
             '$' | '[' | '"' | '{' => {
                 let (token, next) = compile_operand(self.chars, self.pos)?;
                 self.pos = next;
+                // Tcl reads every operand as a number where it can,
+                // quoted or braced ones too: `"5" + 1` is 6.
                 Ok(match token {
-                    Token::Literal(v) => Node::Lit(Value::Str(v.as_str().to_string())),
-                    t if c == '"' => Node::Quoted(t),
+                    Token::Literal(v) => Node::Lit(coerce(v.as_str())),
                     Token::VarSub(name, None) => Node::Var(name),
                     t => Node::Sub(t),
                 })
@@ -503,8 +502,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Coerces a raw string operand (from `$var`/`[cmd]`) into a numeric value
-/// when it looks like one, else keeps it a string.
+/// Coerces a raw string operand (a literal, `$var` or `[cmd]`) into a
+/// numeric value when it looks like one, else keeps it a string.
 pub(crate) fn coerce(s: &str) -> Value {
     let t = s.trim();
     if t.is_empty() {
@@ -552,7 +551,6 @@ fn eval_node(interp: &mut Interp, node: &Node) -> TclResult<Value> {
         Node::Lit(v) => Ok(v.clone()),
         Node::Var(name) => Ok(coerce_value(interp.get_var_ref(name)?)),
         Node::Sub(t) => Ok(coerce_value(&interp.subst_token(t)?)),
-        Node::Quoted(t) => Ok(Value::Str(interp.subst_token(t)?.as_str().to_string())),
         Node::Unary(op, a) => {
             let v = eval_node(interp, a)?;
             eval_unop(*op, v)

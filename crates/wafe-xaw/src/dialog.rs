@@ -6,7 +6,7 @@ use std::rc::Rc;
 use wafe_xt::action::ActionTable;
 use wafe_xt::resource::{ResType, ResourceSpec, ResourceValue};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{SetValuesNeeds, WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{Arrangement, SetValuesNeeds, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 use crate::form::{form_constraints, form_resources, FormOps};
@@ -60,12 +60,8 @@ impl WidgetOps for DialogOps {
         }
     }
 
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        FormOps.preferred_size(app, w)
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
-        FormOps.layout(app, w);
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
+        FormOps.arrange(app, w)
     }
 
     fn set_values(&self, app: &mut XtApp, w: WidgetId, changed: &[String]) -> SetValuesNeeds {

@@ -4,12 +4,13 @@
 //! constraint resources `fromVert` and `fromHoriz` chain children below
 //! and beside each other.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use wafe_xt::action::ActionTable;
 use wafe_xt::resource::{core_resources, ResType, ResourceSpec, ResourceValue};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{Arrangement, Placement, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 /// Form's own resources.
@@ -57,110 +58,62 @@ fn distance(app: &XtApp, child: WidgetId, name: &str, default: i32) -> i32 {
     }
 }
 
-impl FormOps {
-    /// Computes each child's position from its constraints. Children are
-    /// processed in creation order; `fromVert`/`fromHoriz` reference
-    /// previously created siblings, as in Xaw.
-    fn place_children(app: &mut XtApp, form: WidgetId) {
-        let dd = app.dim_resource(form, "defaultDistance") as i32;
-        let children = app.widget(form).children.clone();
-        for c in &children {
-            if !app.widget(*c).managed {
-                continue;
-            }
-            let hd = distance(app, *c, "horizDistance", dd);
-            let vd = distance(app, *c, "vertDistance", dd);
-            let x = match widget_ref(app, *c, "fromHoriz") {
-                Some(r) => {
-                    let bw = app.dim_resource(r, "borderWidth") as i32;
-                    app.pos_resource(r, "x") + app.dim_resource(r, "width") as i32 + 2 * bw + hd
-                }
-                None => hd,
-            };
-            let y = match widget_ref(app, *c, "fromVert") {
-                Some(r) => {
-                    let bw = app.dim_resource(r, "borderWidth") as i32;
-                    app.pos_resource(r, "y") + app.dim_resource(r, "height") as i32 + 2 * bw + vd
-                }
-                None => vd,
-            };
-            app.put_resource(*c, "x", ResourceValue::Pos(x));
-            app.put_resource(*c, "y", ResourceValue::Pos(y));
-        }
-    }
-
-    fn bounding(app: &XtApp, form: WidgetId) -> (u32, u32) {
-        let dd = app.dim_resource(form, "defaultDistance");
-        let mut w = 0i32;
-        let mut h = 0i32;
-        for c in &app.widget(form).children {
-            if !app.widget(*c).managed {
-                continue;
-            }
-            let bw = app.dim_resource(*c, "borderWidth") as i32;
-            w = w.max(app.pos_resource(*c, "x") + app.dim_resource(*c, "width") as i32 + 2 * bw);
-            h = h.max(app.pos_resource(*c, "y") + app.dim_resource(*c, "height") as i32 + 2 * bw);
-        }
-        ((w + dd as i32).max(1) as u32, (h + dd as i32).max(1) as u32)
-    }
+/// A widget's width and height, borders included.
+fn outer_size(app: &XtApp, w: WidgetId) -> (i32, i32) {
+    let bw = 2 * app.dim_resource(w, "borderWidth");
+    (
+        (app.dim_resource(w, "width") + bw) as i32,
+        (app.dim_resource(w, "height") + bw) as i32,
+    )
 }
 
 impl WidgetOps for FormOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        // Children already have sizes (size pass is bottom-up); place
-        // them tentatively to measure the bounding box.
-        // Placement mutates resources, so this runs on a best-effort
-        // cloned basis: positions are recomputed in layout() anyway.
-        let explicit_w = app.dim_resource(w, "width");
-        let explicit_h = app.dim_resource(w, "height");
-        if explicit_w > 0 && explicit_h > 0 {
-            return (explicit_w, explicit_h);
-        }
-        // Without mutation access, approximate: layout() will have been
-        // called for realized trees; for the initial pass compute from
-        // constraint chains directly.
-        let mut positions: std::collections::HashMap<WidgetId, (i32, i32)> =
-            std::collections::HashMap::new();
-        let dd = app.dim_resource(w, "defaultDistance") as i32;
-        let mut maxw = 0i32;
-        let mut maxh = 0i32;
-        for c in &app.widget(w).children {
-            if !app.widget(*c).managed {
+    /// Places managed children in creation order, each `horizDistance`
+    /// right of its `fromHoriz` reference and `vertDistance` below its
+    /// `fromVert` one, as in Xaw. A reference placed earlier in this
+    /// plan is at its planned position; any other (a later or unmanaged
+    /// sibling) is where it is stored. The form needs the placements'
+    /// bounding box plus `defaultDistance`.
+    fn arrange(&self, app: &XtApp, form: WidgetId) -> Option<Arrangement> {
+        let dd = app.dim_resource(form, "defaultDistance") as i32;
+        let children = &app.widget(form).children;
+        // Each placed child's position and outer size.
+        let mut placed: HashMap<WidgetId, (i32, i32, i32, i32)> =
+            HashMap::with_capacity(children.len());
+        let mut plan = Arrangement {
+            placements: Vec::with_capacity(children.len()),
+            ..Arrangement::default()
+        };
+        let (mut right, mut bottom) = (0i32, 0i32);
+        for &c in children {
+            if !app.widget(c).managed {
                 continue;
             }
-            let hd = distance(app, *c, "horizDistance", dd);
-            let vd = distance(app, *c, "vertDistance", dd);
-            let x = match widget_ref(app, *c, "fromHoriz") {
-                Some(r) => {
-                    let (rx, _) = positions.get(&r).copied().unwrap_or((0, 0));
-                    let bw = app.dim_resource(r, "borderWidth") as i32;
-                    rx + app.dim_resource(r, "width") as i32 + 2 * bw + hd
-                }
-                None => hd,
+            let rect = |r: WidgetId| {
+                placed.get(&r).copied().unwrap_or_else(|| {
+                    let (w, h) = outer_size(app, r);
+                    (app.pos_resource(r, "x"), app.pos_resource(r, "y"), w, h)
+                })
             };
-            let y = match widget_ref(app, *c, "fromVert") {
-                Some(r) => {
-                    let (_, ry) = positions.get(&r).copied().unwrap_or((0, 0));
-                    let bw = app.dim_resource(r, "borderWidth") as i32;
-                    ry + app.dim_resource(r, "height") as i32 + 2 * bw + vd
-                }
-                None => vd,
-            };
-            positions.insert(*c, (x, y));
-            let bw = app.dim_resource(*c, "borderWidth") as i32;
-            maxw = maxw.max(x + app.dim_resource(*c, "width") as i32 + 2 * bw);
-            maxh = maxh.max(y + app.dim_resource(*c, "height") as i32 + 2 * bw);
+            let hd = distance(app, c, "horizDistance", dd);
+            let vd = distance(app, c, "vertDistance", dd);
+            let x = widget_ref(app, c, "fromHoriz").map_or(hd, |r| {
+                let (rx, _, rw, _) = rect(r);
+                rx + rw + hd
+            });
+            let y = widget_ref(app, c, "fromVert").map_or(vd, |r| {
+                let (_, ry, _, rh) = rect(r);
+                ry + rh + vd
+            });
+            let (cw, ch) = outer_size(app, c);
+            placed.insert(c, (x, y, cw, ch));
+            plan.placements.push(Placement::at(c, x, y));
+            right = right.max(x + cw);
+            bottom = bottom.max(y + ch);
         }
-        ((maxw + dd).max(1) as u32, (maxh + dd).max(1) as u32)
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
-        FormOps::place_children(app, w);
-        if app.dim_resource(w, "width") == 0 || app.dim_resource(w, "height") == 0 {
-            let (bw, bh) = FormOps::bounding(app, w);
-            app.put_resource(w, "width", ResourceValue::Dim(bw));
-            app.put_resource(w, "height", ResourceValue::Dim(bh));
-        }
+        plan.width = (right + dd).max(1) as u32;
+        plan.height = (bottom + dd).max(1) as u32;
+        Some(plan)
     }
 }
 
@@ -197,39 +150,9 @@ pub fn box_resources() -> Vec<ResourceSpec> {
 pub struct BoxOps;
 
 impl WidgetOps for BoxOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        let hs = app.dim_resource(w, "hSpace");
-        let vs = app.dim_resource(w, "vSpace");
-        let horizontal = matches!(
-            app.widget(w).resource("orientation"),
-            Some(ResourceValue::Orientation(
-                wafe_xt::resource::Orientation::Horizontal
-            ))
-        );
-        let mut total_w = hs;
-        let mut total_h = vs;
-        let mut max_w = 0u32;
-        let mut max_h = 0u32;
-        for c in &app.widget(w).children {
-            if !app.widget(*c).managed {
-                continue;
-            }
-            let bw = app.dim_resource(*c, "borderWidth");
-            let cw = app.dim_resource(*c, "width") + 2 * bw;
-            let ch = app.dim_resource(*c, "height") + 2 * bw;
-            total_w += cw + hs;
-            total_h += ch + vs;
-            max_w = max_w.max(cw);
-            max_h = max_h.max(ch);
-        }
-        if horizontal {
-            (total_w.max(1), (max_h + 2 * vs).max(1))
-        } else {
-            ((max_w + 2 * hs).max(1), total_h.max(1))
-        }
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
+    /// Stacks managed children `hSpace`/`vSpace` apart along the
+    /// orientation; the box is as deep as its deepest child.
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
         let hs = app.dim_resource(w, "hSpace") as i32;
         let vs = app.dim_resource(w, "vSpace") as i32;
         let horizontal = matches!(
@@ -238,22 +161,31 @@ impl WidgetOps for BoxOps {
                 wafe_xt::resource::Orientation::Horizontal
             ))
         );
-        let children = app.widget(w).children.clone();
-        let mut x = hs;
-        let mut y = vs;
-        for c in children {
+        let mut plan = Arrangement::default();
+        let (mut x, mut y) = (hs, vs);
+        let (mut widest, mut tallest) = (0i32, 0i32);
+        for &c in &app.widget(w).children {
             if !app.widget(c).managed {
                 continue;
             }
-            app.put_resource(c, "x", ResourceValue::Pos(x));
-            app.put_resource(c, "y", ResourceValue::Pos(y));
-            let bw = app.dim_resource(c, "borderWidth") as i32;
+            plan.placements.push(Placement::at(c, x, y));
+            let (cw, ch) = outer_size(app, c);
             if horizontal {
-                x += app.dim_resource(c, "width") as i32 + 2 * bw + hs;
+                x += cw + hs;
             } else {
-                y += app.dim_resource(c, "height") as i32 + 2 * bw + vs;
+                y += ch + vs;
             }
+            widest = widest.max(cw);
+            tallest = tallest.max(ch);
         }
+        let (width, height) = if horizontal {
+            (x, tallest + 2 * vs)
+        } else {
+            (widest + 2 * hs, y)
+        };
+        plan.width = width.max(1) as u32;
+        plan.height = height.max(1) as u32;
+        Some(plan)
     }
 }
 
@@ -430,6 +362,47 @@ mod tests {
         let ax = a.pos_resource(a.lookup("a").unwrap(), "x");
         let abw = a.dim_resource(a.lookup("a").unwrap(), "borderWidth") as i32;
         assert_eq!(a.pos_resource(b, "x"), ax + 50 + 2 * abw + 20);
+    }
+
+    /// A reference not yet placed in the pass (here an unmanaged
+    /// sibling) is where it is stored, when measuring a zero-sized form
+    /// as when placing its children, so the form wraps what it places.
+    #[test]
+    fn zero_sized_form_measures_an_unmanaged_reference_where_it_is_stored() {
+        let mut a = app();
+        let top = a
+            .create_widget("topLevel", "TopLevelShell", None, 0, &[], true)
+            .unwrap();
+        let bx = a
+            .create_widget("bx", "Box", Some(top), 0, &[], true)
+            .unwrap();
+        let form = a
+            .create_widget("f", "Form", Some(bx), 0, &[], true)
+            .unwrap();
+        let size = |w: &str, h: &str| {
+            vec![
+                ("width".to_string(), w.to_string()),
+                ("height".to_string(), h.to_string()),
+            ]
+        };
+        let first = a
+            .create_widget("first", "Label", Some(form), 0, &size("50", "20"), true)
+            .unwrap();
+        let mut init = size("30", "20");
+        init.push(("fromHoriz".into(), "first".into()));
+        let second = a
+            .create_widget("second", "Label", Some(form), 0, &init, true)
+            .unwrap();
+        a.realize(top);
+        let bw = a.dim_resource(second, "borderWidth") as i32;
+        assert_eq!(a.pos_resource(first, "x"), 4);
+        let x = 4 + 50 + 2 * bw + 4;
+        assert_eq!(a.pos_resource(second, "x"), x);
+        a.unmanage_child(first);
+        assert_eq!(a.pos_resource(second, "x"), x, "placed after the stored x");
+        a.set_resource(form, "width", "0").unwrap();
+        assert_eq!(a.pos_resource(second, "x"), x);
+        assert_eq!(a.dim_resource(form, "width") as i32, x + 30 + 2 * bw + 4);
     }
 
     #[test]

@@ -8,9 +8,9 @@ use std::rc::Rc;
 
 use wafe_xproto::framebuffer::DrawOp;
 use wafe_xt::action::ActionTable;
-use wafe_xt::resource::{core_resources, ResType, ResourceSpec, ResourceValue};
+use wafe_xt::resource::{core_resources, ResType, ResourceSpec};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{Arrangement, Placement, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 /// SimpleMenu's resources.
@@ -31,35 +31,27 @@ pub fn simplemenu_resources() -> Vec<ResourceSpec> {
 pub struct SimpleMenuOps;
 
 impl WidgetOps for SimpleMenuOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        let tm = app.dim_resource(w, "topMargin");
-        let bm = app.dim_resource(w, "bottomMargin");
-        let mut width = 0u32;
-        let mut height = tm + bm;
-        for c in &app.widget(w).children {
-            if !app.widget(*c).managed {
-                continue;
-            }
-            width = width.max(app.dim_resource(*c, "width"));
-            height += app.dim_resource(*c, "height");
-        }
-        (width.max(20), height.max(4))
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
+    /// Stacks managed entries below `topMargin`, each as wide as the
+    /// menu; the menu needs its widest entry and `bottomMargin` below
+    /// the last.
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
         let width = app.dim_resource(w, "width");
-        let tm = app.dim_resource(w, "topMargin") as i32;
-        let children = app.widget(w).children.clone();
-        let mut y = tm;
-        for c in children {
+        let mut plan = Arrangement::default();
+        let (mut widest, mut y) = (0u32, app.dim_resource(w, "topMargin"));
+        for &c in &app.widget(w).children {
             if !app.widget(c).managed {
                 continue;
             }
-            app.put_resource(c, "x", ResourceValue::Pos(0));
-            app.put_resource(c, "y", ResourceValue::Pos(y));
-            app.put_resource(c, "width", ResourceValue::Dim(width));
-            y += app.dim_resource(c, "height") as i32;
+            plan.placements.push(Placement {
+                width: Some(width),
+                ..Placement::at(c, 0, y as i32)
+            });
+            widest = widest.max(app.dim_resource(c, "width"));
+            y += app.dim_resource(c, "height");
         }
+        plan.width = widest.max(20);
+        plan.height = (y + app.dim_resource(w, "bottomMargin")).max(4);
+        Some(plan)
     }
 }
 

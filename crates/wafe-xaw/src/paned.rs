@@ -3,9 +3,9 @@
 use std::rc::Rc;
 
 use wafe_xt::action::ActionTable;
-use wafe_xt::resource::{core_resources, ResType, ResourceSpec, ResourceValue};
+use wafe_xt::resource::{core_resources, ResType, ResourceSpec};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{Arrangement, Placement, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 /// Paned's resources.
@@ -50,40 +50,28 @@ pub fn paned_constraints() -> Vec<ResourceSpec> {
 pub struct PanedOps;
 
 impl WidgetOps for PanedOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
+    /// Stacks managed children `internalBorderWidth` apart, each
+    /// stretched to the pane's width.
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
         let ib = app.dim_resource(w, "internalBorderWidth");
-        let mut width = 0u32;
-        let mut height = 0u32;
-        for c in &app.widget(w).children {
-            if !app.widget(*c).managed {
-                continue;
-            }
-            let bw = app.dim_resource(*c, "borderWidth");
-            width = width.max(app.dim_resource(*c, "width") + 2 * bw);
-            height += app.dim_resource(*c, "height") + 2 * bw + ib;
-        }
-        (width.max(1), height.max(1))
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
-        let ib = app.dim_resource(w, "internalBorderWidth") as i32;
         let width = app.dim_resource(w, "width");
-        let children = app.widget(w).children.clone();
-        let mut y = 0i32;
-        for c in children {
+        let mut plan = Arrangement::default();
+        let (mut widest, mut y) = (0u32, 0u32);
+        for &c in &app.widget(w).children {
             if !app.widget(c).managed {
                 continue;
             }
             let bw = app.dim_resource(c, "borderWidth");
-            app.put_resource(c, "x", ResourceValue::Pos(0));
-            app.put_resource(c, "y", ResourceValue::Pos(y));
-            app.put_resource(
-                c,
-                "width",
-                ResourceValue::Dim(width.saturating_sub(2 * bw).max(1)),
-            );
-            y += app.dim_resource(c, "height") as i32 + 2 * bw as i32 + ib;
+            plan.placements.push(Placement {
+                width: Some(width.saturating_sub(2 * bw).max(1)),
+                ..Placement::at(c, 0, y as i32)
+            });
+            widest = widest.max(app.dim_resource(c, "width") + 2 * bw);
+            y += app.dim_resource(c, "height") + 2 * bw + ib;
         }
+        plan.width = widest.max(1);
+        plan.height = y.max(1);
+        Some(plan)
     }
 }
 
@@ -129,29 +117,23 @@ pub fn viewport_resources() -> Vec<ResourceSpec> {
 pub struct ViewportOps;
 
 impl WidgetOps for ViewportOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        let ew = app.dim_resource(w, "width");
-        let eh = app.dim_resource(w, "height");
-        if ew > 0 && eh > 0 {
-            return (ew, eh);
-        }
-        match app.widget(w).children.first() {
-            Some(&c) => (
-                app.dim_resource(c, "width").clamp(1, 300),
-                app.dim_resource(c, "height").clamp(1, 200),
-            ),
-            None => (100, 100),
-        }
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
+    /// Shows the first child scrolled by the offsets; the viewport needs
+    /// that child's size, clamped to 300x200.
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
         let yoff: i32 = app.state(w, "yoff").parse().unwrap_or(0);
         let xoff: i32 = app.state(w, "xoff").parse().unwrap_or(0);
-        let children = app.widget(w).children.clone();
-        if let Some(&c) = children.first() {
-            app.put_resource(c, "x", ResourceValue::Pos(-xoff));
-            app.put_resource(c, "y", ResourceValue::Pos(-yoff));
-        }
+        Some(match app.widget(w).children.first() {
+            Some(&c) => Arrangement {
+                width: app.dim_resource(c, "width").clamp(1, 300),
+                height: app.dim_resource(c, "height").clamp(1, 200),
+                placements: vec![Placement::at(c, -xoff, -yoff)],
+            },
+            None => Arrangement {
+                width: 100,
+                height: 100,
+                placements: Vec::new(),
+            },
+        })
     }
 }
 

@@ -8,9 +8,9 @@
 use std::rc::Rc;
 
 use wafe_xt::action::ActionTable;
-use wafe_xt::resource::{core_resources, ResType, ResourceSpec, ResourceValue};
+use wafe_xt::resource::{core_resources, ResType, ResourceSpec};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{Arrangement, Placement, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 /// Shell class methods: size to the managed child, lay the child out to
@@ -18,53 +18,34 @@ use wafe_xt::XtApp;
 pub struct ShellOps;
 
 impl WidgetOps for ShellOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        let explicit_w = app.dim_resource(w, "width");
-        let explicit_h = app.dim_resource(w, "height");
-        if explicit_w > 0 && explicit_h > 0 {
-            return (explicit_w, explicit_h);
-        }
-        // Size to the first managed child.
-        let child = app
-            .widget(w)
-            .children
-            .iter()
-            .copied()
-            .find(|c| app.widget(*c).managed);
-        match child {
-            Some(c) => {
-                let bw = app.dim_resource(c, "borderWidth");
-                (
-                    app.dim_resource(c, "width") + 2 * bw,
-                    app.dim_resource(c, "height") + 2 * bw,
-                )
-            }
-            None => (explicit_w.max(1), explicit_h.max(1)),
-        }
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
+    /// Stretches every managed child over the shell; the shell needs its
+    /// first managed child's size.
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
         let width = app.dim_resource(w, "width");
         let height = app.dim_resource(w, "height");
-        let children = app.widget(w).children.clone();
-        for c in children {
+        let mut plan = Arrangement {
+            width: 1,
+            height: 1,
+            placements: Vec::new(),
+        };
+        for &c in &app.widget(w).children {
             if !app.widget(c).managed {
                 continue;
             }
             let bw = app.dim_resource(c, "borderWidth");
-            app.put_resource(c, "x", ResourceValue::Pos(0));
-            app.put_resource(c, "y", ResourceValue::Pos(0));
-            app.put_resource(
-                c,
-                "width",
-                ResourceValue::Dim(width.saturating_sub(2 * bw).max(1)),
-            );
-            app.put_resource(
-                c,
-                "height",
-                ResourceValue::Dim(height.saturating_sub(2 * bw).max(1)),
-            );
+            if plan.placements.is_empty() {
+                plan.width = app.dim_resource(c, "width") + 2 * bw;
+                plan.height = app.dim_resource(c, "height") + 2 * bw;
+            }
+            plan.placements.push(Placement {
+                child: c,
+                x: 0,
+                y: 0,
+                width: Some(width.saturating_sub(2 * bw).max(1)),
+                height: Some(height.saturating_sub(2 * bw).max(1)),
+            });
         }
+        Some(plan)
     }
 }
 

@@ -6,14 +6,13 @@
 //! the connecting edges, like HP's XmGraph arranged Wafe's design tool
 //! views.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use wafe_xproto::framebuffer::DrawOp;
 use wafe_xt::action::ActionTable;
 use wafe_xt::resource::{core_resources, ResType, ResourceSpec, ResourceValue};
 use wafe_xt::translation::TranslationTable;
-use wafe_xt::widget::{WidgetClass, WidgetId, WidgetOps};
+use wafe_xt::widget::{Arrangement, Placement, WidgetClass, WidgetId, WidgetOps};
 use wafe_xt::XtApp;
 
 /// TreeGraph's resources.
@@ -46,75 +45,69 @@ fn node_parent(app: &XtApp, c: WidgetId) -> Option<WidgetId> {
     }
 }
 
-/// Computes each child's depth (root nodes are depth 0).
-fn depths(app: &XtApp, w: WidgetId) -> HashMap<WidgetId, usize> {
+/// Each child's depth, in child order (root nodes are depth 0).
+fn depths(app: &XtApp, w: WidgetId) -> Vec<usize> {
     let children = &app.widget(w).children;
-    let mut out = HashMap::new();
-    for &c in children {
-        let mut d = 0usize;
-        let mut cur = c;
-        // Bounded walk to guard against constraint cycles.
-        for _ in 0..children.len() {
-            match node_parent(app, cur) {
-                Some(p) if p != cur => {
-                    d += 1;
-                    cur = p;
+    children
+        .iter()
+        .map(|&c| {
+            let mut d = 0usize;
+            let mut cur = c;
+            // Bounded walk to guard against constraint cycles.
+            for _ in 0..children.len() {
+                match node_parent(app, cur) {
+                    Some(p) if p != cur => {
+                        d += 1;
+                        cur = p;
+                    }
+                    _ => break,
                 }
-                _ => break,
             }
-        }
-        out.insert(c, d);
-    }
-    out
+            d
+        })
+        .collect()
 }
 
 /// TreeGraph class methods.
 pub struct TreeGraphOps;
 
 impl WidgetOps for TreeGraphOps {
-    fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
-        let d = depths(app, w);
+    /// Puts each depth in a column left to right, as wide as its widest
+    /// node, and stacks a column's nodes in creation order. The widget
+    /// needs room for every column at the widest node's width (at least
+    /// 60) and for the tallest column.
+    fn arrange(&self, app: &XtApp, w: WidgetId) -> Option<Arrangement> {
+        let children = &app.widget(w).children;
+        let depth = depths(app, w);
         let hs = app.dim_resource(w, "hSpace");
         let vs = app.dim_resource(w, "vSpace");
-        let max_depth = d.values().copied().max().unwrap_or(0) as u32;
-        let mut per_layer: HashMap<usize, u32> = HashMap::new();
-        let mut layer_w = 60u32;
-        for (&c, &depth) in &d {
-            *per_layer.entry(depth).or_default() += app.dim_resource(c, "height") + vs;
-            layer_w = layer_w.max(app.dim_resource(c, "width"));
+        let layers = depth.iter().max().map_or(1, |d| d + 1);
+        let mut layer_w = vec![0u32; layers];
+        for (&c, &d) in children.iter().zip(&depth) {
+            layer_w[d] = layer_w[d].max(app.dim_resource(c, "width"));
         }
-        let tall = per_layer.values().copied().max().unwrap_or(40) + vs;
-        (
-            ((max_depth + 1) * (layer_w + hs) + hs).max(60),
-            tall.max(40),
-        )
-    }
-
-    fn layout(&self, app: &mut XtApp, w: WidgetId) {
-        let d = depths(app, w);
-        let hs = app.dim_resource(w, "hSpace") as i32;
-        let vs = app.dim_resource(w, "vSpace") as i32;
-        // Column x per depth: max width of shallower layers.
-        let max_depth = d.values().copied().max().unwrap_or(0);
-        let mut layer_width: Vec<i32> = vec![0; max_depth + 1];
-        for (&c, &depth) in &d {
-            layer_width[depth] = layer_width[depth].max(app.dim_resource(c, "width") as i32);
-        }
-        let mut layer_x: Vec<i32> = Vec::with_capacity(max_depth + 1);
+        let mut layer_x = Vec::with_capacity(layers);
         let mut x = hs;
-        for lw in &layer_width {
-            layer_x.push(x);
+        for lw in &layer_w {
+            layer_x.push(x as i32);
             x += lw + hs;
         }
-        // Stack nodes within each layer in creation order.
-        let children = app.widget(w).children.clone();
-        let mut layer_y: Vec<i32> = vec![vs; max_depth + 1];
-        for c in children {
-            let depth = d[&c];
-            app.put_resource(c, "x", ResourceValue::Pos(layer_x[depth]));
-            app.put_resource(c, "y", ResourceValue::Pos(layer_y[depth]));
-            layer_y[depth] += app.dim_resource(c, "height") as i32 + vs;
+        let mut layer_y = vec![vs; layers];
+        let mut plan = Arrangement::default();
+        for (&c, &d) in children.iter().zip(&depth) {
+            plan.placements
+                .push(Placement::at(c, layer_x[d], layer_y[d] as i32));
+            layer_y[d] += app.dim_resource(c, "height") + vs;
         }
+        let widest = layer_w.iter().copied().fold(60, u32::max);
+        let tallest = if children.is_empty() {
+            40 + vs
+        } else {
+            layer_y.iter().copied().fold(0, u32::max)
+        };
+        plan.width = (layers as u32 * (widest + hs) + hs).max(60);
+        plan.height = tallest.max(40);
+        Some(plan)
     }
 
     fn redisplay(&self, app: &XtApp, w: WidgetId) -> Vec<DrawOp> {

@@ -14,13 +14,21 @@
 //! agree on every widget's geometry, every window's rect, attributes,
 //! mapping and display list, the queued events, the composited
 //! framebuffer and the encoded bytes of the pending display frame.
+//!
+//! The same cases pin the layout itself: `tests/fixtures/layout-geometry.txt`
+//! holds an FNV-1a-64 hash of every widget's geometry after realize and
+//! after each step, plus hand scenes of a popped-up SimpleMenu and a
+//! popped-up shell holding a Form. Rewrite it with
+//! `cargo test -p wafe-xaw --test settle_props regenerate_layout_geometry_fixture -- --ignored`.
 
 use wafe_display::frame::Frame;
 use wafe_prop::{cases, Rng};
 use wafe_xt::converter::ConvertCtx;
 use wafe_xt::{WidgetId, XtApp};
 
-const COMPOSITES: [&str; 4] = ["Form", "Box", "Paned", "Viewport"];
+const COMPOSITES: [&str; 6] = ["Form", "Box", "Paned", "Viewport", "TreeGraph", "Dialog"];
+/// Composites whose children take Form's constraints.
+const FORMS: [&str; 2] = ["Form", "Dialog"];
 const LEAVES: [&str; 4] = ["Label", "Command", "Toggle", "List"];
 const COLOURS: [&str; 5] = ["red", "blue", "white", "gray80", "#336699"];
 const TEXTS: [&str; 5] = ["", "x", "hello", "a longer label text", "42"];
@@ -69,7 +77,8 @@ fn parent_class(app: &XtApp, name: &str) -> Option<String> {
         .map(|p| app.widget(p).class.name.clone())
 }
 
-/// Earlier managed-or-not siblings of `name` (Form constraint targets).
+/// Earlier managed-or-not siblings of `name` (Form and TreeGraph
+/// constraint targets).
 fn earlier_siblings(app: &XtApp, name: &str) -> Vec<String> {
     let w = app.lookup(name).unwrap();
     let Some(p) = app.widget(w).parent else {
@@ -103,8 +112,9 @@ fn random_pair(rng: &mut Rng, app: &XtApp, name: &str) -> (String, String) {
             ["hSpace", "orientation", "defaultDistance"]
                 .iter()
                 .filter(|r| match **r {
-                    "hSpace" | "orientation" => class == "Box",
-                    _ => class == "Form",
+                    "hSpace" => class == "Box" || class == "TreeGraph",
+                    "orientation" => class == "Box",
+                    _ => FORMS.contains(&class.as_str()),
                 }),
         );
     } else if class == "List" {
@@ -112,8 +122,12 @@ fn random_pair(rng: &mut Rng, app: &XtApp, name: &str) -> (String, String) {
     } else {
         choices.extend(["label", "label", "label", "foreground", "justify"]);
     }
-    if parent_class(app, name).as_deref() == Some("Form") {
-        choices.extend(["horizDistance", "vertDistance", "fromHoriz", "fromVert"]);
+    match parent_class(app, name).as_deref() {
+        Some(p) if FORMS.contains(&p) => {
+            choices.extend(["horizDistance", "vertDistance", "fromHoriz", "fromVert"])
+        }
+        Some("TreeGraph") => choices.push("parentNode"),
+        _ => {}
     }
     let res = *rng.pick(&choices);
     let value = match res {
@@ -133,7 +147,7 @@ fn random_pair(rng: &mut Rng, app: &XtApp, name: &str) -> (String, String) {
         "list" => rng
             .vec(0, 4, |r| r.pick(&[" ", "x", "hello"]).to_string())
             .join(","),
-        "fromHoriz" | "fromVert" => {
+        "fromHoriz" | "fromVert" | "parentNode" => {
             let sibs = earlier_siblings(app, name);
             if sibs.is_empty() || rng.range(0, 4) == 0 {
                 String::new()
@@ -155,7 +169,7 @@ fn random_init(rng: &mut Rng, class: &str) -> Vec<(String, String)> {
         init.push(("height".into(), rng.range(8, 60).to_string()));
     }
     match class {
-        "Label" | "Command" | "Toggle" => {
+        "Label" | "Command" | "Toggle" | "Dialog" => {
             init.push(("label".into(), rng.pick(&TEXTS[1..]).to_string()));
         }
         "List" => init.push(("list".into(), "one,two,three".into())),
@@ -187,17 +201,19 @@ fn build_tree(rng: &mut Rng) -> Vec<Spec> {
         };
         let name = wname(k);
         let mut init = random_init(rng, class);
-        if pclass == "Form" {
-            let sibs: Vec<&String> = specs
-                .iter()
-                .filter(|spec: &&Spec| spec.2 == parent)
-                .map(|spec| &spec.0)
-                .collect();
+        let sibs: Vec<&String> = specs
+            .iter()
+            .filter(|spec: &&Spec| spec.2 == parent)
+            .map(|spec| &spec.0)
+            .collect();
+        let refs: &[&str] = match pclass {
+            "Form" | "Dialog" => &["fromHoriz", "fromVert"],
+            "TreeGraph" => &["parentNode"],
+            _ => &[],
+        };
+        for r in refs {
             if !sibs.is_empty() && rng.chance() {
-                init.push(("fromHoriz".into(), (*rng.pick(&sibs)).clone()));
-            }
-            if !sibs.is_empty() && rng.chance() {
-                init.push(("fromVert".into(), (*rng.pick(&sibs)).clone()));
+                init.push((r.to_string(), (*rng.pick(&sibs)).clone()));
             }
         }
         if COMPOSITES.contains(&class) {
@@ -245,7 +261,12 @@ fn random_op(rng: &mut Rng, app: &XtApp, next: &mut usize) -> Op {
             let name = wname(*next);
             *next += 1;
             let mut init = random_init(rng, class);
-            if class_of(app, &parent) == "Form" {
+            let reference = match class_of(app, &parent).as_str() {
+                "Form" | "Dialog" => Some("fromVert"),
+                "TreeGraph" => Some("parentNode"),
+                _ => None,
+            };
+            if let Some(r) = reference {
                 let p = app.lookup(&parent).unwrap();
                 let sibs: Vec<String> = app
                     .widget(p)
@@ -254,7 +275,7 @@ fn random_op(rng: &mut Rng, app: &XtApp, next: &mut usize) -> Op {
                     .map(|&c| app.widget(c).name.clone())
                     .collect();
                 if !sibs.is_empty() && rng.chance() {
-                    init.push(("fromVert".into(), rng.pick(&sibs).clone()));
+                    init.push((r.into(), rng.pick(&sibs).clone()));
                 }
             }
             Op::Create {
@@ -593,4 +614,183 @@ fn zero_sized_widget_is_remeasured() {
         apply_oracle(&mut oracle, op);
         assert_same(&mut subject, &mut oracle, &format!("step {step}: {op:?}"));
     }
+}
+
+const LAYOUT_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/layout-geometry.txt"
+);
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// An FNV-1a-64 hash of every widget's name and geometry, in name order.
+fn geometry_hash(app: &XtApp) -> String {
+    let mut text = String::new();
+    for name in app.widget_names() {
+        let w = app.lookup(&name).unwrap();
+        text.push_str(&name);
+        for r in ["x", "y", "width", "height", "borderWidth"] {
+            text.push(' ');
+            text.push_str(&app.get_resource_string(w, r).unwrap());
+        }
+        text.push('\n');
+    }
+    format!("{:016x}", fnv1a64(text.as_bytes()))
+}
+
+/// A popped-up SimpleMenu, then a popped-up TransientShell holding a
+/// Form, over a realized top-level shell.
+fn popup_scenes(out: &mut Vec<String>) {
+    let mut app = build_app();
+    let top = app
+        .create_widget("topLevel", "TopLevelShell", None, 0, &[], true)
+        .unwrap();
+    let init = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(r, v)| (r.to_string(), v.to_string()))
+            .collect()
+    };
+    app.create_widget(
+        "button",
+        "Command",
+        Some(top),
+        0,
+        &init(&[("label", "File")]),
+        true,
+    )
+    .unwrap();
+    app.realize(top);
+    let menu = app
+        .create_widget("menu", "SimpleMenu", None, 0, &[], true)
+        .unwrap();
+    app.add_popup(top, menu);
+    for (name, class, label) in [
+        ("open", "SmeBSB", "Open"),
+        ("saveAs", "SmeBSB", "Save as ..."),
+        ("line", "SmeLine", ""),
+        ("quit", "SmeBSB", "Quit"),
+    ] {
+        let pairs = if label.is_empty() {
+            vec![]
+        } else {
+            init(&[("label", label)])
+        };
+        app.create_widget(name, class, Some(menu), 0, &pairs, true)
+            .unwrap();
+    }
+    app.popup(menu, wafe_xproto::GrabKind::Exclusive);
+    out.push(format!("menu-popup {}", geometry_hash(&app)));
+    let shell = app
+        .create_widget("ask", "TransientShell", None, 0, &[], true)
+        .unwrap();
+    app.add_popup(top, shell);
+    let form = app
+        .create_widget(
+            "askForm",
+            "Form",
+            Some(shell),
+            0,
+            &init(&[("borderWidth", "2")]),
+            true,
+        )
+        .unwrap();
+    for (name, class, pairs) in [
+        (
+            "prompt",
+            "Label",
+            init(&[("label", "Really quit?"), ("borderWidth", "0")]),
+        ),
+        (
+            "ok",
+            "Command",
+            init(&[("label", "OK"), ("fromVert", "prompt")]),
+        ),
+        (
+            "cancel",
+            "Command",
+            init(&[
+                ("label", "Cancel"),
+                ("fromVert", "prompt"),
+                ("fromHoriz", "ok"),
+            ]),
+        ),
+        (
+            "note",
+            "Label",
+            init(&[
+                ("label", "x"),
+                ("borderWidth", "3"),
+                ("fromHoriz", "cancel"),
+                ("vertDistance", "9"),
+            ]),
+        ),
+    ] {
+        app.create_widget(name, class, Some(form), 0, &pairs, true)
+            .unwrap();
+    }
+    app.popup(shell, wafe_xproto::GrabKind::Nonexclusive);
+    out.push(format!("shell-form-popup {}", geometry_hash(&app)));
+}
+
+/// The fixture's entries: every `settle_matches_whole_tree_resync` case
+/// after realize and after each step, then the popup scenes.
+fn layout_geometry() -> Vec<String> {
+    let lines = std::cell::RefCell::new(Vec::new());
+    let case = std::cell::Cell::new(0);
+    cases(64, |rng| {
+        // The same draws as the oracle test; compositing does not
+        // change geometry, so no pixels are painted here.
+        let _composite = rng.range(0, 4) == 0;
+        let (mut app, _) = realized_pair(&build_tree(rng), false);
+        let k = case.replace(case.get() + 1);
+        let mut lines = lines.borrow_mut();
+        lines.push(format!("case{k:02}-realize {}", geometry_hash(&app)));
+        let mut next = 100;
+        for step in 0..24 {
+            let op = random_op(rng, &app, &mut next);
+            apply_settled(&mut app, &op);
+            lines.push(format!("case{k:02}-step{step:02} {}", geometry_hash(&app)));
+        }
+    });
+    let mut lines = lines.into_inner();
+    popup_scenes(&mut lines);
+    lines
+}
+
+#[test]
+fn layout_geometry_matches_the_fixture() {
+    let want = std::fs::read_to_string(LAYOUT_FIXTURE).expect("layout fixture");
+    let got = layout_geometry();
+    let want: Vec<&str> = want.lines().collect();
+    assert_eq!(got.len(), want.len(), "fixture entry count");
+    let differ: Vec<String> = got
+        .iter()
+        .zip(&want)
+        .filter(|(g, w)| g != w)
+        .map(|(g, w)| format!("want {w}, got {g}"))
+        .collect();
+    assert!(
+        differ.is_empty(),
+        "layout geometry moved:\n{}",
+        differ.join("\n")
+    );
+}
+
+/// Rewrites the fixture from the current layout code. Deliberately
+/// `#[ignore]`d: the fixture pins geometry across refactors.
+#[test]
+#[ignore = "writes tests/fixtures/layout-geometry.txt"]
+fn regenerate_layout_geometry_fixture() {
+    let mut text = layout_geometry().join("\n");
+    text.push('\n');
+    std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures")).unwrap();
+    std::fs::write(LAYOUT_FIXTURE, text).unwrap();
 }

@@ -858,6 +858,8 @@ impl XtApp {
         self.place_pass(w, &mut Relayout::default());
     }
 
+    /// Sizes `w`'s subtree bottom-up: a zero dimension takes the size a
+    /// composite's arrangement needs, or a leaf's preferred size.
     fn size_pass(&mut self, w: WidgetId) {
         let children = self.widgets[&w.0].children.clone();
         for c in children {
@@ -871,7 +873,10 @@ impl XtApp {
             return; // Sizes are sticky: only a zero size asks the class.
         }
         let ops = self.widgets[&w.0].class.ops.clone();
-        let (pw, ph) = ops.preferred_size(self, w);
+        let (pw, ph) = match ops.arrange(self, w) {
+            Some(plan) => (plan.width, plan.height),
+            None => ops.preferred_size(self, w),
+        };
         if width == 0 {
             self.put_resource(w, "width", ResourceValue::Dim(pw));
         }
@@ -880,13 +885,24 @@ impl XtApp {
         }
     }
 
-    /// Lays out `w`'s subtree top-down, noting in `out` each widget whose
-    /// geometry no longer matches its window. Returns whether `w`'s does
-    /// not.
+    /// Lays out `w`'s subtree top-down, storing each composite's
+    /// placements and noting in `out` each widget whose geometry no
+    /// longer matches its window. Returns whether `w`'s does not.
     fn place_pass(&mut self, w: WidgetId, out: &mut Relayout) -> bool {
         out.laid_out += 1;
         let ops = self.widgets[&w.0].class.ops.clone();
-        ops.layout(self, w);
+        if let Some(plan) = ops.arrange(self, w) {
+            for p in plan.placements {
+                self.put_resource(p.child, "x", ResourceValue::Pos(p.x));
+                self.put_resource(p.child, "y", ResourceValue::Pos(p.y));
+                if let Some(width) = p.width {
+                    self.put_resource(p.child, "width", ResourceValue::Dim(width));
+                }
+                if let Some(height) = p.height {
+                    self.put_resource(p.child, "height", ResourceValue::Dim(height));
+                }
+            }
+        }
         let children = self.widgets[&w.0].children.clone();
         let mut moved_child = false;
         for c in children {
@@ -1207,10 +1223,13 @@ impl XtApp {
     }
 
     /// Runs the size and place passes at each requested realized widget,
-    /// skipping requests inside a subtree already laid out. No layout
-    /// changes its own widget's geometry unless that widget is
-    /// zero-sized, and a zero-sized widget's parent is always requested
-    /// with it, so no laid-out widget needs its parent laid out again.
+    /// skipping requests inside a subtree already laid out. A layout
+    /// writes only its children's geometry (an [`Arrangement`] places
+    /// children), the size pass changes only a zero-sized widget's, and
+    /// a zero-sized widget's parent is always requested with it, so no
+    /// laid-out widget needs its parent laid out again.
+    ///
+    /// [`Arrangement`]: crate::widget::Arrangement
     fn settle_layout(&mut self, pending: Vec<WidgetId>) -> Relayout {
         let mut out = Relayout::default();
         let mut last: Option<Vec<usize>> = None;

@@ -47,5 +47,5 @@ pub use callback::{CallbackItem, PredefinedCallback};
 pub use memstats::MemStats;
 pub use resource::{ResType, ResourceSpec, ResourceValue};
 pub use translation::{MergeMode, TranslationTable};
-pub use widget::{SetValuesNeeds, WidgetClass, WidgetId, WidgetOps};
+pub use widget::{Arrangement, Placement, SetValuesNeeds, WidgetClass, WidgetId, WidgetOps};
 pub use xrm::XrmDb;

@@ -23,16 +23,22 @@ pub trait WidgetOps {
     /// Called after the instance's resources are initialised.
     fn initialize(&self, _app: &mut XtApp, _w: WidgetId) {}
 
-    /// The size the widget wants, given its current resources. Called
-    /// during geometry negotiation when `width`/`height` are 0.
+    /// The size a leaf wants, given its current resources. Called
+    /// during geometry negotiation when `width`/`height` are 0 and the
+    /// class has no [`WidgetOps::arrange`].
     fn preferred_size(&self, app: &XtApp, w: WidgetId) -> (u32, u32) {
         let width = app.dim_resource(w, "width").max(16);
         let height = app.dim_resource(w, "height").max(16);
         (width, height)
     }
 
-    /// Positions and sizes children (composite classes only).
-    fn layout(&self, _app: &mut XtApp, _w: WidgetId) {}
+    /// A composite's geometry rule, stated once: the size it needs and
+    /// where its children go, from the current resources. `None` for
+    /// leaves. The toolkit takes a zero-sized composite's size from it
+    /// and stores the placements; no class writes geometry itself.
+    fn arrange(&self, _app: &XtApp, _w: WidgetId) -> Option<Arrangement> {
+        None
+    }
 
     /// Produces the retained drawing for the widget's window.
     fn redisplay(&self, _app: &XtApp, _w: WidgetId) -> Vec<DrawOp> {
@@ -49,6 +55,47 @@ pub trait WidgetOps {
 
     /// Called before the instance is torn down.
     fn destroy(&self, _app: &mut XtApp, _w: WidgetId) {}
+}
+
+/// A composite's layout plan: like Xaw Box's `DoLayout`, one
+/// computation gives both the size the composite needs and its
+/// children's positions.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Arrangement {
+    /// The width the composite needs.
+    pub width: u32,
+    /// The height the composite needs.
+    pub height: u32,
+    /// Where each placed child goes, in child order.
+    pub placements: Vec<Placement>,
+}
+
+/// One child's place in an [`Arrangement`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// The child.
+    pub child: WidgetId,
+    /// Its position in the composite.
+    pub x: i32,
+    /// Its position in the composite.
+    pub y: i32,
+    /// The width it is stretched to, if any.
+    pub width: Option<u32>,
+    /// The height it is stretched to, if any.
+    pub height: Option<u32>,
+}
+
+impl Placement {
+    /// A child moved to `(x, y)` at its own size.
+    pub fn at(child: WidgetId, x: i32, y: i32) -> Placement {
+        Placement {
+            child,
+            x,
+            y,
+            width: None,
+            height: None,
+        }
+    }
 }
 
 /// What a class's `set_values` asks of the toolkit: Xt's `Boolean
