@@ -116,6 +116,93 @@ impl Rng {
     }
 }
 
+/// A Tcl command line of at most `max_len` bytes built to stress how
+/// deep or long one line can drive the interpreter: an `expr` of nested
+/// parentheses, unary runs, long binary chains, `?:` chains in either
+/// arm and nested function calls, stacked in random order; a `string
+/// match` of a long star run; a `format` with extreme width and
+/// precision fields; or a `regexp` of nested groups. Every shape is one
+/// the interpreter must answer with a value or a Tcl error. The regex
+/// shapes stay linear to match: backtracking cost is not what they test.
+pub fn hostile_line(rng: &mut Rng, max_len: usize) -> String {
+    let budget = rng.range(1, max_len.max(64) - 48);
+    match rng.below(4) {
+        0 => format!("expr {{{}}}", hostile_expr(rng, budget)),
+        1 => {
+            let stars = rng.range(1, budget / 4 + 2);
+            let text = rng.range(0, budget / 2 + 1);
+            format!(
+                "string match {{{}b}} {}",
+                "*a".repeat(stars),
+                "a".repeat(text)
+            )
+        }
+        2 => {
+            let flags = ["", "-", "0", "+", " ", "#", "-0"];
+            let digits = |rng: &mut Rng| -> String {
+                if rng.chance() {
+                    return rng.pick(&["65535", "65536", "0", "99"]).to_string();
+                }
+                let n = rng.range(1, 26);
+                (0..n)
+                    .map(|_| char::from(b'0' + rng.below(10) as u8))
+                    .collect()
+            };
+            let width = if rng.chance() {
+                digits(rng)
+            } else {
+                String::new()
+            };
+            let prec = if rng.chance() {
+                format!(".{}", digits(rng))
+            } else {
+                String::new()
+            };
+            let conv = *rng.pick(&['d', 's', 'f', 'e', 'x', 'g', 'c']);
+            format!("format %{}{width}{prec}{conv} 1", rng.pick(&flags))
+        }
+        _ => {
+            let deepest = if rng.chance() { 120 } else { budget / 4 + 1 };
+            let depth = rng.range(1, deepest.min(budget / 4 + 1).max(2));
+            let (open, close) = *rng.pick(&[("(", ")"), ("(b|", ")"), ("(a|", ")"), ("(", ")?")]);
+            format!(
+                "regexp {{{}a{}}} a",
+                open.repeat(depth),
+                close.repeat(depth)
+            )
+        }
+    }
+}
+
+/// An expression of at most `budget` bytes: an atom wrapped in random
+/// runs of one nesting or chaining shape after another, until a shape
+/// no longer fits.
+fn hostile_expr(rng: &mut Rng, budget: usize) -> String {
+    let mut e = String::from(*rng.pick(&["1", "0", "2.5", "-7", "$x", "[set x]"]));
+    loop {
+        let (open, close) = match rng.below(6) {
+            0 => ("(", ")"),
+            1 => (*rng.pick(&["-", "!", "~", "+", "- "]), ""),
+            2 => (
+                "",
+                *rng.pick(&["+1", "*1", "&&1", "||0", "-1", "==1", "<<0", "|0"]),
+            ),
+            3 => ("1?", ":0"),
+            4 => ("0?0:", ""),
+            _ => (
+                *rng.pick(&["abs(", "double(", "int(", "round(", "sqrt("]),
+                ")",
+            ),
+        };
+        let room = budget.saturating_sub(e.len()) / (open.len() + close.len());
+        if room == 0 {
+            return e;
+        }
+        let k = rng.range(1, room.min(2_000) + 1);
+        e = format!("{}{e}{}", open.repeat(k), close.repeat(k));
+    }
+}
+
 /// Runs `n` deterministic cases of a property. Each case gets a fresh
 /// [`Rng`] seeded from the case index; on panic, the case number and
 /// seed are printed so the failure can be replayed in isolation.
@@ -176,6 +263,18 @@ mod tests {
         let mut r = Rng::new(5);
         for _ in 0..1000 {
             let _ = r.any_char(); // must not panic
+        }
+    }
+
+    #[test]
+    fn hostile_lines_fit_the_line_limit() {
+        let mut r = Rng::new(9);
+        for max in [64, 1_000, 64 * 1024] {
+            for _ in 0..200 {
+                let line = hostile_line(&mut r, max);
+                assert!(line.len() <= max, "{} > {max}", line.len());
+                assert!(!line.contains('\n'));
+            }
         }
     }
 

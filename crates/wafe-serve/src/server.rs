@@ -105,6 +105,7 @@ impl Server {
             workers.push(
                 thread::Builder::new()
                     .name(format!("wafe-serve-worker-{w}"))
+                    .stack_size(wafe_tcl::EVAL_STACK_SIZE)
                     .spawn(move || worker_event_loop(registry, rx, w, flavor, telemetry, log))?,
             );
         }

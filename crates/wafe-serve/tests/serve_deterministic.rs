@@ -959,3 +959,79 @@ fn sessions_commands_column_counts_dispatched_lines_across_a_reset() {
     let rows = el.scheduler().registry().sessions_words();
     assert_eq!(rows, ["0:1 bystander 0", "1:1 counter 7"]);
 }
+
+/// No line takes the worker down: session A sends the expressions,
+/// `format` fields, star run and regex nest that once overflowed the
+/// worker's stack, panicked it or wedged it, on one event loop whose
+/// thread has the workers' stack. Session B is answered before and after
+/// each line; A's `expr` lines answer with their values, and after each
+/// line that errors (errors are not echoed) A's next `%echo ok` answers.
+#[test]
+fn a_session_survives_deep_long_and_extreme_lines() {
+    std::thread::Builder::new()
+        .stack_size(wafe_tcl::EVAL_STACK_SIZE)
+        .spawn(survive_hostile_lines)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn survive_hostile_lines() {
+    let nest = |open: &str, mid: &str, close: &str, n: usize| {
+        format!("{}{mid}{}", open.repeat(n), close.repeat(n))
+    };
+    let echo = |e: String| format!("%echo [expr {{{e}}}]");
+    // Each line with the reply it gives: a value, or none for an error.
+    let lines = [
+        (echo(nest("(", "1", ")", 1_000)), Some("1")),
+        (echo(nest("(", "1", ")", 20_000)), Some("1")),
+        (echo(nest("", "1", "+1", 29_999)), Some("30000")),
+        (echo(nest("1?", "7", ":0", 10_000)), Some("7")),
+        (echo(nest("0?0:", "7", "", 10_000)), Some("7")),
+        (echo(nest("-", "1", "", 20_000)), Some("1")),
+        (echo(nest("abs(", "-3", ")", 5_000)), Some("3")),
+        ("%format %.999999999f 1.0".to_string(), None),
+        ("%format %99999999999999999999d 1".to_string(), None),
+        (
+            format!(
+                "%echo [string match {{{}b}} {}]",
+                "*a".repeat(10),
+                "a".repeat(60)
+            ),
+            Some("0"),
+        ),
+        (
+            format!("%echo [regexp {{{}}} a]", nest("(", "a", ")", 100)),
+            Some("1"),
+        ),
+        (
+            format!("%echo [regexp {{{}}} a]", nest("(", "a", ")", 12_000)),
+            None,
+        ),
+    ];
+    let (mut el, net) = server(Limits::default());
+    let (a, _) = session(&mut el, &net, "hostile");
+    let (b, _) = session(&mut el, &net, "bystander");
+    let (mut a_seen, mut b_seen) = (0, 0);
+    let answered = |el: &mut EventLoop, client: &SimClient, seen: &mut usize| {
+        settle(el);
+        let got = client.received_lines()[*seen..].to_vec();
+        *seen += got.len();
+        got
+    };
+    for (k, (line, reply)) in lines.iter().enumerate() {
+        assert!(line.len() < 64 * 1024, "line {k} fits the line limit");
+        send(&b, &[format!("%echo before {k}")]);
+        assert_eq!(answered(&mut el, &b, &mut b_seen), [format!("before {k}")]);
+        send(&a, &[line]);
+        send(&b, &[format!("%echo after {k}")]);
+        assert_eq!(answered(&mut el, &b, &mut b_seen), [format!("after {k}")]);
+        match reply {
+            Some(v) => assert_eq!(answered(&mut el, &a, &mut a_seen), [*v], "line {k}"),
+            None => {
+                send(&a, &["%echo ok"]);
+                assert_eq!(answered(&mut el, &a, &mut a_seen), ["ok"], "line {k}");
+            }
+        }
+    }
+}

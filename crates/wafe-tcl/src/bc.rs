@@ -69,13 +69,15 @@
 //! as the tree-walker would (so `catch`, proc frames and guard
 //! expressions behave identically).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use crate::compile::{syntax_error, CompiledCommand, CompiledScript, Token};
 use crate::error::{TclError, TclResult};
 use crate::expr::{
-    coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp, Node,
-    UnOp, Value as EValue,
+    coerce_value, eval_binop, eval_func, eval_unop, into_tcl_value, prepare_expr, BinOp, Op, UnOp,
+    Value as EValue,
 };
 use crate::interp::{Interp, BC_SPECIAL_NAMES};
 use crate::list::parse_list;
@@ -306,9 +308,9 @@ struct ForeachInfo {
 pub(crate) struct ByteCode {
     code: Vec<Instr>,
     consts: Vec<Value>,
-    /// Numeric/string literals of `expr` subtrees (`Int`/`Dbl`, plus
+    /// Numeric/string literals of `expr` programs (`Int`/`Dbl`, plus
     /// non-numeric `Str` literals, which clone exactly as the
-    /// tree-walker clones `Node::Lit`).
+    /// tree-walker clones `Op::Lit`).
     nums: Vec<EValue>,
     names: Vec<Rc<str>>,
     scripts: Vec<Rc<CompiledScript>>,
@@ -376,16 +378,6 @@ struct Ctx {
     depth: u32,
     nums: u32,
     iters: u32,
-}
-
-impl Ctx {
-    /// The same context with `k` more values on the numeric stack.
-    fn nums(self, k: usize) -> Ctx {
-        Ctx {
-            nums: self.nums + k as u32,
-            ..self
-        }
-    }
 }
 
 struct Compiler<'a> {
@@ -770,83 +762,67 @@ impl<'a> Compiler<'a> {
         Some(())
     }
 
-    /// Lowers one `expr` AST node onto the numeric stack — the exact
-    /// `eval_node` recursion, flattened. `ctx.nums` is the numeric depth
-    /// before the node's value lands.
-    fn expr(&mut self, n: &Node, ctx: Ctx) -> Option<()> {
-        match n {
-            Node::Lit(v) => {
-                let k = self.num(v.clone());
-                self.emit(Instr::NPushNum(k));
-            }
-            Node::Var(name) => {
-                let i = self.name(name);
-                self.emit_nloadvar(i);
-            }
-            Node::Sub(t) => {
-                // The word emitter never lowers a syntax error: the
-                // built-in raises it when the operand is reached.
-                if syntax_error(t).is_some() {
-                    return None;
+    /// Lowers a parsed expression onto the numeric stack, op for op in
+    /// the program's order; the jumps land where the program's jumps do.
+    /// `ctx.nums` is the numeric depth before the expression's value
+    /// lands, and each operand is lowered at that depth plus the
+    /// program's stack depth at its op.
+    fn expr(&mut self, ops: &[Op], ctx: Ctx) -> Option<()> {
+        // Emitted jumps waiting for their target op: (op index, pc).
+        let mut jumps = BinaryHeap::new();
+        let mut depth = ctx.nums as usize;
+        for (i, op) in ops.iter().enumerate() {
+            self.land(&mut jumps, i);
+            match op {
+                Op::Lit(v) => {
+                    let k = self.num(v.clone());
+                    self.emit(Instr::NPushNum(k));
                 }
-                self.token(t, ctx);
-                self.emit(Instr::NCoerce);
-            }
-            Node::Unary(op, a) => {
-                self.expr(a, ctx)?;
-                self.emit(Instr::NUn(*op));
-            }
-            Node::Binary(BinOp::And, a, b) => {
-                self.expr(a, ctx)?;
-                let jf = self.emit_branch_false();
-                self.expr(b, ctx)?;
-                self.emit(Instr::NTruth);
-                let j = self.emit(Instr::Jump(0));
-                let at = self.here();
-                self.patch(jf, at);
-                let k = self.num(EValue::Int(0));
-                self.emit(Instr::NPushNum(k));
-                let at = self.here();
-                self.patch(j, at);
-            }
-            Node::Binary(BinOp::Or, a, b) => {
-                self.expr(a, ctx)?;
-                let jt = self.emit(Instr::NJumpIfTrue(0));
-                self.expr(b, ctx)?;
-                self.emit(Instr::NTruth);
-                let j = self.emit(Instr::Jump(0));
-                let at = self.here();
-                self.patch(jt, at);
-                let k = self.num(EValue::Int(1));
-                self.emit(Instr::NPushNum(k));
-                let at = self.here();
-                self.patch(j, at);
-            }
-            Node::Binary(op, a, b) => {
-                self.expr(a, ctx)?;
-                self.expr(b, ctx.nums(1))?;
-                self.emit_nbin(*op);
-            }
-            Node::Ternary(c, t, e) => {
-                self.expr(c, ctx)?;
-                let jf = self.emit_branch_false();
-                self.expr(t, ctx)?;
-                let j = self.emit(Instr::Jump(0));
-                let at = self.here();
-                self.patch(jf, at);
-                self.expr(e, ctx)?;
-                let at = self.here();
-                self.patch(j, at);
-            }
-            Node::Call(name, args) => {
-                for (i, a) in args.iter().enumerate() {
-                    self.expr(a, ctx.nums(i))?;
+                Op::Var(name) => {
+                    let n = self.name(name);
+                    self.emit_nloadvar(n);
                 }
-                let ni = self.name(name);
-                self.emit(Instr::NCallFunc(ni, args.len() as u32));
+                Op::Sub(t) => {
+                    // The word emitter never lowers a syntax error: the
+                    // built-in raises it when the operand is reached.
+                    if syntax_error(t).is_some() {
+                        return None;
+                    }
+                    let nums = depth as u32;
+                    self.token(t, Ctx { nums, ..ctx });
+                    self.emit(Instr::NCoerce);
+                }
+                Op::Un(op) => {
+                    self.emit(Instr::NUn(*op));
+                }
+                Op::Bin(op) => self.emit_nbin(*op),
+                Op::Call(name, argc) => {
+                    let n = self.name(name);
+                    self.emit(Instr::NCallFunc(n, *argc as u32));
+                }
+                Op::JumpIfFalse(t) => jumps.push(Reverse((*t, self.emit_branch_false()))),
+                Op::JumpIfTrue(t) => jumps.push(Reverse((*t, self.emit(Instr::NJumpIfTrue(0))))),
+                Op::Jump(t) => jumps.push(Reverse((*t, self.emit(Instr::Jump(0))))),
+                Op::Truth => {
+                    self.emit(Instr::NTruth);
+                }
             }
+            depth = op.depth_after(depth);
         }
+        self.land(&mut jumps, ops.len());
         Some(())
+    }
+
+    /// Patches the jumps whose target is op `i` to the current position.
+    fn land(&mut self, jumps: &mut BinaryHeap<Reverse<(usize, usize)>>, i: usize) {
+        while let Some(&Reverse((target, at))) = jumps.peek() {
+            if target != i {
+                break;
+            }
+            jumps.pop();
+            let here = self.here();
+            self.patch(at, here);
+        }
     }
 
     /// Lowers a literal body value: inline its compiled script, or an
@@ -878,7 +854,7 @@ impl<'a> Compiler<'a> {
         let Ok(ce) = prepare_expr(self.interp, text.as_str()) else {
             return None;
         };
-        self.expr(ce.node(), ctx)
+        self.expr(ce.ops(), ctx)
     }
 
     fn sf_if(&mut self, cmd: &CompiledCommand, ctx: Ctx) -> Option<()> {

@@ -163,23 +163,14 @@ pub fn format_impl<S: AsRef<str>>(fmt: &str, args: &[S]) -> TclResult<String> {
             i += 1;
         }
         // Width.
-        let mut width = 0usize;
-        let mut have_width = false;
-        while i < chars.len() && chars[i].is_ascii_digit() {
-            width = width * 10 + chars[i].to_digit(10).unwrap() as usize;
-            have_width = true;
-            i += 1;
-        }
+        let start = i;
+        let width = field_number(&chars, &mut i, "field width")?;
+        let have_width = i > start;
         // Precision.
         let mut prec: Option<usize> = None;
         if i < chars.len() && chars[i] == '.' {
             i += 1;
-            let mut p = 0usize;
-            while i < chars.len() && chars[i].is_ascii_digit() {
-                p = p * 10 + chars[i].to_digit(10).unwrap() as usize;
-                i += 1;
-            }
-            prec = Some(p);
+            prec = Some(field_number(&chars, &mut i, "precision")?);
         }
         // Length modifiers `l`/`h` are accepted and ignored.
         while i < chars.len() && matches!(chars[i], 'l' | 'h') {
@@ -310,6 +301,26 @@ pub fn format_impl<S: AsRef<str>>(fmt: &str, args: &[S]) -> TclResult<String> {
         out.push_str(&padded);
     }
     Ok(out)
+}
+
+/// The largest field width or precision `format` accepts. A field this
+/// wide is already a 64 KiB string, and Rust's formatter takes no larger
+/// precision.
+const MAX_FORMAT_FIELD: usize = u16::MAX as usize;
+
+/// Reads the decimal digits at `chars[*i..]` as a field width or
+/// precision (`what`), at most [`MAX_FORMAT_FIELD`].
+fn field_number(chars: &[char], i: &mut usize, what: &str) -> TclResult<usize> {
+    let mut n = 0usize;
+    while let Some(d) = chars.get(*i).and_then(|c| c.to_digit(10)) {
+        n = n
+            .checked_mul(10)
+            .and_then(|n| n.checked_add(d as usize))
+            .filter(|&n| n <= MAX_FORMAT_FIELD)
+            .ok_or_else(|| TclError::Error(format!("format {what} exceeds {MAX_FORMAT_FIELD}")))?;
+        *i += 1;
+    }
+    Ok(n)
 }
 
 fn parse_float(s: &str) -> TclResult<f64> {

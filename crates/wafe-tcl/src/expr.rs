@@ -9,9 +9,16 @@
 //! (`compile::compile_operand`) into the tokens a script word
 //! of the same form compiles to, so they substitute exactly as words do.
 //!
-//! Evaluation builds a small AST first so that `&&`, `||` and `?:` can
-//! short-circuit: their unevaluated operand's variables are never read and
-//! its command substitutions never run.
+//! An expression parses once into a flat program of `Op`s in
+//! evaluation order: operands, then the operator that applies to them
+//! (postfix). One scan with an explicit operator stack (shunting-yard)
+//! emits it, and the short-circuit of `&&`, `||` and `?:` is decided there
+//! as jumps over the operand that is not evaluated: its variables are
+//! never read and its command substitutions never run.
+//! [`CompiledExpr::eval`] runs the program in one loop over a value
+//! stack, and the bytecode compiler lowers it op for op; neither parsing,
+//! evaluating, lowering nor dropping an expression grows the native stack
+//! with its nesting or length.
 
 use std::rc::Rc;
 
@@ -72,19 +79,48 @@ pub fn format_double(d: f64) -> String {
     }
 }
 
+/// One step of a parsed expression. The steps run in order over a stack
+/// of operands; the jumps of `&&`, `||` and `?:` are already placed, so
+/// an operand the short-circuit skips is never evaluated.
 #[derive(Debug, Clone)]
-pub(crate) enum Node {
+pub(crate) enum Op {
+    /// Push a literal.
     Lit(Value),
-    /// `$name`: a scalar read, coerced.
+    /// `$name`: push the scalar's value, coerced.
     Var(String),
     /// `$name(index)`, `[script]` or a `"quoted"` operand holding
-    /// substitutions: substituted like a script word when evaluated,
-    /// then coerced.
+    /// substitutions: push it substituted like a script word, coerced.
     Sub(Token),
-    Unary(UnOp, Box<Node>),
-    Binary(BinOp, Box<Node>, Box<Node>),
-    Ternary(Box<Node>, Box<Node>, Box<Node>),
-    Call(String, Vec<Node>),
+    /// Pop one operand, push the operator applied to it.
+    Un(UnOp),
+    /// Pop two operands, push the operator applied to them (never `&&`
+    /// or `||`, which are jumps).
+    Bin(BinOp),
+    /// Pop `argc` operands, push the math function applied to them.
+    Call(String, usize),
+    /// Pop an operand; continue at the given op when it is false.
+    JumpIfFalse(usize),
+    /// Pop an operand; continue at the given op when it is true.
+    JumpIfTrue(usize),
+    /// Continue at the given op, past the other arm of a `?:`, `&&` or
+    /// `||`.
+    Jump(usize),
+    /// Pop an operand, push 1 or 0 for its truth.
+    Truth,
+}
+
+impl Op {
+    /// The operand-stack depth after this op, given the depth before it.
+    /// A `Jump` ends one arm with its value pushed; the other arm, which
+    /// follows it, starts one value lower.
+    pub(crate) fn depth_after(&self, depth: usize) -> usize {
+        match self {
+            Op::Lit(_) | Op::Var(_) | Op::Sub(_) => depth + 1,
+            Op::Un(_) | Op::Truth => depth,
+            Op::Call(_, argc) => depth + 1 - argc,
+            Op::Bin(_) | Op::JumpIfFalse(_) | Op::JumpIfTrue(_) | Op::Jump(_) => depth - 1,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,24 +153,107 @@ pub(crate) enum BinOp {
     Or,
 }
 
-/// An expression parsed once into its AST; evaluation only performs the
-/// variable/command substitution, never re-lexing the text. Parsing is
-/// pure — the AST is valid for any interpreter state.
+/// The binary operators: text, operator and precedence (loosest lowest).
+/// Two-character texts come first, so `||` is never read as `|` nor `<<`
+/// as `<`.
+const BINARY: [(&str, BinOp, u8); 18] = [
+    ("||", BinOp::Or, 1),
+    ("&&", BinOp::And, 2),
+    ("==", BinOp::Eq, 6),
+    ("!=", BinOp::Ne, 6),
+    ("<=", BinOp::Le, 7),
+    (">=", BinOp::Ge, 7),
+    ("<<", BinOp::Shl, 8),
+    (">>", BinOp::Shr, 8),
+    ("|", BinOp::BitOr, 3),
+    ("^", BinOp::BitXor, 4),
+    ("&", BinOp::BitAnd, 5),
+    ("<", BinOp::Lt, 7),
+    (">", BinOp::Gt, 7),
+    ("+", BinOp::Add, 9),
+    ("-", BinOp::Sub, 9),
+    ("*", BinOp::Mul, 10),
+    ("/", BinOp::Div, 10),
+    ("%", BinOp::Mod, 10),
+];
+
+/// An expression parsed once into its op program; evaluation only
+/// performs the variable/command substitution, never re-lexing the text.
+/// Parsing is pure — the program is valid for any interpreter state.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr {
-    node: Node,
+    ops: Vec<Op>,
 }
 
 impl CompiledExpr {
-    /// The parsed expression tree (for the bytecode lowering).
-    pub(crate) fn node(&self) -> &Node {
-        &self.node
+    /// The op program (for the bytecode lowering).
+    pub(crate) fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
-    /// Evaluates the parsed tree: only substitution and arithmetic run.
+    /// Runs the op program: only substitution and arithmetic run.
     pub fn eval(&self, interp: &mut Interp) -> TclResult<Value> {
-        eval_node(interp, &self.node)
+        let mut stack = std::mem::take(&mut interp.expr_stack);
+        let r = self.run(interp, &mut stack);
+        stack.clear();
+        interp.expr_stack = stack;
+        r
     }
+
+    fn run(&self, interp: &mut Interp, stack: &mut Vec<Value>) -> TclResult<Value> {
+        // The operand on top lives in `top` and the ones below it in
+        // `stack`, so an operator replaces `top` in place. A push onto an
+        // empty program stack moves a placeholder into `stack`; no
+        // operator reaches below it.
+        let mut top = Value::Int(0);
+        let mut pc = 0;
+        while let Some(op) = self.ops.get(pc) {
+            pc += 1;
+            let v = match op {
+                Op::Lit(v) => v.clone(),
+                Op::Var(name) => coerce_value(interp.get_var_ref(name)?),
+                Op::Sub(t) => coerce_value(&interp.subst_token(t)?),
+                Op::Call(name, 0) => eval_func(interp, name, &[])?,
+                Op::Call(name, argc) => {
+                    let mut args = stack.split_off(stack.len() + 1 - argc);
+                    args.push(take(&mut top));
+                    top = eval_func(interp, name, &args)?;
+                    continue;
+                }
+                Op::Un(op) => {
+                    top = eval_unop(*op, take(&mut top))?;
+                    continue;
+                }
+                Op::Bin(op) => {
+                    let a = stack.pop().expect("expr operand stack");
+                    top = eval_binop(*op, a, take(&mut top))?;
+                    continue;
+                }
+                Op::Truth => {
+                    top = Value::Int(top.truthy()? as i64);
+                    continue;
+                }
+                Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => {
+                    let cond =
+                        std::mem::replace(&mut top, stack.pop().expect("expr operand stack"));
+                    if cond.truthy()? == matches!(op, Op::JumpIfTrue(_)) {
+                        pc = *t;
+                    }
+                    continue;
+                }
+                Op::Jump(t) => {
+                    pc = *t;
+                    continue;
+                }
+            };
+            stack.push(std::mem::replace(&mut top, v));
+        }
+        Ok(top)
+    }
+}
+
+fn take(v: &mut Value) -> Value {
+    std::mem::replace(v, Value::Int(0))
 }
 
 /// Parses an expression once for repeated evaluation (`while`/`for`
@@ -146,27 +265,17 @@ pub fn prepare_expr(interp: &mut Interp, text: &str) -> TclResult<Rc<CompiledExp
     if let Some(c) = interp.expr_cache_get(text) {
         return Ok(c);
     }
-    let c = Rc::new(CompiledExpr {
-        node: parse_text(text)?,
-    });
-    interp.expr_cache_put(text, c.clone());
-    Ok(c)
-}
-
-fn parse_text(text: &str) -> TclResult<Node> {
     let chars: Vec<char> = text.chars().collect();
     let mut p = Parser {
         chars: &chars,
         pos: 0,
+        ops: Vec::new(),
+        pending: Vec::new(),
     };
-    let node = p.parse_ternary()?;
-    p.skip_ws();
-    if p.pos < p.chars.len() {
-        return Err(TclError::Error(format!(
-            "syntax error in expression \"{text}\""
-        )));
-    }
-    Ok(node)
+    p.parse(text)?;
+    let c = Rc::new(CompiledExpr { ops: p.ops });
+    interp.expr_cache_put(text, c.clone());
+    Ok(c)
 }
 
 /// Evaluates an expression string in the context of an interpreter.
@@ -202,9 +311,33 @@ pub fn eval_expr_bool(interp: &mut Interp, text: &str) -> TclResult<bool> {
     eval_expr(interp, text)?.truthy()
 }
 
+/// An operator of the parser's stack, waiting for what it applies to.
+enum Pending {
+    /// A prefix operator, waiting for its operand.
+    Un(UnOp),
+    /// A binary operator and its precedence, waiting for its right
+    /// operand; for `&&` and `||`, also the index of the jump placed
+    /// after the left one.
+    Bin(BinOp, u8, usize),
+    /// An open `(`.
+    Paren,
+    /// A math function's `name(`, with the arguments completed so far.
+    Call(String, usize),
+    /// A `?`, with the condition's `JumpIfFalse`: the then-arm is open.
+    Then(usize),
+    /// A `:`, with the then-arm's `Jump`: the else-arm is open.
+    Else(usize),
+}
+
+/// The shunting-yard parser: one scan that alternates between reading an
+/// operand (prefix operators, then a primary) and what follows it (a
+/// binary operator, `?`, or the closer of the innermost open group),
+/// emitting ops as soon as their operands are complete.
 struct Parser<'a> {
     chars: &'a [char],
     pos: usize,
+    ops: Vec<Op>,
+    pending: Vec<Pending>,
 }
 
 impl<'a> Parser<'a> {
@@ -218,183 +351,175 @@ impl<'a> Parser<'a> {
         self.chars.get(self.pos).copied()
     }
 
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+    fn emit(&mut self, op: Op) -> usize {
+        self.ops.push(op);
+        self.ops.len() - 1
     }
 
-    fn parse_ternary(&mut self) -> TclResult<Node> {
-        let cond = self.parse_binary(0)?;
-        self.skip_ws();
-        if self.peek() == Some('?') {
-            self.pos += 1;
-            let then = self.parse_ternary()?;
-            self.skip_ws();
-            if self.peek() != Some(':') {
-                return Err(TclError::error("missing \":\" in ternary expression"));
-            }
-            self.pos += 1;
-            let els = self.parse_ternary()?;
-            return Ok(Node::Ternary(Box::new(cond), Box::new(then), Box::new(els)));
+    /// Points the jump at `at` to the next op to be emitted.
+    fn land(&mut self, at: usize) {
+        let here = self.ops.len();
+        match &mut self.ops[at] {
+            Op::JumpIfFalse(t) | Op::JumpIfTrue(t) | Op::Jump(t) => *t = here,
+            _ => unreachable!("land target is not a jump"),
         }
-        Ok(cond)
     }
 
-    /// Precedence-climbing binary parser. Levels, loosest first:
-    /// `||`, `&&`, `|`, `^`, `&`, `== !=`, `< > <= >=`, `<< >>`, `+ -`, `* / %`.
-    fn parse_binary(&mut self, min_level: u8) -> TclResult<Node> {
-        let mut lhs = if min_level >= 10 {
-            self.parse_unary()?
-        } else {
-            self.parse_binary(min_level + 1)?
-        };
+    fn parse(&mut self, text: &str) -> TclResult<()> {
+        loop {
+            self.operand()?;
+            // What follows an operand.
+            loop {
+                self.skip_ws();
+                let rest = self.chars[self.pos..].iter().copied();
+                let binary = BINARY
+                    .iter()
+                    .find(|(text, ..)| text.chars().eq(rest.clone().take(text.len())));
+                if let Some(&(text, op, prec)) = binary {
+                    self.pos += text.len();
+                    self.reduce(prec);
+                    let jump = match op {
+                        BinOp::And => self.emit(Op::JumpIfFalse(0)),
+                        BinOp::Or => self.emit(Op::JumpIfTrue(0)),
+                        _ => 0,
+                    };
+                    self.pending.push(Pending::Bin(op, prec, jump));
+                    break;
+                }
+                // A `?` or a closer: the innermost group's binary
+                // operators are complete.
+                self.reduce(0);
+                if self.peek() == Some('?') {
+                    self.pos += 1;
+                    let jf = self.emit(Op::JumpIfFalse(0));
+                    self.pending.push(Pending::Then(jf));
+                    break;
+                }
+                // A closer ends the group's finished else-arms too.
+                while let Some(&Pending::Else(j)) = self.pending.last() {
+                    self.pending.pop();
+                    self.land(j);
+                }
+                let next_operand = match (self.pending.pop(), self.peek()) {
+                    (Some(Pending::Then(jf)), Some(':')) => {
+                        let j = self.emit(Op::Jump(0));
+                        self.land(jf);
+                        self.pending.push(Pending::Else(j));
+                        true
+                    }
+                    (Some(Pending::Call(name, argc)), Some(',')) => {
+                        self.pending.push(Pending::Call(name, argc + 1));
+                        true
+                    }
+                    (Some(Pending::Paren), Some(')')) => false,
+                    (Some(Pending::Call(name, argc)), Some(')')) => {
+                        self.emit(Op::Call(name, argc + 1));
+                        false
+                    }
+                    (None, None) => return Ok(()),
+                    (open, _) => {
+                        return Err(match open {
+                            Some(Pending::Then(_)) => {
+                                TclError::error("missing \":\" in ternary expression")
+                            }
+                            Some(Pending::Paren) => {
+                                TclError::error("unbalanced parentheses in expression")
+                            }
+                            Some(Pending::Call(..)) => {
+                                TclError::error("missing close paren in function call")
+                            }
+                            _ => TclError::Error(format!("syntax error in expression \"{text}\"")),
+                        })
+                    }
+                };
+                self.pos += 1;
+                if next_operand {
+                    break;
+                }
+                self.prefixes();
+            }
+        }
+    }
+
+    /// Emits every pending binary operator of the innermost group that
+    /// binds at least as tightly as `prec` (all of them for 0).
+    fn reduce(&mut self, prec: u8) {
+        while let Some(&Pending::Bin(op, p, jump)) = self.pending.last() {
+            if p < prec {
+                break;
+            }
+            self.pending.pop();
+            if matches!(op, BinOp::And | BinOp::Or) {
+                self.emit(Op::Truth);
+                let j = self.emit(Op::Jump(0));
+                self.land(jump);
+                self.emit(Op::Lit(Value::Int((op == BinOp::Or) as i64)));
+                self.land(j);
+            } else {
+                self.emit(Op::Bin(op));
+            }
+        }
+    }
+
+    /// An operand is complete: applies the prefix operators before it.
+    fn prefixes(&mut self) {
+        while let Some(&Pending::Un(op)) = self.pending.last() {
+            self.pending.pop();
+            self.emit(Op::Un(op));
+        }
+    }
+
+    /// Reads one operand: pushes its prefix operators, `(`s and function
+    /// calls' `name(`s as they come, until a primary's op is emitted.
+    fn operand(&mut self) -> TclResult<()> {
         loop {
             self.skip_ws();
-            let op = match self.match_op(min_level) {
-                Some(op) => op,
-                None => return Ok(lhs),
+            let c = self
+                .peek()
+                .ok_or_else(|| TclError::error("empty expression"))?;
+            let open = match c {
+                '-' => Some(Pending::Un(UnOp::Neg)),
+                '+' => Some(Pending::Un(UnOp::Pos)),
+                '!' if self.chars.get(self.pos + 1) != Some(&'=') => Some(Pending::Un(UnOp::Not)),
+                '~' => Some(Pending::Un(UnOp::BitNot)),
+                '(' => Some(Pending::Paren),
+                _ => None,
             };
-            let rhs = if min_level >= 10 {
-                self.parse_unary()?
-            } else {
-                self.parse_binary(min_level + 1)?
+            if let Some(open) = open {
+                self.pos += 1;
+                self.pending.push(open);
+                continue;
+            }
+            let op = match c {
+                '$' | '[' | '"' | '{' => {
+                    let (token, next) = compile_operand(self.chars, self.pos)?;
+                    self.pos = next;
+                    // Tcl reads every operand as a number where it can,
+                    // quoted or braced ones too: `"5" + 1` is 6.
+                    match token {
+                        Token::Literal(v) => Op::Lit(coerce(v.as_str())),
+                        Token::VarSub(name, None) => Op::Var(name),
+                        t => Op::Sub(t),
+                    }
+                }
+                c if c.is_ascii_digit() || c == '.' => Op::Lit(self.parse_number()?),
+                c if c.is_alphabetic() || c == '_' => match self.parse_func_or_word()? {
+                    Some(op) => op,
+                    None => continue,
+                },
+                other => {
+                    return Err(TclError::Error(format!(
+                        "syntax error in expression near \"{other}\""
+                    )))
+                }
             };
-            lhs = Node::Binary(op, Box::new(lhs), Box::new(rhs));
+            self.emit(op);
+            self.prefixes();
+            return Ok(());
         }
     }
 
-    fn match_op(&mut self, level: u8) -> Option<BinOp> {
-        let c = self.peek()?;
-        let c2 = self.peek2();
-        let (op, len) = match level {
-            0 => {
-                if c == '|' && c2 == Some('|') {
-                    (BinOp::Or, 2)
-                } else {
-                    return None;
-                }
-            }
-            1 => {
-                if c == '&' && c2 == Some('&') {
-                    (BinOp::And, 2)
-                } else {
-                    return None;
-                }
-            }
-            2 => {
-                if c == '|' && c2 != Some('|') {
-                    (BinOp::BitOr, 1)
-                } else {
-                    return None;
-                }
-            }
-            3 => {
-                if c == '^' {
-                    (BinOp::BitXor, 1)
-                } else {
-                    return None;
-                }
-            }
-            4 => {
-                if c == '&' && c2 != Some('&') {
-                    (BinOp::BitAnd, 1)
-                } else {
-                    return None;
-                }
-            }
-            5 => match (c, c2) {
-                ('=', Some('=')) => (BinOp::Eq, 2),
-                ('!', Some('=')) => (BinOp::Ne, 2),
-                _ => return None,
-            },
-            6 => match (c, c2) {
-                ('<', Some('=')) => (BinOp::Le, 2),
-                ('>', Some('=')) => (BinOp::Ge, 2),
-                ('<', Some('<')) | ('>', Some('>')) => return None,
-                ('<', _) => (BinOp::Lt, 1),
-                ('>', _) => (BinOp::Gt, 1),
-                _ => return None,
-            },
-            7 => match (c, c2) {
-                ('<', Some('<')) => (BinOp::Shl, 2),
-                ('>', Some('>')) => (BinOp::Shr, 2),
-                _ => return None,
-            },
-            8 => match c {
-                '+' => (BinOp::Add, 1),
-                '-' => (BinOp::Sub, 1),
-                _ => return None,
-            },
-            _ => match c {
-                '*' => (BinOp::Mul, 1),
-                '/' => (BinOp::Div, 1),
-                '%' => (BinOp::Mod, 1),
-                _ => return None,
-            },
-        };
-        self.pos += len;
-        Some(op)
-    }
-
-    fn parse_unary(&mut self) -> TclResult<Node> {
-        self.skip_ws();
-        match self.peek() {
-            Some('-') => {
-                self.pos += 1;
-                Ok(Node::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
-            }
-            Some('+') => {
-                self.pos += 1;
-                Ok(Node::Unary(UnOp::Pos, Box::new(self.parse_unary()?)))
-            }
-            Some('!') if self.peek2() != Some('=') => {
-                self.pos += 1;
-                Ok(Node::Unary(UnOp::Not, Box::new(self.parse_unary()?)))
-            }
-            Some('~') => {
-                self.pos += 1;
-                Ok(Node::Unary(UnOp::BitNot, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
-        }
-    }
-
-    fn parse_primary(&mut self) -> TclResult<Node> {
-        self.skip_ws();
-        let c = match self.peek() {
-            Some(c) => c,
-            None => return Err(TclError::error("empty expression")),
-        };
-        match c {
-            '(' => {
-                self.pos += 1;
-                let inner = self.parse_ternary()?;
-                self.skip_ws();
-                if self.peek() != Some(')') {
-                    return Err(TclError::error("unbalanced parentheses in expression"));
-                }
-                self.pos += 1;
-                Ok(inner)
-            }
-            '$' | '[' | '"' | '{' => {
-                let (token, next) = compile_operand(self.chars, self.pos)?;
-                self.pos = next;
-                // Tcl reads every operand as a number where it can,
-                // quoted or braced ones too: `"5" + 1` is 6.
-                Ok(match token {
-                    Token::Literal(v) => Node::Lit(coerce(v.as_str())),
-                    Token::VarSub(name, None) => Node::Var(name),
-                    t => Node::Sub(t),
-                })
-            }
-            c if c.is_ascii_digit() || c == '.' => self.parse_number(),
-            c if c.is_alphabetic() || c == '_' => self.parse_func_or_word(),
-            other => Err(TclError::Error(format!(
-                "syntax error in expression near \"{other}\""
-            ))),
-        }
-    }
-
-    fn parse_number(&mut self) -> TclResult<Node> {
+    fn parse_number(&mut self) -> TclResult<Value> {
         let start = self.pos;
         let chars = self.chars;
         let mut i = self.pos;
@@ -412,7 +537,7 @@ impl<'a> Parser<'a> {
             self.pos = i;
             let v = i64::from_str_radix(&text, 16)
                 .map_err(|_| TclError::error("integer constant too large"))?;
-            return Ok(Node::Lit(Value::Int(v)));
+            return Ok(Value::Int(v));
         }
         let mut is_float = false;
         while i < chars.len() && chars[i].is_ascii_digit() {
@@ -444,21 +569,23 @@ impl<'a> Parser<'a> {
             let v: f64 = text
                 .parse()
                 .map_err(|_| TclError::Error(format!("malformed number \"{text}\"")))?;
-            Ok(Node::Lit(Value::Dbl(v)))
+            Ok(Value::Dbl(v))
         } else if text.len() > 1 && text.starts_with('0') {
             // Leading zero: octal, like C.
             let v = i64::from_str_radix(&text[1..], 8)
                 .map_err(|_| TclError::Error(format!("malformed octal number \"{text}\"")))?;
-            Ok(Node::Lit(Value::Int(v)))
+            Ok(Value::Int(v))
         } else {
             let v: i64 = text
                 .parse()
                 .map_err(|_| TclError::Error(format!("malformed number \"{text}\"")))?;
-            Ok(Node::Lit(Value::Int(v)))
+            Ok(Value::Int(v))
         }
     }
 
-    fn parse_func_or_word(&mut self) -> TclResult<Node> {
+    /// A bare word (a boolean literal) or a math function call: its op,
+    /// or `None` with the call's `name(` pushed when arguments follow.
+    fn parse_func_or_word(&mut self) -> TclResult<Option<Op>> {
         let start = self.pos;
         let mut i = self.pos;
         while i < self.chars.len() && (self.chars[i].is_alphanumeric() || self.chars[i] == '_') {
@@ -469,32 +596,18 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         if self.peek() == Some('(') {
             self.pos += 1;
-            let mut args = Vec::new();
             self.skip_ws();
             if self.peek() == Some(')') {
                 self.pos += 1;
-            } else {
-                loop {
-                    args.push(self.parse_ternary()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(',') => {
-                            self.pos += 1;
-                        }
-                        Some(')') => {
-                            self.pos += 1;
-                            break;
-                        }
-                        _ => return Err(TclError::error("missing close paren in function call")),
-                    }
-                }
+                return Ok(Some(Op::Call(word, 0)));
             }
-            return Ok(Node::Call(word, args));
+            self.pending.push(Pending::Call(word, 0));
+            return Ok(None);
         }
         // Bare words: boolean literals only.
         match word.as_str() {
-            "true" | "yes" | "on" => Ok(Node::Lit(Value::Int(1))),
-            "false" | "no" | "off" => Ok(Node::Lit(Value::Int(0))),
+            "true" | "yes" | "on" => Ok(Some(Op::Lit(Value::Int(1)))),
+            "false" | "no" | "off" => Ok(Some(Op::Lit(Value::Int(0)))),
             _ => Err(TclError::Error(format!(
                 "syntax error in expression: unexpected word \"{word}\""
             ))),
@@ -544,57 +657,6 @@ pub(crate) fn coerce_value(v: &TclValue) -> Value {
         Value::Str(_) => {}
     }
     r
-}
-
-fn eval_node(interp: &mut Interp, node: &Node) -> TclResult<Value> {
-    match node {
-        Node::Lit(v) => Ok(v.clone()),
-        Node::Var(name) => Ok(coerce_value(interp.get_var_ref(name)?)),
-        Node::Sub(t) => Ok(coerce_value(&interp.subst_token(t)?)),
-        Node::Unary(op, a) => {
-            let v = eval_node(interp, a)?;
-            eval_unop(*op, v)
-        }
-        Node::Binary(BinOp::And, a, b) => {
-            if !eval_node(interp, a)?.truthy()? {
-                return Ok(Value::Int(0));
-            }
-            Ok(Value::Int(if eval_node(interp, b)?.truthy()? {
-                1
-            } else {
-                0
-            }))
-        }
-        Node::Binary(BinOp::Or, a, b) => {
-            if eval_node(interp, a)?.truthy()? {
-                return Ok(Value::Int(1));
-            }
-            Ok(Value::Int(if eval_node(interp, b)?.truthy()? {
-                1
-            } else {
-                0
-            }))
-        }
-        Node::Binary(op, a, b) => {
-            let va = eval_node(interp, a)?;
-            let vb = eval_node(interp, b)?;
-            eval_binop(*op, va, vb)
-        }
-        Node::Ternary(c, t, e) => {
-            if eval_node(interp, c)?.truthy()? {
-                eval_node(interp, t)
-            } else {
-                eval_node(interp, e)
-            }
-        }
-        Node::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_node(interp, a)?);
-            }
-            eval_func(interp, name, &vals)
-        }
-    }
 }
 
 fn as_f64(v: &Value) -> TclResult<f64> {

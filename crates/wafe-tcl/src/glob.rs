@@ -1,13 +1,20 @@
 //! Glob-style pattern matching (`Tcl_StringMatch`).
 //!
-//! Used by `string match`, `lsearch`, `switch -glob`, `info` queries, and
-//! shared with the Xrm resource database in the toolkit layers.
+//! Used by `string match`, `lsearch`, `switch -glob` and the `info` and
+//! `array names` pattern filters. The toolkit crates' Xrm database
+//! matches its own way and does not call it.
+//!
+//! Every pattern element other than `*` matches exactly one character, so
+//! a failed match only ever needs to retry the most recent `*` one
+//! character further on: matching takes O(|pattern|·|text|) time and
+//! constant extra space, however many stars the pattern holds
+//! (<https://research.swtch.com/glob>).
 
 /// Matches `s` against a glob `pattern`.
 ///
 /// Supported metacharacters: `*` (any run, including empty), `?` (any one
 /// character), `[...]` (character set with ranges, leading `^` negates)
-/// and `\x` (literal `x`).
+/// and `\x` (literal `x`; a trailing `\` is a literal backslash).
 ///
 /// # Examples
 ///
@@ -20,66 +27,58 @@
 pub fn glob_match(pattern: &str, s: &str) -> bool {
     let p: Vec<char> = pattern.chars().collect();
     let t: Vec<char> = s.chars().collect();
-    match_at(&p, 0, &t, 0)
-}
-
-fn match_at(p: &[char], mut pi: usize, t: &[char], mut ti: usize) -> bool {
-    while pi < p.len() {
-        match p[pi] {
-            '*' => {
-                // Collapse consecutive stars.
+    let (mut pi, mut ti) = (0, 0);
+    // The pattern position just past the last `*` seen, and the text
+    // position that star's run ends at on the current attempt.
+    let mut star: Option<(usize, usize)> = None;
+    while pi < p.len() || ti < t.len() {
+        if pi < p.len() {
+            if p[pi] == '*' {
                 while pi < p.len() && p[pi] == '*' {
                     pi += 1;
                 }
                 if pi == p.len() {
                     return true;
                 }
-                while ti <= t.len() {
-                    if match_at(p, pi, t, ti) {
-                        return true;
-                    }
-                    ti += 1;
-                }
-                return false;
+                star = Some((pi, ti));
+                continue;
             }
-            '?' => {
-                if ti >= t.len() {
-                    return false;
-                }
-                ti += 1;
-                pi += 1;
-            }
-            '[' => {
-                if ti >= t.len() {
-                    return false;
-                }
-                let (matched, next) = match_set(p, pi, t[ti]);
-                if !matched {
-                    return false;
-                }
+            if let Some(next) = match_one(&p, pi, t.get(ti).copied()) {
                 pi = next;
                 ti += 1;
-            }
-            '\\' => {
-                if pi + 1 >= p.len() {
-                    return ti < t.len() && t[ti] == '\\' && ti + 1 == t.len() && pi + 1 == p.len();
-                }
-                if ti >= t.len() || t[ti] != p[pi + 1] {
-                    return false;
-                }
-                pi += 2;
-                ti += 1;
-            }
-            c => {
-                if ti >= t.len() || t[ti] != c {
-                    return false;
-                }
-                pi += 1;
-                ti += 1;
+                continue;
             }
         }
+        // A mismatch: let the last star swallow one more character.
+        match star {
+            Some((sp, st)) if st < t.len() => {
+                star = Some((sp, st + 1));
+                pi = sp;
+                ti = st + 1;
+            }
+            _ => return false,
+        }
     }
-    ti == t.len()
+    true
+}
+
+/// Matches the one-character element at `p[pi]` (anything but `*`)
+/// against `c`, the next text character if any. Returns the pattern
+/// index just past the element on a match.
+fn match_one(p: &[char], pi: usize, c: Option<char>) -> Option<usize> {
+    let c = c?;
+    match p[pi] {
+        '?' => Some(pi + 1),
+        '[' => match match_set(p, pi, c) {
+            (true, next) => Some(next),
+            (false, _) => None,
+        },
+        '\\' => {
+            let lit = p.get(pi + 1).copied().unwrap_or('\\');
+            (c == lit).then_some((pi + 2).min(p.len()))
+        }
+        lit => (c == lit).then_some(pi + 1),
+    }
 }
 
 /// Matches one character against a `[...]` set starting at `p[pi]` (the
@@ -161,6 +160,9 @@ mod tests {
         assert!(glob_match("a\\*c", "a*c"));
         assert!(!glob_match("a\\*c", "abc"));
         assert!(glob_match("\\[x\\]", "[x]"));
+        assert!(glob_match("a\\", "a\\"));
+        assert!(!glob_match("a\\", "a"));
+        assert!(glob_match("*\\", "ab\\"));
     }
 
     #[test]

@@ -22,6 +22,19 @@ pub const MAX_NESTING_DEPTH: usize = 500;
 /// The error raised past [`MAX_NESTING_DEPTH`].
 pub(crate) const NESTING_ERROR: &str = "too many nested calls to Tcl_Eval (infinite loop?)";
 
+/// The native stack a thread needs to evaluate any script the
+/// interpreter accepts, and the stack `waferd`'s workers run on. The
+/// deepest evaluation allowed is [`MAX_NESTING_DEPTH`] levels: on x86-64
+/// Linux, a nest of that many `expr {[...] + 0}` operands took 639 KiB
+/// of stack in a release build and 2.8 MiB in an unoptimized one, and a
+/// proc recursion to the limit through `if` guards 575 KiB and 2.4 MiB.
+/// Expressions, `string match` and `format` use no stack that grows with
+/// their input, and `regexp` patterns are bounded
+/// ([`crate::regex::MAX_GROUP_DEPTH`], [`crate::regex::MAX_PIECES`]).
+/// 8 MiB, the main thread's usual size, leaves the unoptimized build
+/// almost three times its need.
+pub const EVAL_STACK_SIZE: usize = 8 << 20;
+
 /// Default bound of the script and expression caches (entries each).
 pub const DEFAULT_CACHE_LIMIT: usize = 512;
 
@@ -232,6 +245,10 @@ pub struct Interp {
     script_cache: LruCache<Rc<CompiledScript>>,
     /// Parse-once cache for `expr` texts.
     expr_cache: LruCache<Rc<CompiledExpr>>,
+    /// The operand stack `CompiledExpr::eval` reuses, so an evaluation
+    /// allocates none; one nested in an operand's `[...]` finds it taken
+    /// and uses a stack of its own.
+    pub(crate) expr_stack: Vec<crate::expr::Value>,
     /// Parse-once cache for `subst` texts (see
     /// [`Interp::substitute_all`]).
     subst_cache: LruCache<Rc<[Token]>>,
@@ -319,6 +336,7 @@ impl Interp {
                 DEFAULT_CACHE_LIMIT,
                 [TclCacheExprHits, TclCacheExprMisses, TclCacheExprEvictions],
             ),
+            expr_stack: Vec::new(),
             subst_cache: LruCache::new(
                 DEFAULT_CACHE_LIMIT,
                 [

@@ -52,6 +52,8 @@ impl Regex {
             chars: &chars,
             pos: 0,
             groups: 0,
+            depth: 0,
+            pieces: 0,
         };
         let root = p.parse_alt()?;
         if p.pos != p.chars.len() {
@@ -163,34 +165,24 @@ impl Regex {
 
     fn match_seq(
         &self,
-        items: &[Node],
+        mut items: &[Node],
         t: &[char],
-        pos: usize,
+        mut pos: usize,
         caps: &mut Vec<Option<(usize, usize)>>,
     ) -> Option<usize> {
-        match items.split_first() {
-            None => Some(pos),
-            Some((Node::Repeat(inner, min, max), rest)) => {
-                self.match_repeat(inner, *min, *max, rest, t, pos, caps)
-            }
-            Some((first, rest)) => {
-                // Alternation inside a sequence needs backtracking over
-                // the branch choice.
-                if let Node::Alt(branches) = first {
-                    for b in branches {
-                        let saved = caps.clone();
-                        if let Some(mid) = self.match_node(b, t, pos, caps) {
-                            if let Some(end) = self.match_seq(rest, t, mid, caps) {
-                                return Some(end);
-                            }
-                        }
-                        *caps = saved;
-                    }
-                    return None;
+        // Items that match at one place run in a loop; only an item that
+        // can backtrack passes the rest of the sequence on in a call. (A
+        // sequence holds pieces: a group, a repeat or a single-place
+        // atom, never an alternation.)
+        loop {
+            match items.split_first() {
+                None => return Some(pos),
+                Some((Node::Repeat(inner, min, max), rest)) => {
+                    return self.match_repeat(inner, *min, *max, rest, t, pos, caps)
                 }
-                if let Node::Group(inner, idx) = first {
-                    // Groups containing alternations/repeats also need
-                    // the continuation threaded through.
+                // Groups containing alternations/repeats also need the
+                // continuation threaded through.
+                Some((Node::Group(inner, idx), rest)) => {
                     let saved = caps.clone();
                     if let Some(end) = self.match_group_then(inner, *idx, rest, t, pos, caps) {
                         return Some(end);
@@ -198,8 +190,10 @@ impl Regex {
                     *caps = saved;
                     return None;
                 }
-                let mid = self.match_node(first, t, pos, caps)?;
-                self.match_seq(rest, t, mid, caps)
+                Some((first, rest)) => {
+                    pos = self.match_node(first, t, pos, caps)?;
+                    items = rest;
+                }
             }
         }
     }
@@ -283,10 +277,24 @@ impl Regex {
     }
 }
 
+/// How deep groups may nest. Parsing and matching recurse once per
+/// level.
+pub const MAX_GROUP_DEPTH: usize = 100;
+
+/// How many groups, quantifiers and `|` branches one pattern may hold.
+/// Matching recurses through each of them in a sequence (a literal run
+/// matches in a loop), so this bounds the matcher's native stack the way
+/// Spencer's "regexp too big" bounded his program size.
+pub const MAX_PIECES: usize = 1000;
+
 struct Parser<'a> {
     chars: &'a [char],
     pos: usize,
     groups: usize,
+    /// Groups open at the scan position.
+    depth: usize,
+    /// Groups, quantifiers and branches so far.
+    pieces: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -294,10 +302,22 @@ impl<'a> Parser<'a> {
         self.chars.get(self.pos).copied()
     }
 
+    /// Counts one group, quantifier or branch against [`MAX_PIECES`].
+    fn piece(&mut self) -> Result<(), String> {
+        self.pieces += 1;
+        if self.pieces > MAX_PIECES {
+            return Err(format!(
+                "regexp too big: more than {MAX_PIECES} groups, quantifiers and branches"
+            ));
+        }
+        Ok(())
+    }
+
     fn parse_alt(&mut self) -> Result<Node, String> {
         let mut branches = vec![self.parse_seq()?];
         while self.peek() == Some('|') {
             self.pos += 1;
+            self.piece()?;
             branches.push(self.parse_seq()?);
         }
         if branches.len() == 1 {
@@ -320,6 +340,9 @@ impl<'a> Parser<'a> {
 
     fn parse_piece(&mut self) -> Result<Node, String> {
         let atom = self.parse_atom()?;
+        if matches!(self.peek(), Some('*' | '+' | '?')) {
+            self.piece()?;
+        }
         match self.peek() {
             Some('*') => {
                 self.pos += 1;
@@ -342,6 +365,11 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         match c {
             '(' => {
+                self.piece()?;
+                self.depth += 1;
+                if self.depth > MAX_GROUP_DEPTH {
+                    return Err(format!("groups nested deeper than {MAX_GROUP_DEPTH}"));
+                }
                 self.groups += 1;
                 let idx = self.groups;
                 let inner = self.parse_alt()?;
@@ -349,6 +377,7 @@ impl<'a> Parser<'a> {
                     return Err("unmatched (".into());
                 }
                 self.pos += 1;
+                self.depth -= 1;
                 Ok(Node::Group(Box::new(inner), idx))
             }
             '[' => self.parse_class(),

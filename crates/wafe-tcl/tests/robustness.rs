@@ -1,8 +1,8 @@
 //! Robustness: the interpreter must never panic, whatever script text it
 //! is fed — errors are Tcl errors, not crashes.
 
-use wafe_prop::cases;
-use wafe_tcl::Interp;
+use wafe_prop::{cases, hostile_line};
+use wafe_tcl::{Interp, Metric, EVAL_STACK_SIZE};
 
 /// Arbitrary byte-soup scripts produce Ok or Err, never a panic.
 #[test]
@@ -65,6 +65,99 @@ fn nested_brackets_bounded() {
         let script = format!("{}set x 1{}", "[".repeat(depth), "]".repeat(depth));
         let _ = i.eval(&script);
     });
+}
+
+/// Expressions nested or chained far past any script nesting run on a
+/// 2 MiB thread (a test thread's default) and return their values: the
+/// parser, the op-program loop and the bytecode lowering are flat, so the
+/// native stack does not grow with parentheses, operators or terms. Each
+/// runs twice by default (the second run is lowered to bytecode) and
+/// twice under `interp bcdisable`.
+#[test]
+fn deep_expressions_run_flat() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(deep_expressions)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn deep_expressions() {
+    let nest = |open: &str, mid: &str, close: &str, n: usize| {
+        format!("{}{mid}{}", open.repeat(n), close.repeat(n))
+    };
+    let cases = [
+        (nest("(", "1", ")", 1_000), "1"),
+        (nest("(", "1", ")", 20_000), "1"),
+        (nest("", "1", "+1", 29_999), "30000"),
+        (nest("-", "1", "", 20_000), "1"),
+        (nest("1 ? ", "7", " : 0", 10_000), "7"),
+        (nest("0 ? 0 : ", "7", "", 10_000), "7"),
+        (nest("abs(", "-3", ")", 5_000), "3"),
+    ];
+    for mode in ["", "interp bcdisable"] {
+        let mut i = Interp::new();
+        i.eval(mode).unwrap();
+        for (text, want) in &cases {
+            let script = format!("expr {{{text}}}");
+            for run in 0..2 {
+                let got = i.eval(&script).unwrap();
+                assert_eq!(got, *want, "{mode:?} run {run}: {}...", &text[..40]);
+            }
+        }
+        let lowered = i.metric(Metric::TclBcCompiles);
+        assert_eq!(lowered > 0, mode.is_empty(), "{mode:?}: {lowered} lowered");
+    }
+}
+
+/// Generated lines up to the protocol's 64 KiB line limit (deep and long
+/// expressions, star runs, extreme `format` fields, nested regex groups)
+/// each return a value or a Tcl error on a thread of the stack `waferd`'s
+/// workers run on, twice by default (the second run is lowered to
+/// bytecode) and twice under `interp bcdisable`. `scripts/ci.sh` runs
+/// this test in release too; the seeds are fixed by `cases`.
+#[test]
+fn hostile_lines_return() {
+    std::thread::Builder::new()
+        .stack_size(EVAL_STACK_SIZE)
+        .spawn(|| {
+            cases(256, |rng| {
+                let line = hostile_line(rng, 64 * 1024);
+                for mode in ["", "interp bcdisable"] {
+                    let mut i = Interp::new();
+                    i.eval(&format!("set x 3; {mode}")).unwrap();
+                    for _ in 0..2 {
+                        let _ = i.eval(&line);
+                    }
+                }
+            })
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// The `format` fields that once panicked or overflowed are Tcl errors,
+/// and the limit itself still formats.
+#[test]
+fn format_fields_are_bounded() {
+    let mut i = Interp::new();
+    for (line, want) in [
+        ("format %.999999999f 1.0", "format precision exceeds 65535"),
+        (
+            "format %99999999999999999999d 1",
+            "format field width exceeds 65535",
+        ),
+        ("format %65536s x", "format field width exceeds 65535"),
+    ] {
+        assert_eq!(i.eval(line).unwrap_err().message(), want, "{line}");
+    }
+    assert_eq!(i.eval("string length [format %65535s x]").unwrap(), "65535");
+    assert_eq!(
+        i.eval("string length [format %.65535f 1.0]").unwrap(),
+        "65537"
+    );
 }
 
 #[test]
@@ -230,5 +323,128 @@ mod regex_props {
                 .unwrap();
             assert_eq!(glob, re);
         });
+    }
+}
+
+mod glob_props {
+    use wafe_prop::cases;
+    use wafe_tcl::glob::glob_match;
+
+    /// The recursive matcher `glob_match` replaced, kept as the
+    /// reference: it retries every text position at every `*`, which is
+    /// exponential in the number of stars, so it runs on bounded inputs.
+    fn reference(p: &[char], mut pi: usize, t: &[char], mut ti: usize) -> bool {
+        while pi < p.len() {
+            match p[pi] {
+                '*' => {
+                    while pi < p.len() && p[pi] == '*' {
+                        pi += 1;
+                    }
+                    if pi == p.len() {
+                        return true;
+                    }
+                    while ti <= t.len() {
+                        if reference(p, pi, t, ti) {
+                            return true;
+                        }
+                        ti += 1;
+                    }
+                    return false;
+                }
+                '?' => {
+                    if ti >= t.len() {
+                        return false;
+                    }
+                    ti += 1;
+                    pi += 1;
+                }
+                '[' => {
+                    if ti >= t.len() {
+                        return false;
+                    }
+                    let (matched, next) = reference_set(p, pi, t[ti]);
+                    if !matched {
+                        return false;
+                    }
+                    pi = next;
+                    ti += 1;
+                }
+                '\\' => {
+                    if pi + 1 >= p.len() {
+                        return ti < t.len() && t[ti] == '\\' && ti + 1 == t.len();
+                    }
+                    if ti >= t.len() || t[ti] != p[pi + 1] {
+                        return false;
+                    }
+                    pi += 2;
+                    ti += 1;
+                }
+                c => {
+                    if ti >= t.len() || t[ti] != c {
+                        return false;
+                    }
+                    pi += 1;
+                    ti += 1;
+                }
+            }
+        }
+        ti == t.len()
+    }
+
+    /// The reference's `[...]` set: (matched, index past the `]`).
+    fn reference_set(p: &[char], pi: usize, c: char) -> (bool, usize) {
+        let mut i = pi + 1;
+        let negate = i < p.len() && (p[i] == '^' || p[i] == '!');
+        if negate {
+            i += 1;
+        }
+        let mut matched = false;
+        let mut first = true;
+        while i < p.len() && (p[i] != ']' || first) {
+            first = false;
+            let lo = p[i];
+            if i + 2 < p.len() && p[i + 1] == '-' && p[i + 2] != ']' {
+                matched |= lo <= c && c <= p[i + 2];
+                i += 3;
+            } else {
+                matched |= lo == c;
+                i += 1;
+            }
+        }
+        (matched != negate, if i < p.len() { i + 1 } else { i })
+    }
+
+    /// The iterative matcher agrees with the recursive reference on
+    /// short patterns and texts over small alphabets, so stars, sets,
+    /// ranges, negation, escapes and trailing backslashes meet often.
+    #[test]
+    fn agrees_with_the_recursive_reference() {
+        let pat: Vec<char> = "ab*?[]^!-\\".chars().collect();
+        let text: Vec<char> = "ab-^]\\".chars().collect();
+        cases(8192, |rng| {
+            let plen = rng.range(0, 10);
+            let p = rng.string_from(&pat, plen);
+            let tlen = rng.range(0, 9);
+            let s = rng.string_from(&text, tlen);
+            let pc: Vec<char> = p.chars().collect();
+            let tc: Vec<char> = s.chars().collect();
+            assert_eq!(
+                glob_match(&p, &s),
+                reference(&pc, 0, &tc, 0),
+                "pattern {p:?} text {s:?}"
+            );
+        });
+    }
+
+    /// Many stars against a text that almost matches: the reference
+    /// takes exponential time here, the iterative matcher one pass per
+    /// retry of the last star.
+    #[test]
+    fn star_runs_are_not_exponential() {
+        let pattern = format!("{}b", "*a".repeat(10));
+        assert!(!glob_match(&pattern, &"a".repeat(60)));
+        assert!(glob_match(&pattern, &format!("{}b", "a".repeat(60))));
+        let long = format!("{}b", "*a".repeat(2_000));
+        assert!(!glob_match(&long, &"a".repeat(30_000)));
     }
 }

@@ -21,6 +21,13 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+# The robustness suite again in an optimized build: its generated lines
+# (deep and long expressions, star runs, extreme format fields, nested
+# regex groups, up to the 64 KiB line limit, on fixed seeds) must each
+# return a value or a Tcl error on the workers' stack there too.
+echo "== wafe-tcl robustness suite, release"
+cargo test -q --release --offline -p wafe-tcl --test robustness
+
 # Flake detector over the whole workspace (the root Cargo.toml's
 # default-members make plain `cargo test` cover every crate): ten more
 # consecutive full runs must all pass. The suites are compiled by the
