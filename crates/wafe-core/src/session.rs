@@ -118,9 +118,18 @@ impl WafeSession {
     /// `topLevel` application shell. The flavour's [`ToolkitImage`] is
     /// built on the thread's first session and shared after that.
     pub fn new(flavor: Flavor) -> Self {
+        Self::with_resources(flavor, "")
+    }
+
+    /// Like [`new`](Self::new), with `resources` (resource-file lines:
+    /// an app-defaults file, `-xrm` specifications) merged into the
+    /// database before `topLevel` is created, so the shell's own
+    /// resources — the paper's `InitCom` among them — see them too.
+    pub fn with_resources(flavor: Flavor, resources: &str) -> Self {
         let image = ToolkitImage::shared(flavor);
         let telemetry = Telemetry::from_env();
         let mut app = image.new_app(telemetry.clone());
+        app.resource_db.merge_text(resources);
         app.create_widget("topLevel", "TopLevelShell", None, 0, &[], true)
             .expect("topLevel creation cannot fail");
 

@@ -1,13 +1,13 @@
-//! The shared line codec of the `%`-prefixed protocol.
+//! The line codec of the `%`-prefixed protocol.
 //!
-//! Both transports that speak the frontend protocol — the duplex pipe
-//! of frontend mode (`frontend.rs`/`supervisor.rs`) and the socket
-//! connections of `wafe-serve` — frame the same byte stream the same
-//! way: `\n`-terminated lines and a bounded per-line length, with
-//! oversized lines discarded (counted; the stream resynchronises at the
-//! next newline). [`LineCodec`] is that framing, in one type so the two
-//! transports cannot drift. Telling commands from passthrough is the
-//! engine's job (`ProtocolEngine::handle_line`).
+//! Every connection of wafe-serve's event loop — a backend child's
+//! pipes in frontend mode, a socket in the server — frames its byte
+//! stream with one of these: `\n`-terminated lines, at most
+//! [`DEFAULT_MAX_LINE`](crate::DEFAULT_MAX_LINE) bytes each. A longer
+//! line is discarded and the stream resynchronises at the next newline;
+//! the session reports each discard through
+//! `ProtocolEngine::reject_overlong`. Telling commands from passthrough
+//! is the engine's job (`ProtocolEngine::handle_line`).
 
 /// Incremental byte-stream ↔ line framing with a bounded buffer.
 ///
@@ -80,9 +80,7 @@ impl LineCodec {
     }
 
     /// Encodes one outbound line: the wire form is the text plus a
-    /// terminating newline (none added when already present). This is
-    /// the exact write-side framing `ChildLink::write_line` has always
-    /// used on the pipe.
+    /// terminating newline (none added when already present).
     pub fn encode(line: &str) -> Vec<u8> {
         let mut out = Vec::with_capacity(line.len() + 1);
         Self::encode_into(&mut out, line);

@@ -1,8 +1,9 @@
-//! Deterministic fault injection for the frontend pipe.
+//! Deterministic fault injection for frontend mode's transport.
 //!
 //! A [`FaultPlan`] is a set of rules that fire at named points in the
-//! frontend's transport ([`FAULT_POINTS`]): the supervisor consults the
-//! plan every time execution passes such a point and applies whatever
+//! frontend's transport ([`FAULT_POINTS`]): wafe-serve's backend
+//! supervisor and scheduler consult the plan every time execution
+//! passes such a point and applies whatever
 //! actions the matching rules yield — delay, truncate, garble, flood,
 //! drop, or kill. All randomness (garbling) comes from a seeded
 //! xorshift64* generator, so a plan plus a backend script reproduces the
@@ -37,7 +38,7 @@ pub const FAULTS_ENV_VAR: &str = "WAFE_FAULTS";
 /// The named points the supervisor consults, in protocol order:
 /// child spawn, a chunk read from the pipe, a complete protocol line,
 /// a line written to the backend, a mass-channel chunk, an outbound
-/// display frame (consulted by the waferd scheduler, not the pipe).
+/// display frame (consulted by the scheduler, not the pipe).
 pub const FAULT_POINTS: &[&str] = &["spawn", "read", "line", "write", "mass", "display"];
 
 /// What a fired rule does at its point.

@@ -6,38 +6,29 @@
 //! Each output line from the application process starting with a certain
 //! prefix character is interpreted as a Wafe (or pure Tcl) command."
 //!
-//! The crate splits the mechanism into two layers:
+//! The crate holds the protocol and the pieces every transport shares;
+//! the transports themselves — the backend child of frontend mode and
+//! the sockets of the server — are connections of wafe-serve's event
+//! loop, which runs both.
 //!
 //! * [`protocol::ProtocolEngine`] — the transport-independent protocol:
 //!   `%`-prefixed lines are commands, other lines pass through, the 64 KB
 //!   line limit, the mass-transfer channel accumulator and the queue of
 //!   messages the GUI sends back to the application. Deterministic, used
 //!   directly by tests and benchmarks.
-//! * [`frontend::Frontend`] — the real-process transport: spawns the
-//!   backend as a child (including the paper's `ln -s wafe xwafeApp`
-//!   argv\[0\] naming scheme), wires the stdio pipes and the optional
-//!   mass-transfer pipe (inherited by the child at a fixed fd, reported
-//!   by `getChannel`), and multiplexes backend output with GUI events via
-//!   `poll(2)` — which is what keeps the GUI responsive while the
-//!   application is busy and buffers clicks ahead.
-
-//! * [`supervisor::Supervisor`] — the reliability layer the paper lacks:
-//!   read/round-trip timeouts, exponential-backoff restarts behind a
-//!   circuit breaker, flood limits, bounded outbound queueing while the
-//!   backend is down, and a deterministic [`fault::FaultPlan`]
-//!   fault-injection substrate driving the chaos test suite.
+//! * [`codec::LineCodec`] — the line framing of every connection.
+//! * [`fault::FaultPlan`] — deterministic fault injection at the named
+//!   points of a connection, driving the chaos test suite.
+//! * [`poll`] — `poll(2)` readiness, nonblocking mode and the inherited
+//!   mass-transfer pipe, over the crate's minimal libc shim.
 
 pub mod codec;
 pub mod fault;
-pub mod frontend;
 pub mod poll;
 pub mod protocol;
-pub mod supervisor;
 pub(crate) mod sys;
 
 pub use codec::LineCodec;
 pub use fault::{FaultAction, FaultPlan, FAULTS_ENV_VAR, FAULT_POINTS};
-pub use frontend::{backend_from_argv0, Frontend, FrontendConfig, SpawnSpec};
-pub use poll::{set_nonblocking, Interest, Poller, Readiness, SysPoller};
+pub use poll::{child_pipe, set_nonblocking, Interest, Poller, Readiness, SysPoller};
 pub use protocol::{command_body, ProtocolEngine, DEFAULT_MAX_LINE, DEFAULT_PREFIX};
-pub use supervisor::{BackendState, Supervisor, SupervisorConfig, SupervisorCore};

@@ -1,10 +1,12 @@
-//! Safe readiness polling over the `poll(2)` FFI shim.
+//! Safe readiness polling over the `poll(2)` FFI shim, plus the two
+//! other fd operations the event loop needs: nonblocking mode and the
+//! pipe a spawned backend inherits as its mass-transfer channel.
 //!
 //! The frontend always multiplexed the backend's pipes with `poll(2)`
 //! ("which is what keeps the GUI responsive while the application is
-//! busy"); wafe-serve's event loop generalizes that to thousands of
-//! sockets. Both go through this module so there is exactly one unsafe
-//! poll call in the workspace.
+//! busy"); wafe-serve's event loop does that for one backend child or
+//! thousands of sockets alike. Everything goes through this module, so
+//! there is exactly one unsafe poll call in the workspace.
 //!
 //! The [`Poller`] trait is deliberately stateless about registration:
 //! the caller owns its interest list and passes it on every wait, so
@@ -13,8 +15,12 @@
 //! simulated net implements the same trait, so the deterministic tests
 //! see exactly the interest the real `poll(2)` would.
 
+use std::fs::File;
 use std::io;
-use std::os::unix::io::RawFd;
+use std::os::fd::OwnedFd;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::process::CommandExt;
+use std::process::Command;
 
 use crate::sys;
 
@@ -175,37 +181,51 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
+/// A pipe whose write end the child spawned from `cmd` inherits at fd
+/// `child_fd`. Returns the nonblocking read end, and the parent's copy
+/// of the write end: drop it once the child is spawned (or the spawn
+/// failed), so the read end sees EOF when the child exits.
+pub fn child_pipe(cmd: &mut Command, child_fd: RawFd) -> io::Result<(File, OwnedFd)> {
+    let (read, write) = io::pipe()?;
+    let (read, write) = (File::from(OwnedFd::from(read)), OwnedFd::from(write));
+    set_nonblocking(read.as_raw_fd())?;
+    let write_fd = write.as_raw_fd();
+    // SAFETY: dup2 in the child duplicates the inherited write end onto
+    // the agreed fd, clearing close-on-exec — unless the write end
+    // already is that fd, whose flag is cleared directly. write_fd stays
+    // open in the parent until the caller drops `write`, after the spawn.
+    unsafe {
+        cmd.pre_exec(move || {
+            let rc = if write_fd == child_fd {
+                sys::fcntl(child_fd, sys::F_SETFD, 0)
+            } else {
+                sys::dup2(write_fd, child_fd)
+            };
+            if rc < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(())
+        });
+    }
+    Ok((read, write))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sys_poller_sees_pipe_readability() {
-        let mut fds = [0i32; 2];
-        // SAFETY: fds is a valid 2-element array for pipe(2).
-        assert_eq!(unsafe { sys::pipe(fds.as_mut_ptr()) }, 0);
-        let (r, w) = (fds[0], fds[1]);
+        let (r, mut w) = io::pipe().unwrap();
         let mut poller = SysPoller::new();
-        let interests = [Interest::read(7, r)];
+        let interests = [Interest::read(7, r.as_raw_fd())];
         let mut ready = Vec::new();
         poller.wait(&interests, 0, &mut ready).unwrap();
         assert!(ready.is_empty());
-        // SAFETY: writing to an owned pipe write end.
-        unsafe {
-            let byte = b"x";
-            extern "C" {
-                fn write(fd: i32, buf: *const u8, n: usize) -> isize;
-            }
-            assert_eq!(write(w, byte.as_ptr(), 1), 1);
-        }
+        io::Write::write_all(&mut w, b"x").unwrap();
         poller.wait(&interests, 100, &mut ready).unwrap();
         assert_eq!(ready.len(), 1);
         assert_eq!(ready[0].token, 7);
         assert!(ready[0].readable);
-        // SAFETY: closing owned fds.
-        unsafe {
-            sys::close(r);
-            sys::close(w);
-        }
     }
 }

@@ -44,7 +44,12 @@ impl ProtocolEngine {
     /// queue — "the frontend is programmed by the application program to
     /// send back string messages whenever certain events … occur".
     pub fn new(flavor: Flavor) -> Self {
-        let mut session = WafeSession::new(flavor);
+        Self::from_session(WafeSession::new(flavor))
+    }
+
+    /// An engine around an existing session (one created with startup
+    /// resources, say), with its output routed as in [`new`](Self::new).
+    pub fn from_session(mut session: WafeSession) -> Self {
         let to_app: Rc<RefCell<VecDeque<String>>> = Rc::new(RefCell::new(VecDeque::new()));
         let q = to_app.clone();
         let partial = Rc::new(RefCell::new(String::new()));
@@ -81,11 +86,6 @@ impl ProtocolEngine {
         self.prefix = prefix;
     }
 
-    /// The current command-prefix character.
-    pub fn prefix(&self) -> char {
-        self.prefix
-    }
-
     /// Handles one line from the application.
     ///
     /// A line starting with the prefix character is interpreted as a Wafe
@@ -97,21 +97,14 @@ impl ProtocolEngine {
         tel.count(Metric::IpcLinesReceived);
         tel.add(Metric::IpcBytesReceived, line.len() as u64);
         if line.len() > self.max_line {
-            let msg = format!(
-                "command line too long ({} bytes, limit {})",
-                line.len(),
-                self.max_line
-            );
-            tel.count(Metric::IpcErrors);
-            self.errors.push(msg.clone());
-            return Err(msg);
+            return Err(self.too_long(format!("{} bytes", line.len())));
         }
         let trimmed = line.strip_suffix('\n').unwrap_or(line);
         if let Some(cmd) = command_body(line, self.prefix) {
             tel.count(Metric::IpcLinesInterpreted);
-            // The per-command span: a trace root in frontend mode, a
-            // child of the scheduler's serve.command span in server
-            // mode (the scheduler opens that root around this call).
+            // The per-command span: a child of the scheduler's
+            // serve.command root (opened around this call), or a root
+            // of its own when the engine is driven directly.
             let span = tel.span_begin("ipc.command", || trimmed.to_string());
             let r = match self.session.eval(cmd) {
                 Ok(v) => Ok(Some(v)),
@@ -131,6 +124,22 @@ impl ProtocolEngine {
             self.passthrough.push(trimmed.to_string());
             Ok(None)
         }
+    }
+
+    /// Records a line the transport's codec discarded for running past
+    /// the limit before its newline: one `ipc.lines.received`, one
+    /// `ipc.errors` and the error an over-long [`handle_line`](Self::handle_line)
+    /// gives, so no discarded line goes uncounted.
+    pub fn reject_overlong(&mut self) {
+        self.session.telemetry.count(Metric::IpcLinesReceived);
+        self.too_long(format!("over {} bytes", self.max_line));
+    }
+
+    fn too_long(&mut self, size: String) -> String {
+        let msg = format!("command line too long ({size}, limit {})", self.max_line);
+        self.session.telemetry.count(Metric::IpcErrors);
+        self.errors.push(msg.clone());
+        msg
     }
 
     /// Feeds bytes arriving on the mass-transfer channel. When the

@@ -1,7 +1,7 @@
-//! Minimal libc FFI surface for the frontend's pipe multiplexing.
+//! Minimal libc FFI surface for the event loop's fds.
 //!
-//! The crate needs exactly five syscall wrappers — `pipe`, `dup2`,
-//! `close`, `poll`, `fcntl` — so it declares them directly instead of
+//! The crate needs exactly three syscall wrappers — `dup2`, `poll`,
+//! `fcntl` — so it declares them directly instead of
 //! pulling in the `libc` crate, keeping the workspace dependency-free
 //! (it must build on network-less machines). Constants are the Linux
 //! values; the poll flags and fcntl commands are identical across the
@@ -34,6 +34,8 @@ pub const POLLHUP: c_short = 0x010;
 /// Invalid request: fd not open (revents only).
 pub const POLLNVAL: c_short = 0x020;
 
+/// `fcntl(2)`: set file descriptor flags (close-on-exec).
+pub const F_SETFD: c_int = 2;
 /// `fcntl(2)`: get file status flags.
 pub const F_GETFL: c_int = 3;
 /// `fcntl(2)`: set file status flags.
@@ -42,9 +44,7 @@ pub const F_SETFL: c_int = 4;
 pub const O_NONBLOCK: c_int = 0o4000;
 
 extern "C" {
-    pub fn pipe(fds: *mut c_int) -> c_int;
     pub fn dup2(oldfd: c_int, newfd: c_int) -> c_int;
-    pub fn close(fd: c_int) -> c_int;
     pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
     pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
 }

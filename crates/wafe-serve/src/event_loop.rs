@@ -13,7 +13,13 @@
 //! [`advance`](EventLoop::advance) — so the deterministic tests can
 //! interleave them with scripted I/O exactly like the scheduler tests
 //! script virtual time. The production driver in `server.rs` just calls
-//! them in order.
+//! them in order, and so does frontend mode (`frontend.rs`), whose one
+//! connection is the backend child.
+//!
+//! A connection is a [`ConnIo`]: a socket, a simulated socket, or the
+//! supervised backend child (`supervisor.rs`). The loop treats them
+//! alike; what sets the child apart lives behind the trait's hooks,
+//! whose defaults are a plain socket's.
 //!
 //! The accept path is its own small loop ([`AcceptLoop`]): it polls the
 //! listeners, admits or sheds, and hands each admitted connection to
@@ -23,6 +29,7 @@
 //! back the loop off for one tick — never a hot spin, never a dead
 //! acceptor.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -30,7 +37,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use wafe_ipc::{set_nonblocking, Interest, LineCodec, Poller, Readiness};
+use wafe_core::WafeSession;
+use wafe_ipc::{set_nonblocking, Interest, LineCodec, Poller, ProtocolEngine, Readiness};
 
 use crate::registry::Registry;
 use crate::scheduler::{Scheduler, Session};
@@ -42,9 +50,15 @@ use crate::scheduler::{Scheduler, Session};
 /// client that sends but never reads cannot grow its output unbounded.
 const READ_SWEEP_CAP: usize = 64 * 1024;
 
-/// A nonblocking byte stream the event loop can poll. Implemented for
-/// TCP and Unix sockets and by the simulated net in tests.
-pub trait ConnIo: Send {
+/// A nonblocking byte stream the event loop can poll: TCP and Unix
+/// sockets, the simulated net's sockets, and the supervised backend
+/// child of frontend mode.
+///
+/// The four required methods are a socket's. The rest are hooks with a
+/// socket's behaviour as the default; the backend child overrides them
+/// to put its restart policy, fault points and timeouts on the loop's
+/// steps and the scheduler's clock.
+pub trait ConnIo {
     fn fd(&self) -> RawFd;
     /// Nonblocking read; `WouldBlock` when drained, `Ok(0)` at EOF.
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
@@ -52,44 +66,88 @@ pub trait ConnIo: Send {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
     /// Closes both directions.
     fn shutdown(&mut self);
+
+    /// Adds what to poll for this connection (poll token `token`):
+    /// reads while the session wants input, writes while its output is
+    /// stuck. A connection whose reads and writes use separate fds, or
+    /// that has a side channel or output of its own, adds its own.
+    fn interests(&self, token: usize, read: bool, write: bool, out: &mut Vec<Interest>) {
+        if read || write {
+            let fd = self.fd();
+            out.push(Interest {
+                token,
+                fd,
+                read,
+                write,
+            });
+        }
+    }
+
+    /// Whether there is input without any fd being ready (bytes
+    /// released by the clock, a peer gone for good).
+    fn buffered(&self) -> bool {
+        false
+    }
+
+    /// Whether the byte stream restarted since the last call, so a
+    /// partial line already framed belongs to a dead stream.
+    fn restarted(&mut self) -> bool {
+        false
+    }
+
+    /// The lines framed from one read, on their way to the session's
+    /// queue: the connection may drop, change or copy them.
+    fn admit(&mut self, _lines: &mut Vec<String>) {}
+
+    /// The next line for the session's write buffer: by default the
+    /// next outbound line. A connection may hold lines back, or take
+    /// them to write itself (and return none).
+    fn next_line(&mut self, out: &mut VecDeque<String>) -> Option<String> {
+        out.pop_front()
+    }
+
+    /// The session's turn ended, with `backlog` lines still queued when
+    /// the quantum ran out: the moment to feed a side channel (the mass
+    /// pipe) to the engine.
+    fn after_turn(&mut self, _engine: &mut ProtocolEngine, _backlog: usize) {}
+
+    /// The scheduler's virtual clock moved to `now_ms`.
+    fn tick(&mut self, _now_ms: u64) {}
+
+    /// The connection's session got an engine: on attach, and when a
+    /// restore replaces it.
+    fn bind(&mut self, _session: &mut WafeSession) {}
 }
 
-impl ConnIo for TcpStream {
-    fn fd(&self) -> RawFd {
-        self.as_raw_fd()
-    }
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        io::Read::read(self, buf)
-    }
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        io::Write::write(self, buf)
-    }
-    fn shutdown(&mut self) {
-        let _ = TcpStream::shutdown(self, Shutdown::Both);
-    }
+/// A socket is a plain connection: every hook keeps its default.
+macro_rules! socket_conn {
+    ($stream:ty) => {
+        impl ConnIo for $stream {
+            fn fd(&self) -> RawFd {
+                self.as_raw_fd()
+            }
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                io::Read::read(self, buf)
+            }
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                io::Write::write(self, buf)
+            }
+            fn shutdown(&mut self) {
+                let _ = <$stream>::shutdown(self, Shutdown::Both);
+            }
+        }
+    };
 }
 
-impl ConnIo for UnixStream {
-    fn fd(&self) -> RawFd {
-        self.as_raw_fd()
-    }
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        io::Read::read(self, buf)
-    }
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        io::Write::write(self, buf)
-    }
-    fn shutdown(&mut self) {
-        let _ = UnixStream::shutdown(self, Shutdown::Both);
-    }
-}
+socket_conn!(TcpStream);
+socket_conn!(UnixStream);
 
 /// A listener the accept loop can poll. `accept` returns `Ok(None)`
 /// when there is nothing pending (`WouldBlock`); accepted streams come
 /// back already nonblocking.
 pub trait Acceptor: Send {
     fn fd(&self) -> RawFd;
-    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo>, String)>>;
+    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo + Send>, String)>>;
 }
 
 /// TCP listener acceptor (`tcp/<peer>` session names).
@@ -99,7 +157,7 @@ impl Acceptor for TcpAcceptor {
     fn fd(&self) -> RawFd {
         self.0.as_raw_fd()
     }
-    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo>, String)>> {
+    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo + Send>, String)>> {
         match self.0.accept() {
             Ok((stream, peer)) => {
                 set_nonblocking(stream.as_raw_fd())?;
@@ -130,7 +188,7 @@ impl Acceptor for UnixAcceptor {
     fn fd(&self) -> RawFd {
         self.listener.as_raw_fd()
     }
-    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo>, String)>> {
+    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo + Send>, String)>> {
         match self.listener.accept() {
             Ok((stream, _)) => {
                 set_nonblocking(stream.as_raw_fd())?;
@@ -187,7 +245,7 @@ fn drain(rx: &mut dyn ConnIo) -> u64 {
 /// session is built on the worker.
 pub struct ConnAssign {
     pub id: crate::registry::SessionId,
-    pub io: Box<dyn ConnIo>,
+    pub io: Box<dyn ConnIo + Send>,
 }
 
 impl Session {
@@ -213,15 +271,15 @@ impl Session {
     /// `!shed queue-full` by the scheduler). Unread bytes wait in the
     /// socket. Returns the lines decoded.
     fn sweep_read(&mut self) -> usize {
-        if !self.want_read() {
-            return 0;
+        if self.io.restarted() {
+            self.codec.clear();
         }
         let mut buf = [0u8; 8192];
         let mut taken = 0usize;
         let mut lines = 0usize;
         // Past the cap, or with the queue full, the sweep stops;
         // level-triggered polling brings the rest at the next wakeup.
-        while taken < READ_SWEEP_CAP && !self.inbound_full() {
+        while self.want_read() && taken < READ_SWEEP_CAP && !self.inbound_full() {
             match self.io.read(&mut buf) {
                 Ok(0) => {
                     self.eof = true;
@@ -229,10 +287,7 @@ impl Session {
                 }
                 Ok(n) => {
                     taken += n;
-                    for line in self.codec.push(&buf[..n]) {
-                        self.push_inbound(line);
-                        lines += 1;
-                    }
+                    lines += self.frame_bytes(&buf[..n]);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -246,21 +301,26 @@ impl Session {
         lines
     }
 
-    /// Moves the outbound lines, then the frame slot, into the write
-    /// buffer and pushes the buffer into the socket until it would
-    /// block.
-    fn flush(&mut self) {
+    /// Moves the outbound lines — those the engine produced since the
+    /// turn too — then the frame slot, into the write buffer and pushes
+    /// the buffer into the connection until it would block.
+    pub(crate) fn flush(&mut self) {
         if self.gone {
             return;
         }
+        self.out.extend(self.engine.take_app_lines());
         loop {
             if self.wpos >= self.wbuf.len() {
                 self.wbuf.clear();
                 self.wpos = 0;
                 // Coalesce: one write call per flush, not per line.
-                // Replies drain first; the frame goes last, so they
-                // are never delayed behind a bulky frame.
-                while let Some(line) = self.out.pop_front().or_else(|| self.frame.take()) {
+                // Replies drain first; the frame goes last, so they are
+                // never delayed behind a bulky frame.
+                while let Some(line) = self
+                    .io
+                    .next_line(&mut self.out)
+                    .or_else(|| self.frame.take())
+                {
                     LineCodec::encode_into(&mut self.wbuf, &line);
                     if self.wbuf.len() >= READ_SWEEP_CAP {
                         break;
@@ -297,7 +357,7 @@ impl Session {
 /// One worker's readiness-driven I/O multiplexer around its
 /// [`Scheduler`].
 pub struct EventLoop {
-    sched: Scheduler,
+    pub(crate) sched: Scheduler,
     shard: usize,
     poller: Box<dyn Poller>,
     /// Scratch for each wakeup's interest list and its ready set.
@@ -384,34 +444,32 @@ impl EventLoop {
 
     /// One poll wakeup: watches the wake channel and every session as
     /// its record wants — read until EOF, write while output is stuck —
-    /// waits up to `timeout_ms`, then drains *every* readable
+    /// waits up to `timeout_ms` (not at all when a connection held
+    /// buffered input, swept first), then drains *every* readable
     /// connection into its session (the batched sweep) before
     /// returning. Returns how many protocol lines were decoded.
-    pub fn poll_io(&mut self, timeout_ms: i32) -> usize {
+    pub fn poll_io(&mut self, mut timeout_ms: i32) -> usize {
+        let mut enqueued = 0;
         self.interests.clear();
         if let Some(rx) = &self.wake {
             self.interests.push(Interest::read(WAKE_TOKEN, rx.fd()));
         }
-        for (token, s) in self.sched.sessions.iter().enumerate() {
+        for (token, s) in self.sched.sessions.iter_mut().enumerate() {
             let Some(s) = s else { continue };
-            let (read, write) = (s.want_read(), s.want_write());
-            if read || write {
-                self.interests.push(Interest {
-                    token,
-                    fd: s.io.fd(),
-                    read,
-                    write,
-                });
+            if s.want_read() && s.io.buffered() {
+                enqueued += s.sweep_read();
+                timeout_ms = 0;
             }
+            let (read, write) = (s.want_read(), s.want_write());
+            s.io.interests(token, read, write, &mut self.interests);
         }
         if self
             .poller
             .wait(&self.interests, timeout_ms, &mut self.ready)
             .is_err()
         {
-            return 0;
+            return enqueued;
         }
-        let mut enqueued = 0;
         for r in &self.ready {
             if r.token == WAKE_TOKEN {
                 if let Some(rx) = self.wake.as_mut() {
@@ -571,7 +629,7 @@ impl AcceptLoop {
 
     /// Admission for one accepted stream; sheds reply `!shed <reason>`
     /// before the close. Returns whether the connection was admitted.
-    fn launch(&self, mut io: Box<dyn ConnIo>, peer: String) -> bool {
+    fn launch(&self, mut io: Box<dyn ConnIo + Send>, peer: String) -> bool {
         let id = match self.registry.admit(&peer) {
             Ok(id) => id,
             Err(reason) => {

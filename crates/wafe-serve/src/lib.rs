@@ -1,12 +1,15 @@
-//! wafe-serve: many concurrent Wafe frontends in one process.
+//! wafe-serve: the event loop of every Wafe session — frontend mode's
+//! one application, and many concurrent sessions in one process.
 //!
 //! The paper binds exactly one application to one Wafe process over a
-//! duplex pipe. This crate is the serving layer that removes the 1:1
-//! bound: a std-only multi-session server (`waferd`) accepts TCP and
-//! Unix-socket connections speaking the *same* `%`-prefixed line
-//! protocol — framed by the same [`wafe_ipc::LineCodec`] the pipe uses,
-//! so the two transports cannot drift — and runs one headless
-//! `WafeSession` per connection.
+//! duplex pipe. This crate runs that pipe and removes the 1:1 bound
+//! with the same loop: a std-only multi-session server (`waferd`)
+//! accepts TCP and Unix-socket connections speaking the *same*
+//! `%`-prefixed line protocol and runs one headless `WafeSession` per
+//! connection, and frontend mode ([`Frontend`]) is that loop with one
+//! session whose connection is the supervised backend child. Both
+//! kinds of connection are a [`ConnIo`]; the loop never tells them
+//! apart.
 //!
 //! The moving parts, one module each:
 //!
@@ -31,6 +34,11 @@
 //!   [`wafe_ipc::Poller`] trait so tests swap in a simulated net. The
 //!   poll interest is derived from the session records on each wakeup;
 //!   the session table is the only copy of it.
+//! * [`supervisor`] — frontend mode's backend child as a connection:
+//!   nonblocking pipes, fault points, timeouts, backoff restarts, the
+//!   breaker and the queue of lines held while the child is down
+//!   (`docs/supervisor.md`).
+//! * [`frontend`] — frontend mode: the one-session loop around it.
 //! * [`sim`] — that simulated net: scripted byte chunks, write
 //!   windows, accept-queue errors and readiness with no timing
 //!   anywhere.
@@ -54,14 +62,18 @@
 
 pub mod display;
 pub mod event_loop;
+pub mod frontend;
 pub mod registry;
 pub mod scheduler;
 pub mod server;
 pub mod sim;
+pub mod supervisor;
 
 pub use display::{install_display_control, DisplayCtl};
 pub use event_loop::{AcceptLoop, Acceptor, ConnAssign, ConnIo, EventLoop, Wake};
+pub use frontend::{backend_from_argv0, Frontend, FrontendConfig};
 pub use registry::{Limits, Registry, SessionId, ShedReason, LIMIT_KEYS};
 pub use scheduler::{install_serve_control, install_session_control, Scheduler, SessionCtl};
 pub use server::{Server, ServerConfig};
 pub use sim::{SimClient, SimNet};
+pub use supervisor::{BackendState, SupervisorConfig};

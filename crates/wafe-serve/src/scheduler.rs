@@ -17,16 +17,18 @@
 //! ever gets one quantum ahead of a quiet one; its surplus waits in its
 //! own inbound queue, never in anyone else's way.
 //!
-//! Time is virtual, exactly like the backend supervisor's clock: the
-//! driver calls [`advance`](Scheduler::advance) with elapsed
-//! milliseconds (wall-derived in the real server, scripted in tests),
-//! and idle eviction and the drain timeout are decided against that
-//! clock only — the deterministic tests never assert on wall time.
+//! Time is virtual: the driver calls [`advance`](Scheduler::advance)
+//! with elapsed milliseconds (wall-derived in the real server, scripted
+//! in tests), and idle eviction, the drain timeout and each
+//! connection's own deadlines ([`ConnIo::tick`] — the backend child's
+//! timeouts and restart backoff) are decided against that clock only —
+//! the deterministic tests never assert on wall time.
 //!
-//! Reply semantics mirror frontend mode byte-for-byte: only lines the
-//! session *sends to the application* (echo output) reach the client;
-//! command results and errors do not. The server adds exactly one thing
-//! the pipe never carried — `!`-prefixed notices (`!shed queue-full`,
+//! Reply semantics are frontend mode's, which runs on this same
+//! scheduler with the backend child as its one connection: only lines
+//! the session *sends to the application* (echo output) reach the
+//! client; command results and errors do not. The server adds exactly
+//! one thing the pipe never carried — `!`-prefixed notices (`!shed queue-full`,
 //! `!parked <id>`, `!restored <id>`), which appear only past the
 //! configured limits or around an explicit park/restore, so a client
 //! inside its limits sees a byte-identical stream.
@@ -52,6 +54,11 @@ use crate::event_loop::ConnIo;
 use crate::registry::{LineCount, Registry, SessionId, LIMIT_KEYS};
 use wafe_trace::Metric;
 
+/// A fault plan shared by the scheduler (the `display` point) and a
+/// connection that consults the other points — frontend mode's backend
+/// child — so one session has one plan and one set of trigger counts.
+pub type SharedPlan = Rc<RefCell<Option<FaultPlan>>>;
+
 /// Deferred `session park`/`session restore` requests. The control
 /// handler runs *inside* the session's own interpreter, which cannot
 /// snapshot or replace the engine it is executing in — so the handler
@@ -68,7 +75,7 @@ pub struct SessionCtl {
 /// steps work on the transport fields of the same record.
 pub(crate) struct Session {
     id: SessionId,
-    engine: ProtocolEngine,
+    pub(crate) engine: ProtocolEngine,
     ctl: Rc<SessionCtl>,
     display: Rc<DisplayCtl>,
     /// The registry slot's `serve sessions` line count.
@@ -106,13 +113,26 @@ impl Session {
         self.inbound.len() >= self.cap
     }
 
-    /// Queues one decoded line, or counts it shed on a full queue.
-    pub(crate) fn push_inbound(&mut self, line: String) {
-        if !self.inbound_full() {
-            self.inbound.push_back(line);
-        } else {
-            self.shed += 1;
+    /// Frames a chunk the connection read: the complete lines pass the
+    /// connection's [`admit`](ConnIo::admit) hook into the inbound
+    /// queue, or are counted shed on a full queue; each line the codec
+    /// discarded as over-long is reported to the engine. Returns the
+    /// lines queued or shed.
+    pub(crate) fn frame_bytes(&mut self, bytes: &[u8]) -> usize {
+        let mut lines = self.codec.push(bytes);
+        self.io.admit(&mut lines);
+        for _ in 0..self.codec.take_overflows() {
+            self.engine.reject_overlong();
         }
+        let n = lines.len();
+        for line in lines {
+            if !self.inbound_full() {
+                self.inbound.push_back(line);
+            } else {
+                self.shed += 1;
+            }
+        }
+        n
     }
 
     /// Ends the session: its slot goes back to the registry and its
@@ -143,7 +163,12 @@ pub struct Scheduler {
     passthrough: Vec<(SessionId, String)>,
     now_ms: u64,
     drain_started_ms: Option<u64>,
-    faults: Option<FaultPlan>,
+    faults: SharedPlan,
+    /// Resource lines merged into each new session before its
+    /// `topLevel` exists.
+    resources: String,
+    /// Leave the engines' protocol errors for the driver to take.
+    keep_errors: bool,
 }
 
 impl Scheduler {
@@ -160,14 +185,31 @@ impl Scheduler {
             drain_started_ms: None,
             // The server binary validates the spec loudly at startup;
             // here an unset/invalid variable just means no plan.
-            faults: FaultPlan::from_env().and_then(Result::ok),
+            faults: Rc::new(RefCell::new(FaultPlan::from_env().and_then(Result::ok))),
+            resources: String::new(),
+            keep_errors: false,
         }
     }
 
     /// Replaces the fault-injection plan (the deterministic chaos tests
-    /// script faults here instead of through the environment).
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.faults = plan;
+    /// script faults here instead of through the environment). Returns
+    /// the plan's handle, for a connection to consult the same plan.
+    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) -> SharedPlan {
+        *self.faults.borrow_mut() = plan;
+        self.faults.clone()
+    }
+
+    /// Sets resource lines (an app-defaults file, `-xrm` lines) that
+    /// every session attached from now on starts with.
+    pub fn set_resources(&mut self, resources: String) {
+        self.resources = resources;
+    }
+
+    /// Keeps each engine's protocol errors for the driver to take
+    /// (frontend mode prints them) instead of discarding them once
+    /// counted.
+    pub fn set_keep_errors(&mut self, keep: bool) {
+        self.keep_errors = keep;
     }
 
     /// The shared registry.
@@ -199,17 +241,11 @@ impl Scheduler {
 
     /// Builds the session for an admitted connection and takes it into
     /// the round-robin ring. Returns its poll token.
-    pub fn attach(&mut self, id: SessionId, io: Box<dyn ConnIo>) -> usize {
+    pub fn attach(&mut self, id: SessionId, mut io: Box<dyn ConnIo>) -> usize {
         let ctl = Rc::new(SessionCtl::default());
         let display = Rc::new(DisplayCtl::default());
-        let engine = build_engine(
-            &self.registry,
-            id,
-            self.flavor,
-            self.telemetry,
-            &ctl,
-            &display,
-        );
+        let mut engine = self.build_engine(id, &ctl, &display);
+        io.bind(&mut engine.session);
         let tel = engine.session.telemetry.clone();
         tel.count(Metric::ServeAccept);
         tel.set_gauge(Metric::ServeSessionsActive, self.registry.active() as u64);
@@ -298,6 +334,12 @@ impl Scheduler {
                     break;
                 }
             }
+            let backlog = if ran == quantum {
+                entry.inbound.len()
+            } else {
+                0
+            };
+            entry.io.after_turn(&mut entry.engine, backlog);
             if ran > 0 {
                 dispatched += ran;
                 entry.last_activity_ms = self.now_ms;
@@ -334,14 +376,16 @@ impl Scheduler {
                 self.passthrough.push((entry.id, p));
             }
             // Protocol errors are counted as ipc.errors.
-            let _ = entry.engine.take_errors();
+            if !self.keep_errors {
+                let _ = entry.engine.take_errors();
+            }
             // The display frame pump: after the replies, so a frame
             // never delays the lines whose commands produced it.
             pump_frame(
                 &entry.engine.session,
                 &entry.display,
                 &mut entry.frame,
-                &mut self.faults,
+                &mut self.faults.borrow_mut(),
             );
             tel.set_gauge(Metric::ServeQueueDepth, entry.inbound.len() as u64);
             let quit = entry.engine.session.quit_requested();
@@ -365,10 +409,14 @@ impl Scheduler {
         dispatched
     }
 
-    /// Advances the virtual clock: idle eviction and the drain timeout
-    /// are decided here, against virtual time only.
+    /// Advances the virtual clock: each connection's deadlines, idle
+    /// eviction and the drain timeout are decided here, against virtual
+    /// time only.
     pub fn advance(&mut self, ms: u64) {
         self.now_ms = self.now_ms.saturating_add(ms);
+        for s in self.sessions.iter_mut().flatten() {
+            s.io.tick(self.now_ms);
+        }
         let limits = self.registry.limits();
         if limits.idle_evict_ms > 0 && !self.registry.draining() {
             for i in 0..self.sessions.len() {
@@ -441,6 +489,32 @@ impl Scheduler {
         entry.finish(&self.registry);
     }
 
+    /// A fully wired engine for session `id`: the scheduler's startup
+    /// resources, telemetry per the server flag and rolled up into the
+    /// session's shard, and the `serve`, `session` and `display` control
+    /// handlers installed. Used both for freshly attached connections
+    /// and for restored engines (which share the connection's
+    /// [`SessionCtl`]).
+    fn build_engine(
+        &self,
+        id: SessionId,
+        ctl: &Rc<SessionCtl>,
+        display: &Rc<DisplayCtl>,
+    ) -> ProtocolEngine {
+        let registry = &self.registry;
+        let session = WafeSession::with_resources(self.flavor, &self.resources);
+        let mut engine = ProtocolEngine::from_session(session);
+        let tel = &engine.session.telemetry;
+        tel.roll_up_into(registry.shard_counters(registry.shard_of(id)));
+        if self.telemetry {
+            tel.set_enabled(true);
+        }
+        install_serve_control(registry, &mut engine.session);
+        install_session_control(registry, ctl, &mut engine.session);
+        install_display_control(display, &mut engine.session);
+        engine
+    }
+
     /// Replaces session `i`'s engine with one restored from the parked
     /// snapshot `old`, then replays the snapshot's outbound lines to
     /// the client right after the `!restored` ack — in exactly the
@@ -462,15 +536,11 @@ impl Scheduler {
                 entry.out.push_back(format!("!restore-failed {old} {e}"));
             }
             Ok(snap) => {
-                let mut engine = build_engine(
-                    &self.registry,
-                    entry.id,
-                    self.flavor,
-                    self.telemetry,
-                    &entry.ctl,
-                    &entry.display,
-                );
+                let (id, ctl, display) = (entry.id, entry.ctl.clone(), entry.display.clone());
+                let mut engine = self.build_engine(id, &ctl, &display);
+                let entry = self.sessions[i].as_mut().expect("a live session");
                 let report = snap.restore_into(&mut engine.session);
+                entry.io.bind(&mut engine.session);
                 let tel = engine.session.telemetry.clone();
                 // Output the outgoing engine still held is flushed
                 // before the swap — it precedes the restore causally
@@ -492,31 +562,6 @@ impl Scheduler {
             }
         }
     }
-}
-
-/// A fully wired serve-mode engine for session `id`: telemetry per the
-/// server flag and rolled up into the session's shard, and the `serve`
-/// and `session` control handlers installed. Used both for freshly
-/// attached connections and for restored engines (which share the
-/// connection's [`SessionCtl`]).
-fn build_engine(
-    registry: &Arc<Registry>,
-    id: SessionId,
-    flavor: Flavor,
-    telemetry: bool,
-    ctl: &Rc<SessionCtl>,
-    display: &Rc<DisplayCtl>,
-) -> ProtocolEngine {
-    let mut engine = ProtocolEngine::new(flavor);
-    let tel = &engine.session.telemetry;
-    tel.roll_up_into(registry.shard_counters(registry.shard_of(id)));
-    if telemetry {
-        tel.set_enabled(true);
-    }
-    install_serve_control(registry, &mut engine.session);
-    install_session_control(registry, ctl, &mut engine.session);
-    install_display_control(display, &mut engine.session);
-    engine
 }
 
 /// Registers the `serve` command on one session's interpreter,
@@ -553,33 +598,42 @@ fn serve_control(
             r.begin_drain();
             Ok(String::new())
         }
-        Some("limits") => match argv.len() {
-            2 => {
-                let words: Vec<String> = LIMIT_KEYS
-                    .iter()
-                    .flat_map(|k| {
-                        [
-                            k.to_string(),
-                            r.get_limit(k).expect("every listed key resolves"),
-                        ]
-                    })
-                    .collect();
-                Ok(wafe_tcl::list_join(&words))
-            }
-            3 => r.get_limit(argv[2].as_str()).ok_or_else(|| {
-                format!(
-                    "unknown limit \"{}\": must be one of {}",
-                    argv[2],
-                    LIMIT_KEYS.join(", ")
-                )
-            }),
-            4 => {
-                r.set_limit(argv[2].as_str(), argv[3].as_str())?;
-                Ok(String::new())
-            }
-            _ => Err(format!("wrong # args: should be \"{USAGE}\"")),
-        },
+        Some("limits") => settings(
+            (LIMIT_KEYS, "limit", USAGE),
+            &argv[2..],
+            |key| r.get_limit(key),
+            |key, value| r.set_limit(key, value),
+        ),
         _ => Err(format!("wrong # args: should be \"{USAGE}\"")),
+    }
+}
+
+/// A `key ?value?` settings subcommand (`serve limits`, `backend
+/// config`) over `args`: none lists every key with its value, a key
+/// reads one, a key and a value set it. `what` names a key in the
+/// unknown-key error, `usage` the command in the argument-count one.
+pub(crate) fn settings(
+    (keys, what, usage): (&[&str], &str, &str),
+    args: &[Value],
+    get: impl Fn(&str) -> Option<String>,
+    set: impl FnOnce(&str, &str) -> Result<(), String>,
+) -> Result<String, String> {
+    match args {
+        [] => {
+            let words: Vec<String> = keys
+                .iter()
+                .flat_map(|k| [k.to_string(), get(k).expect("every listed key resolves")])
+                .collect();
+            Ok(wafe_tcl::list_join(&words))
+        }
+        [key] => get(key.as_str()).ok_or_else(|| {
+            format!(
+                "unknown {what} \"{key}\": must be one of {}",
+                keys.join(", ")
+            )
+        }),
+        [key, value] => set(key.as_str(), value.as_str()).map(|()| String::new()),
+        _ => Err(format!("wrong # args: should be \"{usage}\"")),
     }
 }
 

@@ -82,7 +82,7 @@ impl SimNet {
     /// A directly attached connection pair, bypassing the accept queue
     /// (for tests that drive an [`EventLoop`](crate::EventLoop)
     /// without an accept loop).
-    pub fn socketpair(&self) -> (SimClient, Box<dyn ConnIo>) {
+    pub fn socketpair(&self) -> (SimClient, Box<dyn ConnIo + Send>) {
         let fd = self.new_conn();
         (
             SimClient {
@@ -102,7 +102,7 @@ impl SimNet {
     /// [`socket_wake`](crate::event_loop::socket_wake) does for real.
     pub fn wake_pair(&self) -> (Box<dyn ConnIo>, Arc<dyn Wake>) {
         let (client, io) = self.socketpair();
-        (io, Arc::new(client))
+        (io as Box<dyn ConnIo>, Arc::new(client))
     }
 
     /// Enqueues a client connection for the accept loop; the returned
@@ -308,14 +308,14 @@ impl Acceptor for SimAcceptor {
         SIM_LISTENER_FD
     }
 
-    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo>, String)>> {
+    fn accept(&mut self) -> io::Result<Option<(Box<dyn ConnIo + Send>, String)>> {
         let popped = self.net.lock().accept_queue.pop_front();
         match popped {
             Some(Ok(fd)) => Ok(Some((
                 Box::new(SimConnIo {
                     net: self.net.clone(),
                     fd,
-                }) as Box<dyn ConnIo>,
+                }) as Box<dyn ConnIo + Send>,
                 format!("sim/{fd}"),
             ))),
             Some(Err(errno)) => Err(io::Error::from_raw_os_error(errno)),

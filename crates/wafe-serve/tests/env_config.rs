@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use wafe_ipc::supervisor::SupervisorConfig;
 use wafe_ipc::FaultPlan;
+use wafe_serve::supervisor::SupervisorConfig;
 
 fn from_map(vars: &[(&str, &str)]) -> (SupervisorConfig, Vec<String>) {
     let map: HashMap<String, String> = vars
@@ -28,7 +28,6 @@ fn supervisor_happy_path_parses_all_vars() {
         ("WAFE_BACKEND_BACKOFF", "10"),
         ("WAFE_BACKEND_BACKOFF_MAX", "80"),
         ("WAFE_BACKEND_FLOOD_LINES", "100"),
-        ("WAFE_BACKEND_FLOOD_BYTES", "4096"),
         ("WAFE_BACKEND_QUEUE", "16"),
         ("WAFE_BACKEND_RESTART_ON_EXIT", "1"),
         ("WAFE_BACKEND_STAY_ALIVE", "0"),
@@ -40,7 +39,6 @@ fn supervisor_happy_path_parses_all_vars() {
     assert_eq!(c.backoff_base_ms, 10);
     assert_eq!(c.backoff_max_ms, 80);
     assert_eq!(c.max_lines_per_tick, 100);
-    assert_eq!(c.max_buffered_bytes, 4096);
     assert_eq!(c.queue_cap, 16);
     assert!(c.restart_on_exit);
     assert!(!c.stay_alive_when_broken);

@@ -604,6 +604,33 @@ fn quit_command_releases_the_session() {
     assert_eq!(status(&registry, "closed"), 1);
 }
 
+/// One line-length rule: a line past the 64 KiB limit is discarded by
+/// the codec and never runs, but it is counted — one `ipc.errors` — and
+/// the session answers the next line.
+#[test]
+fn an_overlong_line_is_counted_and_the_next_one_answered() {
+    let (mut el, net) = event_loop(Arc::new(Registry::new(Limits::default())), true);
+    let (client, _) = session(&mut el, &net, "long");
+    let long = format!("%set big {}", "x".repeat(70 * 1024));
+    send(
+        &client,
+        &[
+            long.as_str(),
+            "%echo ok",
+            "%echo [info exists big] [telemetry snapshot ipc.errors]",
+        ],
+    );
+    // The long line spans more than one sweep.
+    for _ in 0..4 {
+        tick(&mut el);
+    }
+    let got = client.received_lines();
+    assert_eq!(got.len(), 2, "{got:?}");
+    assert_eq!(got[0], "ok");
+    assert!(got[1].starts_with("0 "), "big never set: {}", got[1]);
+    assert_eq!(value_in(&got[1], "ipc.errors"), 1, "{}", got[1]);
+}
+
 #[test]
 fn serve_command_reports_and_drains_from_inside_a_session() {
     let (mut el, net) = server(Limits {

@@ -4,18 +4,19 @@
 //!
 //! Determinism rules: faults trigger on *line/chunk ordinals* (stable
 //! whatever the pipe chunking), garbling is seeded, and every timeout
-//! decision runs on the supervisor's virtual tick clock — the test
+//! decision runs on the scheduler's virtual tick clock — the test
 //! loops below are bounded step counts, never wall-clock sleeps in the
 //! assertions.
 
 use std::time::Duration;
 
-use wafe_ipc::{BackendState, FaultPlan, Frontend, FrontendConfig, SupervisorConfig};
+use wafe_ipc::FaultPlan;
+use wafe_serve::{BackendState, Frontend, FrontendConfig, SupervisorConfig};
 use wafe_trace::Metric;
 
 /// One `ipc.supervisor.*` event total from the session's store.
 fn stat(fe: &Frontend, m: Metric) -> u64 {
-    fe.engine.session.telemetry.value(m)
+    fe.engine().session.telemetry.value(m)
 }
 
 /// `backend status`, for assertion messages.
@@ -80,7 +81,7 @@ fn kill_mid_line_restarts_and_replays() {
     let script = "echo '%set a 1'; echo '%set b 2'; echo '%set c 3'; sleep 5";
     let mut fe = spawn_sh(script, fast_restarts(3), "line:kill@2");
     run_until(&mut fe, 500, |fe| {
-        stat(fe, Metric::IpcSupervisorRestarts) >= 1 && fe.engine.session.interp.var_exists("c")
+        stat(fe, Metric::IpcSupervisorRestarts) >= 1 && fe.engine().session.interp.var_exists("c")
     });
     assert_eq!(
         stat(&fe, Metric::IpcSupervisorRestarts),
@@ -96,7 +97,7 @@ fn kill_mid_line_restarts_and_replays() {
     assert_eq!(fe.backend_state(), BackendState::Running);
     for (var, val) in [("a", "1"), ("b", "2"), ("c", "3")] {
         assert_eq!(
-            fe.engine.session.interp.get_var(var).unwrap(),
+            fe.engine().session.interp.get_var(var).unwrap(),
             val,
             "replayed incarnation must set {var}"
         );
@@ -107,13 +108,9 @@ fn kill_mid_line_restarts_and_replays() {
 #[test]
 fn exit_with_output_still_in_the_pipe_loses_no_line() {
     // 640 lines of 64 bytes: 40 KiB, which fits the pipe buffer (the
-    // child never blocks) but needs several reads at a 4 KiB per-tick
-    // cap (one 16 KiB read each).
+    // child never blocks) but needs several reads.
     let script = r#"awk 'BEGIN { for (i = 0; i < 640; i++) printf "%-63s\n", (i ? "%incr n" : "%set n 1") }'"#;
-    let config = SupervisorConfig {
-        max_buffered_bytes: 4096,
-        ..SupervisorConfig::default()
-    };
+    let config = SupervisorConfig::default();
     let mut fe = spawn_sh(script, config, "");
     // The child writes everything, then exits; nothing is read yet. The
     // first tick therefore already sees the exit with 40 KiB unread.
@@ -123,7 +120,7 @@ fn exit_with_output_still_in_the_pipe_loses_no_line() {
     run_to_end(&mut fe, 100);
     assert_eq!(fe.backend_state(), BackendState::Exited);
     assert_eq!(
-        fe.engine.session.eval("set n").unwrap(),
+        fe.engine_mut().session.eval("set n").unwrap(),
         "640",
         "every line written before the exit must be handled"
     );
@@ -150,7 +147,7 @@ fn wedged_backend_trips_read_timeout_then_breaker() {
     assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 2);
     assert_eq!(stat(&fe, Metric::IpcSupervisorBreakerTrips), 1);
     assert!(
-        !fe.engine.session.interp.var_exists("alive"),
+        !fe.engine().session.interp.var_exists("alive"),
         "wedged chunks must never reach the interpreter"
     );
     fe.kill();
@@ -166,7 +163,7 @@ fn flood_is_throttled_not_fatal() {
     supervisor.max_lines_per_tick = 50;
     let mut fe = spawn_sh(script, supervisor, "line:flood=300@2");
     run_until(&mut fe, 500, |fe| {
-        fe.engine
+        fe.engine()
             .session
             .interp
             .get_var("n")
@@ -195,15 +192,15 @@ fn garbled_line_is_contained() {
     let script = "echo '%set before ok'; echo '%set target val'; echo '%set after ok'; sleep 5";
     let mut fe = spawn_sh(script, fast_restarts(0), "line:garble@2;seed=42");
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("after")
+        fe.engine().session.interp.var_exists("after")
     });
-    assert_eq!(fe.engine.session.interp.get_var("before").unwrap(), "ok");
-    assert_eq!(fe.engine.session.interp.get_var("after").unwrap(), "ok");
+    assert_eq!(fe.engine().session.interp.get_var("before").unwrap(), "ok");
+    assert_eq!(fe.engine().session.interp.get_var("after").unwrap(), "ok");
     assert!(
-        !fe.engine.session.interp.var_exists("target"),
+        !fe.engine().session.interp.var_exists("target"),
         "the garbled line must not have executed as written"
     );
-    let errors = fe.engine.take_errors();
+    let errors = fe.engine_mut().take_errors();
     assert!(
         !errors.is_empty(),
         "garbled command line must surface as a protocol error"
@@ -223,8 +220,8 @@ fn slow_drip_delays_but_loses_nothing() {
     let mut fe = spawn_sh(script, fast_restarts(0), "read:delay=30");
     run_to_end(&mut fe, 500);
     assert_eq!(fe.backend_state(), BackendState::Exited);
-    assert_eq!(fe.engine.session.interp.get_var("d1").unwrap(), "1");
-    assert_eq!(fe.engine.session.interp.get_var("d2").unwrap(), "2");
+    assert_eq!(fe.engine().session.interp.get_var("d1").unwrap(), "1");
+    assert_eq!(fe.engine().session.interp.get_var("d2").unwrap(), "2");
     assert!(
         stat(&fe, Metric::IpcSupervisorFaultsInjected) >= 1,
         "{:?}",
@@ -243,9 +240,12 @@ fn killed_backend_restarts_and_flushes_queue_in_order() {
     let mut fe = spawn_sh(script, fast_restarts(3), "");
     fe.send_to_app("one").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("order_one")
+        fe.engine().session.interp.var_exists("order_one")
     });
-    assert_eq!(fe.engine.session.interp.get_var("order_one").unwrap(), "1");
+    assert_eq!(
+        fe.engine().session.interp.get_var("order_one").unwrap(),
+        "1"
+    );
 
     fe.kill_backend();
     // The first send hits the dead pipe -> fault -> queued; the rest
@@ -254,7 +254,7 @@ fn killed_backend_restarts_and_flushes_queue_in_order() {
     fe.send_to_app("three").unwrap();
     fe.send_to_app("four").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("order_four")
+        fe.engine().session.interp.var_exists("order_four")
     });
     assert_eq!(
         stat(&fe, Metric::IpcSupervisorRestarts),
@@ -265,12 +265,18 @@ fn killed_backend_restarts_and_flushes_queue_in_order() {
     assert_eq!(stat(&fe, Metric::IpcSupervisorQueueFlushed), 3);
     assert_eq!(stat(&fe, Metric::IpcSupervisorQueueDropped), 0);
     // The new incarnation counts from 1: order proves in-order flush.
-    assert_eq!(fe.engine.session.interp.get_var("order_two").unwrap(), "1");
     assert_eq!(
-        fe.engine.session.interp.get_var("order_three").unwrap(),
+        fe.engine().session.interp.get_var("order_two").unwrap(),
+        "1"
+    );
+    assert_eq!(
+        fe.engine().session.interp.get_var("order_three").unwrap(),
         "2"
     );
-    assert_eq!(fe.engine.session.interp.get_var("order_four").unwrap(), "3");
+    assert_eq!(
+        fe.engine().session.interp.get_var("order_four").unwrap(),
+        "3"
+    );
     assert_eq!(fe.backend_state(), BackendState::Running);
     fe.kill();
 }
@@ -284,7 +290,7 @@ fn queue_overflow_drops_newest_with_accounting() {
     let mut fe = spawn_sh(script, supervisor, "");
     fe.send_to_app("ready").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("got_ready")
+        fe.engine().session.interp.var_exists("got_ready")
     });
 
     fe.kill_backend();
@@ -301,27 +307,30 @@ fn queue_overflow_drops_newest_with_accounting() {
         3,
         "cap 2: a+b kept, c/d/e dropped"
     );
-    let status = fe.engine.session.eval("backend status").unwrap();
+    let status = fe.engine_mut().session.eval("backend status").unwrap();
     assert!(status.contains("broken"), "{status}");
     assert!(status.contains("dropped 3"), "{status}");
-    assert_eq!(fe.engine.session.eval("backend queue").unwrap(), "a b");
+    assert_eq!(
+        fe.engine_mut().session.eval("backend queue").unwrap(),
+        "a b"
+    );
 
     // `backend restart` resets the breaker and flushes what was kept.
-    fe.engine.session.eval("backend restart").unwrap();
+    fe.engine_mut().session.eval("backend restart").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("got_b")
+        fe.engine().session.interp.var_exists("got_b")
     });
     assert_eq!(stat(&fe, Metric::IpcSupervisorRestarts), 1);
     assert_eq!(stat(&fe, Metric::IpcSupervisorQueueFlushed), 2);
     assert_eq!(fe.backend_state(), BackendState::Running);
-    assert!(fe.engine.session.interp.var_exists("got_a"));
+    assert!(fe.engine().session.interp.var_exists("got_a"));
     assert!(
-        !fe.engine.session.interp.var_exists("got_c"),
+        !fe.engine().session.interp.var_exists("got_c"),
         "c was dropped"
     );
 
     // `backend kill` ends the backend for good; the loop reports done.
-    fe.engine.session.eval("backend kill").unwrap();
+    fe.engine_mut().session.eval("backend kill").unwrap();
     run_to_end(&mut fe, 500);
     assert_eq!(fe.backend_state(), BackendState::Exited);
 }
@@ -342,14 +351,20 @@ fn park_and_restore_into_a_fresh_process_replays_the_queue_byte_identically() {
         control.send_to_app(msg).unwrap();
     }
     run_until(&mut control, 500, |fe| {
-        fe.engine
+        fe.engine()
             .session
             .interp
             .get_var("log")
             .map(|v| v == "one two three")
             .unwrap_or(false)
     });
-    let want: String = control.engine.session.interp.get_var("log").unwrap().into();
+    let want: String = control
+        .engine()
+        .session
+        .interp
+        .get_var("log")
+        .unwrap()
+        .into();
     control.kill();
 
     // Experiment: "one" is delivered, then the backend dies
@@ -359,13 +374,13 @@ fn park_and_restore_into_a_fresh_process_replays_the_queue_byte_identically() {
     let mut supervisor = fast_restarts(0);
     supervisor.stay_alive_when_broken = true;
     let mut fe = spawn_sh(script, supervisor, "");
-    fe.engine
+    fe.engine_mut()
         .session
         .eval("proc stamp {x} {return \"tagged $x\"}")
         .unwrap();
     fe.send_to_app("one").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("log")
+        fe.engine().session.interp.var_exists("log")
     });
     fe.kill_backend();
     fe.send_to_app("two").unwrap();
@@ -384,7 +399,7 @@ fn park_and_restore_into_a_fresh_process_replays_the_queue_byte_identically() {
     assert!(report.globals >= 1, "{report:?}");
     assert!(report.procs >= 1, "{report:?}");
     run_until(&mut fe2, 500, |fe| {
-        fe.engine
+        fe.engine()
             .session
             .interp
             .get_var("log")
@@ -392,13 +407,13 @@ fn park_and_restore_into_a_fresh_process_replays_the_queue_byte_identically() {
             .unwrap_or(false)
     });
     assert_eq!(
-        String::from(fe2.engine.session.interp.get_var("log").unwrap()),
+        String::from(fe2.engine().session.interp.get_var("log").unwrap()),
         want,
         "park + restore + replay must be byte-identical to the control run"
     );
     // Interp state (the proc) came through the snapshot too.
     assert_eq!(
-        fe2.engine.session.eval("stamp done").unwrap(),
+        fe2.engine_mut().session.eval("stamp done").unwrap(),
         "tagged done"
     );
     assert_eq!(stat(&fe2, Metric::IpcSupervisorQueueDropped), 0);
@@ -439,30 +454,33 @@ fn faultpoint_command_scripts_the_plan_at_runtime() {
     let mut fe = spawn_sh(script, fast_restarts(3), "");
     fe.send_to_app("before").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("got_before")
+        fe.engine().session.interp.var_exists("got_before")
     });
     // Install a plan from Tcl: drop every line from now on.
     assert_eq!(
-        fe.engine.session.eval("faultpoint set line:drop").unwrap(),
+        fe.engine_mut()
+            .session
+            .eval("faultpoint set line:drop")
+            .unwrap(),
         "1"
     );
-    let listing = fe.engine.session.eval("faultpoint list").unwrap();
+    let listing = fe.engine_mut().session.eval("faultpoint list").unwrap();
     assert!(listing.contains("line:drop"), "{listing}");
     fe.send_to_app("during").unwrap();
     for _ in 0..20 {
         fe.step(Duration::from_millis(10)).unwrap();
     }
     assert!(
-        !fe.engine.session.interp.var_exists("got_during"),
+        !fe.engine().session.interp.var_exists("got_during"),
         "lines are dropped while the plan is active"
     );
     assert!(stat(&fe, Metric::IpcSupervisorFaultsInjected) >= 1);
     // Clear it: traffic flows again.
-    fe.engine.session.eval("faultpoint clear").unwrap();
-    assert_eq!(fe.engine.session.eval("faultpoint list").unwrap(), "");
+    fe.engine_mut().session.eval("faultpoint clear").unwrap();
+    assert_eq!(fe.engine_mut().session.eval("faultpoint list").unwrap(), "");
     fe.send_to_app("after").unwrap();
     run_until(&mut fe, 500, |fe| {
-        fe.engine.session.interp.var_exists("got_after")
+        fe.engine().session.interp.var_exists("got_after")
     });
     fe.kill();
 }
@@ -472,29 +490,50 @@ fn backend_config_reads_and_writes_knobs() {
     let script = "sleep 5";
     let mut fe = spawn_sh(script, fast_restarts(0), "");
     // Full listing is a flat key/value list containing every knob.
-    let listing = fe.engine.session.eval("backend config").unwrap();
+    let listing = fe.engine_mut().session.eval("backend config").unwrap();
     for key in ["readTimeout", "retries", "queueCap", "floodLines"] {
         assert!(listing.contains(key), "{listing}");
     }
     assert_eq!(
-        fe.engine
+        fe.engine_mut()
             .session
             .eval("backend config readTimeout")
             .unwrap(),
         "0"
     );
-    fe.engine
+    fe.engine_mut()
         .session
         .eval("backend config readTimeout 250")
         .unwrap();
     assert_eq!(
-        fe.engine
+        fe.engine_mut()
             .session
             .eval("backend config readTimeout")
             .unwrap(),
         "250"
     );
-    assert!(fe.engine.session.eval("backend config bogusKnob").is_err());
-    assert!(fe.engine.session.eval("backend bogus-subcommand").is_err());
+    assert!(fe
+        .engine_mut()
+        .session
+        .eval("backend config bogusKnob")
+        .is_err());
+    assert!(fe
+        .engine_mut()
+        .session
+        .eval("backend bogus-subcommand")
+        .is_err());
+    fe.kill();
+}
+
+#[test]
+fn a_backend_that_never_reads_stdin_never_stalls_the_loop() {
+    // 200 KB outgrow the pipe buffer of a child that never reads its
+    // stdin. The write takes what fits and waits for writability
+    // instead of blocking the loop until the child exits.
+    let mut fe = spawn_sh("sleep 30", fast_restarts(0), "");
+    fe.send_to_app(&"x".repeat(200_000)).unwrap();
+    assert!(fe.step(Duration::from_millis(10)).unwrap());
+    assert!(!fe.backend_exited(), "the child is still sleeping");
+    assert_eq!(fe.backend_state(), BackendState::Running);
     fe.kill();
 }

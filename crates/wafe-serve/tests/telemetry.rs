@@ -5,7 +5,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use wafe_core::Flavor;
-use wafe_ipc::{Frontend, FrontendConfig, ProtocolEngine};
+use wafe_ipc::ProtocolEngine;
+use wafe_serve::{Frontend, FrontendConfig};
 use wafe_tcl::parse_list;
 
 fn snapshot(session: &mut wafe_core::WafeSession) -> BTreeMap<String, u64> {
@@ -72,12 +73,12 @@ fn frontend_roundtrip_measured_against_live_backend() {
         ..FrontendConfig::new("sh")
     })
     .expect("spawn sh");
-    fe.engine.session.telemetry.set_enabled(true);
+    fe.engine().session.telemetry.set_enabled(true);
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(20)).unwrap();
         let built = {
-            let app = fe.engine.session.app.borrow();
+            let app = fe.engine().session.app.borrow();
             app.lookup("go")
                 .map(|w| app.is_realized(w))
                 .unwrap_or(false)
@@ -89,7 +90,7 @@ fn frontend_roundtrip_measured_against_live_backend() {
     // Click the button: the callback echoes "clicked" to the backend,
     // which answers with a %set line — a full round trip.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let go = app.lookup("go").unwrap();
         let win = app.widget(go).window.unwrap();
         let abs = app.displays[0].abs_rect(win);
@@ -98,15 +99,15 @@ fn frontend_roundtrip_measured_against_live_backend() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(20)).unwrap();
-        if fe.engine.session.interp.var_exists("answer") {
+        if fe.engine().session.interp.var_exists("answer") {
             break;
         }
     }
     assert_eq!(
-        fe.engine.session.interp.get_var("answer").unwrap(),
+        fe.engine().session.interp.get_var("answer").unwrap(),
         "clicked"
     );
-    let snap = snapshot(&mut fe.engine.session);
+    let snap = snapshot(&mut fe.engine_mut().session);
     assert!(snap["ipc.lines.sent"] >= 1, "{snap:?}");
     assert!(snap["ipc.bytes.sent"] >= "clicked".len() as u64);
     assert!(snap["ipc.lines.received"] >= 1);
@@ -138,18 +139,21 @@ fn roundtrip_span_shares_the_trace_of_its_causing_command() {
         ..FrontendConfig::new("sh")
     })
     .expect("spawn sh");
-    fe.engine.session.telemetry.set_enabled(true);
-    fe.engine.session.telemetry.set_spans_enabled(true);
-    fe.engine.handle_line("%echo ping").unwrap();
+    fe.engine().session.telemetry.set_enabled(true);
+    fe.engine().session.telemetry.set_spans_enabled(true);
+    fe.engine_mut().handle_line("%echo ping").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(20)).unwrap();
-        if fe.engine.session.interp.var_exists("answer") {
+        if fe.engine().session.interp.var_exists("answer") {
             break;
         }
     }
-    assert_eq!(fe.engine.session.interp.get_var("answer").unwrap(), "ping");
-    let spans = fe.engine.session.telemetry.spans_recent(usize::MAX);
+    assert_eq!(
+        fe.engine().session.interp.get_var("answer").unwrap(),
+        "ping"
+    );
+    let spans = fe.engine().session.telemetry.spans_recent(usize::MAX);
     let cmd = spans
         .iter()
         .find(|s| s.kind == "ipc.command" && s.detail == "%echo ping")
@@ -169,13 +173,13 @@ fn roundtrip_span_shares_the_trace_of_its_causing_command() {
     assert_ne!(reply.trace, cmd.trace);
     // Fault attribution: the kill's supervisor.exit event carries the
     // active trace ID.
-    fe.engine.session.eval("backend kill").unwrap();
+    fe.engine_mut().session.eval("backend kill").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut journal = String::new();
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(20)).unwrap();
         journal = fe
-            .engine
+            .engine_mut()
             .session
             .eval("telemetry journal")
             .unwrap()

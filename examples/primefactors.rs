@@ -10,7 +10,7 @@
 use std::time::{Duration, Instant};
 
 use wafe::core::Flavor;
-use wafe::ipc::{Frontend, FrontendConfig};
+use wafe::serve::{Frontend, FrontendConfig};
 
 fn backend_path() -> std::path::PathBuf {
     // examples live in target/<profile>/examples/, binaries one level up.
@@ -42,7 +42,7 @@ fn main() {
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
         let ready = {
-            let app = fe.engine.session.app.borrow();
+            let app = fe.engine().session.app.borrow();
             app.lookup("input")
                 .map(|w| app.is_realized(w))
                 .unwrap_or(false)
@@ -54,13 +54,16 @@ fn main() {
     println!("--- widget tree built by the backend: ---");
     println!(
         "{}",
-        fe.engine.session.eval("snapshot 0 0 280 100").unwrap()
+        fe.engine_mut()
+            .session
+            .eval("snapshot 0 0 280 100")
+            .unwrap()
     );
 
     // Phase 3: the user types 360 and presses Return; the exec action
     // sends the string to the backend, which factorises and answers.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let input = app.lookup("input").unwrap();
         let win = app.widget(input).window.unwrap();
         app.displays[0].set_input_focus(Some(win));
@@ -71,7 +74,7 @@ fn main() {
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
         result = fe
-            .engine
+            .engine_mut()
             .session
             .eval("gV result label")
             .unwrap_or_default()
@@ -84,11 +87,14 @@ fn main() {
     // The Perl original `unshift`s each factor, so they come out largest
     // first: 5*3*3*2*2*2.
     assert_eq!(result, "5*3*3*2*2*2");
-    println!("info: {}", fe.engine.session.eval("gV info label").unwrap());
+    println!(
+        "info: {}",
+        fe.engine_mut().session.eval("gV info label").unwrap()
+    );
 
     // Invalid input path.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let input = app.lookup("input").unwrap();
         app.set_resource(input, "string", "not-a-number").unwrap();
         let win = app.widget(input).window.unwrap();
@@ -98,18 +104,24 @@ fn main() {
     let deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
-        if fe.engine.session.eval("gV info label").unwrap_or_default() == "(invalid input)" {
+        if fe
+            .engine_mut()
+            .session
+            .eval("gV info label")
+            .unwrap_or_default()
+            == "(invalid input)"
+        {
             break;
         }
     }
     println!(
         "info after bad input: {}",
-        fe.engine.session.eval("gV info label").unwrap()
+        fe.engine_mut().session.eval("gV info label").unwrap()
     );
 
     // Quit via the button.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let quit = app.lookup("quit").unwrap();
         let win = app.widget(quit).window.unwrap();
         let abs = app.displays[0].abs_rect(win);

@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use wafe::core::Flavor;
-use wafe::ipc::{Frontend, FrontendConfig};
+use wafe::serve::{Frontend, FrontendConfig};
 
 fn backend_path() -> std::path::PathBuf {
     let exe = std::env::current_exe().expect("current_exe");
@@ -30,7 +30,7 @@ fn wait_until<F: Fn(&Frontend) -> bool>(fe: &mut Frontend, pred: F) -> bool {
 }
 
 fn status(fe: &Frontend) -> String {
-    let app = fe.engine.session.app.borrow();
+    let app = fe.engine().session.app.borrow();
     match app.lookup("status") {
         Some(s) => app.str_resource(s, "label"),
         None => String::new(),
@@ -56,9 +56,12 @@ fn main() {
     println!("status: {}", status(&fe));
 
     // Retrieve the big tarball (item 1, 8500 bytes) over the data channel.
-    fe.engine.session.eval("listHighlight remote 1").unwrap();
+    fe.engine_mut()
+        .session
+        .eval("listHighlight remote 1")
+        .unwrap();
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let l = app.lookup("remote").unwrap();
         let ev = wafe::xproto::Event::new(
             wafe::xproto::EventKind::ButtonRelease,
@@ -71,15 +74,18 @@ fn main() {
         "mass transfer must complete; status was {:?}",
         status(&fe)
     );
-    let content = fe.engine.session.eval("gV content string").unwrap();
+    let content = fe.engine_mut().session.eval("gV content string").unwrap();
     println!("status: {}", status(&fe));
     println!("retrieved {} bytes over the data channel", content.len());
     assert_eq!(content.len(), "tar-archive-bytes ".len() * 500);
 
     // A small file next, same path.
-    fe.engine.session.eval("listHighlight remote 0").unwrap();
+    fe.engine_mut()
+        .session
+        .eval("listHighlight remote 0")
+        .unwrap();
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let l = app.lookup("remote").unwrap();
         let ev = wafe::xproto::Event::new(
             wafe::xproto::EventKind::ButtonRelease,
@@ -88,17 +94,23 @@ fn main() {
         app.run_action(l, "Notify", &[], &ev);
     }
     assert!(wait_until(&mut fe, |fe| {
-        let app = fe.engine.session.app.borrow();
+        let app = fe.engine().session.app.borrow();
         app.lookup("content")
             .map(|c| app.str_resource(c, "string").contains("USENIX 1993"))
             .unwrap_or(false)
     }));
     println!("README retrieved:\n---");
-    println!("{}", fe.engine.session.eval("gV content string").unwrap());
+    println!(
+        "{}",
+        fe.engine_mut().session.eval("gV content string").unwrap()
+    );
     println!("---");
     println!(
         "\n{}",
-        fe.engine.session.eval("snapshot 0 0 320 240").unwrap()
+        fe.engine_mut()
+            .session
+            .eval("snapshot 0 0 320 240")
+            .unwrap()
     );
     fe.kill();
 }

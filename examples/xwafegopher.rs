@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use wafe::core::Flavor;
-use wafe::ipc::{Frontend, FrontendConfig};
+use wafe::serve::{Frontend, FrontendConfig};
 
 fn backend_path() -> std::path::PathBuf {
     let exe = std::env::current_exe().expect("current_exe");
@@ -30,7 +30,7 @@ fn wait_until<F: Fn(&Frontend) -> bool>(fe: &mut Frontend, pred: F) -> bool {
 }
 
 fn title(fe: &Frontend) -> String {
-    let app = fe.engine.session.app.borrow();
+    let app = fe.engine().session.app.borrow();
     match app.lookup("title") {
         Some(t) => app.str_resource(t, "label"),
         None => String::new(),
@@ -38,11 +38,11 @@ fn title(fe: &Frontend) -> String {
 }
 
 fn select(fe: &mut Frontend, index: usize) {
-    fe.engine
+    fe.engine_mut()
         .session
         .eval(&format!("listHighlight items {index}"))
         .unwrap();
-    let mut app = fe.engine.session.app.borrow_mut();
+    let mut app = fe.engine().session.app.borrow_mut();
     let l = app.lookup("items").unwrap();
     let ev = wafe::xproto::Event::new(
         wafe::xproto::EventKind::ButtonRelease,
@@ -79,7 +79,7 @@ fn main() {
     // Open the wafe-0.93 document (item 0).
     select(&mut fe, 0);
     assert!(wait_until(&mut fe, |fe| {
-        let app = fe.engine.session.app.borrow();
+        let app = fe.engine().session.app.borrow();
         app.lookup("doc")
             .map(|d| app.str_resource(d, "string").contains("Wafe 0.93"))
             .unwrap_or(false)
@@ -88,7 +88,7 @@ fn main() {
 
     // Back to the root.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let b = app.lookup("back").unwrap();
         let abs = app.displays[0].abs_rect(app.widget(b).window.unwrap());
         app.displays[0].inject_click(abs.x + 3, abs.y + 3, 1);
@@ -99,7 +99,10 @@ fn main() {
     println!("\n--- browser window ---");
     println!(
         "{}",
-        fe.engine.session.eval("snapshot 0 0 300 260").unwrap()
+        fe.engine_mut()
+            .session
+            .eval("snapshot 0 0 300 260")
+            .unwrap()
     );
     fe.kill();
 }

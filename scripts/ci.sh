@@ -50,7 +50,7 @@ echo "== supervisor chaos suite x50 (60s guard)"
 timeout 60 sh -c '
     i=1
     while [ $i -le 50 ]; do
-        cargo test -q -p wafe-ipc --test supervisor_chaos --offline \
+        cargo test -q -p wafe-serve --test supervisor_chaos --offline \
             >/dev/null 2>&1 || { echo "chaos run $i failed"; exit 1; }
         i=$((i + 1))
     done
@@ -83,6 +83,24 @@ timeout 60 sh -c '
         i=$((i + 1))
     done
 ' || { echo "snapshot property suite: FAILED (or exceeded 60s)"; exit 1; }
+
+# Frontend-mode smoke test: the release wafe spawns a shell backend
+# with InitCom set by -xrm. The backend's first stdin line must be
+# InitCom, a plain line must reach stdout, a failing %-line's error
+# must reach stderr, and wafe must exit cleanly when the backend does.
+echo "== wafe frontend-mode smoke test (10s guard)"
+timeout 10 sh -c '
+    ./target/release/wafe -xrm "*initCom: hi" --app sh -c \
+        "read first; echo first=\$first; echo plain line; echo %no_such_cmd" \
+        > /tmp/wafe-ci-fe.out 2> /tmp/wafe-ci-fe.err \
+        || { echo "wafe exited non-zero"; exit 1; }
+    grep -qx "first=hi" /tmp/wafe-ci-fe.out \
+        || { echo "InitCom was not the first stdin line"; exit 1; }
+    grep -qx "plain line" /tmp/wafe-ci-fe.out \
+        || { echo "the plain line did not reach stdout"; exit 1; }
+    grep -qx "wafe: invalid command name \"no_such_cmd\"" /tmp/wafe-ci-fe.err \
+        || { echo "the failing line'"'"'s error did not reach stderr"; exit 1; }
+' || { echo "wafe frontend smoke test: FAILED (or exceeded 10s)"; exit 1; }
 
 # waferd smoke test: spawn the release binary, connect N clients over
 # loopback, round-trip one command each, then drain from a client and

@@ -11,7 +11,7 @@ use std::io::{BufRead, Write};
 use std::os::unix::io::FromRawFd;
 
 /// The fd at which the frontend's mass channel is inherited
-/// (`wafe_ipc::frontend::MASS_CHANNEL_CHILD_FD`).
+/// (`wafe_serve::supervisor::MASS_CHANNEL_CHILD_FD`).
 const MASS_FD: i32 = 5;
 
 fn files() -> Vec<(&'static str, String)> {

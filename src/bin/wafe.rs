@@ -15,8 +15,16 @@
 //! `--telemetry` (or `WAFE_TELEMETRY=1`) switches on the telemetry layer
 //! in any mode; a script can then inspect it with `telemetry snapshot`.
 //!
-//! In frontend mode the backend runs under a supervisor
-//! (see `docs/supervisor.md`): `--backend-timeout=MS` and
+//! Every mode starts its session with the app-defaults file named by
+//! `WAFE_APP_DEFAULTS` and the `-xrm` lines merged into the resource
+//! database before `topLevel` exists, so `-xrm '*initCom: …'` reaches
+//! the paper's `InitCom` resource.
+//!
+//! In frontend mode the backend runs under a supervisor, as the one
+//! connection of wafe-serve's event loop (see `docs/supervisor.md`):
+//! InitCom is the first line each backend incarnation reads,
+//! passthrough lines go to stdout and each failed `%`-line's error to
+//! stderr. `--backend-timeout=MS` and
 //! `--backend-retries=N` set the read timeout and restart budget on top
 //! of the `WAFE_BACKEND_*` environment overrides, and `WAFE_FAULTS`
 //! installs a deterministic fault-injection plan for testing.
@@ -24,8 +32,9 @@
 use std::io::{BufRead, Write};
 use std::time::Duration;
 
-use wafe_core::{split_args, Flavor, WafeSession};
-use wafe_ipc::{backend_from_argv0, FaultPlan, Frontend, FrontendConfig, SupervisorConfig};
+use wafe_core::{split_args, Flavor, SplitArgs, WafeSession};
+use wafe_ipc::FaultPlan;
+use wafe_serve::{backend_from_argv0, Frontend, FrontendConfig, SupervisorConfig};
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
@@ -81,16 +90,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let mut session = WafeSession::new(flavor);
-        if split.has_frontend("telemetry") {
-            session.telemetry.set_enabled(true);
-        }
-        session.apply_toolkit_args(&split);
-        load_app_defaults(&mut session);
-        session.set_output_callback(|s| {
-            print!("{s}");
-            let _ = std::io::stdout().flush();
-        });
+        let mut session = local_session(flavor, &split);
         if let Err(e) = session.run_file_text(&text) {
             eprintln!("wafe: {}", e.message());
             std::process::exit(1);
@@ -100,16 +100,7 @@ fn main() {
     }
 
     // Interactive mode.
-    let mut session = WafeSession::new(flavor);
-    if split.has_frontend("telemetry") {
-        session.telemetry.set_enabled(true);
-    }
-    session.apply_toolkit_args(&split);
-    load_app_defaults(&mut session);
-    session.set_output_callback(|s| {
-        print!("{s}");
-        let _ = std::io::stdout().flush();
-    });
+    let mut session = local_session(flavor, &split);
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let line = match line {
@@ -131,10 +122,30 @@ fn main() {
     }
 }
 
-fn run_frontend(program: &str, args: Vec<String>, flavor: Flavor, split: &wafe_core::SplitArgs) {
+/// The session of interactive and file mode: startup resources and
+/// toolkit options applied, output to stdout.
+fn local_session(flavor: Flavor, split: &SplitArgs) -> WafeSession {
+    let mut session = WafeSession::with_resources(flavor, &startup_resources(split));
+    if split.has_frontend("telemetry") {
+        session.telemetry.set_enabled(true);
+    }
+    session.apply_toolkit_args(split);
+    session.set_output_callback(|s| {
+        print!("{s}");
+        let _ = std::io::stdout().flush();
+    });
+    session
+}
+
+fn run_frontend(program: &str, args: Vec<String>, flavor: Flavor, split: &SplitArgs) {
     let mut config = FrontendConfig::new(program);
     config.args = args;
     config.flavor = flavor;
+    // InitCom comes from these resources: "the resource InitCom is
+    // provided, which can be specified in a resource file or by using
+    // the -xrm command line option". The frontend reads it before the
+    // first spawn.
+    config.resources = startup_resources(split);
     // Supervisor policy: WAFE_BACKEND_* environment first, then the
     // dedicated flags on top.
     let (supervisor, env_warnings) = SupervisorConfig::from_env();
@@ -177,20 +188,9 @@ fn run_frontend(program: &str, args: Vec<String>, flavor: Flavor, split: &wafe_c
         }
     };
     if split.has_frontend("telemetry") {
-        fe.engine.session.telemetry.set_enabled(true);
+        fe.engine().session.telemetry.set_enabled(true);
     }
-    fe.engine.session.apply_toolkit_args(split);
-    load_app_defaults(&mut fe.engine.session);
-    // InitCom: "the resource InitCom is provided, which can be specified
-    // in a resource file or by using the -xrm command line option".
-    let init_com = fe
-        .engine
-        .session
-        .eval("gV topLevel initCom")
-        .unwrap_or_default();
-    if !init_com.is_empty() {
-        let _ = fe.send_to_app(&init_com);
-    }
+    fe.engine_mut().session.apply_toolkit_args(split);
     loop {
         match fe.step(Duration::from_millis(20)) {
             Ok(true) => report_step(&mut fe),
@@ -211,22 +211,28 @@ fn report_step(fe: &mut Frontend) {
     for line in std::mem::take(&mut fe.printed) {
         println!("{line}");
     }
-    for msg in fe.engine.take_errors() {
+    for msg in fe.engine_mut().take_errors() {
         eprintln!("wafe: {msg}");
     }
 }
 
-/// Loads the application-defaults resource file named by
-/// `WAFE_APP_DEFAULTS`, if set — the paper's "resource description file,
-/// which is evaluated at startup time of the application".
-fn load_app_defaults(session: &mut WafeSession) {
+/// The resources a session starts with: the application-defaults file
+/// named by `WAFE_APP_DEFAULTS`, if set — the paper's "resource
+/// description file, which is evaluated at startup time of the
+/// application" — then the `-xrm` lines, which override it.
+fn startup_resources(split: &SplitArgs) -> String {
+    let mut text = String::new();
     if let Ok(path) = std::env::var("WAFE_APP_DEFAULTS") {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            session.app.borrow_mut().resource_db.merge_text(&text);
-        } else {
-            eprintln!("wafe: cannot read app-defaults file {path}");
+        match std::fs::read_to_string(&path) {
+            Ok(t) => text = t,
+            Err(_) => eprintln!("wafe: cannot read app-defaults file {path}"),
         }
     }
+    for line in split.xrm_lines() {
+        text.push('\n');
+        text.push_str(line);
+    }
+    text
 }
 
 fn report_warnings(session: &WafeSession) {

@@ -15,7 +15,8 @@
 //! | [`xaw`] (`wafe-xaw`) | the Athena widget set (Xaw3d flavour) |
 //! | [`motif`] (`wafe-motif`) | the OSF/Motif subset and XmString |
 //! | [`core`] (`wafe-core`) | Wafe itself: the spec-generated command layer |
-//! | [`ipc`] (`wafe-ipc`) | frontend-mode process communication |
+//! | [`ipc`] (`wafe-ipc`) | the `%`-line protocol, line codec and fault plans |
+//! | [`serve`] (`wafe-serve`) | the event loop: frontend mode's supervised backend, and the multi-session server |
 //!
 //! # Quickstart
 //!
@@ -33,6 +34,7 @@
 pub use wafe_core as core;
 pub use wafe_ipc as ipc;
 pub use wafe_motif as motif;
+pub use wafe_serve as serve;
 pub use wafe_tcl as tcl;
 pub use wafe_xaw as xaw;
 pub use wafe_xproto as xproto;

@@ -8,12 +8,13 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use wafe::core::Flavor;
-use wafe::ipc::{BackendState, Frontend, FrontendConfig, ProtocolEngine, SupervisorConfig};
+use wafe::ipc::ProtocolEngine;
+use wafe::serve::{BackendState, Frontend, FrontendConfig, SupervisorConfig};
 use wafe::tcl::Metric;
 
 /// One `ipc.supervisor.*` event total from the session's store.
 fn stat(fe: &Frontend, m: Metric) -> u64 {
-    fe.engine.session.telemetry.value(m)
+    fe.engine().session.telemetry.value(m)
 }
 
 /// `backend status`, for assertion messages.
@@ -55,11 +56,11 @@ fn backend_crashes_mid_tree() {
     );
     let clean = fe.run_until_exit(Duration::from_secs(5)).unwrap();
     assert!(clean, "loop must end when the backend dies");
-    let app = fe.engine.session.app.borrow();
+    let app = fe.engine().session.app.borrow();
     assert!(app.lookup("a").is_some(), "partial tree preserved");
     drop(app);
     // The session is still usable locally.
-    assert_eq!(fe.engine.session.eval("gV a label").unwrap(), "first");
+    assert_eq!(fe.engine_mut().session.eval("gV a label").unwrap(), "first");
     fe.kill();
 }
 
@@ -74,17 +75,20 @@ fn backend_emits_garbage_commands() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(20)).unwrap();
-        if fe.engine.session.interp.var_exists("done") {
+        if fe.engine().session.interp.var_exists("done") {
             break;
         }
     }
     // The bad command produced a protocol error, not a dead frontend.
-    let errors = fe.engine.take_errors();
+    let errors = fe.engine_mut().take_errors();
     assert!(
         errors.iter().any(|e| e.contains("no_such_command")),
         "{errors:?}"
     );
-    assert_eq!(fe.engine.session.eval("gV l label").unwrap(), "survived");
+    assert_eq!(
+        fe.engine_mut().session.eval("gV l label").unwrap(),
+        "survived"
+    );
     fe.kill();
 }
 
@@ -99,12 +103,12 @@ fn backend_emits_binary_garbage() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(20)).unwrap();
-        if fe.engine.session.interp.var_exists("done") {
+        if fe.engine().session.interp.var_exists("done") {
             break;
         }
     }
     assert!(
-        fe.engine.session.interp.var_exists("done"),
+        fe.engine().session.interp.var_exists("done"),
         "binary noise must not kill the loop"
     );
     fe.kill();
@@ -173,9 +177,9 @@ fn backend_ignores_stdin_then_exits() {
         if !fe.step(Duration::from_millis(20)).unwrap() {
             break;
         }
-        let has_b = fe.engine.session.app.borrow().lookup("b").is_some();
+        let has_b = fe.engine().session.app.borrow().lookup("b").is_some();
         if has_b {
-            let mut app = fe.engine.session.app.borrow_mut();
+            let mut app = fe.engine().session.app.borrow_mut();
             if let Some(b) = app.lookup("b") {
                 if let Some(win) = app.widget(b).window {
                     let abs = app.displays[0].abs_rect(win);
@@ -216,7 +220,10 @@ fn wedged_backend_trips_read_timeout_instead_of_hanging() {
     );
     assert_eq!(stat(&fe, Metric::IpcSupervisorBreakerTrips), 1);
     // The GUI session itself is still usable after the breaker opened.
-    assert_eq!(fe.engine.session.eval("set x alive").unwrap(), "alive");
+    assert_eq!(
+        fe.engine_mut().session.eval("set x alive").unwrap(),
+        "alive"
+    );
     fe.kill();
 }
 
@@ -232,26 +239,26 @@ fn supervisor_counters_surface_in_telemetry_snapshot() {
         ..SupervisorConfig::default()
     };
     let mut fe = spawn_sh_with(script, supervisor);
-    fe.engine.session.telemetry.set_enabled(true);
+    fe.engine().session.telemetry.set_enabled(true);
     fe.kill_backend();
     fe.send_to_app("resurrected").unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
-        if fe.engine.session.interp.var_exists("got_resurrected") {
+        if fe.engine().session.interp.var_exists("got_resurrected") {
             break;
         }
     }
     assert!(
-        fe.engine.session.interp.var_exists("got_resurrected"),
+        fe.engine().session.interp.var_exists("got_resurrected"),
         "queued line must be delivered after the restart"
     );
-    let snap = snapshot(&mut fe.engine.session);
+    let snap = snapshot(&mut fe.engine_mut().session);
     assert!(snap["ipc.supervisor.restarts"] >= 1, "{snap:?}");
     assert!(snap["ipc.supervisor.queue.flushed"] >= 1);
     assert!(snap["ipc.supervisor.write.errors"] >= 1);
     // The journal recorded the fault/restart sequence.
-    let journal = fe.engine.session.eval("telemetry journal").unwrap();
+    let journal = fe.engine_mut().session.eval("telemetry journal").unwrap();
     assert!(journal.contains("supervisor.fault"), "{journal}");
     assert!(journal.contains("supervisor.restart"), "{journal}");
     fe.kill();
@@ -278,7 +285,7 @@ fn prime_backend_restarts_end_to_end() {
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
         let built = {
-            let app = fe.engine.session.app.borrow();
+            let app = fe.engine().session.app.borrow();
             app.lookup("result").is_some() && app.lookup("input").is_some()
         };
         if built {
@@ -289,12 +296,12 @@ fn prime_backend_restarts_end_to_end() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
-        if fe.engine.session.eval("gV result label").unwrap() == "5*3*3*2*2*2" {
+        if fe.engine_mut().session.eval("gV result label").unwrap() == "5*3*3*2*2*2" {
             break;
         }
     }
     assert_eq!(
-        fe.engine.session.eval("gV result label").unwrap(),
+        fe.engine_mut().session.eval("gV result label").unwrap(),
         "5*3*3*2*2*2"
     );
     // Crash it; the request sent while dead is queued and flushed.
@@ -303,11 +310,14 @@ fn prime_backend_restarts_end_to_end() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         fe.step(Duration::from_millis(10)).unwrap();
-        if fe.engine.session.eval("gV result label").unwrap() == "7*5" {
+        if fe.engine_mut().session.eval("gV result label").unwrap() == "7*5" {
             break;
         }
     }
-    assert_eq!(fe.engine.session.eval("gV result label").unwrap(), "7*5");
+    assert_eq!(
+        fe.engine_mut().session.eval("gV result label").unwrap(),
+        "7*5"
+    );
     assert_eq!(
         stat(&fe, Metric::IpcSupervisorRestarts),
         1,

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use wafe::core::Flavor;
-use wafe::ipc::{Frontend, FrontendConfig};
+use wafe::serve::{Frontend, FrontendConfig};
 
 fn spawn_prime() -> Frontend {
     let mut config = FrontendConfig::new(env!("CARGO_BIN_EXE_wafe-backend-prime"));
@@ -33,7 +33,7 @@ fn three_phases_end_to_end() {
         wait_for(
             &mut fe,
             |fe| {
-                let app = fe.engine.session.app.borrow();
+                let app = fe.engine().session.app.borrow();
                 ["top", "input", "result", "quit", "info"]
                     .iter()
                     .all(|w| app.lookup(w).map(|id| app.is_realized(id)).unwrap_or(false))
@@ -45,7 +45,7 @@ fn three_phases_end_to_end() {
 
     // Phase 3: the read loop — type a number, press Return.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let input = app.lookup("input").unwrap();
         let win = app.widget(input).window.unwrap();
         app.displays[0].set_input_focus(Some(win));
@@ -57,7 +57,7 @@ fn three_phases_end_to_end() {
         wait_for(
             &mut fe,
             |fe| {
-                let app = fe.engine.session.app.borrow();
+                let app = fe.engine().session.app.borrow();
                 let label = |w: &str| {
                     app.lookup(w)
                         .map(|id| app.str_resource(id, "label"))
@@ -71,7 +71,7 @@ fn three_phases_end_to_end() {
     );
     // The info label went through "thinking..." to "N seconds".
     let info = {
-        let app = fe.engine.session.app.borrow();
+        let app = fe.engine().session.app.borrow();
         let i = app.lookup("info").unwrap();
         app.str_resource(i, "label")
     };
@@ -79,7 +79,7 @@ fn three_phases_end_to_end() {
 
     // Invalid input handled.
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let input = app.lookup("input").unwrap();
         app.set_resource(input, "string", "xyz").unwrap();
         let win = app.widget(input).window.unwrap();
@@ -90,7 +90,7 @@ fn three_phases_end_to_end() {
         wait_for(
             &mut fe,
             |fe| {
-                let app = fe.engine.session.app.borrow();
+                let app = fe.engine().session.app.borrow();
                 let i = app.lookup("info").unwrap();
                 app.str_resource(i, "label") == "(invalid input)"
             },
@@ -101,14 +101,14 @@ fn three_phases_end_to_end() {
 
     // The quit button ends the session ("callback quit").
     {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let q = app.lookup("quit").unwrap();
         let abs = app.displays[0].abs_rect(app.widget(q).window.unwrap());
         app.displays[0].inject_click(abs.x + 2, abs.y + 2, 1);
     }
     let clean = fe.run_until_exit(Duration::from_secs(5)).unwrap();
     assert!(clean);
-    assert!(fe.engine.session.quit_requested());
+    assert!(fe.engine().session.quit_requested());
     fe.kill();
 }
 
@@ -120,7 +120,7 @@ fn click_ahead_with_real_backend() {
     assert!(wait_for(
         &mut fe,
         |fe| {
-            let app = fe.engine.session.app.borrow();
+            let app = fe.engine().session.app.borrow();
             app.lookup("input")
                 .map(|w| app.is_realized(w))
                 .unwrap_or(false)
@@ -129,7 +129,7 @@ fn click_ahead_with_real_backend() {
     ));
     let inputs = ["12", "35", "1001"];
     for n in inputs {
-        let mut app = fe.engine.session.app.borrow_mut();
+        let mut app = fe.engine().session.app.borrow_mut();
         let input = app.lookup("input").unwrap();
         app.set_resource(input, "string", n).unwrap();
         let win = app.widget(input).window.unwrap();
@@ -141,7 +141,7 @@ fn click_ahead_with_real_backend() {
         wait_for(
             &mut fe,
             |fe| {
-                let app = fe.engine.session.app.borrow();
+                let app = fe.engine().session.app.borrow();
                 let r = app.lookup("result").unwrap();
                 app.str_resource(r, "label") == "13*11*7"
             },
@@ -160,7 +160,7 @@ fn gui_stays_live_while_backend_busy() {
     assert!(wait_for(
         &mut fe,
         |fe| {
-            let app = fe.engine.session.app.borrow();
+            let app = fe.engine().session.app.borrow();
             app.lookup("input")
                 .map(|w| app.is_realized(w))
                 .unwrap_or(false)
@@ -170,7 +170,7 @@ fn gui_stays_live_while_backend_busy() {
     // Inject a burst of exposes and confirm each is serviced promptly.
     for _ in 0..5 {
         {
-            let mut app = fe.engine.session.app.borrow_mut();
+            let mut app = fe.engine().session.app.borrow_mut();
             let input = app.lookup("input").unwrap();
             let win = app.widget(input).window.unwrap();
             app.displays[0].expose(win);
@@ -178,7 +178,7 @@ fn gui_stays_live_while_backend_busy() {
         }
         fe.step(Duration::from_millis(5)).unwrap();
         assert_eq!(
-            fe.engine.session.app.borrow().displays[0].pending(),
+            fe.engine().session.app.borrow().displays[0].pending(),
             0,
             "expose must be serviced even though the backend never spoke"
         );
