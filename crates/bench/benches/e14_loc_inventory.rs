@@ -27,7 +27,10 @@ const LAYERS: [(&str, &str); 13] = [
     ("wafe-motif (Motif subset)", "crates/wafe-motif/src"),
     ("wafe-core (Wafe command layer)", "crates/wafe-core/src"),
     ("wafe-ipc (%-line protocol)", "crates/wafe-ipc/src"),
-    ("wafe-serve (event loop: frontend, server)", "crates/wafe-serve/src"),
+    (
+        "wafe-serve (event loop: frontend, server)",
+        "crates/wafe-serve/src",
+    ),
     ("src (binaries: wafe, waferd, backends)", "src"),
     ("wafe-prop (property-test harness)", "crates/wafe-prop/src"),
     ("bench (benchmark harness)", "crates/bench/src"),

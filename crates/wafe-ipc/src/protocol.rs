@@ -86,6 +86,11 @@ impl ProtocolEngine {
         self.prefix = prefix;
     }
 
+    /// The current command-prefix character.
+    pub fn prefix(&self) -> char {
+        self.prefix
+    }
+
     /// Handles one line from the application.
     ///
     /// A line starting with the prefix character is interpreted as a Wafe

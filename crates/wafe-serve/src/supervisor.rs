@@ -873,10 +873,11 @@ impl ConnIo for Supervisor {
         }
     }
 
-    /// [`next_line`](ConnIo::next_line) writes the child's stdin
-    /// itself, so only a display frame reaches this — and frames have no
-    /// reader in frontend mode.
+    /// A display frame, the one line that skips
+    /// [`next_line`](ConnIo::next_line): queued for the child like a
+    /// line held while it is down.
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.enqueue(String::from_utf8_lossy(buf).trim_end().to_string());
         Ok(buf.len())
     }
 

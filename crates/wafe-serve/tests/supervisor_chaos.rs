@@ -4,7 +4,7 @@
 //!
 //! Determinism rules: faults trigger on *line/chunk ordinals* (stable
 //! whatever the pipe chunking), garbling is seeded, and every timeout
-//! decision runs on the scheduler's virtual tick clock — the test
+//! decision runs on the supervisor's virtual tick clock — the test
 //! loops below are bounded step counts, never wall-clock sleeps in the
 //! assertions.
 
