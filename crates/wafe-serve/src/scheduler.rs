@@ -17,7 +17,7 @@
 //! ever gets one quantum ahead of a quiet one; its surplus waits in its
 //! own inbound queue, never in anyone else's way.
 //!
-//! Time is virtual: the driver calls [`advance`](Scheduler::advance)
+//! Time is virtual: the loop's owner calls [`advance`](Scheduler::advance)
 //! with elapsed milliseconds (wall-derived in the real server, scripted
 //! in tests), and idle eviction, the drain timeout and each
 //! connection's own deadlines ([`ConnIo::tick`] — the backend child's
@@ -167,7 +167,7 @@ pub struct Scheduler {
     /// Resource lines merged into each new session before its
     /// `topLevel` exists.
     resources: String,
-    /// Leave the engines' protocol errors for the driver to take.
+    /// Leave the engines' protocol errors for the loop's owner to take.
     keep_errors: bool,
 }
 
@@ -205,7 +205,7 @@ impl Scheduler {
         self.resources = resources;
     }
 
-    /// Keeps each engine's protocol errors for the driver to take
+    /// Keeps each engine's protocol errors for the loop's owner to take
     /// (frontend mode prints them) instead of discarding them once
     /// counted.
     pub fn set_keep_errors(&mut self, keep: bool) {
