@@ -40,31 +40,30 @@ pub fn register_handwritten(interp: &mut Interp) {
 /// `backend status|restart|kill|config|queue`, `faultpoint
 /// set|clear|list`, `serve status|sessions|drain|limits`, `session
 /// park|restore|snapshots` and `display attach|detach|frame|event|status`
-/// — the embedder control surface. The embedding process (wafe-ipc's
-/// frontend, wafe-serve's scheduler) registers the real commands on the
-/// session's interpreter, shadowing these placeholders; in a plain
-/// session each command reports which embedding it needs.
+/// — the embedder control surface. The embedding process (wafe-serve's
+/// scheduler and frontend) registers the real commands on the session's
+/// interpreter, shadowing these placeholders; in a plain session each
+/// command reports which embedding it needs.
 fn register_backend_controls(interp: &mut Interp) {
-    for (name, absent) in [
-        ("backend", "requires frontend mode (no backend attached)"),
-        ("faultpoint", "requires frontend mode (no backend attached)"),
-        (
-            "serve",
-            "requires server mode (no waferd scheduler attached)",
-        ),
-        (
-            "session",
-            "requires server mode (no session registry attached)",
-        ),
-        (
-            "display",
-            "requires server mode (no display channel attached)",
-        ),
-    ] {
-        interp.register(name, move |_, argv| {
-            Err(TclError::Error(format!("{} {absent}", argv[0])))
-        });
+    for name in ["backend", "faultpoint", "serve", "session", "display"] {
+        register_placeholder(interp, name);
     }
+}
+
+/// Puts back the placeholder of embedder command `name` (a no-op for
+/// any other name): an embedder that was handed a command it does not
+/// serve withdraws it this way.
+pub fn register_placeholder(interp: &mut Interp, name: &str) {
+    let absent = match name {
+        "backend" | "faultpoint" => "requires frontend mode (no backend attached)",
+        "serve" => "requires server mode (no waferd scheduler attached)",
+        "session" => "requires server mode (no session registry attached)",
+        "display" => "requires server mode (no display channel attached)",
+        _ => return,
+    };
+    interp.register(name, move |_, argv| {
+        Err(TclError::Error(format!("{} {absent}", argv[0])))
+    });
 }
 
 /// The key-sorted `(key, value)` pairs behind `telemetry snapshot`,

@@ -48,7 +48,7 @@ use crate::scheduler::{Scheduler, Session};
 /// sweep any more than it can monopolise the scheduler's quantum. It is
 /// also the unsent output at which a connection stops being read, so a
 /// client that sends but never reads cannot grow its output unbounded.
-const READ_SWEEP_CAP: usize = 64 * 1024;
+pub(crate) const READ_SWEEP_CAP: usize = 64 * 1024;
 
 /// A nonblocking byte stream the event loop can poll: TCP and Unix
 /// sockets, the simulated net's sockets, and the supervised backend
@@ -114,8 +114,7 @@ pub trait ConnIo {
     /// The scheduler's virtual clock moved to `now_ms`.
     fn tick(&mut self, _now_ms: u64) {}
 
-    /// The connection's session got an engine: on attach, and when a
-    /// restore replaces it.
+    /// The connection's session got its engine, on attach.
     fn bind(&mut self, _session: &mut WafeSession) {}
 }
 

@@ -176,11 +176,14 @@ impl Frontend {
         let printed = self.el.take_passthrough();
         self.printed
             .extend(printed.into_iter().map(|(_, line)| line));
-        // The backend ended (or the session quit or parked): the loop
-        // has nothing left, and the session is kept, not reaped.
+        // The backend ended (or the session quit): the loop has nothing
+        // left, and the session is kept, not reaped — but what its last
+        // turn has for the application is still written.
         let ended = self.session().done;
         self.engine_mut().session.pump();
-        if !ended {
+        if ended {
+            self.session_mut().flush();
+        } else {
             self.el.flush_and_reap();
         }
         self.el.advance(ms as u64);

@@ -540,7 +540,6 @@ impl Scheduler {
                 let mut engine = self.build_engine(id, &ctl, &display);
                 let entry = self.sessions[i].as_mut().expect("a live session");
                 let report = snap.restore_into(&mut engine.session);
-                entry.io.bind(&mut engine.session);
                 let tel = engine.session.telemetry.clone();
                 // Output the outgoing engine still held is flushed
                 // before the swap — it precedes the restore causally

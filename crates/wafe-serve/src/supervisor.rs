@@ -28,8 +28,8 @@
 //! turn and writes replies exactly as it does for a socket; the policy
 //! sits in the trait's hooks:
 //!
-//! * `read`, `read_side`, `admit` and `outbound` consult the `read`,
-//!   `mass`, `line` and `write` fault points, `start` and each respawn
+//! * `read`, `admit`, `next_line` and `after_turn` consult the `read`,
+//!   `line`, `write` and `mass` fault points, `start` and each respawn
 //!   the `spawn` point — the same [`FaultPlan`] the scheduler consults
 //!   at `display`;
 //! * `tick` runs on the scheduler's virtual clock: `backend` control
@@ -37,9 +37,12 @@
 //!   read and round-trip timeouts — so every timeout and backoff
 //!   decision is deterministic and the chaos suite needs no wall-clock
 //!   sleeps in its assertions;
-//! * `pull` sends InitCom and then the lines queued while the child was
-//!   down ahead of anything else after each spawn;
-//! * `backlogged` counts a flood trip when the backend outran a turn.
+//! * `next_line` sends InitCom and then the lines queued while the
+//!   child was down ahead of anything else after each spawn;
+//! * `after_turn` counts a flood trip when the backend outran a turn;
+//! * `bind` installs the `backend` and `faultpoint` commands.
+//!
+//! docs/supervisor.md tabulates every hook.
 //!
 //! While the backend is down the GUI stays alive: lines the session
 //! wants to send are queued (bounded by `queueCap`, with drop
@@ -65,6 +68,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
+use wafe_core::commands::register_placeholder;
 use wafe_core::WafeSession;
 use wafe_ipc::fault::truncate_line;
 use wafe_ipc::{
@@ -73,7 +77,7 @@ use wafe_ipc::{
 use wafe_tcl::{TclError, Value};
 use wafe_trace::{Metric, Telemetry};
 
-use crate::event_loop::ConnIo;
+use crate::event_loop::{ConnIo, READ_SWEEP_CAP};
 use crate::registry::Registry;
 use crate::scheduler::{settings, SharedPlan};
 
@@ -98,9 +102,10 @@ pub struct SupervisorConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling.
     pub backoff_max_ms: u64,
-    /// Lines handled per turn: the one-session loop's quantum. A
-    /// backend that writes more waits for later turns (a flood trip,
-    /// counted but not fatal).
+    /// Lines handled per turn: seeds the one-session loop's quantum at
+    /// spawn, which `backend config floodLines` reads and sets from then
+    /// on. A backend that writes more waits for later turns (a flood
+    /// trip, counted but not fatal).
     pub max_lines_per_tick: usize,
     /// Outbound lines queued while the backend is down; writes beyond
     /// this are dropped (and counted).
@@ -981,9 +986,15 @@ impl ConnIo for Supervisor {
     /// Feeds the mass channel to the engine after the turn's lines, and
     /// counts a flood trip when the backend outran the turn.
     fn after_turn(&mut self, engine: &mut ProtocolEngine, backlog: usize) {
-        // At most 64 KiB a turn, until the pipe would block or ends.
+        // Until the pipe would block or ends, at most a sweep's worth.
         let mut buf = [0u8; 16384];
-        (0..4).any(|_| !self.pump(MASS, &mut buf).is_ok_and(|n| n > 0));
+        let mut taken = 0;
+        while taken < READ_SWEEP_CAP {
+            match self.pump(MASS, &mut buf) {
+                Ok(n) if n > 0 => taken += n,
+                _ => break,
+            }
+        }
         // Bytes that came before their `setCommunicationVariable` ran
         // complete the transfer at the first turn after it.
         let mass = std::mem::take(&mut self.flow.ready[MASS]);
@@ -1035,7 +1046,9 @@ impl ConnIo for Supervisor {
 
     /// Takes the session's telemetry, `getChannel` fd and InitCom
     /// resource (unless the spec names one), and installs the `backend`
-    /// and `faultpoint` commands.
+    /// and `faultpoint` commands. The server's `serve` and `session`
+    /// commands are withdrawn: parking or draining the one session
+    /// would only end the frontend.
     fn bind(&mut self, session: &mut WafeSession) {
         self.tel = session.telemetry.clone();
         self.core.borrow_mut().tel = self.tel.clone();
@@ -1056,6 +1069,9 @@ impl ConnIo for Supervisor {
             }
         }
         install_controls(&self.core, &self.registry, session);
+        for name in ["serve", "session"] {
+            register_placeholder(&mut session.interp, name);
+        }
     }
 }
 
@@ -1111,12 +1127,9 @@ fn backend_control(
             (CONFIG_KEYS, "config key", USAGE),
             &argv[2..],
             |key| config_value(&core.borrow(), registry, key),
-            |key, value| {
-                core.borrow_mut().config.set(key, value)?;
-                if key == "floodLines" {
-                    registry.set_limit("quantum", value)?;
-                }
-                Ok(())
+            |key, value| match key {
+                "floodLines" => registry.set_limit("quantum", value),
+                _ => core.borrow_mut().config.set(key, value),
             },
         ),
         Some("queue") if argv.len() == 2 => Ok(wafe_tcl::list_join(&core.borrow().queued_lines())),
